@@ -56,7 +56,6 @@
 //! report is byte-identical across reruns.
 
 use crate::cell::CellParams;
-use crate::exec::builder::BuildMode;
 use crate::exec::plan::ExecPlan;
 use crate::exec::taskgraph::{collect_logits, row_chunks};
 use crate::exec::Target;
@@ -78,29 +77,7 @@ use bpar_verify::{
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// A deliberately seeded bug class, each the exclusive prey of one
-/// analysis prong (see the module docs for the exclusivity argument).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedBug {
-    /// Drop one `in` clause ([`BuildMode::MissingStateClause`]).
-    MissingClause,
-    /// Remove one compiled edge, clauses intact
-    /// ([`BuildMode::DroppedEdge`]).
-    DroppedEdge,
-    /// Alias one buffer under two region ids
-    /// ([`BuildMode::CrossEpochRace`]).
-    CrossEpochRace,
-}
-
-impl SeedBug {
-    fn mode(self) -> BuildMode {
-        match self {
-            SeedBug::MissingClause => BuildMode::MissingStateClause,
-            SeedBug::DroppedEdge => BuildMode::DroppedEdge,
-            SeedBug::CrossEpochRace => BuildMode::CrossEpochRace,
-        }
-    }
-}
+pub use crate::emit::SeedBug;
 
 /// What to analyze: one model configuration and batch shape.
 #[derive(Debug, Clone)]
@@ -186,20 +163,11 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
     let model = Brnn::<f64>::new(opts.config, opts.model_seed);
     let batch = synth_batch(&opts.config, opts.rows);
     let target = synth_target(&opts.config, opts.rows);
-    let mode = opts.seed_bug.map_or(BuildMode::Normal, SeedBug::mode);
     let recurrence = opts
         .recurrence
         .effective(opts.config.cell, opts.config.seq_len);
-    let plan = ExecPlan::build_with_mode(
-        &model,
-        &batch,
-        opts.mbs,
-        opts.train,
-        mode,
-        Backend::scalar(),
-        recurrence,
-    );
-    let names = region_name_map(&plan);
+    let plan = build_plan(opts, &model, &batch);
+    let names = region_name_map(&plan, opts.seed_bug);
     let name_of = |r: RegionId| {
         names
             .get(&r.0)
@@ -215,10 +183,7 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
     let spec = ShapeSpec {
         layers: opts.config.layers,
         seq: opts.config.seq_len,
-        outputs: match opts.config.kind {
-            ModelKind::ManyToOne => 1,
-            ModelKind::ManyToMany => opts.config.seq_len,
-        },
+        outputs: crate::emit::output_count(opts.config.kind, opts.config.seq_len),
         replicas,
         training: opts.train,
         scan_chunks: built_strategy.scan_chunks(),
@@ -238,8 +203,9 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
     plan_findings.extend(check_shape(shape_tasks, shape_edges, &spec));
     let plan_metrics = collect_metrics(&plan_view);
 
-    // Prong 1b: the same lints over the simulator's static twin of the
-    // graph — builder and graphgen must describe the same dataflow.
+    // Prong 1b: the same lints over the simulator's consumer of the same
+    // node stream — region mapping and ablation-free transforms must not
+    // change the dataflow.
     let phase = if opts.train {
         Phase::Training
     } else {
@@ -339,14 +305,39 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
     AnalysisReport::new(sections)
 }
 
-/// Human-readable `(cell, slot)` coordinates for every region of every
-/// replica, e.g. `r0.st_fwd[1][2]`.
-fn region_name_map<T: Float>(plan: &ExecPlan<T>) -> HashMap<u64, String> {
-    let mut names = Vec::new();
-    for (i, rep) in plan.replicas.iter().enumerate() {
-        rep.region_names(&format!("r{i}."), &mut names);
-    }
-    names.into_iter().map(|(r, n)| (r.0, n)).collect()
+/// Compiles the live plan `opts` describes (seeded bug included).
+fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -> ExecPlan<f64> {
+    ExecPlan::build(
+        model,
+        batch,
+        opts.mbs,
+        opts.train,
+        opts.seed_bug,
+        Backend::scalar(),
+        opts.recurrence
+            .effective(opts.config.cell, opts.config.seq_len),
+    )
+}
+
+/// The compiled live plan [`analyze`] examines for `opts`, as a view:
+/// labels, tags, declared clauses and frozen edges of every task. Lets
+/// tests outside the crate hold the plan against
+/// [`crate::graphgen::build_graph`].
+pub fn plan_view(opts: &AnalyzeOptions) -> GraphView {
+    let model = Brnn::<f64>::new(opts.config, opts.model_seed);
+    let plan = build_plan(opts, &model, &synth_batch(&opts.config, opts.rows));
+    GraphView::from_plan(&plan.compiled)
+}
+
+/// Human-readable `(cell, slot)` coordinates for every region any task
+/// of the plan declares, e.g. `r0.st_fwd[1][2]`.
+fn region_name_map<T: Float>(plan: &ExecPlan<T>, seed: Option<SeedBug>) -> HashMap<u64, String> {
+    let stream = ExecPlan::stream(&plan.replicas, plan.train, seed);
+    let clauses = |n| stream.ins(n).iter().chain(stream.outs(n));
+    let slots = stream.nodes.iter().flat_map(clauses);
+    slots
+        .map(|&(rep, slot)| (plan.replicas[rep].region(slot).0, format!("r{rep}.{slot}")))
+        .collect()
 }
 
 /// Everything one recorded replay yields for the analyses.

@@ -1,0 +1,796 @@
+//! The one description of the B-Par task graph.
+//!
+//! The paper's idea is small: every cell update is a task, its `in`/`out`
+//! clauses are the edges, and there are no barriers (Algorithms 2–3,
+//! Fig. 2). This module writes that down exactly once. An [`Emitter`]
+//! yields, per mini-batch replica and per stage ([`Emitter::stages`]), a stream of
+//! [`Node`]s: task kind, layer, direction, timestep/output index, symbolic
+//! `in`/`out` slot ids ([`SlotId`]) and flop / working-set annotations
+//! parameterised by the scalar size. Direction is data ([`Dir`]), so chain
+//! cells and BPTT cells are each written once; the Blelloch scan layer
+//! (`scan_forward` / `scan_backward`) is a second emitter of the same node
+//! type.
+//!
+//! Consumers attach what they need and nothing else:
+//!
+//! * [`crate::graphgen::build_graph`] maps slot ids to fresh region ids
+//!   and keeps the cost annotations (simulator, shape checks);
+//! * `exec::builder::ReplicaGraph` resolves slot ids to its typed slot
+//!   handles at build time and attaches one closure per [`Kind`] (live
+//!   executors);
+//! * `analyze` lints either.
+//!
+//! Everything that is *not* the paper's graph is a transform over the
+//! emitted stream rather than a branch inside emission: the framework
+//! ablations ([`insert_barriers`], [`fuse_merges`], [`split_cells`]) and
+//! the seeded bugs of the soundness detectors ([`drop_state_clause`],
+//! [`append_epoch_probe`]).
+
+use crate::model::{BrnnConfig, ModelKind};
+use crate::scanplan::{NodeRef, ScanPlan};
+use std::collections::HashMap;
+use std::fmt;
+
+/// Recurrence direction of a cell chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Dir {
+    /// Forward order (`t` ascending).
+    Fwd,
+    /// Reverse order (`t` descending).
+    Rev,
+}
+
+impl Dir {
+    pub const BOTH: [Dir; 2] = [Dir::Fwd, Dir::Rev];
+
+    /// Array index of the direction (`[fwd, rev]`).
+    pub fn ix(self) -> usize {
+        self as usize
+    }
+
+    /// Logical recurrence position → physical timestep: the reverse
+    /// direction's recurrence runs right-to-left, so its position 0 is
+    /// `t = T-1`.
+    pub fn phys(self, j: usize, seq: usize) -> usize {
+        match self {
+            Dir::Fwd => j,
+            Dir::Rev => seq - 1 - j,
+        }
+    }
+
+    fn suffix(self) -> &'static str {
+        ["fwd", "rev"][self.ix()]
+    }
+}
+
+/// A symbolic data slot of one replica; each names one dependency region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum SlotId {
+    /// Cell output (state + BPTT cache), `(dir, layer, t)`.
+    St(Dir, usize, usize),
+    /// Merge-cell output feeding layer `l+1`, `(layer, t)`.
+    Merged(usize, usize),
+    /// Classifier features of output position `i`.
+    Feat(usize),
+    /// Classifier logits of output position `i`.
+    Logits(usize),
+    /// Gradient w.r.t. `Feat(i)`.
+    Dfeat(usize),
+    /// Gradient w.r.t. a direction's hidden output, `(dir, layer, t)`.
+    Dh(Dir, usize, usize),
+    /// Recurrent state gradient, `(dir, layer, t)`.
+    Sg(Dir, usize, usize),
+    /// Gradient w.r.t. the layer input via one direction's cells. Kept
+    /// per direction so the two BPTT chains share no output region — a
+    /// shared accumulator would add a WAW edge serialising them.
+    Dinput(Dir, usize, usize),
+    /// Weight-gradient accumulator, `(dir, layer)`.
+    Grads(Dir, usize),
+    /// Classifier weight-gradient accumulator.
+    GradsDense,
+    /// Weighted loss accumulator.
+    Loss,
+    /// Scan transfer `(adjoint tree?, dir, layer, which)`.
+    Scan(bool, Dir, usize, NodeRef),
+    /// `Feat(0)`'s storage under a second region id — exists only in
+    /// graphs seeded by [`append_epoch_probe`].
+    FeatAlias,
+    /// Intermediate GEMM output of a [`split_cells`] cell (sim only).
+    Gemm(Dir, usize, usize),
+    /// Completion token of the barrier with this tag (sim only).
+    Barrier(u64),
+}
+
+/// Human-readable coordinates (`st_fwd[1][2]`), used in analysis findings.
+impl fmt::Display for SlotId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use SlotId::*;
+        match *self {
+            St(d, l, t) => write!(f, "st_{}[{l}][{t}]", d.suffix()),
+            Merged(l, t) => write!(f, "merged[{l}][{t}]"),
+            Feat(i) => write!(f, "feat[{i}]"),
+            Logits(i) => write!(f, "logits[{i}]"),
+            Dfeat(i) => write!(f, "dfeat[{i}]"),
+            Dh(d, l, t) => write!(f, "dh_{}[{l}][{t}]", d.suffix()),
+            Sg(d, l, t) => write!(f, "sg_{}[{l}][{t}]", d.suffix()),
+            Dinput(d, l, t) => write!(f, "dinput_{}[{l}][{t}]", &d.suffix()[..1]),
+            Grads(d, l) => write!(f, "grads_{}[{l}]", d.suffix()),
+            GradsDense => f.write_str("grads_dense"),
+            Loss => f.write_str("loss"),
+            Scan(adjoint, d, l, r) => {
+                let (what, i) = match r {
+                    NodeRef::Total(i) => ("total", i),
+                    NodeRef::Node(i) => ("node", i),
+                    NodeRef::Identity => ("identity", 0),
+                };
+                let b = if adjoint { "b" } else { "" };
+                write!(f, "{b}scan_{what}_{}[{l}][{i}]", &d.suffix()[..1])
+            }
+            FeatAlias => f.write_str("feat_alias"),
+            Gemm(d, l, t) => write!(f, "gemm_{}[{l}][{t}]", d.suffix()),
+            Barrier(tag) => write!(f, "barrier[{tag}]"),
+        }
+    }
+}
+
+/// A slot of a specific replica (reductions cross replicas).
+pub(crate) type SlotRef = (usize, SlotId);
+
+/// Task kind; with the node's direction it determines the label and, in
+/// the live consumer, the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Kind {
+    Cell,
+    Merge,
+    MergeFinal,
+    Dense,
+    Loss,
+    /// Backward seed: splits `Dfeat(i)` into the top layer's `Dh` slots.
+    MergeBwdFinal,
+    CellBwd,
+    /// Inner backward merge feeding layer `node.layer` from `layer + 1`.
+    MergeBwd,
+    ScanLocal,
+    ScanComb,
+    ScanFix,
+    BscanLocal,
+    BscanComb,
+    BscanFix,
+    BscanGrad,
+    ReduceCell,
+    ReduceDense,
+    ReduceLoss,
+    /// The [`append_epoch_probe`] task.
+    EpochProbe,
+    /// [`insert_barriers`] node (sim only).
+    Barrier,
+    /// [`split_cells`] halves of a forward cell (sim only).
+    CellGemm,
+    CellPt,
+}
+
+impl Kind {
+    fn is_scan(self) -> bool {
+        use Kind::*;
+        matches!(
+            self,
+            ScanLocal | ScanComb | ScanFix | BscanLocal | BscanComb | BscanFix | BscanGrad
+        )
+    }
+}
+
+/// One task of the graph, before any consumer attached regions or a body.
+/// Its clause lists live in the owning [`Stream`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    pub kind: Kind,
+    /// Replica the task belongs to (and whose body state it uses).
+    pub rep: usize,
+    pub layer: usize,
+    pub dir: Dir,
+    /// Timestep, output position, chunk or combine index (per kind).
+    pub index: usize,
+    pub tag: u64,
+    pub flops: u64,
+    /// Approximate bytes touched.
+    pub ws: usize,
+    /// `[start, ins end, outs end]` of the clauses in the stream's arena.
+    clauses: [usize; 3],
+}
+
+impl Node {
+    fn new(kind: Kind, rep: usize, dir: Dir, layer: usize, index: usize) -> Node {
+        let lt = ((layer as u64) << 32) | index as u64;
+        let dir_bits = if kind.is_scan() { dir.ix() as u64 } else { 0 };
+        Node {
+            kind,
+            rep,
+            layer,
+            dir,
+            index,
+            tag: (dir_bits << 56) | lt,
+            flops: 0,
+            ws: 0,
+            clauses: [0; 3],
+        }
+    }
+
+    /// The task label every consumer reports.
+    pub fn label(&self) -> &'static str {
+        let by_dir = |names: [&'static str; 2]| names[self.dir.ix()];
+        match self.kind {
+            Kind::Cell => by_dir(["cell_fwd", "cell_rev"]),
+            Kind::Merge => "merge",
+            Kind::MergeFinal => "merge_final",
+            Kind::Dense => "dense",
+            Kind::Loss => "loss",
+            Kind::MergeBwdFinal | Kind::MergeBwd => "merge_bwd",
+            Kind::CellBwd => by_dir(["cell_fwd_bwd", "cell_rev_bwd"]),
+            Kind::ScanLocal => "scan_local",
+            Kind::ScanComb => "scan_comb",
+            Kind::ScanFix => "scan_fix",
+            Kind::BscanLocal => "bscan_local",
+            Kind::BscanComb => "bscan_comb",
+            Kind::BscanFix => "bscan_fix",
+            Kind::BscanGrad => "bscan_grad",
+            Kind::ReduceCell => by_dir(["reduce_fwd", "reduce_rev"]),
+            Kind::ReduceDense => "reduce_dense",
+            Kind::ReduceLoss => "reduce_loss",
+            Kind::EpochProbe => "epoch_probe",
+            Kind::Barrier => "barrier",
+            Kind::CellGemm => by_dir(["cell_fwd_gemm", "cell_rev_gemm"]),
+            Kind::CellPt => by_dir(["cell_fwd_pt", "cell_rev_pt"]),
+        }
+    }
+}
+
+/// An emitted node stream: the nodes in submission order, with all their
+/// `in`/`out` clause lists in one arena — emitting a node allocates
+/// nothing, which keeps plan builds (every plan-cache miss of a server)
+/// cheap.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stream {
+    pub nodes: Vec<Node>,
+    slots: Vec<SlotRef>,
+    /// `nodes.len()` at the end of each stage emitted by
+    /// [`Emitter::replica`].
+    stage_ends: Vec<usize>,
+}
+
+impl Stream {
+    /// The node's declared `in` clauses.
+    pub fn ins(&self, n: &Node) -> &[SlotRef] {
+        &self.slots[n.clauses[0]..n.clauses[1]]
+    }
+
+    /// The node's declared `out` clauses.
+    pub fn outs(&self, n: &Node) -> &[SlotRef] {
+        &self.slots[n.clauses[1]..n.clauses[2]]
+    }
+
+    /// Appends `node` with clauses over its own replica's slots.
+    fn push(
+        &mut self,
+        node: Node,
+        ins: impl IntoIterator<Item = SlotId>,
+        outs: impl IntoIterator<Item = SlotId>,
+    ) {
+        let on_rep = |s| (node.rep, s);
+        self.push_refs(
+            node,
+            ins.into_iter().map(on_rep),
+            outs.into_iter().map(on_rep),
+        );
+    }
+
+    fn end_stage(&mut self) {
+        self.stage_ends.push(self.nodes.len());
+    }
+
+    /// The per-stage node groups of a stream built by one
+    /// [`Emitter::replica`] call.
+    pub fn stages(&self) -> impl Iterator<Item = &[Node]> {
+        let starts = [0].into_iter().chain(self.stage_ends.iter().copied());
+        starts
+            .zip(&self.stage_ends)
+            .map(|(a, &b)| &self.nodes[a..b])
+    }
+
+    fn push_refs(
+        &mut self,
+        mut node: Node,
+        ins: impl IntoIterator<Item = SlotRef>,
+        outs: impl IntoIterator<Item = SlotRef>,
+    ) {
+        let start = self.slots.len();
+        self.slots.extend(ins);
+        let mid = self.slots.len();
+        self.slots.extend(outs);
+        node.clauses = [start, mid, self.slots.len()];
+        self.nodes.push(node);
+    }
+}
+
+/// The `(fwd t, rev t)` cell outputs feeding output position `i`: a
+/// many-to-one model reads each direction's *last* state.
+pub(crate) fn output_steps(kind: ModelKind, seq: usize, i: usize) -> (usize, usize) {
+    match kind {
+        ModelKind::ManyToOne => (seq - 1, 0),
+        ModelKind::ManyToMany => (i, i),
+    }
+}
+
+/// Output positions of a model: 1 for many-to-one, `seq` for many-to-many.
+pub(crate) fn output_count(kind: ModelKind, seq: usize) -> usize {
+    match kind {
+        ModelKind::ManyToOne => 1,
+        ModelKind::ManyToMany => seq,
+    }
+}
+
+/// Emits the nodes of one replica.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Emitter<'a> {
+    pub cfg: BrnnConfig,
+    /// Timesteps (the batch's, which may differ from `cfg.seq_len`).
+    pub seq: usize,
+    /// Batch rows of this replica.
+    pub rows: usize,
+    /// Element size the working-set annotations assume.
+    pub scalar: usize,
+    /// Scan topology; `None` runs the timestep chain.
+    pub scan: Option<&'a ScanPlan>,
+    /// Replica index.
+    pub rep: usize,
+}
+
+impl Emitter<'_> {
+    fn node(&self, kind: Kind, dir: Dir, at: (usize, usize), cost: (u64, usize)) -> Node {
+        let mut n = Node::new(kind, self.rep, dir, at.0, at.1);
+        (n.flops, n.ws) = cost;
+        n
+    }
+
+    /// Appends the replica's nodes stage by stage: forward layers
+    /// bottom-up, the output stage, then (training) the backward layers
+    /// deepest-first. [`crate::exec::BarrierExec`] waits between stages
+    /// ([`Stream::stages`]); the B-Par plan concatenates them.
+    pub fn replica(&self, train: bool, out: &mut Stream) {
+        for l in 0..self.cfg.layers {
+            self.forward(l, out);
+            out.end_stage();
+        }
+        self.output(train, out);
+        out.end_stage();
+        for l in (0..self.cfg.layers).rev().filter(|_| train) {
+            self.backward(l, out);
+            out.end_stage();
+        }
+    }
+
+    /// `(flops, working set)` of one cell update of layer `l`.
+    fn cell_cost(&self, l: usize, backward: bool) -> (u64, usize) {
+        let (cell, rows, h) = (self.cfg.cell, self.rows, self.cfg.hidden_size);
+        let w = self.cfg.layer_input_size(l);
+        if backward {
+            let ws = cell.backward_working_set(rows, w, h, self.scalar);
+            (cell.backward_flops(rows, w, h), ws)
+        } else {
+            let ws = cell.forward_working_set(rows, w, h, self.scalar);
+            (cell.forward_flops(rows, w, h), ws)
+        }
+    }
+
+    /// Layer `l`'s cells and merges (Algorithms 2 and 3).
+    fn forward(&self, l: usize, out: &mut Stream) {
+        use SlotId::*;
+        let (cfg, seq, rows) = (self.cfg, self.seq, self.rows);
+        let cost = self.cell_cost(l, false);
+        for dir in Dir::BOTH {
+            if let Some(plan) = self.scan {
+                self.scan_forward(plan, l, dir, out);
+                continue;
+            }
+            // Cells are created in recurrence order; each depends on its
+            // own previous state and (for l > 0) the merge cell below.
+            for j in 0..seq {
+                let t = dir.phys(j, seq);
+                let prev = (j > 0).then(|| St(dir, l, dir.phys(j - 1, seq)));
+                let below = (l > 0).then(|| Merged(l - 1, t));
+                let cell = self.node(Kind::Cell, dir, (l, t), cost);
+                out.push(cell, prev.into_iter().chain(below), [St(dir, l, t)]);
+            }
+        }
+        // Merge cells (all layers except the last, whose merge belongs to
+        // the output stage) are separate tasks so forward and reverse
+        // cells never depend on each other (§III-A). Strategy-oblivious:
+        // they read completed `St` slots either way.
+        if l + 1 < cfg.layers {
+            let ws = 3 * rows * cfg.merge.output_width(cfg.hidden_size) * self.scalar;
+            let cost = (cfg.merge.flops(rows, cfg.hidden_size), ws);
+            for t in 0..seq {
+                let merge = self.node(Kind::Merge, Dir::Fwd, (l, t), cost);
+                out.push(
+                    merge,
+                    [St(Dir::Fwd, l, t), St(Dir::Rev, l, t)],
+                    [Merged(l, t)],
+                );
+            }
+        }
+    }
+
+    /// The last layer's merge and classifier; with `train` also the loss
+    /// and the backward seed.
+    fn output(&self, train: bool, out: &mut Stream) {
+        use SlotId::*;
+        let (cfg, rows) = (self.cfg, self.rows);
+        let last = cfg.layers - 1;
+        let dense_in = cfg.classifier_input_size();
+        let dense_flops = (2 * rows * dense_in * cfg.output_size) as u64;
+        let merge_flops = cfg.merge.flops(rows, cfg.hidden_size);
+        let node = |kind, i, flops, ws| self.node(kind, Dir::Fwd, (0, i), (flops, ws));
+        for i in 0..output_count(cfg.kind, self.seq) {
+            let (tf, tr) = output_steps(cfg.kind, self.seq, i);
+            let (f, r) = (St(Dir::Fwd, last, tf), St(Dir::Rev, last, tr));
+            let merge_ws = 3 * rows * dense_in * self.scalar;
+            out.push(
+                node(Kind::MergeFinal, i, merge_flops, merge_ws),
+                [f, r],
+                [Feat(i)],
+            );
+            if !train {
+                out.push(node(Kind::Dense, i, dense_flops, 0), [Feat(i)], [Logits(i)]);
+                continue;
+            }
+            // Classifier + loss + classifier backward in one task. The
+            // classifier-gradient and loss slots are accumulated across
+            // output positions (read-modify-write), so they are *inout*;
+            // the added read edges coincide with the write-after-write
+            // chain between consecutive loss tasks and dedup away.
+            out.push(
+                node(Kind::Loss, i, 3 * dense_flops, 0),
+                [Feat(i), GradsDense, Loss],
+                [Logits(i), Dfeat(i), GradsDense, Loss],
+            );
+            out.push(
+                node(Kind::MergeBwdFinal, i, merge_flops, 0),
+                [Dfeat(i), f, r],
+                [Dh(Dir::Fwd, last, tf), Dh(Dir::Rev, last, tr)],
+            );
+        }
+    }
+
+    /// Layer `l`'s BPTT cells (each direction against its recurrence
+    /// order) and, for `l > 0`, the merge-backward tasks seeding `l-1`.
+    fn backward(&self, l: usize, out: &mut Stream) {
+        use SlotId::*;
+        let (cfg, seq, rows) = (self.cfg, self.seq, self.rows);
+        let cost = self.cell_cost(l, true);
+        for dir in Dir::BOTH {
+            if let Some(plan) = self.scan {
+                self.scan_backward(plan, l, dir, out);
+                continue;
+            }
+            for j in (0..seq).rev() {
+                let t = dir.phys(j, seq);
+                // The per-layer weight-gradient accumulator is read-
+                // modify-written by every timestep's backward cell, so it
+                // is inout; its read edge duplicates the BPTT chain edge
+                // (same predecessor) and dedups away.
+                let sg_in = (j + 1 < seq).then(|| Sg(dir, l, dir.phys(j + 1, seq)));
+                out.push(
+                    self.node(Kind::CellBwd, dir, (l, t), cost),
+                    [St(dir, l, t), Dh(dir, l, t), Grads(dir, l)]
+                        .into_iter()
+                        .chain(sg_in),
+                    [Sg(dir, l, t), Dinput(dir, l, t), Grads(dir, l)],
+                );
+            }
+        }
+        // The layer-input gradient is the sum of the two directions'
+        // contributions; summing in a separate task keeps the directions'
+        // BPTT chains free of mutual dependencies.
+        if l > 0 {
+            let cost = (cfg.merge.flops(rows, cfg.hidden_size), 0);
+            for t in 0..seq {
+                let (df, dr) = (Dinput(Dir::Fwd, l, t), Dinput(Dir::Rev, l, t));
+                out.push(
+                    self.node(Kind::MergeBwd, Dir::Fwd, (l - 1, t), cost),
+                    [df, dr, St(Dir::Fwd, l - 1, t), St(Dir::Rev, l - 1, t)],
+                    [Dh(Dir::Fwd, l - 1, t), Dh(Dir::Rev, l - 1, t)],
+                );
+            }
+        }
+    }
+
+    /// Gradient reductions of this replica into replica 0, one task per
+    /// accumulator so reductions of different layers proceed in parallel
+    /// (§III-B: "dependencies enforce gradient synchronization among model
+    /// replicas"). The destination is read-modify-written, so it is inout;
+    /// the read edge duplicates the reduction chain's WAW edge and dedups
+    /// away.
+    pub fn reduce(&self, out: &mut Stream) {
+        let cfg = self.cfg;
+        let mut push = |mut n: Node, tag: usize, slot: SlotId| {
+            n.tag = tag as u64;
+            out.push_refs(n, [(self.rep, slot), (0, slot)], [(0, slot)]);
+        };
+        for l in 0..cfg.layers {
+            let params = cfg.cell.params(cfg.layer_input_size(l), cfg.hidden_size);
+            for dir in Dir::BOTH {
+                let n = self.node(Kind::ReduceCell, dir, (l, 0), (params as u64, 0));
+                push(n, l, SlotId::Grads(dir, l));
+            }
+        }
+        let node = |kind| self.node(kind, Dir::Fwd, (0, 0), (0, 0));
+        push(node(Kind::ReduceDense), 0, SlotId::GradsDense);
+        push(node(Kind::ReduceLoss), 0, SlotId::Loss);
+    }
+
+    /// One direction of layer `l` under the scan strategy: `C` chunk-local
+    /// sweeps (`scan_local`) from a zero incoming state, the Blelloch
+    /// combine tree (`scan_comb`, in the plan's dependency-safe order) and
+    /// `C-1` fix-ups (`scan_fix`) folding each chunk's exclusive prefix
+    /// into its states. After the fix-ups every `St` slot holds what a
+    /// chain execution would have produced (up to FP reassociation in
+    /// chunks > 0), so everything downstream is strategy-oblivious.
+    fn scan_forward(&self, plan: &ScanPlan, l: usize, dir: Dir, out: &mut Stream) {
+        use SlotId::*;
+        let (seq, rows, hidden) = (self.seq, self.rows, self.cfg.hidden_size);
+        let (step_flops, cell_ws) = self.cell_cost(l, false);
+        let states =
+            |&(j0, j1): &(usize, usize)| (j0..j1).map(move |j| St(dir, l, dir.phys(j, seq)));
+        for (c, chunk) in plan.chunks.iter().enumerate() {
+            let len = chunk.1 - chunk.0;
+            let below = (chunk.0..chunk.1).filter(|_| l > 0);
+            // Chain sweep over the chunk plus the λ^len total.
+            let flops = len as u64 * step_flops + (len * hidden) as u64;
+            out.push(
+                self.node(Kind::ScanLocal, dir, (l, c), (flops, cell_ws * len)),
+                below.map(|j| Merged(l - 1, dir.phys(j, seq))),
+                states(chunk).chain([Scan(false, dir, l, NodeRef::Total(c))]),
+            );
+        }
+        self.scan_tree(plan, Kind::ScanComb, l, dir, out);
+        // Fix-ups are read-modify-writes, so the `St` slots are inout.
+        for (c, chunk) in plan.chunks.iter().enumerate().skip(1) {
+            let len = chunk.1 - chunk.0;
+            // Per position: h_prev += carry, carry ← λ⊙carry, h += carry
+            // (all rows×H element-wise).
+            let flops = (5 * rows * hidden * len) as u64;
+            let ws = (2 * len + 1) * rows * hidden * self.scalar;
+            let prefix = Scan(false, dir, l, plan.prefix_of_chunk[c]);
+            out.push(
+                self.node(Kind::ScanFix, dir, (l, c), (flops, ws)),
+                [prefix].into_iter().chain(states(chunk)),
+                states(chunk),
+            );
+        }
+    }
+
+    /// The combine tree `(a1,b1) ∘ (a2,b2) = (a1⊙a2, a2⊙b1+b2)` over the
+    /// activation (`ScanComb`) or adjoint (`BscanComb`) transfers: per
+    /// node a `1×H` element-wise product plus a `rows×H` row-scaled add.
+    fn scan_tree(&self, plan: &ScanPlan, kind: Kind, l: usize, dir: Dir, out: &mut Stream) {
+        let (rows, hidden) = (self.rows, self.cfg.hidden_size);
+        let transfer_bytes = (hidden + rows * hidden) * self.scalar;
+        let cost = (((2 * rows + 1) * hidden) as u64, 3 * transfer_bytes);
+        let slot = |r| SlotId::Scan(kind == Kind::BscanComb, dir, l, r);
+        for (k, comb) in plan.combines.iter().enumerate() {
+            let node = self.node(kind, dir, (l, k), cost);
+            out.push(
+                node,
+                [slot(comb.lhs), slot(comb.rhs)],
+                [slot(NodeRef::Node(k))],
+            );
+        }
+    }
+
+    /// One direction of layer `l`'s BPTT under the scan strategy. The
+    /// adjoint `δ_t = dh_t + λ ⊙ δ_{t+1}` is itself a diagonal linear
+    /// recurrence over *reversed* scan order (BPPSA), so the same plan
+    /// runs again: backward scan-order chunk `bc` is forward chunk
+    /// `C-1-bc`. `bscan_local` sweeps each chunk from a zero incoming
+    /// adjoint, `bscan_comb` builds the tree, `bscan_fix` folds each
+    /// chunk's exclusive adjoint prefix in, and `bscan_grad` turns the
+    /// corrected adjoints into weight/input gradients — one task per
+    /// chunk, emitted in reverse chunk order so the inout-serialised
+    /// accumulator adds timesteps in the chain executor's order.
+    fn scan_backward(&self, plan: &ScanPlan, l: usize, dir: Dir, out: &mut Stream) {
+        use SlotId::*;
+        let (seq, rows, hidden) = (self.seq, self.rows, self.cfg.hidden_size);
+        let (bwd_flops, cell_ws) = self.cell_cost(l, true);
+        let cc = plan.chunk_count();
+        // Timesteps of backward scan-order chunk `bc`, and its length.
+        let span = |bc: usize| {
+            let (j0, j1) = plan.chunks[cc - 1 - bc];
+            ((j0..j1).map(move |j| dir.phys(j, seq)), j1 - j0)
+        };
+        for bc in 0..cc {
+            let (ts, len) = span(bc);
+            // Per position: δ = dh + λ⊙carry plus the λ^len total.
+            let flops = (3 * rows * hidden * len + hidden * len) as u64;
+            let ws = 2 * len * rows * hidden * self.scalar;
+            let total = Scan(true, dir, l, NodeRef::Total(bc));
+            out.push(
+                self.node(Kind::BscanLocal, dir, (l, bc), (flops, ws)),
+                ts.clone().map(|t| Dh(dir, l, t)),
+                ts.map(|t| Sg(dir, l, t)).chain([total]),
+            );
+        }
+        self.scan_tree(plan, Kind::BscanComb, l, dir, out);
+        for bc in 1..cc {
+            let (ts, len) = span(bc);
+            // Per position: carry ← λ⊙carry, δ += carry.
+            let flops = (3 * rows * hidden * len) as u64;
+            let ws = (len + 1) * rows * hidden * self.scalar;
+            let sgs = ts.map(|t| Sg(dir, l, t));
+            out.push(
+                self.node(Kind::BscanFix, dir, (l, bc), (flops, ws)),
+                [Scan(true, dir, l, plan.prefix_of_chunk[bc])]
+                    .into_iter()
+                    .chain(sgs.clone()),
+                sgs,
+            );
+        }
+        for bc in 0..cc {
+            let (ts, len) = span(bc);
+            let cost = (len as u64 * bwd_flops, cell_ws * len);
+            let read = ts.clone().flat_map(|t| [Sg(dir, l, t), St(dir, l, t)]);
+            out.push(
+                self.node(Kind::BscanGrad, dir, (l, cc - 1 - bc), cost),
+                read.chain([Grads(dir, l)]),
+                ts.map(|t| Dinput(dir, l, t)).chain([Grads(dir, l)]),
+            );
+        }
+    }
+}
+
+// ---- Transforms over an emitted stream ----
+
+/// A deliberately seeded bug class, each the exclusive prey of one
+/// analysis prong (see the [`crate::analyze`] module docs for the
+/// exclusivity argument). Used by `bpar analyze --seed-bug` and the
+/// detector tests; executors never build seeded plans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedBug {
+    /// Drop one `in` clause (`drop_state_clause`): a real undeclared
+    /// dependency, caught by the clause differ (`BPV201`).
+    MissingClause,
+    /// Declare every clause faithfully, then remove the compiled edge
+    /// between the first two `loss` tasks — a dependency-*protocol* bug.
+    /// Observed accesses match the declarations and the lost orderings
+    /// are bitwise-commutative FP additions, so only the happens-before
+    /// engine sees the unordered conflicting pair (`BPV301`). Requires a
+    /// many-to-many training graph.
+    DroppedEdge,
+    /// Alias one buffer under two region ids (`append_epoch_probe`) —
+    /// the stale-region-id-recycled-across-epochs class. Every
+    /// region-keyed analysis is blind by construction; only exhaustive
+    /// schedule exploration, keyed on observed *physical sites*, witnesses
+    /// the fingerprint divergence (`BPV401`).
+    CrossEpochRace,
+}
+
+/// Seeded bug: drops the `t-1` recurrent-state `in` clause of the first
+/// replica's `cell_fwd(l=0, t=1)`. The body is untouched and still reads
+/// the slot, so the graph carries a real undeclared dependency.
+pub(crate) fn drop_state_clause(stream: &mut Stream) {
+    let target = (stream.nodes.iter_mut())
+        .find(|n| (n.kind, n.rep, n.dir, n.layer, n.index) == (Kind::Cell, 0, Dir::Fwd, 0, 1))
+        .expect("the dropped-clause seed needs a chain graph with cell_fwd(l=0, t=1)");
+    // The state clause is the node's first `in`.
+    assert_eq!(
+        stream.slots[target.clauses[0]],
+        (0, SlotId::St(Dir::Fwd, 0, 0))
+    );
+    target.clauses[0] += 1;
+}
+
+/// Seeded bug: appends a probe task to the first replica whose clauses are
+/// complete and truthful *for the region ids it uses* — it reads
+/// `st_fwd[0][0]` and writes [`SlotId::FeatAlias`], a second region id for
+/// `feat[0]`'s storage. Appended last so its clauses attach no edges to
+/// the classifier chain: the aliasing, not a clause, is what makes it racy.
+pub(crate) fn append_epoch_probe(stream: &mut Stream) {
+    let probe = Node::new(Kind::EpochProbe, 0, Dir::Fwd, 0, 0);
+    stream.push(probe, [SlotId::St(Dir::Fwd, 0, 0)], [SlotId::FeatAlias]);
+}
+
+/// Framework-style ablation over one replica's stream: per §II, frameworks
+/// "apply per-layer barriers between forward and reverse order RNNs", so
+/// (a) a layer's reverse direction starts only after its whole forward
+/// direction (tags `l` forward, `200+l` backward), (b) layer `l+1` starts
+/// only after every merge of layer `l` (`100+l`), and mirrored in BPTT,
+/// layer `l-1` starts only after layer `l`'s backward finished (`300+l`).
+/// Each barrier node reads the states its phase produced; every node of
+/// the gated phase gets the barrier's token as one more `in`.
+pub(crate) fn insert_barriers(stream: &Stream) -> Stream {
+    use SlotId::{Dh, Merged, Sg, St};
+    let mut out = Stream::default();
+    let mut gates: Vec<((Kind, Dir, usize), SlotId)> = Vec::new();
+    let mut produced: Vec<SlotRef> = Vec::new();
+    for (i, n) in stream.nodes.iter().enumerate() {
+        let phase = (n.kind, n.dir, n.layer);
+        let gate = gates.iter().find(|(p, _)| *p == phase);
+        let token = gate.map(|&(_, token)| (n.rep, token));
+        let (ins, outs) = (stream.ins(n), stream.outs(n));
+        out.push_refs(*n, ins.iter().copied().chain(token), outs.iter().copied());
+        let states = outs
+            .iter()
+            .filter(|(_, s)| matches!(s, St(..) | Sg(..) | Merged(..) | Dh(..)));
+        produced.extend(states);
+        let next = stream.nodes.get(i + 1);
+        if next.is_some_and(|m| (m.kind, m.dir, m.layer) == phase) {
+            continue;
+        }
+        // (barrier tag, phase that waits for it)
+        let rule = match phase {
+            (Kind::Cell, Dir::Fwd, l) => Some((l, Some((Kind::Cell, Dir::Rev, l)))),
+            (Kind::Merge, _, l) => Some((100 + l, Some((Kind::Cell, Dir::Fwd, l + 1)))),
+            (Kind::CellBwd, Dir::Fwd, l) => Some((200 + l, Some((Kind::CellBwd, Dir::Rev, l)))),
+            (Kind::MergeBwd, _, l) => Some((301 + l, Some((Kind::CellBwd, Dir::Fwd, l)))),
+            (Kind::CellBwd, Dir::Rev, 0) => Some((300, None)),
+            _ => None,
+        };
+        if let Some((tag, gated)) = rule {
+            let token = SlotId::Barrier(tag as u64);
+            let mut barrier = Node::new(Kind::Barrier, n.rep, n.dir, n.layer, 0);
+            barrier.tag = tag as u64;
+            out.push_refs(barrier, produced.drain(..), [(n.rep, token)]);
+            gates.extend(gated.map(|p| (p, token)));
+        }
+        produced.clear();
+    }
+    out
+}
+
+/// Ablation: fuses each merge into the consuming cells of the next layer
+/// instead of keeping it as a separate task — what B-Par deliberately
+/// avoids (§III-A): the fused cell then depends on *both* directions of
+/// the layer below, coupling them. Merge nodes disappear; their reads and
+/// flops move into every cell that consumed their output.
+pub(crate) fn fuse_merges(stream: &Stream) -> Stream {
+    let merges = stream.nodes.iter().filter(|n| n.kind == Kind::Merge);
+    let by_out: HashMap<SlotRef, &Node> = merges.map(|m| (stream.outs(m)[0], m)).collect();
+    let mut out = Stream::default();
+    for n in stream.nodes.iter().filter(|n| n.kind != Kind::Merge) {
+        let mut fused = *n;
+        let ins = stream.ins(n).iter().flat_map(|r| match by_out.get(r) {
+            Some(merge) => {
+                fused.flops += merge.flops;
+                stream.ins(merge)
+            }
+            None => std::slice::from_ref(r),
+        });
+        let ins: Vec<SlotRef> = ins.copied().collect();
+        out.push_refs(fused, ins, stream.outs(n).iter().copied());
+    }
+    out
+}
+
+/// Granularity ablation: splits every forward cell into two finer tasks —
+/// the fused GEMM, which keeps the bulk of the flops and the full working
+/// set, and the element-wise gate tail over the hidden state — twice the
+/// tasks, twice the scheduling overhead, same work.
+pub(crate) fn split_cells(stream: &Stream, rows: usize, hidden: usize) -> Stream {
+    let mut out = Stream::default();
+    for n in &stream.nodes {
+        let (ins, outs) = (
+            stream.ins(n).iter().copied(),
+            stream.outs(n).iter().copied(),
+        );
+        if n.kind != Kind::Cell {
+            out.push_refs(*n, ins, outs);
+            continue;
+        }
+        let tail = (12 * rows * hidden) as u64;
+        let gemm = (n.rep, SlotId::Gemm(n.dir, n.layer, n.index));
+        let (mut head, mut pt) = (*n, *n);
+        (head.kind, head.flops) = (Kind::CellGemm, n.flops.saturating_sub(tail));
+        (pt.kind, pt.flops, pt.ws) = (Kind::CellPt, tail, 5 * rows * hidden * 4);
+        out.push_refs(head, ins, [gemm]);
+        out.push_refs(pt, [gemm], outs);
+    }
+    out
+}

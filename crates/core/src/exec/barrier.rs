@@ -15,9 +15,10 @@
 //! ablation benches compare it directly against barrier-free B-Par on the
 //! same runtime, isolating the cost of the barriers themselves.
 
-use super::builder::{LiveSink, RegionAlloc};
+use super::builder::{task_spec, LiveSink, RegionAlloc, ReplicaGraph};
 use super::taskgraph::{collect_logits, TaskGraphExec};
 use super::{Executor, ForwardOutput, Target};
+use crate::emit::{Node, Stream};
 use crate::model::Brnn;
 use crate::optim::Optimizer;
 use bpar_runtime::{Runtime, RuntimeConfig, SchedulerPolicy};
@@ -52,43 +53,17 @@ impl BarrierExec {
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
-}
 
-impl<T: Float> Executor<T> for BarrierExec {
-    fn forward(&self, model: &Brnn<T>, batch: &[Matrix<T>]) -> ForwardOutput<T> {
-        self.runtime.reset();
-        let mut regions = RegionAlloc::default();
-        let (_weights, replicas, _) = TaskGraphExec::make_replicas(
-            self.mbs,
-            model,
-            batch,
-            &mut regions,
-            Backend::scalar(),
-            crate::scanplan::RecurrenceStrategy::Chain,
-        );
-        let mut sink = LiveSink(&self.runtime);
-        for l in 0..model.config.layers {
-            for rep in &replicas {
-                rep.submit_forward_layer(&mut sink, l);
-            }
-            // The per-layer barrier: layer l+1 cells are not even created
-            // until every layer-l cell and merge has completed.
-            self.runtime.taskwait().expect("task panicked");
-        }
-        for rep in &replicas {
-            rep.submit_output(&mut sink, false);
-        }
-        self.runtime.taskwait().expect("task panicked");
-        collect_logits(model, &replicas)
-    }
-
-    fn train_batch(
+    /// Submits one batch stage by stage — for every stage the tasks of all
+    /// replicas, then a `taskwait`: the per-layer barrier. Layer `l+1`
+    /// cells are not even created until every layer-`l` cell and merge has
+    /// completed. Returns the replicas holding the results.
+    fn run<T: Float>(
         &self,
-        model: &mut Brnn<T>,
+        model: &Brnn<T>,
         batch: &[Matrix<T>],
-        target: &Target,
-        opt: &mut dyn Optimizer<T>,
-    ) -> f64 {
+        target: Option<&Target>,
+    ) -> Vec<ReplicaGraph<T>> {
         self.runtime.reset();
         let mut regions = RegionAlloc::default();
         let (_weights, replicas, chunks) = TaskGraphExec::make_replicas(
@@ -99,32 +74,56 @@ impl<T: Float> Executor<T> for BarrierExec {
             Backend::scalar(),
             crate::scanplan::RecurrenceStrategy::Chain,
         );
+        if let Some(target) = target {
+            for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
+                rep.set_target(&target.row_block(start, count));
+            }
+        }
+        let train = target.is_some();
         let mut sink = LiveSink(&self.runtime);
-        let layers = model.config.layers;
-
-        for l in 0..layers {
-            for rep in &replicas {
-                rep.submit_forward_layer(&mut sink, l);
+        let mut run_stage = |stream: &Stream, nodes: &[Node]| {
+            for node in nodes {
+                sink.push(task_spec(&replicas, stream, node));
+            }
+        };
+        let emitters = replicas.iter().enumerate().map(|(ri, rep)| rep.emitter(ri));
+        let mut streams = vec![Stream::default(); replicas.len()];
+        for (e, stream) in emitters.clone().zip(&mut streams) {
+            e.replica(train, stream);
+        }
+        let mut staged: Vec<_> = streams.iter().map(|s| (s, s.stages())).collect();
+        for _ in 0..streams[0].stages().count() {
+            for (stream, stages) in &mut staged {
+                run_stage(
+                    stream,
+                    stages.next().expect("replicas have equal stage counts"),
+                );
             }
             self.runtime.taskwait().expect("task panicked");
         }
-        for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
-            let chunk_target = target.row_block(start, count);
-            rep.set_target(&chunk_target);
-            rep.submit_output(&mut sink, true);
-        }
-        self.runtime.taskwait().expect("task panicked");
-        for l in (0..layers).rev() {
-            for rep in &replicas {
-                rep.submit_backward_layer(&mut sink, l);
-            }
+        if train {
+            let mut reductions = Stream::default();
+            emitters.skip(1).for_each(|e| e.reduce(&mut reductions));
+            run_stage(&reductions, &reductions.nodes);
             self.runtime.taskwait().expect("task panicked");
         }
-        for rep in replicas.iter().skip(1) {
-            rep.submit_reduce_into(&mut sink, &replicas[0]);
-        }
-        self.runtime.taskwait().expect("task panicked");
+        replicas
+    }
+}
 
+impl<T: Float> Executor<T> for BarrierExec {
+    fn forward(&self, model: &Brnn<T>, batch: &[Matrix<T>]) -> ForwardOutput<T> {
+        collect_logits(model, &self.run(model, batch, None))
+    }
+
+    fn train_batch(
+        &self,
+        model: &mut Brnn<T>,
+        batch: &[Matrix<T>],
+        target: &Target,
+        opt: &mut dyn Optimizer<T>,
+    ) -> f64 {
+        let replicas = self.run(model, batch, Some(target));
         let loss = replicas[0].take_loss();
         let grads = replicas[0].take_grads();
         model.apply_grads(opt, &grads);

@@ -1,13 +1,15 @@
-//! Task-graph construction shared by the parallel executors.
+//! The live consumer of the graph description, shared by the parallel
+//! executors.
 //!
 //! A [`ReplicaGraph`] owns all the *slots* (shared data cells, one
-//! dependency region each) for one mini-batch replica of a training batch,
-//! and knows how to submit the forward-cell, reverse-cell, merge, loss and
-//! backward tasks with exactly the `in`/`out` clauses of the paper's
-//! Algorithms 2 and 3. Tasks are emitted through a [`TaskSink`], so the
-//! same construction code serves two consumers:
+//! dependency region each) for one mini-batch replica of a training batch.
+//! The tasks themselves — and their `in`/`out` clauses, exactly those of
+//! the paper's Algorithms 2 and 3 — come from [`crate::emit`];
+//! [`task_spec`] resolves a node's symbolic slot ids to this replica's
+//! regions and attaches the closure of the node's kind. The resulting
+//! spec goes one of two ways:
 //!
-//! * [`LiveSink`] submits directly to a [`Runtime`] — used by
+//! * [`LiveSink`] submits it directly to a [`Runtime`] — used by
 //!   [`super::BarrierExec`], which interleaves submission with `taskwait`s;
 //! * `bpar_runtime::PlanBuilder` records the stream for one-shot
 //!   compilation into a replayable plan — used by [`super::TaskGraphExec`],
@@ -23,65 +25,22 @@
 //! order whose only reorderings are commutative two-operand additions, so
 //! results are bit-identical to [`super::SequentialExec`] when built with
 //! the scalar [`Backend`] (the default). Graphs built with the SIMD or
-//! int8 backend dispatch their *forward* kernels through that backend
-//! (see [`ReplicaGraph::backend`]); backward/training kernels always use
-//! the scalar oracle, since gradient checks depend on exact arithmetic.
+//! int8 backend dispatch their *forward* kernels through that backend;
+//! backward/training kernels always use the scalar oracle, since gradient
+//! checks depend on exact arithmetic.
 
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
+use crate::emit::{self, Dir, Emitter, Kind, Node, SlotId, SlotRef, Stream};
 use crate::loss::softmax_cross_entropy;
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
-use bpar_runtime::{
-    record_read_at, record_write_at, PlanBuilder, PlanSpec, RegionId, Runtime, TaskSpec,
-};
+use bpar_runtime::plan::PlanBody;
+use bpar_runtime::{record_read_at, record_write_at, PlanSpec, RegionId, Runtime, TaskSpec};
 use bpar_tensor::{roundtrip_quantize, Backend, BackendKind, Float, Matrix, Workspace};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How faithfully to build a graph — `Normal`, or with one of three
-/// deliberately seeded bugs, each invisible to every detector except the
-/// one prong designed to catch it.
-///
-/// * [`BuildMode::MissingStateClause`] drops one `in` clause — the `t-1`
-///   recurrent-state dependency of the first replica's
-///   `cell_fwd(l=0, t=1)` — while leaving the task body untouched. The
-///   body still reads the state slot, so the plan carries a real
-///   undeclared dependency: caught by the clause differ (`BPV201`).
-/// * [`BuildMode::DroppedEdge`] declares every clause faithfully and then
-///   surgically removes the compiled dependency edge between the first
-///   two `loss` tasks (see `ExecPlan::build_with_mode`) — a
-///   dependency-*protocol* bug, not a clause bug. Both tasks' observed
-///   accesses match their declarations perfectly, and the lost orderings
-///   are two-operand FP additions (bitwise commutative), so clause
-///   validation, fuzzing and exploration all stay clean: only the
-///   happens-before engine sees the unordered conflicting pair
-///   (`BPV301`). Requires a many-to-many training graph.
-/// * [`BuildMode::CrossEpochRace`] appends an `epoch_probe` task whose
-///   clauses are complete and truthful *for the region ids it uses* — but
-///   one of those ids is a fresh alias of `feat[0]`'s physical storage
-///   (the stale-region-id-recycled-across-epochs bug class). Every
-///   region-keyed analysis is blind by construction; only exhaustive
-///   schedule exploration, whose conflict relation is keyed on observed
-///   *physical sites*, reorders the probe against the real
-///   `merge_final`/`dense` pair and witnesses the fingerprint divergence
-///   (`BPV401`).
-///
-/// Used by `bpar analyze --seed-bug` and the detector tests; the normal
-/// build path always uses [`BuildMode::Normal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum BuildMode {
-    /// Declare exactly the clauses the bodies need (sound).
-    #[default]
-    Normal,
-    /// Omit the `st_fwd[0][0]` in-clause of `cell_fwd(l=0, t=1)`.
-    MissingStateClause,
-    /// Remove the compiled edge between the first two `loss` tasks.
-    DroppedEdge,
-    /// Append a probe task writing `feat[0]` under an aliased region id.
-    CrossEpochRace,
-}
 
 /// Hands out fresh region ids for one batch.
 #[derive(Debug, Default)]
@@ -97,23 +56,13 @@ impl RegionAlloc {
     }
 }
 
-/// Where constructed tasks go: straight to a runtime, or into a plan.
-pub(crate) trait TaskSink {
-    fn push(&mut self, spec: PlanSpec);
-}
-
-impl TaskSink for PlanBuilder {
-    fn push(&mut self, spec: PlanSpec) {
-        self.submit(spec);
-    }
-}
-
-/// Adapts a [`Runtime`] to [`TaskSink`]: each pushed spec is submitted
-/// immediately as a one-shot task.
+/// Submits compiled-plan specs straight to a [`Runtime`], each as a
+/// one-shot task — the live counterpart of recording them in a
+/// [`bpar_runtime::PlanBuilder`].
 pub(crate) struct LiveSink<'a>(pub &'a Runtime);
 
-impl TaskSink for LiveSink<'_> {
-    fn push(&mut self, spec: PlanSpec) {
+impl LiveSink<'_> {
+    pub fn push(&mut self, spec: PlanSpec) {
         let body = spec.body.expect("spec submitted without a body");
         self.0.submit(
             TaskSpec::new(spec.label)
@@ -251,7 +200,7 @@ impl<X> Slot<X> {
     /// This deliberately breaks the slot invariant that one region guards
     /// one cell: the dependency protocol sees two independent regions and
     /// will happily schedule their tasks concurrently, while the physical
-    /// storage is shared. Only the [`BuildMode::CrossEpochRace`] fixture
+    /// storage is shared. Only the [`crate::emit::SeedBug::CrossEpochRace`] fixture
     /// uses this — it is the seeded bug itself, not a building block.
     pub fn alias_with_fresh_region(&self, regions: &mut RegionAlloc) -> Self {
         Self {
@@ -332,62 +281,13 @@ pub(crate) type CellSlot<T> = Slot<(CellState<T>, CellCache<T>)>;
 /// (a diagonal decay power), `b` is `rows × hidden`.
 pub(crate) type TransferSlot<T> = Slot<(Matrix<T>, Matrix<T>)>;
 
-/// Transfer slots for one direction of one layer under
-/// [`RecurrenceStrategy::Scan`].
-pub(crate) struct DirScanSlots<T: Float> {
-    /// Per-chunk total transfers, written by the chunk-local sweeps
-    /// (indexed by *scan-order* chunk: forward chunk order for the
-    /// activation scan).
-    pub totals: Vec<TransferSlot<T>>,
-    /// Combine-node outputs, indexed like `ScanPlan::combines`.
-    pub nodes: Vec<TransferSlot<T>>,
-    /// Adjoint-scan chunk totals (training). Indexed by *backward*
-    /// scan order: `btotals[bc]` holds forward chunk `C-1-bc`'s adjoint
-    /// transfer, so the one [`ScanPlan`] serves both sweeps.
-    pub btotals: Vec<TransferSlot<T>>,
-    /// Adjoint combine-node outputs (training).
-    pub bnodes: Vec<TransferSlot<T>>,
-}
+/// `[layer][t]` slots.
+type Grid<X> = Vec<Vec<X>>;
+/// `[dir][layer][t]` slots, `dir` = [`Dir::ix`].
+type DirGrid<X> = [Grid<X>; 2];
 
-impl<T: Float> DirScanSlots<T> {
-    fn new(plan: &ScanPlan, regions: &mut RegionAlloc) -> Self {
-        let slots = |n: usize, regions: &mut RegionAlloc| -> Vec<TransferSlot<T>> {
-            (0..n).map(|_| Slot::new(regions)).collect()
-        };
-        Self {
-            totals: slots(plan.chunk_count(), regions),
-            nodes: slots(plan.combines.len(), regions),
-            btotals: slots(plan.chunk_count(), regions),
-            bnodes: slots(plan.combines.len(), regions),
-        }
-    }
-
-    /// The slot a [`NodeRef`] resolves to (activation or adjoint set).
-    fn resolve(&self, r: NodeRef, adjoint: bool) -> TransferSlot<T> {
-        let (totals, nodes) = if adjoint {
-            (&self.btotals, &self.bnodes)
-        } else {
-            (&self.totals, &self.nodes)
-        };
-        match r {
-            NodeRef::Total(i) => totals[i].clone(),
-            NodeRef::Node(i) => nodes[i].clone(),
-            NodeRef::Identity => unreachable!("identity transfers are never materialised"),
-        }
-    }
-}
-
-/// Scan topology plus all transfer slots of a replica built under
-/// [`RecurrenceStrategy::Scan`].
-pub(crate) struct ScanSlots<T: Float> {
-    pub plan: ScanPlan,
-    /// Forward-direction transfer slots, `[layer]`.
-    pub fwd: Vec<DirScanSlots<T>>,
-    /// Reverse-direction transfer slots, `[layer]`.
-    pub rev: Vec<DirScanSlots<T>>,
-}
-
-/// All slots and regions for one mini-batch replica.
+/// All slots for one mini-batch replica — the live resolution of the
+/// emitter's [`SlotId`]s.
 pub(crate) struct ReplicaGraph<T: Float> {
     /// Shared weight snapshot read by every task.
     pub weights: Arc<WeightStore<T>>,
@@ -406,57 +306,109 @@ pub(crate) struct ReplicaGraph<T: Float> {
     pub rows: usize,
     /// Loss weight `rows / total_rows` (1.0 when mbs = 1).
     pub weight: f64,
-    /// Forward-direction cell outputs, `[layer][t]`.
-    pub st_fwd: Vec<Vec<CellSlot<T>>>,
-    /// Reverse-direction cell outputs, `[layer][t]`.
-    pub st_rev: Vec<Vec<CellSlot<T>>>,
+    /// Cell outputs.
+    st: DirGrid<CellSlot<T>>,
     /// Merge-cell outputs feeding layer `l+1`, `[layer][t]` for `l < L-1`.
-    pub merged: Vec<Vec<Slot<Matrix<T>>>>,
+    merged: Grid<Slot<Matrix<T>>>,
     /// Classifier features (1 entry for many-to-one, T for many-to-many).
-    pub feat: Vec<Slot<Matrix<T>>>,
+    feat: Vec<Slot<Matrix<T>>>,
     /// Classifier logits matching `feat`.
     pub logits: Vec<Slot<Matrix<T>>>,
     /// Gradients w.r.t. classifier features.
-    pub dfeat: Vec<Slot<Matrix<T>>>,
-    /// Gradients w.r.t. forward-direction hidden outputs, `[layer][t]`.
-    pub dh_fwd: Vec<Vec<Slot<Matrix<T>>>>,
-    /// Gradients w.r.t. reverse-direction hidden outputs, `[layer][t]`.
-    pub dh_rev: Vec<Vec<Slot<Matrix<T>>>>,
-    /// Recurrent state gradients, forward direction, `[layer][t]`.
-    pub sg_fwd: Vec<Vec<Slot<StateGrad<T>>>>,
-    /// Recurrent state gradients, reverse direction, `[layer][t]`.
-    pub sg_rev: Vec<Vec<Slot<StateGrad<T>>>>,
-    /// Gradients w.r.t. each layer's inputs via the forward-direction
-    /// cells, `[layer][t]`. Kept separate from the reverse-direction
-    /// contribution so the two BPTT chains share no output region — a
-    /// shared accumulator would add a WAW edge serialising the directions.
-    pub dinput_f: Vec<Vec<Slot<Matrix<T>>>>,
-    /// Gradients w.r.t. each layer's inputs via the reverse-direction
-    /// cells, `[layer][t]`.
-    pub dinput_r: Vec<Vec<Slot<Matrix<T>>>>,
-    /// Per-layer forward-direction weight-gradient accumulators.
-    pub grads_fwd: Vec<Slot<CellParams<T>>>,
-    /// Per-layer reverse-direction weight-gradient accumulators.
-    pub grads_rev: Vec<Slot<CellParams<T>>>,
+    dfeat: Vec<Slot<Matrix<T>>>,
+    /// Gradients w.r.t. each direction's hidden outputs.
+    dh: DirGrid<Slot<Matrix<T>>>,
+    /// Recurrent state gradients.
+    sg: DirGrid<Slot<StateGrad<T>>>,
+    /// Gradients w.r.t. each layer's inputs via one direction's cells.
+    dinput: DirGrid<Slot<Matrix<T>>>,
+    /// Per-layer weight-gradient accumulators, `[dir][layer]`.
+    grads: [Vec<Slot<CellParams<T>>>; 2],
     /// Classifier weight-gradient accumulator.
-    pub grads_dense: Slot<DenseParams<T>>,
+    grads_dense: Slot<DenseParams<T>>,
     /// Weighted loss accumulator.
-    pub loss: Slot<f64>,
+    loss: Slot<f64>,
     /// Shared all-zero recurrent state read by every sequence-boundary
     /// cell (`t = 0` forward, `t = T-1` reverse) instead of allocating a
     /// fresh zero state inside each boundary task on every replay.
-    pub zero_state: Arc<CellState<T>>,
+    zero_state: Arc<CellState<T>>,
     /// Kernel backend every forward-path task body dispatches through
     /// (cell GEMMs, bias broadcasts, gate non-linearities, classifier
     /// projection). [`Backend::scalar`] reproduces the reference
     /// bit-for-bit; backward/training tasks always use the scalar oracle.
-    pub backend: Backend,
+    backend: Backend,
     /// How each direction's timestep recurrence is executed (the
     /// *effective* strategy — callers resolve fallback/clamping via
     /// [`RecurrenceStrategy::effective`] before construction).
     pub strategy: RecurrenceStrategy,
-    /// Scan topology and transfer slots; `Some` iff `strategy` is scan.
-    pub scan: Option<ScanSlots<T>>,
+    /// Scan topology and its transfer slots `[adjoint][dir][layer][k]`
+    /// (chunk totals first, then combine-node outputs); `Some` iff
+    /// `strategy` is scan. Adjoint totals are indexed by *backward* scan
+    /// order, so the one [`ScanPlan`] serves both sweeps.
+    scan: Option<(ScanPlan, [DirGrid<TransferSlot<T>>; 2])>,
+    /// Second handle on `feat[0]`'s storage ([`SlotId::FeatAlias`]); only
+    /// the cross-epoch-race seed creates it.
+    alias: Option<Slot<Matrix<T>>>,
+}
+
+/// Zeroed `(state, cache)` buffers of a layer-`l` cell.
+fn cell_buffers<T: Float>(cfg: BrnnConfig, rows: usize, l: usize) -> (CellState<T>, CellCache<T>) {
+    let input_w = cfg.layer_input_size(l);
+    (
+        CellState::zeros(cfg.cell, rows, cfg.hidden_size),
+        CellCache::zeros(cfg.cell, rows, input_w, cfg.hidden_size),
+    )
+}
+
+/// Zeroed scan transfer `(1 × hidden, rows × hidden)`.
+fn transfer_zeros<T: Float>(rows: usize, hidden: usize) -> (Matrix<T>, Matrix<T>) {
+    (Matrix::zeros(1, hidden), Matrix::zeros(rows, hidden))
+}
+
+fn dir_params<T: Float>(model: &Brnn<T>, l: usize, dir: Dir) -> &CellParams<T> {
+    match dir {
+        Dir::Fwd => &model.layers[l].fwd,
+        Dir::Rev => &model.layers[l].rev,
+    }
+}
+
+/// The diagonal decay of a scannable cell.
+fn lambda<T: Float>(params: &CellParams<T>) -> &Matrix<T> {
+    match params {
+        CellParams::Linear(p) => &p.lambda,
+        _ => unreachable!("scan requires a scannable cell"),
+    }
+}
+
+/// Reduction body: folds `src` (if the replica produced one) into `dst`.
+fn reduce_body<X: Send + Sync + 'static>(
+    src: &Slot<X>,
+    dst: &Slot<X>,
+    add: fn(&mut X, X),
+) -> PlanBody {
+    let (src, dst) = (src.clone(), dst.clone());
+    Arc::new(move || {
+        if let Some(v) = src.take() {
+            dst.accumulate(v, add);
+        }
+    })
+}
+
+/// The live consumer of the emitter: `node` with its clauses resolved
+/// against its replicas' slots and the body of its kind attached.
+pub(crate) fn task_spec<T: Float>(
+    replicas: &[ReplicaGraph<T>],
+    stream: &Stream,
+    node: &Node,
+) -> PlanSpec {
+    let region = |&(rep, slot): &SlotRef| replicas[rep].region(slot);
+    let mut spec = PlanSpec::new(node.label())
+        .tag(node.tag)
+        .ins(stream.ins(node).iter().map(region))
+        .outs(stream.outs(node).iter().map(region))
+        .working_set(node.ws);
+    spec.body = Some(replicas[node.rep].body(node, &replicas[0]));
+    spec
 }
 
 impl<T: Float> ReplicaGraph<T> {
@@ -472,6 +424,12 @@ impl<T: Float> ReplicaGraph<T> {
         let cfg = weights.snapshot().config;
         let seq = xs.len();
         let rows = xs[0].rows();
+        fn list<X>(n: usize, regions: &mut RegionAlloc) -> Vec<Slot<X>> {
+            (0..n).map(|_| Slot::new(regions)).collect()
+        }
+        fn grids<X>(layers: usize, n: usize, regions: &mut RegionAlloc) -> DirGrid<Slot<X>> {
+            [(); 2].map(|_| (0..layers).map(|_| list(n, regions)).collect())
+        }
         let scan = strategy.scan_chunks().map(|chunks| {
             assert!(
                 cfg.cell.scannable(),
@@ -480,47 +438,26 @@ impl<T: Float> ReplicaGraph<T> {
                 cfg.cell
             );
             let plan = ScanPlan::new(seq, chunks);
-            ScanSlots {
-                fwd: (0..cfg.layers)
-                    .map(|_| DirScanSlots::new(&plan, regions))
-                    .collect(),
-                rev: (0..cfg.layers)
-                    .map(|_| DirScanSlots::new(&plan, regions))
-                    .collect(),
-                plan,
-            }
+            let n = plan.chunk_count() + plan.combines.len();
+            let slots = [(); 2].map(|_| grids(cfg.layers, n, regions));
+            (plan, slots)
         });
-        fn grid<X>(layers: usize, seq: usize, regions: &mut RegionAlloc) -> Vec<Vec<Slot<X>>> {
-            (0..layers)
-                .map(|_| (0..seq).map(|_| Slot::new(regions)).collect())
-                .collect()
-        }
-        let n_out = match cfg.kind {
-            ModelKind::ManyToOne => 1,
-            ModelKind::ManyToMany => seq,
-        };
+        let n_out = emit::output_count(cfg.kind, seq);
         Self {
             xs: Arc::new(RwLock::new(xs)),
             targets: Arc::new(RwLock::new(Vec::new())),
             seq,
             rows,
             weight,
-            st_fwd: grid(cfg.layers, seq, regions),
-            st_rev: grid(cfg.layers, seq, regions),
-            merged: (0..cfg.layers.saturating_sub(1))
-                .map(|_| (0..seq).map(|_| Slot::new(regions)).collect())
-                .collect(),
-            feat: (0..n_out).map(|_| Slot::new(regions)).collect(),
-            logits: (0..n_out).map(|_| Slot::new(regions)).collect(),
-            dfeat: (0..n_out).map(|_| Slot::new(regions)).collect(),
-            dh_fwd: grid(cfg.layers, seq, regions),
-            dh_rev: grid(cfg.layers, seq, regions),
-            sg_fwd: grid(cfg.layers, seq, regions),
-            sg_rev: grid(cfg.layers, seq, regions),
-            dinput_f: grid(cfg.layers, seq, regions),
-            dinput_r: grid(cfg.layers, seq, regions),
-            grads_fwd: (0..cfg.layers).map(|_| Slot::new(regions)).collect(),
-            grads_rev: (0..cfg.layers).map(|_| Slot::new(regions)).collect(),
+            st: grids(cfg.layers, seq, regions),
+            merged: (1..cfg.layers).map(|_| list(seq, regions)).collect(),
+            feat: list(n_out, regions),
+            logits: list(n_out, regions),
+            dfeat: list(n_out, regions),
+            dh: grids(cfg.layers, seq, regions),
+            sg: grids(cfg.layers, seq, regions),
+            dinput: grids(cfg.layers, seq, regions),
+            grads: [(); 2].map(|_| list(cfg.layers, regions)),
             grads_dense: Slot::new(regions),
             loss: Slot::new(regions),
             zero_state: Arc::new(CellState::zeros(cfg.cell, rows, cfg.hidden_size)),
@@ -529,12 +466,58 @@ impl<T: Float> ReplicaGraph<T> {
             backend,
             strategy,
             scan,
+            alias: None,
         }
     }
 
-    /// Sequence length of this replica.
-    pub fn seq_len(&self) -> usize {
-        self.seq
+    /// The emitter describing this replica's tasks as replica `rep`.
+    pub fn emitter(&self, rep: usize) -> Emitter<'_> {
+        Emitter {
+            cfg: self.config,
+            seq: self.seq,
+            rows: self.rows,
+            scalar: std::mem::size_of::<T>(),
+            scan: self.scan.as_ref().map(|(plan, _)| plan),
+            rep,
+        }
+    }
+
+    /// Creates the [`SlotId::FeatAlias`] handle: `feat[0]`'s storage under
+    /// a fresh region id (see [`Slot::alias_with_fresh_region`]).
+    pub fn seed_alias(&mut self, regions: &mut RegionAlloc) {
+        self.alias = Some(self.feat[0].alias_with_fresh_region(regions));
+    }
+
+    fn transfer(&self, adjoint: bool, dir: Dir, l: usize, r: NodeRef) -> &TransferSlot<T> {
+        let (plan, slots) = self.scan.as_ref().expect("scan slots");
+        let k = match r {
+            NodeRef::Total(i) => i,
+            NodeRef::Node(i) => plan.chunk_count() + i,
+            NodeRef::Identity => unreachable!("identity transfers are never materialised"),
+        };
+        &slots[usize::from(adjoint)][dir.ix()][l][k]
+    }
+
+    /// The dependency region of a symbolic slot.
+    pub fn region(&self, slot: SlotId) -> RegionId {
+        match slot {
+            SlotId::St(d, l, t) => self.st[d.ix()][l][t].region,
+            SlotId::Merged(l, t) => self.merged[l][t].region,
+            SlotId::Feat(i) => self.feat[i].region,
+            SlotId::Logits(i) => self.logits[i].region,
+            SlotId::Dfeat(i) => self.dfeat[i].region,
+            SlotId::Dh(d, l, t) => self.dh[d.ix()][l][t].region,
+            SlotId::Sg(d, l, t) => self.sg[d.ix()][l][t].region,
+            SlotId::Dinput(d, l, t) => self.dinput[d.ix()][l][t].region,
+            SlotId::Grads(d, l) => self.grads[d.ix()][l].region,
+            SlotId::GradsDense => self.grads_dense.region,
+            SlotId::Loss => self.loss.region,
+            SlotId::Scan(adjoint, d, l, r) => self.transfer(adjoint, d, l, r).region,
+            SlotId::FeatAlias => self.alias.as_ref().expect("alias not seeded").region,
+            SlotId::Gemm(..) | SlotId::Barrier(_) => {
+                unreachable!("{slot} exists only in simulator ablation graphs")
+            }
+        }
     }
 
     /// Copies batch rows `[start, start + count)` of `batch` into this
@@ -580,13 +563,13 @@ impl<T: Float> ReplicaGraph<T> {
         let merge_w = cfg.merge.output_width(cfg.hidden_size);
         total += cfg.layers.saturating_sub(1) * self.seq * self.rows * merge_w * scalar;
         total += self.feat.len() * self.rows * (merge_w + cfg.output_size) * scalar;
-        if let Some(scan) = &self.scan {
+        if let Some((plan, _)) = &self.scan {
             // Activation-scan transfer slots stay warm between inference
             // replays: one (1 × h, rows × h) pair per chunk total and per
             // combine node, per direction, per layer. Adjoint transfers
             // are training-only and drained every batch, like gradients.
             let per = (cfg.hidden_size + self.rows * cfg.hidden_size) * scalar;
-            let n = scan.plan.chunk_count() + scan.plan.combines.len();
+            let n = plan.chunk_count() + plan.combines.len();
             total += 2 * cfg.layers * n * per;
         }
         total as u64
@@ -610,40 +593,22 @@ impl<T: Float> ReplicaGraph<T> {
     /// compiled-graph memory, not activation memory. The next run starts
     /// from the same all-empty state a freshly built graph has.
     pub fn clear_values(&self) {
-        fn clear_grid<X>(grid: &[Vec<Slot<X>>]) {
-            for row in grid {
-                for s in row {
-                    s.take();
-                }
+        fn clear<'a, X: 'a>(slots: impl IntoIterator<Item = &'a Slot<X>>) {
+            for s in slots {
+                s.take();
             }
         }
-        clear_grid(&self.st_fwd);
-        clear_grid(&self.st_rev);
-        clear_grid(&self.merged);
-        clear_grid(&self.dh_fwd);
-        clear_grid(&self.dh_rev);
-        clear_grid(&self.sg_fwd);
-        clear_grid(&self.sg_rev);
-        clear_grid(&self.dinput_f);
-        clear_grid(&self.dinput_r);
-        for s in self.feat.iter().chain(&self.logits).chain(&self.dfeat) {
-            s.take();
+        for d in 0..2 {
+            clear(self.st[d].iter().flatten());
+            clear(self.dh[d].iter().flatten());
+            clear(self.sg[d].iter().flatten());
+            clear(self.dinput[d].iter().flatten());
+            clear(&self.grads[d]);
         }
-        for s in self.grads_fwd.iter().chain(&self.grads_rev) {
-            s.take();
-        }
-        if let Some(scan) = &self.scan {
-            for dir in scan.fwd.iter().chain(&scan.rev) {
-                for s in dir
-                    .totals
-                    .iter()
-                    .chain(&dir.nodes)
-                    .chain(&dir.btotals)
-                    .chain(&dir.bnodes)
-                {
-                    s.take();
-                }
-            }
+        clear(self.merged.iter().flatten());
+        clear(self.feat.iter().chain(&self.logits).chain(&self.dfeat));
+        if let Some((_, slots)) = &self.scan {
+            clear(slots.iter().flatten().flatten().flatten());
         }
         self.grads_dense.take();
         self.loss.take();
@@ -651,1100 +616,527 @@ impl<T: Float> ReplicaGraph<T> {
         self.targets.write().clear();
     }
 
-    /// Submits all cell and merge tasks of layer `l` (Algorithms 2 and 3:
-    /// forward-order cells, reverse-order cells, merge cells).
-    pub fn submit_forward_layer(&self, sink: &mut dyn TaskSink, l: usize) {
-        self.submit_forward_layer_mode(sink, l, BuildMode::Normal);
-    }
-
-    /// [`ReplicaGraph::submit_forward_layer`] with an explicit
-    /// [`BuildMode`] (sabotage hook for the clause-soundness detectors).
-    pub fn submit_forward_layer_mode(&self, sink: &mut dyn TaskSink, l: usize, mode: BuildMode) {
-        if self.scan.is_some() {
-            assert!(
-                mode != BuildMode::MissingStateClause,
-                "the MissingStateClause sabotage targets a chain task that \
-                 scan graphs do not contain"
-            );
-            self.submit_forward_layer_scan(sink, l);
-            self.submit_merge_tasks(sink, l);
-            return;
-        }
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let ws = cfg
-            .cell
-            .forward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-
-        // Forward-order cells: t ascending; each depends on its own t-1
-        // state and (for l > 0) the merge cell below (Algorithm 2).
-        for t in 0..seq {
-            let mut ins: Vec<RegionId> = Vec::with_capacity(2);
-            // Sabotage hook: drop exactly the (l=0, t=1) -> (l=0, t=0)
-            // state clause. The body below is untouched and still reads
-            // the slot, so the resulting plan contains a genuine
-            // undeclared dependency for the detectors to find.
-            let sabotaged = mode == BuildMode::MissingStateClause && l == 0 && t == 1;
-            if t > 0 && !sabotaged {
-                ins.push(self.st_fwd[l][t - 1].region);
+    /// The body of `node`'s kind over this replica's slots (`first` is
+    /// replica 0, the destination of reductions). Handles are resolved
+    /// here, once, from the node's coordinates — never from its clause
+    /// lists, which is what lets the clause validator compare what a body
+    /// touches against what the node declares — so nothing symbolic is
+    /// looked up during replay.
+    fn body(&self, node: &Node, first: &Self) -> PlanBody {
+        let (dir, l, i) = (node.dir, node.layer, node.index);
+        let d = dir.ix();
+        let last = self.config.layers - 1;
+        let steps = || emit::output_steps(self.config.kind, self.seq, i);
+        match node.kind {
+            Kind::Cell => self.cell_body(dir, l, i),
+            Kind::Merge => {
+                self.merge_body(&self.st[0][l][i], &self.st[1][l][i], &self.merged[l][i])
             }
-            if l > 0 {
-                ins.push(self.merged[l - 1][t].region);
+            Kind::MergeFinal => {
+                let (tf, tr) = steps();
+                self.merge_body(&self.st[0][last][tf], &self.st[1][last][tr], &self.feat[i])
             }
-            let out = self.st_fwd[l][t].region;
-            let weights = self.weights.clone();
-            let xs = self.xs.clone();
-            let prev = (t > 0).then(|| self.st_fwd[l][t - 1].clone());
-            let below = (l > 0).then(|| self.merged[l - 1][t].clone());
-            let dst = self.st_fwd[l][t].clone();
-            let zero = self.zero_state.clone();
-            let rows = self.rows;
-            let be = self.backend;
-            // Per-task scratch arena. A compiled task runs at most once per
-            // replay and replays are separated by `taskwait`, so the lock
-            // is never contended; it exists to keep the body `Fn + Sync`.
-            let scratch = Arc::new(Mutex::new(Workspace::new()));
-            sink.push(
-                PlanSpec::new("cell_fwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs([out])
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let cfg = model.config;
-                        let params = &model.layers[l].fwd;
-                        let mut scratch = scratch.lock();
-                        let init = || {
-                            (
-                                CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-                                CellCache::zeros(
-                                    cfg.cell,
-                                    rows,
-                                    cfg.layer_input_size(l),
-                                    cfg.hidden_size,
-                                ),
-                            )
-                        };
-                        match (&below, &prev) {
-                            (Some(below), Some(prev)) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t-1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(m, p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }),
-                            (Some(below), None) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(m, &zero, st, cache, &mut scratch, be)
-                                })
-                            }),
-                            (None, Some(prev)) => {
-                                let xs = xs.read();
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t-1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(&xs[t], p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }
-                            (None, None) => {
-                                let xs = xs.read();
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(&xs[t], &zero, st, cache, &mut scratch, be)
-                                })
-                            }
-                        }
-                    }),
-            );
-        }
-
-        // Reverse-order cells: created t descending; each depends on its
-        // own t+1 state and the merge cell below (Algorithm 3).
-        for t in (0..seq).rev() {
-            let mut ins: Vec<RegionId> = Vec::with_capacity(2);
-            if t + 1 < seq {
-                ins.push(self.st_rev[l][t + 1].region);
-            }
-            if l > 0 {
-                ins.push(self.merged[l - 1][t].region);
-            }
-            let out = self.st_rev[l][t].region;
-            let weights = self.weights.clone();
-            let xs = self.xs.clone();
-            let prev = (t + 1 < seq).then(|| self.st_rev[l][t + 1].clone());
-            let below = (l > 0).then(|| self.merged[l - 1][t].clone());
-            let dst = self.st_rev[l][t].clone();
-            let zero = self.zero_state.clone();
-            let rows = self.rows;
-            let be = self.backend;
-            let scratch = Arc::new(Mutex::new(Workspace::new()));
-            sink.push(
-                PlanSpec::new("cell_rev")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs([out])
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let cfg = model.config;
-                        let params = &model.layers[l].rev;
-                        let mut scratch = scratch.lock();
-                        let init = || {
-                            (
-                                CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-                                CellCache::zeros(
-                                    cfg.cell,
-                                    rows,
-                                    cfg.layer_input_size(l),
-                                    cfg.hidden_size,
-                                ),
-                            )
-                        };
-                        match (&below, &prev) {
-                            (Some(below), Some(prev)) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t+1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(m, p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }),
-                            (Some(below), None) => below.with(|m| {
-                                let m = m.expect("missing merge");
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(m, &zero, st, cache, &mut scratch, be)
-                                })
-                            }),
-                            (None, Some(prev)) => {
-                                let xs = xs.read();
-                                prev.with(|v| {
-                                    let p = &v.expect("missing t+1 state").0;
-                                    dst.write_in_place(init, |(st, cache)| {
-                                        params.forward_ws(&xs[t], p, st, cache, &mut scratch, be)
-                                    })
-                                })
-                            }
-                            (None, None) => {
-                                let xs = xs.read();
-                                dst.write_in_place(init, |(st, cache)| {
-                                    params.forward_ws(&xs[t], &zero, st, cache, &mut scratch, be)
-                                })
-                            }
-                        }
-                    }),
-            );
-        }
-
-        self.submit_merge_tasks(sink, l);
-    }
-
-    /// Merge cells (all layers except the last, which is handled by
-    /// `submit_output`). Kept as separate tasks so forward and reverse
-    /// cells never depend on each other (§III-A). Shared by the chain and
-    /// scan forward paths — merges read completed `st` slots either way.
-    fn submit_merge_tasks(&self, sink: &mut dyn TaskSink, l: usize) {
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        if l + 1 < cfg.layers {
-            let merge_ws =
-                3 * self.rows * cfg.merge.output_width(hidden) * std::mem::size_of::<T>();
-            let width = cfg.merge.output_width(hidden);
-            for t in 0..seq {
-                let f = self.st_fwd[l][t].clone();
-                let r = self.st_rev[l][t].clone();
-                let dst = self.merged[l][t].clone();
-                let mode = cfg.merge;
-                let rows = self.rows;
-                sink.push(
-                    PlanSpec::new("merge")
-                        .tag(((l as u64) << 32) | t as u64)
-                        .ins([f.region, r.region])
-                        .outs([dst.region])
-                        .working_set(merge_ws)
-                        .body(move || {
-                            f.with(|fv| {
-                                r.with(|rv| {
-                                    dst.write_in_place(
-                                        || Matrix::zeros(rows, width),
-                                        |m| {
-                                            mode.apply_into(
-                                                &fv.expect("fwd missing").0.h,
-                                                &rv.expect("rev missing").0.h,
-                                                m,
-                                            )
-                                        },
-                                    )
-                                })
-                            });
-                        }),
-                );
+            Kind::Dense => self.dense_body(i),
+            Kind::Loss => self.loss_body(i),
+            Kind::MergeBwdFinal => self.merge_bwd_final_body(i, steps()),
+            Kind::CellBwd => self.cell_bwd_body(dir, l, i),
+            Kind::MergeBwd => self.merge_bwd_body(l + 1, i),
+            Kind::ScanLocal => self.scan_local_body(dir, l, i),
+            Kind::ScanComb => self.scan_comb_body(false, dir, l, i),
+            Kind::ScanFix => self.scan_fix_body(dir, l, i),
+            Kind::BscanLocal => self.bscan_local_body(dir, l, i),
+            Kind::BscanComb => self.scan_comb_body(true, dir, l, i),
+            Kind::BscanFix => self.bscan_fix_body(dir, l, i),
+            Kind::BscanGrad => self.bscan_grad_body(dir, l, i),
+            Kind::ReduceCell => reduce_body(&self.grads[d][l], &first.grads[d][l], |acc, g| {
+                acc.add_assign(&g)
+            }),
+            Kind::ReduceDense => reduce_body(&self.grads_dense, &first.grads_dense, |acc, g| {
+                acc.add_assign(&g)
+            }),
+            Kind::ReduceLoss => reduce_body(&self.loss, &first.loss, |acc, l| *acc += l),
+            Kind::EpochProbe => self.epoch_probe_body(),
+            Kind::Barrier | Kind::CellGemm | Kind::CellPt => {
+                unreachable!("{} exists only in simulator ablation graphs", node.label())
             }
         }
     }
 
-    /// Submits layer `l`'s forward tasks under
-    /// [`RecurrenceStrategy::Scan`]: per direction, `C` chunk-local
-    /// sweeps (`scan_local`), the Blelloch combine tree (`scan_comb`),
-    /// and `C-1` fix-ups (`scan_fix`) that fold each chunk's exclusive
-    /// prefix into its states. After the fix-ups every `st` slot holds
-    /// the same `(state, cache)` a chain execution would have produced
-    /// (up to FP reassociation in chunks > 0), so merges and everything
-    /// downstream are strategy-oblivious.
-    fn submit_forward_layer_scan(&self, sink: &mut dyn TaskSink, l: usize) {
-        let scan = self.scan.as_ref().expect("scan slots");
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let cell_ws =
-            cfg.cell
-                .forward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-
-        for fwd_dir in [true, false] {
-            let (st, dirslots) = if fwd_dir {
-                (&self.st_fwd[l], &scan.fwd[l])
-            } else {
-                (&self.st_rev[l], &scan.rev[l])
-            };
-            // Logical scan position -> physical timestep: the reverse
-            // direction's recurrence runs right-to-left, so its chunk 0
-            // starts at t = T-1.
-            let phys = |j: usize| if fwd_dir { j } else { seq - 1 - j };
-            let dir_bit = u64::from(!fwd_dir);
-            let tag = |i: usize| (dir_bit << 56) | ((l as u64) << 32) | i as u64;
-
-            // Chunk-local sweeps: a sequential chain from a *zero*
-            // incoming state, writing every `st` slot of the chunk plus
-            // the chunk's total transfer (λ^len, h_last). Chunk 0's
-            // incoming state really is zero, so its states are final
-            // (and bit-identical to the chain executor's).
-            for (c, &(j0, j1)) in scan.plan.chunks.iter().enumerate() {
-                let len = j1 - j0;
-                let mut ins: Vec<RegionId> = Vec::new();
-                if l > 0 {
-                    ins.extend((j0..j1).map(|j| self.merged[l - 1][phys(j)].region));
-                }
-                let mut outs: Vec<RegionId> = (j0..j1).map(|j| st[phys(j)].region).collect();
-                outs.push(dirslots.totals[c].region);
-                let weights = self.weights.clone();
-                let xs = self.xs.clone();
-                let below: Option<Vec<Slot<Matrix<T>>>> = (l > 0).then(|| {
-                    (j0..j1)
-                        .map(|j| self.merged[l - 1][phys(j)].clone())
-                        .collect()
-                });
-                let dsts: Vec<CellSlot<T>> = (j0..j1).map(|j| st[phys(j)].clone()).collect();
-                let phys_ts: Vec<usize> = (j0..j1).map(phys).collect();
-                let total = dirslots.totals[c].clone();
-                let rows = self.rows;
-                let be = self.backend;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
-                // Persistent running state: the within-chunk recurrence
-                // carry, reset to zero at the top of every run.
-                let carry = Arc::new(Mutex::new(CellState::<T>::zeros(cfg.cell, rows, hidden)));
-                sink.push(
-                    PlanSpec::new("scan_local")
-                        .tag(tag(c))
-                        .ins(ins)
-                        .outs(outs)
-                        .working_set(cell_ws * len)
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let cfg = model.config;
-                            let params = if fwd_dir {
-                                &model.layers[l].fwd
-                            } else {
-                                &model.layers[l].rev
-                            };
-                            let mut scratch = scratch.lock();
-                            let mut carry = carry.lock();
-                            carry.h.fill_zero();
-                            let xs_guard = below.is_none().then(|| xs.read());
-                            for (i, dst) in dsts.iter().enumerate() {
-                                let init = || {
-                                    (
-                                        CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-                                        CellCache::zeros(
-                                            cfg.cell,
-                                            rows,
-                                            cfg.layer_input_size(l),
-                                            cfg.hidden_size,
-                                        ),
-                                    )
-                                };
-                                match &below {
-                                    Some(b) => b[i].with(|m| {
-                                        let m = m.expect("missing merge");
-                                        dst.write_in_place(init, |(stv, cache)| {
-                                            params.forward_ws(
-                                                m,
-                                                &carry,
-                                                stv,
-                                                cache,
-                                                &mut scratch,
-                                                be,
-                                            );
-                                            carry.h.copy_from(&stv.h);
-                                        })
-                                    }),
-                                    None => {
-                                        let x = &xs_guard.as_ref().expect("inputs")[phys_ts[i]];
-                                        dst.write_in_place(init, |(stv, cache)| {
-                                            params.forward_ws(
-                                                x,
-                                                &carry,
-                                                stv,
-                                                cache,
-                                                &mut scratch,
-                                                be,
-                                            );
-                                            carry.h.copy_from(&stv.h);
-                                        })
-                                    }
-                                }
-                            }
-                            let lam = match params {
-                                CellParams::Linear(p) => &p.lambda,
-                                _ => unreachable!("scan requires a scannable cell"),
-                            };
-                            total.write_in_place(
-                                || {
-                                    (
-                                        Matrix::zeros(1, cfg.hidden_size),
-                                        Matrix::zeros(rows, cfg.hidden_size),
-                                    )
-                                },
-                                |(a, b)| {
-                                    a.fill(T::ONE);
-                                    for _ in 0..len {
-                                        be.row_scale(lam, a);
-                                    }
-                                    b.copy_from(&carry.h);
-                                },
-                            );
-                        }),
-                );
-            }
-
-            // Combine tree: `(a1,b1) ∘ (a2,b2) = (a1⊙a2, a2⊙b1+b2)`,
-            // emitted in the plan's dependency-safe order.
-            for (k, comb) in scan.plan.combines.iter().enumerate() {
-                let lhs = dirslots.resolve(comb.lhs, false);
-                let rhs = dirslots.resolve(comb.rhs, false);
-                let dst = dirslots.nodes[k].clone();
-                let rows = self.rows;
-                let be = self.backend;
-                sink.push(
-                    PlanSpec::new("scan_comb")
-                        .tag(tag(k))
-                        .ins([lhs.region, rhs.region])
-                        .outs([dst.region])
-                        .body(move || {
-                            lhs.with(|lv| {
-                                let (a1, b1) = lv.expect("missing scan operand");
-                                rhs.with(|rv| {
-                                    let (a2, b2) = rv.expect("missing scan operand");
-                                    dst.write_in_place(
-                                        || (Matrix::zeros(1, hidden), Matrix::zeros(rows, hidden)),
-                                        |(oa, ob)| be.scan_combine(a1, b1, a2, b2, oa, ob),
-                                    )
-                                })
-                            });
-                        }),
-                );
-            }
-
-            // Fix-ups: chunk c's true incoming state is the `b` component
-            // of its exclusive prefix (the global initial state is zero).
-            // Walk the chunk once, updating carry `p ← λ⊙p` and adding the
-            // decayed correction to each state (and, for BPTT, to each
-            // cached h_prev). Read-modify-writes, so the `st` regions are
-            // declared inout.
-            for (c, &(j0, j1)) in scan.plan.chunks.iter().enumerate().skip(1) {
-                let pref = dirslots.resolve(scan.plan.prefix_of_chunk[c], false);
-                let dsts: Vec<CellSlot<T>> = (j0..j1).map(|j| st[phys(j)].clone()).collect();
-                let mut ins: Vec<RegionId> = vec![pref.region];
-                ins.extend(dsts.iter().map(|s| s.region));
-                let outs: Vec<RegionId> = dsts.iter().map(|s| s.region).collect();
-                let weights = self.weights.clone();
-                let rows = self.rows;
-                let be = self.backend;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
-                sink.push(
-                    PlanSpec::new("scan_fix")
-                        .tag(tag(c))
-                        .ins(ins)
-                        .outs(outs)
-                        .working_set(rows * hidden * std::mem::size_of::<T>())
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let params = if fwd_dir {
-                                &model.layers[l].fwd
-                            } else {
-                                &model.layers[l].rev
-                            };
-                            let lam = match params {
-                                CellParams::Linear(p) => &p.lambda,
-                                _ => unreachable!("scan requires a scannable cell"),
-                            };
-                            let mut scratch = scratch.lock();
-                            let mut carry = scratch.checkout(rows, model.config.hidden_size);
-                            pref.with(|p| {
-                                let (_, pb) = p.expect("missing scan prefix");
-                                carry.copy_from(pb);
-                            });
-                            for dst in &dsts {
-                                dst.update(
-                                    || unreachable!("scan_fix ran before its chunk-local sweep"),
-                                    |(stv, cache)| {
-                                        // True h_prev at this step gains
-                                        // λ^i ⊙ h_in (carry before the
-                                        // scale), the state λ^(i+1) ⊙ h_in.
-                                        if let CellCache::Linear(lc) = cache {
-                                            bpar_tensor::ops::axpy(T::ONE, &carry, &mut lc.h_prev);
-                                        }
-                                        be.row_scale(lam, &mut carry);
-                                        bpar_tensor::ops::axpy(T::ONE, &carry, &mut stv.h);
-                                    },
-                                );
-                            }
-                            scratch.give_back(carry);
-                        }),
-                );
-            }
-        }
+    /// Clones of a chunk's slots in scan order (logical `j0..j1`).
+    fn span<X>(&self, row: &[Slot<X>], dir: Dir, (j0, j1): (usize, usize)) -> Vec<Slot<X>> {
+        (j0..j1)
+            .map(|j| row[dir.phys(j, self.seq)].clone())
+            .collect()
     }
 
-    /// Submits layer `l`'s BPTT tasks under [`RecurrenceStrategy::Scan`].
-    /// The adjoint `δ_t = dh_t + λ ⊙ δ_{t+1}` is itself a diagonal linear
-    /// recurrence over *reversed* scan order (BPPSA), so the same
-    /// [`ScanPlan`] runs again: `bscan_local` sweeps each chunk from a
-    /// zero incoming adjoint, `bscan_comb` builds the tree over the
-    /// reversed chunk sequence, `bscan_fix` folds each chunk's exclusive
-    /// adjoint prefix in, and `bscan_grad` turns the corrected adjoints
-    /// into weight/input gradients (one task per chunk, accumulator-
-    /// serialised in the chain executor's t-descending order).
-    fn submit_backward_layer_scan(&self, sink: &mut dyn TaskSink, l: usize) {
-        let scan = self.scan.as_ref().expect("scan slots");
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let cell_ws =
-            cfg.cell
-                .backward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-        let cc = scan.plan.chunk_count();
-
-        for fwd_dir in [true, false] {
-            let (st, dh, sg, dinput, gacc_slot, dirslots) = if fwd_dir {
-                (
-                    &self.st_fwd[l],
-                    &self.dh_fwd[l],
-                    &self.sg_fwd[l],
-                    &self.dinput_f[l],
-                    &self.grads_fwd[l],
-                    &scan.fwd[l],
-                )
-            } else {
-                (
-                    &self.st_rev[l],
-                    &self.dh_rev[l],
-                    &self.sg_rev[l],
-                    &self.dinput_r[l],
-                    &self.grads_rev[l],
-                    &scan.rev[l],
+    /// One cell update: reads its own previous state (the shared zero
+    /// state at the sequence boundary) and the merge below (the input at
+    /// layer 0).
+    fn cell_body(&self, dir: Dir, l: usize, t: usize) -> PlanBody {
+        let j = dir.phys(t, self.seq);
+        let st = &self.st[dir.ix()][l];
+        let prev = (j > 0).then(|| st[dir.phys(j - 1, self.seq)].clone());
+        let below = (l > 0).then(|| self.merged[l - 1][t].clone());
+        let dst = st[t].clone();
+        let (weights, xs, zero) = (
+            self.weights.clone(),
+            self.xs.clone(),
+            self.zero_state.clone(),
+        );
+        let (rows, be) = (self.rows, self.backend);
+        let missing = ["missing t-1 state", "missing t+1 state"][dir.ix()];
+        // Per-task scratch arena. A compiled task runs at most once per
+        // replay and replays are separated by `taskwait`, so the lock is
+        // never contended; it exists to keep the body `Fn + Sync`.
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let cfg = model.config;
+            let params = dir_params(&model, l, dir);
+            let mut scratch = scratch.lock();
+            let mut step = |x: &Matrix<T>, p: &CellState<T>| {
+                dst.write_in_place(
+                    || cell_buffers(cfg, rows, l),
+                    |(st, cache)| params.forward_ws(x, p, st, cache, &mut scratch, be),
                 )
             };
-            let phys = |j: usize| if fwd_dir { j } else { seq - 1 - j };
-            let dir_bit = u64::from(!fwd_dir);
-            let tag = |i: usize| (dir_bit << 56) | ((l as u64) << 32) | i as u64;
-
-            // Adjoint chunk-local sweeps. Backward scan-order chunk `bc`
-            // is forward chunk `C-1-bc`; within it the adjoint runs over
-            // logical positions descending from a zero incoming adjoint.
-            // The `sg` slots hold the (local, later corrected) total
-            // adjoint δ — a different convention from the chain executor,
-            // whose `sg[t]` holds the λ-scaled gradient flowing into
-            // `t-1`; both are internal to their own task sets.
-            for bc in 0..cc {
-                let c = cc - 1 - bc;
-                let (j0, j1) = scan.plan.chunks[c];
-                let len = j1 - j0;
-                let ins: Vec<RegionId> = (j0..j1).map(|j| dh[phys(j)].region).collect();
-                let mut outs: Vec<RegionId> = (j0..j1).map(|j| sg[phys(j)].region).collect();
-                outs.push(dirslots.btotals[bc].region);
-                let weights = self.weights.clone();
-                let dhs: Vec<Slot<Matrix<T>>> = (j0..j1).map(|j| dh[phys(j)].clone()).collect();
-                let sgs: Vec<Slot<StateGrad<T>>> = (j0..j1).map(|j| sg[phys(j)].clone()).collect();
-                let btotal = dirslots.btotals[bc].clone();
-                let rows = self.rows;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
-                sink.push(
-                    PlanSpec::new("bscan_local")
-                        .tag(tag(bc))
-                        .ins(ins)
-                        .outs(outs)
-                        .working_set(cell_ws * len)
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let cfg = model.config;
-                            let params = if fwd_dir {
-                                &model.layers[l].fwd
-                            } else {
-                                &model.layers[l].rev
-                            };
-                            let lam = match params {
-                                CellParams::Linear(p) => &p.lambda,
-                                _ => unreachable!("scan requires a scannable cell"),
-                            };
-                            let mut scratch = scratch.lock();
-                            // Checkout zeroes the buffer: the chunk-local
-                            // sweep starts from a zero incoming adjoint.
-                            let mut carry = scratch.checkout(rows, cfg.hidden_size);
-                            for i in (0..len).rev() {
-                                let dh_val = dhs[i]
-                                    .take()
-                                    .unwrap_or_else(|| Matrix::zeros(rows, cfg.hidden_size));
-                                sgs[i].write_in_place(
-                                    || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
-                                    |sgv| {
-                                        bpar_tensor::ops::row_mul_add(
-                                            lam,
-                                            &carry,
-                                            &dh_val,
-                                            &mut sgv.dh,
-                                        );
-                                        carry.copy_from(&sgv.dh);
-                                    },
-                                );
-                            }
-                            btotal.write_in_place(
-                                || {
-                                    (
-                                        Matrix::zeros(1, cfg.hidden_size),
-                                        Matrix::zeros(rows, cfg.hidden_size),
-                                    )
-                                },
-                                |(a, b)| {
-                                    a.fill(T::ONE);
-                                    for _ in 0..len {
-                                        bpar_tensor::ops::row_scale(lam, a);
-                                    }
-                                    b.copy_from(&carry);
-                                },
-                            );
-                            scratch.give_back(carry);
-                        }),
-                );
+            let mut with_prev = |x: &Matrix<T>| match &prev {
+                Some(prev) => prev.with(|v| step(x, &v.expect(missing).0)),
+                None => step(x, &zero),
+            };
+            match &below {
+                Some(below) => below.with(|m| with_prev(m.expect("missing merge"))),
+                None => with_prev(&xs.read()[t]),
             }
-
-            // Adjoint combine tree — the transfers compose identically,
-            // just over the reversed chunk sequence. Backward tasks stay
-            // on the scalar oracle like all training kernels.
-            for (k, comb) in scan.plan.combines.iter().enumerate() {
-                let lhs = dirslots.resolve(comb.lhs, true);
-                let rhs = dirslots.resolve(comb.rhs, true);
-                let dst = dirslots.bnodes[k].clone();
-                let rows = self.rows;
-                sink.push(
-                    PlanSpec::new("bscan_comb")
-                        .tag(tag(k))
-                        .ins([lhs.region, rhs.region])
-                        .outs([dst.region])
-                        .body(move || {
-                            lhs.with(|lv| {
-                                let (a1, b1) = lv.expect("missing adjoint operand");
-                                rhs.with(|rv| {
-                                    let (a2, b2) = rv.expect("missing adjoint operand");
-                                    dst.write_in_place(
-                                        || (Matrix::zeros(1, hidden), Matrix::zeros(rows, hidden)),
-                                        |(oa, ob)| {
-                                            bpar_tensor::ops::scan_combine(a1, b1, a2, b2, oa, ob)
-                                        },
-                                    )
-                                })
-                            });
-                        }),
-                );
-            }
-
-            // Adjoint fix-ups: chunk `bc`'s incoming adjoint δ_in is the
-            // `b` of its exclusive prefix (the adjoint past the last
-            // timestep is zero); each position j gains λ^(j1-j) ⊙ δ_in.
-            for bc in 1..cc {
-                let c = cc - 1 - bc;
-                let (j0, j1) = scan.plan.chunks[c];
-                let len = j1 - j0;
-                let pref = dirslots.resolve(scan.plan.prefix_of_chunk[bc], true);
-                let sgs: Vec<Slot<StateGrad<T>>> = (j0..j1).map(|j| sg[phys(j)].clone()).collect();
-                let mut ins: Vec<RegionId> = vec![pref.region];
-                ins.extend(sgs.iter().map(|s| s.region));
-                let outs: Vec<RegionId> = sgs.iter().map(|s| s.region).collect();
-                let weights = self.weights.clone();
-                let rows = self.rows;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
-                sink.push(
-                    PlanSpec::new("bscan_fix")
-                        .tag(tag(bc))
-                        .ins(ins)
-                        .outs(outs)
-                        .working_set(rows * hidden * std::mem::size_of::<T>())
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let params = if fwd_dir {
-                                &model.layers[l].fwd
-                            } else {
-                                &model.layers[l].rev
-                            };
-                            let lam = match params {
-                                CellParams::Linear(p) => &p.lambda,
-                                _ => unreachable!("scan requires a scannable cell"),
-                            };
-                            let mut scratch = scratch.lock();
-                            let mut carry = scratch.checkout(rows, model.config.hidden_size);
-                            pref.with(|p| {
-                                let (_, pb) = p.expect("missing adjoint prefix");
-                                carry.copy_from(pb);
-                            });
-                            for i in (0..len).rev() {
-                                bpar_tensor::ops::row_scale(lam, &mut carry);
-                                sgs[i].update(
-                                    || unreachable!("bscan_fix ran before its local sweep"),
-                                    |sgv| bpar_tensor::ops::axpy(T::ONE, &carry, &mut sgv.dh),
-                                );
-                            }
-                            scratch.give_back(carry);
-                        }),
-                );
-            }
-
-            // Gradient tasks: with the corrected total adjoint δ in hand,
-            // each timestep's parameter/input gradients follow from the
-            // cell's ordinary backward with a zero recurrent state-grad
-            // (the recurrence is already folded into δ). Chunks are
-            // emitted in reverse order and walked descending, so the
-            // inout-serialised accumulator adds timesteps in exactly the
-            // chain executor's order for both directions.
-            for bc in 0..cc {
-                let c = cc - 1 - bc;
-                let (j0, j1) = scan.plan.chunks[c];
-                let len = j1 - j0;
-                let mut ins: Vec<RegionId> = Vec::with_capacity(2 * len + 1);
-                for j in j0..j1 {
-                    ins.push(sg[phys(j)].region);
-                    ins.push(st[phys(j)].region);
-                }
-                ins.push(gacc_slot.region);
-                let mut outs: Vec<RegionId> = (j0..j1).map(|j| dinput[phys(j)].region).collect();
-                outs.push(gacc_slot.region);
-                let weights = self.weights.clone();
-                let sts: Vec<CellSlot<T>> = (j0..j1).map(|j| st[phys(j)].clone()).collect();
-                let sgs: Vec<Slot<StateGrad<T>>> = (j0..j1).map(|j| sg[phys(j)].clone()).collect();
-                let dinputs: Vec<Slot<Matrix<T>>> =
-                    (j0..j1).map(|j| dinput[phys(j)].clone()).collect();
-                let gacc = gacc_slot.clone();
-                sink.push(
-                    PlanSpec::new("bscan_grad")
-                        .tag(tag(c))
-                        .ins(ins)
-                        .outs(outs)
-                        .working_set(cell_ws * len)
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let params = if fwd_dir {
-                                &model.layers[l].fwd
-                            } else {
-                                &model.layers[l].rev
-                            };
-                            gacc.update(
-                                || params.zeros_like(),
-                                |g| {
-                                    for i in (0..len).rev() {
-                                        sts[i].with(|cached| {
-                                            let (_, cache) = cached.expect("missing forward cache");
-                                            sgs[i].with(|sgv| {
-                                                let delta = &sgv.expect("missing scan adjoint").dh;
-                                                let (dx, _sg_prev) =
-                                                    params.backward(cache, delta, None, g);
-                                                dinputs[i].put(dx);
-                                            });
-                                        });
-                                    }
-                                },
-                            );
-                        }),
-                );
-            }
-        }
+        })
     }
 
-    /// Submits the last layer's merge + classifier tasks. With
-    /// `train = true` also computes the weighted loss and `dfeat`, reading
-    /// classes from the target store (see [`ReplicaGraph::set_target`]).
-    pub fn submit_output(&self, sink: &mut dyn TaskSink, train: bool) {
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let last = cfg.layers - 1;
-        let positions: Vec<(usize, usize, usize)> = match cfg.kind {
-            // (output index, fwd t, rev t)
-            ModelKind::ManyToOne => vec![(0, seq - 1, 0)],
-            ModelKind::ManyToMany => (0..seq).map(|t| (t, t, t)).collect(),
+    /// Merge of one timestep's two directions into `dst` (Eq. (11)).
+    fn merge_body(&self, f: &CellSlot<T>, r: &CellSlot<T>, dst: &Slot<Matrix<T>>) -> PlanBody {
+        let (f, r, dst) = (f.clone(), r.clone(), dst.clone());
+        let (mode, rows) = (self.config.merge, self.rows);
+        let width = mode.output_width(self.config.hidden_size);
+        Arc::new(move || {
+            f.with(|fv| {
+                r.with(|rv| {
+                    let (fh, rh) = (&fv.expect("fwd missing").0.h, &rv.expect("rev missing").0.h);
+                    dst.write_in_place(
+                        || Matrix::zeros(rows, width),
+                        |m| mode.apply_into(fh, rh, m),
+                    )
+                })
+            });
+        })
+    }
+
+    /// Inference classifier.
+    fn dense_body(&self, i: usize) -> PlanBody {
+        let (weights, feat, out) = (
+            self.weights.clone(),
+            self.feat[i].clone(),
+            self.logits[i].clone(),
+        );
+        let (rows, be) = (self.rows, self.backend);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let mut scratch = scratch.lock();
+            feat.with(|x| {
+                let x = x.expect("missing features");
+                out.write_in_place(
+                    || Matrix::zeros(rows, model.dense.w.cols()),
+                    |logits| model.dense.forward_into(x, logits, &mut scratch, be),
+                )
+            });
+        })
+    }
+
+    /// Training: classifier + loss + classifier backward in one task
+    /// (small working set; Eq. (11) merge tasks are the paper's analogue
+    /// of lightweight glue tasks). Classes come from the target store
+    /// (see [`ReplicaGraph::set_target`]).
+    fn loss_body(&self, i: usize) -> PlanBody {
+        let (weights, targets) = (self.weights.clone(), self.targets.clone());
+        let (feat, out, dfeat) = (
+            self.feat[i].clone(),
+            self.logits[i].clone(),
+            self.dfeat[i].clone(),
+        );
+        let (gdense, loss_slot) = (self.grads_dense.clone(), self.loss.clone());
+        let (weight, inv_outputs) = (self.weight, 1.0 / self.logits.len() as f64);
+        Arc::new(move || {
+            let model = weights.snapshot();
+            feat.with(|x| {
+                let x = x.unwrap();
+                let logits = model.dense.forward(x);
+                let targets = targets.read();
+                let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets[i]);
+                bpar_tensor::ops::scale(T::from_f64(weight * inv_outputs), &mut dlogits);
+                gdense.update(
+                    || model.dense.zeros_like(),
+                    |g| dfeat.put(model.dense.backward(x, &dlogits, g)),
+                );
+                loss_slot.update(|| 0.0, |acc| *acc += l * weight * inv_outputs);
+                out.put(logits);
+            });
+        })
+    }
+
+    /// Backward seed: splits `dfeat[i]` into the two directions.
+    fn merge_bwd_final_body(&self, i: usize, (tf, tr): (usize, usize)) -> PlanBody {
+        let last = self.config.layers - 1;
+        let (f, r) = (self.st[0][last][tf].clone(), self.st[1][last][tr].clone());
+        let (dhf, dhr) = (self.dh[0][last][tf].clone(), self.dh[1][last][tr].clone());
+        let (dfeat, mode) = (self.dfeat[i].clone(), self.config.merge);
+        Arc::new(move || {
+            let (df, dr) = dfeat.with(|d| {
+                f.with(|fv| {
+                    r.with(|rv| mode.backward(d.unwrap(), &fv.unwrap().0.h, &rv.unwrap().0.h))
+                })
+            });
+            dhf.put(df);
+            dhr.put(dr);
+        })
+    }
+
+    /// One BPTT cell: consumes its `dh` and the state gradient flowing in
+    /// from the later recurrence step, accumulates weight gradients.
+    fn cell_bwd_body(&self, dir: Dir, l: usize, t: usize) -> PlanBody {
+        let (d, j) = (dir.ix(), dir.phys(t, self.seq));
+        let sg_in = (j + 1 < self.seq).then(|| self.sg[d][l][dir.phys(j + 1, self.seq)].clone());
+        let (st, dh, sg_out) = (
+            self.st[d][l][t].clone(),
+            self.dh[d][l][t].clone(),
+            self.sg[d][l][t].clone(),
+        );
+        let (dinput, gacc) = (self.dinput[d][l][t].clone(), self.grads[d][l].clone());
+        let (weights, rows) = (self.weights.clone(), self.rows);
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let params = dir_params(&model, l, dir);
+            let dh_val = dh
+                .take()
+                .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
+            let sg_val = sg_in.as_ref().and_then(|s| s.take());
+            st.with(|cached| {
+                let (_, cache) = cached.expect("missing forward cache");
+                gacc.update(
+                    || params.zeros_like(),
+                    |g| {
+                        let (dx, sg_prev) = params.backward(cache, &dh_val, sg_val.as_ref(), g);
+                        dinput.put(dx);
+                        sg_out.put(sg_prev);
+                    },
+                );
+            });
+        })
+    }
+
+    /// Merge-backward of layer `l` seeding layer `l-1`: sums the two
+    /// directions' input gradients — in fwd-then-rev order, matching the
+    /// sequential reference — and splits the sum through the merge.
+    fn merge_bwd_body(&self, l: usize, t: usize) -> PlanBody {
+        let (din_f, din_r) = (self.dinput[0][l][t].clone(), self.dinput[1][l][t].clone());
+        let (f, r) = (self.st[0][l - 1][t].clone(), self.st[1][l - 1][t].clone());
+        let (dhf, dhr) = (self.dh[0][l - 1][t].clone(), self.dh[1][l - 1][t].clone());
+        let mode = self.config.merge;
+        Arc::new(move || {
+            let mut dmerged = din_f.take().expect("missing fwd dinput");
+            din_r.with(|d| {
+                bpar_tensor::ops::axpy(T::ONE, d.expect("missing rev dinput"), &mut dmerged);
+            });
+            let (df, dr) = f.with(|fv| {
+                r.with(|rv| mode.backward(&dmerged, &fv.unwrap().0.h, &rv.unwrap().0.h))
+            });
+            dhf.put(df);
+            dhr.put(dr);
+        })
+    }
+
+    /// Chunk-local sweep: a sequential chain from a *zero* incoming state,
+    /// writing every `st` slot of the chunk plus the chunk's total
+    /// transfer (λ^len, h_last). Chunk 0's incoming state really is zero,
+    /// so its states are final (and bit-identical to the chain
+    /// executor's).
+    fn scan_local_body(&self, dir: Dir, l: usize, c: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let chunk = plan.chunks[c];
+        let len = chunk.1 - chunk.0;
+        let below = (l > 0).then(|| self.span(&self.merged[l - 1], dir, chunk));
+        let dsts = self.span(&self.st[dir.ix()][l], dir, chunk);
+        let phys_ts: Vec<usize> = (chunk.0..chunk.1).map(|j| dir.phys(j, self.seq)).collect();
+        let total = self.transfer(false, dir, l, NodeRef::Total(c)).clone();
+        let (weights, xs) = (self.weights.clone(), self.xs.clone());
+        let (rows, be, hidden) = (self.rows, self.backend, self.config.hidden_size);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        // Persistent running state: the within-chunk recurrence carry,
+        // reset to zero at the top of every run.
+        let carry = Arc::new(Mutex::new(CellState::<T>::zeros(
+            self.config.cell,
+            rows,
+            hidden,
+        )));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let cfg = model.config;
+            let params = dir_params(&model, l, dir);
+            let mut scratch = scratch.lock();
+            let mut carry = carry.lock();
+            carry.h.fill_zero();
+            let xs_guard = below.is_none().then(|| xs.read());
+            for (i, dst) in dsts.iter().enumerate() {
+                let mut step = |x: &Matrix<T>| {
+                    dst.write_in_place(
+                        || cell_buffers(cfg, rows, l),
+                        |(stv, cache)| {
+                            params.forward_ws(x, &carry, stv, cache, &mut scratch, be);
+                            carry.h.copy_from(&stv.h);
+                        },
+                    )
+                };
+                match &below {
+                    Some(b) => b[i].with(|m| step(m.expect("missing merge"))),
+                    None => step(&xs_guard.as_ref().expect("inputs")[phys_ts[i]]),
+                }
+            }
+            let lam = lambda(params);
+            total.write_in_place(
+                || transfer_zeros(rows, cfg.hidden_size),
+                |(a, b)| {
+                    a.fill(T::ONE);
+                    for _ in 0..len {
+                        be.row_scale(lam, a);
+                    }
+                    b.copy_from(&carry.h);
+                },
+            );
+        })
+    }
+
+    /// One combine node `(a1,b1) ∘ (a2,b2) = (a1⊙a2, a2⊙b1+b2)` of the
+    /// activation tree, or of the adjoint tree — whose transfers compose
+    /// identically, just over the reversed chunk sequence, and which stays
+    /// on the scalar oracle like all training kernels.
+    fn scan_comb_body(&self, adjoint: bool, dir: Dir, l: usize, k: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let comb = plan.combines[k];
+        let lhs = self.transfer(adjoint, dir, l, comb.lhs).clone();
+        let rhs = self.transfer(adjoint, dir, l, comb.rhs).clone();
+        let dst = self.transfer(adjoint, dir, l, NodeRef::Node(k)).clone();
+        let (rows, hidden) = (self.rows, self.config.hidden_size);
+        let be = if adjoint {
+            Backend::scalar()
+        } else {
+            self.backend
         };
-        let inv_outputs = 1.0 / positions.len() as f64;
-
-        for &(i, tf, tr) in &positions {
-            // Final merge task.
-            let f = self.st_fwd[last][tf].clone();
-            let r = self.st_rev[last][tr].clone();
-            let dst = self.feat[i].clone();
-            let mode = cfg.merge;
-            let rows = self.rows;
-            let width = cfg.merge.output_width(cfg.hidden_size);
-            sink.push(
-                PlanSpec::new("merge_final")
-                    .tag(i as u64)
-                    .ins([f.region, r.region])
-                    .outs([dst.region])
-                    .body(move || {
-                        f.with(|fv| {
-                            r.with(|rv| {
-                                dst.write_in_place(
-                                    || Matrix::zeros(rows, width),
-                                    |m| mode.apply_into(&fv.unwrap().0.h, &rv.unwrap().0.h, m),
-                                )
-                            })
-                        });
-                    }),
-            );
-
-            if !train {
-                // Inference: classifier only.
-                let weights = self.weights.clone();
-                let feat = self.feat[i].clone();
-                let out = self.logits[i].clone();
-                let rows = self.rows;
-                let be = self.backend;
-                let scratch = Arc::new(Mutex::new(Workspace::new()));
-                sink.push(
-                    PlanSpec::new("dense")
-                        .tag(i as u64)
-                        .ins([feat.region])
-                        .outs([out.region])
-                        .body(move || {
-                            let model = weights.snapshot();
-                            let mut scratch = scratch.lock();
-                            feat.with(|x| {
-                                let x = x.expect("missing features");
-                                out.write_in_place(
-                                    || Matrix::zeros(rows, model.dense.w.cols()),
-                                    |logits| model.dense.forward_into(x, logits, &mut scratch, be),
-                                )
-                            });
-                        }),
-                );
-            } else {
-                // Training: classifier + loss + classifier backward in
-                // one task (small working set; Eq. (11) merge tasks are
-                // the paper's analogue of lightweight glue tasks).
-                let weights = self.weights.clone();
-                let targets = self.targets.clone();
-                let feat = self.feat[i].clone();
-                let out = self.logits[i].clone();
-                let dfeat = self.dfeat[i].clone();
-                let gdense = self.grads_dense.clone();
-                let loss_slot = self.loss.clone();
-                let weight = self.weight;
-                // The classifier-gradient and loss slots are accumulated
-                // across output positions (read-modify-write), so they are
-                // declared *inout*. The added read edges coincide with the
-                // existing write-after-write chain between consecutive loss
-                // tasks and dedup away — the graph shape is unchanged.
-                sink.push(
-                    PlanSpec::new("loss")
-                        .tag(i as u64)
-                        .ins([feat.region, gdense.region, loss_slot.region])
-                        .outs([out.region, dfeat.region, gdense.region, loss_slot.region])
-                        .body(move || {
-                            let model = weights.snapshot();
-                            feat.with(|x| {
-                                let x = x.unwrap();
-                                let logits = model.dense.forward(x);
-                                let targets = targets.read();
-                                let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets[i]);
-                                let scale = T::from_f64(weight * inv_outputs);
-                                bpar_tensor::ops::scale(scale, &mut dlogits);
-                                gdense.update(
-                                    || model.dense.zeros_like(),
-                                    |g| {
-                                        let dx = model.dense.backward(x, &dlogits, g);
-                                        dfeat.put(dx);
-                                    },
-                                );
-                                loss_slot.update(|| 0.0, |acc| *acc += l * weight * inv_outputs);
-                                out.put(logits);
-                            });
-                        }),
-                );
-
-                // Backward seed: split dfeat into the two directions.
-                let mode = cfg.merge;
-                let f = self.st_fwd[last][tf].clone();
-                let r = self.st_rev[last][tr].clone();
-                let dfeat2 = self.dfeat[i].clone();
-                let dhf = self.dh_fwd[last][tf].clone();
-                let dhr = self.dh_rev[last][tr].clone();
-                sink.push(
-                    PlanSpec::new("merge_bwd")
-                        .tag(i as u64)
-                        .ins([dfeat2.region, f.region, r.region])
-                        .outs([dhf.region, dhr.region])
-                        .body(move || {
-                            let (df, dr) = dfeat2.with(|d| {
-                                f.with(|fv| {
-                                    r.with(|rv| {
-                                        mode.backward(
-                                            d.unwrap(),
-                                            &fv.unwrap().0.h,
-                                            &rv.unwrap().0.h,
-                                        )
-                                    })
-                                })
-                            });
-                            dhf.put(df);
-                            dhr.put(dr);
-                        }),
-                );
-            }
-        }
+        Arc::new(move || {
+            lhs.with(|lv| {
+                let (a1, b1) = lv.expect("missing scan operand");
+                rhs.with(|rv| {
+                    let (a2, b2) = rv.expect("missing scan operand");
+                    dst.write_in_place(
+                        || transfer_zeros(rows, hidden),
+                        |(oa, ob)| be.scan_combine(a1, b1, a2, b2, oa, ob),
+                    )
+                })
+            });
+        })
     }
 
-    /// Submits the [`BuildMode::CrossEpochRace`] probe task. Declared
-    /// clauses: reads `st_fwd[0][0]`, writes a *fresh* region that is
-    /// secretly an alias of `feat[0]`'s physical storage (see
-    /// [`Slot::alias_with_fresh_region`]). Every clause matches what the
-    /// body touches — region-keyed clause validation and happens-before
-    /// analysis both pass — but the graph admits schedules where the
-    /// probe's zero-fill lands between `merge_final` and the classifier,
-    /// corrupting the logits. Only exhaustive schedule exploration, which
-    /// keys conflicts on physical sites, can witness the divergence.
-    pub fn submit_epoch_probe(&self, sink: &mut dyn TaskSink, regions: &mut RegionAlloc) {
-        let probe_src = self.st_fwd[0][0].clone();
-        let aliased = self.feat[0].alias_with_fresh_region(regions);
+    /// Fix-up: chunk `c`'s true incoming state is the `b` component of its
+    /// exclusive prefix (the global initial state is zero). Walks the
+    /// chunk once, updating carry `p ← λ⊙p` and adding the decayed
+    /// correction to each state (and, for BPTT, to each cached h_prev).
+    fn scan_fix_body(&self, dir: Dir, l: usize, c: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let pref = self
+            .transfer(false, dir, l, plan.prefix_of_chunk[c])
+            .clone();
+        let dsts = self.span(&self.st[dir.ix()][l], dir, plan.chunks[c]);
+        let (weights, rows, be) = (self.weights.clone(), self.rows, self.backend);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let lam = lambda(dir_params(&model, l, dir));
+            let mut scratch = scratch.lock();
+            let mut carry = scratch.checkout(rows, model.config.hidden_size);
+            pref.with(|p| {
+                let (_, pb) = p.expect("missing scan prefix");
+                carry.copy_from(pb);
+            });
+            for dst in &dsts {
+                dst.update(
+                    || unreachable!("scan_fix ran before its chunk-local sweep"),
+                    |(stv, cache)| {
+                        // True h_prev at this step gains λ^i ⊙ h_in (carry
+                        // before the scale), the state λ^(i+1) ⊙ h_in.
+                        if let CellCache::Linear(lc) = cache {
+                            bpar_tensor::ops::axpy(T::ONE, &carry, &mut lc.h_prev);
+                        }
+                        be.row_scale(lam, &mut carry);
+                        bpar_tensor::ops::axpy(T::ONE, &carry, &mut stv.h);
+                    },
+                );
+            }
+            scratch.give_back(carry);
+        })
+    }
+
+    /// Adjoint chunk-local sweep of backward scan-order chunk `bc`
+    /// (forward chunk `C-1-bc`): runs over logical positions descending
+    /// from a zero incoming adjoint. The `sg` slots hold the (local, later
+    /// corrected) total adjoint δ — a different convention from the chain
+    /// executor, whose `sg[t]` holds the λ-scaled gradient flowing into
+    /// `t-1`; both are internal to their own task sets.
+    fn bscan_local_body(&self, dir: Dir, l: usize, bc: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let chunk = plan.chunks[plan.chunk_count() - 1 - bc];
+        let len = chunk.1 - chunk.0;
+        let dhs = self.span(&self.dh[dir.ix()][l], dir, chunk);
+        let sgs = self.span(&self.sg[dir.ix()][l], dir, chunk);
+        let btotal = self.transfer(true, dir, l, NodeRef::Total(bc)).clone();
+        let (weights, rows) = (self.weights.clone(), self.rows);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let cfg = model.config;
+            let lam = lambda(dir_params(&model, l, dir));
+            let mut scratch = scratch.lock();
+            // Checkout zeroes the buffer: the chunk-local sweep starts
+            // from a zero incoming adjoint.
+            let mut carry = scratch.checkout(rows, cfg.hidden_size);
+            for i in (0..len).rev() {
+                let dh_val = dhs[i]
+                    .take()
+                    .unwrap_or_else(|| Matrix::zeros(rows, cfg.hidden_size));
+                sgs[i].write_in_place(
+                    || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
+                    |sgv| {
+                        bpar_tensor::ops::row_mul_add(lam, &carry, &dh_val, &mut sgv.dh);
+                        carry.copy_from(&sgv.dh);
+                    },
+                );
+            }
+            btotal.write_in_place(
+                || transfer_zeros(rows, cfg.hidden_size),
+                |(a, b)| {
+                    a.fill(T::ONE);
+                    for _ in 0..len {
+                        bpar_tensor::ops::row_scale(lam, a);
+                    }
+                    b.copy_from(&carry);
+                },
+            );
+            scratch.give_back(carry);
+        })
+    }
+
+    /// Adjoint fix-up: chunk `bc`'s incoming adjoint δ_in is the `b` of
+    /// its exclusive prefix (the adjoint past the last timestep is zero);
+    /// each position j gains λ^(j1-j) ⊙ δ_in.
+    fn bscan_fix_body(&self, dir: Dir, l: usize, bc: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let pref = self
+            .transfer(true, dir, l, plan.prefix_of_chunk[bc])
+            .clone();
+        let sgs = self.span(
+            &self.sg[dir.ix()][l],
+            dir,
+            plan.chunks[plan.chunk_count() - 1 - bc],
+        );
+        let (weights, rows) = (self.weights.clone(), self.rows);
+        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let lam = lambda(dir_params(&model, l, dir));
+            let mut scratch = scratch.lock();
+            let mut carry = scratch.checkout(rows, model.config.hidden_size);
+            pref.with(|p| {
+                let (_, pb) = p.expect("missing adjoint prefix");
+                carry.copy_from(pb);
+            });
+            for sg in sgs.iter().rev() {
+                bpar_tensor::ops::row_scale(lam, &mut carry);
+                sg.update(
+                    || unreachable!("bscan_fix ran before its local sweep"),
+                    |sgv| bpar_tensor::ops::axpy(T::ONE, &carry, &mut sgv.dh),
+                );
+            }
+            scratch.give_back(carry);
+        })
+    }
+
+    /// Gradient task of forward chunk `c`: with the corrected total
+    /// adjoint δ in hand, each timestep's parameter/input gradients follow
+    /// from the cell's ordinary backward with a zero recurrent state-grad
+    /// (the recurrence is already folded into δ). The chunk is walked
+    /// descending so the accumulator adds timesteps in the chain
+    /// executor's order for both directions.
+    fn bscan_grad_body(&self, dir: Dir, l: usize, c: usize) -> PlanBody {
+        let (plan, _) = self.scan.as_ref().expect("scan slots");
+        let d = dir.ix();
+        let sts = self.span(&self.st[d][l], dir, plan.chunks[c]);
+        let sgs = self.span(&self.sg[d][l], dir, plan.chunks[c]);
+        let dinputs = self.span(&self.dinput[d][l], dir, plan.chunks[c]);
+        let (weights, gacc) = (self.weights.clone(), self.grads[d][l].clone());
+        Arc::new(move || {
+            let model = weights.snapshot();
+            let params = dir_params(&model, l, dir);
+            gacc.update(
+                || params.zeros_like(),
+                |g| {
+                    for i in (0..sts.len()).rev() {
+                        sts[i].with(|cached| {
+                            let (_, cache) = cached.expect("missing forward cache");
+                            sgs[i].with(|sgv| {
+                                let delta = &sgv.expect("missing scan adjoint").dh;
+                                let (dx, _sg_prev) = params.backward(cache, delta, None, g);
+                                dinputs[i].put(dx);
+                            });
+                        });
+                    }
+                },
+            );
+        })
+    }
+
+    /// The cross-epoch-race probe: zero-fills `feat[0]`'s storage through
+    /// the aliased handle. Every clause matches what the body touches —
+    /// region-keyed clause validation and happens-before analysis both
+    /// pass — but the graph admits schedules where the zero-fill lands
+    /// between `merge_final` and the classifier, corrupting the logits.
+    /// Only exhaustive schedule exploration, which keys conflicts on
+    /// physical sites, can witness the divergence.
+    fn epoch_probe_body(&self) -> PlanBody {
+        let probe_src = self.st[0][0][0].clone();
+        let aliased = self.alias.clone().expect("alias not seeded");
         let rows = self.rows;
         let width = self.config.merge.output_width(self.config.hidden_size);
-        sink.push(
-            PlanSpec::new("epoch_probe")
-                .ins([probe_src.region])
-                .outs([aliased.region])
-                .body(move || {
-                    // Touch the declared input so the recorded trace
-                    // matches the clauses exactly.
-                    probe_src.with(|_| {});
-                    aliased.write_in_place(
-                        || Matrix::zeros(rows, width),
-                        |m| {
-                            for v in m.as_mut_slice() {
-                                *v = T::from_f64(0.0);
-                            }
-                        },
-                    );
-                }),
-        );
-    }
-
-    /// Submits the BPTT tasks of layer `l`: forward-direction backward
-    /// cells (t descending), reverse-direction backward cells (t
-    /// ascending), and — for `l > 0` — the merge-backward tasks that seed
-    /// layer `l-1`.
-    pub fn submit_backward_layer(&self, sink: &mut dyn TaskSink, l: usize) {
-        if self.scan.is_some() {
-            self.submit_backward_layer_scan(sink, l);
-            self.submit_merge_bwd_tasks(sink, l);
-            return;
-        }
-        let cfg = self.config;
-        let seq = self.seq_len();
-        let hidden = cfg.hidden_size;
-        let input_w = cfg.layer_input_size(l);
-        let ws =
-            cfg.cell
-                .backward_working_set(self.rows, input_w, hidden, std::mem::size_of::<T>());
-
-        // Forward-direction BPTT: gradient flows from t = T-1 down to 0.
-        for t in (0..seq).rev() {
-            // The per-layer weight-gradient accumulator is read-modify-
-            // written by every timestep's backward cell, so it is inout;
-            // its read edge duplicates the BPTT chain edge (same
-            // predecessor) and dedups away.
-            let mut ins = vec![
-                self.st_fwd[l][t].region,
-                self.dh_fwd[l][t].region,
-                self.grads_fwd[l].region,
-            ];
-            if t + 1 < seq {
-                ins.push(self.sg_fwd[l][t + 1].region);
-            }
-            let outs = vec![
-                self.sg_fwd[l][t].region,
-                self.dinput_f[l][t].region,
-                self.grads_fwd[l].region,
-            ];
-            let weights = self.weights.clone();
-            let st = self.st_fwd[l][t].clone();
-            let dh = self.dh_fwd[l][t].clone();
-            let sg_in = (t + 1 < seq).then(|| self.sg_fwd[l][t + 1].clone());
-            let sg_out = self.sg_fwd[l][t].clone();
-            let dinput = self.dinput_f[l][t].clone();
-            let gacc = self.grads_fwd[l].clone();
-            let rows = self.rows;
-            sink.push(
-                PlanSpec::new("cell_fwd_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs(outs)
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let params = &model.layers[l].fwd;
-                        let dh_val = dh
-                            .take()
-                            .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-                        let sg_val = sg_in.as_ref().and_then(|s| s.take());
-                        st.with(|cached| {
-                            let (_, cache) = cached.expect("missing forward cache");
-                            gacc.update(
-                                || params.zeros_like(),
-                                |g| {
-                                    let (dx, sg_prev) =
-                                        params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                                    dinput.put(dx);
-                                    sg_out.put(sg_prev);
-                                },
-                            );
-                        });
-                    }),
+        Arc::new(move || {
+            // Touch the declared input so the recorded trace matches the
+            // clauses exactly.
+            probe_src.with(|_| {});
+            aliased.write_in_place(
+                || Matrix::zeros(rows, width),
+                |m| m.as_mut_slice().fill(T::from_f64(0.0)),
             );
-        }
-
-        // Reverse-direction BPTT: gradient flows from t = 0 up to T-1.
-        for t in 0..seq {
-            let mut ins = vec![
-                self.st_rev[l][t].region,
-                self.dh_rev[l][t].region,
-                self.grads_rev[l].region,
-            ];
-            if t > 0 {
-                ins.push(self.sg_rev[l][t - 1].region);
-            }
-            let outs = vec![
-                self.sg_rev[l][t].region,
-                self.dinput_r[l][t].region,
-                self.grads_rev[l].region,
-            ];
-            let weights = self.weights.clone();
-            let st = self.st_rev[l][t].clone();
-            let dh = self.dh_rev[l][t].clone();
-            let sg_in = (t > 0).then(|| self.sg_rev[l][t - 1].clone());
-            let sg_out = self.sg_rev[l][t].clone();
-            let dinput = self.dinput_r[l][t].clone();
-            let gacc = self.grads_rev[l].clone();
-            let rows = self.rows;
-            sink.push(
-                PlanSpec::new("cell_rev_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .ins(ins)
-                    .outs(outs)
-                    .working_set(ws)
-                    .body(move || {
-                        let model = weights.snapshot();
-                        let params = &model.layers[l].rev;
-                        let dh_val = dh
-                            .take()
-                            .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-                        let sg_val = sg_in.as_ref().and_then(|s| s.take());
-                        st.with(|cached| {
-                            let (_, cache) = cached.expect("missing reverse cache");
-                            gacc.update(
-                                || params.zeros_like(),
-                                |g| {
-                                    let (dx, sg_prev) =
-                                        params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                                    dinput.put(dx);
-                                    sg_out.put(sg_prev);
-                                },
-                            );
-                        });
-                    }),
-            );
-        }
-
-        self.submit_merge_bwd_tasks(sink, l);
-    }
-
-    /// Merge-backward tasks seeding layer l-1. The layer-input gradient
-    /// is the sum of the two directions' contributions; summing here —
-    /// in fwd-then-rev order, matching the sequential reference — keeps
-    /// the directions' BPTT chains free of mutual dependencies. Shared by
-    /// the chain and scan backward paths.
-    fn submit_merge_bwd_tasks(&self, sink: &mut dyn TaskSink, l: usize) {
-        let cfg = self.config;
-        let seq = self.seq_len();
-        if l > 0 {
-            let mode = cfg.merge;
-            for t in 0..seq {
-                let din_f = self.dinput_f[l][t].clone();
-                let din_r = self.dinput_r[l][t].clone();
-                let f = self.st_fwd[l - 1][t].clone();
-                let r = self.st_rev[l - 1][t].clone();
-                let dhf = self.dh_fwd[l - 1][t].clone();
-                let dhr = self.dh_rev[l - 1][t].clone();
-                sink.push(
-                    PlanSpec::new("merge_bwd")
-                        .tag((((l - 1) as u64) << 32) | t as u64)
-                        .ins([din_f.region, din_r.region, f.region, r.region])
-                        .outs([dhf.region, dhr.region])
-                        .body(move || {
-                            let mut dmerged = din_f.take().expect("missing fwd dinput");
-                            din_r.with(|d| {
-                                bpar_tensor::ops::axpy(
-                                    T::ONE,
-                                    d.expect("missing rev dinput"),
-                                    &mut dmerged,
-                                );
-                            });
-                            let (df, dr) = f.with(|fv| {
-                                r.with(|rv| {
-                                    mode.backward(&dmerged, &fv.unwrap().0.h, &rv.unwrap().0.h)
-                                })
-                            });
-                            dhf.put(df);
-                            dhr.put(dr);
-                        }),
-                );
-            }
-        }
+        })
     }
 
     /// Collects this replica's accumulated gradients into a [`BrnnGrads`].
     /// Call only after `taskwait`.
     pub fn take_grads(&self) -> BrnnGrads<T> {
         let model = self.weights.snapshot();
-        let layers = self
-            .grads_fwd
-            .iter()
-            .zip(&self.grads_rev)
-            .enumerate()
-            .map(|(l, (f, r))| LayerPair {
-                fwd: f.take().unwrap_or_else(|| model.layers[l].fwd.zeros_like()),
-                rev: r.take().unwrap_or_else(|| model.layers[l].rev.zeros_like()),
+        let layers = (0..self.config.layers)
+            .map(|l| {
+                let take = |dir: Dir| {
+                    let own = self.grads[dir.ix()][l].take();
+                    own.unwrap_or_else(|| dir_params(&model, l, dir).zeros_like())
+                };
+                LayerPair {
+                    fwd: take(Dir::Fwd),
+                    rev: take(Dir::Rev),
+                }
             })
             .collect();
         BrnnGrads {
@@ -1759,116 +1151,6 @@ impl<T: Float> ReplicaGraph<T> {
     /// The weighted loss this replica accumulated. Call after `taskwait`.
     pub fn take_loss(&self) -> f64 {
         self.loss.take().unwrap_or(0.0)
-    }
-
-    /// Appends `(region, coordinate)` pairs for every slot this replica
-    /// owns, e.g. `"r0.st_fwd[1][2]"` for `prefix = "r0."`. Analysis
-    /// findings use these names instead of raw region numbers.
-    pub fn region_names(&self, prefix: &str, names: &mut Vec<(RegionId, String)>) {
-        fn grid<X>(
-            prefix: &str,
-            what: &str,
-            g: &[Vec<Slot<X>>],
-            names: &mut Vec<(RegionId, String)>,
-        ) {
-            for (l, row) in g.iter().enumerate() {
-                for (t, s) in row.iter().enumerate() {
-                    names.push((s.region, format!("{prefix}{what}[{l}][{t}]")));
-                }
-            }
-        }
-        fn list<X>(prefix: &str, what: &str, l: &[Slot<X>], names: &mut Vec<(RegionId, String)>) {
-            for (i, s) in l.iter().enumerate() {
-                names.push((s.region, format!("{prefix}{what}[{i}]")));
-            }
-        }
-        grid(prefix, "st_fwd", &self.st_fwd, names);
-        grid(prefix, "st_rev", &self.st_rev, names);
-        grid(prefix, "merged", &self.merged, names);
-        list(prefix, "feat", &self.feat, names);
-        list(prefix, "logits", &self.logits, names);
-        list(prefix, "dfeat", &self.dfeat, names);
-        grid(prefix, "dh_fwd", &self.dh_fwd, names);
-        grid(prefix, "dh_rev", &self.dh_rev, names);
-        grid(prefix, "sg_fwd", &self.sg_fwd, names);
-        grid(prefix, "sg_rev", &self.sg_rev, names);
-        grid(prefix, "dinput_f", &self.dinput_f, names);
-        grid(prefix, "dinput_r", &self.dinput_r, names);
-        list(prefix, "grads_fwd", &self.grads_fwd, names);
-        list(prefix, "grads_rev", &self.grads_rev, names);
-        if let Some(scan) = &self.scan {
-            for (dir_name, dirs) in [("f", &scan.fwd), ("r", &scan.rev)] {
-                for (l, d) in dirs.iter().enumerate() {
-                    for (what, slots) in [
-                        ("scan_total", &d.totals),
-                        ("scan_node", &d.nodes),
-                        ("bscan_total", &d.btotals),
-                        ("bscan_node", &d.bnodes),
-                    ] {
-                        for (i, s) in slots.iter().enumerate() {
-                            names.push((s.region, format!("{prefix}{what}_{dir_name}[{l}][{i}]")));
-                        }
-                    }
-                }
-            }
-        }
-        names.push((self.grads_dense.region, format!("{prefix}grads_dense")));
-        names.push((self.loss.region, format!("{prefix}loss")));
-    }
-
-    /// Submits gradient-reduction tasks adding this replica's gradients
-    /// into `target` (replica 0), one task per accumulator so reductions
-    /// of different layers proceed in parallel (§III-B: "dependencies
-    /// enforce gradient synchronization among model replicas").
-    pub fn submit_reduce_into(&self, sink: &mut dyn TaskSink, target: &ReplicaGraph<T>) {
-        for l in 0..self.config.layers {
-            for (mine, theirs, label) in [
-                (&self.grads_fwd[l], &target.grads_fwd[l], "reduce_fwd"),
-                (&self.grads_rev[l], &target.grads_rev[l], "reduce_rev"),
-            ] {
-                let src = mine.clone();
-                let dst = theirs.clone();
-                // The destination accumulator is read-modify-written, so it
-                // is inout; the read edge duplicates the existing WAW edge
-                // on the reduction chain and dedups away.
-                sink.push(
-                    PlanSpec::new(label)
-                        .tag(l as u64)
-                        .ins([src.region, dst.region])
-                        .outs([dst.region])
-                        .body(move || {
-                            if let Some(g) = src.take() {
-                                dst.accumulate(g, |acc, g| acc.add_assign(&g));
-                            }
-                        }),
-                );
-            }
-        }
-        // Classifier gradients and loss.
-        let src = self.grads_dense.clone();
-        let dst = target.grads_dense.clone();
-        sink.push(
-            PlanSpec::new("reduce_dense")
-                .ins([src.region, dst.region])
-                .outs([dst.region])
-                .body(move || {
-                    if let Some(g) = src.take() {
-                        dst.accumulate(g, |acc, g| acc.add_assign(&g));
-                    }
-                }),
-        );
-        let src = self.loss.clone();
-        let dst = target.loss.clone();
-        sink.push(
-            PlanSpec::new("reduce_loss")
-                .ins([src.region, dst.region])
-                .outs([dst.region])
-                .body(move || {
-                    if let Some(l) = src.take() {
-                        dst.accumulate(l, |acc, l| *acc += l);
-                    }
-                }),
-        );
     }
 }
 

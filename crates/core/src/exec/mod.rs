@@ -29,8 +29,6 @@ pub use plan::PlanCacheStats;
 pub use sequential::SequentialExec;
 pub use taskgraph::TaskGraphExec;
 
-pub(crate) use taskgraph::row_chunks as row_chunks_pub;
-
 use crate::model::Brnn;
 use crate::optim::Optimizer;
 use bpar_tensor::{Float, Matrix};

@@ -15,9 +15,10 @@
 //! cumulative build vs replay nanoseconds the `plan_replay` bench turns
 //! into the §IV-B overhead comparison.
 
-use super::builder::{BuildMode, ReplicaGraph, WeightStore};
+use super::builder::{task_spec, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::TaskGraphExec;
 use super::{check_batch, Target};
+use crate::emit::{self, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
@@ -75,77 +76,53 @@ pub(crate) struct ExecPlan<T: Float> {
 }
 
 impl<T: Float> ExecPlan<T> {
+    /// The plan's node stream: every replica's stages in order, then the
+    /// cross-replica reductions; last the stream transform of `seed`, if
+    /// any (first replica only).
+    pub fn stream(replicas: &[ReplicaGraph<T>], train: bool, seed: Option<SeedBug>) -> Stream {
+        let emitters = replicas.iter().enumerate().map(|(ri, rep)| rep.emitter(ri));
+        let mut stream = Stream::default();
+        emitters.clone().for_each(|e| e.replica(train, &mut stream));
+        if train {
+            emitters.skip(1).for_each(|e| e.reduce(&mut stream));
+        }
+        match seed {
+            Some(SeedBug::MissingClause) => emit::drop_state_clause(&mut stream),
+            Some(SeedBug::CrossEpochRace) => emit::append_epoch_probe(&mut stream),
+            Some(SeedBug::DroppedEdge) | None => {}
+        }
+        stream
+    }
+
     /// Builds the full graph for `batch`'s shape: replicas, task bodies,
     /// frozen dependency structure. `batch` supplies only the shape; call
     /// [`ExecPlan::load_batch`] before every run (including the first).
     /// Forward task bodies dispatch their kernels through `backend`
     /// (frozen into the compiled bodies — one plan, one backend).
+    /// Executors pass `seed = None`; a [`SeedBug`] plants that bug for the
+    /// soundness detectors.
     pub fn build(
         model: &Brnn<T>,
         batch: &[Matrix<T>],
         mbs: usize,
         train: bool,
+        seed: Option<SeedBug>,
         backend: Backend,
         strategy: RecurrenceStrategy,
     ) -> Self {
-        Self::build_with_mode(
-            model,
-            batch,
-            mbs,
-            train,
-            BuildMode::Normal,
-            backend,
-            strategy,
-        )
-    }
-
-    /// [`ExecPlan::build`] with an explicit [`BuildMode`]. Every sabotaged
-    /// mode seeds its bug in the *first* replica only (see the
-    /// [`BuildMode`] variants for which analysis prong each one targets);
-    /// they exist for the soundness detectors and are never used by
-    /// executors.
-    pub(crate) fn build_with_mode(
-        model: &Brnn<T>,
-        batch: &[Matrix<T>],
-        mbs: usize,
-        train: bool,
-        mode: BuildMode,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
-    ) -> Self {
-        let layers = model.config.layers;
-        let mut regions = super::builder::RegionAlloc::default();
-        let (weights, replicas, chunks) =
+        let mut regions = RegionAlloc::default();
+        let (weights, mut replicas, chunks) =
             TaskGraphExec::make_replicas(mbs, model, batch, &mut regions, backend, strategy);
+        if seed == Some(SeedBug::CrossEpochRace) {
+            replicas[0].seed_alias(&mut regions);
+        }
         let mut b = PlanBuilder::new();
-        // Same submission order as the original live path: per replica the
-        // forward layers, the output stage, then (training) the backward
-        // layers deepest-first; finally the cross-replica reductions.
-        for (ri, rep) in replicas.iter().enumerate() {
-            let rep_mode = if ri == 0 { mode } else { BuildMode::Normal };
-            for l in 0..layers {
-                rep.submit_forward_layer_mode(&mut b, l, rep_mode);
-            }
-            rep.submit_output(&mut b, train);
-            if train {
-                for l in (0..layers).rev() {
-                    rep.submit_backward_layer(&mut b, l);
-                }
-            }
-        }
-        if train {
-            for rep in replicas.iter().skip(1) {
-                rep.submit_reduce_into(&mut b, &replicas[0]);
-            }
-        }
-        if mode == BuildMode::CrossEpochRace {
-            // Submitted last so the probe's declared clauses attach no
-            // edges to the classifier chain — the aliasing bug, not a
-            // clause bug, is what makes it racy.
-            replicas[0].submit_epoch_probe(&mut b, &mut regions);
+        let stream = Self::stream(&replicas, train, seed);
+        for node in &stream.nodes {
+            b.submit(task_spec(&replicas, &stream, node));
         }
         let mut compiled = b.compile();
-        if mode == BuildMode::DroppedEdge {
+        if seed == Some(SeedBug::DroppedEdge) {
             // Surgically remove the write-after-write edge between the
             // first two loss tasks. The clauses still *declare* the
             // dependency — only the compiled graph lost it — which is
@@ -156,7 +133,7 @@ impl<T: Float> ExecPlan<T> {
                 .collect();
             assert!(
                 loss.len() == 2,
-                "BuildMode::DroppedEdge requires a training graph with at \
+                "SeedBug::DroppedEdge requires a training graph with at \
                  least two loss tasks (many-to-many)"
             );
             assert!(
@@ -181,7 +158,7 @@ impl<T: Float> ExecPlan<T> {
     /// buffers exist (see [`ReplicaGraph::load_inputs`]).
     pub fn load_batch(&self, model: &Brnn<T>, batch: &[Matrix<T>]) {
         let (seq, rows) = check_batch(model, batch);
-        assert_eq!(seq, self.replicas[0].seq_len(), "plan built for other seq");
+        assert_eq!(seq, self.replicas[0].seq, "plan built for other seq");
         assert_eq!(
             rows,
             self.chunks.iter().map(|&(_, c)| c).sum::<usize>(),

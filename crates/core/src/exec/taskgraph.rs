@@ -227,7 +227,7 @@ impl TaskGraphExec {
         // and the serve loop may poll stats from another thread.
         let t0 = Instant::now();
         let plan = Arc::new(ExecPlan::build(
-            model, batch, self.mbs, train, backend, strategy,
+            model, batch, self.mbs, train, None, backend, strategy,
         ));
         let build_ns = t0.elapsed().as_nanos() as u64;
         let mut cache = self.plans.lock();

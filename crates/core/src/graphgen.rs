@@ -1,12 +1,13 @@
 //! Static task-graph generation for the multi-core simulator.
 //!
-//! [`build_graph`] emits the *same* dependency structure the live
-//! executors submit (see [`crate::exec`]), but as a
+//! [`build_graph`] is the simulator's consumer of the single graph
+//! description in `crate::emit` — the very node stream the live executors
+//! attach closures to (see [`crate::exec`]) — materialised as a
 //! [`bpar_runtime::TaskGraph`] value annotated with per-task flop counts
-//! and working-set sizes instead of executable closures. `bpar-sim`
-//! replays these graphs on simulated machines with 1–48 cores to reproduce
-//! the paper's scaling figures, and the graph-shape tests check the
-//! 3-layer/seq-3 instance against the paper's Fig. 2 cell-by-cell.
+//! and working-set sizes. `bpar-sim` replays these graphs on simulated
+//! machines with 1–48 cores to reproduce the paper's scaling figures, and
+//! the graph-shape tests check the 3-layer/seq-3 instance against the
+//! paper's Fig. 2 cell-by-cell.
 //!
 //! Setting [`GraphSpec::barriers`] inserts explicit per-layer barrier
 //! nodes, turning the B-Par graph into the Keras/PyTorch-style schedule —
@@ -19,10 +20,13 @@
 //! merge of layer `l`. Removing exactly those two constraints is what
 //! B-Par contributes.
 
-use crate::model::{BrnnConfig, ModelKind};
-use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
+use crate::emit::{self, Emitter, SlotRef, Stream};
+use crate::exec::taskgraph::row_chunks;
+use crate::model::BrnnConfig;
+use crate::scanplan::{RecurrenceStrategy, ScanPlan};
 use bpar_runtime::graph::{TaskGraph, TaskNode};
 use bpar_runtime::RegionId;
+use std::collections::HashMap;
 
 /// What part of a training step the graph covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,8 +62,7 @@ pub struct GraphSpec {
     pub split_cells: bool,
     /// How each direction's timestep recurrence is executed. `Scan` (for
     /// scannable cells) replaces the per-timestep chain with chunk-local
-    /// sweeps, a Blelloch combine tree and fix-ups — the same tasks,
-    /// clauses and tags `exec::builder` submits. Falls back to `Chain`
+    /// sweeps, a Blelloch combine tree and fix-ups. Falls back to `Chain`
     /// exactly like the live executor (see
     /// [`RecurrenceStrategy::effective`]).
     pub recurrence: RecurrenceStrategy,
@@ -120,127 +123,10 @@ impl GraphSpec {
     }
 }
 
-/// Region-id grid for one replica (mirrors `exec::builder::ReplicaGraph`).
-struct Regions {
-    st_fwd: Vec<Vec<RegionId>>,
-    st_rev: Vec<Vec<RegionId>>,
-    merged: Vec<Vec<RegionId>>,
-    feat: Vec<RegionId>,
-    dfeat: Vec<RegionId>,
-    dh_fwd: Vec<Vec<RegionId>>,
-    dh_rev: Vec<Vec<RegionId>>,
-    sg_fwd: Vec<Vec<RegionId>>,
-    sg_rev: Vec<Vec<RegionId>>,
-    dinput_f: Vec<Vec<RegionId>>,
-    dinput_r: Vec<Vec<RegionId>>,
-    /// Intermediate GEMM outputs for the split-cell granularity ablation.
-    gemm_f: Vec<Vec<RegionId>>,
-    gemm_r: Vec<Vec<RegionId>>,
-    grads_fwd: Vec<RegionId>,
-    grads_rev: Vec<RegionId>,
-    grads_dense: RegionId,
-    loss: RegionId,
-    /// Per-layer barrier between the forward and reverse directions
-    /// (forward pass).
-    b_dir: Vec<RegionId>,
-    /// Per-layer barrier after all merges (forward pass).
-    b_layer: Vec<RegionId>,
-    /// Per-layer direction barrier (backward pass).
-    b_bdir: Vec<RegionId>,
-    /// Per-layer end barrier (backward pass).
-    b_blayer: Vec<RegionId>,
-    /// Scan-transfer regions, present only under
-    /// [`RecurrenceStrategy::Scan`].
-    scan: Option<ScanRegions>,
-}
-
-/// Region ids of the scan-transfer values (chunk totals and combine-node
-/// outputs), mirroring `exec::builder::ScanSlots`. Indexed
-/// `[direction][layer][i]` with direction 0 = forward, 1 = reverse.
-struct ScanRegions {
-    tot: [Vec<Vec<RegionId>>; 2],
-    node: [Vec<Vec<RegionId>>; 2],
-    btot: [Vec<Vec<RegionId>>; 2],
-    bnode: [Vec<Vec<RegionId>>; 2],
-}
-
-impl ScanRegions {
-    /// The region holding a [`NodeRef`] transfer value of one direction
-    /// of one layer, in the forward (`adjoint = false`) or adjoint tree.
-    fn resolve(&self, d: usize, l: usize, r: NodeRef, adjoint: bool) -> RegionId {
-        let (tot, node) = if adjoint {
-            (&self.btot, &self.bnode)
-        } else {
-            (&self.tot, &self.node)
-        };
-        match r {
-            NodeRef::Identity => unreachable!("identity transfer is never materialised"),
-            NodeRef::Total(i) => tot[d][l][i],
-            NodeRef::Node(i) => node[d][l][i],
-        }
-    }
-}
-
-impl Regions {
-    fn new(cfg: &BrnnConfig, seq: usize, scan: Option<&ScanPlan>, next: &mut u64) -> Self {
-        let mut fresh = || {
-            let id = RegionId(*next);
-            *next += 1;
-            id
-        };
-        let grid = |fresh: &mut dyn FnMut() -> RegionId| -> Vec<Vec<RegionId>> {
-            (0..cfg.layers)
-                .map(|_| (0..seq).map(|_| fresh()).collect())
-                .collect()
-        };
-        let n_out = match cfg.kind {
-            ModelKind::ManyToOne => 1,
-            ModelKind::ManyToMany => seq,
-        };
-        Self {
-            st_fwd: grid(&mut fresh),
-            st_rev: grid(&mut fresh),
-            merged: (0..cfg.layers.saturating_sub(1))
-                .map(|_| (0..seq).map(|_| fresh()).collect())
-                .collect(),
-            feat: (0..n_out).map(|_| fresh()).collect(),
-            dfeat: (0..n_out).map(|_| fresh()).collect(),
-            dh_fwd: grid(&mut fresh),
-            dh_rev: grid(&mut fresh),
-            sg_fwd: grid(&mut fresh),
-            sg_rev: grid(&mut fresh),
-            dinput_f: grid(&mut fresh),
-            dinput_r: grid(&mut fresh),
-            gemm_f: grid(&mut fresh),
-            gemm_r: grid(&mut fresh),
-            grads_fwd: (0..cfg.layers).map(|_| fresh()).collect(),
-            grads_rev: (0..cfg.layers).map(|_| fresh()).collect(),
-            grads_dense: fresh(),
-            loss: fresh(),
-            b_dir: (0..cfg.layers).map(|_| fresh()).collect(),
-            b_layer: (0..cfg.layers).map(|_| fresh()).collect(),
-            b_bdir: (0..cfg.layers).map(|_| fresh()).collect(),
-            b_blayer: (0..cfg.layers).map(|_| fresh()).collect(),
-            scan: scan.map(|plan| {
-                let mut grid2 = |n: usize| -> [Vec<Vec<RegionId>>; 2] {
-                    std::array::from_fn(|_| {
-                        (0..cfg.layers)
-                            .map(|_| (0..n).map(|_| fresh()).collect())
-                            .collect()
-                    })
-                };
-                ScanRegions {
-                    tot: grid2(plan.chunk_count()),
-                    node: grid2(plan.combines.len()),
-                    btot: grid2(plan.chunk_count()),
-                    bnode: grid2(plan.combines.len()),
-                }
-            }),
-        }
-    }
-}
-
-/// Builds the annotated task graph for `spec`.
+/// Builds the annotated task graph for `spec`: the `crate::emit` stream
+/// of every replica (with the requested ablation transforms applied),
+/// then the cross-replica gradient reductions, each slot id mapped to a
+/// fresh region.
 pub fn build_graph(spec: &GraphSpec) -> TaskGraph {
     let cfg = spec.config;
     cfg.validate().expect("invalid config");
@@ -258,619 +144,63 @@ pub fn build_graph(spec: &GraphSpec) -> TaskGraph {
         scan_plan.is_none() || !(spec.barriers || spec.fuse_merges || spec.split_cells),
         "the scan strategy excludes the barrier/fusion/granularity ablations"
     );
+    let train = spec.phase == Phase::Training;
+    let emitters: Vec<Emitter> = row_chunks(spec.batch_rows, spec.mbs)
+        .iter()
+        .enumerate()
+        .map(|(rep, &(_, rows))| Emitter {
+            cfg,
+            seq: cfg.seq_len,
+            rows,
+            scalar: 4, // cost model assumes f32, like the paper's kernels
+            scan: scan_plan.as_ref(),
+            rep,
+        })
+        .collect();
+
+    // Per replica: its stream with the requested ablation transforms; last
+    // the cross-replica reductions.
+    let mut streams: Vec<Stream> = emitters
+        .iter()
+        .map(|e| {
+            let mut replica = Stream::default();
+            e.replica(train, &mut replica);
+            if spec.fuse_merges {
+                replica = emit::fuse_merges(&replica);
+            }
+            if spec.barriers {
+                replica = emit::insert_barriers(&replica);
+            }
+            if spec.split_cells {
+                replica = emit::split_cells(&replica, e.rows, cfg.hidden_size);
+            }
+            replica
+        })
+        .collect();
+    if train {
+        let mut reductions = Stream::default();
+        emitters[1..].iter().for_each(|e| e.reduce(&mut reductions));
+        streams.push(reductions);
+    }
+
     let mut g = TaskGraph::new();
-    let mut next_region = 0u64;
-    let scalar = 4; // cost model assumes f32, like the paper's kernels
-    let chunks = crate::exec::row_chunks_pub(spec.batch_rows, spec.mbs);
-
-    let mut replica_regions = Vec::with_capacity(chunks.len());
-    for &(_, rows) in &chunks {
-        let r = Regions::new(&cfg, cfg.seq_len, scan_plan.as_ref(), &mut next_region);
-        build_replica(&mut g, spec, rows, &r, scalar, scan_plan.as_ref());
-        replica_regions.push(r);
-    }
-
-    // Gradient reductions into replica 0.
-    if spec.phase == Phase::Training && chunks.len() > 1 {
-        let target = &replica_regions[0];
-        for rep in replica_regions.iter().skip(1) {
-            for l in 0..cfg.layers {
-                // The reduction destination is read-modify-written, so it
-                // is declared inout; the read edge coincides with the
-                // reduction chain's WAW edge and dedups away (no shape
-                // change).
-                g.add_task(
-                    TaskNode::new("reduce_fwd")
-                        .tag(l as u64)
-                        .flops(grad_size(&cfg, l) as u64),
-                    &[rep.grads_fwd[l], target.grads_fwd[l]],
-                    &[target.grads_fwd[l]],
-                );
-                g.add_task(
-                    TaskNode::new("reduce_rev")
-                        .tag(l as u64)
-                        .flops(grad_size(&cfg, l) as u64),
-                    &[rep.grads_rev[l], target.grads_rev[l]],
-                    &[target.grads_rev[l]],
-                );
-            }
-            g.add_task(
-                TaskNode::new("reduce_dense"),
-                &[rep.grads_dense, target.grads_dense],
-                &[target.grads_dense],
-            );
-            g.add_task(
-                TaskNode::new("reduce_loss"),
-                &[rep.loss, target.loss],
-                &[target.loss],
-            );
-        }
-    }
-
-    g
-}
-
-/// Scalar parameter count of one layer/direction (reduce-task cost).
-fn grad_size(cfg: &BrnnConfig, l: usize) -> usize {
-    cfg.cell.params(cfg.layer_input_size(l), cfg.hidden_size)
-}
-
-/// Adds one cell update, optionally split into a GEMM task and an
-/// element-wise tail task (the granularity ablation).
-#[allow(clippy::too_many_arguments)]
-fn add_cell(
-    g: &mut TaskGraph,
-    spec: &GraphSpec,
-    label: &'static str,
-    tag: u64,
-    flops: u64,
-    ws: usize,
-    rows: usize,
-    hidden: usize,
-    ins: &[RegionId],
-    gemm_region: RegionId,
-    out: RegionId,
-) {
-    if spec.split_cells {
-        // Split: the fused GEMM keeps the bulk of the flops and the full
-        // working set; the gate tail is element-wise over the hidden
-        // state.
-        let tail = (12 * rows * hidden) as u64;
-        let head = flops.saturating_sub(tail);
-        let head_label: &'static str = match label {
-            "cell_fwd" => "cell_fwd_gemm",
-            "cell_rev" => "cell_rev_gemm",
-            _ => "cell_gemm",
-        };
-        let tail_label: &'static str = match label {
-            "cell_fwd" => "cell_fwd_pt",
-            "cell_rev" => "cell_rev_pt",
-            _ => "cell_pt",
-        };
-        g.add_task(
-            TaskNode::new(head_label)
-                .tag(tag)
-                .flops(head)
-                .working_set(ws),
-            ins,
-            &[gemm_region],
-        );
-        g.add_task(
-            TaskNode::new(tail_label)
-                .tag(tag)
-                .flops(tail)
-                .working_set(5 * rows * hidden * 4),
-            &[gemm_region],
-            &[out],
-        );
-    } else {
-        g.add_task(
-            TaskNode::new(label).tag(tag).flops(flops).working_set(ws),
-            ins,
-            &[out],
-        );
-    }
-}
-
-fn build_replica(
-    g: &mut TaskGraph,
-    spec: &GraphSpec,
-    rows: usize,
-    r: &Regions,
-    scalar: usize,
-    scan: Option<&ScanPlan>,
-) {
-    let cfg = spec.config;
-    let seq = cfg.seq_len;
-    let hidden = cfg.hidden_size;
-    let last = cfg.layers - 1;
-
-    // ---- Forward propagation ----
-    for l in 0..cfg.layers {
-        let input_w = cfg.layer_input_size(l);
-        let flops = cfg.cell.forward_flops(rows, input_w, hidden);
-        let ws = cfg.cell.forward_working_set(rows, input_w, hidden, scalar);
-
-        if let Some(plan) = scan {
-            add_scan_forward_layer(g, spec, plan, rows, r, scalar, l);
-            add_merges(g, spec, rows, r, scalar, l);
-            continue;
-        }
-        for t in 0..seq {
-            let mut ins = Vec::with_capacity(3);
-            if t > 0 {
-                ins.push(r.st_fwd[l][t - 1]);
-            }
-            if l > 0 {
-                if spec.fuse_merges {
-                    // Fused merge: the cell consumes both directions of
-                    // the layer below directly (what §III-A avoids).
-                    ins.push(r.st_fwd[l - 1][t]);
-                    ins.push(r.st_rev[l - 1][t]);
-                } else {
-                    ins.push(r.merged[l - 1][t]);
-                }
-                if spec.barriers {
-                    ins.push(r.b_layer[l - 1]);
-                }
-            }
-            let extra = if spec.fuse_merges && l > 0 {
-                cfg.merge.flops(rows, hidden)
-            } else {
-                0
-            };
-            add_cell(
-                g,
-                spec,
-                "cell_fwd",
-                ((l as u64) << 32) | t as u64,
-                flops + extra,
-                ws,
-                rows,
-                hidden,
-                &ins,
-                r.gemm_f[l][t],
-                r.st_fwd[l][t],
-            );
-        }
-        if spec.barriers {
-            // Framework discipline: the reverse direction starts only
-            // after the entire forward direction of the layer.
-            let ins: Vec<RegionId> = (0..seq).map(|t| r.st_fwd[l][t]).collect();
-            g.add_task(TaskNode::new("barrier").tag(l as u64), &ins, &[r.b_dir[l]]);
-        }
-        for t in (0..seq).rev() {
-            let mut ins = Vec::with_capacity(3);
-            if t + 1 < seq {
-                ins.push(r.st_rev[l][t + 1]);
-            }
-            if l > 0 {
-                if spec.fuse_merges {
-                    ins.push(r.st_fwd[l - 1][t]);
-                    ins.push(r.st_rev[l - 1][t]);
-                } else {
-                    ins.push(r.merged[l - 1][t]);
-                }
-            }
-            if spec.barriers {
-                ins.push(r.b_dir[l]);
-            }
-            let extra = if spec.fuse_merges && l > 0 {
-                cfg.merge.flops(rows, hidden)
-            } else {
-                0
-            };
-            add_cell(
-                g,
-                spec,
-                "cell_rev",
-                ((l as u64) << 32) | t as u64,
-                flops + extra,
-                ws,
-                rows,
-                hidden,
-                &ins,
-                r.gemm_r[l][t],
-                r.st_rev[l][t],
-            );
-        }
-        add_merges(g, spec, rows, r, scalar, l);
-    }
-
-    // ---- Output stage ----
-    let positions: Vec<(usize, usize, usize)> = match cfg.kind {
-        ModelKind::ManyToOne => vec![(0, seq - 1, 0)],
-        ModelKind::ManyToMany => (0..seq).map(|t| (t, t, t)).collect(),
+    let mut regions: HashMap<SlotRef, RegionId> = HashMap::new();
+    let mut region = |slot: &SlotRef| {
+        let next = RegionId(regions.len() as u64);
+        *regions.entry(*slot).or_insert(next)
     };
-    let dense_in = cfg.classifier_input_size();
-    let dense_flops = (2 * rows * dense_in * cfg.output_size) as u64;
-    for &(i, tf, tr) in &positions {
-        g.add_task(
-            TaskNode::new("merge_final")
-                .tag(i as u64)
-                .flops(cfg.merge.flops(rows, hidden))
-                .working_set(3 * rows * dense_in * scalar),
-            &[r.st_fwd[last][tf], r.st_rev[last][tr]],
-            &[r.feat[i]],
-        );
-        match spec.phase {
-            Phase::Inference => {
-                g.add_task(
-                    TaskNode::new("dense").tag(i as u64).flops(dense_flops),
-                    &[r.feat[i]],
-                    &[r.dfeat[i]], // logits slot; reuse dfeat region
-                );
-            }
-            Phase::Training => {
-                // Classifier-gradient and loss accumulators are inout
-                // (read-modify-written across output positions); the read
-                // edges dedup against the WAW chain between loss tasks.
-                g.add_task(
-                    TaskNode::new("loss").tag(i as u64).flops(3 * dense_flops),
-                    &[r.feat[i], r.grads_dense, r.loss],
-                    &[r.dfeat[i], r.grads_dense, r.loss],
-                );
-                g.add_task(
-                    TaskNode::new("merge_bwd")
-                        .tag(i as u64)
-                        .flops(cfg.merge.flops(rows, hidden)),
-                    &[r.dfeat[i], r.st_fwd[last][tf], r.st_rev[last][tr]],
-                    &[r.dh_fwd[last][tf], r.dh_rev[last][tr]],
-                );
-            }
+    for stream in &streams {
+        for n in &stream.nodes {
+            let ins: Vec<RegionId> = stream.ins(n).iter().map(&mut region).collect();
+            let outs: Vec<RegionId> = stream.outs(n).iter().map(&mut region).collect();
+            let node = TaskNode::new(n.label())
+                .tag(n.tag)
+                .flops(n.flops)
+                .working_set(n.ws);
+            g.add_task(node, &ins, &outs);
         }
     }
-    if spec.phase == Phase::Inference {
-        return;
-    }
-
-    // ---- Backward propagation ----
-    for l in (0..cfg.layers).rev() {
-        let input_w = cfg.layer_input_size(l);
-        let flops = cfg.cell.backward_flops(rows, input_w, hidden);
-        let ws = cfg.cell.backward_working_set(rows, input_w, hidden, scalar);
-
-        if let Some(plan) = scan {
-            add_scan_backward_layer(g, spec, plan, rows, r, scalar, l);
-            add_merge_bwds(g, spec, rows, r, l);
-            continue;
-        }
-        for t in (0..seq).rev() {
-            // The weight-gradient accumulator is inout; its read edge
-            // duplicates the BPTT chain edge and dedups away.
-            let mut ins = vec![r.st_fwd[l][t], r.dh_fwd[l][t], r.grads_fwd[l]];
-            if t + 1 < seq {
-                ins.push(r.sg_fwd[l][t + 1]);
-            }
-            if spec.barriers && l < last {
-                ins.push(r.b_blayer[l + 1]);
-            }
-            g.add_task(
-                TaskNode::new("cell_fwd_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .flops(flops)
-                    .working_set(ws),
-                &ins,
-                &[r.sg_fwd[l][t], r.dinput_f[l][t], r.grads_fwd[l]],
-            );
-        }
-        if spec.barriers {
-            // Framework discipline mirrored in BPTT: the reverse
-            // direction's backward starts after the forward direction's.
-            let ins: Vec<RegionId> = (0..seq).map(|t| r.sg_fwd[l][t]).collect();
-            g.add_task(
-                TaskNode::new("barrier").tag(200 + l as u64),
-                &ins,
-                &[r.b_bdir[l]],
-            );
-        }
-        for t in 0..seq {
-            let mut ins = vec![r.st_rev[l][t], r.dh_rev[l][t], r.grads_rev[l]];
-            if t > 0 {
-                ins.push(r.sg_rev[l][t - 1]);
-            }
-            if spec.barriers {
-                ins.push(r.b_bdir[l]);
-            }
-            g.add_task(
-                TaskNode::new("cell_rev_bwd")
-                    .tag(((l as u64) << 32) | t as u64)
-                    .flops(flops)
-                    .working_set(ws),
-                &ins,
-                &[r.sg_rev[l][t], r.dinput_r[l][t], r.grads_rev[l]],
-            );
-        }
-        add_merge_bwds(g, spec, rows, r, l);
-        if spec.barriers {
-            let ins: Vec<RegionId> = if l > 0 {
-                (0..seq)
-                    .flat_map(|t| [r.dh_fwd[l - 1][t], r.dh_rev[l - 1][t]])
-                    .collect()
-            } else {
-                (0..seq).map(|t| r.sg_rev[l][t]).collect()
-            };
-            g.add_task(
-                TaskNode::new("barrier").tag(300 + l as u64),
-                &ins,
-                &[r.b_blayer[l]],
-            );
-        }
-    }
-}
-
-/// Adds layer `l`'s forward merge tasks (and the post-merge barrier when
-/// the framework ablation is on) — shared by the chain and scan paths.
-fn add_merges(
-    g: &mut TaskGraph,
-    spec: &GraphSpec,
-    rows: usize,
-    r: &Regions,
-    scalar: usize,
-    l: usize,
-) {
-    let cfg = spec.config;
-    let seq = cfg.seq_len;
-    let hidden = cfg.hidden_size;
-    if l >= cfg.layers - 1 || spec.fuse_merges {
-        return;
-    }
-    let merge_ws = 3 * rows * cfg.merge.output_width(hidden) * scalar;
-    for t in 0..seq {
-        g.add_task(
-            TaskNode::new("merge")
-                .tag(((l as u64) << 32) | t as u64)
-                .flops(cfg.merge.flops(rows, hidden))
-                .working_set(merge_ws),
-            &[r.st_fwd[l][t], r.st_rev[l][t]],
-            &[r.merged[l][t]],
-        );
-    }
-    if spec.barriers {
-        // Layer barrier: layer l+1 starts only after every merge.
-        let ins: Vec<RegionId> = (0..seq).map(|t| r.merged[l][t]).collect();
-        g.add_task(
-            TaskNode::new("barrier").tag(100 + l as u64),
-            &ins,
-            &[r.b_layer[l]],
-        );
-    }
-}
-
-/// Adds layer `l`'s inner backward merges (feeding layer `l-1`'s `dh`
-/// slots) — shared by the chain and scan paths.
-fn add_merge_bwds(g: &mut TaskGraph, spec: &GraphSpec, rows: usize, r: &Regions, l: usize) {
-    let cfg = spec.config;
-    if l == 0 {
-        return;
-    }
-    for t in 0..cfg.seq_len {
-        g.add_task(
-            TaskNode::new("merge_bwd")
-                .tag((((l - 1) as u64) << 32) | t as u64)
-                .flops(cfg.merge.flops(rows, cfg.hidden_size)),
-            &[
-                r.dinput_f[l][t],
-                r.dinput_r[l][t],
-                r.st_fwd[l - 1][t],
-                r.st_rev[l - 1][t],
-            ],
-            &[r.dh_fwd[l - 1][t], r.dh_rev[l - 1][t]],
-        );
-    }
-}
-
-/// Cost of one scan combine `(a1,b1)∘(a2,b2) = (a1⊙a2, a2⊙b1+b2)`:
-/// a `1×H` element-wise product plus a `rows×H` row-scaled add.
-fn combine_flops(rows: usize, hidden: usize) -> u64 {
-    ((2 * rows + 1) * hidden) as u64
-}
-
-/// Emits layer `l`'s forward scan tasks for both directions, mirroring
-/// `exec::builder::ReplicaGraph::submit_forward_layer_scan` clause for
-/// clause: per direction `C` chunk-local sweeps (`scan_local`), the
-/// Blelloch combine tree (`scan_comb`) and `C-1` prefix fix-ups
-/// (`scan_fix`, inout on the chunk's `st` regions).
-fn add_scan_forward_layer(
-    g: &mut TaskGraph,
-    spec: &GraphSpec,
-    plan: &ScanPlan,
-    rows: usize,
-    r: &Regions,
-    scalar: usize,
-    l: usize,
-) {
-    let cfg = spec.config;
-    let seq = cfg.seq_len;
-    let hidden = cfg.hidden_size;
-    let input_w = cfg.layer_input_size(l);
-    let step_flops = cfg.cell.forward_flops(rows, input_w, hidden);
-    let cell_ws = cfg.cell.forward_working_set(rows, input_w, hidden, scalar);
-    let scan = r.scan.as_ref().expect("scan regions");
-    let transfer_bytes = (hidden + rows * hidden) * scalar;
-
-    for fwd_dir in [true, false] {
-        let d = usize::from(!fwd_dir);
-        let st = if fwd_dir { &r.st_fwd[l] } else { &r.st_rev[l] };
-        // Logical scan position -> physical timestep (the reverse
-        // direction's chunk 0 starts at t = T-1).
-        let phys = |j: usize| if fwd_dir { j } else { seq - 1 - j };
-        let dir_bit = u64::from(!fwd_dir);
-        let tag = |i: usize| (dir_bit << 56) | ((l as u64) << 32) | i as u64;
-
-        for (c, &(j0, j1)) in plan.chunks.iter().enumerate() {
-            let len = j1 - j0;
-            let mut ins: Vec<RegionId> = Vec::new();
-            if l > 0 {
-                ins.extend((j0..j1).map(|j| r.merged[l - 1][phys(j)]));
-            }
-            let mut outs: Vec<RegionId> = (j0..j1).map(|j| st[phys(j)]).collect();
-            outs.push(scan.tot[d][l][c]);
-            g.add_task(
-                TaskNode::new("scan_local")
-                    .tag(tag(c))
-                    // Chain sweep over the chunk plus the λ^len total.
-                    .flops(len as u64 * step_flops + (len * hidden) as u64)
-                    .working_set(cell_ws * len),
-                &ins,
-                &outs,
-            );
-        }
-        for (k, comb) in plan.combines.iter().enumerate() {
-            g.add_task(
-                TaskNode::new("scan_comb")
-                    .tag(tag(k))
-                    .flops(combine_flops(rows, hidden))
-                    .working_set(3 * transfer_bytes),
-                &[
-                    scan.resolve(d, l, comb.lhs, false),
-                    scan.resolve(d, l, comb.rhs, false),
-                ],
-                &[scan.node[d][l][k]],
-            );
-        }
-        for (c, &(j0, j1)) in plan.chunks.iter().enumerate().skip(1) {
-            let len = j1 - j0;
-            let pref = scan.resolve(d, l, plan.prefix_of_chunk[c], false);
-            let mut ins: Vec<RegionId> = vec![pref];
-            ins.extend((j0..j1).map(|j| st[phys(j)]));
-            let outs: Vec<RegionId> = (j0..j1).map(|j| st[phys(j)]).collect();
-            g.add_task(
-                TaskNode::new("scan_fix")
-                    .tag(tag(c))
-                    // Per position: h_prev += carry, carry ← λ⊙carry,
-                    // h += carry (all rows×H element-wise).
-                    .flops((5 * rows * hidden * len) as u64)
-                    .working_set((2 * len + 1) * rows * hidden * scalar),
-                &ins,
-                &outs,
-            );
-        }
-    }
-}
-
-/// Emits layer `l`'s backward scan tasks for both directions, mirroring
-/// `exec::builder::ReplicaGraph::submit_backward_layer_scan`: the adjoint
-/// recurrence runs the same tree over reversed chunk order (`bscan_*`),
-/// then one gradient task per chunk (`bscan_grad`) serialised on the
-/// weight-gradient accumulator in the chain executor's order.
-fn add_scan_backward_layer(
-    g: &mut TaskGraph,
-    spec: &GraphSpec,
-    plan: &ScanPlan,
-    rows: usize,
-    r: &Regions,
-    scalar: usize,
-    l: usize,
-) {
-    let cfg = spec.config;
-    let seq = cfg.seq_len;
-    let hidden = cfg.hidden_size;
-    let input_w = cfg.layer_input_size(l);
-    let bwd_flops = cfg.cell.backward_flops(rows, input_w, hidden);
-    let cell_ws = cfg.cell.backward_working_set(rows, input_w, hidden, scalar);
-    let scan = r.scan.as_ref().expect("scan regions");
-    let transfer_bytes = (hidden + rows * hidden) * scalar;
-    let cc = plan.chunk_count();
-
-    for fwd_dir in [true, false] {
-        let d = usize::from(!fwd_dir);
-        let (st, dh, sg, dinput, gacc) = if fwd_dir {
-            (
-                &r.st_fwd[l],
-                &r.dh_fwd[l],
-                &r.sg_fwd[l],
-                &r.dinput_f[l],
-                r.grads_fwd[l],
-            )
-        } else {
-            (
-                &r.st_rev[l],
-                &r.dh_rev[l],
-                &r.sg_rev[l],
-                &r.dinput_r[l],
-                r.grads_rev[l],
-            )
-        };
-        let phys = |j: usize| if fwd_dir { j } else { seq - 1 - j };
-        let dir_bit = u64::from(!fwd_dir);
-        let tag = |i: usize| (dir_bit << 56) | ((l as u64) << 32) | i as u64;
-
-        // Adjoint chunk-local sweeps: backward scan-order chunk `bc` is
-        // forward chunk `C-1-bc`.
-        for bc in 0..cc {
-            let c = cc - 1 - bc;
-            let (j0, j1) = plan.chunks[c];
-            let len = j1 - j0;
-            let ins: Vec<RegionId> = (j0..j1).map(|j| dh[phys(j)]).collect();
-            let mut outs: Vec<RegionId> = (j0..j1).map(|j| sg[phys(j)]).collect();
-            outs.push(scan.btot[d][l][bc]);
-            g.add_task(
-                TaskNode::new("bscan_local")
-                    .tag(tag(bc))
-                    // Per position: δ = dh + λ⊙carry plus the λ^len total.
-                    .flops((3 * rows * hidden * len + hidden * len) as u64)
-                    .working_set(2 * len * rows * hidden * scalar),
-                &ins,
-                &outs,
-            );
-        }
-        for (k, comb) in plan.combines.iter().enumerate() {
-            g.add_task(
-                TaskNode::new("bscan_comb")
-                    .tag(tag(k))
-                    .flops(combine_flops(rows, hidden))
-                    .working_set(3 * transfer_bytes),
-                &[
-                    scan.resolve(d, l, comb.lhs, true),
-                    scan.resolve(d, l, comb.rhs, true),
-                ],
-                &[scan.bnode[d][l][k]],
-            );
-        }
-        for bc in 1..cc {
-            let c = cc - 1 - bc;
-            let (j0, j1) = plan.chunks[c];
-            let len = j1 - j0;
-            let pref = scan.resolve(d, l, plan.prefix_of_chunk[bc], true);
-            let sg_regions: Vec<RegionId> = (j0..j1).map(|j| sg[phys(j)]).collect();
-            let mut ins: Vec<RegionId> = vec![pref];
-            ins.extend(&sg_regions);
-            g.add_task(
-                TaskNode::new("bscan_fix")
-                    .tag(tag(bc))
-                    // Per position: carry ← λ⊙carry, δ += carry.
-                    .flops((3 * rows * hidden * len) as u64)
-                    .working_set((len + 1) * rows * hidden * scalar),
-                &ins,
-                &sg_regions,
-            );
-        }
-        // Gradient tasks, chunks emitted in reverse (bc ascending) so the
-        // accumulator chain matches the chain executor's t-descending
-        // order.
-        for bc in 0..cc {
-            let c = cc - 1 - bc;
-            let (j0, j1) = plan.chunks[c];
-            let len = j1 - j0;
-            let mut ins: Vec<RegionId> = Vec::with_capacity(2 * len + 1);
-            for j in j0..j1 {
-                ins.push(sg[phys(j)]);
-                ins.push(st[phys(j)]);
-            }
-            ins.push(gacc);
-            let mut outs: Vec<RegionId> = (j0..j1).map(|j| dinput[phys(j)]).collect();
-            outs.push(gacc);
-            g.add_task(
-                TaskNode::new("bscan_grad")
-                    .tag(tag(c))
-                    .flops(len as u64 * bwd_flops)
-                    .working_set(cell_ws * len),
-                &ins,
-                &outs,
-            );
-        }
-    }
+    g
 }
 
 #[cfg(test)]
@@ -878,9 +208,10 @@ mod tests {
     use super::*;
     use crate::cell::CellKind;
     use crate::merge::MergeMode;
+    use crate::model::ModelKind;
 
     /// The paper's Fig. 1/2 example: 3 layers, sequence length 3.
-    fn fig2_config() -> BrnnConfig {
+    pub(super) fn fig2_config() -> BrnnConfig {
         BrnnConfig {
             cell: CellKind::Lstm,
             input_size: 4,
@@ -1016,22 +347,8 @@ mod tests {
 
 #[cfg(test)]
 mod ablation_tests {
+    use super::tests::fig2_config as cfg;
     use super::*;
-    use crate::cell::CellKind;
-    use crate::merge::MergeMode;
-
-    fn cfg() -> BrnnConfig {
-        BrnnConfig {
-            cell: CellKind::Lstm,
-            input_size: 4,
-            hidden_size: 4,
-            layers: 3,
-            seq_len: 3,
-            output_size: 2,
-            merge: MergeMode::Sum,
-            kind: ModelKind::ManyToOne,
-        }
-    }
 
     #[test]
     fn fused_merges_remove_merge_tasks_and_couple_directions() {
@@ -1084,6 +401,7 @@ mod scan_tests {
     use super::*;
     use crate::cell::CellKind;
     use crate::merge::MergeMode;
+    use crate::model::ModelKind;
     use crate::scanplan::combine_count;
 
     fn linear_cfg(layers: usize, seq: usize) -> BrnnConfig {
@@ -1208,25 +526,13 @@ mod scan_tests {
 #[cfg(test)]
 mod fig2_backward_tests {
     use super::*;
-    use crate::cell::CellKind;
-    use crate::merge::MergeMode;
 
     /// Fig. 2's red (backward-propagation) arrows for the 3-layer, seq-3
     /// many-to-one model: the backward graph starts from the final merge
     /// (cell "9f9r") and mirrors the forward dependencies.
     #[test]
     fn backward_graph_mirrors_forward() {
-        let cfg = BrnnConfig {
-            cell: CellKind::Lstm,
-            input_size: 4,
-            hidden_size: 4,
-            layers: 3,
-            seq_len: 3,
-            output_size: 2,
-            merge: MergeMode::Sum,
-            kind: ModelKind::ManyToOne,
-        };
-        let g = build_graph(&GraphSpec::training(cfg, 2));
+        let g = build_graph(&GraphSpec::training(super::tests::fig2_config(), 2));
         // Locate key tasks by label and tag.
         let find = |label: &str, tag: u64| -> usize {
             (0..g.len())

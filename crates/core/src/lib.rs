@@ -26,6 +26,9 @@
 //!   [`exec::BarrierExec`] (per-layer barriers, the Keras/PyTorch execution
 //!   discipline), [`exec::BSeqExec`] (data-parallelism only, the paper's
 //!   B-Seq baseline).
+//! * `emit` (crate-private) — the one description of the task graph:
+//!   nodes with symbolic `in`/`out` clauses, consumed by the live
+//!   executors in [`exec`], by [`graphgen`] and by [`analyze`].
 //! * [`graphgen`] — static task-graph generation (with flop/byte
 //!   annotations) consumed by the `bpar-sim` multi-core simulator and by
 //!   graph-shape tests against the paper's Fig. 2.
@@ -72,6 +75,7 @@
 pub mod analyze;
 pub mod cell;
 pub mod dense;
+pub(crate) mod emit;
 pub mod exec;
 pub mod graphgen;
 pub mod io;

@@ -1,5 +1,4 @@
-//! Pure parallel-scan topology shared by the live task-graph builder and
-//! the static graph generator.
+//! Pure parallel-scan topology, interpreted by the graph emitter.
 //!
 //! A direction of a [`crate::cell::CellKind::Linear`] layer is a linear
 //! recurrence `h_t = λ ⊙ h_{t-1} + u_t`. Splitting the `T` timesteps into
@@ -13,14 +12,12 @@
 //!
 //! This module computes only the *shape* of that tree: which transfers
 //! combine, in which order, and which combine output (or raw chunk total)
-//! is each chunk's exclusive prefix. Two consumers interpret the shape:
-//!
-//! * `exec/builder.rs` materialises one task per chunk-local sweep,
-//!   per combine node and per fix-up, with real dependency clauses;
-//! * `graphgen.rs` emits the same topology as simulator
-//!   [`crate::graphgen::TaskNode`]s, so bpar-sim's crossover prediction
-//!   and bpar-verify's closed-form counts describe exactly the graph the
-//!   executors run.
+//! is each chunk's exclusive prefix. `emit.rs` turns the shape into one
+//! node per chunk-local sweep, per combine node and per fix-up, with
+//! symbolic dependency clauses; `exec/builder.rs` attaches the bodies and
+//! `graphgen.rs` the simulator's regions to those same nodes, so
+//! bpar-sim's crossover prediction and bpar-verify's closed-form counts
+//! describe exactly the graph the executors run.
 //!
 //! The construction never materialises the identity transfer: the first
 //! chunk's prefix is `Identity` (no fix-up task at all), and
@@ -107,7 +104,7 @@ impl std::fmt::Display for RecurrenceStrategy {
 
 /// A transfer value in the scan tree: nothing, a chunk-local total, or
 /// the output of a combine node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRef {
     /// The identity transfer `(1, 0)` — never materialised.
     Identity,

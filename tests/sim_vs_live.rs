@@ -1,9 +1,10 @@
 //! Consistency between the three representations of a B-Par batch:
-//! the static generated graph (`graphgen`), the live executor's task
-//! stream, and the simulator's replay. The scaling experiments are only
-//! meaningful if all three agree on structure.
+//! the static generated graph (`graphgen`), the live executor's compiled
+//! plan and task stream, and the simulator's replay. The scaling
+//! experiments are only meaningful if all three agree on structure.
 
-use bpar_core::graphgen::{build_graph, GraphSpec};
+use bpar_core::analyze::{plan_view, AnalyzeOptions};
+use bpar_core::graphgen::{build_graph, GraphSpec, Phase};
 use bpar_core::prelude::*;
 use bpar_sim::{simulate, SimConfig};
 use bpar_tensor::init;
@@ -22,64 +23,130 @@ fn config() -> BrnnConfig {
     }
 }
 
-/// Label histogram of the static graph.
-fn static_counts(spec: &GraphSpec) -> HashMap<&'static str, usize> {
+/// `(label, tag, sorted predecessors, #ins, #outs)` of every task, in order.
+type Shape = Vec<(String, u64, Vec<usize>, usize, usize)>;
+
+fn static_shape(spec: &GraphSpec) -> Shape {
     let g = build_graph(spec);
-    let mut counts = HashMap::new();
-    for n in g.nodes() {
-        *counts.entry(n.label).or_insert(0) += 1;
-    }
-    counts
+    (0..g.len())
+        .map(|i| {
+            let n = g.node(i);
+            let mut preds = g.preds(i).to_vec();
+            preds.sort_unstable();
+            (
+                n.label.to_string(),
+                n.tag,
+                preds,
+                g.ins(i).len(),
+                g.outs(i).len(),
+            )
+        })
+        .collect()
 }
 
-/// Label histogram of the live executor's trace for one batch.
-fn live_counts(cfg: &BrnnConfig, batch_rows: usize, mbs: usize) -> HashMap<&'static str, usize> {
-    let exec = TaskGraphExec::with_config(2, bpar_runtime::SchedulerPolicy::LocalityAware, mbs);
-    let mut model: Brnn<f64> = Brnn::new(*cfg, 1);
+fn live_shape(opts: &AnalyzeOptions) -> Shape {
+    let view = plan_view(opts);
+    view.tasks
+        .iter()
+        .map(|t| {
+            let mut preds = t.preds.clone();
+            preds.sort_unstable();
+            (t.label.clone(), t.tag, preds, t.ins.len(), t.outs.len())
+        })
+        .collect()
+}
+
+/// The compiled live plan and the simulator's graph are two consumers of
+/// one description: over 480 configurations they must agree task by task
+/// on label, tag, predecessor set and clause counts.
+#[test]
+fn compiled_plan_equals_static_graph_task_by_task() {
+    let mut checked = 0;
+    for (cell, recurrence) in [
+        (CellKind::Lstm, RecurrenceStrategy::Chain),
+        (CellKind::Lstm, RecurrenceStrategy::Scan { chunks: 2 }),
+        (CellKind::Linear, RecurrenceStrategy::Chain),
+        (CellKind::Linear, RecurrenceStrategy::Scan { chunks: 2 }),
+    ] {
+        for kind in [ModelKind::ManyToOne, ModelKind::ManyToMany] {
+            for layers in 1..=3 {
+                for seq in 1..=5 {
+                    for mbs in 1..=2 {
+                        for train in [false, true] {
+                            let config = BrnnConfig {
+                                cell,
+                                layers,
+                                seq_len: seq,
+                                kind,
+                                ..config()
+                            };
+                            let opts = AnalyzeOptions {
+                                config,
+                                rows: 4,
+                                mbs,
+                                train,
+                                recurrence,
+                                ..AnalyzeOptions::default()
+                            };
+                            let spec = GraphSpec {
+                                phase: if train {
+                                    Phase::Training
+                                } else {
+                                    Phase::Inference
+                                },
+                                ..GraphSpec::training(config, 4)
+                                    .with_mbs(mbs)
+                                    .with_recurrence(recurrence)
+                            };
+                            assert_eq!(
+                                live_shape(&opts),
+                                static_shape(&spec),
+                                "{cell:?} {recurrence} {kind:?} L={layers} T={seq} mbs={mbs} train={train}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 480);
+}
+
+/// The executor really runs the plan's tasks: the live trace of one batch
+/// has the static graph's label histogram (training, `mbs` 1 and 3) and
+/// task count (inference).
+#[test]
+fn live_trace_runs_every_task_of_the_graph() {
+    let cfg = config();
+    for (rows, mbs) in [(4, 1), (9, 3)] {
+        let exec = TaskGraphExec::with_config(2, bpar_runtime::SchedulerPolicy::LocalityAware, mbs);
+        let mut model: Brnn<f64> = Brnn::new(cfg, 1);
+        let xs: Vec<_> = (0..cfg.seq_len)
+            .map(|t| init::uniform(rows, cfg.input_size, -1.0, 1.0, t as u64))
+            .collect();
+        let target = Target::Classes((0..rows).map(|r| r % cfg.output_size).collect());
+        exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.01));
+        let mut live: HashMap<&'static str, usize> = HashMap::new();
+        for rec in exec.runtime().take_records() {
+            *live.entry(rec.label).or_insert(0) += 1;
+        }
+        let mut stat: HashMap<&'static str, usize> = HashMap::new();
+        for n in build_graph(&GraphSpec::training(cfg, rows).with_mbs(mbs)).nodes() {
+            *stat.entry(n.label).or_insert(0) += 1;
+        }
+        assert_eq!(live, stat, "mbs {mbs}");
+    }
+    let exec = TaskGraphExec::new(2);
+    let model: Brnn<f64> = Brnn::new(cfg, 1);
     let xs: Vec<_> = (0..cfg.seq_len)
-        .map(|t| init::uniform(batch_rows, cfg.input_size, -1.0, 1.0, t as u64))
+        .map(|t| init::uniform(4, cfg.input_size, -1.0, 1.0, t as u64))
         .collect();
-    let target = Target::Classes((0..batch_rows).map(|r| r % cfg.output_size).collect());
-    let mut opt = Sgd::new(0.01);
-    exec.train_batch(&mut model, &xs, &target, &mut opt);
-    let mut counts = HashMap::new();
-    for rec in exec.runtime().take_records() {
-        *counts.entry(rec.label).or_insert(0) += 1;
-    }
-    counts
-}
-
-#[test]
-fn static_graph_matches_live_trace_mbs1() {
-    let cfg = config();
-    let stat = static_counts(&GraphSpec::training(cfg, 4));
-    let live = live_counts(&cfg, 4, 1);
-    for (label, &n) in &stat {
-        assert_eq!(
-            live.get(label).copied().unwrap_or(0),
-            n,
-            "task count mismatch for {label}: static {stat:?} vs live {live:?}"
-        );
-    }
+    exec.forward(&model, &xs);
     assert_eq!(
-        stat.values().sum::<usize>(),
-        live.values().sum::<usize>(),
-        "total task counts differ"
+        exec.runtime().take_records().len(),
+        build_graph(&GraphSpec::inference(cfg, 4)).len()
     );
-}
-
-#[test]
-fn static_graph_matches_live_trace_mbs3() {
-    let cfg = config();
-    let stat = static_counts(&GraphSpec::training(cfg, 9).with_mbs(3));
-    let live = live_counts(&cfg, 9, 3);
-    for (label, &n) in &stat {
-        assert_eq!(
-            live.get(label).copied().unwrap_or(0),
-            n,
-            "task count mismatch for {label}"
-        );
-    }
 }
 
 #[test]
@@ -126,18 +193,4 @@ fn simulated_makespan_is_monotone_enough_in_cores() {
         assert!(t <= prev * 1.05, "{cores} cores: {t} vs prev {prev}");
         prev = t;
     }
-}
-
-#[test]
-fn inference_graph_matches_live_forward() {
-    let cfg = config();
-    let stat = static_counts(&GraphSpec::inference(cfg, 4));
-    let exec = TaskGraphExec::new(2);
-    let model: Brnn<f64> = Brnn::new(cfg, 1);
-    let xs: Vec<_> = (0..cfg.seq_len)
-        .map(|t| init::uniform(4, cfg.input_size, -1.0, 1.0, t as u64))
-        .collect();
-    exec.forward(&model, &xs);
-    let live: usize = exec.runtime().take_records().len();
-    assert_eq!(stat.values().sum::<usize>(), live);
 }
