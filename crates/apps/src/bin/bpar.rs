@@ -546,7 +546,8 @@ fn serve_cmd(opts: &Flags) -> Result<(), String> {
         }
     };
     let backend = {
-        let name = opts.get("backend").map(String::as_str).unwrap_or("scalar");
+        let default = bpar_tensor::BackendKind::default().as_str();
+        let name = opts.get("backend").map(String::as_str).unwrap_or(default);
         bpar_tensor::BackendKind::parse(name)
             .ok_or_else(|| format!("--backend expects scalar|simd|int8, got `{name}`"))?
     };

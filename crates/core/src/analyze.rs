@@ -313,7 +313,7 @@ fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -
         opts.mbs,
         opts.train,
         opts.seed_bug,
-        Backend::scalar(),
+        Backend::default(),
         opts.recurrence
             .effective(opts.config.cell, opts.config.seq_len),
     )

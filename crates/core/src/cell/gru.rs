@@ -122,7 +122,7 @@ impl<T: Float> GruParams<T> {
             &mut state,
             &mut cache,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (state, cache)
     }
@@ -213,7 +213,7 @@ impl<T: Float> GruParams<T> {
             &mut dx,
             &mut dprev,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (dx, dprev)
     }

@@ -106,7 +106,7 @@ impl<T: Float> LinearParams<T> {
             &mut state,
             &mut cache,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (state, cache)
     }
@@ -162,7 +162,7 @@ impl<T: Float> LinearParams<T> {
             &mut dx,
             &mut dprev,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (dx, dprev)
     }

@@ -116,7 +116,7 @@ impl<T: Float> LstmParams<T> {
             &mut state,
             &mut cache,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (state, cache)
     }
@@ -214,7 +214,7 @@ impl<T: Float> LstmParams<T> {
             &mut dx,
             &mut dprev,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (dx, dprev)
     }

@@ -91,7 +91,7 @@ impl<T: Float> VanillaParams<T> {
             &mut state,
             &mut cache,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (state, cache)
     }
@@ -148,7 +148,7 @@ impl<T: Float> VanillaParams<T> {
             &mut dx,
             &mut dprev,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         (dx, dprev)
     }

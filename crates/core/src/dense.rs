@@ -43,7 +43,7 @@ impl<T: Float> DenseParams<T> {
     /// Thin allocating wrapper over [`DenseParams::forward_into`].
     pub fn forward(&self, x: &Matrix<T>) -> Matrix<T> {
         let mut out = Matrix::zeros(x.rows(), self.w.cols());
-        self.forward_into(x, &mut out, &mut Workspace::new(), Backend::scalar());
+        self.forward_into(x, &mut out, &mut Workspace::new(), Backend::default());
         out
     }
 
@@ -80,7 +80,7 @@ impl<T: Float> DenseParams<T> {
             grads,
             &mut dx,
             &mut Workspace::new(),
-            Backend::scalar(),
+            Backend::default(),
         );
         dx
     }

@@ -71,7 +71,7 @@ impl BarrierExec {
             model,
             batch,
             &mut regions,
-            Backend::scalar(),
+            Backend::default(),
             crate::scanplan::RecurrenceStrategy::Chain,
         );
         if let Some(target) = target {

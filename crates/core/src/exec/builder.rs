@@ -23,11 +23,13 @@
 //!
 //! Floating-point note: task bodies perform identical kernel calls in an
 //! order whose only reorderings are commutative two-operand additions, so
-//! results are bit-identical to [`super::SequentialExec`] when built with
-//! the scalar [`Backend`] (the default). Graphs built with the SIMD or
-//! int8 backend dispatch their *forward* kernels through that backend;
-//! backward/training kernels always use the scalar oracle, since gradient
-//! checks depend on exact arithmetic.
+//! results are bit-identical to [`super::SequentialExec`] under the
+//! `scalar` and `simd` [`Backend`]s alike — the portable loops and the
+//! dispatched kernels of `bpar-tensor` agree bit for bit. Forward task
+//! bodies dispatch through the graph's backend (so an int8 inference graph
+//! quantizes its forward GEMMs); backward bodies, and every body of a
+//! training graph, run the dispatched exact kernels (the default backend),
+//! which is why an int8 executor trains exactly.
 
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
@@ -96,7 +98,7 @@ pub(crate) struct WeightStore<T: Float> {
 /// weights sit exactly on the int8 grid, so the int8 GEMM's B-operand
 /// quantization is lossless and only the activation side contributes
 /// error. `f64` models are left exact, matching the backend dispatch rule
-/// that `f64` always takes the scalar reference path.
+/// that `f64` never reaches a backend-specific kernel.
 fn quantize_weights<T: Float>(model: &mut Brnn<T>) {
     let mut q = |m: &mut Matrix<T>| {
         if let Some(s) = T::as_f32_slice_mut(m.as_mut_slice()) {
@@ -334,8 +336,9 @@ pub(crate) struct ReplicaGraph<T: Float> {
     zero_state: Arc<CellState<T>>,
     /// Kernel backend every forward-path task body dispatches through
     /// (cell GEMMs, bias broadcasts, gate non-linearities, classifier
-    /// projection). [`Backend::scalar`] reproduces the reference
-    /// bit-for-bit; backward/training tasks always use the scalar oracle.
+    /// projection). `scalar` and `simd` reproduce the sequential
+    /// reference bit-for-bit; backward tasks always use the default
+    /// backend's exact kernels, whatever this is.
     backend: Backend,
     /// How each direction's timestep recurrence is executed (the
     /// *effective* strategy — callers resolve fallback/clamping via
@@ -916,7 +919,7 @@ impl<T: Float> ReplicaGraph<T> {
     /// One combine node `(a1,b1) ∘ (a2,b2) = (a1⊙a2, a2⊙b1+b2)` of the
     /// activation tree, or of the adjoint tree — whose transfers compose
     /// identically, just over the reversed chunk sequence, and which stays
-    /// on the scalar oracle like all training kernels.
+    /// on the default backend's exact kernels like all training bodies.
     fn scan_comb_body(&self, adjoint: bool, dir: Dir, l: usize, k: usize) -> PlanBody {
         let (plan, _) = self.scan.as_ref().expect("scan slots");
         let comb = plan.combines[k];
@@ -925,7 +928,7 @@ impl<T: Float> ReplicaGraph<T> {
         let dst = self.transfer(adjoint, dir, l, NodeRef::Node(k)).clone();
         let (rows, hidden) = (self.rows, self.config.hidden_size);
         let be = if adjoint {
-            Backend::scalar()
+            Backend::default()
         } else {
             self.backend
         };

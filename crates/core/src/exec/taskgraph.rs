@@ -65,17 +65,18 @@ impl TaskGraphExec {
 
     /// Full configuration: worker count, scheduling policy, and the number
     /// of mini-batch replicas (`mbs:N` in the paper's figures). Kernels
-    /// run on the scalar reference backend.
+    /// run on the default backend.
     pub fn with_config(workers: usize, policy: SchedulerPolicy, mbs: usize) -> Self {
-        Self::with_backend(workers, policy, mbs, BackendKind::Scalar)
+        Self::with_backend(workers, policy, mbs, BackendKind::default())
     }
 
     /// [`TaskGraphExec::with_config`] plus an explicit kernel backend.
-    /// Forward/inference kernels dispatch through `backend`; training
-    /// backward passes always use the scalar oracle, and the int8 backend
-    /// is inference-only — a training graph built under
-    /// [`BackendKind::Int8`] downgrades wholly to scalar, since quantized
-    /// forward activations would corrupt the exact gradients.
+    /// The backend is an inference choice: inference plans dispatch their
+    /// forward kernels through `backend`; a training plan runs wholly on
+    /// the dispatched exact f32 kernels (the free functions, i.e. the
+    /// default backend) whatever the kind — they are bit-identical to
+    /// `scalar`'s portable loops, and int8's quantized forward activations
+    /// would corrupt the exact gradients.
     pub fn with_backend(
         workers: usize,
         policy: SchedulerPolicy,
@@ -127,12 +128,13 @@ impl TaskGraphExec {
     }
 
     /// The backend a plan of the given phase dispatches through: the
-    /// configured backend for inference, with int8 downgraded to scalar
-    /// for training (see [`TaskGraphExec::with_backend`]).
+    /// configured backend for inference, the dispatched exact kernels for
+    /// training (see [`TaskGraphExec::with_backend`]).
     fn plan_backend(&self, train: bool) -> Backend {
-        match (train, self.backend) {
-            (true, BackendKind::Int8) => Backend::scalar(),
-            (_, kind) => Backend::of(kind),
+        if train {
+            Backend::default()
+        } else {
+            Backend::of(self.backend)
         }
     }
 

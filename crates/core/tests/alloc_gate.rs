@@ -46,9 +46,8 @@ fn config(cell: CellKind, merge: MergeMode, kind: ModelKind) -> BrnnConfig {
 /// performs exactly zero heap allocations.
 ///
 /// When `check_bits` is set the logits must additionally be bit-identical
-/// to the sequential scalar reference — valid for the scalar backend (on
-/// any element type) and for the SIMD backend on `f32`, whose forward
-/// kernels replicate the scalar accumulation order. The int8 backend
+/// to the sequential reference — valid for the `scalar` and `simd`
+/// backends, whose kernels agree bit for bit. The int8 backend
 /// carries a quantization tolerance instead (covered by the
 /// `backend_parity` suite), so its gate checks allocations and shape only.
 fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, check_bits: bool) {

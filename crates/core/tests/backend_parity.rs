@@ -1,50 +1,182 @@
-//! Backend parity harness: every cell kind × shape × kernel backend must
-//! honour the documented error-bound policy of DESIGN.md §11:
+//! Backend parity harness: every kernel, cell kind × shape and executor
+//! must honour the error-bound policy of DESIGN.md §11:
 //!
-//! * **SIMD forward = scalar forward, bit for bit.** The AVX2/NEON GEMM
-//!   (`NN`) and `gemm_tn` replicate the scalar per-element accumulation
-//!   order, elementwise kernels are lane-wise `mul_add`s, and
-//!   transcendentals are scalar in every backend — so forward passes
-//!   carry no tolerance at all.
-//! * **SIMD backward within a k-scaled ULP bound.** Backward passes use
-//!   `gemm_nt`, whose horizontal reductions reassociate the k-loop; the
-//!   divergence is bounded by a few ULPs per accumulated term.
+//! * **Dispatched kernels = portable loops, bit for bit.** Whatever unit
+//!   the host's dispatch picked (AVX2+FMA tiles, NEON, the `avx2,fma`
+//!   wrapper, or nothing), NN, **NT**, TN and every element-wise op must
+//!   reproduce [`bpar_tensor::reference`] exactly, in `f32` and `f64`,
+//!   through every backend handle and through the free functions —
+//!   non-finite operands included (`0·inf` and `0·NaN` stay `NaN`).
+//! * **`scalar` and `simd` are the same bits**, forward and backward:
+//!   `scalar` runs the portable loops as written, `simd` (the default)
+//!   the dispatched kernels, and no cell, pass or executor may tell them
+//!   apart.
 //! * **Int8 forward within the analytic quantization bound.** Each GEMM's
 //!   error is bounded by [`bpar_tensor::int8_bound`]; gate
 //!   non-linearities are 1-Lipschitz, so cell outputs stay within a small
 //!   multiple of the per-GEMM bound.
 //! * **Workspace reuse is backend-agnostic.** One [`Workspace`] serving
 //!   interleaved shapes *and* interleaved backends (the int8 path grows
-//!   quantization scratch in it) never changes scalar results.
+//!   quantization scratch in it) never changes results.
 //!
-//! Backends only specialize `f32`; `f64` always takes the scalar
-//! reference path, so everything here runs on `f32` models.
+//! Backends only specialize `f32`, so the cell- and model-level cases run
+//! on `f32` models; the kernel-level cases cover `f64` too.
 
 use bpar_core::cell::{CellCache, CellKind, CellParams, CellState, StateGrad};
 use bpar_core::exec::{Executor, SequentialExec, TaskGraphExec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_runtime::SchedulerPolicy;
-use bpar_tensor::{init, int8_bound, Backend, BackendKind, Matrix, Workspace};
+use bpar_tensor::{
+    init, int8_bound, ops, reference, Backend, BackendKind, Float, Matrix, Workspace,
+};
 use proptest::prelude::*;
 
-fn assert_bits(a: &Matrix<f32>, b: &Matrix<f32>, what: &str) {
+/// Bitwise equality, except that a NaN matches any NaN: `fmaf` and the
+/// FMA unit agree on *where* a NaN appears, not on its sign and payload.
+fn assert_bits<T: Float>(a: &Matrix<T>, b: &Matrix<T>, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
-    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: bit mismatch");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        let (x, y) = (x.to_f64(), y.to_f64());
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: bit mismatch at element {i}: {x} vs {y}"
+        );
     }
 }
 
-/// Tolerance comparison for `gemm_nt`-tainted values: the horizontal
-/// reduction reassociates a k-term sum, so the bound scales with k and
-/// the value magnitude.
-fn assert_ulps(a: &Matrix<f32>, b: &Matrix<f32>, k: usize, what: &str) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shape");
-    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-        let tol = 64.0 * k as f32 * f32::EPSILON * (1.0 + x.abs().max(y.abs()));
-        assert!(
-            (x - y).abs() <= tol,
-            "{what}: |{x} - {y}| > {tol} (k = {k})"
+fn widen(m: &Matrix<f32>) -> Matrix<f64> {
+    Matrix::from_fn(m.rows(), m.cols(), |r, c| f64::from(m.get(r, c)))
+}
+
+/// All three GEMM variants of one `(m, k, n, alpha, beta)` case through
+/// the free functions and every f32-exact backend handle, against the
+/// portable loops. `a`, `b` are the NN operands; NT/TN transpose them.
+fn gemms_match_reference<T: Float>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    c0: &Matrix<T>,
+    alpha: T,
+    beta: T,
+) {
+    let (at, bt) = (a.transposed(), b.transposed());
+    let want = |f: &dyn Fn(&mut Matrix<T>)| {
+        let mut c = c0.clone();
+        f(&mut c);
+        c
+    };
+    let nn = want(&|c| reference::gemm(alpha, a, b, beta, c));
+    let nt = want(&|c| reference::gemm_nt(alpha, a, &bt, beta, c));
+    let tn = want(&|c| reference::gemm_tn(alpha, &at, b, beta, c));
+
+    assert_bits(
+        &want(&|c| bpar_tensor::gemm(alpha, a, b, beta, c)),
+        &nn,
+        "free nn",
+    );
+    assert_bits(
+        &want(&|c| bpar_tensor::gemm_nt(alpha, a, &bt, beta, c)),
+        &nt,
+        "free nt",
+    );
+    assert_bits(
+        &want(&|c| bpar_tensor::gemm_tn(alpha, &at, b, beta, c)),
+        &tn,
+        "free tn",
+    );
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        let be = Backend::of(kind);
+        let mut ws = Workspace::new();
+        let mut c = c0.clone();
+        be.gemm(alpha, a, b, beta, &mut c, &mut ws);
+        assert_bits(&c, &nn, &format!("{kind} nn"));
+        assert_bits(
+            &want(&|c| be.gemm_nt(alpha, a, &bt, beta, c)),
+            &nt,
+            &format!("{kind} nt"),
+        );
+        assert_bits(
+            &want(&|c| be.gemm_tn(alpha, &at, b, beta, c)),
+            &tn,
+            &format!("{kind} tn"),
+        );
+    }
+    // Int8 quantizes the forward product only; its backward kernels are
+    // the shared f32 ones.
+    let q = Backend::int8();
+    assert_bits(
+        &want(&|c| q.gemm_nt(alpha, a, &bt, beta, c)),
+        &nt,
+        "int8 nt",
+    );
+    assert_bits(
+        &want(&|c| q.gemm_tn(alpha, &at, b, beta, c)),
+        &tn,
+        "int8 tn",
+    );
+}
+
+/// Every element-wise op through every backend handle against the
+/// portable loop (fused ops) or the one-line definition (the rest).
+fn elementwise_matches_reference<T: Float>(rows: usize, cols: usize, seed: u64, alpha: T) {
+    let a: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, seed);
+    let b: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, seed + 1);
+    let y0: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, seed + 2);
+    let row: Matrix<T> = init::uniform(1, cols, -1.0, 1.0, seed + 3);
+    let zip =
+        |f: &dyn Fn(T, T) -> T| Matrix::from_fn(rows, cols, |r, c| f(a.get(r, c), b.get(r, c)));
+    let with = |f: &dyn Fn(&mut Matrix<T>)| {
+        let mut y = y0.clone();
+        f(&mut y);
+        y
+    };
+
+    let axpy = with(&|y| reference::axpy(alpha, &a, y));
+    let hadamard_add = with(&|y| reference::hadamard_add(&a, &b, y));
+    let row_mul_add = with(&|y| reference::row_mul_add(&row, &a, &b, y));
+    let hadamard = zip(&|x, y| x * y);
+    let add = zip(&|x, y| x + y);
+    let sub = zip(&|x, y| x - y);
+    let scale = Matrix::from_fn(rows, cols, |r, c| y0.get(r, c) * alpha);
+    let add_bias = Matrix::from_fn(rows, cols, |r, c| y0.get(r, c) + row.get(0, c));
+    let row_scale = Matrix::from_fn(rows, cols, |r, c| y0.get(r, c) * row.get(0, c));
+
+    assert_eq!(
+        ops::dot(&a, &b).to_f64().to_bits(),
+        reference::dot(&a, &b).to_f64().to_bits(),
+        "dot"
+    );
+    for kind in BackendKind::all() {
+        let be = Backend::of(kind);
+        let what = |op: &str| format!("{kind} {op} {rows}x{cols}");
+        assert_bits(&with(&|y| be.axpy(alpha, &a, y)), &axpy, &what("axpy"));
+        assert_bits(
+            &with(&|y| be.hadamard_add(&a, &b, y)),
+            &hadamard_add,
+            &what("hadamard_add"),
+        );
+        assert_bits(
+            &with(&|y| be.row_mul_add(&row, &a, &b, y)),
+            &row_mul_add,
+            &what("row_mul_add"),
+        );
+        assert_bits(
+            &with(&|y| be.hadamard(&a, &b, y)),
+            &hadamard,
+            &what("hadamard"),
+        );
+        assert_bits(&with(&|y| be.add(&a, &b, y)), &add, &what("add"));
+        assert_bits(&with(&|y| be.sub(&a, &b, y)), &sub, &what("sub"));
+        assert_bits(&with(&|y| be.scale(alpha, y)), &scale, &what("scale"));
+        assert_bits(
+            &with(&|y| be.add_bias(y, &row)),
+            &add_bias,
+            &what("add_bias"),
+        );
+        assert_bits(
+            &with(&|y| be.row_scale(&row, y)),
+            &row_scale,
+            &what("row_scale"),
         );
     }
 }
@@ -104,11 +236,100 @@ fn matrix_amax(m: &Matrix<f32>) -> f32 {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// NN, NT and TN against the portable loops over shapes that hit a
+    /// ragged right edge (`n % 8`), a ragged bottom edge (`m % 4`),
+    /// `n < 8` (nothing to pack) and the 8-wide transpose tail (`k % 8`).
+    #[test]
+    fn gemms_match_reference_f32(
+        m in 1usize..20, k in 1usize..40, n in 1usize..40,
+        alpha in -2.0f32..2.0, beta in -2.0f32..2.0,
+        seed in 0u64..1000,
+    ) {
+        let a = init::uniform(m, k, -1.0, 1.0, seed);
+        let b = init::uniform(k, n, -1.0, 1.0, seed + 1);
+        let c0 = init::uniform(m, n, -1.0, 1.0, seed + 2);
+        gemms_match_reference::<f32>(&a, &b, &c0, alpha, beta);
+    }
+
+    /// `f64` never reaches a hand-written kernel; on x86-64 it runs the
+    /// portable loops compiled for FMA, which must not change a bit.
+    #[test]
+    fn gemms_match_reference_f64(
+        m in 1usize..12, k in 1usize..300, n in 1usize..20,
+        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
+        seed in 0u64..1000,
+    ) {
+        let a = init::uniform(m, k, -1.0, 1.0, seed);
+        let b = init::uniform(k, n, -1.0, 1.0, seed + 1);
+        let c0 = init::uniform(m, n, -1.0, 1.0, seed + 2);
+        gemms_match_reference::<f64>(&a, &b, &c0, alpha, beta);
+    }
+
+    #[test]
+    fn elementwise_ops_match_reference(
+        rows in 1usize..6, cols in 1usize..40,
+        alpha in -2.0f64..2.0, seed in 0u64..1000,
+    ) {
+        elementwise_matches_reference::<f32>(rows, cols, seed, alpha as f32);
+        elementwise_matches_reference::<f64>(rows, cols, seed, alpha);
+    }
+}
+
+/// The `k` dimension across the `KC = 256` accumulator flush: one, exactly
+/// two and three blocks, each side of every boundary.
+#[test]
+fn gemms_match_reference_across_kc_blocks() {
+    for k in [255usize, 256, 257, 511, 513, 600] {
+        for (m, n) in [(1, 8), (3, 6), (5, 17), (16, 48)] {
+            let a = init::uniform(m, k, -1.0, 1.0, k as u64);
+            let b = init::uniform(k, n, -1.0, 1.0, k as u64 + 1);
+            let c0 = init::uniform(m, n, -1.0, 1.0, k as u64 + 2);
+            gemms_match_reference::<f32>(&a, &b, &c0, 0.75, -0.5);
+            if m == 3 {
+                let (a, b, c0) = (widen(&a), widen(&b), widen(&c0));
+                gemms_match_reference::<f64>(&a, &b, &c0, 0.75, -0.5);
+            }
+        }
+    }
+}
+
+/// The case the `gemm_tn` doc comment warns about, for all three variants
+/// and both edges of the tile: a zero meeting `inf` or `NaN` is a `NaN`.
+/// No kernel may skip a term because one factor is zero.
+#[test]
+fn zero_times_nonfinite_is_nan_in_every_variant() {
+    let (m, k, n) = (6usize, 11usize, 21usize);
+    let mut a: Matrix<f32> = init::uniform(m, k, -1.0, 1.0, 3);
+    let mut b: Matrix<f32> = init::uniform(k, n, -1.0, 1.0, 4);
+    // (row of A, p, column of B): a full-width strip, the ragged right
+    // edge, and the partial bottom tile.
+    for (i, p, j, v) in [
+        (0, 1, 3, f32::INFINITY),
+        (1, 9, 19, f32::NAN),
+        (5, 10, 12, f32::NEG_INFINITY),
+    ] {
+        a.set(i, p, 0.0);
+        b.set(p, j, v);
+    }
+    let mut want = Matrix::zeros(m, n);
+    reference::gemm(1.0, &a, &b, 0.0, &mut want);
+    for (i, j) in [(0, 3), (1, 19), (5, 12)] {
+        assert!(
+            want.get(i, j).is_nan(),
+            "oracle must see 0·nonfinite at ({i},{j})"
+        );
+    }
+    gemms_match_reference::<f32>(&a, &b, &Matrix::zeros(m, n), 1.0, 0.0);
+    gemms_match_reference::<f64>(&widen(&a), &widen(&b), &Matrix::zeros(m, n), 1.0, 0.0);
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// SIMD cell forward is bit-identical to the scalar oracle for every
-    /// cell kind and shape — including j-tail shapes narrower than one
-    /// vector register and k spans crossing the KC blocking boundary.
+    /// Cell forward under `simd` is bit-identical to `scalar` for every
+    /// cell kind and shape.
     #[test]
     fn simd_forward_is_bit_identical(
         kind in cell_kinds(),
@@ -129,12 +350,12 @@ proptest! {
         }
     }
 
-    /// SIMD cell backward stays within the documented k-scaled ULP bound
-    /// of the scalar oracle (`gemm_nt`'s horizontal reduction is the only
-    /// reassociating kernel on this path). Both backward passes read the
-    /// *same* scalar forward cache, isolating the backward kernels.
+    /// Cell backward under `simd` is bit-identical to `scalar`: `gemm_nt`
+    /// keeps the portable operation order, so nothing on the backward
+    /// path carries a tolerance. Both passes read the *same* forward
+    /// cache, isolating the backward kernels.
     #[test]
-    fn simd_backward_within_ulp_bound(
+    fn simd_backward_is_bit_identical(
         kind in cell_kinds(),
         batch in 1usize..5, input in 1usize..10, hidden in 1usize..10,
         seed in 0u64..1000,
@@ -154,21 +375,15 @@ proptest! {
             p.backward_ws(&cache, &dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be);
             (grads, dx, dprev)
         };
-        let (g_ref, dx_ref, dp_ref) = run(Backend::scalar());
+        let (mut g_ref, dx_ref, dp_ref) = run(Backend::scalar());
         let (g_simd, dx_simd, dp_simd) = run(Backend::simd());
 
-        // 4*hidden is the widest gate-gemm k among the cell kinds.
-        let k = (input + hidden).max(4 * hidden);
-        assert_ulps(&dx_ref, &dx_simd, k, "dx");
-        assert_ulps(&dp_ref.dh, &dp_simd.dh, k, "dprev.dh");
+        assert_bits(&dx_ref, &dx_simd, "dx");
+        assert_bits(&dp_ref.dh, &dp_simd.dh, "dprev.dh");
         if let (Some(a), Some(b)) = (&dp_ref.dc, &dp_simd.dc) {
-            assert_ulps(a, b, k, "dprev.dc");
+            assert_bits(a, b, "dprev.dc");
         }
-        // `for_each_param` pairs each reference gradient with its SIMD
-        // counterpart (tolerance: GRU second-stage gradients sit
-        // downstream of a gemm_nt result).
-        let mut g_ref = g_ref;
-        g_ref.for_each_param(&g_simd, &mut |a, b| assert_ulps(a, b, k, "param grads"));
+        g_ref.for_each_param(&g_simd, &mut |a, b| assert_bits(a, b, "param grads"));
     }
 
     /// Int8 cell forward stays within a small multiple of the analytic
@@ -243,10 +458,8 @@ proptest! {
     // count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// End to end: a SIMD-backend task-graph executor produces logits
-    /// bit-identical to the sequential scalar reference — the forward
-    /// path contains no reassociating kernel, so the SIMD backend carries
-    /// the full bit-exactness guarantee, warm and cold.
+    /// End to end: a `simd` task-graph executor produces logits
+    /// bit-identical to the sequential reference, warm and cold.
     #[test]
     fn simd_executor_matches_sequential_bitwise(
         kind in cell_kinds(),
@@ -335,8 +548,8 @@ fn int8_executor_logits_within_tolerance() {
 }
 
 /// The int8 backend is inference-only: a *training* step through an
-/// int8-configured executor downgrades wholly to the scalar oracle and
-/// matches the sequential reference bit for bit.
+/// int8-configured executor downgrades wholly to the exact f32 kernels
+/// and matches the sequential reference bit for bit.
 #[test]
 fn int8_training_downgrades_to_exact_scalar() {
     use bpar_core::exec::Target;
@@ -369,12 +582,8 @@ fn int8_training_downgrades_to_exact_scalar() {
     assert_bits(&m_seq.dense.w, &m_q.dense.w, "post-step dense w");
     for (a, b) in m_seq.layers.iter_mut().zip(&m_q.layers) {
         a.fwd
-            .for_each_param(&b.fwd, &mut |x, y| assert_bits_ref(x, y, "fwd params"));
+            .for_each_param(&b.fwd, &mut |x, y| assert_bits(x, y, "fwd params"));
         a.rev
-            .for_each_param(&b.rev, &mut |x, y| assert_bits_ref(x, y, "rev params"));
+            .for_each_param(&b.rev, &mut |x, y| assert_bits(x, y, "rev params"));
     }
-}
-
-fn assert_bits_ref(a: &Matrix<f32>, b: &Matrix<f32>, what: &str) {
-    assert_bits(a, b, what);
 }

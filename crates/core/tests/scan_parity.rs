@@ -206,7 +206,7 @@ fn scan_runs_on_simd_backend() {
 // combinations against the chain oracle *on the same backend*, so the
 // only divergence left is the scan's reassociation — which must stay
 // inside the documented bounds from the header. Backends only
-// specialize `f32` (f64 always takes the scalar reference path), so the
+// specialize `f32` (f64 never reaches a backend-specific kernel), so the
 // backend axis runs on `f32` models with the f32 bounds.
 
 use bpar_runtime::SchedulerPolicy;

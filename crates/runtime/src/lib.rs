@@ -12,8 +12,9 @@
 //!   computation ([`region::DepTracker`]),
 //! * [`graph`] — a static [`graph::TaskGraph`] representation consumed both
 //!   by the live executor and by the multi-core simulator (`bpar-sim`),
-//! * [`runtime`] — the live [`runtime::Runtime`]: worker threads, dynamic
-//!   dependency resolution, `taskwait`,
+//! * [`runtime`] — the live [`runtime::Runtime`]: worker threads (bound to
+//!   CPUs when there are several, as OmpSs does), dynamic dependency
+//!   resolution, `taskwait`,
 //! * [`scheduler`] — the global-FIFO ready queue, optionally with the
 //!   breadth-first *locality-aware* mechanism of the paper (§IV-A),
 //! * [`stats`] — per-task trace records, concurrency and working-set
@@ -48,6 +49,7 @@
 // unsafe code must force explicit `unsafe` blocks inside unsafe fns.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod affinity;
 pub mod cancel;
 pub mod fault;
 pub mod graph;

@@ -8,6 +8,7 @@
 //! layers. The only synchronisation point is [`Runtime::taskwait`], the
 //! equivalent of `#pragma omp taskwait` at the end of a training batch.
 
+use crate::affinity;
 use crate::cancel::CancelCell;
 use crate::fault::{self, FaultPlan};
 use crate::lockwitness::WitnessedMutex;
@@ -161,12 +162,21 @@ impl Runtime {
             done_cv: Condvar::new(),
             epoch: Instant::now(),
         });
+        // A multi-worker pool binds each worker to a CPU of its own (see
+        // [`crate::affinity`]); a lone worker inherits this thread's mask.
+        let cpus = affinity::plan(n_workers);
         let workers = (0..n_workers)
             .map(|w| {
                 let sh = shared.clone();
+                let cpu = cpus.as_ref().map(|c| c[w]);
                 std::thread::Builder::new()
                     .name(format!("bpar-worker-{w}"))
-                    .spawn(move || worker_loop(sh, w))
+                    .spawn(move || {
+                        if let Some(cpu) = cpu {
+                            affinity::bind_current_thread(cpu);
+                        }
+                        worker_loop(sh, w)
+                    })
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -315,6 +325,9 @@ impl Runtime {
         inner.records.clear();
         inner.overhead = Duration::ZERO;
         inner.tasks.reserve(plan.tasks.len());
+        // Which queue depth a replay reaches depends on how the workers
+        // interleave; room for every task means none of them allocates.
+        inner.ready.reserve(plan.tasks.len());
         for (i, t) in plan.tasks.iter().enumerate() {
             inner.tasks.push(TaskMeta {
                 label: t.label,

@@ -356,6 +356,21 @@ impl ReadySet {
         }
     }
 
+    /// Makes room for `tasks` ready tasks at once, so that no schedule of a
+    /// graph of that many tasks grows a queue. Capacity is kept across
+    /// replays: after the first call for a given size this allocates
+    /// nothing, and neither does any push that follows it.
+    pub fn reserve(&mut self, tasks: usize) {
+        match &mut self.queues {
+            Queues::Global(q) => q.reserve(tasks.saturating_sub(q.len())),
+            Queues::Deques(d) => {
+                for q in d.local.iter_mut().chain([&mut d.injector]) {
+                    q.reserve(tasks.saturating_sub(q.len()));
+                }
+            }
+        }
+    }
+
     /// Dequeues a task for `worker` according to the policy (see the
     /// module docs). Returns `None` when no task is ready.
     pub fn pop(&mut self, worker: usize) -> Option<usize> {

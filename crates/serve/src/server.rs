@@ -138,11 +138,11 @@ pub struct ServeConfig {
     /// (`None` = unlimited). Tenant-keyed plans make this the knob that
     /// bounds per-replica model memory under many tenants.
     pub plan_byte_budget: Option<u64>,
-    /// Kernel backend inference batches dispatch through. `Scalar` (the
-    /// default) keeps responses bit-identical to `SequentialExec`; `Simd`
-    /// is also bit-identical on the forward path but uses vector
-    /// kernels; `Int8` trades a documented quantization tolerance for
-    /// throughput (weights are quantized once per revision sync).
+    /// Kernel backend inference batches dispatch through. `Simd` (the
+    /// default, vector kernels) and `Scalar` (the portable loops) both
+    /// keep responses bit-identical to `SequentialExec`; `Int8` trades a
+    /// documented quantization tolerance for throughput (weights are
+    /// quantized once per revision sync).
     pub backend: BackendKind,
     /// How each direction's recurrence executes. `Chain` (the default)
     /// is the paper's timestep chain, bit-identical to sequential;
@@ -166,7 +166,7 @@ impl Default for ServeConfig {
             cancel_sheds_work: true,
             pool_byte_budget: None,
             plan_byte_budget: None,
-            backend: BackendKind::Scalar,
+            backend: BackendKind::default(),
             recurrence: RecurrenceStrategy::Chain,
         }
     }

@@ -1,46 +1,47 @@
 //! Pluggable kernel backends.
 //!
-//! The scalar kernels in [`crate::gemm`], [`crate::ops`] and
-//! [`crate::activation`] are the *reference oracle*; this module lets hot
-//! callers dispatch the same operations through a [`KernelBackend`] trait
-//! with three implementations:
+//! There is one f32/f64 arithmetic in this crate — the loops of
+//! [`crate::reference`] — and one place where it meets the hardware: the
+//! slice-level entry points in [`crate::gemm`] and [`crate::ops`], which
+//! run it on the host's AVX2+FMA / NEON unit when there is one and as
+//! portable loops otherwise. A [`KernelBackend`]'s methods default to those
+//! entry points, so the three selectable kinds differ only where one
+//! overrides a method:
 //!
-//! * [`ScalarBackend`] — the reference kernels, verbatim,
-//! * [`SimdBackend`] — `std::arch` AVX2+FMA (x86-64) / NEON (aarch64)
-//!   vector kernels behind runtime feature detection, falling back to the
-//!   scalar kernels when the ISA is absent,
-//! * [`Int8Backend`] — a symmetric per-tensor int8 quantized inference
-//!   GEMM (everything else delegates to the SIMD backend).
+//! * [`SimdBackend`] (the default) overrides nothing: it is the kernels the
+//!   free functions run ([`Backend::simd_active`] reports whether a vector
+//!   unit was found);
+//! * [`ScalarBackend`] overrides the fused multiply-add kernels with the
+//!   portable loops themselves — same bits, no vector unit, the oracle;
+//! * [`Int8Backend`] overrides the forward NN GEMM with a symmetric
+//!   per-tensor int8 quantized product.
 //!
-//! Numerical contract (property-tested in `tests/backend_parity.rs`):
+//! Numerical contract (tested in `src/reference.rs`, `tests/proptests.rs`
+//! and `bpar-core`'s `tests/backend_parity.rs`):
 //!
-//! * `gemm` / `gemm_tn` and every element-wise op are **bit-identical**
-//!   between scalar and SIMD — the vector kernels replicate the scalar
-//!   per-element operation order exactly (IEEE-754 FMA lanes, ascending
-//!   `p`, one accumulator flush per `KC` block).
-//! * `gemm_nt` reduces dot products across vector lanes, which
-//!   re-associates the sum; it carries a documented relative error bound
-//!   of `~k · ε` instead of bit-identity.
-//! * Transcendentals (sigmoid/tanh/softmax) use the scalar implementations
-//!   in **every** backend, so activations never diverge.
-//! * The int8 GEMM carries the quantization error bound computed by
+//! * every GEMM variant and every element-wise op is **bit-identical** to
+//!   the portable loops, in `f32` and `f64`, on every host, so `scalar` and
+//!   `simd` differ in speed only;
+//! * transcendentals (sigmoid/tanh/softmax) are the same scalar code in
+//!   every backend, so activations never diverge;
+//! * the int8 GEMM carries the quantization error bound computed by
 //!   [`int8_bound`]; its backward kernels (`gemm_nt`/`gemm_tn`) stay in
 //!   f32.
 //!
-//! `f64` matrices always take the scalar reference path regardless of the
-//! selected backend ([`crate::Float::as_f32_slice`] declines the downcast),
-//! which is what keeps `f64` gradient-check tests exact.
+//! Backends only ever see `f32` slices; `f64` matrices go straight to the
+//! dispatching entry points ([`crate::Float::as_f32_slice`] declines the
+//! downcast), which keeps `f64` gradient-check tests exact.
 
 mod quant;
 mod scalar;
-mod simd;
+pub(crate) mod simd;
 
 pub use quant::{int8_bound, roundtrip_quantize, Int8Backend};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
 use crate::activation;
-use crate::gemm as gemm_mod;
+use crate::gemm::{self as gemm_mod, Op};
 use crate::matrix::Matrix;
 use crate::ops;
 use crate::scalar::Float;
@@ -49,12 +50,13 @@ use crate::workspace::{QuantScratch, Workspace};
 /// Which kernel backend a component should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Scalar reference kernels (the oracle; always available).
-    #[default]
+    /// The portable loops of [`crate::reference`], run as written.
     Scalar,
-    /// Runtime-detected AVX2/NEON vector kernels with scalar fallback.
+    /// The dispatched f32 kernels (vector unit when detected), bit-identical
+    /// to [`BackendKind::Scalar`].
+    #[default]
     Simd,
-    /// Int8 per-tensor quantized inference GEMM over the SIMD backend.
+    /// Int8 per-tensor quantized inference GEMM; everything else as above.
     Int8,
 }
 
@@ -90,7 +92,10 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Object-safe kernel surface a backend implements over raw `f32` slices.
+/// Object-safe kernel surface of a backend, over raw `f32` slices.
+///
+/// Every method defaults to the dispatched kernel the free functions run;
+/// a backend overrides only what it computes differently.
 ///
 /// All GEMM entry points are **accumulate-only** (`C += alpha * op(A) *
 /// op(B)`): shape checks, beta scaling and degenerate-shape early returns
@@ -101,10 +106,10 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
     /// Which selectable kind this backend implements.
     fn kind(&self) -> BackendKind;
 
-    /// True when vector instructions are actually in use (false means the
-    /// runtime detection fell back to the scalar kernels).
+    /// True when vector instructions are actually in use (false means
+    /// detection found no vector unit and the portable loops run).
     fn simd_active(&self) -> bool {
-        false
+        SimdBackend::detected()
     }
 
     /// `C += alpha * A * B` (`A: m×k`, `B: k×n`, `C: m×n`, row-major).
@@ -121,8 +126,10 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-        q: &mut QuantScratch,
-    );
+        _q: &mut QuantScratch,
+    ) {
+        gemm_mod::gemm_accum(alpha, a, b, c, m, k, n);
+    }
 
     /// `C += alpha * A * Bᵀ` (`A: m×k`, `B: n×k`, `C: m×n`).
     #[allow(clippy::too_many_arguments)]
@@ -135,7 +142,9 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-    );
+    ) {
+        gemm_mod::gemm_nt_accum(alpha, a, b, c, m, k, n);
+    }
 
     /// `C += alpha * Aᵀ * B` (`A: k×m`, `B: k×n`, `C: m×n`).
     #[allow(clippy::too_many_arguments)]
@@ -148,36 +157,48 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-    );
+    ) {
+        gemm_mod::gemm_tn_accum(alpha, a, b, c, m, k, n);
+    }
 
     /// `y += alpha * x`.
-    fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]);
+    fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
+        ops::axpy_slice(alpha, x, y);
+    }
 
     /// `out = a ⊙ b`.
-    fn hadamard_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]);
+    fn hadamard_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        ops::hadamard_slice(a, b, out);
+    }
 
     /// `out += a ⊙ b`.
-    fn hadamard_add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]);
+    fn hadamard_add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        ops::hadamard_add_slice(a, b, out);
+    }
 
     /// `out = a + b`.
-    fn add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]);
+    fn add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        ops::add_slice(a, b, out);
+    }
 
     /// `out = a - b`.
-    fn sub_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]);
+    fn sub_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
+        ops::sub_slice(a, b, out);
+    }
 
     /// `m *= alpha`.
-    fn scale_f32(&self, alpha: f32, m: &mut [f32]);
+    fn scale_f32(&self, alpha: f32, m: &mut [f32]) {
+        ops::scale_slice(alpha, m);
+    }
 
     /// Adds a `cols`-wide bias row to each of the `rows` rows of `m`.
-    fn add_bias_f32(&self, m: &mut [f32], rows: usize, cols: usize, bias: &[f32]);
+    fn add_bias_f32(&self, m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
+        ops::add_bias_slice(m, rows, cols, bias);
+    }
 
     /// `out[r] = a ⊙ x[r] + y[r]` with `a` a `cols`-wide decay row
     /// broadcast over `rows` rows — the diagonal linear-recurrence update
     /// and the `B` half of the scan transfer composition.
-    ///
-    /// Default: the scalar reference. Shipped backends keep the default so
-    /// scan arithmetic is bit-exact across backends (same policy as the
-    /// transcendentals: only GEMMs may diverge).
     #[allow(clippy::too_many_arguments)]
     fn row_mul_add_f32(
         &self,
@@ -191,8 +212,7 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         ops::row_mul_add_slice(a, x, y, out, rows, cols);
     }
 
-    /// `m[r] = a ⊙ m[r]` in place (row-broadcast carry update `p ← λ ⊙ p`;
-    /// same scalar-everywhere default as [`Self::row_mul_add_f32`]).
+    /// `m[r] = a ⊙ m[r]` in place (row-broadcast carry update `p ← λ ⊙ p`).
     fn row_scale_f32(&self, a: &[f32], m: &mut [f32], rows: usize, cols: usize) {
         ops::row_scale_slice(a, m, rows, cols);
     }
@@ -217,26 +237,41 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
 
     /// Element-wise logistic sigmoid.
     ///
-    /// Default: the scalar reference. Every shipped backend keeps the
-    /// default so activations are bit-exact across backends (documented
-    /// error-bound policy: only GEMMs may diverge).
+    /// Every shipped backend keeps this default so activations are
+    /// bit-exact across backends (documented error-bound policy: only the
+    /// int8 GEMM may diverge).
     fn sigmoid_f32(&self, m: &mut [f32]) {
         for v in m {
             *v = v.sigmoid();
         }
     }
 
-    /// Element-wise tanh (same scalar-everywhere policy as sigmoid).
+    /// Element-wise tanh (same everywhere, like sigmoid).
     fn tanh_f32(&self, m: &mut [f32]) {
         for v in m {
             *v = v.tanh();
         }
     }
 
-    /// Row-wise stable softmax (same scalar-everywhere policy).
+    /// Row-wise stable softmax (same everywhere, like sigmoid).
     fn softmax_rows_f32(&self, m: &mut [f32], rows: usize, cols: usize) {
         activation::softmax_rows_slice(m, rows, cols);
     }
+}
+
+/// `(a, b, c)` as `f32` slices when `T` is `f32`: the one downcast through
+/// which generic code reaches the `f32`-only kernels.
+#[inline(always)]
+pub(crate) fn f32_views<'a, T: Float>(
+    a: &'a [T],
+    b: &'a [T],
+    c: &'a mut [T],
+) -> Option<(&'a [f32], &'a [f32], &'a mut [f32])> {
+    Some((
+        T::as_f32_slice(a)?,
+        T::as_f32_slice(b)?,
+        T::as_f32_slice_mut(c)?,
+    ))
 }
 
 static SCALAR_BACKEND: ScalarBackend = ScalarBackend;
@@ -247,14 +282,14 @@ static INT8_BACKEND: Int8Backend = Int8Backend;
 ///
 /// Task bodies capture this by value in their closures (it is one pointer),
 /// and generic code calls the typed methods below, which downcast `f32`
-/// data to the raw-slice trait surface and route everything else to the
-/// scalar reference kernels.
+/// data to the raw-slice trait surface and hand everything else to the
+/// dispatching entry points directly.
 #[derive(Clone, Copy, Debug)]
 pub struct Backend(&'static dyn KernelBackend);
 
 impl Default for Backend {
     fn default() -> Self {
-        Backend::scalar()
+        Backend::simd()
     }
 }
 
@@ -266,12 +301,13 @@ impl PartialEq for Backend {
 impl Eq for Backend {}
 
 impl Backend {
-    /// The scalar reference backend (the oracle).
+    /// The portable loops: the oracle [`Backend::simd`] must match bit for
+    /// bit.
     pub fn scalar() -> Backend {
         Backend(&SCALAR_BACKEND)
     }
 
-    /// The runtime-detected vector backend.
+    /// The default backend: the dispatched kernels, nothing overridden.
     pub fn simd() -> Backend {
         Backend(&SIMD_BACKEND)
     }
@@ -313,22 +349,21 @@ impl Backend {
         c: &mut Matrix<T>,
         ws: &mut Workspace<T>,
     ) {
-        let (m, k) = a.shape();
-        let (kb, n) = b.shape();
-        assert_eq!(k, kb, "gemm: inner dimensions differ ({k} vs {kb})");
-        assert_eq!(c.shape(), (m, n), "gemm: C has wrong shape");
-        gemm_mod::scale_c(beta, c);
-        if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        if let (Some(af), Some(bf)) = (T::as_f32_slice(a.as_slice()), T::as_f32_slice(b.as_slice()))
-        {
-            let cf = T::as_f32_slice_mut(c.as_mut_slice()).expect("same scalar type");
-            self.0
-                .gemm_f32(alpha.to_f32(), af, bf, cf, m, k, n, ws.quant_scratch());
-        } else {
-            gemm_mod::gemm_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-        }
+        gemm_mod::checked(
+            Op::NN,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+            |alpha, a, b, c, m, k, n| match f32_views(a, b, c) {
+                Some((a, b, c)) => {
+                    let q = ws.quant_scratch();
+                    self.0.gemm_f32(alpha.to_f32(), a, b, c, m, k, n, q)
+                }
+                None => gemm_mod::gemm_accum(alpha, a, b, c, m, k, n),
+            },
+        );
     }
 
     /// `C = alpha * A * Bᵀ + beta * C` through the backend.
@@ -340,21 +375,18 @@ impl Backend {
         beta: T,
         c: &mut Matrix<T>,
     ) {
-        let (m, k) = a.shape();
-        let (n, kb) = b.shape();
-        assert_eq!(k, kb, "gemm_nt: inner dimensions differ ({k} vs {kb})");
-        assert_eq!(c.shape(), (m, n), "gemm_nt: C has wrong shape");
-        gemm_mod::scale_c(beta, c);
-        if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        if let (Some(af), Some(bf)) = (T::as_f32_slice(a.as_slice()), T::as_f32_slice(b.as_slice()))
-        {
-            let cf = T::as_f32_slice_mut(c.as_mut_slice()).expect("same scalar type");
-            self.0.gemm_nt_f32(alpha.to_f32(), af, bf, cf, m, k, n);
-        } else {
-            gemm_mod::gemm_nt_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-        }
+        gemm_mod::checked(
+            Op::NT,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+            |alpha, a, b, c, m, k, n| match f32_views(a, b, c) {
+                Some((a, b, c)) => self.0.gemm_nt_f32(alpha.to_f32(), a, b, c, m, k, n),
+                None => gemm_mod::gemm_nt_accum(alpha, a, b, c, m, k, n),
+            },
+        );
     }
 
     /// `C = alpha * Aᵀ * B + beta * C` through the backend.
@@ -366,21 +398,18 @@ impl Backend {
         beta: T,
         c: &mut Matrix<T>,
     ) {
-        let (k, m) = a.shape();
-        let (kb, n) = b.shape();
-        assert_eq!(k, kb, "gemm_tn: inner dimensions differ ({k} vs {kb})");
-        assert_eq!(c.shape(), (m, n), "gemm_tn: C has wrong shape");
-        gemm_mod::scale_c(beta, c);
-        if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        if let (Some(af), Some(bf)) = (T::as_f32_slice(a.as_slice()), T::as_f32_slice(b.as_slice()))
-        {
-            let cf = T::as_f32_slice_mut(c.as_mut_slice()).expect("same scalar type");
-            self.0.gemm_tn_f32(alpha.to_f32(), af, bf, cf, m, k, n);
-        } else {
-            gemm_mod::gemm_tn_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-        }
+        gemm_mod::checked(
+            Op::TN,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+            |alpha, a, b, c, m, k, n| match f32_views(a, b, c) {
+                Some((a, b, c)) => self.0.gemm_tn_f32(alpha.to_f32(), a, b, c, m, k, n),
+                None => gemm_mod::gemm_tn_accum(alpha, a, b, c, m, k, n),
+            },
+        );
     }
 
     /// `y += alpha * x` through the backend.
@@ -575,7 +604,8 @@ mod tests {
             assert_eq!(Backend::of(kind).kind(), kind);
         }
         assert_eq!(BackendKind::parse("mkl"), None);
-        assert_eq!(Backend::default().kind(), BackendKind::Scalar);
+        assert_eq!(Backend::default().kind(), BackendKind::Simd);
+        assert_eq!(BackendKind::default(), BackendKind::Simd);
         assert_eq!(format!("{}", BackendKind::Int8), "int8");
     }
 
@@ -589,12 +619,13 @@ mod tests {
 
     #[test]
     fn f64_always_takes_the_scalar_path() {
-        // Whatever the backend, f64 dispatch must reproduce the scalar
-        // reference bit-for-bit (the downcast declines).
+        // Whatever the backend, f64 takes the dispatching entry points (the
+        // downcast declines, int8 included) and must reproduce the
+        // portable loops bit-for-bit.
         let a = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f64 * 0.25 - 3.0);
         let b = Matrix::from_fn(7, 4, |r, c| (r * 4 + c) as f64 * 0.125 - 1.0);
         let mut want = Matrix::zeros(5, 4);
-        crate::gemm(1.0, &a, &b, 0.0, &mut want);
+        crate::reference::gemm(1.0, &a, &b, 0.0, &mut want);
         for be in [Backend::scalar(), Backend::simd(), Backend::int8()] {
             let mut got = Matrix::zeros(5, 4);
             be.gemm(1.0, &a, &b, 0.0, &mut got, &mut Workspace::new());
@@ -609,11 +640,14 @@ mod tests {
         let a = Matrix::from_fn(9, 11, |r, c| ((r * 11 + c) as f32).sin());
         let b = Matrix::from_fn(11, 6, |r, c| ((r * 6 + c) as f32).cos());
         let mut want = Matrix::from_fn(9, 6, |r, c| (r + c) as f32 * 0.5);
-        let mut got = want.clone();
+        let start = want.clone();
         crate::gemm(1.25f32, &a, &b, 0.75, &mut want);
-        Backend::scalar().gemm(1.25f32, &a, &b, 0.75, &mut got, &mut Workspace::new());
-        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for be in [Backend::scalar(), Backend::simd()] {
+            let mut got = start.clone();
+            be.gemm(1.25f32, &a, &b, 0.75, &mut got, &mut Workspace::new());
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{:?}", be.kind());
+            }
         }
     }
 }

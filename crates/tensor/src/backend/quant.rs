@@ -15,8 +15,8 @@
 //!
 //! Only the forward GEMM is quantized. The transpose variants
 //! (`gemm_nt`/`gemm_tn`) appear exclusively on the backward path, where
-//! gradient precision matters, so they and every element-wise op delegate
-//! to the SIMD backend's f32 kernels.
+//! gradient precision matters, so they and every element-wise op keep
+//! [`KernelBackend`]'s default: the dispatched f32 kernels.
 //!
 //! Weights are additionally *roundtrip-quantized in place* when a
 //! `WeightStore` syncs under this backend (see [`roundtrip_quantize`]):
@@ -81,10 +81,6 @@ impl KernelBackend for Int8Backend {
         BackendKind::Int8
     }
 
-    fn simd_active(&self) -> bool {
-        super::SIMD_BACKEND.simd_active()
-    }
-
     fn gemm_f32(
         &self,
         alpha: f32,
@@ -132,60 +128,6 @@ impl KernelBackend for Int8Backend {
                 *cv += rescale * av as f32;
             }
         }
-    }
-
-    fn gemm_nt_f32(
-        &self,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        super::SIMD_BACKEND.gemm_nt_f32(alpha, a, b, c, m, k, n);
-    }
-
-    fn gemm_tn_f32(
-        &self,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        super::SIMD_BACKEND.gemm_tn_f32(alpha, a, b, c, m, k, n);
-    }
-
-    fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        super::SIMD_BACKEND.axpy_f32(alpha, x, y);
-    }
-
-    fn hadamard_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::SIMD_BACKEND.hadamard_f32(a, b, out);
-    }
-
-    fn hadamard_add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::SIMD_BACKEND.hadamard_add_f32(a, b, out);
-    }
-
-    fn add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::SIMD_BACKEND.add_f32(a, b, out);
-    }
-
-    fn sub_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        super::SIMD_BACKEND.sub_f32(a, b, out);
-    }
-
-    fn scale_f32(&self, alpha: f32, m: &mut [f32]) {
-        super::SIMD_BACKEND.scale_f32(alpha, m);
-    }
-
-    fn add_bias_f32(&self, m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-        super::SIMD_BACKEND.add_bias_f32(m, rows, cols, bias);
     }
 }
 

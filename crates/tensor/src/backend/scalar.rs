@@ -1,23 +1,28 @@
-//! The scalar reference backend.
+//! The portable backend.
 //!
-//! Every method forwards to the exact slice-level kernels the free
-//! functions in [`crate::gemm`] and [`crate::ops`] use, so dispatching
-//! through [`super::Backend::scalar`] is bit-identical to calling those
-//! functions directly. This backend is the oracle the SIMD and int8
-//! implementations are property-tested against.
+//! Overrides the six kernels that contain a fused multiply-add with the
+//! portable loops of [`crate::reference`], run as written (`mul_add` is a
+//! call to `fmaf` in a build without `+fma`). Everything else is
+//! [`KernelBackend`]'s default. The dispatched kernels the free functions
+//! and [`super::SimdBackend`] run must match these loops bit for bit, so an
+//! executor on this backend checked against `SequentialExec` (free
+//! functions) is a check of the vector kernels against the portable loops.
 
 use super::{BackendKind, KernelBackend};
-use crate::gemm::{gemm_accum, gemm_nt_accum, gemm_tn_accum};
-use crate::ops;
+use crate::reference;
 use crate::workspace::QuantScratch;
 
-/// Reference kernels; always available, always the parity oracle.
+/// The portable loops under the default kind.
 #[derive(Debug)]
 pub struct ScalarBackend;
 
 impl KernelBackend for ScalarBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Scalar
+    }
+
+    fn simd_active(&self) -> bool {
+        false
     }
 
     fn gemm_f32(
@@ -31,7 +36,7 @@ impl KernelBackend for ScalarBackend {
         n: usize,
         _q: &mut QuantScratch,
     ) {
-        gemm_accum(alpha, a, b, c, m, k, n);
+        reference::gemm_accum(alpha, a, b, c, m, k, n);
     }
 
     fn gemm_nt_f32(
@@ -44,7 +49,7 @@ impl KernelBackend for ScalarBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_nt_accum(alpha, a, b, c, m, k, n);
+        reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0);
     }
 
     fn gemm_tn_f32(
@@ -57,34 +62,26 @@ impl KernelBackend for ScalarBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_tn_accum(alpha, a, b, c, m, k, n);
+        reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
     }
 
     fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        ops::axpy_slice(alpha, x, y);
-    }
-
-    fn hadamard_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        ops::hadamard_slice(a, b, out);
+        reference::axpy_slice(alpha, x, y);
     }
 
     fn hadamard_add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        ops::hadamard_add_slice(a, b, out);
+        reference::hadamard_add_slice(a, b, out);
     }
 
-    fn add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        ops::add_slice(a, b, out);
-    }
-
-    fn sub_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        ops::sub_slice(a, b, out);
-    }
-
-    fn scale_f32(&self, alpha: f32, m: &mut [f32]) {
-        ops::scale_slice(alpha, m);
-    }
-
-    fn add_bias_f32(&self, m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-        ops::add_bias_slice(m, rows, cols, bias);
+    fn row_mul_add_f32(
+        &self,
+        a: &[f32],
+        x: &[f32],
+        y: &[f32],
+        out: &mut [f32],
+        rows: usize,
+        cols: usize,
+    ) {
+        reference::row_mul_add_slice(a, x, y, out, rows, cols);
     }
 }

@@ -1,30 +1,27 @@
-//! Runtime-detected vector backend (`std::arch`).
+//! Vector kernels (`std::arch`) behind the dispatch points in
+//! [`crate::gemm`] and [`crate::ops`].
 //!
-//! * **x86-64**: AVX2+FMA kernels, selected once per process via
-//!   `is_x86_feature_detected!`; when either feature is missing every call
-//!   falls back to the scalar reference kernels.
-//! * **aarch64**: NEON kernels for the forward GEMM and the element-wise
-//!   ops (NEON is baseline on aarch64, no detection needed); the transpose
-//!   GEMM variants use the scalar reference kernels.
-//! * **anything else**: scalar reference kernels ([`SimdBackend`] is then
-//!   indistinguishable from [`super::ScalarBackend`]).
+//! * **x86-64**: AVX2+FMA, selected per call via `is_x86_feature_detected!`
+//!   (a cached atomic load). `f32` GEMMs run the register-tile kernels
+//!   below; `f64`, ragged edges and the fused element-wise ops run the
+//!   portable loops of [`crate::reference`] inlined into an `avx2,fma`
+//!   wrapper, where `mul_add` is one `vfmadd` instead of a call to `fmaf`.
+//! * **aarch64**: NEON kernels for the `f32` NN GEMM, `axpy` and
+//!   `hadamard_add` (NEON is baseline on aarch64, no detection needed).
+//! * **anything else**: nothing here is compiled; the portable loops run.
 //!
-//! Bit-identity contract (see the module docs of [`super`]): `gemm` and
-//! `gemm_tn` broadcast `alpha · a[i,p]` into the lanes, FMA in ascending
-//! `p`, and flush the register accumulator into `C` once per `KC` block —
-//! the exact per-element operation sequence of the scalar micro-kernels —
-//! so a full-width AVX2/NEON lane computes bit-identical IEEE-754 results.
-//! Partial tiles reuse the scalar micro-kernels verbatim. `gemm_nt`
-//! reduces dot products *across* lanes, which re-associates the sum, so it
-//! is tolerance-bounded instead (`~k·ε` relative), and stays off the
-//! bit-exact list.
+//! Bit-identity contract: every kernel performs, per output element, the
+//! portable loops' exact operation sequence — `alpha · a[i,p]` broadcast
+//! into the lanes (NN/TN) or `alpha` applied at the flush (NT), FMA in
+//! ascending `p`, one accumulator flush into `C` per `KC` block. A vector
+//! lane is an IEEE-754 FMA like any other, so results equal the portable
+//! loops' bit for bit. NT gets there by packing `Bᵀ` into a `KC×NR` panel
+//! first, so that its reduction runs down the lanes instead of across them.
 
 use super::{BackendKind, KernelBackend};
-use crate::gemm::{gemm_accum, gemm_nt_accum, gemm_tn_accum};
-use crate::ops;
-use crate::workspace::QuantScratch;
 
-/// Vector kernels behind runtime feature detection, scalar fallback.
+/// The default backend: the dispatched kernels, nothing overridden.
+/// [`SimdBackend::detected`] reports whether a vector unit was found.
 #[derive(Debug)]
 pub struct SimdBackend;
 
@@ -40,207 +37,76 @@ impl SimdBackend {
     }
 }
 
-#[allow(unreachable_code)]
 impl KernelBackend for SimdBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Simd
     }
-
-    fn simd_active(&self) -> bool {
-        SimdBackend::detected()
-    }
-
-    fn gemm_f32(
-        &self,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        _q: &mut QuantScratch,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::gemm(alpha, a, b, c, m, k, n) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::gemm(alpha, a, b, c, m, k, n) };
-            return;
-        }
-        gemm_accum(alpha, a, b, c, m, k, n);
-    }
-
-    fn gemm_nt_f32(
-        &self,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::gemm_nt(alpha, a, b, c, m, k, n) };
-            return;
-        }
-        gemm_nt_accum(alpha, a, b, c, m, k, n);
-    }
-
-    fn gemm_tn_f32(
-        &self,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::gemm_tn(alpha, a, b, c, m, k, n) };
-            return;
-        }
-        gemm_tn_accum(alpha, a, b, c, m, k, n);
-    }
-
-    fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::axpy(alpha, x, y) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::axpy(alpha, x, y) };
-            return;
-        }
-        ops::axpy_slice(alpha, x, y);
-    }
-
-    fn hadamard_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::binary::<0>(a, b, out) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::binary::<0>(a, b, out) };
-            return;
-        }
-        ops::hadamard_slice(a, b, out);
-    }
-
-    fn hadamard_add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::hadamard_add(a, b, out) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::hadamard_add(a, b, out) };
-            return;
-        }
-        ops::hadamard_add_slice(a, b, out);
-    }
-
-    fn add_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::binary::<1>(a, b, out) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::binary::<1>(a, b, out) };
-            return;
-        }
-        ops::add_slice(a, b, out);
-    }
-
-    fn sub_f32(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::binary::<2>(a, b, out) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::binary::<2>(a, b, out) };
-            return;
-        }
-        ops::sub_slice(a, b, out);
-    }
-
-    fn scale_f32(&self, alpha: f32, m: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::scale(alpha, m) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::scale(alpha, m) };
-            return;
-        }
-        ops::scale_slice(alpha, m);
-    }
-
-    fn add_bias_f32(&self, m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::detect() {
-            // SAFETY: detect() proved AVX2+FMA are available.
-            unsafe { x86::add_bias(m, rows, cols, bias) };
-            return;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::add_bias(m, rows, cols, bias) };
-            return;
-        }
-        ops::add_bias_slice(m, rows, cols, bias);
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use crate::gemm::{micro_kernel, micro_kernel_t, KC, MC, MR, NR};
+pub(crate) mod x86 {
+    use crate::backend::f32_views;
+    use crate::gemm::{KC, MR, NR};
+    use crate::reference;
+    use crate::scalar::Float;
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     #[inline]
-    pub(super) fn detect() -> bool {
+    pub(crate) fn detect() -> bool {
         // is_x86_feature_detected! caches its own CPUID result.
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
-    /// `C += alpha * A * B`, bit-identical to `gemm_accum`.
+    /// `C += alpha * A * B`, or `C += alpha * Aᵀ * B` with `A` stored `k×m`
+    /// when `TRANS_A`.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available and the slices at least `m×k`, `k×n`, `m×n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gemm(
+    pub(crate) unsafe fn gemm<T: Float, const TRANS_A: bool>(
+        alpha: T,
+        a: &[T],
+        b: &[T],
+        c: &mut [T],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        match f32_views(a, b, c) {
+            // SAFETY: this fn's contract, passed on unchanged.
+            Some((a, b, c)) => unsafe { gemm_f32::<TRANS_A>(alpha.to_f32(), a, b, c, m, k, n) },
+            None if TRANS_A => reference::gemm_tn_accum(alpha, a, b, c, m, k, n),
+            None => reference::gemm_accum(alpha, a, b, c, m, k, n),
+        }
+    }
+
+    /// `C += alpha * A * Bᵀ` (`B: n×k`). Products narrower than one
+    /// register (`n < NR`) have nothing to pack and take the portable loop.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available and the slices at least `m×k`, `n×k`, `m×n`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn gemm_nt<T: Float>(
+        alpha: T,
+        a: &[T],
+        b: &[T],
+        c: &mut [T],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        match f32_views(a, b, c) {
+            // SAFETY: this fn's contract, passed on unchanged.
+            Some((a, b, c)) if n >= NR => unsafe { gemm_nt_f32(alpha.to_f32(), a, b, c, m, k, n) },
+            _ => reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0),
+        }
+    }
+
+    /// The `f32` NN/TN kernel: full-width column strips on the register
+    /// tile, the ragged right edge on the portable micro-kernels.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gemm_f32<const TRANS_A: bool>(
         alpha: f32,
         a: &[f32],
         b: &[f32],
@@ -249,32 +115,49 @@ mod x86 {
         k: usize,
         n: usize,
     ) {
+        // `A[i, p]` lives at `a[i * rs + p * cs]`.
+        let (rs, cs) = if TRANS_A { (1, m) } else { (k, 1) };
         for kk in (0..k).step_by(KC) {
             let kend = (kk + KC).min(k);
-            for mm in (0..m).step_by(MC) {
-                let mend = (mm + MC).min(m);
-                for i0 in (mm..mend).step_by(MR) {
-                    let ilim = (i0 + MR).min(mend);
-                    let mut j0 = 0;
-                    while j0 + NR <= n {
-                        // SAFETY: the tile [i0, ilim) × [j0, j0+NR) and
-                        // the k-panel [kk, kend) are in bounds for the
-                        // m×k / k×n / m×n slices by loop construction.
-                        unsafe { mk_n(alpha, a, b, c, i0, ilim, j0, kk, kend, k, n) };
-                        j0 += NR;
-                    }
-                    if j0 < n {
-                        // Partial tile: the scalar micro-kernel, verbatim.
-                        micro_kernel(alpha, a, k, b, c, i0, ilim, j0, n, kk, kend, n);
-                    }
+            for i0 in (0..m).step_by(MR) {
+                let ilim = (i0 + MR).min(m);
+                let mut j0 = 0;
+                while j0 + NR <= n {
+                    // SAFETY: rows [i0, ilim), columns [j0, j0+NR) and the
+                    // k-panel [kk, kend) are inside the m×k / k×n / m×n
+                    // slices the caller vouched for.
+                    unsafe {
+                        tile::<true>(
+                            alpha,
+                            a.as_ptr().add(i0 * rs + kk * cs),
+                            rs,
+                            cs,
+                            b.as_ptr().add(kk * n + j0),
+                            n,
+                            c.as_mut_ptr().add(i0 * n + j0),
+                            n,
+                            ilim - i0,
+                            kend - kk,
+                        )
+                    };
+                    j0 += NR;
+                }
+                if j0 < n && TRANS_A {
+                    reference::micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, n, kk, kend, n);
+                } else if j0 < n {
+                    reference::micro_kernel(alpha, a, k, b, c, i0, ilim, j0, n, kk, kend, n);
                 }
             }
         }
     }
 
-    /// `C += alpha * Aᵀ * B` (`A: k×m`), bit-identical to `gemm_tn_accum`.
+    /// The `f32` NT kernel, order-preserving: each `NR`-column strip of
+    /// `Bᵀ` is transposed into a `KC×NR` panel, after which the product is
+    /// the NN register tile with `alpha` applied at the flush — the
+    /// portable loop's one FMA chain per element, eight elements abreast.
+    /// Columns past the last full strip take the portable loop.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gemm_tn(
+    unsafe fn gemm_nt_f32(
         alpha: f32,
         a: &[f32],
         b: &[f32],
@@ -283,291 +166,205 @@ mod x86 {
         k: usize,
         n: usize,
     ) {
+        let full = n - n % NR;
+        // Written by `pack_bt` before `tile` reads it; never zero-filled.
+        let mut panel = [MaybeUninit::<f32>::uninit(); KC * NR];
+        let panel = panel.as_mut_ptr().cast::<f32>();
         for kk in (0..k).step_by(KC) {
-            let kend = (kk + KC).min(k);
-            for mm in (0..m).step_by(MC) {
-                let mend = (mm + MC).min(m);
-                for i0 in (mm..mend).step_by(MR) {
-                    let ilim = (i0 + MR).min(mend);
-                    let mut j0 = 0;
-                    while j0 + NR <= n {
-                        // SAFETY: same in-bounds argument as `gemm`, with
-                        // `A` indexed transposed (k×m).
-                        unsafe { mk_t(alpha, a, b, c, i0, ilim, j0, kk, kend, m, n) };
-                        j0 += NR;
-                    }
-                    if j0 < n {
-                        micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, n, kk, kend, n);
-                    }
+            let kc = (kk + KC).min(k) - kk;
+            for j0 in (0..full).step_by(NR) {
+                // SAFETY: rows [j0, j0+NR) × columns [kk, kk+kc) of the
+                // n×k `b` are in bounds; the panel holds KC×NR ≥ kc×NR.
+                unsafe { pack_bt(b.as_ptr().add(j0 * k + kk), k, kc, panel) };
+                for i0 in (0..m).step_by(MR) {
+                    // SAFETY: rows [i0, i0+rows) × [kk, kk+kc) of `a` and
+                    // × [j0, j0+NR) of `c` are in bounds; `pack_bt` just
+                    // initialised the first kc×NR panel entries.
+                    unsafe {
+                        tile::<false>(
+                            alpha,
+                            a.as_ptr().add(i0 * k + kk),
+                            k,
+                            1,
+                            panel,
+                            NR,
+                            c.as_mut_ptr().add(i0 * n + j0),
+                            n,
+                            (m - i0).min(MR),
+                            kc,
+                        )
+                    };
                 }
+            }
+        }
+        if full < n {
+            reference::gemm_nt_cols(alpha, a, b, c, m, k, n, full);
+        }
+    }
+
+    /// `panel[p * NR + j] = b[j * ldb + p]` for `j < NR`, `p < kc`: an
+    /// `NR × kc` block of row-major `b`, transposed.
+    #[inline(always)]
+    unsafe fn pack_bt(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+        // SAFETY: the caller guarantees `b` addresses NR rows of ≥ kc
+        // floats at stride `ldb` and `panel` has room for kc×NR floats,
+        // and only calls this with AVX2 available.
+        unsafe {
+            let mut p = 0;
+            while p + 8 <= kc {
+                // 8×8 in-register transpose: unpack pairs, shuffle quads,
+                // then swap the 128-bit halves.
+                let r0 = _mm256_loadu_ps(b.add(p));
+                let r1 = _mm256_loadu_ps(b.add(ldb + p));
+                let r2 = _mm256_loadu_ps(b.add(2 * ldb + p));
+                let r3 = _mm256_loadu_ps(b.add(3 * ldb + p));
+                let r4 = _mm256_loadu_ps(b.add(4 * ldb + p));
+                let r5 = _mm256_loadu_ps(b.add(5 * ldb + p));
+                let r6 = _mm256_loadu_ps(b.add(6 * ldb + p));
+                let r7 = _mm256_loadu_ps(b.add(7 * ldb + p));
+                let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+                let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+                let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+                let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+                let s = [
+                    _mm256_shuffle_ps::<0x44>(t0, t2),
+                    _mm256_shuffle_ps::<0xEE>(t0, t2),
+                    _mm256_shuffle_ps::<0x44>(t1, t3),
+                    _mm256_shuffle_ps::<0xEE>(t1, t3),
+                    _mm256_shuffle_ps::<0x44>(t4, t6),
+                    _mm256_shuffle_ps::<0xEE>(t4, t6),
+                    _mm256_shuffle_ps::<0x44>(t5, t7),
+                    _mm256_shuffle_ps::<0xEE>(t5, t7),
+                ];
+                for q in 0..4 {
+                    let out = panel.add((p + q) * NR);
+                    _mm256_storeu_ps(out, _mm256_permute2f128_ps::<0x20>(s[q], s[q + 4]));
+                    _mm256_storeu_ps(
+                        out.add(4 * NR),
+                        _mm256_permute2f128_ps::<0x31>(s[q], s[q + 4]),
+                    );
+                }
+                p += 8;
+            }
+            while p < kc {
+                for j in 0..NR {
+                    *panel.add(p * NR + j) = *b.add(j * ldb + p);
+                }
+                p += 1;
             }
         }
     }
 
-    /// Full-width N-layout register tile: one 8-lane accumulator per row.
+    /// One `rows × NR` register tile over `kc` reduction steps, one 8-lane
+    /// accumulator per row: `acc[r] = fma(A[r, p], B[p, ·], acc[r])` for
+    /// ascending `p`, then one flush into `C`. `A[r, p]` is `a[r*rs + p*cs]`,
+    /// `B[p, ·]` the 8 floats at `b[p * ldb]`. `PRE` folds `alpha` into `A`
+    /// before the FMA and flushes `c += acc` (the NN/TN order); otherwise
+    /// the flush is `c += alpha · acc` (the NT order).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn mk_n(
+    unsafe fn tile<const PRE: bool>(
         alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        ilim: usize,
-        j0: usize,
-        kk: usize,
-        kend: usize,
-        lda: usize,
-        n: usize,
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        kc: usize,
     ) {
-        // SAFETY: caller (`gemm`) guarantees AVX2+FMA and that every
-        // index below — rows [i0, ilim) of `a`/`c`, the 8-wide column
-        // strip at j0, the k-panel [kk, kend) — is inside the slices.
+        // SAFETY: the caller guarantees AVX2+FMA and that `a`, `b`, `c`
+        // address a rows×kc, kc×NR and rows×NR block at the given strides.
         unsafe {
             let mut acc = [_mm256_setzero_ps(); MR];
-            let rows = ilim - i0;
-            for p in kk..kend {
-                let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j0));
-                for (di, accv) in acc.iter_mut().take(rows).enumerate() {
-                    let aval = alpha * *a.get_unchecked((i0 + di) * lda + p);
-                    *accv = _mm256_fmadd_ps(_mm256_set1_ps(aval), bv, *accv);
+            for p in 0..kc {
+                let bv = _mm256_loadu_ps(b.add(p * ldb));
+                for (r, accv) in acc.iter_mut().enumerate().take(rows) {
+                    let av = *a.add(r * rs + p * cs);
+                    let av = if PRE { alpha * av } else { av };
+                    *accv = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, *accv);
                 }
             }
-            for (di, accv) in acc.iter().take(rows).enumerate() {
-                let cp = c.as_mut_ptr().add((i0 + di) * n + j0);
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), *accv));
-            }
-        }
-    }
-
-    /// Full-width T-layout register tile (`A` stored `k×m`).
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn mk_t(
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        i0: usize,
-        ilim: usize,
-        j0: usize,
-        kk: usize,
-        kend: usize,
-        m: usize,
-        n: usize,
-    ) {
-        // SAFETY: caller (`gemm_tn`) guarantees AVX2+FMA and in-bounds
-        // tile/panel indices, with `a` indexed transposed (k×m).
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            let rows = ilim - i0;
-            for p in kk..kend {
-                let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j0));
-                for (di, accv) in acc.iter_mut().take(rows).enumerate() {
-                    let aval = alpha * *a.get_unchecked(p * m + i0 + di);
-                    *accv = _mm256_fmadd_ps(_mm256_set1_ps(aval), bv, *accv);
-                }
-            }
-            for (di, accv) in acc.iter().take(rows).enumerate() {
-                let cp = c.as_mut_ptr().add((i0 + di) * n + j0);
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), *accv));
-            }
-        }
-    }
-
-    /// `C += alpha * A * Bᵀ`: lane-parallel dot products with a horizontal
-    /// reduction (tolerance-bounded vs scalar, not bit-identical).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gemm_nt(
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        // SAFETY: `a` is m×k and `b` is n×k row-major, so `i*k + p` and
-        // `j*k + p` stay in bounds for p < kend ≤ k; `i*n + j` indexes
-        // the m×n output. AVX2+FMA availability is this fn's contract.
-        unsafe {
-            for kk in (0..k).step_by(KC) {
-                let kend = (kk + KC).min(k);
-                for mm in (0..m).step_by(MC) {
-                    let mend = (mm + MC).min(m);
-                    for i in mm..mend {
-                        let ap = a.as_ptr().add(i * k);
-                        for j in 0..n {
-                            let bp = b.as_ptr().add(j * k);
-                            let mut accv = _mm256_setzero_ps();
-                            let mut p = kk;
-                            while p + 8 <= kend {
-                                accv = _mm256_fmadd_ps(
-                                    _mm256_loadu_ps(ap.add(p)),
-                                    _mm256_loadu_ps(bp.add(p)),
-                                    accv,
-                                );
-                                p += 8;
-                            }
-                            let mut s = hsum(accv);
-                            while p < kend {
-                                s = (*ap.add(p)).mul_add(*bp.add(p), s);
-                                p += 1;
-                            }
-                            *c.get_unchecked_mut(i * n + j) += alpha * s;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn hsum(v: __m256) -> f32 {
-        // SAFETY: pure register shuffles and adds — no memory access;
-        // the caller guarantees AVX2 is available.
-        unsafe {
-            let hi = _mm256_extractf128_ps(v, 1);
-            let lo = _mm256_castps256_ps128(v);
-            let s = _mm_add_ps(lo, hi);
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-            _mm_cvtss_f32(s)
-        }
-    }
-
-    /// `y += alpha * x`, lane-wise FMA (bit-identical to the scalar op).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        // SAFETY: every access is below `len = min(x.len(), y.len())`;
-        // AVX2+FMA availability is this fn's contract.
-        unsafe {
-            let len = x.len().min(y.len());
-            let av = _mm256_set1_ps(alpha);
-            let mut i = 0;
-            while i + 8 <= len {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-                i += 8;
-            }
-            while i < len {
-                *y.get_unchecked_mut(i) = alpha.mul_add(*x.get_unchecked(i), *y.get_unchecked(i));
-                i += 1;
-            }
-        }
-    }
-
-    /// `out += a ⊙ b`, lane-wise FMA (bit-identical to the scalar op).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn hadamard_add(a: &[f32], b: &[f32], out: &mut [f32]) {
-        // SAFETY: every access is below the min of the three lengths;
-        // AVX2+FMA availability is this fn's contract.
-        unsafe {
-            let len = a.len().min(b.len()).min(out.len());
-            let mut i = 0;
-            while i + 8 <= len {
-                let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-                let av = _mm256_loadu_ps(a.as_ptr().add(i));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-                _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_fmadd_ps(av, bv, ov));
-                i += 8;
-            }
-            while i < len {
-                *out.get_unchecked_mut(i) = a
-                    .get_unchecked(i)
-                    .mul_add(*b.get_unchecked(i), *out.get_unchecked(i));
-                i += 1;
-            }
-        }
-    }
-
-    /// Lane-wise binary op: `OP = 0` mul, `1` add, `2` sub (bit-identical).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn binary<const OP: u8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-        // SAFETY: every access is below the min of the three lengths;
-        // AVX2 availability is this fn's contract.
-        unsafe {
-            let len = a.len().min(b.len()).min(out.len());
-            let mut i = 0;
-            while i + 8 <= len {
-                let av = _mm256_loadu_ps(a.as_ptr().add(i));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-                let r = match OP {
-                    0 => _mm256_mul_ps(av, bv),
-                    1 => _mm256_add_ps(av, bv),
-                    _ => _mm256_sub_ps(av, bv),
+            for (r, accv) in acc.iter().enumerate().take(rows) {
+                let cp = c.add(r * ldc);
+                let add = if PRE {
+                    *accv
+                } else {
+                    _mm256_mul_ps(_mm256_set1_ps(alpha), *accv)
                 };
-                _mm256_storeu_ps(out.as_mut_ptr().add(i), r);
-                i += 8;
-            }
-            while i < len {
-                let (x, y) = (*a.get_unchecked(i), *b.get_unchecked(i));
-                *out.get_unchecked_mut(i) = match OP {
-                    0 => x * y,
-                    1 => x + y,
-                    _ => x - y,
-                };
-                i += 1;
+                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), add));
             }
         }
     }
 
-    /// `m *= alpha`, lane-wise (bit-identical).
+    /// The fused element-wise loops of [`crate::reference`], compiled for
+    /// AVX2+FMA: the loop inlines here, `mul_add` becomes `vfmadd`, and
+    /// the independent ones vectorize (a lane-wise FMA is the same
+    /// correctly-rounded operation, so the bits cannot change).
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available (the bodies are safe code).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn scale(alpha: f32, m: &mut [f32]) {
-        // SAFETY: every access is below `m.len()`; AVX2 availability is
-        // this fn's contract.
-        unsafe {
-            let av = _mm256_set1_ps(alpha);
-            let len = m.len();
-            let mut i = 0;
-            while i + 8 <= len {
-                let v = _mm256_loadu_ps(m.as_ptr().add(i));
-                _mm256_storeu_ps(m.as_mut_ptr().add(i), _mm256_mul_ps(v, av));
-                i += 8;
-            }
-            while i < len {
-                *m.get_unchecked_mut(i) *= alpha;
-                i += 1;
-            }
-        }
+    pub(crate) unsafe fn axpy<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
+        reference::axpy_slice(alpha, x, y);
     }
 
-    /// Bias-row broadcast, lane-wise add per row (bit-identical).
+    /// See [`axpy`].
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn add_bias(m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-        // SAFETY: the caller guarantees `m.len() >= rows * cols` and
-        // `bias.len() >= cols`; every offset stays inside those bounds.
-        // AVX2 availability is this fn's contract.
-        unsafe {
-            for r in 0..rows {
-                let row = m.as_mut_ptr().add(r * cols);
-                let mut j = 0;
-                while j + 8 <= cols {
-                    let v = _mm256_loadu_ps(row.add(j) as *const f32);
-                    let bv = _mm256_loadu_ps(bias.as_ptr().add(j));
-                    _mm256_storeu_ps(row.add(j), _mm256_add_ps(v, bv));
-                    j += 8;
-                }
-                while j < cols {
-                    *row.add(j) += *bias.get_unchecked(j);
-                    j += 1;
-                }
-            }
-        }
+    pub(crate) unsafe fn hadamard_add<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
+        reference::hadamard_add_slice(a, b, out);
+    }
+
+    /// See [`axpy`].
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn row_mul_add<T: Float>(
+        a: &[T],
+        x: &[T],
+        y: &[T],
+        out: &mut [T],
+        rows: usize,
+        cols: usize,
+    ) {
+        reference::row_mul_add_slice(a, x, y, out, rows, cols);
+    }
+
+    /// See [`axpy`]; the chain is sequential, so this one stays scalar.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn dot<T: Float>(a: &[T], b: &[T]) -> T {
+        reference::dot_slice(a, b)
+    }
+
+    /// See [`axpy`]: ten `ymm` accumulators, nothing but `vfmadd` in the loop.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn fma_chains(iters: usize) -> f32 {
+        reference::fma_chains(iters)
     }
 }
 
 #[cfg(target_arch = "aarch64")]
-mod neon {
-    use crate::gemm::{micro_kernel, KC, MC, MR, NR};
+pub(crate) mod neon {
+    use crate::gemm::{KC, MC, MR, NR};
+    use crate::reference::micro_kernel;
     use std::arch::aarch64::*;
 
     /// `C += alpha * A * B`, bit-identical to `gemm_accum` (two 4-lane
     /// registers cover the scalar NR=8 tile).
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm(
+    pub(crate) unsafe fn gemm(
         alpha: f32,
         a: &[f32],
         b: &[f32],
@@ -644,7 +441,7 @@ mod neon {
 
     /// `y += alpha * x`, lane-wise FMA (bit-identical).
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    pub(crate) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: every access is below the min of the two lengths;
         // NEON availability is this fn's contract.
         unsafe {
@@ -666,7 +463,7 @@ mod neon {
 
     /// `out += a ⊙ b`, lane-wise FMA (bit-identical).
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn hadamard_add(a: &[f32], b: &[f32], out: &mut [f32]) {
+    pub(crate) unsafe fn hadamard_add(a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: every access is below the min of the three lengths;
         // NEON availability is this fn's contract.
         unsafe {
@@ -684,82 +481,6 @@ mod neon {
                     .get_unchecked(i)
                     .mul_add(*b.get_unchecked(i), *out.get_unchecked(i));
                 i += 1;
-            }
-        }
-    }
-
-    /// Lane-wise binary op: `OP = 0` mul, `1` add, `2` sub (bit-identical).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn binary<const OP: u8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-        // SAFETY: every access is below the min of the three lengths;
-        // NEON availability is this fn's contract.
-        unsafe {
-            let len = a.len().min(b.len()).min(out.len());
-            let mut i = 0;
-            while i + 4 <= len {
-                let av = vld1q_f32(a.as_ptr().add(i));
-                let bv = vld1q_f32(b.as_ptr().add(i));
-                let r = match OP {
-                    0 => vmulq_f32(av, bv),
-                    1 => vaddq_f32(av, bv),
-                    _ => vsubq_f32(av, bv),
-                };
-                vst1q_f32(out.as_mut_ptr().add(i), r);
-                i += 4;
-            }
-            while i < len {
-                let (x, y) = (*a.get_unchecked(i), *b.get_unchecked(i));
-                *out.get_unchecked_mut(i) = match OP {
-                    0 => x * y,
-                    1 => x + y,
-                    _ => x - y,
-                };
-                i += 1;
-            }
-        }
-    }
-
-    /// `m *= alpha`, lane-wise (bit-identical).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn scale(alpha: f32, m: &mut [f32]) {
-        // SAFETY: every access is below `m.len()`; NEON availability is
-        // this fn's contract.
-        unsafe {
-            let av = vdupq_n_f32(alpha);
-            let len = m.len();
-            let mut i = 0;
-            while i + 4 <= len {
-                let v = vld1q_f32(m.as_ptr().add(i));
-                vst1q_f32(m.as_mut_ptr().add(i), vmulq_f32(v, av));
-                i += 4;
-            }
-            while i < len {
-                *m.get_unchecked_mut(i) *= alpha;
-                i += 1;
-            }
-        }
-    }
-
-    /// Bias-row broadcast, lane-wise add per row (bit-identical).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn add_bias(m: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
-        // SAFETY: the caller guarantees `m.len() >= rows * cols` and
-        // `bias.len() >= cols`; every offset stays inside those bounds.
-        // NEON availability is this fn's contract.
-        unsafe {
-            for r in 0..rows {
-                let row = m.as_mut_ptr().add(r * cols);
-                let mut j = 0;
-                while j + 4 <= cols {
-                    let v = vld1q_f32(row.add(j) as *const f32);
-                    let bv = vld1q_f32(bias.as_ptr().add(j));
-                    vst1q_f32(row.add(j), vaddq_f32(v, bv));
-                    j += 4;
-                }
-                while j < cols {
-                    *row.add(j) += *bias.get_unchecked(j);
-                    j += 1;
-                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! General matrix multiply kernels (scalar reference implementations).
+//! General matrix multiply kernels.
 //!
 //! Three entry points cover everything the RNN forward and backward passes
 //! need (all row-major, all computing `C = alpha * op(A) * op(B) + beta * C`):
@@ -13,13 +13,23 @@
 //! (`batch × (input+hidden)` times `(input+hidden) × 4·hidden`). A naive
 //! triple loop ([`gemm_naive`]) is kept as the oracle for tests.
 //!
-//! These functions are also the **reference oracle** for the vectorized and
-//! quantized implementations in [`crate::backend`]: the SIMD backend
-//! reproduces the exact per-element operation order of the `_accum` loops
-//! here (same fused multiply-adds, ascending `p`, one accumulator flush per
-//! `KC` block), which is what makes scalar/SIMD bit-identity testable.
+//! **One arithmetic, one dispatch point.** The arithmetic is defined by the
+//! portable loops in [`crate::reference`]. The slice-level `_accum`
+//! functions here — which the free functions, the default
+//! [`crate::backend`] and every training task body funnel through — run
+//! that arithmetic on the widest unit the host has: on x86-64 with AVX2+FMA
+//! detected, `f32` takes the register-tile kernels in `backend/simd.rs` and
+//! everything else takes the portable loops inlined into an `avx2,fma`
+//! wrapper; on aarch64 the `f32` NN product takes the NEON kernel;
+//! otherwise the portable loops run as written. All of these agree bit for
+//! bit (`reference`'s module docs say why), so there is no tolerance to
+//! document, and selecting the `scalar` backend (the portable loops,
+//! always) changes speed only.
 
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::backend::simd;
 use crate::matrix::Matrix;
+use crate::reference;
 use crate::scalar::Float;
 
 /// Cache-block size along the `k` (reduction) dimension.
@@ -30,6 +40,41 @@ pub(crate) const MC: usize = 64;
 pub(crate) const MR: usize = 4;
 /// Register tile: columns of C updated per micro-kernel invocation.
 pub(crate) const NR: usize = 8;
+
+/// Which operand of `C = alpha * op(A) * op(B) + beta * C` is transposed.
+#[derive(Clone, Copy)]
+pub(crate) enum Op {
+    NN,
+    NT,
+    TN,
+}
+
+/// The part of a GEMM call every variant, backend and oracle shares: shape
+/// checks, `beta` scaling and the degenerate-shape early return. `accum`
+/// then sees `m, n, k > 0`, `alpha != 0` and slices of exactly the checked
+/// shapes, and computes `C += alpha * op(A) * op(B)`.
+pub(crate) fn checked<T: Float>(
+    op: Op,
+    alpha: T,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    beta: T,
+    c: &mut Matrix<T>,
+    accum: impl FnOnce(T, &[T], &[T], &mut [T], usize, usize, usize),
+) {
+    let (name, (m, k), (kb, n)) = match op {
+        Op::NN => ("gemm", a.shape(), b.shape()),
+        Op::NT => ("gemm_nt", a.shape(), (b.cols(), b.rows())),
+        Op::TN => ("gemm_tn", (a.cols(), a.rows()), b.shape()),
+    };
+    assert_eq!(k, kb, "{name}: inner dimensions differ ({k} vs {kb})");
+    assert_eq!(c.shape(), (m, n), "{name}: C has wrong shape");
+    scale_c(beta, c);
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
+}
 
 /// `C = alpha * A * B + beta * C`, all matrices row-major.
 ///
@@ -47,22 +92,42 @@ pub(crate) const NR: usize = 8;
 /// # Panics
 /// Panics if the shapes are inconsistent.
 pub fn gemm<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm: inner dimensions differ ({k} vs {kb})");
-    assert_eq!(c.shape(), (m, n), "gemm: C has wrong shape");
-
-    scale_c(beta, c);
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
+    checked(Op::NN, alpha, a, b, beta, c, gemm_accum);
 }
 
-/// Accumulate-only core of [`gemm`]: `C += alpha * A * B` over raw slices.
+/// `C = alpha * A * Bᵀ + beta * C`.
+///
+/// Shapes: `A: m×k`, `B: n×k`, `C: m×n`.
+pub fn gemm_nt<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
+    checked(Op::NT, alpha, a, b, beta, c, gemm_nt_accum);
+}
+
+/// `C = alpha * Aᵀ * B + beta * C`.
+///
+/// Shapes: `A: k×m`, `B: k×n`, `C: m×n`.
+///
+/// Note: every `B` element participates in the accumulation even when the
+/// matching `Aᵀ` element is zero — `0 · inf` and `0 · NaN` must produce
+/// `NaN` exactly as [`gemm_naive`] does (a zero-skip fast path here once
+/// silently dropped non-finite operands).
+pub fn gemm_tn<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
+    checked(Op::TN, alpha, a, b, beta, c, gemm_tn_accum);
+}
+
+/// The bound every kernel behind the `_accum` dispatchers indexes within.
+#[inline(always)]
+fn assert_lens<T>(a: &[T], b: &[T], c: &[T], m: usize, k: usize, n: usize) {
+    assert!(
+        a.len() >= m * k && b.len() >= k * n && c.len() >= m * n,
+        "gemm: a slice is shorter than its {m}x{k}x{n} shape"
+    );
+}
+
+/// Accumulate-only core of [`gemm`]: `C += alpha * A * B` over raw slices
+/// (`A: m×k`, `B: k×n`, `C: m×n`), on the widest unit the host has.
 ///
 /// Beta-scaling, shape checks and degenerate-shape early returns are the
-/// caller's job (done identically by [`gemm`] and the backend dispatcher).
+/// caller's job ([`checked`]).
 pub(crate) fn gemm_accum<T: Float>(
     alpha: T,
     a: &[T],
@@ -72,122 +137,21 @@ pub(crate) fn gemm_accum<T: Float>(
     k: usize,
     n: usize,
 ) {
-    // Loop order: block over k (stream panels of B through cache), then
-    // block over m (keep a panel of A hot), then the register micro-kernel.
-    for kk in (0..k).step_by(KC) {
-        let kend = (kk + KC).min(k);
-        for mm in (0..m).step_by(MC) {
-            let mend = (mm + MC).min(m);
-            for i0 in (mm..mend).step_by(MR) {
-                let ilim = (i0 + MR).min(mend);
-                for j0 in (0..n).step_by(NR) {
-                    let jlim = (j0 + NR).min(n);
-                    micro_kernel(alpha, a, k, b, c, i0, ilim, j0, jlim, kk, kend, n);
-                }
-            }
-        }
+    assert_lens(a, b, c, m, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
+        return unsafe { simd::x86::gemm::<T, false>(alpha, a, b, c, m, k, n) };
     }
+    #[cfg(target_arch = "aarch64")]
+    if let Some((af, bf, cf)) = crate::backend::f32_views(a, b, c) {
+        // SAFETY: NEON is baseline on aarch64; assert_lens bounds every index.
+        return unsafe { simd::neon::gemm(alpha.to_f32(), af, bf, cf, m, k, n) };
+    }
+    reference::gemm_accum(alpha, a, b, c, m, k, n);
 }
 
-/// Register-tile inner kernel: updates `C[i0..ilim, j0..jlim]` with the
-/// partial product over `k in [kk, kend)`. `lda` is the row stride of `a`
-/// (`k` for the N layout, `m` for the transposed layout's column count —
-/// see [`micro_kernel_t`]).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn micro_kernel<T: Float>(
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    bs: &[T],
-    c: &mut [T],
-    i0: usize,
-    ilim: usize,
-    j0: usize,
-    jlim: usize,
-    kk: usize,
-    kend: usize,
-    n: usize,
-) {
-    // Accumulate in registers; MR*NR accumulators.
-    let mut acc = [[T::ZERO; NR]; MR];
-    for p in kk..kend {
-        let brow = &bs[p * n + j0..p * n + jlim];
-        for (di, i) in (i0..ilim).enumerate() {
-            let aval = alpha * a[i * lda + p];
-            let accr = &mut acc[di];
-            for (dj, &bv) in brow.iter().enumerate() {
-                accr[dj] = aval.mul_add(bv, accr[dj]);
-            }
-        }
-    }
-    for (di, i) in (i0..ilim).enumerate() {
-        let crow = &mut c[i * n + j0..i * n + jlim];
-        for (dj, cv) in crow.iter_mut().enumerate() {
-            *cv += acc[di][dj];
-        }
-    }
-}
-
-/// Transposed-A variant of [`micro_kernel`]: `A` is stored `k×m`
-/// (so element `(i, p)` of `Aᵀ` lives at `a[p * m + i]`). Identical
-/// accumulation order otherwise.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn micro_kernel_t<T: Float>(
-    alpha: T,
-    a: &[T],
-    m: usize,
-    bs: &[T],
-    c: &mut [T],
-    i0: usize,
-    ilim: usize,
-    j0: usize,
-    jlim: usize,
-    kk: usize,
-    kend: usize,
-    n: usize,
-) {
-    let mut acc = [[T::ZERO; NR]; MR];
-    for p in kk..kend {
-        let brow = &bs[p * n + j0..p * n + jlim];
-        for (di, i) in (i0..ilim).enumerate() {
-            let aval = alpha * a[p * m + i];
-            let accr = &mut acc[di];
-            for (dj, &bv) in brow.iter().enumerate() {
-                accr[dj] = aval.mul_add(bv, accr[dj]);
-            }
-        }
-    }
-    for (di, i) in (i0..ilim).enumerate() {
-        let crow = &mut c[i * n + j0..i * n + jlim];
-        for (dj, cv) in crow.iter_mut().enumerate() {
-            *cv += acc[di][dj];
-        }
-    }
-}
-
-/// `C = alpha * A * Bᵀ + beta * C`.
-///
-/// Shapes: `A: m×k`, `B: n×k`, `C: m×n`. Both operands are walked along
-/// contiguous rows, so no explicit transpose buffer is needed.
-pub fn gemm_nt<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(k, kb, "gemm_nt: inner dimensions differ ({k} vs {kb})");
-    assert_eq!(c.shape(), (m, n), "gemm_nt: C has wrong shape");
-
-    scale_c(beta, c);
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_nt_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-}
-
-/// Accumulate-only core of [`gemm_nt`]: `C += alpha * A * Bᵀ`, cache-blocked.
-///
-/// Each `C[i, j]` is a dot product of two contiguous rows; the tile loop
-/// keeps an `MR`-row panel of `A` hot while streaming `NR` rows of `B`.
+/// Accumulate-only core of [`gemm_nt`]: `C += alpha * A * Bᵀ` (`B: n×k`).
 pub(crate) fn gemm_nt_accum<T: Float>(
     alpha: T,
     a: &[T],
@@ -197,56 +161,16 @@ pub(crate) fn gemm_nt_accum<T: Float>(
     k: usize,
     n: usize,
 ) {
-    for kk in (0..k).step_by(KC) {
-        let kend = (kk + KC).min(k);
-        for mm in (0..m).step_by(MC) {
-            let mend = (mm + MC).min(m);
-            for i0 in (mm..mend).step_by(MR) {
-                let ilim = (i0 + MR).min(mend);
-                for j0 in (0..n).step_by(NR) {
-                    let jlim = (j0 + NR).min(n);
-                    for i in i0..ilim {
-                        let arow = &a[i * k + kk..i * k + kend];
-                        for j in j0..jlim {
-                            let brow = &b[j * k + kk..j * k + kend];
-                            let mut s = T::ZERO;
-                            for (&av, &bv) in arow.iter().zip(brow) {
-                                s = av.mul_add(bv, s);
-                            }
-                            c[i * n + j] += alpha * s;
-                        }
-                    }
-                }
-            }
-        }
+    assert_lens(a, b, c, m, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
+        return unsafe { simd::x86::gemm_nt(alpha, a, b, c, m, k, n) };
     }
+    reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0);
 }
 
-/// `C = alpha * Aᵀ * B + beta * C`.
-///
-/// Shapes: `A: k×m`, `B: k×n`, `C: m×n`. All three access patterns stay
-/// row-contiguous inside the blocked tile loop.
-///
-/// Note: every `B` element participates in the accumulation even when the
-/// matching `Aᵀ` element is zero — `0 · inf` and `0 · NaN` must produce
-/// `NaN` exactly as [`gemm_naive`] does (a zero-skip fast path here once
-/// silently dropped non-finite operands).
-pub fn gemm_tn<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "gemm_tn: inner dimensions differ ({k} vs {kb})");
-    assert_eq!(c.shape(), (m, n), "gemm_tn: C has wrong shape");
-
-    scale_c(beta, c);
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    gemm_tn_accum(alpha, a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
-}
-
-/// Accumulate-only core of [`gemm_tn`]: `C += alpha * Aᵀ * B` over raw
-/// slices (`a` stored `k×m`), routed through the same blocked tile loop as
-/// [`gemm_accum`] via [`micro_kernel_t`].
+/// Accumulate-only core of [`gemm_tn`]: `C += alpha * Aᵀ * B` (`A: k×m`).
 pub(crate) fn gemm_tn_accum<T: Float>(
     alpha: T,
     a: &[T],
@@ -256,19 +180,31 @@ pub(crate) fn gemm_tn_accum<T: Float>(
     k: usize,
     n: usize,
 ) {
-    for kk in (0..k).step_by(KC) {
-        let kend = (kk + KC).min(k);
-        for mm in (0..m).step_by(MC) {
-            let mend = (mm + MC).min(m);
-            for i0 in (mm..mend).step_by(MR) {
-                let ilim = (i0 + MR).min(mend);
-                for j0 in (0..n).step_by(NR) {
-                    let jlim = (j0 + NR).min(n);
-                    micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, jlim, kk, kend, n);
-                }
-            }
-        }
+    assert_lens(a, b, c, m, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
+        return unsafe { simd::x86::gemm::<T, true>(alpha, a, b, c, m, k, n) };
     }
+    reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+}
+
+/// FLOPs one round of [`fma_chains`] performs.
+pub const FMA_CHAIN_FLOPS: usize = 2 * reference::CHAIN_LANES;
+
+/// Register-only FMA work on the unit the kernels above dispatch to:
+/// `iters` rounds of independent `v = x·v + y` chains, enough of them to
+/// keep every FMA pipe full, with no loads or stores in the loop. Timing it
+/// gives the host's attainable FMA rate — the denominator of a kernel's
+/// `peak_frac` ([`FMA_CHAIN_FLOPS`]` · iters` FLOPs per call). Returns the
+/// chains' sum so the work cannot be optimised away.
+pub fn fma_chains(iters: usize) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::fma_chains(iters) };
+    }
+    reference::fma_chains(iters)
 }
 
 /// Reference triple-loop product used as the test oracle.

@@ -12,17 +12,23 @@
 //!   broadcast, reductions),
 //! * [`activation`] — sigmoid/tanh/softmax and their derivatives,
 //! * [`init`] — deterministic, seedable weight initialisation,
-//! * [`backend`] — pluggable kernel backends: the scalar reference oracle,
-//!   runtime-detected AVX2/NEON vector kernels, and a symmetric per-tensor
-//!   int8 quantized inference GEMM.
+//! * [`reference`] — the portable loops that define the arithmetic of
+//!   every fused multiply-add kernel: the fallback, and the oracle the
+//!   dispatched kernels must match bit for bit,
+//! * [`backend`] — the AVX2+FMA / NEON kernels `gemm` and `ops` dispatch
+//!   to when the host has the unit, and the selectable backends on top
+//!   (`simd`, the default: those dispatched kernels; `scalar`: the portable
+//!   loops, same bits; `int8`: a symmetric per-tensor quantized inference
+//!   GEMM).
 //!
 //! All kernels are sequential by design: in the B-Par execution model,
 //! parallelism comes from running many *tasks* (cell updates) concurrently,
 //! each of which calls these kernels on its private working set — exactly
 //! the "B-Par is mapped to MKL-Sequential" configuration of the paper.
 
-// The only crate in the workspace with real unsafe (SIMD intrinsics and
-// the counting allocator): every unsafe operation must sit in its own
+// The only crate in the workspace with real unsafe (SIMD intrinsics, the
+// `target_feature` wrappers around the portable loops, and the counting
+// allocator): every unsafe operation must sit in its own
 // block with a SAFETY comment, enforced here and by the `unsafe_audit`
 // binary in CI.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -34,6 +40,7 @@ pub mod gemm;
 pub mod init;
 pub mod matrix;
 pub mod ops;
+pub mod reference;
 pub mod scalar;
 pub mod workspace;
 

@@ -3,8 +3,19 @@
 //! These cover the non-GEMM algebra of Equations (1)–(11): Hadamard
 //! products for the gate interactions, bias broadcasts, and the merge
 //! combinations of forward/reverse outputs.
+//!
+//! The four fused multiply-add ops (`axpy`, `hadamard_add`, `row_mul_add`,
+//! `dot`) dispatch like the GEMMs (see [`crate::gemm`]): their portable
+//! loops in [`crate::reference`] run inside an `avx2,fma` wrapper when the
+//! host has those units — in a build without `+fma`, `mul_add` is otherwise
+//! a call to `fmaf` per element — and as written elsewhere, with the same
+//! bits either way. The remaining ops contain nothing the baseline
+//! instruction set cannot do and are one loop each.
 
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::backend::simd;
 use crate::matrix::Matrix;
+use crate::reference;
 use crate::scalar::Float;
 
 /// `y += alpha * x` over whole matrices.
@@ -18,9 +29,18 @@ pub fn axpy<T: Float>(alpha: T, x: &Matrix<T>, y: &mut Matrix<T>) {
 
 /// Slice-level core of [`axpy`], shared with the kernel backends.
 pub(crate) fn axpy_slice<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv = alpha.mul_add(xv, *yv);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::axpy(alpha, x, y) };
     }
+    #[cfg(target_arch = "aarch64")]
+    if let (Some(xf), Some(yf)) = (T::as_f32_slice(x), T::as_f32_slice_mut(y)) {
+        // SAFETY: NEON is baseline on aarch64; the kernel stays below the
+        // shorter of the two lengths.
+        return unsafe { simd::neon::axpy(alpha.to_f32(), xf, yf) };
+    }
+    reference::axpy_slice(alpha, x, y);
 }
 
 /// `out = a ⊙ b` (element-wise product).
@@ -46,9 +66,18 @@ pub fn hadamard_add<T: Float>(a: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<T>)
 
 /// Slice-level core of [`hadamard_add`], shared with the kernel backends.
 pub(crate) fn hadamard_add_slice<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x.mul_add(y, *o);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::hadamard_add(a, b, out) };
     }
+    #[cfg(target_arch = "aarch64")]
+    if let Some((af, bf, of)) = crate::backend::f32_views(a, b, out) {
+        // SAFETY: NEON is baseline on aarch64; the kernel stays below the
+        // shortest of the three lengths.
+        return unsafe { simd::neon::hadamard_add(af, bf, of) };
+    }
+    reference::hadamard_add_slice(a, b, out);
 }
 
 /// Adds a bias row vector to every row of `m` (broadcast over the batch).
@@ -101,14 +130,12 @@ pub(crate) fn row_mul_add_slice<T: Float>(
     rows: usize,
     cols: usize,
 ) {
-    for r in 0..rows {
-        let xs = &x[r * cols..(r + 1) * cols];
-        let ys = &y[r * cols..(r + 1) * cols];
-        let os = &mut out[r * cols..(r + 1) * cols];
-        for (((o, &av), &xv), &yv) in os.iter_mut().zip(a).zip(xs).zip(ys) {
-            *o = av.mul_add(xv, yv);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::row_mul_add(a, x, y, out, rows, cols) };
     }
+    reference::row_mul_add_slice(a, x, y, out, rows, cols);
 }
 
 /// `m[r] = a ⊙ m[r]` in place — a row vector `a` (`1 × cols`) broadcast
@@ -227,11 +254,12 @@ pub fn sum<T: Float>(m: &Matrix<T>) -> T {
 /// Dot product of the flattened matrices.
 pub fn dot<T: Float>(a: &Matrix<T>, b: &Matrix<T>) -> T {
     assert_eq!(a.shape(), b.shape(), "dot shape mismatch");
-    let mut s = T::ZERO;
-    for (&x, &y) in a.as_slice().iter().zip(b.as_slice()) {
-        s = x.mul_add(y, s);
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::dot(a.as_slice(), b.as_slice()) };
     }
-    s
+    reference::dot_slice(a.as_slice(), b.as_slice())
 }
 
 /// Clips every element into `[-limit, limit]` and returns how many were

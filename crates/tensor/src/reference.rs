@@ -1,0 +1,467 @@
+//! The portable loops: fallback and test oracle.
+//!
+//! These generic loops *define* the arithmetic of every fused
+//! multiply-add kernel in the crate: ascending `p`, one `mul_add` per
+//! term, one accumulator flush into `C` per `KC` block (NT: one FMA chain
+//! per element per block, then `c += alpha · s`). The dispatching entry
+//! points in [`crate::gemm`] and [`crate::ops`] run them in three ways:
+//!
+//! * verbatim, on hosts without a detected vector unit (and under Miri);
+//! * inlined into an `avx2,fma` wrapper on x86-64, where `mul_add` lowers
+//!   to `vfmadd` instead of a call to `fmaf` — `f64`, partial tiles and
+//!   the ops with no hand-written kernel;
+//! * as the oracle: hardware FMA and `fmaf` are both correctly rounded
+//!   and the hand-written `f32` kernels keep this operation order, so
+//!   every path must agree with these loops **bit for bit**. The public
+//!   functions below exist so tests and benches can check exactly that.
+//!
+//! Every loop is `#[inline(always)]` so that it takes on the target
+//! features of the wrapper it is inlined into.
+
+use crate::gemm::{checked, Op, KC, MC, MR, NR};
+use crate::matrix::Matrix;
+use crate::scalar::Float;
+use std::hint::black_box;
+
+/// `C = alpha * A * B + beta * C` through the portable loops only.
+pub fn gemm<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
+    checked(Op::NN, alpha, a, b, beta, c, gemm_accum);
+}
+
+/// `C = alpha * A * Bᵀ + beta * C` through the portable loops only.
+pub fn gemm_nt<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
+    checked(Op::NT, alpha, a, b, beta, c, |alpha, a, b, c, m, k, n| {
+        gemm_nt_cols(alpha, a, b, c, m, k, n, 0)
+    });
+}
+
+/// `C = alpha * Aᵀ * B + beta * C` through the portable loops only.
+pub fn gemm_tn<T: Float>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
+    checked(Op::TN, alpha, a, b, beta, c, gemm_tn_accum);
+}
+
+/// `y += alpha * x` through the portable loop only.
+pub fn axpy<T: Float>(alpha: T, x: &Matrix<T>, y: &mut Matrix<T>) {
+    assert_eq!(x.shape(), y.shape(), "axpy shape mismatch");
+    axpy_slice(alpha, x.as_slice(), y.as_mut_slice());
+}
+
+/// `out += a ⊙ b` through the portable loop only.
+pub fn hadamard_add<T: Float>(a: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<T>) {
+    assert_eq!(a.shape(), b.shape(), "hadamard_add shape mismatch");
+    assert_eq!(a.shape(), out.shape(), "hadamard_add out shape mismatch");
+    hadamard_add_slice(a.as_slice(), b.as_slice(), out.as_mut_slice());
+}
+
+/// `out[r] = a ⊙ x[r] + y[r]` (`a` a `1 × cols` row) through the portable
+/// loop only.
+pub fn row_mul_add<T: Float>(a: &Matrix<T>, x: &Matrix<T>, y: &Matrix<T>, out: &mut Matrix<T>) {
+    assert_eq!(a.shape(), (1, x.cols()), "row_mul_add: a must be 1 × cols");
+    assert_eq!(x.shape(), y.shape(), "row_mul_add shape mismatch");
+    assert_eq!(x.shape(), out.shape(), "row_mul_add out shape mismatch");
+    let (rows, cols) = x.shape();
+    row_mul_add_slice(
+        a.as_slice(),
+        x.as_slice(),
+        y.as_slice(),
+        out.as_mut_slice(),
+        rows,
+        cols,
+    );
+}
+
+/// Dot product of the flattened matrices through the portable loop only.
+pub fn dot<T: Float>(a: &Matrix<T>, b: &Matrix<T>) -> T {
+    assert_eq!(a.shape(), b.shape(), "dot shape mismatch");
+    dot_slice(a.as_slice(), b.as_slice())
+}
+
+/// `C += alpha * A * B` over raw slices, cache-blocked.
+#[inline(always)]
+pub(crate) fn gemm_accum<T: Float>(
+    alpha: T,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // Loop order: block over k (stream panels of B through cache), then
+    // block over m (keep a panel of A hot), then the register micro-kernel.
+    for kk in (0..k).step_by(KC) {
+        let kend = (kk + KC).min(k);
+        for mm in (0..m).step_by(MC) {
+            let mend = (mm + MC).min(m);
+            for i0 in (mm..mend).step_by(MR) {
+                let ilim = (i0 + MR).min(mend);
+                for j0 in (0..n).step_by(NR) {
+                    let jlim = (j0 + NR).min(n);
+                    micro_kernel(alpha, a, k, b, c, i0, ilim, j0, jlim, kk, kend, n);
+                }
+            }
+        }
+    }
+}
+
+/// Register-tile inner kernel: updates `C[i0..ilim, j0..jlim]` with the
+/// partial product over `k in [kk, kend)`. `lda` is the row stride of `a`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn micro_kernel<T: Float>(
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    bs: &[T],
+    c: &mut [T],
+    i0: usize,
+    ilim: usize,
+    j0: usize,
+    jlim: usize,
+    kk: usize,
+    kend: usize,
+    n: usize,
+) {
+    // Accumulate in registers; MR*NR accumulators.
+    let mut acc = [[T::ZERO; NR]; MR];
+    for p in kk..kend {
+        let brow = &bs[p * n + j0..p * n + jlim];
+        for (di, i) in (i0..ilim).enumerate() {
+            let aval = alpha * a[i * lda + p];
+            let accr = &mut acc[di];
+            for (dj, &bv) in brow.iter().enumerate() {
+                accr[dj] = aval.mul_add(bv, accr[dj]);
+            }
+        }
+    }
+    for (di, i) in (i0..ilim).enumerate() {
+        let crow = &mut c[i * n + j0..i * n + jlim];
+        for (dj, cv) in crow.iter_mut().enumerate() {
+            *cv += acc[di][dj];
+        }
+    }
+}
+
+/// Transposed-A variant of [`micro_kernel`]: `A` is stored `k×m`
+/// (so element `(i, p)` of `Aᵀ` lives at `a[p * m + i]`). Identical
+/// accumulation order otherwise.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn micro_kernel_t<T: Float>(
+    alpha: T,
+    a: &[T],
+    m: usize,
+    bs: &[T],
+    c: &mut [T],
+    i0: usize,
+    ilim: usize,
+    j0: usize,
+    jlim: usize,
+    kk: usize,
+    kend: usize,
+    n: usize,
+) {
+    let mut acc = [[T::ZERO; NR]; MR];
+    for p in kk..kend {
+        let brow = &bs[p * n + j0..p * n + jlim];
+        for (di, i) in (i0..ilim).enumerate() {
+            let aval = alpha * a[p * m + i];
+            let accr = &mut acc[di];
+            for (dj, &bv) in brow.iter().enumerate() {
+                accr[dj] = aval.mul_add(bv, accr[dj]);
+            }
+        }
+    }
+    for (di, i) in (i0..ilim).enumerate() {
+        let crow = &mut c[i * n + j0..i * n + jlim];
+        for (dj, cv) in crow.iter_mut().enumerate() {
+            *cv += acc[di][dj];
+        }
+    }
+}
+
+/// Columns `jlo..n` of `C += alpha * A * Bᵀ`, cache-blocked (`jlo = 0` is
+/// the whole product; the vector kernel hands its ragged right edge here).
+///
+/// Each `C[i, j]` is a dot product of two contiguous rows; the tile loop
+/// keeps an `MR`-row panel of `A` hot while streaming `NR` rows of `B`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn gemm_nt_cols<T: Float>(
+    alpha: T,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+    jlo: usize,
+) {
+    for kk in (0..k).step_by(KC) {
+        let kend = (kk + KC).min(k);
+        for mm in (0..m).step_by(MC) {
+            let mend = (mm + MC).min(m);
+            for i0 in (mm..mend).step_by(MR) {
+                let ilim = (i0 + MR).min(mend);
+                for j0 in (jlo..n).step_by(NR) {
+                    let jlim = (j0 + NR).min(n);
+                    for i in i0..ilim {
+                        let arow = &a[i * k + kk..i * k + kend];
+                        for j in j0..jlim {
+                            let brow = &b[j * k + kk..j * k + kend];
+                            let mut s = T::ZERO;
+                            for (&av, &bv) in arow.iter().zip(brow) {
+                                s = av.mul_add(bv, s);
+                            }
+                            c[i * n + j] += alpha * s;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C += alpha * Aᵀ * B` over raw slices (`a` stored `k×m`): the blocked
+/// tile loop of [`gemm_accum`] over [`micro_kernel_t`].
+#[inline(always)]
+pub(crate) fn gemm_tn_accum<T: Float>(
+    alpha: T,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for kk in (0..k).step_by(KC) {
+        let kend = (kk + KC).min(k);
+        for mm in (0..m).step_by(MC) {
+            let mend = (mm + MC).min(m);
+            for i0 in (mm..mend).step_by(MR) {
+                let ilim = (i0 + MR).min(mend);
+                for j0 in (0..n).step_by(NR) {
+                    let jlim = (j0 + NR).min(n);
+                    micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, jlim, kk, kend, n);
+                }
+            }
+        }
+    }
+}
+
+/// `y += alpha * x`, one `mul_add` per element.
+#[inline(always)]
+pub(crate) fn axpy_slice<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
+    for (yv, &xv) in y.iter_mut().zip(x) {
+        *yv = alpha.mul_add(xv, *yv);
+    }
+}
+
+/// `out += a ⊙ b`, one `mul_add` per element.
+#[inline(always)]
+pub(crate) fn hadamard_add_slice<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = x.mul_add(y, *o);
+    }
+}
+
+/// `out[r] = a ⊙ x[r] + y[r]`, one `mul_add` per element.
+#[inline(always)]
+pub(crate) fn row_mul_add_slice<T: Float>(
+    a: &[T],
+    x: &[T],
+    y: &[T],
+    out: &mut [T],
+    rows: usize,
+    cols: usize,
+) {
+    for r in 0..rows {
+        let xs = &x[r * cols..(r + 1) * cols];
+        let ys = &y[r * cols..(r + 1) * cols];
+        let os = &mut out[r * cols..(r + 1) * cols];
+        for (((o, &av), &xv), &yv) in os.iter_mut().zip(a).zip(xs).zip(ys) {
+            *o = av.mul_add(xv, yv);
+        }
+    }
+}
+
+/// `Σ a[i]·b[i]` as one ascending `mul_add` chain.
+#[inline(always)]
+pub(crate) fn dot_slice<T: Float>(a: &[T], b: &[T]) -> T {
+    let mut s = T::ZERO;
+    for (&x, &y) in a.iter().zip(b) {
+        s = x.mul_add(y, s);
+    }
+    s
+}
+
+/// Lanes × independent chains of [`fma_chains`]: ten 8-lane accumulators
+/// cover the FMA units' latency × width on every current x86-64 and
+/// aarch64 core while still fitting the register file.
+pub(crate) const CHAIN_LANES: usize = 8 * 10;
+
+/// `iters` rounds of [`CHAIN_LANES`] independent `v = x·v + y` updates
+/// that never leave the registers; see [`crate::gemm::fma_chains`]. The
+/// operands are opaque to the optimiser and keep every `v` near 1.
+#[inline(always)]
+pub(crate) fn fma_chains(iters: usize) -> f32 {
+    let (x, y) = (black_box(0.999_999f32), black_box(1e-6f32));
+    let mut acc = [y; CHAIN_LANES];
+    for _ in 0..iters {
+        for v in acc.iter_mut() {
+            *v = x.mul_add(*v, y);
+        }
+    }
+    acc.iter().sum()
+}
+
+#[cfg(test)]
+mod tests {
+    //! Dispatched kernels against the portable loops, bit for bit. Under
+    //! Miri feature detection is off, so this also runs the portable loops
+    //! themselves (and their slice indexing) through the interpreter.
+
+    use super::*;
+    use crate::init;
+
+    fn assert_bits<T: Float>(got: &Matrix<T>, want: &Matrix<T>, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                x.to_f64().to_bits(),
+                y.to_f64().to_bits(),
+                "{what}: element {i}: {x} vs {y}"
+            );
+        }
+    }
+
+    /// One `(m, k, n, alpha, beta)` case of all three GEMMs in precision `T`.
+    fn gemm_case<T: Float>(m: usize, k: usize, n: usize, alpha: f64, beta: f64) {
+        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+        let what = format!("{m}x{k}x{n} alpha={alpha} beta={beta}");
+        let a: Matrix<T> = init::uniform(m, k, -1.0, 1.0, 1);
+        let b: Matrix<T> = init::uniform(k, n, -1.0, 1.0, 2);
+        let c0: Matrix<T> = init::uniform(m, n, -1.0, 1.0, 3);
+
+        let (mut got, mut want) = (c0.clone(), c0.clone());
+        crate::gemm(alpha, &a, &b, beta, &mut got);
+        gemm(alpha, &a, &b, beta, &mut want);
+        assert_bits(&got, &want, &format!("nn {what}"));
+
+        let (mut got, mut want) = (c0.clone(), c0.clone());
+        crate::gemm_nt(alpha, &a, &b.transposed(), beta, &mut got);
+        gemm_nt(alpha, &a, &b.transposed(), beta, &mut want);
+        assert_bits(&got, &want, &format!("nt {what}"));
+
+        let (mut got, mut want) = (c0.clone(), c0);
+        crate::gemm_tn(alpha, &a.transposed(), &b, beta, &mut got);
+        gemm_tn(alpha, &a.transposed(), &b, beta, &mut want);
+        assert_bits(&got, &want, &format!("tn {what}"));
+    }
+
+    /// Partial tiles in `m` and `n`, `n < NR`, `k` on both sides of `KC`
+    /// and of the 8-wide pack transpose, `alpha != 1`, `beta ∉ {0, 1}`.
+    #[test]
+    fn gemms_match_the_portable_loops_bitwise() {
+        // Miri runs the portable loops on both sides; keep it to the
+        // shapes that reach every branch once.
+        let ks: &[usize] = if cfg!(miri) {
+            &[3, 257]
+        } else {
+            &[1, 7, 8, 9, 255, 256, 257, 600]
+        };
+        for &k in ks {
+            for &(m, n) in &[(1, 1), (1, 6), (3, 8), (4, 17), (5, 24), (9, 40)] {
+                gemm_case::<f32>(m, k, n, 1.0, 0.0);
+                gemm_case::<f32>(m, k, n, -0.75, 0.5);
+                gemm_case::<f64>(m, k, n, 1.25, 1.0);
+            }
+        }
+        if !cfg!(miri) {
+            // Crosses the MC row block.
+            gemm_case::<f32>(70, 33, 19, 0.5, 1.0);
+        }
+    }
+
+    #[test]
+    fn fused_elementwise_ops_match_the_portable_loops_bitwise() {
+        fn case<T: Float>(rows: usize, cols: usize) {
+            let a: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, 4);
+            let b: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, 5);
+            let y0: Matrix<T> = init::uniform(rows, cols, -1.0, 1.0, 6);
+            let lam: Matrix<T> = init::uniform(1, cols, -1.0, 1.0, 7);
+            let alpha = T::from_f64(-0.3);
+
+            let (mut got, mut want) = (y0.clone(), y0.clone());
+            crate::ops::axpy(alpha, &a, &mut got);
+            axpy(alpha, &a, &mut want);
+            assert_bits(&got, &want, "axpy");
+
+            let (mut got, mut want) = (y0.clone(), y0.clone());
+            crate::ops::hadamard_add(&a, &b, &mut got);
+            hadamard_add(&a, &b, &mut want);
+            assert_bits(&got, &want, "hadamard_add");
+
+            let (mut got, mut want) = (y0.clone(), y0);
+            crate::ops::row_mul_add(&lam, &a, &b, &mut got);
+            row_mul_add(&lam, &a, &b, &mut want);
+            assert_bits(&got, &want, "row_mul_add");
+
+            assert_eq!(
+                crate::ops::dot(&a, &b).to_f64().to_bits(),
+                dot(&a, &b).to_f64().to_bits(),
+                "dot"
+            );
+        }
+        // Below, at and past one vector register, with a ragged tail.
+        for &(rows, cols) in &[(1, 1), (1, 7), (2, 8), (3, 13), (5, 48)] {
+            case::<f32>(rows, cols);
+            case::<f64>(rows, cols);
+        }
+    }
+
+    /// A zero against a non-finite operand must still give NaN in every
+    /// variant: no path may skip a term (`0 · inf`, `0 · NaN`).
+    #[test]
+    fn nonfinite_terms_are_never_skipped() {
+        let (m, k, n) = (5usize, 12usize, 19usize);
+        let mut a: Matrix<f32> = init::uniform(m, k, -1.0, 1.0, 8);
+        let mut b: Matrix<f32> = init::uniform(k, n, -1.0, 1.0, 9);
+        a.set(0, 1, 0.0);
+        a.set(4, 11, 0.0);
+        b.set(1, 3, f32::INFINITY);
+        b.set(11, 17, f32::NAN);
+        b.set(2, 9, f32::NEG_INFINITY);
+        let run = |f: &dyn Fn(&mut Matrix<f32>), g: &dyn Fn(&mut Matrix<f32>), what: &str| {
+            let (mut got, mut want) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+            f(&mut got);
+            g(&mut want);
+            assert!(want.get(0, 3).is_nan(), "{what}: 0·inf must be NaN");
+            assert!(want.get(4, 17).is_nan(), "{what}: 0·NaN must be NaN");
+            // NaN payloads may differ between fmaf and the FMA unit; the
+            // placement and every non-NaN bit may not.
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!(
+                    (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits(),
+                    "{what}: {x} vs {y}"
+                );
+            }
+        };
+        run(
+            &|c| crate::gemm(1.0, &a, &b, 0.0, c),
+            &|c| gemm(1.0, &a, &b, 0.0, c),
+            "nn",
+        );
+        let (at, bt) = (a.transposed(), b.transposed());
+        run(
+            &|c| crate::gemm_nt(1.0, &a, &bt, 0.0, c),
+            &|c| gemm_nt(1.0, &a, &bt, 0.0, c),
+            "nt",
+        );
+        run(
+            &|c| crate::gemm_tn(1.0, &at, &b, 0.0, c),
+            &|c| gemm_tn(1.0, &at, &b, 0.0, c),
+            "tn",
+        );
+    }
+}

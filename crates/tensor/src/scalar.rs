@@ -87,8 +87,8 @@ pub trait Float:
     ///
     /// This is the monomorphization escape hatch the kernel backends use:
     /// vector and quantized kernels are written once against `f32`, and
-    /// generic code downcasts through here (`None` for `f64`, which always
-    /// takes the scalar reference path).
+    /// generic code downcasts through here (`None` for `f64`, which runs
+    /// the generic loops of [`crate::reference`]).
     fn as_f32_slice(s: &[Self]) -> Option<&[f32]> {
         if std::any::TypeId::of::<Self>() == std::any::TypeId::of::<f32>() {
             // SAFETY: TypeId equality proves `Self` is exactly `f32`, so the

@@ -1,8 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use bpar_tensor::gemm::{gemm, gemm_naive, gemm_nt, gemm_tn};
-use bpar_tensor::ops;
-use bpar_tensor::Matrix;
+use bpar_tensor::{init, ops, reference, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: matrix of the given shape with small bounded values.
@@ -15,6 +14,50 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<f64>> {
 fn gemm_triple() -> impl Strategy<Value = (Matrix<f64>, Matrix<f64>, Matrix<f64>)> {
     (1usize..20, 1usize..20, 1usize..20)
         .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n), matrix(m, n)))
+}
+
+/// `f(c)` on a copy of `c0`, for comparing two routes to the same product.
+fn on_copy(c0: &Matrix<f32>, f: impl FnOnce(&mut Matrix<f32>)) -> Vec<u32> {
+    let mut c = c0.clone();
+    f(&mut c);
+    c.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    // Up to 70×600×200 per case, three products, twice: keep it to what a
+    // debug build does in about a second.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The dispatched GEMMs against the portable loops, bit for bit, over
+    /// the whole blocking lattice: partial tiles in `m` (`MR = 4`, one
+    /// `MC = 64` crossing) and `n` (`NR = 8`, including `n < NR` where NT
+    /// has nothing to pack), and `k` across two `KC = 256` boundaries.
+    #[test]
+    fn dispatched_gemms_equal_reference_bitwise(
+        m in 1usize..70, k in 1usize..600, n in 1usize..200,
+        alpha in -2.0f32..2.0, beta in -2.0f32..2.0,
+        seed in 0u64..1000,
+    ) {
+        let a: Matrix<f32> = init::uniform(m, k, -1.0, 1.0, seed);
+        let b: Matrix<f32> = init::uniform(k, n, -1.0, 1.0, seed + 1);
+        let c0: Matrix<f32> = init::uniform(m, n, -1.0, 1.0, seed + 2);
+        let (at, bt) = (a.transposed(), b.transposed());
+        prop_assert_eq!(
+            on_copy(&c0, |c| gemm(alpha, &a, &b, beta, c)),
+            on_copy(&c0, |c| reference::gemm(alpha, &a, &b, beta, c)),
+            "nn {}x{}x{}", m, k, n
+        );
+        prop_assert_eq!(
+            on_copy(&c0, |c| gemm_nt(alpha, &a, &bt, beta, c)),
+            on_copy(&c0, |c| reference::gemm_nt(alpha, &a, &bt, beta, c)),
+            "nt {}x{}x{}", m, k, n
+        );
+        prop_assert_eq!(
+            on_copy(&c0, |c| gemm_tn(alpha, &at, &b, beta, c)),
+            on_copy(&c0, |c| reference::gemm_tn(alpha, &at, &b, beta, c)),
+            "tn {}x{}x{}", m, k, n
+        );
+    }
 }
 
 proptest! {
