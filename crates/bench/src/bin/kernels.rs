@@ -1,7 +1,10 @@
 //! Kernel throughput: GFLOP/s of the three GEMM variants at RNN task
 //! shapes, per [`Backend`] kind: `scalar` (the portable loops of
 //! `bpar_tensor::reference`), `simd` (the dispatched kernels the free
-//! functions run — same bits) and int8 quantized inference.
+//! functions run — same bits) and int8 quantized inference; and ns per
+//! element of the two gate non-linearities (`activation::sigmoid_slice` /
+//! `tanh_slice`, the one f32 polynomial every backend runs) beside one
+//! libm call per element.
 //!
 //! The shapes are the fused LSTM gate products `(batch × (input+hidden)) ·
 //! ((input+hidden) × 4·hidden)` at the model scales of Tables III/IV, plus
@@ -23,12 +26,15 @@
 //! `NN` GEMM over the `scalar` row — the CI gate that keeps the dispatch
 //! from silently rotting into the portable fallback. On machines without
 //! AVX2+FMA/NEON the gate is skipped (the kernels *are* the portable loops
-//! there, by design).
+//! there, by design). Under the same condition it asserts that the
+//! polynomial non-linearities are ≥ 3× faster per element than libm at
+//! every measured shape — the gate that keeps their loops vectorised.
 //!
 //! Usage:
 //!   cargo run --release -p bpar-bench --bin kernels
 
 use bpar_bench::{print_table, write_json};
+use bpar_tensor::activation::{sigmoid_slice, tanh_slice};
 use bpar_tensor::gemm::{fma_chains, FMA_CHAIN_FLOPS};
 use bpar_tensor::{init, Backend, BackendKind, Matrix, Workspace};
 use serde::Serialize;
@@ -44,6 +50,12 @@ const TARGET_FLOPS: f64 = 2e8;
 /// loops by this factor (geomean over shapes, forward `NN` GEMM) wherever
 /// a vector unit was detected.
 const SIMD_GATE: f64 = 2.0;
+/// The second in-binary gate: the polynomial sigmoid/tanh must beat the
+/// libm formulation by this factor per element, at every shape below,
+/// wherever a vector unit was detected.
+const ACTIVATION_GATE: f64 = 3.0;
+/// Elements per timed activation sample.
+const TARGET_ELEMS: f64 = 2e7;
 
 /// `(batch, input + hidden, 4 * hidden)` LSTM gate-GEMM shapes.
 const SHAPES: &[(usize, usize, usize)] = &[
@@ -52,6 +64,10 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (32, 320, 512),
     (64, 512, 1024),
 ];
+
+/// `(rows, cols)` of the activation rows: one LSTM gate block of the
+/// `train_coarse` cell (16 × 4·48) and one register's worth.
+const ACTIVATION_SHAPES: &[(usize, usize)] = &[(16, 192), (1, 8)];
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -70,16 +86,31 @@ struct KernelRow {
 }
 
 #[derive(Serialize)]
+struct ActivationRow {
+    op: &'static str,
+    rows: usize,
+    cols: usize,
+    iters: usize,
+    /// The dispatched slice entry point, refilling the buffer included.
+    ns_per_elem: f64,
+    /// One libm call (`expf` / `tanhf`) per element over the same buffer.
+    libm_ns_per_elem: f64,
+    vs_libm: f64,
+}
+
+#[derive(Serialize)]
 struct KernelsReport {
     seed: u64,
     simd_active: bool,
     simd_gate: f64,
+    activation_gate: f64,
     /// Geomean simd/scalar speed-up on the forward-path NN GEMM.
     simd_nn_geomean: f64,
     /// GFLOP/s of the register-only FMA loop: `peak_frac`'s denominator.
     fma_peak_gflops: f64,
     config: String,
     rows: Vec<KernelRow>,
+    activations: Vec<ActivationRow>,
 }
 
 /// Times `f` over a derived iteration count and returns (GFLOP/s, iters).
@@ -106,6 +137,65 @@ fn fma_peak_gflops() -> f64 {
             (FMA_CHAIN_FLOPS * ITERS) as f64 / start.elapsed().as_secs_f64() / 1e9
         })
         .fold(0.0, f64::max)
+}
+
+/// The comparison column's f32 sigmoid, composed from libm's `expf` (taken
+/// of a non-positive argument only, so nothing overflows).
+fn libm_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let z = x.exp();
+        z / (1.0 + z)
+    }
+}
+
+/// ns per element of `f` applied in place to a `rows × cols` block of
+/// pre-activations in [-6, 6], refilled from `src` before every call (both
+/// columns pay for the copy).
+fn time_ns_per_elem(src: &[f32], mut f: impl FnMut(&mut [f32])) -> (f64, usize) {
+    let iters = ((TARGET_ELEMS / src.len() as f64).ceil() as usize).max(3);
+    let mut buf = src.to_vec();
+    let mut run = |n: usize| {
+        for _ in 0..n {
+            buf.copy_from_slice(black_box(src));
+            f(&mut buf);
+            black_box(buf[0]);
+        }
+    };
+    run(WARMUP);
+    let start = Instant::now();
+    run(iters);
+    let ns = start.elapsed().as_secs_f64() * 1e9;
+    (ns / (iters * src.len()) as f64, iters)
+}
+
+fn activation_rows() -> Vec<ActivationRow> {
+    let mut out = Vec::new();
+    for &(rows, cols) in ACTIVATION_SHAPES {
+        let src: Matrix<f32> = init::uniform(rows, cols, -6.0, 6.0, SEED + 4);
+        let src = src.as_slice();
+        let mut row = |op, poly: fn(&mut [f32]), libm: fn(f32) -> f32| {
+            let (ns_per_elem, iters) = time_ns_per_elem(src, poly);
+            let (libm_ns_per_elem, _) = time_ns_per_elem(src, |m| {
+                for v in m {
+                    *v = libm(*v);
+                }
+            });
+            out.push(ActivationRow {
+                op,
+                rows,
+                cols,
+                iters,
+                ns_per_elem,
+                libm_ns_per_elem,
+                vs_libm: libm_ns_per_elem / ns_per_elem,
+            });
+        };
+        row("sigmoid", sigmoid_slice::<f32>, libm_sigmoid);
+        row("tanh", tanh_slice::<f32>, f32::tanh);
+    }
+    out
 }
 
 fn main() {
@@ -214,11 +304,51 @@ fn main() {
         println!("(no vector unit detected on this machine; gate skipped)");
     }
 
+    let activations = activation_rows();
+    print_table(
+        "kernels: gate non-linearities, ns per element (one f32 polynomial on every backend)",
+        &["op", "shape", "iters", "ns/elem", "libm ns/elem", "vs_libm"],
+        &activations
+            .iter()
+            .map(|r| {
+                vec![
+                    r.op.to_string(),
+                    format!("{}x{}", r.rows, r.cols),
+                    r.iters.to_string(),
+                    format!("{:.2}", r.ns_per_elem),
+                    format!("{:.2}", r.libm_ns_per_elem),
+                    format!("{:.2}x", r.vs_libm),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    if simd_active {
+        for r in &activations {
+            assert!(
+                r.vs_libm >= ACTIVATION_GATE,
+                "a vector unit is detected but {} at {}x{} is only {:.2}x faster than \
+                 libm (gate {ACTIVATION_GATE}x) — its loop no longer vectorises",
+                r.op,
+                r.rows,
+                r.cols,
+                r.vs_libm
+            );
+        }
+    } else {
+        println!("(no vector unit detected on this machine; activation gate skipped)");
+    }
+
     let canonical = format!(
-        "shapes={},warmup={WARMUP},target_flops={TARGET_FLOPS:.0},gate={SIMD_GATE},simd={simd_active}",
+        "shapes={},activations={},warmup={WARMUP},target_flops={TARGET_FLOPS:.0},gate={SIMD_GATE},\
+         activation_gate={ACTIVATION_GATE},simd={simd_active}",
         SHAPES
             .iter()
             .map(|&(m, k, n)| format!("{m}x{k}x{n}"))
+            .collect::<Vec<_>>()
+            .join("+"),
+        ACTIVATION_SHAPES
+            .iter()
+            .map(|&(r, c)| format!("{r}x{c}"))
             .collect::<Vec<_>>()
             .join("+"),
     );
@@ -226,10 +356,12 @@ fn main() {
         seed: SEED,
         simd_active,
         simd_gate: SIMD_GATE,
+        activation_gate: ACTIVATION_GATE,
         simd_nn_geomean: geomean,
         fma_peak_gflops: peak,
         config: canonical.clone(),
         rows,
+        activations,
     };
     write_json(
         &bpar_serve::metrics::report_name("kernels", SEED, &canonical),

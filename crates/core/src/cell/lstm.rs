@@ -15,7 +15,7 @@
 //! the fused matrix is `[i, f, g, o]`.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
+use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y, sigmoid_slice, tanh_slice};
 use bpar_tensor::ops::column_sums_into;
 use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
 
@@ -162,19 +162,18 @@ impl<T: Float> LstmParams<T> {
             let grow = cache.gates.row(r);
             let (gi, rest) = grow.split_at(h);
             let (gf, rest) = rest.split_at(h);
-            let (gg, go) = rest.split_at(h);
+            let gg = &rest[..h];
             let cp = c_prev.row(r);
-            // `c`, `tanh_c`, and `h_out` are distinct matrices, so one
-            // row borrow per matrix is enough — no temporary copies.
             let crow = c.row_mut(r);
             for j in 0..h {
                 crow[j] = gf[j] * cp[j] + gi[j] * gg[j];
             }
-            let crow = c.row(r);
-            let trow = cache.tanh_c.row_mut(r);
-            for j in 0..h {
-                trow[j] = crow[j].tanh();
-            }
+        }
+        // One slice call over the whole batch × h block.
+        cache.tanh_c.copy_from(c);
+        be.tanh_inplace(&mut cache.tanh_c);
+        for r in 0..batch {
+            let go = &cache.gates.row(r)[3 * h..];
             let trow = cache.tanh_c.row(r);
             let hrow = state.h.row_mut(r);
             for j in 0..h {
@@ -267,6 +266,7 @@ impl<T: Float> LstmParams<T> {
             let dcr = dstate.and_then(|s| s.dc.as_ref()).map(|m| m.row(r));
 
             let dgrow = dgates.row_mut(r);
+            let dcp = dc_prev.row_mut(r);
             for j in 0..h {
                 // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
                 let mut dc = dht[j] * go[j] * dtanh_from_y(tc[j]);
@@ -282,13 +282,6 @@ impl<T: Float> LstmParams<T> {
                 dgrow[h + j] = df;
                 dgrow[2 * h + j] = dg;
                 dgrow[3 * h + j] = do_;
-            }
-            let dcp = dc_prev.row_mut(r);
-            for j in 0..h {
-                let mut dc = dht[j] * go[j] * dtanh_from_y(tc[j]);
-                if let Some(d) = dcr {
-                    dc += d[j];
-                }
                 dcp[j] = dc * gf[j];
             }
         }
@@ -324,15 +317,9 @@ pub fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) 
     let rows = gates.rows();
     for r in 0..rows {
         let row = gates.row_mut(r);
-        for v in &mut row[0..2 * h] {
-            *v = v.sigmoid();
-        }
-        for v in &mut row[2 * h..3 * h] {
-            *v = v.tanh();
-        }
-        for v in &mut row[3 * h..4 * h] {
-            *v = v.sigmoid();
-        }
+        sigmoid_slice(&mut row[0..2 * h]);
+        tanh_slice(&mut row[2 * h..3 * h]);
+        sigmoid_slice(&mut row[3 * h..4 * h]);
     }
 }
 

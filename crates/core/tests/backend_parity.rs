@@ -11,6 +11,11 @@
 //!   `scalar` runs the portable loops as written, `simd` (the default)
 //!   the dispatched kernels, and no cell, pass or executor may tell them
 //!   apart.
+//! * **One sigmoid, one tanh.** The `f32` gate non-linearities are the
+//!   branch-free polynomials of `bpar_tensor::reference`; the dispatched
+//!   slice loops every cell calls (eight lanes wide where the host allows,
+//!   scalar in the tail) equal one `Float::sigmoid` / `Float::tanh` per
+//!   element bit for bit, at every hidden width, under every backend.
 //! * **Int8 forward within the analytic quantization bound.** Each GEMM's
 //!   error is bounded by [`bpar_tensor::int8_bound`]; gate
 //!   non-linearities are 1-Lipschitz, so cell outputs stay within a small
@@ -323,6 +328,93 @@ fn zero_times_nonfinite_is_nan_in_every_variant() {
     }
     gemms_match_reference::<f32>(&a, &b, &Matrix::zeros(m, n), 1.0, 0.0);
     gemms_match_reference::<f64>(&widen(&a), &widen(&b), &Matrix::zeros(m, n), 1.0, 0.0);
+}
+
+/// `H_t` (and `C_t`) of one forward step written out per element: the free
+/// GEMM and bias functions, then one `Float::sigmoid` / `Float::tanh` call
+/// per gate value — no slice entry point, no backend handle.
+fn per_element_forward(
+    p: &CellParams<f32>,
+    x: &Matrix<f32>,
+    prev: &CellState<f32>,
+) -> (Matrix<f32>, Option<Matrix<f32>>) {
+    // By path: `x.tanh()` on an `f32` is the inherent libm method.
+    let (sigmoid, tanh) = (<f32 as Float>::sigmoid, <f32 as Float>::tanh);
+    let affine = |inp: &Matrix<f32>, w: &Matrix<f32>, b: &Matrix<f32>| {
+        let mut out = Matrix::zeros(inp.rows(), w.cols());
+        bpar_tensor::gemm(1.0, inp, w, 0.0, &mut out);
+        ops::add_bias(&mut out, b);
+        out
+    };
+    let z = Matrix::hstack(&[x, &prev.h]);
+    let (rows, input) = x.shape();
+    match p {
+        CellParams::Lstm(p) => {
+            let (h, g) = (p.hidden, affine(&z, &p.w, &p.b));
+            let c_prev = prev.c.as_ref().expect("LSTM state");
+            let c = Matrix::from_fn(rows, h, |r, j| {
+                let (i, f) = (sigmoid(g.get(r, j)), sigmoid(g.get(r, h + j)));
+                f * c_prev.get(r, j) + i * tanh(g.get(r, 2 * h + j))
+            });
+            let out = Matrix::from_fn(rows, h, |r, j| {
+                sigmoid(g.get(r, 3 * h + j)) * tanh(c.get(r, j))
+            });
+            (out, Some(c))
+        }
+        CellParams::Gru(p) => {
+            let h = p.hidden;
+            let mut zr = affine(&z, &p.wzr, &p.bzr);
+            zr.map_inplace(sigmoid);
+            let h_in = Matrix::from_fn(rows, input + h, |r, j| {
+                if j < input {
+                    x.get(r, j)
+                } else {
+                    zr.get(r, h + j - input) * prev.h.get(r, j - input)
+                }
+            });
+            let hbar = affine(&h_in, &p.wh, &p.bh);
+            let out = Matrix::from_fn(rows, h, |r, j| {
+                let zg = zr.get(r, j);
+                zg * tanh(hbar.get(r, j)) + (1.0 - zg) * prev.h.get(r, j)
+            });
+            (out, None)
+        }
+        CellParams::Vanilla(p) => {
+            let mut out = affine(&z, &p.w, &p.b);
+            out.map_inplace(tanh);
+            (out, None)
+        }
+        CellParams::Linear(_) => unreachable!("no gate non-linearity"),
+    }
+}
+
+/// Hidden widths below, at and past one 8-lane register, so that every
+/// gate range has a ragged vector tail somewhere, plus the ledger's 48:
+/// `forward_ws` under `scalar` and `simd` and the allocating `forward`
+/// agree with each other and with the per-element oracle, bit for bit.
+#[test]
+fn forward_equals_the_per_element_oracle_at_every_gate_width() {
+    for kind in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
+        for hidden in [1usize, 2, 7, 8, 9, 48] {
+            let (batch, input, seed) = (3, 5, hidden as u64);
+            let p = CellParams::<f32>::init(kind, input, hidden, seed);
+            let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
+            let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
+            let (h_want, c_want) = per_element_forward(&p, &x, &prev);
+            let what = |path: &str| format!("{kind:?} h={hidden} {path}");
+
+            let (free, _) = p.forward(&x, &prev);
+            assert_bits(&free.h, &h_want, &what("forward"));
+            for be in [Backend::scalar(), Backend::simd()] {
+                let mut ws = Workspace::new();
+                let (st, _) = forward_with(&p, kind, &x, &prev, hidden, &mut ws, be);
+                assert_bits(&st.h, &h_want, &what(be.kind().as_str()));
+                if let Some(c_want) = &c_want {
+                    assert_bits(st.c.as_ref().expect("LSTM state"), c_want, &what("C_t"));
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -5,17 +5,45 @@
 //! are expressed in terms of the *activated output* (`y`), which is what BPTT
 //! has in hand after the forward pass, avoiding a second activation pass.
 
+#[cfg(target_arch = "x86_64")]
+use crate::backend::simd;
 use crate::matrix::Matrix;
+use crate::reference;
 use crate::scalar::Float;
 
 /// Applies the logistic sigmoid element-wise in place.
 pub fn sigmoid_inplace<T: Float>(m: &mut Matrix<T>) {
-    m.map_inplace(|v| v.sigmoid());
+    sigmoid_slice(m.as_mut_slice());
 }
 
 /// Applies tanh element-wise in place.
 pub fn tanh_inplace<T: Float>(m: &mut Matrix<T>) {
-    m.map_inplace(|v| v.tanh());
+    tanh_slice(m.as_mut_slice());
+}
+
+/// `m[i] = σ(m[i])`: the slice-level entry point every cell and backend
+/// funnels through. Dispatches like [`crate::ops::axpy`]: the loop of
+/// [`crate::reference`] inlined into an `avx2,fma` wrapper when the host
+/// has those units (the `f32` body is straight-line arithmetic, so it runs
+/// eight lanes wide there), the loop as written elsewhere — equal to one
+/// [`Float::sigmoid`] per element, bit for bit, either way.
+pub fn sigmoid_slice<T: Float>(m: &mut [T]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::sigmoid(m) };
+    }
+    reference::sigmoid_slice(m);
+}
+
+/// `m[i] = tanh(m[i])`; see [`sigmoid_slice`].
+pub fn tanh_slice<T: Float>(m: &mut [T]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::tanh(m) };
+    }
+    reference::tanh_slice(m);
 }
 
 /// Sigmoid derivative from the sigmoid *output*: `σ'(x) = y (1 - y)`.

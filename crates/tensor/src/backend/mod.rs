@@ -2,9 +2,9 @@
 //!
 //! There is one f32/f64 arithmetic in this crate — the loops of
 //! [`crate::reference`] — and one place where it meets the hardware: the
-//! slice-level entry points in [`crate::gemm`] and [`crate::ops`], which
-//! run it on the host's AVX2+FMA / NEON unit when there is one and as
-//! portable loops otherwise. A [`KernelBackend`]'s methods default to those
+//! slice-level entry points in [`crate::gemm`], [`crate::ops`] and
+//! [`crate::activation`], which run it on the host's AVX2+FMA / NEON unit
+//! when there is one and as portable loops otherwise. A [`KernelBackend`]'s methods default to those
 //! entry points, so the three selectable kinds differ only where one
 //! overrides a method:
 //!
@@ -22,8 +22,12 @@
 //! * every GEMM variant and every element-wise op is **bit-identical** to
 //!   the portable loops, in `f32` and `f64`, on every host, so `scalar` and
 //!   `simd` differ in speed only;
-//! * transcendentals (sigmoid/tanh/softmax) are the same scalar code in
-//!   every backend, so activations never diverge;
+//! * the `f32` sigmoid and tanh are one branch-free polynomial each
+//!   ([`crate::reference::sigmoid_f32`], [`crate::reference::tanh_f32`]:
+//!   ≤ 3 and ≤ 2 ULP from exact, no libm call) with the same bits as a
+//!   scalar call, in the vectorised slice loops
+//!   ([`crate::activation::sigmoid_slice`]) and under every backend — the
+//!   trait below has no activation methods, so nothing can diverge;
 //! * the int8 GEMM carries the quantization error bound computed by
 //!   [`int8_bound`]; its backward kernels (`gemm_nt`/`gemm_tn`) stay in
 //!   f32.
@@ -235,25 +239,7 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         self.row_mul_add_f32(a2, b1, b2, out_b, rows, cols);
     }
 
-    /// Element-wise logistic sigmoid.
-    ///
-    /// Every shipped backend keeps this default so activations are
-    /// bit-exact across backends (documented error-bound policy: only the
-    /// int8 GEMM may diverge).
-    fn sigmoid_f32(&self, m: &mut [f32]) {
-        for v in m {
-            *v = v.sigmoid();
-        }
-    }
-
-    /// Element-wise tanh (same everywhere, like sigmoid).
-    fn tanh_f32(&self, m: &mut [f32]) {
-        for v in m {
-            *v = v.tanh();
-        }
-    }
-
-    /// Row-wise stable softmax (same everywhere, like sigmoid).
+    /// Row-wise stable softmax (the same code in every backend).
     fn softmax_rows_f32(&self, m: &mut [f32], rows: usize, cols: usize) {
         activation::softmax_rows_slice(m, rows, cols);
     }
@@ -560,23 +546,16 @@ impl Backend {
         self.row_mul_add(a2, b1, b2, out_b);
     }
 
-    /// Element-wise sigmoid through the backend (scalar in every shipped
-    /// backend — see the module docs' error-bound policy).
+    /// Element-wise sigmoid: [`activation::sigmoid_slice`], the same
+    /// dispatched loop and the same bits under every backend.
     pub fn sigmoid_inplace<T: Float>(self, m: &mut Matrix<T>) {
-        if let Some(mf) = T::as_f32_slice_mut(m.as_mut_slice()) {
-            self.0.sigmoid_f32(mf);
-        } else {
-            activation::sigmoid_inplace(m);
-        }
+        activation::sigmoid_slice(m.as_mut_slice());
     }
 
-    /// Element-wise tanh through the backend.
+    /// Element-wise tanh: [`activation::tanh_slice`], like
+    /// [`Backend::sigmoid_inplace`].
     pub fn tanh_inplace<T: Float>(self, m: &mut Matrix<T>) {
-        if let Some(mf) = T::as_f32_slice_mut(m.as_mut_slice()) {
-            self.0.tanh_f32(mf);
-        } else {
-            activation::tanh_inplace(m);
-        }
+        activation::tanh_slice(m.as_mut_slice());
     }
 
     /// Row-wise softmax through the backend.

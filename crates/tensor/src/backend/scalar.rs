@@ -3,7 +3,9 @@
 //! Overrides the six kernels that contain a fused multiply-add with the
 //! portable loops of [`crate::reference`], run as written (`mul_add` is a
 //! call to `fmaf` in a build without `+fma`). Everything else is
-//! [`KernelBackend`]'s default. The dispatched kernels the free functions
+//! [`KernelBackend`]'s default, and the gate non-linearities are not on the
+//! trait at all: [`crate::activation::sigmoid_slice`] has the same bits
+//! on every path, so there is nothing for an oracle to run differently. The dispatched kernels the free functions
 //! and [`super::SimdBackend`] run must match these loops bit for bit, so an
 //! executor on this backend checked against `SequentialExec` (free
 //! functions) is a check of the vector kernels against the portable loops.

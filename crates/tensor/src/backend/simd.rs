@@ -3,9 +3,11 @@
 //!
 //! * **x86-64**: AVX2+FMA, selected per call via `is_x86_feature_detected!`
 //!   (a cached atomic load). `f32` GEMMs run the register-tile kernels
-//!   below; `f64`, ragged edges and the fused element-wise ops run the
-//!   portable loops of [`crate::reference`] inlined into an `avx2,fma`
-//!   wrapper, where `mul_add` is one `vfmadd` instead of a call to `fmaf`.
+//!   below (4×16 where sixteen columns exist, 4×8 on one narrower strip);
+//!   `f64`, ragged edges, the fused element-wise ops and the sigmoid/tanh
+//!   loops run the portable loops of [`crate::reference`] inlined into an
+//!   `avx2,fma` wrapper, where `mul_add` is one `vfmadd` instead of a call
+//!   to `fmaf` and the straight-line `f32` non-linearities vectorise.
 //! * **aarch64**: NEON kernels for the `f32` NN GEMM, `axpy` and
 //!   `hadamard_add` (NEON is baseline on aarch64, no detection needed).
 //! * **anything else**: nothing here is compiled; the portable loops run.
@@ -15,8 +17,9 @@
 //! into the lanes (NN/TN) or `alpha` applied at the flush (NT), FMA in
 //! ascending `p`, one accumulator flush into `C` per `KC` block. A vector
 //! lane is an IEEE-754 FMA like any other, so results equal the portable
-//! loops' bit for bit. NT gets there by packing `Bᵀ` into a `KC×NR` panel
-//! first, so that its reduction runs down the lanes instead of across them.
+//! loops' bit for bit. NT gets there by packing `Bᵀ` into a `KC × 2·NR`
+//! panel first, so that its reduction runs down the lanes instead of across
+//! them.
 
 use super::{BackendKind, KernelBackend};
 
@@ -103,8 +106,9 @@ pub(crate) mod x86 {
         }
     }
 
-    /// The `f32` NN/TN kernel: full-width column strips on the register
-    /// tile, the ragged right edge on the portable micro-kernels.
+    /// The `f32` NN/TN kernel: 16-column strips on the wide register tile,
+    /// one 8-column strip if eight or more columns remain, the ragged right
+    /// edge on the portable micro-kernels.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_f32<const TRANS_A: bool>(
         alpha: f32,
@@ -123,24 +127,23 @@ pub(crate) mod x86 {
                 let ilim = (i0 + MR).min(m);
                 let mut j0 = 0;
                 while j0 + NR <= n {
-                    // SAFETY: rows [i0, ilim), columns [j0, j0+NR) and the
-                    // k-panel [kk, kend) are inside the m×k / k×n / m×n
-                    // slices the caller vouched for.
+                    let wide = j0 + 2 * NR <= n;
+                    // SAFETY: rows [i0, ilim), the k-panel [kk, kend) and
+                    // columns [j0, j0 + 16) if `wide`, [j0, j0 + 8)
+                    // otherwise, are inside the m×k / k×n / m×n slices the
+                    // caller vouched for.
                     unsafe {
-                        tile::<true>(
-                            alpha,
-                            a.as_ptr().add(i0 * rs + kk * cs),
-                            rs,
-                            cs,
-                            b.as_ptr().add(kk * n + j0),
-                            n,
-                            c.as_mut_ptr().add(i0 * n + j0),
-                            n,
-                            ilim - i0,
-                            kend - kk,
-                        )
-                    };
-                    j0 += NR;
+                        let ap = a.as_ptr().add(i0 * rs + kk * cs);
+                        let bp = b.as_ptr().add(kk * n + j0);
+                        let cp = c.as_mut_ptr().add(i0 * n + j0);
+                        let (rows, kc) = (ilim - i0, kend - kk);
+                        if wide {
+                            tile::<true, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                        } else {
+                            tile::<true, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                        }
+                    }
+                    j0 += if wide { 2 * NR } else { NR };
                 }
                 if j0 < n && TRANS_A {
                     reference::micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, n, kk, kend, n);
@@ -151,11 +154,12 @@ pub(crate) mod x86 {
         }
     }
 
-    /// The `f32` NT kernel, order-preserving: each `NR`-column strip of
-    /// `Bᵀ` is transposed into a `KC×NR` panel, after which the product is
-    /// the NN register tile with `alpha` applied at the flush — the
-    /// portable loop's one FMA chain per element, eight elements abreast.
-    /// Columns past the last full strip take the portable loop.
+    /// The `f32` NT kernel, order-preserving: each 16-column strip of `Bᵀ`
+    /// (8 columns for a last narrow one) is transposed into a `KC × 16`
+    /// panel, after which the product is the NN register tile with `alpha`
+    /// applied at the flush — the portable loop's one FMA chain per
+    /// element, sixteen elements abreast. Columns past the last full
+    /// 8-column strip take the portable loop.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_nt_f32(
         alpha: f32,
@@ -168,33 +172,39 @@ pub(crate) mod x86 {
     ) {
         let full = n - n % NR;
         // Written by `pack_bt` before `tile` reads it; never zero-filled.
-        let mut panel = [MaybeUninit::<f32>::uninit(); KC * NR];
+        let mut panel = [MaybeUninit::<f32>::uninit(); KC * 2 * NR];
         let panel = panel.as_mut_ptr().cast::<f32>();
         for kk in (0..k).step_by(KC) {
             let kc = (kk + KC).min(k) - kk;
-            for j0 in (0..full).step_by(NR) {
-                // SAFETY: rows [j0, j0+NR) × columns [kk, kk+kc) of the
-                // n×k `b` are in bounds; the panel holds KC×NR ≥ kc×NR.
-                unsafe { pack_bt(b.as_ptr().add(j0 * k + kk), k, kc, panel) };
-                for i0 in (0..m).step_by(MR) {
-                    // SAFETY: rows [i0, i0+rows) × [kk, kk+kc) of `a` and
-                    // × [j0, j0+NR) of `c` are in bounds; `pack_bt` just
-                    // initialised the first kc×NR panel entries.
-                    unsafe {
-                        tile::<false>(
-                            alpha,
-                            a.as_ptr().add(i0 * k + kk),
-                            k,
-                            1,
-                            panel,
-                            NR,
-                            c.as_mut_ptr().add(i0 * n + j0),
-                            n,
-                            (m - i0).min(MR),
-                            kc,
-                        )
-                    };
+            let mut j0 = 0;
+            while j0 < full {
+                // Registers per row in this strip, and the panel's stride.
+                let w = if j0 + 2 * NR <= full { 2 } else { 1 };
+                let ldp = w * NR;
+                for v in 0..w {
+                    let j = j0 + v * NR;
+                    // SAFETY: rows [j, j+NR) × columns [kk, kk+kc) of the
+                    // n×k `b` are in bounds (j + NR ≤ full); columns
+                    // [v·NR, v·NR + NR) of the kc × ldp panel are inside
+                    // its KC × 2·NR floats.
+                    unsafe { pack_bt(b.as_ptr().add(j * k + kk), k, kc, panel.add(v * NR), ldp) };
                 }
+                for i0 in (0..m).step_by(MR) {
+                    let rows = (m - i0).min(MR);
+                    // SAFETY: rows [i0, i0+rows) × [kk, kk+kc) of `a` and
+                    // × [j0, j0 + ldp) of `c` are in bounds (j0 + ldp ≤
+                    // full); `pack_bt` just initialised the kc × ldp panel.
+                    unsafe {
+                        let ap = a.as_ptr().add(i0 * k + kk);
+                        let cp = c.as_mut_ptr().add(i0 * n + j0);
+                        if w == 2 {
+                            tile::<false, 2>(alpha, ap, k, 1, panel, ldp, cp, n, rows, kc)
+                        } else {
+                            tile::<false, 1>(alpha, ap, k, 1, panel, ldp, cp, n, rows, kc)
+                        }
+                    }
+                }
+                j0 += ldp;
             }
         }
         if full < n {
@@ -202,13 +212,14 @@ pub(crate) mod x86 {
         }
     }
 
-    /// `panel[p * NR + j] = b[j * ldb + p]` for `j < NR`, `p < kc`: an
-    /// `NR × kc` block of row-major `b`, transposed.
+    /// `panel[p * ldp + j] = b[j * ldb + p]` for `j < NR`, `p < kc`: an
+    /// `NR × kc` block of row-major `b`, transposed into `NR` columns of a
+    /// panel whose rows are `ldp` floats apart.
     #[inline(always)]
-    unsafe fn pack_bt(b: *const f32, ldb: usize, kc: usize, panel: *mut f32) {
+    unsafe fn pack_bt(b: *const f32, ldb: usize, kc: usize, panel: *mut f32, ldp: usize) {
         // SAFETY: the caller guarantees `b` addresses NR rows of ≥ kc
-        // floats at stride `ldb` and `panel` has room for kc×NR floats,
-        // and only calls this with AVX2 available.
+        // floats at stride `ldb` and `panel` kc rows of ≥ NR floats at
+        // stride `ldp`, and only calls this with AVX2 available.
         unsafe {
             let mut p = 0;
             while p + 8 <= kc {
@@ -237,10 +248,10 @@ pub(crate) mod x86 {
                     _mm256_shuffle_ps::<0xEE>(t5, t7),
                 ];
                 for q in 0..4 {
-                    let out = panel.add((p + q) * NR);
+                    let out = panel.add((p + q) * ldp);
                     _mm256_storeu_ps(out, _mm256_permute2f128_ps::<0x20>(s[q], s[q + 4]));
                     _mm256_storeu_ps(
-                        out.add(4 * NR),
+                        out.add(4 * ldp),
                         _mm256_permute2f128_ps::<0x31>(s[q], s[q + 4]),
                     );
                 }
@@ -248,22 +259,24 @@ pub(crate) mod x86 {
             }
             while p < kc {
                 for j in 0..NR {
-                    *panel.add(p * NR + j) = *b.add(j * ldb + p);
+                    *panel.add(p * ldp + j) = *b.add(j * ldb + p);
                 }
                 p += 1;
             }
         }
     }
 
-    /// One `rows × NR` register tile over `kc` reduction steps, one 8-lane
-    /// accumulator per row: `acc[r] = fma(A[r, p], B[p, ·], acc[r])` for
+    /// One `rows × W·NR` register tile (`rows ≤ MR`, `W` 8-lane registers
+    /// per row: the 4×16 tile is `W = 2`, eight independent FMA chains fed
+    /// by two loads of `B` and four broadcasts of `A` per step) over `kc`
+    /// reduction steps: `acc[r] = fma(A[r, p], B[p, ·], acc[r])` for
     /// ascending `p`, then one flush into `C`. `A[r, p]` is `a[r*rs + p*cs]`,
-    /// `B[p, ·]` the 8 floats at `b[p * ldb]`. `PRE` folds `alpha` into `A`
-    /// before the FMA and flushes `c += acc` (the NN/TN order); otherwise
-    /// the flush is `c += alpha · acc` (the NT order).
+    /// `B[p, ·]` the `W·NR` floats at `b[p * ldb]`. `PRE` folds `alpha` into
+    /// `A` before the FMA and flushes `c += acc` (the NN/TN order);
+    /// otherwise the flush is `c += alpha · acc` (the NT order).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn tile<const PRE: bool>(
+    unsafe fn tile<const PRE: bool, const W: usize>(
         alpha: f32,
         a: *const f32,
         rs: usize,
@@ -275,26 +288,61 @@ pub(crate) mod x86 {
         rows: usize,
         kc: usize,
     ) {
-        // SAFETY: the caller guarantees AVX2+FMA and that `a`, `b`, `c`
-        // address a rows×kc, kc×NR and rows×NR block at the given strides.
+        // SAFETY: the caller's guarantees, passed on unchanged. A full tile
+        // gets its row count as a constant, so that the row loops unroll
+        // and the accumulators stay in registers.
         unsafe {
-            let mut acc = [_mm256_setzero_ps(); MR];
+            if rows == MR {
+                tile_rows::<PRE, W>(alpha, a, rs, cs, b, ldb, c, ldc, MR, kc)
+            } else {
+                tile_rows::<PRE, W>(alpha, a, rs, cs, b, ldb, c, ldc, rows, kc)
+            }
+        }
+    }
+
+    /// The body of [`tile`].
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn tile_rows<const PRE: bool, const W: usize>(
+        alpha: f32,
+        a: *const f32,
+        rs: usize,
+        cs: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        kc: usize,
+    ) {
+        // SAFETY: the caller guarantees AVX2+FMA, `rows ≤ MR`, and that
+        // `a`, `b`, `c` address a rows×kc, kc×(W·NR) and rows×(W·NR) block
+        // at the given strides.
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); W]; MR];
             for p in 0..kc {
-                let bv = _mm256_loadu_ps(b.add(p * ldb));
-                for (r, accv) in acc.iter_mut().enumerate().take(rows) {
+                let mut bv = [_mm256_setzero_ps(); W];
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    *bv = _mm256_loadu_ps(b.add(p * ldb + v * NR));
+                }
+                for (r, accr) in acc.iter_mut().enumerate().take(rows) {
                     let av = *a.add(r * rs + p * cs);
-                    let av = if PRE { alpha * av } else { av };
-                    *accv = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, *accv);
+                    let av = _mm256_set1_ps(if PRE { alpha * av } else { av });
+                    for (accv, bv) in accr.iter_mut().zip(bv) {
+                        *accv = _mm256_fmadd_ps(av, bv, *accv);
+                    }
                 }
             }
-            for (r, accv) in acc.iter().enumerate().take(rows) {
-                let cp = c.add(r * ldc);
-                let add = if PRE {
-                    *accv
-                } else {
-                    _mm256_mul_ps(_mm256_set1_ps(alpha), *accv)
-                };
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), add));
+            for (r, accr) in acc.iter().enumerate().take(rows) {
+                for (v, accv) in accr.iter().enumerate() {
+                    let cp = c.add(r * ldc + v * NR);
+                    let add = if PRE {
+                        *accv
+                    } else {
+                        _mm256_mul_ps(_mm256_set1_ps(alpha), *accv)
+                    };
+                    _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), add));
+                }
             }
         }
     }
@@ -343,6 +391,26 @@ pub(crate) mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(crate) unsafe fn dot<T: Float>(a: &[T], b: &[T]) -> T {
         reference::dot_slice(a, b)
+    }
+
+    /// See [`axpy`]: for `f32` the body is straight-line arithmetic with no
+    /// call in it, so the loop vectorises eight lanes wide (a lane is the
+    /// same IEEE operation; nothing contracts to an FMA).
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn sigmoid<T: Float>(m: &mut [T]) {
+        reference::sigmoid_slice(m);
+    }
+
+    /// See [`sigmoid`].
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn tanh<T: Float>(m: &mut [T]) {
+        reference::tanh_slice(m);
     }
 
     /// See [`axpy`]: ten `ymm` accumulators, nothing but `vfmadd` in the loop.

@@ -38,7 +38,8 @@ pub(crate) const KC: usize = 256;
 pub(crate) const MC: usize = 64;
 /// Register tile: rows of C updated per micro-kernel invocation.
 pub(crate) const MR: usize = 4;
-/// Register tile: columns of C updated per micro-kernel invocation.
+/// Register tile: columns of C per vector register (the AVX2 kernels
+/// update `2·NR` columns per invocation where that many exist).
 pub(crate) const NR: usize = 8;
 
 /// Which operand of `C = alpha * op(A) * op(B) + beta * C` is transposed.

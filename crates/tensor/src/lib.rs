@@ -10,7 +10,10 @@
 //!   variants needed by backpropagation),
 //! * [`ops`] — element-wise kernels (Hadamard products, axpy, bias
 //!   broadcast, reductions),
-//! * [`activation`] — sigmoid/tanh/softmax and their derivatives,
+//! * [`activation`] — sigmoid/tanh/softmax and their derivatives (the
+//!   paper's MKL vectorises the gate non-linearities as well as the GEMM;
+//!   here the `f32` ones are branch-free polynomials whose slice loops run
+//!   on the vector unit),
 //! * [`init`] — deterministic, seedable weight initialisation,
 //! * [`reference`] — the portable loops that define the arithmetic of
 //!   every fused multiply-add kernel: the fallback, and the oracle the

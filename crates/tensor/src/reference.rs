@@ -15,6 +15,11 @@
 //!   every path must agree with these loops **bit for bit**. The public
 //!   functions below exist so tests and benches can check exactly that.
 //!
+//! The `f32` gate non-linearities are defined here too, [`sigmoid_f32`] and
+//! [`tanh_f32`]: straight-line polynomials with no fused multiply-add and
+//! no libm call in them, so that their slice loops vectorise inside the
+//! same wrapper and every lane width gives the bits of a scalar call.
+//!
 //! Every loop is `#[inline(always)]` so that it takes on the target
 //! features of the wrapper it is inlined into.
 
@@ -295,6 +300,101 @@ pub(crate) fn dot_slice<T: Float>(a: &[T], b: &[T]) -> T {
     s
 }
 
+/// Horner evaluation, highest coefficient first, as separate multiplies and
+/// adds (see [`exp_f32`] for why not `mul_add`).
+#[inline(always)]
+fn horner<const N: usize>(x: f32, coeffs: [f32; N]) -> f32 {
+    let mut p = coeffs[0];
+    for c in &coeffs[1..] {
+        p = p * x + c;
+    }
+    p
+}
+
+/// `e^x` for `x` clamped to `[-87, 87]` (results stay normal, `2ⁿ` stays
+/// representable): Cephes `expf` without its branches. `n = round(x·log₂e)`
+/// falls out of adding 1.5·2²³, `r = x − n·ln 2` is taken in two pieces
+/// (`LN2_HI` has nine significant bits, so `n · LN2_HI` is exact), a degree-5 polynomial gives `e^r`, and `2ⁿ` is
+/// the low bits of the magic sum moved into the exponent field.
+///
+/// Like [`sigmoid_f32`] and [`tanh_f32`] this is IEEE `+ − × ÷`, selects
+/// and integer bit operations only — no `mul_add` (a call to `fmaf` per
+/// term in a build without `+fma`), no rounding intrinsic, no libm — so a
+/// scalar call, the SSE2 loop and the AVX2 loop of the same source give
+/// the same bits.
+#[inline(always)]
+fn exp_f32(x: f32) -> f32 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // NaN fails both comparisons and flows through to the product below.
+    let x = if x > 87.0 { 87.0 } else { x };
+    let x = if x < -87.0 { -87.0 } else { x };
+    let t = x * std::f32::consts::LOG2_E + MAGIC;
+    let n = t - MAGIC;
+    let r = x - n * LN2_HI - n * LN2_LO;
+    let taylor = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_6e-1,
+        5.0e-1,
+    ];
+    let p = horner(r, taylor);
+    let two_n = f32::from_bits((t.to_bits() << 23).wrapping_add(0x3f80_0000));
+    (p * (r * r) + r + 1.0) * two_n
+}
+
+/// The one `f32` logistic sigmoid, `1 / (1 + e^-x)`: straight-line and
+/// branch-free (see [`exp_f32`]), ≤ 3 ULP from the exact value on
+/// `[-20, 20]`, monotone, inside `[0, 1]`, `0.5` at zero, NaN for NaN.
+/// `<f32 as Float>::sigmoid` is this function.
+#[inline(always)]
+pub fn sigmoid_f32(x: f32) -> f32 {
+    1.0 / (1.0 + exp_f32(-x))
+}
+
+/// The one `f32` tanh (Cephes `tanhf`, both branches computed and one
+/// selected): an odd polynomial below 0.625, `1 − 2 / (e^{2|x|} + 1)` above,
+/// evaluated on `|x|` with the sign bit or-ed back, so it is exactly odd
+/// and keeps `±0`. ≤ 2 ULP from the exact value, monotone, inside
+/// `[-1, 1]`, NaN for NaN. `<f32 as Float>::tanh` is this function.
+#[inline(always)]
+pub fn tanh_f32(x: f32) -> f32 {
+    let sign = x.to_bits() & 0x8000_0000;
+    let ax = f32::from_bits(x.to_bits() & 0x7fff_ffff);
+    let z = ax * ax;
+    let odd = [
+        -5.704_988_7e-3,
+        2.063_908_8e-2,
+        -5.373_971_5e-2,
+        1.333_144_2e-1,
+        -3.333_328e-1,
+    ];
+    let small = horner(z, odd) * z * ax + ax;
+    let large = 1.0 - 2.0 / (exp_f32(2.0 * ax) + 1.0);
+    let y = if ax < 0.625 { small } else { large };
+    f32::from_bits(y.to_bits() | sign)
+}
+
+/// `m[i] = σ(m[i])`, one [`Float::sigmoid`] per element; for `f32` the
+/// straight-line body above, which the compiler vectorises.
+#[inline(always)]
+pub(crate) fn sigmoid_slice<T: Float>(m: &mut [T]) {
+    for v in m {
+        *v = v.sigmoid();
+    }
+}
+
+/// `m[i] = tanh(m[i])`; see [`sigmoid_slice`].
+#[inline(always)]
+pub(crate) fn tanh_slice<T: Float>(m: &mut [T]) {
+    for v in m {
+        *v = v.tanh();
+    }
+}
+
 /// Lanes × independent chains of [`fma_chains`]: ten 8-lane accumulators
 /// cover the FMA units' latency × width on every current x86-64 and
 /// aarch64 core while still fitting the register file.
@@ -418,6 +518,90 @@ mod tests {
             case::<f32>(rows, cols);
             case::<f64>(rows, cols);
         }
+    }
+
+    /// Distance from the exact value in units of the `f32` spacing there.
+    fn ulps(got: f32, exact: f64) -> f64 {
+        let near = (exact as f32).abs().max(f32::MIN_POSITIVE);
+        let spacing = f64::from(f32::from_bits(near.to_bits() + 1)) - f64::from(near);
+        (f64::from(got) - exact).abs() / spacing
+    }
+
+    /// The inputs of the two activation tests, ascending: a dense grid on
+    /// [-20, 20] (coarse under Miri) and the magnitudes where a branch of
+    /// the original Cephes code, a clamp or a rounding boundary sits.
+    fn activation_inputs() -> Vec<f32> {
+        let steps: i32 = if cfg!(miri) { 160 } else { 20 * 4096 };
+        let edges = [
+            0.0,
+            1e-30,
+            1e-6,
+            0.6249,
+            0.625,
+            9.0,
+            20.0,
+            88.0,
+            89.0,
+            1e30,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        let mut xs: Vec<f32> = (-steps..=steps)
+            .map(|i| i as f32 * (20.0 / steps as f32))
+            .chain(edges.into_iter().flat_map(|x| [x, -x]))
+            .collect();
+        xs.sort_by(f32::total_cmp);
+        xs
+    }
+
+    /// Runs under Miri too (detection is off there: this is the scalar code).
+    #[test]
+    fn sigmoid_f32_is_accurate_monotone_bounded_and_total() {
+        let mut below = 0.0f32;
+        for x in activation_inputs() {
+            let y = sigmoid_f32(x);
+            assert!((0.0..=1.0).contains(&y), "sigmoid({x}) = {y}");
+            assert!(y >= below, "sigmoid decreases at {x}");
+            below = y;
+            if x.abs() <= 20.0 {
+                let exact = 1.0 / (1.0 + (-f64::from(x)).exp());
+                assert!(ulps(y, exact) <= 3.0, "sigmoid({x}) = {y}, exact {exact}");
+            }
+        }
+        assert_eq!(sigmoid_f32(0.0), 0.5);
+        assert_eq!(sigmoid_f32(-0.0), 0.5);
+        assert_eq!(sigmoid_f32(f32::INFINITY), 1.0);
+        assert!(sigmoid_f32(f32::NEG_INFINITY) < 1e-37);
+        assert!(sigmoid_f32(f32::NAN).is_nan());
+        assert!(sigmoid_f32(-f32::NAN).is_nan());
+    }
+
+    /// Runs under Miri too.
+    #[test]
+    fn tanh_f32_is_accurate_odd_monotone_bounded_and_total() {
+        let mut below = -1.0f32;
+        for x in activation_inputs() {
+            let y = tanh_f32(x);
+            assert!((-1.0..=1.0).contains(&y), "tanh({x}) = {y}");
+            assert!(y >= below, "tanh decreases at {x}");
+            below = y;
+            assert_eq!(
+                tanh_f32(-x).to_bits(),
+                (-y).to_bits(),
+                "tanh is not exactly odd at {x}"
+            );
+            // Past |x| ≈ 9 the exact value rounds to ±1, and so must ours.
+            let exact = f64::from(x).tanh();
+            assert!(ulps(y, exact) <= 2.0, "tanh({x}) = {y}, exact {exact}");
+        }
+        assert_eq!(tanh_f32(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh_f32(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(tanh_f32(1e-30), 1e-30);
+        assert_eq!(tanh_f32(f32::INFINITY), 1.0);
+        assert_eq!(tanh_f32(f32::NEG_INFINITY), -1.0);
+        assert!(tanh_f32(f32::NAN).is_nan());
+        assert!(tanh_f32(-f32::NAN).is_nan());
     }
 
     /// A zero against a non-finite operand must still give NaN in every

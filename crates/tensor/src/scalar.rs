@@ -4,8 +4,14 @@
 //! gradient-checking tests want `f64`, so every kernel is generic over
 //! [`Float`]. The trait is deliberately tiny — just the arithmetic and
 //! transcendental surface the RNN kernels need — to avoid pulling in an
-//! external numerics crate.
+//! external numerics crate. `exp`, `ln` and `sqrt` are libm's in both
+//! precisions; `sigmoid` and `tanh` are libm's for `f64` only — for `f32`
+//! they are the branch-free polynomials of [`crate::reference`], whose
+//! bits do not depend on whether a call is scalar or a lane of a
+//! vectorised loop. (Mind method resolution on a concrete `f32`:
+//! `x.tanh()` is the inherent libm method, `Float::tanh(x)` is ours.)
 
+use crate::reference;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -50,7 +56,8 @@ pub trait Float:
     fn exp(self) -> Self;
     /// Natural logarithm.
     fn ln(self) -> Self;
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent: libm for `f64`, [`crate::reference::tanh_f32`]
+    /// for `f32`.
     fn tanh(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
@@ -109,23 +116,25 @@ pub trait Float:
         }
     }
 
-    /// Numerically stable logistic function `1 / (1 + e^-x)`.
-    ///
-    /// Implemented here (rather than in `activation`) so both precisions
-    /// share the overflow-free formulation.
-    fn sigmoid(self) -> Self {
-        if self >= Self::ZERO {
-            let z = (-self).exp();
-            Self::ONE / (Self::ONE + z)
-        } else {
-            let z = self.exp();
-            z / (Self::ONE + z)
-        }
+    /// Logistic function `1 / (1 + e^-x)`, overflow-free. `f64` composes it
+    /// from libm's `exp`; `f32` is [`crate::reference::sigmoid_f32`].
+    fn sigmoid(self) -> Self;
+}
+
+/// The libm-composed sigmoid: `e^x` is only ever taken of a non-positive
+/// argument, so nothing overflows.
+#[inline(always)]
+fn sigmoid_via_exp(x: f64) -> f64 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let z = x.exp();
+        z / (1.0 + z)
     }
 }
 
 macro_rules! impl_float {
-    ($t:ty) => {
+    ($t:ty, $sigmoid:path, $tanh:path) => {
         impl Float for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -148,7 +157,7 @@ macro_rules! impl_float {
             }
             #[inline(always)]
             fn tanh(self) -> Self {
-                self.tanh()
+                $tanh(self)
             }
             #[inline(always)]
             fn sqrt(self) -> Self {
@@ -166,12 +175,18 @@ macro_rules! impl_float {
             fn mul_add(self, a: Self, b: Self) -> Self {
                 <$t>::mul_add(self, a, b)
             }
+            #[inline(always)]
+            fn sigmoid(self) -> Self {
+                $sigmoid(self)
+            }
         }
     };
 }
 
-impl_float!(f32);
-impl_float!(f64);
+// f32 runs the branch-free polynomials (same bits scalar or vectorised);
+// f64 keeps libm, which the gradient checks want.
+impl_float!(f32, reference::sigmoid_f32, reference::tanh_f32);
+impl_float!(f64, sigmoid_via_exp, f64::tanh);
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
+use bpar_tensor::activation::{sigmoid_slice, tanh_slice};
 use bpar_tensor::gemm::{gemm, gemm_naive, gemm_nt, gemm_tn};
-use bpar_tensor::{init, ops, reference, Matrix};
+use bpar_tensor::{init, ops, reference, Float, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: matrix of the given shape with small bounded values.
@@ -62,6 +63,34 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The slice entry points (vectorised where the host allows, with a
+    /// scalar tail) equal one `Float` call per element, bit for bit, for
+    /// every bit pattern — non-finite included, a NaN matching any NaN —
+    /// at every length around the vector width and every alignment.
+    #[test]
+    fn activation_slices_equal_per_element_calls_bitwise(
+        vals in proptest::collection::vec(
+            prop_oneof![any::<u32>().prop_map(f32::from_bits), -20.0f32..20.0],
+            0..40,
+        ),
+        offset in 0usize..8,
+    ) {
+        let check = |slice: fn(&mut [f32]), scalar: fn(f32) -> f32| {
+            let mut buf = vec![0.0f32; offset];
+            buf.extend_from_slice(&vals);
+            slice(&mut buf[offset..]);
+            for (&x, &got) in vals.iter().zip(&buf[offset..]) {
+                let want = scalar(x);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "f({x:e}) = {got:e} in the slice, {want:e} alone"
+                );
+            }
+        };
+        check(sigmoid_slice::<f32>, Float::sigmoid);
+        check(tanh_slice::<f32>, Float::tanh);
+    }
 
     #[test]
     fn blocked_gemm_equals_naive((a, b, c0) in gemm_triple(), alpha in -2.0f64..2.0, beta in -2.0f64..2.0) {
