@@ -77,7 +77,7 @@ use bpar_verify::{
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-pub use crate::emit::SeedBug;
+pub use crate::emit::{Coarsen, SeedBug};
 
 /// What to analyze: one model configuration and batch shape.
 #[derive(Debug, Clone)]
@@ -125,6 +125,11 @@ pub struct AnalyzeOptions {
     /// executor's plan cache, so `scan` on a non-scannable cell analyses
     /// the chain graph it would actually run.
     pub recurrence: RecurrenceStrategy,
+    /// Timesteps per task of the analysed plan. The default
+    /// [`Coarsen::By`]`(1)` is the paper's graph; [`Coarsen::Rule`] is the
+    /// plan an executor compiles for this shape. Seeded plans are never
+    /// folded.
+    pub coarsen: Coarsen,
 }
 
 impl Default for AnalyzeOptions {
@@ -150,6 +155,7 @@ impl Default for AnalyzeOptions {
             cancel: false,
             scheduler: SchedulerPolicy::Fifo,
             recurrence: RecurrenceStrategy::Chain,
+            coarsen: Coarsen::By(1),
         }
     }
 }
@@ -187,6 +193,7 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
         replicas,
         training: opts.train,
         scan_chunks: built_strategy.scan_chunks(),
+        coarsen: plan.coarsen,
     };
 
     // Prong 1a: structural lints + shape over the compiled plan. The
@@ -220,6 +227,7 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
         fuse_merges: false,
         split_cells: false,
         recurrence: opts.recurrence,
+        coarsen: Coarsen::By(plan.coarsen),
     };
     let graph = build_graph(&gspec);
     let graph_view = GraphView::from_graph(&graph);
@@ -316,6 +324,7 @@ fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -
         Backend::default(),
         opts.recurrence
             .effective(opts.config.cell, opts.config.seq_len),
+        opts.coarsen,
     )
 }
 
@@ -329,10 +338,41 @@ pub fn plan_view(opts: &AnalyzeOptions) -> GraphView {
     GraphView::from_plan(&plan.compiled)
 }
 
+/// Wall-clock seconds of each of `replays` warm replays (batch load,
+/// replay, `taskwait`) of the plan [`analyze`] examines for `opts`, on one
+/// worker under `opts.scheduler`. Executors derive their granularity from
+/// the shape; this is how the `granularity` experiment times one shape at
+/// every [`AnalyzeOptions::coarsen`].
+pub fn time_replays(opts: &AnalyzeOptions, replays: usize) -> Vec<f64> {
+    let model = Brnn::<f64>::new(opts.config, opts.model_seed);
+    let batch = synth_batch(&opts.config, opts.rows);
+    let target = synth_target(&opts.config, opts.rows);
+    let plan = build_plan(opts, &model, &batch);
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        policy: opts.scheduler,
+        record_trace: false,
+    });
+    let replay = || {
+        let t0 = std::time::Instant::now();
+        plan.load_batch(&model, &batch);
+        if opts.train {
+            plan.load_target(&target);
+        }
+        rt.replay(&plan.compiled);
+        rt.taskwait().expect("clean plan panicked");
+        plan.scrub();
+        t0.elapsed().as_secs_f64()
+    };
+    (0..3).for_each(|_| _ = replay());
+    (0..replays).map(|_| replay()).collect()
+}
+
 /// Human-readable `(cell, slot)` coordinates for every region any task
 /// of the plan declares, e.g. `r0.st_fwd[1][2]`.
 fn region_name_map<T: Float>(plan: &ExecPlan<T>, seed: Option<SeedBug>) -> HashMap<u64, String> {
-    let stream = ExecPlan::stream(&plan.replicas, plan.train, seed);
+    let coarsen = Coarsen::By(plan.coarsen);
+    let (stream, _) = ExecPlan::stream(&plan.replicas, plan.train, seed, coarsen);
     let clauses = |n| stream.ins(n).iter().chain(stream.outs(n));
     let slots = stream.nodes.iter().flat_map(clauses);
     slots

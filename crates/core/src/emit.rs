@@ -21,10 +21,11 @@
 //! * `analyze` lints either.
 //!
 //! Everything that is *not* the paper's graph is a transform over the
-//! emitted stream rather than a branch inside emission: the framework
-//! ablations ([`insert_barriers`], [`fuse_merges`], [`split_cells`]) and
-//! the seeded bugs of the soundness detectors ([`drop_state_clause`],
-//! [`append_epoch_probe`]).
+//! emitted stream rather than a branch inside emission: the task
+//! granularity ([`coarsen`], with `k` chosen by [`Coarsen::Rule`]), the
+//! framework ablations ([`insert_barriers`], [`fuse_merges`],
+//! [`split_cells`]) and the seeded bugs of the soundness detectors
+//! ([`drop_state_clause`], [`append_epoch_probe`]).
 
 use crate::model::{BrnnConfig, ModelKind};
 use crate::scanplan::{NodeRef, ScanPlan};
@@ -170,6 +171,22 @@ pub(crate) enum Kind {
 }
 
 impl Kind {
+    /// The kind whose runs [`coarsen`] folds this one into — consecutive
+    /// nodes of one family (and one layer, direction and replica) form a
+    /// run: `dense` folds with the `merge_final` it reads, the backward
+    /// seed with its `loss`. `None` for kinds that are never folded (scan
+    /// sweeps are chunked already; reductions and ablation nodes stand
+    /// alone).
+    fn family(self) -> Option<Kind> {
+        use Kind::*;
+        match self {
+            Cell | Merge | MergeFinal | Loss | CellBwd | MergeBwd => Some(self),
+            Dense => Some(MergeFinal),
+            MergeBwdFinal => Some(Loss),
+            _ => None,
+        }
+    }
+
     fn is_scan(self) -> bool {
         use Kind::*;
         matches!(
@@ -196,6 +213,9 @@ pub(crate) struct Node {
     pub ws: usize,
     /// `[start, ins end, outs end]` of the clauses in the stream's arena.
     clauses: [usize; 3],
+    /// Range of the nodes [`coarsen`] folded into this one, in the
+    /// stream's member arena; empty for a node that is its own body.
+    members: [usize; 2],
 }
 
 impl Node {
@@ -212,6 +232,7 @@ impl Node {
             flops: 0,
             ws: 0,
             clauses: [0; 3],
+            members: [0; 2],
         }
     }
 
@@ -255,9 +276,21 @@ pub(crate) struct Stream {
     /// `nodes.len()` at the end of each stage emitted by
     /// [`Emitter::replica`].
     stage_ends: Vec<usize>,
+    /// The original nodes of every node [`coarsen`] folded, in stream
+    /// order (coordinates only: their clause lists are empty).
+    folded: Vec<Node>,
 }
 
 impl Stream {
+    /// The nodes whose bodies `n` runs, in order: `n` itself unless
+    /// [`coarsen`] folded several nodes into it.
+    pub fn members<'a>(&'a self, n: &'a Node) -> &'a [Node] {
+        match n.members {
+            [a, b] if a < b => &self.folded[a..b],
+            _ => std::slice::from_ref(n),
+        }
+    }
+
     /// The node's declared `in` clauses.
     pub fn ins(&self, n: &Node) -> &[SlotRef] {
         &self.slots[n.clauses[0]..n.clauses[1]]
@@ -309,6 +342,42 @@ impl Stream {
         node.clauses = [start, mid, self.slots.len()];
         self.nodes.push(node);
     }
+
+    /// Appends the fold of `run`, consecutive nodes of `from` (see
+    /// [`coarsen`]); a run of one is copied as it is.
+    fn push_folded(&mut self, from: &Stream, run: &[Node]) {
+        let mut node = run[0];
+        if let [only] = run {
+            let (ins, outs) = (from.ins(only), from.outs(only));
+            return self.push_refs(node, ins.iter().copied(), outs.iter().copied());
+        }
+        let start = self.slots.len();
+        let mut written: Vec<SlotRef> = Vec::new();
+        for m in run {
+            for r in from.ins(m) {
+                if !written.contains(r) && !self.slots[start..].contains(r) {
+                    self.slots.push(*r);
+                }
+            }
+            for r in from.outs(m) {
+                if !written.contains(r) {
+                    written.push(*r);
+                }
+            }
+        }
+        let mid = self.slots.len();
+        self.slots.extend(written);
+        node.clauses = [start, mid, self.slots.len()];
+        node.flops = run.iter().map(|m| m.flops).sum();
+        node.ws = run.iter().map(|m| m.ws).sum();
+        node.members = [self.folded.len(), self.folded.len() + run.len()];
+        let coordinates = |m: &Node| Node {
+            clauses: [0; 3],
+            ..*m
+        };
+        self.folded.extend(run.iter().map(coordinates));
+        self.nodes.push(node);
+    }
 }
 
 /// The `(fwd t, rev t)` cell outputs feeding output position `i`: a
@@ -344,7 +413,82 @@ pub(crate) struct Emitter<'a> {
     pub rep: usize,
 }
 
+/// Barrier tags [`insert_barriers`] can hand out beyond `layers`.
+const BARRIER_TAGS: usize = 301;
+
+/// Dense numbering of every slot a replica of one shape (or a transform
+/// over its stream) can name — what lets a consumer map slots to regions
+/// through a `Vec` instead of hashing coordinates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotLayout {
+    layers: usize,
+    seq: usize,
+    outputs: usize,
+    /// Scan chunk totals, and transfer slots (totals + combine outputs),
+    /// per tree × direction × layer; 0 under the chain strategy.
+    chunks: usize,
+    transfers: usize,
+}
+
+impl SlotLayout {
+    /// Index of `slot`, below [`SlotLayout::len`].
+    pub fn index(&self, slot: SlotId) -> usize {
+        use SlotId::*;
+        let (layers, seq, n) = (self.layers, self.seq, self.outputs);
+        // Five `[dir][layer][t]` grids, the merge grid, then the lists.
+        let grid = |g: usize, d: Dir, l: usize, t: usize| ((g * 2 + d.ix()) * layers + l) * seq + t;
+        let merged = 10 * layers * seq;
+        let outputs = merged + layers * seq;
+        let grads = outputs + 3 * n;
+        let singles = grads + 2 * layers;
+        let scan = singles + 3;
+        let barriers = scan + 4 * layers * self.transfers;
+        match slot {
+            St(d, l, t) => grid(0, d, l, t),
+            Dh(d, l, t) => grid(1, d, l, t),
+            Sg(d, l, t) => grid(2, d, l, t),
+            Dinput(d, l, t) => grid(3, d, l, t),
+            Gemm(d, l, t) => grid(4, d, l, t),
+            Merged(l, t) => merged + l * seq + t,
+            Feat(i) => outputs + i,
+            Logits(i) => outputs + n + i,
+            Dfeat(i) => outputs + 2 * n + i,
+            Grads(d, l) => grads + d.ix() * layers + l,
+            GradsDense => singles,
+            Loss => singles + 1,
+            FeatAlias => singles + 2,
+            Scan(adjoint, d, l, r) => {
+                let k = match r {
+                    NodeRef::Total(i) => i,
+                    NodeRef::Node(i) => self.chunks + i,
+                    NodeRef::Identity => unreachable!("identity transfers are never materialised"),
+                };
+                scan + ((usize::from(adjoint) * 2 + d.ix()) * layers + l) * self.transfers + k
+            }
+            Barrier(tag) => barriers + tag as usize,
+        }
+    }
+
+    /// Number of distinct indices: one past the last barrier token
+    /// [`insert_barriers`] can hand out.
+    pub fn len(&self) -> usize {
+        self.index(SlotId::Barrier((BARRIER_TAGS + self.layers) as u64))
+    }
+}
+
 impl Emitter<'_> {
+    /// The dense slot numbering of this replica's shape.
+    pub fn slot_layout(&self) -> SlotLayout {
+        let chunks = self.scan.map_or(0, ScanPlan::chunk_count);
+        SlotLayout {
+            layers: self.cfg.layers,
+            seq: self.seq,
+            outputs: output_count(self.cfg.kind, self.seq),
+            chunks,
+            transfers: chunks + self.scan.map_or(0, |p| p.combines.len()),
+        }
+    }
+
     fn node(&self, kind: Kind, dir: Dir, at: (usize, usize), cost: (u64, usize)) -> Node {
         let mut n = Node::new(kind, self.rep, dir, at.0, at.1);
         (n.flops, n.ws) = cost;
@@ -648,6 +792,130 @@ impl Emitter<'_> {
 
 // ---- Transforms over an emitted stream ----
 
+/// How many consecutive timesteps of one layer and direction one task
+/// covers — the granularity transform's `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coarsen {
+    /// The smallest `k` that keeps per-task runtime overhead ten times
+    /// below the predicted task body (the paper's §IV-B ratio), from the
+    /// flops of the shape's forward cells — what every executor runs.
+    Rule,
+    /// Exactly `k` timesteps per task (clamped to `[1, seq]`); `By(1)` is
+    /// the paper's one-cell-per-task graph.
+    By(usize),
+}
+
+/// What the runtime spends per task outside its body — pop, release,
+/// wake-up: `runtime.gap_ns_per_task` on `fine_grain` (190–280 ns; one
+/// worker, so no parked-worker wake-up in it). §IV-B is an inequality, so
+/// the rule takes the top of the measured range here and the bottom of
+/// it for the body: the ratio then holds on the host's slow days too.
+const TASK_OVERHEAD_NS: f64 = 280.0;
+/// Part of a cell body that does not shrink with its flops — slot locks,
+/// weight snapshot, scratch checkout: the lowest `core.task_us_p50` seen
+/// on `fine_grain` (0.34 µs; it ranges to 0.50) less the flop term of its
+/// 98-flop cell.
+const BODY_FIXED_NS: f64 = 180.0;
+/// Flops per ns of the slowest kernels a plan can be frozen with — the
+/// `scalar` backend's portable loops, `tensor.gemm_*_gflops.scalar`
+/// (0.47–0.68). Every other backend's bodies are shorter than predicted,
+/// never longer, so the rule folds no plan further than any backend
+/// justifies and `k` needs no backend in its key.
+const BODY_FLOPS_PER_NS: f64 = 0.6;
+/// §IV-B: task creation, scheduling and synchronisation must cost "at
+/// least 10× less" than the task.
+const BODY_OVER_OVERHEAD: f64 = 10.0;
+
+impl Coarsen {
+    /// The `k` [`coarsen`] runs with for the stream(s) holding `nodes`.
+    ///
+    /// [`Coarsen::Rule`] is a pure function of the emitted forward cells:
+    /// their mean flops predict a body of `BODY_FIXED_NS + flops /
+    /// BODY_FLOPS_PER_NS`, and `k` is the smallest count of such bodies
+    /// that is `BODY_OVER_OVERHEAD` × `TASK_OVERHEAD_NS` long. Either way
+    /// `k` is clamped to `[1, seq]`, and is 1 for a scan stream, whose
+    /// sweeps are chunked already. The same shape therefore always
+    /// compiles to the same plan.
+    fn resolve<'a>(self, nodes: impl IntoIterator<Item = &'a Node>, seq: usize) -> usize {
+        let (mut cells, mut flops) = (0u64, 0u64);
+        for n in nodes {
+            if n.kind.is_scan() {
+                return 1;
+            }
+            if n.kind == Kind::Cell {
+                cells += 1;
+                flops += n.flops;
+            }
+        }
+        let k = match self {
+            Coarsen::By(k) => k,
+            Coarsen::Rule => {
+                let body_ns =
+                    BODY_FIXED_NS + flops as f64 / cells.max(1) as f64 / BODY_FLOPS_PER_NS;
+                (BODY_OVER_OVERHEAD * TASK_OVERHEAD_NS / body_ns).ceil() as usize
+            }
+        };
+        k.clamp(1, seq.max(1))
+    }
+
+    /// Folds every stream of one batch by the one `k` this resolves to
+    /// over all of them ([`coarsen`]); returns that `k`.
+    pub(crate) fn apply(self, streams: &mut [Stream], seq: usize) -> usize {
+        let k = self.resolve(streams.iter().flat_map(|s| &s.nodes), seq);
+        for stream in streams {
+            *stream = coarsen(std::mem::take(stream), k);
+        }
+        k
+    }
+}
+
+/// Granularity transform, the inverse of [`split_cells`]: folds every `k`
+/// consecutive timesteps (or output positions) of one kind family × layer
+/// × direction × replica into one node — forward cells, merges,
+/// `merge_final` with its `dense` head, `loss` with its backward seed,
+/// BPTT cells, inner `merge_bwd` — and never across a stage boundary.
+///
+/// The folded node reads what its members read less what an earlier member
+/// writes, writes what any member writes, sums their flops and working
+/// sets, carries the first member's label and tag, and its body is the
+/// members' bodies in stream order ([`Stream::members`]). A fold replaces a
+/// *contiguous* run of a topologically ordered stream, so every edge still
+/// points forward (no cycle), every original edge either falls inside a
+/// node or connects the two nodes holding its ends (clauses stay sound),
+/// and each body runs after everything it ran after before (bits cannot
+/// move). `k ≤ 1` returns the stream as emitted.
+fn coarsen(stream: Stream, k: usize) -> Stream {
+    if k <= 1 {
+        return stream;
+    }
+    let run_of = |n: &Node| (n.kind.family(), n.layer, n.dir, n.rep);
+    let mut out = Stream::default();
+    let mut stage_ends = stream.stage_ends.iter().copied().peekable();
+    let nodes = &stream.nodes;
+    let mut start = 0;
+    loop {
+        while stage_ends.next_if(|&e| e <= start).is_some() {
+            out.end_stage();
+        }
+        let Some(first) = nodes.get(start) else { break };
+        let limit = stage_ends.peek().map_or(nodes.len(), |&e| e);
+        let mut end = start + 1;
+        let mut positions = 1;
+        while first.kind.family().is_some() && end < limit && run_of(&nodes[end]) == run_of(first) {
+            if nodes[end].index != nodes[end - 1].index {
+                if positions == k {
+                    break;
+                }
+                positions += 1;
+            }
+            end += 1;
+        }
+        out.push_folded(&stream, &nodes[start..end]);
+        start = end;
+    }
+    out
+}
+
 /// A deliberately seeded bug class, each the exclusive prey of one
 /// analysis prong (see the [`crate::analyze`] module docs for the
 /// exclusivity argument). Used by `bpar analyze --seed-bug` and the
@@ -793,4 +1061,82 @@ pub(crate) fn split_cells(stream: &Stream, rows: usize, hidden: usize) -> Stream
         out.push_refs(pt, [gemm], outs);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cell::CellKind;
+    use std::collections::HashMap;
+
+    /// Every slot an emitter or a transform names has its own index below
+    /// `SlotLayout::len` — chain and scan, seeded and ablated.
+    #[test]
+    fn slot_layout_is_dense_and_injective() {
+        for (cell, chunks) in [(CellKind::Lstm, None), (CellKind::Linear, Some(3))] {
+            for kind in [ModelKind::ManyToOne, ModelKind::ManyToMany] {
+                let cfg = BrnnConfig {
+                    cell,
+                    layers: 3,
+                    seq_len: 7,
+                    kind,
+                    ..BrnnConfig::default()
+                };
+                let plan = chunks.map(|c| ScanPlan::new(cfg.seq_len, c));
+                let emitter = Emitter {
+                    cfg,
+                    seq: cfg.seq_len,
+                    rows: 2,
+                    scalar: 4,
+                    scan: plan.as_ref(),
+                    rep: 0,
+                };
+                let mut stream = Stream::default();
+                emitter.replica(true, &mut stream);
+                append_epoch_probe(&mut stream);
+                let mut streams = vec![coarsen(stream.clone(), 3)];
+                if plan.is_none() {
+                    streams.push(split_cells(&insert_barriers(&stream), 2, cfg.hidden_size));
+                }
+                let layout = emitter.slot_layout();
+                let mut seen: HashMap<usize, SlotId> = HashMap::new();
+                for s in &streams {
+                    let clauses = |n| s.ins(n).iter().chain(s.outs(n));
+                    for &(_, slot) in s.nodes.iter().flat_map(clauses) {
+                        let i = layout.index(slot);
+                        assert!(i < layout.len(), "{slot} -> {i} of {}", layout.len());
+                        let first = *seen.entry(i).or_insert(slot);
+                        assert_eq!(first, slot, "{first} and {slot} share index {i}");
+                    }
+                }
+                assert!(seen.len() > 100);
+            }
+        }
+    }
+
+    /// The rule's arithmetic on hand-made streams: `k` bodies of
+    /// `180 ns + flops / 0.6` reach 2.8 µs.
+    #[test]
+    fn rule_is_the_smallest_k_with_ten_times_the_overhead() {
+        let cells = |flops: &[u64]| -> Vec<Node> {
+            let cell = |&f| Node {
+                flops: f,
+                ..Node::new(Kind::Cell, 0, Dir::Fwd, 0, 0)
+            };
+            flops.iter().map(cell).collect()
+        };
+        let rule = |flops: &[u64], seq| Coarsen::Rule.resolve(&cells(flops), seq);
+        assert_eq!(rule(&[0], 100), 16); // 180 ns bodies
+        assert_eq!(rule(&[192], 100), 6); // 500 ns
+        assert_eq!(rule(&[1572], 100), 1); // 2.8 µs: one body is enough
+        assert_eq!(rule(&[1571], 100), 2);
+        assert_eq!(rule(&[100, 284], 100), 6); // the mean cell
+        assert_eq!(rule(&[0], 4), 4); // clamped to the sequence
+        assert_eq!(Coarsen::By(0).resolve(&cells(&[9]), 8), 1);
+        assert_eq!(Coarsen::By(12).resolve(&cells(&[9]), 8), 8);
+        // A scan stream is never folded.
+        let scan = [Node::new(Kind::ScanLocal, 0, Dir::Fwd, 0, 0)];
+        assert_eq!(Coarsen::By(4).resolve(&scan, 8), 1);
+        assert_eq!(Coarsen::Rule.resolve(&scan, 8), 1);
+    }
 }

@@ -18,7 +18,7 @@
 use super::builder::{task_spec, LiveSink, RegionAlloc, ReplicaGraph};
 use super::taskgraph::{collect_logits, TaskGraphExec};
 use super::{Executor, ForwardOutput, Target};
-use crate::emit::{Node, Stream};
+use crate::emit::{Coarsen, Node, Stream};
 use crate::model::Brnn;
 use crate::optim::Optimizer;
 use bpar_runtime::{Runtime, RuntimeConfig, SchedulerPolicy};
@@ -28,6 +28,8 @@ use bpar_tensor::{Backend, Float, Matrix};
 pub struct BarrierExec {
     runtime: Runtime,
     mbs: usize,
+    /// Timesteps per task: [`Coarsen::Rule`] outside this crate's tests.
+    coarsen: Coarsen,
 }
 
 impl BarrierExec {
@@ -46,7 +48,16 @@ impl BarrierExec {
                 record_trace: true,
             }),
             mbs,
+            coarsen: Coarsen::Rule,
         }
+    }
+
+    /// Pins the granularity instead of deriving it (see
+    /// [`TaskGraphExec::with_coarsen`]).
+    #[cfg(test)]
+    pub(crate) fn with_coarsen(mut self, coarsen: Coarsen) -> Self {
+        self.coarsen = coarsen;
+        self
     }
 
     /// The underlying runtime (task statistics, trace records).
@@ -91,6 +102,9 @@ impl BarrierExec {
         for (e, stream) in emitters.clone().zip(&mut streams) {
             e.replica(train, stream);
         }
+        // The same tasks as B-Par means the same granularity: one `k` from
+        // all replicas' cells, each stage folded within itself.
+        self.coarsen.apply(&mut streams, batch.len());
         let mut staged: Vec<_> = streams.iter().map(|s| (s, s.stages())).collect();
         for _ in 0..streams[0].stages().count() {
             for (stream, stages) in &mut staged {

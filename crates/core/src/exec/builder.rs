@@ -398,7 +398,8 @@ fn reduce_body<X: Send + Sync + 'static>(
 }
 
 /// The live consumer of the emitter: `node` with its clauses resolved
-/// against its replicas' slots and the body of its kind attached.
+/// against its replicas' slots and the body of its kind — of each of its
+/// members' kinds, for a folded node — attached.
 pub(crate) fn task_spec<T: Float>(
     replicas: &[ReplicaGraph<T>],
     stream: &Stream,
@@ -410,7 +411,16 @@ pub(crate) fn task_spec<T: Float>(
         .ins(stream.ins(node).iter().map(region))
         .outs(stream.outs(node).iter().map(region))
         .working_set(node.ws);
-    spec.body = Some(replicas[node.rep].body(node, &replicas[0]));
+    let body = |n: &Node| replicas[n.rep].body(n, &replicas[0]);
+    spec.body = Some(match stream.members(node) {
+        [only] => body(only),
+        // A node `emit::coarsen` folded: its members' bodies, unchanged,
+        // in stream order.
+        members => {
+            let bodies: Vec<PlanBody> = members.iter().map(body).collect();
+            Arc::new(move || bodies.iter().for_each(|b| b()))
+        }
+    });
     spec
 }
 

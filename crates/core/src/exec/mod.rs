@@ -175,6 +175,9 @@ pub(crate) fn check_batch<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> (us
 }
 
 #[cfg(test)]
+mod granularity_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -18,7 +18,7 @@
 use super::builder::{task_spec, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::TaskGraphExec;
 use super::{check_batch, Target};
-use crate::emit::{self, SeedBug, Stream};
+use crate::emit::{self, Coarsen, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
@@ -69,6 +69,8 @@ pub(crate) struct ExecPlan<T: Float> {
     pub compiled: Arc<CompiledPlan>,
     /// Whether the graph contains loss/backward/reduction tasks.
     pub train: bool,
+    /// Timesteps folded into each task (the resolved [`Coarsen`]).
+    pub coarsen: usize,
     /// Analytic size of the plan's persistent arena — every input, state,
     /// cache, merge and logit buffer its replicas keep alive between
     /// replays — computed once at build time from the plan's shapes.
@@ -76,22 +78,32 @@ pub(crate) struct ExecPlan<T: Float> {
 }
 
 impl<T: Float> ExecPlan<T> {
-    /// The plan's node stream: every replica's stages in order, then the
-    /// cross-replica reductions; last the stream transform of `seed`, if
-    /// any (first replica only).
-    pub fn stream(replicas: &[ReplicaGraph<T>], train: bool, seed: Option<SeedBug>) -> Stream {
+    /// The plan's node stream and the `k` it is folded by: every
+    /// replica's stages in order, then the cross-replica reductions,
+    /// through [`Coarsen::apply`] — or, for a seeded plan, unfolded and
+    /// with the stream transform of `seed` (first replica only).
+    pub fn stream(
+        replicas: &[ReplicaGraph<T>],
+        train: bool,
+        seed: Option<SeedBug>,
+        coarsen: Coarsen,
+    ) -> (Stream, usize) {
         let emitters = replicas.iter().enumerate().map(|(ri, rep)| rep.emitter(ri));
         let mut stream = Stream::default();
         emitters.clone().for_each(|e| e.replica(train, &mut stream));
         if train {
             emitters.skip(1).for_each(|e| e.reduce(&mut stream));
         }
+        let k = match seed {
+            None => coarsen.apply(std::slice::from_mut(&mut stream), replicas[0].seq),
+            Some(_) => 1,
+        };
         match seed {
             Some(SeedBug::MissingClause) => emit::drop_state_clause(&mut stream),
             Some(SeedBug::CrossEpochRace) => emit::append_epoch_probe(&mut stream),
             Some(SeedBug::DroppedEdge) | None => {}
         }
-        stream
+        (stream, k)
     }
 
     /// Builds the full graph for `batch`'s shape: replicas, task bodies,
@@ -99,8 +111,9 @@ impl<T: Float> ExecPlan<T> {
     /// [`ExecPlan::load_batch`] before every run (including the first).
     /// Forward task bodies dispatch their kernels through `backend`
     /// (frozen into the compiled bodies — one plan, one backend).
-    /// Executors pass `seed = None`; a [`SeedBug`] plants that bug for the
-    /// soundness detectors.
+    /// Executors pass `seed = None` and [`Coarsen::Rule`]; a [`SeedBug`]
+    /// plants that bug for the soundness detectors.
+    #[allow(clippy::too_many_arguments)]
     pub fn build(
         model: &Brnn<T>,
         batch: &[Matrix<T>],
@@ -109,6 +122,7 @@ impl<T: Float> ExecPlan<T> {
         seed: Option<SeedBug>,
         backend: Backend,
         strategy: RecurrenceStrategy,
+        coarsen: Coarsen,
     ) -> Self {
         let mut regions = RegionAlloc::default();
         let (weights, mut replicas, chunks) =
@@ -117,7 +131,7 @@ impl<T: Float> ExecPlan<T> {
             replicas[0].seed_alias(&mut regions);
         }
         let mut b = PlanBuilder::new();
-        let stream = Self::stream(&replicas, train, seed);
+        let (stream, coarsen) = Self::stream(&replicas, train, seed, coarsen);
         for node in &stream.nodes {
             b.submit(task_spec(&replicas, &stream, node));
         }
@@ -149,6 +163,7 @@ impl<T: Float> ExecPlan<T> {
             chunks,
             compiled,
             train,
+            coarsen,
             arena_bytes,
         }
     }

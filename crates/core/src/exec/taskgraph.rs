@@ -30,6 +30,7 @@
 use super::builder::{RegionAlloc, ReplicaGraph, WeightStore};
 use super::plan::{ExecPlan, PlanCache, PlanCacheStats, PlanKey};
 use super::{check_batch, ExecError, Executor, ForwardOutput, Target};
+use crate::emit::Coarsen;
 use crate::model::{Brnn, ModelKind};
 use crate::optim::Optimizer;
 use crate::scanplan::RecurrenceStrategy;
@@ -53,6 +54,8 @@ pub struct TaskGraphExec {
     mbs: usize,
     backend: BackendKind,
     strategy: RecurrenceStrategy,
+    /// Timesteps per task: [`Coarsen::Rule`] outside this crate's tests.
+    coarsen: Coarsen,
     plans: Mutex<PlanCache>,
 }
 
@@ -93,8 +96,17 @@ impl TaskGraphExec {
             mbs,
             backend,
             strategy: RecurrenceStrategy::Chain,
+            coarsen: Coarsen::Rule,
             plans: Mutex::new(PlanCache::default()),
         }
+    }
+
+    /// Pins the granularity instead of deriving it, so the parity tests
+    /// can sweep `k` on one shape.
+    #[cfg(test)]
+    pub(crate) fn with_coarsen(mut self, coarsen: Coarsen) -> Self {
+        self.coarsen = coarsen;
+        self
     }
 
     /// Selects how timestep recurrences execute
@@ -220,20 +232,31 @@ impl TaskGraphExec {
             backend: backend.kind(),
             strategy,
         };
-        let mut cache = self.plans.lock();
-        if let Some(plan) = cache.get::<T>(&key) {
+        if let Some(plan) = self.plans.lock().get::<T>(&key) {
             return (plan, key);
         }
-        drop(cache);
         // Build outside the lock: plan construction is the expensive path
         // and the serve loop may poll stats from another thread.
         let t0 = Instant::now();
         let plan = Arc::new(ExecPlan::build(
-            model, batch, self.mbs, train, None, backend, strategy,
+            model,
+            batch,
+            self.mbs,
+            train,
+            None,
+            backend,
+            strategy,
+            self.coarsen,
         ));
         let build_ns = t0.elapsed().as_nanos() as u64;
         let mut cache = self.plans.lock();
         cache.stats.build_ns += build_ns;
+        // Another caller may have missed on the same key meanwhile and
+        // cached its build first: keep that one, so a key never holds two
+        // entries (and their arena bytes, misses and weight syncs).
+        if let Some(first) = cache.get::<T>(&key) {
+            return (first, key);
+        }
         // The build's WeightStore seeds itself with one deep copy.
         cache.stats.weight_syncs += plan.weights.deep_copies();
         cache.insert(key.clone(), plan.clone());
@@ -467,6 +490,36 @@ mod tests {
         let chunks = row_chunks(10, 4);
         let sizes: Vec<usize> = chunks.iter().map(|&(_, c)| c).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
+    }
+
+    /// Callers that miss on one key at the same time all build, but the
+    /// cache keeps the first plan only: one entry, its arena counted once,
+    /// one miss and one weight sync — and every caller gets that plan.
+    #[test]
+    fn concurrent_misses_on_one_key_cache_one_plan() {
+        use crate::model::{Brnn, BrnnConfig};
+        let model: Brnn<f64> = Brnn::new(BrnnConfig::default(), 3);
+        let cfg = model.config;
+        let batch: Vec<Matrix<f64>> = (0..cfg.seq_len)
+            .map(|_| Matrix::zeros(2, cfg.input_size))
+            .collect();
+        let threads = 8;
+        let exec = TaskGraphExec::new(1);
+        let start = std::sync::Barrier::new(threads);
+        let plans: Vec<Arc<ExecPlan<f64>>> = std::thread::scope(|s| {
+            let caller = || {
+                start.wait();
+                exec.plan_for(0, &model, &batch, false).0
+            };
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(caller)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let stats = exec.plan_cache_stats();
+        assert_eq!(stats.cached_plans, 1);
+        assert_eq!(stats.arena_bytes, plans[0].arena_bytes);
+        assert_eq!((stats.misses, stats.weight_syncs), (1, 1));
+        assert_eq!(stats.hits, threads as u64 - 1);
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //! merge of layer `l`. Removing exactly those two constraints is what
 //! B-Par contributes.
 
-use crate::emit::{self, Emitter, SlotRef, Stream};
+use crate::emit::{self, Emitter, SlotLayout, SlotRef, Stream};
 use crate::exec::taskgraph::row_chunks;
 use crate::model::BrnnConfig;
 use crate::scanplan::{RecurrenceStrategy, ScanPlan};
 use bpar_runtime::graph::{TaskGraph, TaskNode};
 use bpar_runtime::RegionId;
-use std::collections::HashMap;
+
+pub use crate::emit::Coarsen;
 
 /// What part of a training step the graph covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,6 +67,10 @@ pub struct GraphSpec {
     /// exactly like the live executor (see
     /// [`RecurrenceStrategy::effective`]).
     pub recurrence: RecurrenceStrategy,
+    /// Timesteps per task. The constructors give [`Coarsen::By`]`(1)`, the
+    /// paper's graph; [`Coarsen::Rule`] is the graph the live executors
+    /// compile for this shape ([`GraphSpec::coarsen_factor`]).
+    pub coarsen: Coarsen,
 }
 
 impl GraphSpec {
@@ -80,6 +85,7 @@ impl GraphSpec {
             fuse_merges: false,
             split_cells: false,
             recurrence: RecurrenceStrategy::Chain,
+            coarsen: Coarsen::By(1),
         }
     }
 
@@ -121,78 +127,111 @@ impl GraphSpec {
         self.recurrence = recurrence;
         self
     }
+
+    /// Same spec with `coarsen` timesteps folded into each task.
+    pub fn with_coarsen(mut self, coarsen: Coarsen) -> Self {
+        self.coarsen = coarsen;
+        self
+    }
+
+    /// The `k` this spec's graph is folded by: [`GraphSpec::coarsen`]
+    /// resolved against the emitted stream, exactly as the live plan
+    /// builder resolves it for the same shape.
+    pub fn coarsen_factor(&self) -> usize {
+        self.streams().1
+    }
+}
+
+impl GraphSpec {
+    /// The spec's node streams — one per replica with the requested
+    /// transforms applied, last the cross-replica reductions — with the
+    /// `k` they were folded by and the replicas' slot numbering.
+    fn streams(&self) -> (Vec<Stream>, usize, SlotLayout) {
+        let cfg = self.config;
+        cfg.validate().expect("invalid config");
+        assert!(
+            !(self.barriers && self.fuse_merges),
+            "barrier and merge-fusion ablations are mutually exclusive"
+        );
+        // The generator honours the same fallback the live executor
+        // applies: non-scannable cells and degenerate chunk counts run the
+        // chain.
+        let recurrence = self.recurrence.effective(cfg.cell, cfg.seq_len);
+        let scan_plan = recurrence
+            .scan_chunks()
+            .map(|c| ScanPlan::new(cfg.seq_len, c));
+        let ablated = self.barriers || self.fuse_merges || self.split_cells;
+        assert!(
+            scan_plan.is_none() || !ablated,
+            "the scan strategy excludes the barrier/fusion/granularity ablations"
+        );
+        let train = self.phase == Phase::Training;
+        let emitters: Vec<Emitter> = row_chunks(self.batch_rows, self.mbs)
+            .iter()
+            .enumerate()
+            .map(|(rep, &(_, rows))| Emitter {
+                cfg,
+                seq: cfg.seq_len,
+                rows,
+                scalar: 4, // cost model assumes f32, like the paper's kernels
+                scan: scan_plan.as_ref(),
+                rep,
+            })
+            .collect();
+        let mut streams = vec![Stream::default(); emitters.len()];
+        for (e, replica) in emitters.iter().zip(&mut streams) {
+            e.replica(train, replica);
+        }
+        let k = self.coarsen.apply(&mut streams, cfg.seq_len);
+        assert!(
+            k == 1 || !ablated,
+            "a coarsened graph excludes the barrier/fusion/split ablations"
+        );
+        // Per replica: the requested ablation transforms.
+        for (e, replica) in emitters.iter().zip(&mut streams) {
+            if self.fuse_merges {
+                *replica = emit::fuse_merges(replica);
+            }
+            if self.barriers {
+                *replica = emit::insert_barriers(replica);
+            }
+            if self.split_cells {
+                *replica = emit::split_cells(replica, e.rows, cfg.hidden_size);
+            }
+        }
+        if train {
+            let mut reductions = Stream::default();
+            emitters[1..].iter().for_each(|e| e.reduce(&mut reductions));
+            streams.push(reductions);
+        }
+        (streams, k, emitters[0].slot_layout())
+    }
 }
 
 /// Builds the annotated task graph for `spec`: the `crate::emit` stream
-/// of every replica (with the requested ablation transforms applied),
-/// then the cross-replica gradient reductions, each slot id mapped to a
-/// fresh region.
+/// of every replica (with the requested transforms applied), then the
+/// cross-replica gradient reductions, each slot id mapped to a fresh
+/// region.
 pub fn build_graph(spec: &GraphSpec) -> TaskGraph {
-    let cfg = spec.config;
-    cfg.validate().expect("invalid config");
-    assert!(
-        !(spec.barriers && spec.fuse_merges),
-        "barrier and merge-fusion ablations are mutually exclusive"
-    );
-    // The generator honours the same fallback the live executor applies:
-    // non-scannable cells and degenerate chunk counts run the chain.
-    let recurrence = spec.recurrence.effective(cfg.cell, cfg.seq_len);
-    let scan_plan = recurrence
-        .scan_chunks()
-        .map(|c| ScanPlan::new(cfg.seq_len, c));
-    assert!(
-        scan_plan.is_none() || !(spec.barriers || spec.fuse_merges || spec.split_cells),
-        "the scan strategy excludes the barrier/fusion/granularity ablations"
-    );
-    let train = spec.phase == Phase::Training;
-    let emitters: Vec<Emitter> = row_chunks(spec.batch_rows, spec.mbs)
-        .iter()
-        .enumerate()
-        .map(|(rep, &(_, rows))| Emitter {
-            cfg,
-            seq: cfg.seq_len,
-            rows,
-            scalar: 4, // cost model assumes f32, like the paper's kernels
-            scan: scan_plan.as_ref(),
-            rep,
+    let (streams, _, layout) = spec.streams();
+    // Regions are numbered in order of first use, through a table indexed
+    // by replica and the slot's dense index.
+    let mut regions: Vec<Option<RegionId>> = vec![None; streams.len() * layout.len()];
+    let mut next = 0;
+    let mut region = |&(rep, slot): &SlotRef| {
+        *regions[rep * layout.len() + layout.index(slot)].get_or_insert_with(|| {
+            next += 1;
+            RegionId(next - 1)
         })
-        .collect();
-
-    // Per replica: its stream with the requested ablation transforms; last
-    // the cross-replica reductions.
-    let mut streams: Vec<Stream> = emitters
-        .iter()
-        .map(|e| {
-            let mut replica = Stream::default();
-            e.replica(train, &mut replica);
-            if spec.fuse_merges {
-                replica = emit::fuse_merges(&replica);
-            }
-            if spec.barriers {
-                replica = emit::insert_barriers(&replica);
-            }
-            if spec.split_cells {
-                replica = emit::split_cells(&replica, e.rows, cfg.hidden_size);
-            }
-            replica
-        })
-        .collect();
-    if train {
-        let mut reductions = Stream::default();
-        emitters[1..].iter().for_each(|e| e.reduce(&mut reductions));
-        streams.push(reductions);
-    }
-
-    let mut g = TaskGraph::new();
-    let mut regions: HashMap<SlotRef, RegionId> = HashMap::new();
-    let mut region = |slot: &SlotRef| {
-        let next = RegionId(regions.len() as u64);
-        *regions.entry(*slot).or_insert(next)
     };
+    let mut g = TaskGraph::new();
+    let (mut ins, mut outs) = (Vec::new(), Vec::new());
     for stream in &streams {
         for n in &stream.nodes {
-            let ins: Vec<RegionId> = stream.ins(n).iter().map(&mut region).collect();
-            let outs: Vec<RegionId> = stream.outs(n).iter().map(&mut region).collect();
+            ins.clear();
+            ins.extend(stream.ins(n).iter().map(&mut region));
+            outs.clear();
+            outs.extend(stream.outs(n).iter().map(&mut region));
             let node = TaskNode::new(n.label())
                 .tag(n.tag)
                 .flops(n.flops)

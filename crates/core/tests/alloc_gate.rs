@@ -13,6 +13,7 @@
 
 use bpar_core::cell::CellKind;
 use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, TaskGraphExec};
+use bpar_core::graphgen::{Coarsen, GraphSpec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_core::scanplan::RecurrenceStrategy;
@@ -200,6 +201,24 @@ fn warm_replayed_inference_batches_allocate_nothing() {
             false,
         );
     }
+
+    // Folded plans: with h = 2 the plan builder puts several timesteps in
+    // each task (`emit::coarsen`), whose body walks a list of its members'
+    // bodies — built once with the plan, so the warm replay still touches
+    // no allocator, under every backend.
+    let fine = BrnnConfig {
+        input_size: 2,
+        hidden_size: 2,
+        ..config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany)
+    };
+    let k = GraphSpec::inference(fine, 4)
+        .with_coarsen(Coarsen::Rule)
+        .coarsen_factor();
+    assert!(k > 1, "the gate's fine-grained shape is not folded");
+    gate::<f64>(fine, 23, BackendKind::Scalar, true);
+    gate::<f32>(fine, 23, BackendKind::Scalar, true);
+    gate::<f32>(fine, 29, BackendKind::Simd, true);
+    gate::<f32>(fine, 31, BackendKind::Int8, false);
 
     // The work-stealing scheduler must preserve the zero-allocation warm
     // path: deques and injector retain capacity across replays exactly

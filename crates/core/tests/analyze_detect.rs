@@ -295,3 +295,86 @@ fn seeded_reports_are_deterministic_too() {
     let d = analyze(&cross_epoch_opts()).to_json();
     assert_eq!(c, d);
 }
+
+/// The granularity transform keeps every plan sound: at any `k` —
+/// explicit, or the one the plan builder's rule derives for a
+/// fine-grained shape — the closed-form shape, the clause differ, the
+/// happens-before engine, the lock lints and the schedule prong
+/// (exhaustive where the folded plan is small enough, which folding makes
+/// more plans be) all report nothing, under every production scheduler.
+#[test]
+fn coarsened_plans_have_zero_findings_under_every_scheduler() {
+    use bpar_core::analyze::Coarsen;
+    use bpar_runtime::SchedulerPolicy;
+    let config = |kind| BrnnConfig {
+        layers: 2,
+        seq_len: 5,
+        input_size: 2,
+        hidden_size: 2,
+        output_size: 3,
+        kind,
+        ..BrnnConfig::default()
+    };
+    let mut explored = 0;
+    for scheduler in [
+        SchedulerPolicy::Fifo,
+        SchedulerPolicy::LocalityAware,
+        SchedulerPolicy::WorkStealing,
+    ] {
+        for coarsen in [Coarsen::Rule, Coarsen::By(2), Coarsen::By(5)] {
+            for (kind, train, mbs) in [
+                (ModelKind::ManyToMany, false, 1),
+                (ModelKind::ManyToMany, true, 2),
+                (ModelKind::ManyToOne, true, 1),
+            ] {
+                let opts = AnalyzeOptions {
+                    config: config(kind),
+                    rows: 2,
+                    mbs,
+                    train,
+                    scheduler,
+                    coarsen,
+                    ..AnalyzeOptions::default()
+                };
+                let report = analyze(&opts);
+                let what = format!("{scheduler:?} {coarsen:?} {kind:?} train={train} mbs={mbs}");
+                assert_eq!(report.errors, 0, "{what}:\n{}", report.to_json());
+                // Folded for real.
+                let unfolded = bpar_core::analyze::plan_view(&AnalyzeOptions {
+                    coarsen: Coarsen::By(1),
+                    ..opts
+                });
+                let plan = section(&report, "static-plan");
+                assert!(plan.metrics.tasks < unfolded.len(), "{what}");
+                let explore = report.graphs.iter().find(|g| g.name == "schedule-explore");
+                explored += usize::from(explore.is_some_and(|g| g.metrics.explore_complete == 1));
+            }
+        }
+    }
+    assert!(
+        explored >= 9,
+        "only {explored} folded plans were explored exhaustively"
+    );
+}
+
+/// A seeded plan is never folded, whatever granularity is asked for: each
+/// seeded bug is still caught, by its own prong.
+#[test]
+fn seeded_plans_stay_at_one_cell_per_task() {
+    use bpar_core::analyze::Coarsen;
+    for (opts, code) in [
+        (seeded(true, SeedBug::MissingClause), "BPV201"),
+        (dropped_edge_opts(), "BPV301"),
+        (cross_epoch_opts(), "BPV401"),
+    ] {
+        let plain = analyze(&opts).to_json();
+        assert!(plain.contains(code), "{code}");
+        for coarsen in [Coarsen::Rule, Coarsen::By(3)] {
+            let folded = AnalyzeOptions {
+                coarsen,
+                ..opts.clone()
+            };
+            assert_eq!(analyze(&folded).to_json(), plain, "{code} {coarsen:?}");
+        }
+    }
+}

@@ -287,13 +287,17 @@ fn single_layer_model_works() {
 #[test]
 fn runtime_stats_reflect_task_counts() {
     let cfg = config(CellKind::Lstm, ModelKind::ManyToOne, MergeMode::Sum);
-    let exec = TaskGraphExec::new(2);
-    let mut model: Brnn<f64> = Brnn::new(cfg, 1);
-    let xs = batch(cfg.seq_len, 4, cfg.input_size, 21);
-    let target = target_for(cfg.kind, cfg.seq_len, 4);
-    let mut opt = Sgd::new(0.1);
-    exec.train_batch(&mut model, &xs, &target, &mut opt);
-    let stats = exec.runtime().stats();
+    let tasks_of_one_step = |cfg: BrnnConfig, rows| {
+        let exec = TaskGraphExec::new(2);
+        let mut model: Brnn<f64> = Brnn::new(cfg, 1);
+        let xs = batch(cfg.seq_len, rows, cfg.input_size, 21);
+        let target = target_for(cfg.kind, cfg.seq_len, rows);
+        exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+        let stats = exec.runtime().stats();
+        assert!(stats.total_task_time > 0.0);
+        stats.tasks
+    };
+    // 4 rows of an h = 5 LSTM are coarse enough for one cell per task.
     // Forward: 2 dirs × L × T cells + (L-1) × T merges + 1 final merge.
     // Loss + merge_bwd seed + backward cells + inner merge_bwd.
     let l = cfg.layers;
@@ -303,8 +307,17 @@ fn runtime_stats_reflect_task_counts() {
         + 1 + 1 + 1               // merge_final, loss, merge_bwd seed
         + 2 * l * t               // backward cells
         + (l - 1) * t; // inner merge_bwd
-    assert_eq!(stats.tasks, expected);
-    assert!(stats.total_task_time > 0.0);
+    assert_eq!(tasks_of_one_step(cfg, 4), expected);
+
+    // One row of an h = 2 cell is not: the plan builder folds all T = 4
+    // timesteps (k = 7, clamped) into each task, so every run of T tasks
+    // is one, and the loss runs in one task with its backward seed.
+    let fine = BrnnConfig {
+        hidden_size: 2,
+        ..cfg
+    };
+    let folded = 2 * l + (l - 1) + 1 + 1 + 2 * l + (l - 1);
+    assert_eq!(tasks_of_one_step(fine, 1), folded);
 }
 
 #[test]

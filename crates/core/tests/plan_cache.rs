@@ -321,7 +321,9 @@ fn many_replays_keep_per_batch_trace_bounded() {
     let xs = inputs(&cfg, 3, 4, 6);
     exec.forward(&model, &xs);
     let tasks_per_batch = exec.runtime().stats().tasks;
-    assert!(tasks_per_batch > 0);
+    // 3 rows of an h = 4 LSTM get two timesteps per task: 2L·2 cell and
+    // (L-1)·2 merge tasks for T = 4, and one for the output (22 unfolded).
+    assert_eq!(tasks_per_batch, 8 + 2 + 1);
     for _ in 0..50 {
         exec.forward(&model, &xs);
         assert_eq!(exec.runtime().stats().tasks, tasks_per_batch);

@@ -3,10 +3,10 @@
 //! and phase — the closed form in `bpar_verify::shape` must predict the
 //! generated task/edge counts *exactly* for every canonical
 //! (barrier-free, unfused, unsplit) configuration, in both recurrence
-//! strategies.
+//! strategies and at every task granularity.
 
 use bpar_core::cell::CellKind;
-use bpar_core::graphgen::{build_graph, GraphSpec, Phase};
+use bpar_core::graphgen::{build_graph, Coarsen, GraphSpec, Phase};
 use bpar_core::model::{BrnnConfig, ModelKind};
 use bpar_core::scanplan::RecurrenceStrategy;
 use bpar_verify::{check_shape, expected_shape, scan_combine_count, GraphView, ShapeSpec};
@@ -14,47 +14,49 @@ use bpar_verify::{check_shape, expected_shape, scan_combine_count, GraphView, Sh
 fn sweep(kind: ModelKind) {
     let rows = 6;
     for layers in 1..=3 {
-        for seq in 1..=4 {
-            for mbs in 1..=3 {
-                for phase in [Phase::Inference, Phase::Training] {
-                    let config = BrnnConfig {
-                        layers,
-                        seq_len: seq,
-                        input_size: 3,
-                        hidden_size: 4,
-                        output_size: 3,
-                        kind,
-                        ..BrnnConfig::default()
-                    };
-                    let spec = GraphSpec {
-                        config,
-                        batch_rows: rows,
-                        mbs,
-                        phase,
-                        barriers: false,
-                        fuse_merges: false,
-                        split_cells: false,
-                        recurrence: RecurrenceStrategy::Chain,
-                    };
-                    let graph = build_graph(&spec);
-                    let view = GraphView::from_graph(&graph);
-                    let shape = ShapeSpec {
-                        layers,
-                        seq,
-                        outputs: match kind {
-                            ModelKind::ManyToOne => 1,
-                            ModelKind::ManyToMany => seq,
-                        },
-                        replicas: mbs, // rows = 6 >= mbs, so never clamped
-                        training: phase == Phase::Training,
-                        scan_chunks: None,
-                    };
-                    let findings = check_shape(view.len(), view.edge_count(), &shape);
-                    assert!(
-                        findings.is_empty(),
-                        "L={layers} T={seq} mbs={mbs} {kind:?} {phase:?}: {:#?}",
-                        findings
-                    );
+        for seq in 1..=7 {
+            // Unfolded, then every granularity: chunks that divide the
+            // sequence, ragged last chunks, k = T and k beyond it.
+            for k in (1..=seq).chain([seq + 5]) {
+                for mbs in 1..=3 {
+                    for phase in [Phase::Inference, Phase::Training] {
+                        let config = BrnnConfig {
+                            layers,
+                            seq_len: seq,
+                            input_size: 3,
+                            hidden_size: 4,
+                            output_size: 3,
+                            kind,
+                            ..BrnnConfig::default()
+                        };
+                        let spec = GraphSpec {
+                            phase,
+                            ..GraphSpec::training(config, rows)
+                                .with_mbs(mbs)
+                                .with_coarsen(Coarsen::By(k))
+                        };
+                        let graph = build_graph(&spec);
+                        graph.validate().unwrap();
+                        let view = GraphView::from_graph(&graph);
+                        let shape = ShapeSpec {
+                            layers,
+                            seq,
+                            outputs: match kind {
+                                ModelKind::ManyToOne => 1,
+                                ModelKind::ManyToMany => seq,
+                            },
+                            replicas: mbs, // rows = 6 >= mbs, so never clamped
+                            training: phase == Phase::Training,
+                            scan_chunks: None,
+                            coarsen: k,
+                        };
+                        let findings = check_shape(view.len(), view.edge_count(), &shape);
+                        assert!(
+                            findings.is_empty(),
+                            "L={layers} T={seq} k={k} mbs={mbs} {kind:?} {phase:?}: {:#?}",
+                            findings
+                        );
+                    }
                 }
             }
         }
@@ -93,14 +95,10 @@ fn scan_sweep(kind: ModelKind) {
                         };
                         let strategy = RecurrenceStrategy::Scan { chunks };
                         let spec = GraphSpec {
-                            config,
-                            batch_rows: rows,
-                            mbs,
                             phase,
-                            barriers: false,
-                            fuse_merges: false,
-                            split_cells: false,
-                            recurrence: strategy,
+                            ..GraphSpec::training(config, rows)
+                                .with_mbs(mbs)
+                                .with_recurrence(strategy)
                         };
                         let graph = build_graph(&spec);
                         let view = GraphView::from_graph(&graph);
@@ -114,6 +112,7 @@ fn scan_sweep(kind: ModelKind) {
                             replicas: mbs,
                             training: phase == Phase::Training,
                             scan_chunks: strategy.effective(CellKind::Linear, seq).scan_chunks(),
+                            coarsen: 1,
                         };
                         let findings = check_shape(view.len(), view.edge_count(), &shape);
                         assert!(
@@ -163,6 +162,7 @@ fn fig2_instance_is_26_39_and_51_110() {
         replicas: 1,
         training,
         scan_chunks: None,
+        coarsen: 1,
     };
     let inf = expected_shape(&m2o(false));
     assert_eq!((inf.tasks, inf.edges), (26, 39));

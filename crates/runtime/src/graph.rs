@@ -64,11 +64,12 @@ pub struct TaskGraph {
     nodes: Vec<TaskNode>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
-    /// Declared `in` clauses per task, verbatim (duplicates included) so
-    /// static analysis sees exactly what the builder wrote.
-    ins: Vec<Vec<RegionId>>,
-    /// Declared `out` clauses per task, verbatim.
-    outs: Vec<Vec<RegionId>>,
+    /// Declared `in` then `out` clauses of every task in one arena,
+    /// verbatim (duplicates included) so static analysis sees exactly what
+    /// the builder wrote.
+    clauses: Vec<RegionId>,
+    /// Per task, `[start, ins end, outs end]` in `clauses`.
+    spans: Vec<[usize; 3]>,
     deps: DepTracker,
 }
 
@@ -88,12 +89,21 @@ impl TaskGraph {
         for &p in &preds {
             self.succs[p.index()].push(id.index());
         }
-        self.preds.push(preds.iter().map(|p| p.index()).collect());
+        // Same-size elements: the collect reuses `preds`' allocation.
+        self.preds
+            .push(preds.into_iter().map(|p| p.index()).collect());
         self.succs.push(Vec::new());
-        self.ins.push(ins.to_vec());
-        self.outs.push(outs.to_vec());
+        self.push_clauses(ins, outs);
         self.nodes.push(node);
         id
+    }
+
+    fn push_clauses(&mut self, ins: &[RegionId], outs: &[RegionId]) {
+        let start = self.clauses.len();
+        self.clauses.extend_from_slice(ins);
+        self.clauses.extend_from_slice(outs);
+        self.spans
+            .push([start, start + ins.len(), self.clauses.len()]);
     }
 
     /// Adds a task with explicit predecessor ids (bypassing region clauses).
@@ -114,8 +124,7 @@ impl TaskGraph {
         ps.dedup();
         self.preds.push(ps);
         self.succs.push(Vec::new());
-        self.ins.push(Vec::new());
-        self.outs.push(Vec::new());
+        self.push_clauses(&[], &[]);
         self.nodes.push(node);
         TaskId(id)
     }
@@ -148,13 +157,15 @@ impl TaskGraph {
     /// Declared read regions of `id` (empty for tasks added via
     /// [`TaskGraph::add_task_with_preds`]).
     pub fn ins(&self, id: usize) -> &[RegionId] {
-        &self.ins[id]
+        let [start, mid, _] = self.spans[id];
+        &self.clauses[start..mid]
     }
 
     /// Declared write regions of `id` (empty for tasks added via
     /// [`TaskGraph::add_task_with_preds`]).
     pub fn outs(&self, id: usize) -> &[RegionId] {
-        &self.outs[id]
+        let [_, mid, end] = self.spans[id];
+        &self.clauses[mid..end]
     }
 
     /// All nodes, in id (topological) order.

@@ -41,6 +41,36 @@
 //! per layer, dense gradients, loss), each with exactly two edges (its
 //! source replica's last accumulation and the reduction chain on the
 //! destination).
+//!
+//! **Coarsening** (`k ≥ 2` timesteps per task, `bpar_core`'s `coarsen`
+//! transform): every run of `T` per-timestep tasks becomes `c = ⌈T/k⌉`
+//! tasks. Runs are chunked in stream order, so forward cells, merges,
+//! output positions, reverse-direction BPTT cells and inner backward
+//! merges are chunked by ascending `t` and reverse cells and
+//! forward-direction BPTT cells by descending `t`. Between two runs with
+//! the same alignment a per-timestep dependency leaves `c` edges; between
+//! opposite alignments the two chunkings' boundaries interleave, leaving
+//! `x = c` edges when `k` divides `T` and `2c - 1` otherwise. A
+//! many-to-one model has one output position (2 edges into it, 2 out of
+//! it whatever `k`); a many-to-many model's `T` positions are a run of
+//! their own.
+//!
+//! * inference: the output run folds each `merge_final` with its `dense`
+//!   head, `c_n = ⌈n/k⌉` tasks. Tasks `2Lc + (L-1)c + c_n`; edges:
+//!   `2L(c-1)` state chains, `(L-1)(c+x)` cell reads of the merge below,
+//!   `(L-1)(c+x)` merge reads and `o` output reads, `o = 2` (many-to-one)
+//!   or `c + x`.
+//! * training: `merge_final` and the `loss`+seed pair alternate in the
+//!   stream, so neither has a neighbour to fold with across positions:
+//!   `n` tasks each. Tasks `4Lc + 2(L-1)c + 2n`; edges: the forward part
+//!   with `o = 2n` (each position reads one chunk per direction), `n`
+//!   feature reads and `n-1` accumulator-chain edges, `2n` seed reads of the
+//!   states, `2n` seeds into the top layer's BPTT chunks, and per the
+//!   derivation above `2Lx` cached-state reads, `(L-1)(c+x)` inner `dh`
+//!   reads, `2L(c-1)` BPTT chains and `2(L-1)(c+x)` inner-backward-merge
+//!   reads: `4L(c-1) + 5(L-1)(c+x) + 2Lx + 8n - 1`.
+//!
+//! Reductions are untouched.
 
 use crate::report::Finding;
 
@@ -62,6 +92,9 @@ pub struct ShapeSpec {
     /// fallbacks pass `None`). See [`scan_combine_count`] for the tree
     /// arithmetic and the derivation below for the counts.
     pub scan_chunks: Option<usize>,
+    /// Timesteps folded into each task (`k`; 1 is the paper's graph, and
+    /// scan graphs are never folded).
+    pub coarsen: usize,
 }
 
 /// Combine-node count of a `C`-chunk Blelloch exclusive-prefix tree that
@@ -108,6 +141,7 @@ pub fn expected_shape(s: &ShapeSpec) -> ExpectedShape {
     let (l, t, n, r) = (s.layers, s.seq, s.outputs, s.replicas.max(1));
     let chain = l * t.saturating_sub(1); // one direction's state chain
     let inner = l.saturating_sub(1) * t; // merge positions per direction
+    let k = s.coarsen.clamp(1, t.max(1));
     let (per_tasks, per_edges) = match (s.scan_chunks, s.training) {
         (Some(c), training) => {
             let k = scan_combine_count(c);
@@ -121,6 +155,23 @@ pub fn expected_shape(s: &ShapeSpec) -> ExpectedShape {
                     2 * l * (2 * c + k - 1) + inner + 2 * n,
                     2 * l * (2 * k + 2 * (c - 1)) + 4 * inner + 3 * n,
                 )
+            }
+        }
+        (None, training) if k > 1 => {
+            // Chunks per run, and distinct chunk pairs between an
+            // ascending and a descending run.
+            let c = t.div_ceil(k);
+            let x = if t % k == 0 { c } else { 2 * c - 1 };
+            let inner = l.saturating_sub(1) * (c + x);
+            let forward = 2 * l * (c - 1) + 2 * inner;
+            if training {
+                (
+                    4 * l * c + 2 * l.saturating_sub(1) * c + 2 * n,
+                    forward + 2 * l * (c - 1) + 3 * inner + 2 * l * x + 8 * n - 1,
+                )
+            } else {
+                let reads = if n == 1 { 2 } else { c + x };
+                (3 * l * c - c + n.div_ceil(k), forward + reads)
             }
         }
         (None, true) => (
@@ -201,6 +252,7 @@ mod tests {
             replicas: 1,
             training: false,
             scan_chunks: None,
+            coarsen: 1,
         };
         assert_eq!(
             expected_shape(&s),
@@ -220,6 +272,7 @@ mod tests {
             replicas: 1,
             training: true,
             scan_chunks: None,
+            coarsen: 1,
         };
         assert_eq!(
             expected_shape(&s),
@@ -239,6 +292,7 @@ mod tests {
             replicas: 1,
             training: true,
             scan_chunks: None,
+            coarsen: 1,
         });
         let three = expected_shape(&ShapeSpec {
             layers: 2,
@@ -247,6 +301,7 @@ mod tests {
             replicas: 3,
             training: true,
             scan_chunks: None,
+            coarsen: 1,
         });
         // 2 extra replicas, each adding the per-replica graph plus
         // 2L+2 = 6 reduce tasks with 2 edges each.
@@ -263,6 +318,7 @@ mod tests {
             replicas: 4,
             training: false,
             scan_chunks: None,
+            coarsen: 1,
         };
         let one = expected_shape(&ShapeSpec { replicas: 1, ..s });
         let four = expected_shape(&s);
@@ -279,6 +335,7 @@ mod tests {
             replicas: 1,
             training: false,
             scan_chunks: None,
+            coarsen: 1,
         };
         assert!(check_shape(26, 39, &s).is_empty());
     }
@@ -292,6 +349,7 @@ mod tests {
             replicas: 1,
             training: false,
             scan_chunks: None,
+            coarsen: 1,
         };
         let f = check_shape(27, 39, &s);
         assert_eq!(f.len(), 1);
@@ -311,6 +369,7 @@ mod tests {
             replicas: 1,
             training: false,
             scan_chunks: None,
+            coarsen: 1,
         };
         // cells fwd+rev, final merge, dense = 4 tasks; 2 merge reads + 1
         // dense read = 3 edges.
@@ -342,6 +401,7 @@ mod tests {
             replicas: 1,
             training: true,
             scan_chunks: Some(2),
+            coarsen: 1,
         };
         assert_eq!(
             expected_shape(&s),
@@ -363,6 +423,7 @@ mod tests {
                 replicas: 1,
                 training: true,
                 scan_chunks: Some(8),
+                coarsen: 1,
             })
         };
         assert_eq!(shape(64), shape(16384));
@@ -377,6 +438,7 @@ mod tests {
             replicas: 1,
             training: true,
             scan_chunks: Some(4),
+            coarsen: 1,
         });
         let three = expected_shape(&ShapeSpec {
             layers: 2,
@@ -385,6 +447,7 @@ mod tests {
             replicas: 3,
             training: true,
             scan_chunks: Some(4),
+            coarsen: 1,
         });
         assert_eq!(three.tasks, 3 * one.tasks + 2 * 6);
         assert_eq!(three.edges, 3 * one.edges + 2 * 12);

@@ -4,7 +4,7 @@
 //! experiments are only meaningful if all three agree on structure.
 
 use bpar_core::analyze::{plan_view, AnalyzeOptions};
-use bpar_core::graphgen::{build_graph, GraphSpec, Phase};
+use bpar_core::graphgen::{build_graph, Coarsen, GraphSpec, Phase};
 use bpar_core::prelude::*;
 use bpar_sim::{simulate, SimConfig};
 use bpar_tensor::init;
@@ -57,11 +57,13 @@ fn live_shape(opts: &AnalyzeOptions) -> Shape {
 }
 
 /// The compiled live plan and the simulator's graph are two consumers of
-/// one description: over 480 configurations they must agree task by task
-/// on label, tag, predecessor set and clause counts.
+/// one description: over 960 configurations they must agree task by task
+/// on label, tag, predecessor set and clause counts — each side deriving
+/// its granularity from the shared §IV-B rule, which leaves the `h = 8`
+/// LSTMs at one cell per task and folds the cheaper chain cells.
 #[test]
 fn compiled_plan_equals_static_graph_task_by_task() {
-    let mut checked = 0;
+    let (mut checked, mut folded) = (0, 0);
     for (cell, recurrence) in [
         (CellKind::Lstm, RecurrenceStrategy::Chain),
         (CellKind::Lstm, RecurrenceStrategy::Scan { chunks: 2 }),
@@ -72,11 +74,12 @@ fn compiled_plan_equals_static_graph_task_by_task() {
             for layers in 1..=3 {
                 for seq in 1..=5 {
                     for mbs in 1..=2 {
-                        for train in [false, true] {
+                        for (hidden_size, train) in [(8, false), (8, true), (2, false), (2, true)] {
                             let config = BrnnConfig {
                                 cell,
                                 layers,
                                 seq_len: seq,
+                                hidden_size,
                                 kind,
                                 ..config()
                             };
@@ -86,6 +89,7 @@ fn compiled_plan_equals_static_graph_task_by_task() {
                                 mbs,
                                 train,
                                 recurrence,
+                                coarsen: Coarsen::Rule,
                                 ..AnalyzeOptions::default()
                             };
                             let spec = GraphSpec {
@@ -97,12 +101,22 @@ fn compiled_plan_equals_static_graph_task_by_task() {
                                 ..GraphSpec::training(config, 4)
                                     .with_mbs(mbs)
                                     .with_recurrence(recurrence)
+                                    .with_coarsen(Coarsen::Rule)
                             };
-                            assert_eq!(
-                                live_shape(&opts),
-                                static_shape(&spec),
-                                "{cell:?} {recurrence} {kind:?} L={layers} T={seq} mbs={mbs} train={train}"
+                            let what = format!(
+                                "{cell:?} {recurrence} {kind:?} L={layers} T={seq} \
+                                 h={hidden_size} mbs={mbs} train={train}"
                             );
+                            let k = spec.coarsen_factor();
+                            let coarse = cell == CellKind::Lstm && hidden_size == 8;
+                            assert!(!coarse || k == 1, "{what}: k = {k}");
+                            let live = live_shape(&opts);
+                            assert_eq!(live, static_shape(&spec), "{what}");
+                            if k > 1 {
+                                let unfolded = static_shape(&spec.with_coarsen(Coarsen::By(1)));
+                                assert!(live.len() < unfolded.len(), "{what}: k = {k}");
+                                folded += 1;
+                            }
                             checked += 1;
                         }
                     }
@@ -110,43 +124,51 @@ fn compiled_plan_equals_static_graph_task_by_task() {
             }
         }
     }
-    assert_eq!(checked, 480);
+    assert_eq!((checked, folded), (960, 384));
 }
 
 /// The executor really runs the plan's tasks: the live trace of one batch
-/// has the static graph's label histogram (training, `mbs` 1 and 3) and
-/// task count (inference).
+/// has the label histogram (training, `mbs` 1 and 3) and task count
+/// (inference) of the static graph at the rule's granularity — one cell
+/// per task at `h = 8`, folded at `h = 2`.
 #[test]
 fn live_trace_runs_every_task_of_the_graph() {
-    let cfg = config();
-    for (rows, mbs) in [(4, 1), (9, 3)] {
-        let exec = TaskGraphExec::with_config(2, bpar_runtime::SchedulerPolicy::LocalityAware, mbs);
-        let mut model: Brnn<f64> = Brnn::new(cfg, 1);
+    for hidden_size in [8, 2] {
+        let cfg = BrnnConfig {
+            hidden_size,
+            ..config()
+        };
+        let rule = |spec: GraphSpec| build_graph(&spec.with_coarsen(Coarsen::Rule));
+        for (rows, mbs) in [(4, 1), (9, 3)] {
+            let exec =
+                TaskGraphExec::with_config(2, bpar_runtime::SchedulerPolicy::LocalityAware, mbs);
+            let mut model: Brnn<f64> = Brnn::new(cfg, 1);
+            let xs: Vec<_> = (0..cfg.seq_len)
+                .map(|t| init::uniform(rows, cfg.input_size, -1.0, 1.0, t as u64))
+                .collect();
+            let target = Target::Classes((0..rows).map(|r| r % cfg.output_size).collect());
+            exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.01));
+            let mut live: HashMap<&'static str, usize> = HashMap::new();
+            for rec in exec.runtime().take_records() {
+                *live.entry(rec.label).or_insert(0) += 1;
+            }
+            let mut stat: HashMap<&'static str, usize> = HashMap::new();
+            for n in rule(GraphSpec::training(cfg, rows).with_mbs(mbs)).nodes() {
+                *stat.entry(n.label).or_insert(0) += 1;
+            }
+            assert_eq!(live, stat, "h {hidden_size} mbs {mbs}");
+        }
+        let exec = TaskGraphExec::new(2);
+        let model: Brnn<f64> = Brnn::new(cfg, 1);
         let xs: Vec<_> = (0..cfg.seq_len)
-            .map(|t| init::uniform(rows, cfg.input_size, -1.0, 1.0, t as u64))
+            .map(|t| init::uniform(4, cfg.input_size, -1.0, 1.0, t as u64))
             .collect();
-        let target = Target::Classes((0..rows).map(|r| r % cfg.output_size).collect());
-        exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.01));
-        let mut live: HashMap<&'static str, usize> = HashMap::new();
-        for rec in exec.runtime().take_records() {
-            *live.entry(rec.label).or_insert(0) += 1;
-        }
-        let mut stat: HashMap<&'static str, usize> = HashMap::new();
-        for n in build_graph(&GraphSpec::training(cfg, rows).with_mbs(mbs)).nodes() {
-            *stat.entry(n.label).or_insert(0) += 1;
-        }
-        assert_eq!(live, stat, "mbs {mbs}");
+        exec.forward(&model, &xs);
+        let spec = GraphSpec::inference(cfg, 4);
+        let tasks = exec.runtime().take_records().len();
+        assert_eq!(tasks, rule(spec).len());
+        assert_eq!(tasks < build_graph(&spec).len(), hidden_size == 2);
     }
-    let exec = TaskGraphExec::new(2);
-    let model: Brnn<f64> = Brnn::new(cfg, 1);
-    let xs: Vec<_> = (0..cfg.seq_len)
-        .map(|t| init::uniform(4, cfg.input_size, -1.0, 1.0, t as u64))
-        .collect();
-    exec.forward(&model, &xs);
-    assert_eq!(
-        exec.runtime().take_records().len(),
-        build_graph(&GraphSpec::inference(cfg, 4)).len()
-    );
 }
 
 #[test]
