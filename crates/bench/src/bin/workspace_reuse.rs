@@ -5,9 +5,12 @@
 //! cached plan, persistent arena, pooled output buffer — touches the heap
 //! allocator exactly zero times, where the *cold* path (plan rebuilt from
 //! scratch) pays the full build: replica construction, dependency
-//! compilation, and every activation/cache buffer. This bench measures
-//! both regimes over the same serving-shaped batches and reports
-//! per-batch wall time plus — when built with `--features count-alloc`,
+//! compilation, and every activation/cache buffer; and that a warm
+//! training step (resident arena, in-place weight re-sync, `Sgd` update)
+//! touches it zero times too. This bench measures both inference regimes
+//! over the same serving-shaped batches, and the warm training step on
+//! one of them, and reports per-batch wall time plus — when built with
+//! `--features count-alloc`,
 //! which installs [`bpar_tensor::CountingAlloc`] process-wide — the exact
 //! allocator call and byte counts per batch. Without the feature the
 //! allocation columns are `null` rather than silently zero.
@@ -17,8 +20,9 @@
 //!   cargo run --release -p bpar-bench --features count-alloc --bin workspace_reuse
 
 use bpar_bench::{print_table, write_json};
-use bpar_core::exec::{Executor, ForwardOutput, TaskGraphExec};
+use bpar_core::exec::{Executor, ForwardOutput, Target, TaskGraphExec};
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
+use bpar_core::optim::Sgd;
 use bpar_data::tidigits::{TidigitsDataset, DIGIT_CLASSES};
 use bpar_tensor::alloc_track::{allocation_count, bytes_allocated};
 use serde::Serialize;
@@ -50,6 +54,18 @@ struct ShapeRow {
     arena_bytes: u64,
 }
 
+/// Warm `try_train_batch` on one shape: revision bump, weight re-sync,
+/// forward, BPTT and the optimizer step per batch.
+#[derive(Serialize)]
+struct TrainRow {
+    rows: usize,
+    seq: usize,
+    batches: usize,
+    warm_batch_us: f64,
+    warm_allocs_per_batch: Option<u64>,
+    warm_bytes_per_batch: Option<u64>,
+}
+
 #[derive(Serialize)]
 struct WorkspaceReuseReport {
     seed: u64,
@@ -58,6 +74,7 @@ struct WorkspaceReuseReport {
     count_alloc: bool,
     config: String,
     shapes: Vec<ShapeRow>,
+    train: TrainRow,
 }
 
 /// Allocator-call and byte deltas across `f`, as `Some` only when the
@@ -149,6 +166,44 @@ fn main() {
         shape_rows.push(row);
     }
 
+    // Warm training on the serving tier's typical shape.
+    let (rows, seq) = (4, 16);
+    let (batch, labels) = data.batch::<f64>(7_000, rows, seq);
+    let target = Target::Classes(labels);
+    let mut trained = model.clone();
+    let mut opt = Sgd::new(0.01);
+    for _ in 0..WARMUP {
+        exec.try_train_batch(&mut trained, &batch, &target, &mut opt)
+            .expect("warmup step");
+    }
+    let train_start = Instant::now();
+    let (train_allocs, train_bytes) = counted(|| {
+        for _ in 0..BATCHES {
+            exec.try_train_batch(&mut trained, &batch, &target, &mut opt)
+                .expect("warm step");
+        }
+    });
+    let per = |v: Option<u64>| v.map(|n| n / BATCHES as u64);
+    let train = TrainRow {
+        rows,
+        seq,
+        batches: BATCHES,
+        warm_batch_us: train_start.elapsed().as_secs_f64() * 1e6 / BATCHES as f64,
+        warm_allocs_per_batch: per(train_allocs),
+        warm_bytes_per_batch: per(train_bytes),
+    };
+    table.push(vec![
+        format!("train {rows}x{seq}"),
+        "-".to_string(),
+        format!("{:.1}", train.warm_batch_us),
+        "-".to_string(),
+        "-".to_string(),
+        train
+            .warm_allocs_per_batch
+            .map_or_else(|| "-".to_string(), |n| n.to_string()),
+        "-".to_string(),
+    ]);
+
     print_table(
         "workspace reuse: cold rebuild vs warm replay (per batch)",
         &[
@@ -172,6 +227,12 @@ fn main() {
             "\nwarm allocations per batch, worst shape: {max_warm} \
              (steady-state target: 0)"
         );
+        println!(
+            "warm training allocations per step, {}x{}: {} (steady-state target: 0)",
+            train.rows,
+            train.seq,
+            train.warm_allocs_per_batch.unwrap_or(0)
+        );
     } else {
         println!("\n(build with --features count-alloc for exact allocation counts)");
     }
@@ -191,6 +252,7 @@ fn main() {
         count_alloc: cfg!(feature = "count-alloc"),
         config: canonical.clone(),
         shapes: shape_rows,
+        train,
     };
     write_json(
         &bpar_serve::metrics::report_name("workspace_reuse", SEED, &canonical),

@@ -56,6 +56,7 @@
 //! report is byte-identical across reruns.
 
 use crate::cell::CellParams;
+use crate::exec::builder::BodyConfig;
 use crate::exec::plan::ExecPlan;
 use crate::exec::taskgraph::{collect_logits, row_chunks};
 use crate::exec::Target;
@@ -315,17 +316,16 @@ pub fn analyze(opts: &AnalyzeOptions) -> AnalysisReport {
 
 /// Compiles the live plan `opts` describes (seeded bug included).
 fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -> ExecPlan<f64> {
-    ExecPlan::build(
-        model,
-        batch,
-        opts.mbs,
-        opts.train,
-        opts.seed_bug,
-        Backend::default(),
-        opts.recurrence
+    // Every analysis replay runs on a one-worker runtime.
+    let body = BodyConfig {
+        backend: Backend::default(),
+        strategy: opts
+            .recurrence
             .effective(opts.config.cell, opts.config.seq_len),
-        opts.coarsen,
-    )
+        train: opts.train,
+        workers: 1,
+    };
+    ExecPlan::build(model, batch, opts.mbs, opts.seed_bug, body, opts.coarsen)
 }
 
 /// The compiled live plan [`analyze`] examines for `opts`, as a view:
@@ -361,7 +361,6 @@ pub fn time_replays(opts: &AnalyzeOptions, replays: usize) -> Vec<f64> {
         }
         rt.replay(&plan.compiled);
         rt.taskwait().expect("clean plan panicked");
-        plan.scrub();
         t0.elapsed().as_secs_f64()
     };
     (0..3).for_each(|_| _ = replay());
@@ -613,13 +612,13 @@ fn fuzz_plan<T: Float>(
 }
 
 /// FNV-1a digest of everything a run produces: logits for inference, loss
-/// plus every gradient matrix for training. Consumes the plan's output
-/// slots (the caller scrubs afterwards anyway).
+/// plus every gradient matrix for training. Reads the plan's output
+/// slots; the caller clears them afterwards.
 fn fingerprint_outputs<T: Float>(plan: &ExecPlan<T>, model: &Brnn<T>, train: bool) -> String {
     let mut h = Fnv64::new();
     if train {
-        h.write_f64(plan.replicas[0].take_loss());
-        hash_grads(&mut h, &plan.replicas[0].take_grads());
+        h.write_f64(plan.replicas[0].loss());
+        hash_grads(&mut h, &plan.replicas[0].grads());
     } else {
         let out = collect_logits(model, &plan.replicas);
         hash_matrix(&mut h, &out.logits);

@@ -232,6 +232,32 @@ impl<T: Float> CellParams<T> {
         }
     }
 
+    /// Zeroes every matrix in place: [`CellParams::zeros_like`] for an
+    /// accumulator that already exists.
+    pub fn fill_zero(&mut self) {
+        match self {
+            CellParams::Lstm(p) => {
+                p.w.fill_zero();
+                p.b.fill_zero();
+            }
+            CellParams::Gru(p) => {
+                p.wzr.fill_zero();
+                p.bzr.fill_zero();
+                p.wh.fill_zero();
+                p.bh.fill_zero();
+            }
+            CellParams::Vanilla(p) => {
+                p.w.fill_zero();
+                p.b.fill_zero();
+            }
+            CellParams::Linear(p) => {
+                p.w.fill_zero();
+                p.lambda.fill_zero();
+                p.b.fill_zero();
+            }
+        }
+    }
+
     /// The cell kind these parameters belong to.
     pub fn kind(&self) -> CellKind {
         match self {

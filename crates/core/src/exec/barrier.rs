@@ -15,7 +15,7 @@
 //! ablation benches compare it directly against barrier-free B-Par on the
 //! same runtime, isolating the cost of the barriers themselves.
 
-use super::builder::{task_spec, LiveSink, RegionAlloc, ReplicaGraph};
+use super::builder::{task_spec, BodyConfig, LiveSink, RegionAlloc, ReplicaGraph};
 use super::taskgraph::{collect_logits, TaskGraphExec};
 use super::{Executor, ForwardOutput, Target};
 use crate::emit::{Coarsen, Node, Stream};
@@ -77,20 +77,20 @@ impl BarrierExec {
     ) -> Vec<ReplicaGraph<T>> {
         self.runtime.reset();
         let mut regions = RegionAlloc::default();
-        let (_weights, replicas, chunks) = TaskGraphExec::make_replicas(
-            self.mbs,
-            model,
-            batch,
-            &mut regions,
-            Backend::default(),
-            crate::scanplan::RecurrenceStrategy::Chain,
-        );
+        let train = target.is_some();
+        let body = BodyConfig {
+            backend: Backend::default(),
+            strategy: crate::scanplan::RecurrenceStrategy::Chain,
+            train,
+            workers: self.runtime.workers(),
+        };
+        let (_weights, replicas, chunks) =
+            TaskGraphExec::make_replicas(self.mbs, model, batch, &mut regions, body);
         if let Some(target) = target {
             for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
-                rep.set_target(&target.row_block(start, count));
+                rep.set_target(target, start, count);
             }
         }
-        let train = target.is_some();
         let mut sink = LiveSink(&self.runtime);
         let mut run_stage = |stream: &Stream, nodes: &[Node]| {
             for node in nodes {
@@ -138,10 +138,8 @@ impl<T: Float> Executor<T> for BarrierExec {
         opt: &mut dyn Optimizer<T>,
     ) -> f64 {
         let replicas = self.run(model, batch, Some(target));
-        let loss = replicas[0].take_loss();
-        let grads = replicas[0].take_grads();
-        model.apply_grads(opt, &grads);
-        loss
+        replicas[0].apply_grads(model, opt);
+        replicas[0].loss()
     }
 
     fn name(&self) -> &'static str {

@@ -18,8 +18,17 @@
 //!   stores the executor swaps between replays).
 //!
 //! Model weights are read through a [`WeightStore`]: a persistent snapshot
-//! deep-copied only when the model's revision stamp changes, never once per
-//! batch.
+//! re-synced — copied in place — only when the model's revision stamp
+//! changes, never once per batch.
+//!
+//! Memory (DESIGN.md §5): every slot keeps its buffer between replays and
+//! every body writes into it in place, so a warm replay — inference or
+//! training — touches no allocator. Cell slots keep their BPTT caches
+//! only in training replicas; an inference cell writes its forward
+//! intermediates into its worker's [`Scratch`], which also holds the
+//! kernels' transient buffers: one per runtime worker, sized for every
+//! body after the plan's first run ([`ReplicaGraph::equalize_scratch`]),
+//! never one per task.
 //!
 //! Floating-point note: task bodies perform identical kernel calls in an
 //! order whose only reorderings are commutative two-operand additions, so
@@ -31,16 +40,21 @@
 //! training graph, run the dispatched exact kernels (the default backend),
 //! which is why an int8 executor trains exactly.
 
+use super::Target;
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
 use crate::emit::{self, Dir, Emitter, Kind, Node, SlotId, SlotRef, Stream};
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_into;
+use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
+use crate::optim::Optimizer;
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
 use bpar_runtime::plan::PlanBody;
-use bpar_runtime::{record_read_at, record_write_at, PlanSpec, RegionId, Runtime, TaskSpec};
+use bpar_runtime::{
+    current_worker, record_read_at, record_write_at, PlanSpec, RegionId, Runtime, TaskSpec,
+};
 use bpar_tensor::{roundtrip_quantize, Backend, BackendKind, Float, Matrix, Workspace};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,13 +94,14 @@ impl LiveSink<'_> {
 /// Persistent shared handle on model weights.
 ///
 /// Task bodies read the current snapshot; the owning executor calls
-/// [`WeightStore::sync`] once per batch, which deep-copies the model *only*
+/// [`WeightStore::sync`] once per batch, which copies the model *only*
 /// when its revision stamp differs from the snapshot's — in steady-state
 /// inference serving that is never, fixing the per-batch
-/// `Arc::new(model.clone())` of the original executors.
+/// `Arc::new(model.clone())` of the original executors; in training it is
+/// every step, into the snapshot's own buffers.
 pub(crate) struct WeightStore<T: Float> {
     snapshot: RwLock<Arc<Brnn<T>>>,
-    /// Deep copies made over this store's lifetime (1 at construction).
+    /// Weight copies made over this store's lifetime (1 at construction).
     deep_copies: AtomicU64,
     /// When set, every deep copy round-trip-quantizes the weight matrices
     /// (see [`WeightStore::for_backend`]).
@@ -136,23 +151,28 @@ impl<T: Float> WeightStore<T> {
     }
 
     /// Brings the snapshot up to date with `model`. Returns `true` iff a
-    /// deep copy was made (i.e. the revisions differed). Clones preserve
-    /// the revision stamp, so a quantized snapshot still compares equal to
-    /// the model it was copied from.
+    /// copy was made (i.e. the revisions differed). The copy goes into
+    /// the snapshot's own buffers unless a reader still holds the
+    /// snapshot (between batches none does), in which case it is cloned.
+    /// Copies preserve the revision stamp, so a quantized snapshot still
+    /// compares equal to the model it was copied from.
     pub fn sync(&self, model: &Brnn<T>) -> bool {
-        if self.snapshot.read().revision() == model.revision() {
+        let mut snapshot = self.snapshot.write();
+        if snapshot.revision() == model.revision() {
             return false;
         }
-        let mut copy = model.clone();
-        if self.quantized {
-            quantize_weights(&mut copy);
+        match Arc::get_mut(&mut snapshot) {
+            Some(own) => own.copy_weights_from(model),
+            None => *snapshot = Arc::new(model.clone()),
         }
-        *self.snapshot.write() = Arc::new(copy);
+        if self.quantized {
+            quantize_weights(Arc::get_mut(&mut snapshot).expect("fresh snapshot is unshared"));
+        }
         self.deep_copies.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Deep copies made so far (at least 1).
+    /// Weight copies made so far (at least 1).
     pub fn deep_copies(&self) -> u64 {
         self.deep_copies.load(Ordering::Relaxed)
     }
@@ -224,10 +244,9 @@ impl<X> Slot<X> {
         *self.data.write() = Some(v);
     }
 
-    /// Removes the value (single-consumer reads).
-    pub fn take(&self) -> Option<X> {
-        record_read_at(self.region, self.site());
-        self.data.write().take()
+    /// Drops the value: the slot is empty again, as built.
+    fn clear(&self) {
+        *self.data.write() = None;
     }
 
     /// Reads the value by reference (multi-consumer reads).
@@ -254,30 +273,20 @@ impl<X> Slot<X> {
     /// — so this records only a *write*: tasks using it declare the region
     /// `out`, exactly like [`Slot::put`]. This is the steady-state
     /// allocation-free counterpart of `put`: warm replays reuse the buffer
-    /// instead of dropping and reallocating it every batch.
+    /// instead of dropping and reallocating it every batch. On the warm
+    /// path no slot is ever emptied — that would hand its buffer back to
+    /// the allocator.
     pub fn write_in_place(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X)) {
         record_write_at(self.region, self.site());
         let mut guard = self.data.write();
         let v = guard.get_or_insert_with(init);
         f(v);
     }
-
-    /// Accumulator write: stores `v` if the slot is empty, otherwise folds
-    /// it into the existing value with `add`. A read-modify-write: tasks
-    /// using it must declare the region *inout*.
-    pub fn accumulate(&self, v: X, add: impl FnOnce(&mut X, X)) {
-        record_read_at(self.region, self.site());
-        record_write_at(self.region, self.site());
-        let mut guard = self.data.write();
-        match guard.as_mut() {
-            Some(acc) => add(acc, v),
-            None => *guard = Some(v),
-        }
-    }
 }
 
-/// A cell's forward output: recurrent state plus the BPTT cache.
-pub(crate) type CellSlot<T> = Slot<(CellState<T>, CellCache<T>)>;
+/// A cell's forward output: recurrent state plus — in a training replica
+/// — the BPTT cache.
+pub(crate) type CellSlot<T> = Slot<(CellState<T>, Option<CellCache<T>>)>;
 
 /// A scan transfer `(a, b) : h ↦ a ⊙ h + b` — `a` is `1 × hidden`
 /// (a diagonal decay power), `b` is `rows × hidden`.
@@ -287,6 +296,67 @@ pub(crate) type TransferSlot<T> = Slot<(Matrix<T>, Matrix<T>)>;
 type Grid<X> = Vec<Vec<X>>;
 /// `[dir][layer][t]` slots, `dir` = [`Dir::ix`].
 type DirGrid<X> = [Grid<X>; 2];
+
+/// What a replica's task bodies are frozen with.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BodyConfig {
+    /// Kernel backend of the forward bodies (training bodies always run
+    /// the default backend's exact kernels).
+    pub backend: Backend,
+    /// *Effective* recurrence strategy — callers resolve fallback and
+    /// clamping via [`RecurrenceStrategy::effective`] first.
+    pub strategy: RecurrenceStrategy,
+    /// Whether the graph runs BPTT: then cell slots keep their caches.
+    pub train: bool,
+    /// Worker threads of the runtime the bodies run on: one [`Scratch`]
+    /// each.
+    pub workers: usize,
+}
+
+/// One worker's private working set for one replica's task bodies — the
+/// paper's "sequential kernels on a private working set", owned by the
+/// worker rather than by each task, so its size is O(workers × shapes)
+/// however many tasks the graph has.
+pub(crate) struct Scratch<T: Float> {
+    /// The kernels' transient buffers.
+    ws: Workspace<T>,
+    /// `[l]`: where a layer-`l` forward cell of an inference replica
+    /// writes its BPTT intermediates, which nothing reads outside the
+    /// cell's own body. Empty in training replicas, whose slots keep them.
+    caches: Vec<CellCache<T>>,
+}
+
+impl<T: Float> Scratch<T> {
+    /// The cache a layer-`l` forward writes — the slot's own when the
+    /// replica keeps one, else this worker's — and the kernel pool.
+    fn forward_bufs<'a>(
+        &'a mut self,
+        kept: &'a mut Option<CellCache<T>>,
+        l: usize,
+    ) -> (&'a mut CellCache<T>, &'a mut Workspace<T>) {
+        let cache = match kept {
+            Some(c) => c,
+            None => &mut self.caches[l],
+        };
+        (cache, &mut self.ws)
+    }
+}
+
+/// One [`Scratch`] per runtime worker. A body locks its own worker's, so
+/// the lock is never contended (a worker runs one body at a time); it
+/// exists to make sharing the handle safe.
+#[derive(Clone)]
+pub(crate) struct WorkerScratch<T: Float>(Arc<[Mutex<Scratch<T>>]>);
+
+impl<T: Float> WorkerScratch<T> {
+    /// The calling worker's scratch ([`current_worker`]); the first one
+    /// off a pool, the last one shared by the surplus workers of a pool
+    /// larger than the plan was built for.
+    fn lock(&self) -> MutexGuard<'_, Scratch<T>> {
+        let w = current_worker().unwrap_or(0).min(self.0.len() - 1);
+        self.0[w].lock()
+    }
+}
 
 /// All slots for one mini-batch replica — the live resolution of the
 /// emitter's [`SlotId`]s.
@@ -332,7 +402,8 @@ pub(crate) struct ReplicaGraph<T: Float> {
     loss: Slot<f64>,
     /// Shared all-zero recurrent state read by every sequence-boundary
     /// cell (`t = 0` forward, `t = T-1` reverse) instead of allocating a
-    /// fresh zero state inside each boundary task on every replay.
+    /// fresh zero state inside each boundary task on every replay; its
+    /// `h` is also the `dh` of a cell no classifier or merge feeds.
     zero_state: Arc<CellState<T>>,
     /// Kernel backend every forward-path task body dispatches through
     /// (cell GEMMs, bias broadcasts, gate non-linearities, classifier
@@ -344,6 +415,10 @@ pub(crate) struct ReplicaGraph<T: Float> {
     /// *effective* strategy — callers resolve fallback/clamping via
     /// [`RecurrenceStrategy::effective`] before construction).
     pub strategy: RecurrenceStrategy,
+    /// Whether this replica runs BPTT (its cell slots keep caches).
+    train: bool,
+    /// The bodies' per-worker working sets.
+    scratch: WorkerScratch<T>,
     /// Scan topology and its transfer slots `[adjoint][dir][layer][k]`
     /// (chunk totals first, then combine-node outputs); `Some` iff
     /// `strategy` is scan. Adjoint totals are indexed by *backward* scan
@@ -354,13 +429,49 @@ pub(crate) struct ReplicaGraph<T: Float> {
     alias: Option<Slot<Matrix<T>>>,
 }
 
-/// Zeroed `(state, cache)` buffers of a layer-`l` cell.
-fn cell_buffers<T: Float>(cfg: BrnnConfig, rows: usize, l: usize) -> (CellState<T>, CellCache<T>) {
-    let input_w = cfg.layer_input_size(l);
+/// Zeroed BPTT cache of a layer-`l` cell.
+fn cell_cache<T: Float>(cfg: BrnnConfig, rows: usize, l: usize) -> CellCache<T> {
+    CellCache::zeros(cfg.cell, rows, cfg.layer_input_size(l), cfg.hidden_size)
+}
+
+/// Zeroed slot buffers of a layer-`l` cell: its state, and its cache when
+/// the replica keeps one (`train`).
+fn cell_buffers<T: Float>(
+    cfg: BrnnConfig,
+    rows: usize,
+    l: usize,
+    train: bool,
+) -> (CellState<T>, Option<CellCache<T>>) {
     (
         CellState::zeros(cfg.cell, rows, cfg.hidden_size),
-        CellCache::zeros(cfg.cell, rows, input_w, cfg.hidden_size),
+        train.then(|| cell_cache(cfg, rows, l)),
     )
+}
+
+/// The training classifier as one body runs it: logits of `x` into
+/// `logits`, softmax cross-entropy against `classes`, the loss gradient
+/// scaled by `scale`, then the classifier backward — weight gradient
+/// accumulated into `g`, feature gradient into `dx`. Returns the mean
+/// loss.
+#[allow(clippy::too_many_arguments)]
+fn classify_backprop<T: Float>(
+    dense: &DenseParams<T>,
+    x: &Matrix<T>,
+    classes: &[usize],
+    scale: T,
+    logits: &mut Matrix<T>,
+    g: &mut DenseParams<T>,
+    dx: &mut Matrix<T>,
+    ws: &mut Workspace<T>,
+) -> f64 {
+    let be = Backend::default();
+    dense.forward_into(x, logits, ws, be);
+    let mut dlogits = ws.checkout(logits.rows(), logits.cols());
+    let loss = softmax_cross_entropy_into(logits, classes, &mut dlogits);
+    bpar_tensor::ops::scale(scale, &mut dlogits);
+    dense.backward_ws(x, &dlogits, g, dx, ws, be);
+    ws.give_back(dlogits);
+    loss
 }
 
 /// Zeroed scan transfer `(1 × hidden, rows × hidden)`.
@@ -383,17 +494,37 @@ fn lambda<T: Float>(params: &CellParams<T>) -> &Matrix<T> {
     }
 }
 
-/// Reduction body: folds `src` (if the replica produced one) into `dst`.
+/// Merge backward (Eq. (11)) of `dmerged` against the operands `fh`/`rh`,
+/// written in place into their `dh` slots.
+fn split_merge_grad<T: Float>(
+    mode: MergeMode,
+    dmerged: &Matrix<T>,
+    fh: &Matrix<T>,
+    rh: &Matrix<T>,
+    dhf: &Slot<Matrix<T>>,
+    dhr: &Slot<Matrix<T>>,
+) {
+    let zeros = || Matrix::zeros(fh.rows(), fh.cols());
+    dhf.write_in_place(zeros, |df| {
+        dhr.write_in_place(zeros, |dr| mode.backward_into(dmerged, fh, rh, df, dr))
+    });
+}
+
+/// Reduction body: folds `src` (if the replica produced one) into `dst`
+/// in place (`zero` shapes `dst` should it be empty).
 fn reduce_body<X: Send + Sync + 'static>(
     src: &Slot<X>,
     dst: &Slot<X>,
-    add: fn(&mut X, X),
+    zero: fn(&X) -> X,
+    add: fn(&mut X, &X),
 ) -> PlanBody {
     let (src, dst) = (src.clone(), dst.clone());
     Arc::new(move || {
-        if let Some(v) = src.take() {
-            dst.accumulate(v, add);
-        }
+        src.with(|v| {
+            if let Some(v) = v {
+                dst.update(|| zero(v), |acc| add(acc, v));
+            }
+        })
     })
 }
 
@@ -425,18 +556,37 @@ pub(crate) fn task_spec<T: Float>(
 }
 
 impl<T: Float> ReplicaGraph<T> {
-    /// Allocates all slots for a replica of `rows` batch rows.
+    /// Allocates all slots for a replica of `rows` batch rows, and one
+    /// scratch per worker.
     pub fn new(
         weights: Arc<WeightStore<T>>,
         xs: Vec<Matrix<T>>,
         weight: f64,
         regions: &mut RegionAlloc,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
+        body: BodyConfig,
     ) -> Self {
+        let BodyConfig {
+            backend,
+            strategy,
+            train,
+            workers,
+        } = body;
         let cfg = weights.snapshot().config;
         let seq = xs.len();
         let rows = xs[0].rows();
+        let scratch = (0..workers.max(1))
+            .map(|_| {
+                let caches = if train {
+                    Vec::new()
+                } else {
+                    (0..cfg.layers).map(|l| cell_cache(cfg, rows, l)).collect()
+                };
+                Mutex::new(Scratch {
+                    ws: Workspace::new(),
+                    caches,
+                })
+            })
+            .collect();
         fn list<X>(n: usize, regions: &mut RegionAlloc) -> Vec<Slot<X>> {
             (0..n).map(|_| Slot::new(regions)).collect()
         }
@@ -478,8 +628,26 @@ impl<T: Float> ReplicaGraph<T> {
             config: cfg,
             backend,
             strategy,
+            train,
+            scratch: WorkerScratch(scratch),
             scan,
             alias: None,
+        }
+    }
+
+    /// Gives every worker's scratch what any worker's scratch needed.
+    /// Called once, after the plan's first replay in which every body
+    /// ran (each on some worker): from then on no replay allocates
+    /// scratch, whichever worker runs which task — the zero-allocation
+    /// warm path cannot depend on how earlier replays were scheduled.
+    pub fn equalize_scratch(&self) {
+        let workers = &self.scratch.0;
+        for (i, a) in workers.iter().enumerate() {
+            for b in &workers[i + 1..] {
+                let (mut a, mut b) = (a.lock(), b.lock());
+                a.ws.reserve_like(&b.ws);
+                b.ws.reserve_like(&a.ws);
+            }
         }
     }
 
@@ -537,7 +705,7 @@ impl<T: Float> ReplicaGraph<T> {
     /// replica's persistent input buffers — the steady-state path of
     /// [`super::plan::ExecPlan::load_batch`], which allocates nothing.
     /// Falls back to allocating fresh buffers when the store is empty
-    /// (first run, or after [`ReplicaGraph::clear_values`]).
+    /// (after [`ReplicaGraph::clear_values`]).
     pub fn load_inputs(&self, batch: &[Matrix<T>], start: usize, count: usize) {
         assert_eq!(batch.len(), self.seq, "input timestep count changed");
         assert_eq!(count, self.rows, "input row count changed");
@@ -551,65 +719,159 @@ impl<T: Float> ReplicaGraph<T> {
         }
     }
 
-    /// Analytic size of this replica's persistent buffers — the arena a
-    /// resident plan holds between replays: inputs, the shared zero state,
-    /// per-cell states and BPTT caches, merge outputs, features and
-    /// logits. Per-task scratch workspaces (bounded by the cells'
-    /// working-set estimates) and training-only gradient slots are
-    /// excluded: the former are small, the latter are drained every batch.
+    /// Analytic size of the buffers this replica's slots hold after a
+    /// replay — the arena a resident plan keeps between replays: inputs,
+    /// the shared zero state, per-cell states, merge outputs, features
+    /// and logits; in a training replica also the BPTT caches, every
+    /// gradient slot (`dfeat`, the `dh` some merge or classifier writes,
+    /// `sg`, `dinput`), the weight-gradient accumulators and the targets.
+    /// The per-worker scratch (O(workers × shapes), one cell's cache per
+    /// layer at most) is not counted.
     pub fn persistent_bytes(&self) -> u64 {
         let cfg = self.config;
+        let (rows, seq, h, layers) = (self.rows, self.seq, cfg.hidden_size, cfg.layers);
         let scalar = std::mem::size_of::<T>();
-        // State and cache buffers all scale linearly with batch rows, so a
-        // one-row probe gives the per-row footprint without materialising
-        // full-size buffers.
-        let state_row = CellState::<T>::zeros(cfg.cell, 1, cfg.hidden_size).nbytes();
-        let mut total = self.seq * self.rows * cfg.input_size * scalar;
-        total += self.rows * state_row;
-        for l in 0..cfg.layers {
-            let per_row = state_row
-                + CellCache::<T>::zeros(cfg.cell, 1, cfg.layer_input_size(l), cfg.hidden_size)
-                    .nbytes();
-            // Forward + reverse grids, one cell per timestep.
-            total += 2 * self.seq * self.rows * per_row;
+        let n_out = self.feat.len();
+        // State, cache and gradient buffers all scale linearly with batch
+        // rows, so a one-row probe gives the per-row footprint without
+        // materialising full-size buffers. A state gradient has a state's
+        // shape.
+        let state_row = CellState::<T>::zeros(cfg.cell, 1, h).nbytes();
+        let merge_w = cfg.merge.output_width(h);
+        let mut total = seq * rows * cfg.input_size * scalar;
+        total += rows * state_row;
+        // Forward + reverse grids, one cell per timestep.
+        total += 2 * layers * seq * rows * state_row;
+        total += layers.saturating_sub(1) * seq * rows * merge_w * scalar;
+        total += n_out * rows * (merge_w + cfg.output_size) * scalar;
+        if self.train {
+            for l in 0..layers {
+                let in_w = cfg.layer_input_size(l);
+                let cache_row = cell_cache::<T>(cfg, 1, l).nbytes();
+                // Cache, `sg` and `dinput` per cell; two accumulators.
+                total += 2 * seq * rows * (cache_row + state_row + in_w * scalar);
+                total += 2 * cfg.cell.params(in_w, h) * scalar;
+            }
+            // `dh`: every position below the last layer; at the last,
+            // the positions the classifier reads.
+            total += 2 * ((layers - 1) * seq + n_out) * rows * h * scalar;
+            total += n_out * rows * merge_w * scalar; // dfeat
+            total += (merge_w + 1) * cfg.output_size * scalar; // dense grads
+            total += n_out * rows * std::mem::size_of::<usize>(); // targets
         }
-        let merge_w = cfg.merge.output_width(cfg.hidden_size);
-        total += cfg.layers.saturating_sub(1) * self.seq * self.rows * merge_w * scalar;
-        total += self.feat.len() * self.rows * (merge_w + cfg.output_size) * scalar;
         if let Some((plan, _)) = &self.scan {
-            // Activation-scan transfer slots stay warm between inference
-            // replays: one (1 × h, rows × h) pair per chunk total and per
-            // combine node, per direction, per layer. Adjoint transfers
-            // are training-only and drained every batch, like gradients.
-            let per = (cfg.hidden_size + self.rows * cfg.hidden_size) * scalar;
+            // Transfer slots: one (1 × h, rows × h) pair per chunk total
+            // and per combine node, per direction, per layer — and the
+            // adjoint tree's as many again in training.
+            let per = (h + rows * h) * scalar;
             let n = plan.chunk_count() + plan.combines.len();
-            total += 2 * cfg.layers * n * per;
+            total += 2 * layers * n * per * if self.train { 2 } else { 1 };
         }
         total as u64
     }
 
-    /// Replaces the training targets for the next run of the graph,
-    /// converting to one class vector per output position.
-    pub fn set_target(&self, target: &super::Target) {
-        let per_pos: Vec<Vec<usize>> = match (self.config.kind, target) {
-            (ModelKind::ManyToOne, super::Target::Classes(c)) => vec![c.clone()],
-            (ModelKind::ManyToMany, super::Target::SeqClasses(s)) => s.clone(),
+    /// Bytes the slots actually hold — what [`ReplicaGraph::persistent_bytes`]
+    /// predicts after a replay.
+    #[cfg(test)]
+    pub fn held_bytes(&self) -> u64 {
+        fn sum<'a, X: 'a>(
+            slots: impl IntoIterator<Item = &'a Slot<X>>,
+            f: fn(&X) -> usize,
+        ) -> usize {
+            slots.into_iter().map(|s| s.with(|v| v.map_or(0, f))).sum()
+        }
+        let cell = |v: &(CellState<T>, Option<CellCache<T>>)| {
+            v.0.nbytes() + v.1.as_ref().map_or(0, CellCache::nbytes)
+        };
+        let sg = |g: &StateGrad<T>| g.dh.nbytes() + g.dc.as_ref().map_or(0, Matrix::nbytes);
+        let mut total = self.xs.read().iter().map(Matrix::nbytes).sum::<usize>();
+        total += self.zero_state.nbytes();
+        let classes = self.targets.read().iter().map(Vec::len).sum::<usize>();
+        total += classes * std::mem::size_of::<usize>();
+        for d in 0..2 {
+            total += sum(self.st[d].iter().flatten(), cell);
+            total += sum(self.dh[d].iter().flatten(), Matrix::nbytes);
+            total += sum(self.sg[d].iter().flatten(), sg);
+            total += sum(self.dinput[d].iter().flatten(), Matrix::nbytes);
+            total += sum(&self.grads[d], |g| {
+                g.param_count() * std::mem::size_of::<T>()
+            });
+        }
+        total += sum(self.merged.iter().flatten(), Matrix::nbytes);
+        total += sum(
+            self.feat.iter().chain(&self.logits).chain(&self.dfeat),
+            Matrix::nbytes,
+        );
+        total += sum([&self.grads_dense], |g| {
+            g.param_count() * std::mem::size_of::<T>()
+        });
+        if let Some((_, slots)) = &self.scan {
+            let transfer = |(a, b): &(Matrix<T>, Matrix<T>)| a.nbytes() + b.nbytes();
+            total += sum(slots.iter().flatten().flatten().flatten(), transfer);
+        }
+        total as u64
+    }
+
+    /// Per worker: the buffers its scratch pools (every one it ever
+    /// allocated, once a replay has given them back) and the bytes of its
+    /// int8 quantization scratch.
+    #[cfg(test)]
+    pub fn scratch_profile(&self) -> Vec<(usize, usize)> {
+        let profile = |s: &Mutex<Scratch<T>>| {
+            let mut s = s.lock();
+            (s.ws.pooled(), s.ws.quant_scratch().bytes())
+        };
+        self.scratch.0.iter().map(profile).collect()
+    }
+
+    /// Copies batch rows `[start, start + count)` of `target` into this
+    /// replica's resident target buffers (one class vector per output
+    /// position) for the next run of the graph.
+    pub fn set_target(&self, target: &Target, start: usize, count: usize) {
+        let per_pos: &[Vec<usize>] = match (self.config.kind, target) {
+            (ModelKind::ManyToOne, Target::Classes(c)) => std::slice::from_ref(c),
+            (ModelKind::ManyToMany, Target::SeqClasses(s)) => s,
             _ => panic!("target kind does not match model kind"),
         };
         assert_eq!(per_pos.len(), self.logits.len(), "target positions");
-        *self.targets.write() = per_pos;
+        let mut targets = self.targets.write();
+        targets.resize_with(per_pos.len(), Vec::new);
+        for (dst, src) in targets.iter_mut().zip(per_pos) {
+            dst.clear();
+            dst.extend_from_slice(&src[start..start + count]);
+        }
     }
 
-    /// Drops every transient value (activations, caches, gradients,
-    /// inputs, targets) while keeping slots and regions alive. Called
-    /// after a cached plan's outputs are collected so resident plans cost
-    /// compiled-graph memory, not activation memory. The next run starts
-    /// from the same all-empty state a freshly built graph has.
+    /// Zero-fills the weight-gradient and loss accumulators in place, so
+    /// the next run accumulates from zero — as a fresh `zeros_like` would,
+    /// without the allocation.
+    pub fn reset_accumulators(&self) {
+        let model = self.weights.snapshot();
+        for dir in Dir::BOTH {
+            for (l, g) in self.grads[dir.ix()].iter().enumerate() {
+                g.write_in_place(
+                    || dir_params(&model, l, dir).zeros_like(),
+                    CellParams::fill_zero,
+                );
+            }
+        }
+        self.grads_dense.write_in_place(
+            || model.dense.zeros_like(),
+            |g| {
+                g.w.fill_zero();
+                g.b.fill_zero();
+            },
+        );
+        self.loss.write_in_place(|| 0.0, |l| *l = 0.0);
+    }
+
+    /// Drops every value (activations, caches, gradients, inputs,
+    /// targets) while keeping slots and regions alive: the next run
+    /// starts from the same all-empty state a freshly built graph has.
+    /// Analysis replays only — see [`super::plan::ExecPlan::clear_values`].
     pub fn clear_values(&self) {
         fn clear<'a, X: 'a>(slots: impl IntoIterator<Item = &'a Slot<X>>) {
-            for s in slots {
-                s.take();
-            }
+            slots.into_iter().for_each(Slot::clear);
         }
         for d in 0..2 {
             clear(self.st[d].iter().flatten());
@@ -623,8 +885,8 @@ impl<T: Float> ReplicaGraph<T> {
         if let Some((_, slots)) = &self.scan {
             clear(slots.iter().flatten().flatten().flatten());
         }
-        self.grads_dense.take();
-        self.loss.take();
+        self.grads_dense.clear();
+        self.loss.clear();
         self.xs.write().clear();
         self.targets.write().clear();
     }
@@ -661,13 +923,19 @@ impl<T: Float> ReplicaGraph<T> {
             Kind::BscanComb => self.scan_comb_body(true, dir, l, i),
             Kind::BscanFix => self.bscan_fix_body(dir, l, i),
             Kind::BscanGrad => self.bscan_grad_body(dir, l, i),
-            Kind::ReduceCell => reduce_body(&self.grads[d][l], &first.grads[d][l], |acc, g| {
-                acc.add_assign(&g)
-            }),
-            Kind::ReduceDense => reduce_body(&self.grads_dense, &first.grads_dense, |acc, g| {
-                acc.add_assign(&g)
-            }),
-            Kind::ReduceLoss => reduce_body(&self.loss, &first.loss, |acc, l| *acc += l),
+            Kind::ReduceCell => reduce_body(
+                &self.grads[d][l],
+                &first.grads[d][l],
+                CellParams::zeros_like,
+                CellParams::add_assign,
+            ),
+            Kind::ReduceDense => reduce_body(
+                &self.grads_dense,
+                &first.grads_dense,
+                DenseParams::zeros_like,
+                DenseParams::add_assign,
+            ),
+            Kind::ReduceLoss => reduce_body(&self.loss, &first.loss, |_| 0.0, |acc, l| *acc += l),
             Kind::EpochProbe => self.epoch_probe_body(),
             Kind::Barrier | Kind::CellGemm | Kind::CellPt => {
                 unreachable!("{} exists only in simulator ablation graphs", node.label())
@@ -696,12 +964,9 @@ impl<T: Float> ReplicaGraph<T> {
             self.xs.clone(),
             self.zero_state.clone(),
         );
-        let (rows, be) = (self.rows, self.backend);
+        let (rows, be, train, scratch) =
+            (self.rows, self.backend, self.train, self.scratch.clone());
         let missing = ["missing t-1 state", "missing t+1 state"][dir.ix()];
-        // Per-task scratch arena. A compiled task runs at most once per
-        // replay and replays are separated by `taskwait`, so the lock is
-        // never contended; it exists to keep the body `Fn + Sync`.
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
         Arc::new(move || {
             let model = weights.snapshot();
             let cfg = model.config;
@@ -709,8 +974,11 @@ impl<T: Float> ReplicaGraph<T> {
             let mut scratch = scratch.lock();
             let mut step = |x: &Matrix<T>, p: &CellState<T>| {
                 dst.write_in_place(
-                    || cell_buffers(cfg, rows, l),
-                    |(st, cache)| params.forward_ws(x, p, st, cache, &mut scratch, be),
+                    || cell_buffers(cfg, rows, l, train),
+                    |(st, kept)| {
+                        let (cache, ws) = scratch.forward_bufs(kept, l);
+                        params.forward_ws(x, p, st, cache, ws, be)
+                    },
                 )
             };
             let mut with_prev = |x: &Matrix<T>| match &prev {
@@ -749,8 +1017,7 @@ impl<T: Float> ReplicaGraph<T> {
             self.feat[i].clone(),
             self.logits[i].clone(),
         );
-        let (rows, be) = (self.rows, self.backend);
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        let (rows, be, scratch) = (self.rows, self.backend, self.scratch.clone());
         Arc::new(move || {
             let model = weights.snapshot();
             let mut scratch = scratch.lock();
@@ -758,7 +1025,7 @@ impl<T: Float> ReplicaGraph<T> {
                 let x = x.expect("missing features");
                 out.write_in_place(
                     || Matrix::zeros(rows, model.dense.w.cols()),
-                    |logits| model.dense.forward_into(x, logits, &mut scratch, be),
+                    |logits| model.dense.forward_into(x, logits, &mut scratch.ws, be),
                 )
             });
         })
@@ -777,20 +1044,37 @@ impl<T: Float> ReplicaGraph<T> {
         );
         let (gdense, loss_slot) = (self.grads_dense.clone(), self.loss.clone());
         let (weight, inv_outputs) = (self.weight, 1.0 / self.logits.len() as f64);
+        let (rows, scratch) = (self.rows, self.scratch.clone());
+        let width = self.config.merge.output_width(self.config.hidden_size);
         Arc::new(move || {
             let model = weights.snapshot();
+            let mut scratch = scratch.lock();
+            let targets = targets.read();
+            let scale = T::from_f64(weight * inv_outputs);
             feat.with(|x| {
-                let x = x.unwrap();
-                let logits = model.dense.forward(x);
-                let targets = targets.read();
-                let (l, mut dlogits) = softmax_cross_entropy(&logits, &targets[i]);
-                bpar_tensor::ops::scale(T::from_f64(weight * inv_outputs), &mut dlogits);
-                gdense.update(
-                    || model.dense.zeros_like(),
-                    |g| dfeat.put(model.dense.backward(x, &dlogits, g)),
+                let x = x.expect("missing features");
+                let mut loss = 0.0;
+                out.write_in_place(
+                    || Matrix::zeros(rows, model.dense.w.cols()),
+                    |logits| {
+                        gdense.update(
+                            || model.dense.zeros_like(),
+                            |g| {
+                                dfeat.write_in_place(
+                                    || Matrix::zeros(rows, width),
+                                    |dx| {
+                                        let (d, ws) = (&model.dense, &mut scratch.ws);
+                                        let classes = &targets[i];
+                                        loss = classify_backprop(
+                                            d, x, classes, scale, logits, g, dx, ws,
+                                        );
+                                    },
+                                )
+                            },
+                        )
+                    },
                 );
-                loss_slot.update(|| 0.0, |acc| *acc += l * weight * inv_outputs);
-                out.put(logits);
+                loss_slot.update(|| 0.0, |acc| *acc += loss * weight * inv_outputs);
             });
         })
     }
@@ -802,18 +1086,21 @@ impl<T: Float> ReplicaGraph<T> {
         let (dhf, dhr) = (self.dh[0][last][tf].clone(), self.dh[1][last][tr].clone());
         let (dfeat, mode) = (self.dfeat[i].clone(), self.config.merge);
         Arc::new(move || {
-            let (df, dr) = dfeat.with(|d| {
+            dfeat.with(|d| {
                 f.with(|fv| {
-                    r.with(|rv| mode.backward(d.unwrap(), &fv.unwrap().0.h, &rv.unwrap().0.h))
+                    r.with(|rv| {
+                        let (fh, rh) = (&fv.unwrap().0.h, &rv.unwrap().0.h);
+                        split_merge_grad(mode, d.unwrap(), fh, rh, &dhf, &dhr)
+                    })
                 })
             });
-            dhf.put(df);
-            dhr.put(dr);
         })
     }
 
-    /// One BPTT cell: consumes its `dh` and the state gradient flowing in
-    /// from the later recurrence step, accumulates weight gradients.
+    /// One BPTT cell: reads its `dh` (zero when nothing feeds this cell's
+    /// output) and the state gradient flowing in from the later recurrence
+    /// step, writes its input and state gradients in place, accumulates
+    /// weight gradients.
     fn cell_bwd_body(&self, dir: Dir, l: usize, t: usize) -> PlanBody {
         let (d, j) = (dir.ix(), dir.phys(t, self.seq));
         let sg_in = (j + 1 < self.seq).then(|| self.sg[d][l][dir.phys(j + 1, self.seq)].clone());
@@ -823,24 +1110,49 @@ impl<T: Float> ReplicaGraph<T> {
             self.sg[d][l][t].clone(),
         );
         let (dinput, gacc) = (self.dinput[d][l][t].clone(), self.grads[d][l].clone());
-        let (weights, rows) = (self.weights.clone(), self.rows);
+        let (weights, zero, scratch) = (
+            self.weights.clone(),
+            self.zero_state.clone(),
+            self.scratch.clone(),
+        );
+        let cfg = self.config;
+        let (rows, in_w) = (self.rows, cfg.layer_input_size(l));
         Arc::new(move || {
             let model = weights.snapshot();
             let params = dir_params(&model, l, dir);
-            let dh_val = dh
-                .take()
-                .unwrap_or_else(|| Matrix::zeros(rows, model.config.hidden_size));
-            let sg_val = sg_in.as_ref().and_then(|s| s.take());
+            let mut scratch = scratch.lock();
             st.with(|cached| {
-                let (_, cache) = cached.expect("missing forward cache");
-                gacc.update(
-                    || params.zeros_like(),
-                    |g| {
-                        let (dx, sg_prev) = params.backward(cache, &dh_val, sg_val.as_ref(), g);
-                        dinput.put(dx);
-                        sg_out.put(sg_prev);
-                    },
-                );
+                let cache = cached.and_then(|(_, c)| c.as_ref());
+                let cache = cache.expect("missing forward cache");
+                dh.with(|dh_val| {
+                    let dh_val = dh_val.unwrap_or(&zero.h);
+                    let mut backward = |sg_val: Option<&StateGrad<T>>| {
+                        gacc.update(
+                            || params.zeros_like(),
+                            |g| {
+                                dinput.write_in_place(
+                                    || Matrix::zeros(rows, in_w),
+                                    |dx| {
+                                        sg_out.write_in_place(
+                                            || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
+                                            |dprev| {
+                                                let (ws, be) =
+                                                    (&mut scratch.ws, Backend::default());
+                                                params.backward_ws(
+                                                    cache, dh_val, sg_val, g, dx, dprev, ws, be,
+                                                )
+                                            },
+                                        )
+                                    },
+                                )
+                            },
+                        )
+                    };
+                    match &sg_in {
+                        Some(sg_in) => sg_in.with(backward),
+                        None => backward(None),
+                    }
+                })
             });
         })
     }
@@ -852,17 +1164,23 @@ impl<T: Float> ReplicaGraph<T> {
         let (din_f, din_r) = (self.dinput[0][l][t].clone(), self.dinput[1][l][t].clone());
         let (f, r) = (self.st[0][l - 1][t].clone(), self.st[1][l - 1][t].clone());
         let (dhf, dhr) = (self.dh[0][l - 1][t].clone(), self.dh[1][l - 1][t].clone());
-        let mode = self.config.merge;
+        let (mode, scratch) = (self.config.merge, self.scratch.clone());
+        let (rows, h) = (self.rows, self.config.hidden_size);
+        let width = mode.output_width(h);
         Arc::new(move || {
-            let mut dmerged = din_f.take().expect("missing fwd dinput");
+            let mut scratch = scratch.lock();
+            let mut dmerged = scratch.ws.checkout(rows, width);
+            din_f.with(|d| dmerged.copy_from(d.expect("missing fwd dinput")));
             din_r.with(|d| {
                 bpar_tensor::ops::axpy(T::ONE, d.expect("missing rev dinput"), &mut dmerged);
             });
-            let (df, dr) = f.with(|fv| {
-                r.with(|rv| mode.backward(&dmerged, &fv.unwrap().0.h, &rv.unwrap().0.h))
+            f.with(|fv| {
+                r.with(|rv| {
+                    let (fh, rh) = (&fv.unwrap().0.h, &rv.unwrap().0.h);
+                    split_merge_grad(mode, &dmerged, fh, rh, &dhf, &dhr)
+                })
             });
-            dhf.put(df);
-            dhr.put(dr);
+            scratch.ws.give_back(dmerged);
         })
     }
 
@@ -881,28 +1199,26 @@ impl<T: Float> ReplicaGraph<T> {
         let total = self.transfer(false, dir, l, NodeRef::Total(c)).clone();
         let (weights, xs) = (self.weights.clone(), self.xs.clone());
         let (rows, be, hidden) = (self.rows, self.backend, self.config.hidden_size);
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
-        // Persistent running state: the within-chunk recurrence carry,
-        // reset to zero at the top of every run.
-        let carry = Arc::new(Mutex::new(CellState::<T>::zeros(
-            self.config.cell,
-            rows,
-            hidden,
-        )));
+        let (train, scratch) = (self.train, self.scratch.clone());
         Arc::new(move || {
             let model = weights.snapshot();
             let cfg = model.config;
             let params = dir_params(&model, l, dir);
             let mut scratch = scratch.lock();
-            let mut carry = carry.lock();
-            carry.h.fill_zero();
+            // The within-chunk recurrence carry (a scannable cell has no
+            // `c`), zero at the top of every run: checkout zeroes it.
+            let mut carry = CellState {
+                h: scratch.ws.checkout(rows, hidden),
+                c: None,
+            };
             let xs_guard = below.is_none().then(|| xs.read());
             for (i, dst) in dsts.iter().enumerate() {
                 let mut step = |x: &Matrix<T>| {
                     dst.write_in_place(
-                        || cell_buffers(cfg, rows, l),
-                        |(stv, cache)| {
-                            params.forward_ws(x, &carry, stv, cache, &mut scratch, be);
+                        || cell_buffers(cfg, rows, l, train),
+                        |(stv, kept)| {
+                            let (cache, ws) = scratch.forward_bufs(kept, l);
+                            params.forward_ws(x, &carry, stv, cache, ws, be);
                             carry.h.copy_from(&stv.h);
                         },
                     )
@@ -923,6 +1239,7 @@ impl<T: Float> ReplicaGraph<T> {
                     b.copy_from(&carry.h);
                 },
             );
+            scratch.ws.give_back(carry.h);
         })
     }
 
@@ -967,12 +1284,13 @@ impl<T: Float> ReplicaGraph<T> {
             .clone();
         let dsts = self.span(&self.st[dir.ix()][l], dir, plan.chunks[c]);
         let (weights, rows, be) = (self.weights.clone(), self.rows, self.backend);
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        let scratch = self.scratch.clone();
         Arc::new(move || {
             let model = weights.snapshot();
             let lam = lambda(dir_params(&model, l, dir));
             let mut scratch = scratch.lock();
-            let mut carry = scratch.checkout(rows, model.config.hidden_size);
+            let ws = &mut scratch.ws;
+            let mut carry = ws.checkout(rows, model.config.hidden_size);
             pref.with(|p| {
                 let (_, pb) = p.expect("missing scan prefix");
                 carry.copy_from(pb);
@@ -983,7 +1301,7 @@ impl<T: Float> ReplicaGraph<T> {
                     |(stv, cache)| {
                         // True h_prev at this step gains λ^i ⊙ h_in (carry
                         // before the scale), the state λ^(i+1) ⊙ h_in.
-                        if let CellCache::Linear(lc) = cache {
+                        if let Some(CellCache::Linear(lc)) = cache {
                             bpar_tensor::ops::axpy(T::ONE, &carry, &mut lc.h_prev);
                         }
                         be.row_scale(lam, &mut carry);
@@ -991,7 +1309,7 @@ impl<T: Float> ReplicaGraph<T> {
                     },
                 );
             }
-            scratch.give_back(carry);
+            ws.give_back(carry);
         })
     }
 
@@ -1009,26 +1327,27 @@ impl<T: Float> ReplicaGraph<T> {
         let sgs = self.span(&self.sg[dir.ix()][l], dir, chunk);
         let btotal = self.transfer(true, dir, l, NodeRef::Total(bc)).clone();
         let (weights, rows) = (self.weights.clone(), self.rows);
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        let (zero, scratch) = (self.zero_state.clone(), self.scratch.clone());
         Arc::new(move || {
             let model = weights.snapshot();
             let cfg = model.config;
             let lam = lambda(dir_params(&model, l, dir));
             let mut scratch = scratch.lock();
+            let ws = &mut scratch.ws;
             // Checkout zeroes the buffer: the chunk-local sweep starts
             // from a zero incoming adjoint.
-            let mut carry = scratch.checkout(rows, cfg.hidden_size);
+            let mut carry = ws.checkout(rows, cfg.hidden_size);
             for i in (0..len).rev() {
-                let dh_val = dhs[i]
-                    .take()
-                    .unwrap_or_else(|| Matrix::zeros(rows, cfg.hidden_size));
-                sgs[i].write_in_place(
-                    || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
-                    |sgv| {
-                        bpar_tensor::ops::row_mul_add(lam, &carry, &dh_val, &mut sgv.dh);
-                        carry.copy_from(&sgv.dh);
-                    },
-                );
+                dhs[i].with(|dh_val| {
+                    let dh_val = dh_val.unwrap_or(&zero.h);
+                    sgs[i].write_in_place(
+                        || StateGrad::zeros(cfg.cell, rows, cfg.hidden_size),
+                        |sgv| {
+                            bpar_tensor::ops::row_mul_add(lam, &carry, dh_val, &mut sgv.dh);
+                            carry.copy_from(&sgv.dh);
+                        },
+                    )
+                });
             }
             btotal.write_in_place(
                 || transfer_zeros(rows, cfg.hidden_size),
@@ -1040,7 +1359,7 @@ impl<T: Float> ReplicaGraph<T> {
                     b.copy_from(&carry);
                 },
             );
-            scratch.give_back(carry);
+            ws.give_back(carry);
         })
     }
 
@@ -1057,13 +1376,13 @@ impl<T: Float> ReplicaGraph<T> {
             dir,
             plan.chunks[plan.chunk_count() - 1 - bc],
         );
-        let (weights, rows) = (self.weights.clone(), self.rows);
-        let scratch = Arc::new(Mutex::new(Workspace::new()));
+        let (weights, rows, scratch) = (self.weights.clone(), self.rows, self.scratch.clone());
         Arc::new(move || {
             let model = weights.snapshot();
             let lam = lambda(dir_params(&model, l, dir));
             let mut scratch = scratch.lock();
-            let mut carry = scratch.checkout(rows, model.config.hidden_size);
+            let ws = &mut scratch.ws;
+            let mut carry = ws.checkout(rows, model.config.hidden_size);
             pref.with(|p| {
                 let (_, pb) = p.expect("missing adjoint prefix");
                 carry.copy_from(pb);
@@ -1075,7 +1394,7 @@ impl<T: Float> ReplicaGraph<T> {
                     |sgv| bpar_tensor::ops::axpy(T::ONE, &carry, &mut sgv.dh),
                 );
             }
-            scratch.give_back(carry);
+            ws.give_back(carry);
         })
     }
 
@@ -1100,7 +1419,8 @@ impl<T: Float> ReplicaGraph<T> {
                 |g| {
                     for i in (0..sts.len()).rev() {
                         sts[i].with(|cached| {
-                            let (_, cache) = cached.expect("missing forward cache");
+                            let cache = cached.and_then(|(_, c)| c.as_ref());
+                            let cache = cache.expect("missing forward cache");
                             sgs[i].with(|sgv| {
                                 let delta = &sgv.expect("missing scan adjoint").dh;
                                 let (dx, _sg_prev) = params.backward(cache, delta, None, g);
@@ -1136,34 +1456,44 @@ impl<T: Float> ReplicaGraph<T> {
         })
     }
 
-    /// Collects this replica's accumulated gradients into a [`BrnnGrads`].
+    /// Applies one optimizer step to `model` straight from this replica's
+    /// resident gradient accumulators (replica 0 holds the reduced sum).
     /// Call only after `taskwait`.
-    pub fn take_grads(&self) -> BrnnGrads<T> {
+    pub fn apply_grads(&self, model: &mut Brnn<T>, opt: &mut dyn Optimizer<T>) {
+        const MISSING: &str = "missing gradient accumulator";
+        model.apply_grads_with(
+            opt,
+            |l, dir, f| self.grads[dir.ix()][l].with(|g| f(g.expect(MISSING))),
+            |f| self.grads_dense.with(|g| f(g.expect(MISSING))),
+        );
+    }
+
+    /// A copy of this replica's accumulated gradients (zero where a
+    /// replay left an accumulator empty). Call only after `taskwait`.
+    pub fn grads(&self) -> BrnnGrads<T> {
         let model = self.weights.snapshot();
         let layers = (0..self.config.layers)
             .map(|l| {
-                let take = |dir: Dir| {
-                    let own = self.grads[dir.ix()][l].take();
+                let copy = |dir: Dir| {
+                    let own = self.grads[dir.ix()][l].with(|g| g.cloned());
                     own.unwrap_or_else(|| dir_params(&model, l, dir).zeros_like())
                 };
                 LayerPair {
-                    fwd: take(Dir::Fwd),
-                    rev: take(Dir::Rev),
+                    fwd: copy(Dir::Fwd),
+                    rev: copy(Dir::Rev),
                 }
             })
             .collect();
+        let dense = self.grads_dense.with(|g| g.cloned());
         BrnnGrads {
             layers,
-            dense: self
-                .grads_dense
-                .take()
-                .unwrap_or_else(|| model.dense.zeros_like()),
+            dense: dense.unwrap_or_else(|| model.dense.zeros_like()),
         }
     }
 
     /// The weighted loss this replica accumulated. Call after `taskwait`.
-    pub fn take_loss(&self) -> f64 {
-        self.loss.take().unwrap_or(0.0)
+    pub fn loss(&self) -> f64 {
+        self.loss.with(|l| l.copied().unwrap_or(0.0))
     }
 }
 
@@ -1202,12 +1532,37 @@ mod tests {
         assert_eq!(store.deep_copies(), 1);
         assert!(Arc::ptr_eq(&before, &store.snapshot()));
 
-        // Revision bump forces exactly one fresh copy.
+        // Revision bump forces exactly one fresh copy — a clone, since
+        // `before` still reads the old snapshot, which must not change.
         model.touch();
         assert!(store.sync(&model));
         assert!(!store.sync(&model));
         assert_eq!(store.deep_copies(), 2);
         assert!(!Arc::ptr_eq(&before, &store.snapshot()));
+        assert_ne!(before.revision(), model.revision());
+    }
+
+    /// With no reader holding the snapshot, a re-sync copies the new
+    /// weights into the snapshot's own buffers: same allocation, new
+    /// values and revision.
+    #[test]
+    fn weight_store_resyncs_an_unshared_snapshot_in_place() {
+        let mut model = tiny();
+        let store = WeightStore::for_backend(&model, Backend::scalar());
+        let before = Arc::as_ptr(&store.snapshot());
+        let mut grads = model.zero_grads();
+        grads.dense.w.fill(1.0);
+        model.apply_grads(&mut crate::optim::Sgd::new(0.5), &grads);
+        assert!(store.sync(&model));
+        let after = store.snapshot();
+        assert_eq!(
+            Arc::as_ptr(&after),
+            before,
+            "re-sync reallocated the snapshot"
+        );
+        assert_eq!(after.revision(), model.revision());
+        assert_eq!(after.max_param_diff(&model), 0.0);
+        assert_eq!(store.deep_copies(), 2);
     }
 
     #[test]
@@ -1216,14 +1571,13 @@ mod tests {
         let store = Arc::new(WeightStore::for_backend(&model, Backend::scalar()));
         let mut regions = RegionAlloc::default();
         let xs: Vec<Matrix<f64>> = (0..2).map(|_| Matrix::zeros(4, 3)).collect();
-        let rep = ReplicaGraph::new(
-            store,
-            xs,
-            1.0,
-            &mut regions,
-            Backend::scalar(),
-            RecurrenceStrategy::Chain,
-        );
+        let body = BodyConfig {
+            backend: Backend::scalar(),
+            strategy: RecurrenceStrategy::Chain,
+            train: false,
+            workers: 1,
+        };
+        let rep = ReplicaGraph::new(store, xs, 1.0, &mut regions, body);
         let wrong_len: Vec<Matrix<f64>> = vec![Matrix::zeros(4, 3)];
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rep.load_inputs(&wrong_len, 0, 4)

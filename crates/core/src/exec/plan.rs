@@ -15,15 +15,16 @@
 //! cumulative build vs replay nanoseconds the `plan_replay` bench turns
 //! into the §IV-B overhead comparison.
 
-use super::builder::{task_spec, RegionAlloc, ReplicaGraph, WeightStore};
+use super::builder::{task_spec, BodyConfig, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::TaskGraphExec;
 use super::{check_batch, Target};
 use crate::emit::{self, Coarsen, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
-use bpar_tensor::{Backend, BackendKind, Float, Matrix};
+use bpar_tensor::{BackendKind, Float, Matrix};
 use std::any::{Any, TypeId};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Everything that makes two batches shape-compatible with one plan.
@@ -71,10 +72,14 @@ pub(crate) struct ExecPlan<T: Float> {
     pub train: bool,
     /// Timesteps folded into each task (the resolved [`Coarsen`]).
     pub coarsen: usize,
-    /// Analytic size of the plan's persistent arena — every input, state,
-    /// cache, merge and logit buffer its replicas keep alive between
-    /// replays — computed once at build time from the plan's shapes.
+    /// Analytic size of the plan's persistent arena — every buffer its
+    /// replicas' slots keep alive between replays (see
+    /// [`ReplicaGraph::persistent_bytes`]) — computed once at build time
+    /// from the plan's shapes.
     pub arena_bytes: u64,
+    /// Whether a replay in which every body ran has sized every worker's
+    /// scratch ([`ExecPlan::size_scratch`]).
+    pub scratch_sized: AtomicBool,
 }
 
 impl<T: Float> ExecPlan<T> {
@@ -107,26 +112,23 @@ impl<T: Float> ExecPlan<T> {
     }
 
     /// Builds the full graph for `batch`'s shape: replicas, task bodies,
-    /// frozen dependency structure. `batch` supplies only the shape; call
-    /// [`ExecPlan::load_batch`] before every run (including the first).
-    /// Forward task bodies dispatch their kernels through `backend`
-    /// (frozen into the compiled bodies — one plan, one backend).
-    /// Executors pass `seed = None` and [`Coarsen::Rule`]; a [`SeedBug`]
-    /// plants that bug for the soundness detectors.
-    #[allow(clippy::too_many_arguments)]
+    /// frozen dependency structure. `batch` supplies only the shape; call [`ExecPlan::load_batch`]
+    /// before every run (including the first). The bodies are frozen with
+    /// `body` — one plan, one backend. Executors pass `seed = None` and
+    /// [`Coarsen::Rule`]; a [`SeedBug`] plants that bug for the soundness
+    /// detectors.
     pub fn build(
         model: &Brnn<T>,
         batch: &[Matrix<T>],
         mbs: usize,
-        train: bool,
         seed: Option<SeedBug>,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
+        body: BodyConfig,
         coarsen: Coarsen,
     ) -> Self {
+        let train = body.train;
         let mut regions = RegionAlloc::default();
         let (weights, mut replicas, chunks) =
-            TaskGraphExec::make_replicas(mbs, model, batch, &mut regions, backend, strategy);
+            TaskGraphExec::make_replicas(mbs, model, batch, &mut regions, body);
         if seed == Some(SeedBug::CrossEpochRace) {
             replicas[0].seed_alias(&mut regions);
         }
@@ -165,6 +167,18 @@ impl<T: Float> ExecPlan<T> {
             train,
             coarsen,
             arena_bytes,
+            scratch_sized: AtomicBool::new(false),
+        }
+    }
+
+    /// Once, after a replay in which every body ran: gives every worker's
+    /// scratch what any worker's needed ([`ReplicaGraph::equalize_scratch`]),
+    /// so later replays allocate no scratch whatever the schedule.
+    pub fn size_scratch(&self) {
+        if !self.scratch_sized.swap(true, Ordering::Relaxed) {
+            self.replicas
+                .iter()
+                .for_each(ReplicaGraph::equalize_scratch);
         }
     }
 
@@ -184,34 +198,24 @@ impl<T: Float> ExecPlan<T> {
         }
     }
 
-    /// Distributes `target` row-wise over the replicas' target stores.
+    /// Starts a training batch: copies `target` row-wise into the
+    /// replicas' resident target buffers and zero-fills their gradient
+    /// and loss accumulators, which the batch's tasks then fold into.
+    /// Every other slot is fully overwritten by its task, so nothing is
+    /// dropped between batches — the retained memory *is* the plan's
+    /// arena ([`ExecPlan::arena_bytes`]).
     pub fn load_target(&self, target: &Target) {
         for (rep, &(start, count)) in self.replicas.iter().zip(&self.chunks) {
-            rep.set_target(&target.row_block(start, count));
+            rep.set_target(target, start, count);
+            rep.reset_accumulators();
         }
     }
 
-    /// Post-batch cleanup. Training plans drop every transient value —
-    /// gradients and loss are single-consumer `take()`s and the next batch
-    /// must start from an all-empty state. Inference plans keep their
-    /// buffers: every forward task fully overwrites its slot on the next
-    /// replay, so retaining them is what makes the warm path
-    /// allocation-free — the retained memory *is* the plan's arena
-    /// ([`ExecPlan::arena_bytes`]).
-    pub fn scrub(&self) {
-        if self.train {
-            for rep in &self.replicas {
-                rep.clear_values();
-            }
-        }
-    }
-
-    /// Unconditionally drops every transient value, returning the plan to
-    /// the all-empty state of a freshly built graph. Analysis replays use
-    /// this instead of [`ExecPlan::scrub`]: a missing-dependency bug must
-    /// surface as an empty-slot read or a divergent fingerprint, which a
-    /// persistent buffer holding the previous replay's (identical) values
-    /// would mask.
+    /// Drops every value, returning the plan to the all-empty state of a
+    /// freshly built graph. Only analysis replays do this: a
+    /// missing-dependency bug must surface as an empty-slot read or a
+    /// divergent fingerprint, which a persistent buffer holding the
+    /// previous replay's (identical) values would mask.
     pub fn clear_values(&self) {
         for rep in &self.replicas {
             rep.clear_values();
@@ -241,7 +245,8 @@ pub struct PlanCacheStats {
     /// Plans currently resident.
     pub cached_plans: usize,
     /// Total bytes of persistent arena held by the resident plans
-    /// (activations, caches, inputs, logits — see `ExecPlan::arena_bytes`).
+    /// (inputs, activations, logits; training plans' caches and gradient
+    /// slots — see `ExecPlan::arena_bytes`).
     pub arena_bytes: u64,
     /// Warm replays that reused a resident plan's arena instead of
     /// allocating fresh buffers (increments with every cache hit).

@@ -26,8 +26,12 @@
 //! dependency-tracker rebuild. Because *every* batch — including the
 //! first — executes via the same load-values-then-replay path, cached
 //! replays are bit-identical to fresh builds by construction.
+//!
+//! A plan keeps every slot's buffer between batches (its arena) and every
+//! body writes in place, so a warm batch — inference or training step,
+//! weight re-sync and optimizer update included — allocates nothing.
 
-use super::builder::{RegionAlloc, ReplicaGraph, WeightStore};
+use super::builder::{BodyConfig, RegionAlloc, ReplicaGraph, WeightStore};
 use super::plan::{ExecPlan, PlanCache, PlanCacheStats, PlanKey};
 use super::{check_batch, ExecError, Executor, ForwardOutput, Target};
 use crate::emit::Coarsen;
@@ -37,6 +41,7 @@ use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{Runtime, RuntimeConfig, SchedulerPolicy};
 use bpar_tensor::{Backend, BackendKind, Float, Matrix};
 use parking_lot::Mutex;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -184,11 +189,10 @@ impl TaskGraphExec {
         model: &Brnn<T>,
         batch: &[Matrix<T>],
         regions: &mut RegionAlloc,
-        backend: Backend,
-        strategy: RecurrenceStrategy,
+        body: BodyConfig,
     ) -> ReplicaSet<T> {
         let (_, rows) = check_batch(model, batch);
-        let weights = Arc::new(WeightStore::for_backend(model, backend));
+        let weights = Arc::new(WeightStore::for_backend(model, body.backend));
         let chunks = row_chunks(rows, mbs);
         let replicas = chunks
             .iter()
@@ -199,8 +203,7 @@ impl TaskGraphExec {
                     xs,
                     count as f64 / rows as f64,
                     regions,
-                    backend,
-                    strategy,
+                    body,
                 )
             })
             .collect();
@@ -238,14 +241,18 @@ impl TaskGraphExec {
         // Build outside the lock: plan construction is the expensive path
         // and the serve loop may poll stats from another thread.
         let t0 = Instant::now();
+        let body = BodyConfig {
+            backend,
+            strategy,
+            train,
+            workers: self.runtime.workers(),
+        };
         let plan = Arc::new(ExecPlan::build(
             model,
             batch,
             self.mbs,
-            train,
             None,
-            backend,
-            strategy,
+            body,
             self.coarsen,
         ));
         let build_ns = t0.elapsed().as_nanos() as u64;
@@ -282,7 +289,13 @@ impl TaskGraphExec {
         self.runtime.taskwait().map_err(|msg| {
             self.plans.lock().evict::<T>(key);
             ExecError(msg)
-        })
+        })?;
+        // The first replay that ran every body (a claimed cancel token
+        // skips some) sizes every worker's scratch for all of them.
+        if !plan.scratch_sized.load(Ordering::Relaxed) && !self.runtime.cancel_claimed() {
+            plan.size_scratch();
+        }
+        Ok(())
     }
 
     /// Tenant-keyed counterpart of
@@ -308,7 +321,6 @@ impl TaskGraphExec {
         if !self.runtime.cancel_claimed() {
             collect_logits_into(model, &plan.replicas, &plan.chunks, out);
         }
-        plan.scrub();
         Ok(())
     }
 }
@@ -342,9 +354,7 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         let (plan, key) = self.plan_for(0, model, batch, false);
         plan.load_batch(model, batch);
         self.run_plan(model, &plan, &key)?;
-        let out = collect_logits(model, &plan.replicas);
-        plan.scrub();
-        Ok(out)
+        Ok(collect_logits(model, &plan.replicas))
     }
 
     fn try_forward_into(
@@ -357,7 +367,6 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         plan.load_batch(model, batch);
         self.run_plan(model, &plan, &key)?;
         collect_logits_into(model, &plan.replicas, &plan.chunks, out);
-        plan.scrub();
         Ok(())
     }
 
@@ -383,12 +392,9 @@ impl<T: Float> Executor<T> for TaskGraphExec {
         plan.load_batch(model, batch);
         plan.load_target(target);
         self.run_plan(model, &plan, &key)?;
-        let loss = plan.replicas[0].take_loss();
-        let grads = plan.replicas[0].take_grads();
-        plan.scrub();
         // Bumps the model's revision, so the next run re-syncs weights.
-        model.apply_grads(opt, &grads);
-        Ok(loss)
+        plan.replicas[0].apply_grads(model, opt);
+        Ok(plan.replicas[0].loss())
     }
 
     fn name(&self) -> &'static str {
@@ -464,6 +470,10 @@ pub(crate) fn collect_logits_into<T: Float>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellKind;
+    use crate::merge::MergeMode;
+    use crate::model::BrnnConfig;
+    use crate::optim::Sgd;
 
     #[test]
     fn row_chunks_cover_everything() {
@@ -520,6 +530,163 @@ mod tests {
         assert_eq!((stats.misses, stats.weight_syncs), (1, 1));
         assert_eq!(stats.hits, threads as u64 - 1);
         assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+    }
+
+    fn inputs<T: Float>(cfg: BrnnConfig, rows: usize) -> (Vec<Matrix<T>>, Target) {
+        let xs = (0..cfg.seq_len)
+            .map(|t| bpar_tensor::init::uniform(rows, cfg.input_size, -1.0, 1.0, 7 + t as u64))
+            .collect();
+        let classes = |salt: usize| (0..rows).map(|r| (r + salt) % cfg.output_size).collect();
+        let target = match cfg.kind {
+            ModelKind::ManyToOne => Target::Classes(classes(0)),
+            ModelKind::ManyToMany => Target::SeqClasses((0..cfg.seq_len).map(classes).collect()),
+        };
+        (xs, target)
+    }
+
+    fn config(cell: CellKind, kind: ModelKind, hidden: usize) -> BrnnConfig {
+        BrnnConfig {
+            cell,
+            input_size: 3,
+            hidden_size: hidden,
+            layers: 2,
+            seq_len: 5,
+            output_size: 3,
+            merge: MergeMode::Concat,
+            kind,
+        }
+    }
+
+    /// `arena_bytes` is exactly what a plan's slots hold after a replay:
+    /// an inference plan's states without their caches, a training plan's
+    /// caches, gradient slots and accumulators too — for every cell kind,
+    /// both output arities, a split batch and the scan strategy.
+    #[test]
+    fn arena_bytes_are_what_the_slots_hold() {
+        let chain = RecurrenceStrategy::Chain;
+        let scan = RecurrenceStrategy::Scan { chunks: 2 };
+        for cell in [
+            CellKind::Lstm,
+            CellKind::Gru,
+            CellKind::Vanilla,
+            CellKind::Linear,
+        ] {
+            let strategies = if cell.scannable() {
+                vec![chain, scan]
+            } else {
+                vec![chain]
+            };
+            for (strategy, kind) in strategies
+                .into_iter()
+                .flat_map(|s| [(s, ModelKind::ManyToOne), (s, ModelKind::ManyToMany)])
+            {
+                for mbs in [1, 2] {
+                    let cfg = config(cell, kind, 4);
+                    let mut model: Brnn<f32> = Brnn::new(cfg, 5);
+                    let (xs, target) = inputs(cfg, 3);
+                    let exec = TaskGraphExec::with_config(1, SchedulerPolicy::Fifo, mbs)
+                        .with_strategy(strategy);
+                    exec.forward(&model, &xs);
+                    exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+                    for train in [false, true] {
+                        let (plan, _) = exec.plan_for(0, &model, &xs, train);
+                        let held: u64 = plan.replicas.iter().map(ReplicaGraph::held_bytes).sum();
+                        let what =
+                            format!("{cell:?} {kind:?} {strategy:?} mbs {mbs} train {train}");
+                        assert_eq!(plan.arena_bytes, held, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every worker's scratch is sized by the plan's first run: after it,
+    /// all workers pool as many buffers, and however the scheduler
+    /// spreads the tasks over three workers afterwards, no replay
+    /// allocates a scratch buffer or grows a quantization buffer — the
+    /// warm path's zero allocations cannot depend on which worker ran
+    /// which task before.
+    #[test]
+    fn scratch_is_sized_by_the_first_run() {
+        let (chain, scan) = (
+            RecurrenceStrategy::Chain,
+            RecurrenceStrategy::Scan { chunks: 2 },
+        );
+        let cases = [
+            (
+                CellKind::Lstm,
+                ModelKind::ManyToOne,
+                4,
+                BackendKind::Simd,
+                chain,
+            ),
+            (
+                CellKind::Gru,
+                ModelKind::ManyToMany,
+                4,
+                BackendKind::Int8,
+                chain,
+            ),
+            (
+                CellKind::Gru,
+                ModelKind::ManyToMany,
+                2,
+                BackendKind::Scalar,
+                chain,
+            ),
+            (
+                CellKind::Vanilla,
+                ModelKind::ManyToOne,
+                4,
+                BackendKind::Simd,
+                chain,
+            ),
+            (
+                CellKind::Linear,
+                ModelKind::ManyToMany,
+                4,
+                BackendKind::Simd,
+                scan,
+            ),
+        ];
+        for (cell, kind, hidden, backend, strategy) in cases {
+            for policy in [
+                SchedulerPolicy::Fifo,
+                SchedulerPolicy::LocalityAware,
+                SchedulerPolicy::WorkStealing,
+            ] {
+                let cfg = config(cell, kind, hidden);
+                let mut model: Brnn<f32> = Brnn::new(cfg, 9);
+                let (xs, target) = inputs(cfg, 3);
+                let exec =
+                    TaskGraphExec::with_backend(3, policy, 2, backend).with_strategy(strategy);
+                for train in [false, true] {
+                    let run = |model: &mut Brnn<f32>| {
+                        if train {
+                            exec.train_batch(model, &xs, &target, &mut Sgd::new(0.1));
+                        } else {
+                            exec.forward(model, &xs);
+                        }
+                    };
+                    run(&mut model);
+                    let plan = exec.plan_for(0, &model, &xs, train).0;
+                    let what = format!("{cfg:?} {backend} {strategy:?} {policy:?} train {train}");
+                    let profiles = || -> Vec<_> {
+                        plan.replicas
+                            .iter()
+                            .map(ReplicaGraph::scratch_profile)
+                            .collect()
+                    };
+                    let sized = profiles();
+                    for workers in &sized {
+                        let same = workers.iter().all(|w| w.0 == workers[0].0);
+                        assert!(same, "{what}: {sized:?}");
+                    }
+                    (0..6).for_each(|_| run(&mut model));
+                    assert_eq!(sized, profiles(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::cell::{CellKind, CellParams};
 use crate::dense::DenseParams;
+use crate::emit::Dir;
 use crate::merge::MergeMode;
 use crate::optim::Optimizer;
 use bpar_tensor::{Float, Matrix};
@@ -230,19 +231,61 @@ impl<T: Float> Brnn<T> {
             self.layers.len(),
             "gradient layer count"
         );
+        self.apply_grads_with(
+            opt,
+            |l, dir, f| match dir {
+                Dir::Fwd => f(&grads.layers[l].fwd),
+                Dir::Rev => f(&grads.layers[l].rev),
+            },
+            |f| f(&grads.dense),
+        );
+    }
+
+    /// [`Brnn::apply_grads`] reading the gradient of layer `l` ×
+    /// direction through `cell(l, dir, f)` and the classifier's through
+    /// `dense(f)` — for callers whose gradients live in separately
+    /// guarded buffers (the task-graph executor's accumulator slots),
+    /// which can then apply them in place, without assembling a
+    /// [`BrnnGrads`]. Same slots, same order, same updates.
+    pub(crate) fn apply_grads_with(
+        &mut self,
+        opt: &mut dyn Optimizer<T>,
+        mut cell: impl FnMut(usize, Dir, &mut dyn FnMut(&CellParams<T>)),
+        dense: impl FnOnce(&mut dyn FnMut(&DenseParams<T>)),
+    ) {
         let mut slot = 0usize;
         let mut step = |p: &mut Matrix<T>, g: &Matrix<T>| {
             opt.update(slot, p, g);
             slot += 1;
         };
-        for (lp, lg) in self.layers.iter_mut().zip(&grads.layers) {
-            lp.fwd.for_each_param(&lg.fwd, &mut step);
-            lp.rev.for_each_param(&lg.rev, &mut step);
+        for (l, lp) in self.layers.iter_mut().enumerate() {
+            cell(l, Dir::Fwd, &mut |g| lp.fwd.for_each_param(g, &mut step));
+            cell(l, Dir::Rev, &mut |g| lp.rev.for_each_param(g, &mut step));
         }
-        step(&mut self.dense.w, &grads.dense.w);
-        step(&mut self.dense.b, &grads.dense.b);
+        dense(&mut |g| {
+            step(&mut self.dense.w, &g.w);
+            step(&mut self.dense.b, &g.b);
+        });
         opt.end_step();
         self.touch();
+    }
+
+    /// Overwrites every weight with `src`'s and takes its revision, in
+    /// place: the allocation-free `*self = src.clone()` for two models of
+    /// one configuration (a weight snapshot catching up with its model).
+    ///
+    /// # Panics
+    /// Panics if the configurations differ.
+    pub fn copy_weights_from(&mut self, src: &Brnn<T>) {
+        assert_eq!(self.config, src.config, "weight copy across configurations");
+        let mut copy = |dst: &mut Matrix<T>, s: &Matrix<T>| dst.copy_from(s);
+        for (lp, sp) in self.layers.iter_mut().zip(&src.layers) {
+            lp.fwd.for_each_param(&sp.fwd, &mut copy);
+            lp.rev.for_each_param(&sp.rev, &mut copy);
+        }
+        copy(&mut self.dense.w, &src.dense.w);
+        copy(&mut self.dense.b, &src.dense.b);
+        self.revision = src.revision;
     }
 
     /// Maximum absolute parameter difference against another model —

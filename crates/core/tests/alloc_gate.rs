@@ -1,6 +1,8 @@
-//! Steady-state allocation gate: a warm, replayed inference plan must run
-//! an entire batch — input copy-in, every cell/merge/dense task, logit
-//! collection — without touching the heap allocator once.
+//! Steady-state allocation gate: a warm, replayed plan must run an entire
+//! batch without touching the heap allocator once — an inference batch
+//! (input copy-in, every cell/merge/dense task, logit collection) and a
+//! training step (target copy-in, accumulator reset, weight re-sync,
+//! forward, BPTT, reductions, the optimizer step).
 //!
 //! The whole file is compiled only with the `count-alloc` feature (the CI
 //! `alloc-gate` job runs `cargo test -p bpar-core --features count-alloc
@@ -12,10 +14,11 @@
 #![cfg(feature = "count-alloc")]
 
 use bpar_core::cell::CellKind;
-use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, TaskGraphExec};
+use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, Target, TaskGraphExec};
 use bpar_core::graphgen::{Coarsen, GraphSpec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
+use bpar_core::optim::Sgd;
 use bpar_core::scanplan::RecurrenceStrategy;
 use bpar_runtime::SchedulerPolicy;
 use bpar_tensor::alloc_track::{allocation_count, bytes_allocated};
@@ -52,36 +55,40 @@ fn config(cell: CellKind, merge: MergeMode, kind: ModelKind) -> BrnnConfig {
 /// carries a quantization tolerance instead (covered by the
 /// `backend_parity` suite), so its gate checks allocations and shape only.
 fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, check_bits: bool) {
-    gate_scheduled::<T>(
-        cfg,
-        seed,
-        backend,
-        check_bits,
-        SchedulerPolicy::LocalityAware,
-    );
+    for workers in [1, 2, 3] {
+        gate_scheduled::<T>(
+            cfg,
+            seed,
+            backend,
+            check_bits,
+            SchedulerPolicy::LocalityAware,
+            workers,
+        );
+    }
 }
 
-/// The gate under an explicit scheduler policy. Work-stealing keeps its
-/// per-worker deques and injector warm across replays (capacity is
-/// retained like the global queue's), so it must be as allocation-free as
-/// the paper-parity policies — and bit-identical, since any topological
-/// order produces the same logits.
+/// The gate under an explicit scheduler policy and worker count.
+/// Work-stealing keeps its per-worker deques and injector warm across
+/// replays (capacity is retained like the global queue's), so it must be
+/// as allocation-free as the paper-parity policies — and bit-identical,
+/// since any topological order produces the same logits.
 fn gate_scheduled<T: Float>(
     cfg: BrnnConfig,
     seed: u64,
     backend: BackendKind,
     check_bits: bool,
     scheduler: SchedulerPolicy,
+    workers: usize,
 ) {
     let model = Brnn::<T>::new(cfg, seed);
-    let exec = TaskGraphExec::with_backend(2, scheduler, 1, backend);
+    let exec = TaskGraphExec::with_backend(workers, scheduler, 1, backend);
     let xs = batch::<T>(cfg.seq_len, 4, cfg.input_size, seed + 100);
     let mut out = ForwardOutput::zeros_for(&model, 4, cfg.seq_len);
 
     // Warmup: the first call builds and caches the plan (allocating its
-    // arena; the int8 plan also quantizes its weight snapshot and grows
-    // per-task quantization scratch); a few more drain every lazily grown
-    // queue and thread-local.
+    // arena; the int8 plan also quantizes its weight snapshot) and sizes
+    // every worker's scratch; a few more drain every lazily grown queue
+    // and thread-local.
     for _ in 0..5 {
         exec.try_forward_into(&model, &xs, &mut out).unwrap();
     }
@@ -94,7 +101,7 @@ fn gate_scheduled<T: Float>(
     assert_eq!(
         allocs, 0,
         "warm replayed inference batch allocated {allocs} times ({bytes} bytes) \
-         for {:?}/{:?}/{:?} under the {backend} backend",
+         for {:?}/{:?}/{:?} under the {backend} backend on {workers} workers",
         cfg.cell, cfg.merge, cfg.kind
     );
 
@@ -119,6 +126,69 @@ fn gate_scheduled<T: Float>(
         for (a, b) in m.as_slice().iter().zip(r.as_slice()) {
             assert!(a == b, "seq logits diverge");
         }
+    }
+}
+
+/// Per-position target classes for a `rows`-row batch of `cfg`.
+fn target(cfg: BrnnConfig, rows: usize) -> Target {
+    let classes = |salt: usize| (0..rows).map(|r| (r + salt) % cfg.output_size).collect();
+    match cfg.kind {
+        ModelKind::ManyToOne => Target::Classes(classes(1)),
+        ModelKind::ManyToMany => Target::SeqClasses((0..cfg.seq_len).map(classes).collect()),
+    }
+}
+
+/// The training gate: warm the training plan, then assert one more
+/// `try_train_batch` — target copy-in, accumulator reset, in-place weight
+/// re-sync (every step bumps the revision), forward, BPTT, reductions and
+/// the `Sgd` step — performs exactly zero heap allocations. A training
+/// plan runs the exact kernels under every backend kind, so the step must
+/// also stay bit-identical to `SequentialExec` stepping a twin model.
+fn train_gate<T: Float>(
+    cfg: BrnnConfig,
+    seed: u64,
+    backend: BackendKind,
+    workers: usize,
+    mbs: usize,
+) {
+    let mut model = Brnn::<T>::new(cfg, seed);
+    let mut twin = model.clone();
+    let exec = TaskGraphExec::with_backend(workers, SchedulerPolicy::LocalityAware, mbs, backend);
+    let xs = batch::<T>(cfg.seq_len, 4, cfg.input_size, seed + 100);
+    let target = target(cfg, 4);
+    let (mut opt, mut twin_opt) = (Sgd::new(0.05), Sgd::new(0.05));
+    for _ in 0..5 {
+        exec.try_train_batch(&mut model, &xs, &target, &mut opt)
+            .unwrap();
+        SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
+    }
+
+    let allocs_before = allocation_count();
+    let bytes_before = bytes_allocated();
+    let loss = exec
+        .try_train_batch(&mut model, &xs, &target, &mut opt)
+        .unwrap();
+    let allocs = allocation_count() - allocs_before;
+    let bytes = bytes_allocated() - bytes_before;
+    assert_eq!(
+        allocs, 0,
+        "warm training step allocated {allocs} times ({bytes} bytes) for \
+         {:?}/{:?}/{:?} under the {backend} executor on {workers} workers, mbs {mbs}",
+        cfg.cell, cfg.merge, cfg.kind
+    );
+
+    if mbs == 1 {
+        let want = SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
+        assert_eq!(
+            loss.to_bits(),
+            want.to_bits(),
+            "loss diverges from sequential"
+        );
+        assert_eq!(
+            model.max_param_diff(&twin),
+            0.0,
+            "weights diverge from sequential"
+        );
     }
 }
 
@@ -160,10 +230,10 @@ fn gate_scan<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, chunks:
 }
 
 #[test]
-fn warm_replayed_inference_batches_allocate_nothing() {
+fn warm_replays_allocate_nothing() {
     // All three cell kinds; concat exercises the widest merge buffers,
     // many-to-many exercises per-timestep dense/logit buffers, and the
-    // GRU draws per-task scratch from its workspace on every step.
+    // GRU draws scratch from its worker's workspace on every step.
     gate::<f64>(
         config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne),
         3,
@@ -186,7 +256,7 @@ fn warm_replayed_inference_batches_allocate_nothing() {
     // Non-scalar backends specialize only f32, so their gates run f32
     // models: the zero-allocation guarantee must hold under every backend
     // (the SIMD GEMM's blocked tile loop and the int8 path's quantization
-    // scratch both draw from the pooled per-task workspace).
+    // scratch both draw from the pooled per-worker workspace).
     for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
         gate::<f32>(
             config(cell, MergeMode::Concat, ModelKind::ManyToMany),
@@ -229,6 +299,7 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         BackendKind::Scalar,
         true,
         SchedulerPolicy::WorkStealing,
+        2,
     );
     gate_scheduled::<f32>(
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
@@ -236,6 +307,7 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         BackendKind::Simd,
         true,
         SchedulerPolicy::WorkStealing,
+        3,
     );
 
     // The Blelloch scan strategy over the diagonal linear cell: three
@@ -256,4 +328,30 @@ fn warm_replayed_inference_batches_allocate_nothing() {
         3,
         1e-4,
     );
+
+    // Training: every cell kind under every backend kind's executor (an
+    // int8 executor trains on the exact kernels) and on 1–3 workers;
+    // many-to-one leaves most top-layer `dh` slots unwritten, `mbs` 2
+    // adds the cross-replica reductions, the h = 2 shape is folded.
+    for workers in [1, 2, 3] {
+        for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
+            for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
+                train_gate::<f32>(
+                    config(cell, MergeMode::Concat, ModelKind::ManyToOne),
+                    41,
+                    backend,
+                    workers,
+                    1,
+                );
+            }
+        }
+        train_gate::<f64>(
+            config(CellKind::Lstm, MergeMode::Mul, ModelKind::ManyToMany),
+            43,
+            BackendKind::Scalar,
+            workers,
+            2,
+        );
+        train_gate::<f32>(fine, 47, BackendKind::Simd, workers, 1);
+    }
 }

@@ -138,6 +138,96 @@ proptest! {
         // Build copy + one re-sync after each of the first two updates.
         prop_assert_eq!(stats.weight_syncs, 3);
     }
+
+    /// A warm training replay is isolated from the ones before it: a
+    /// training plan keeps every buffer between batches, so after N warm
+    /// steps — training and inference batches of two shapes interleaved
+    /// on one executor — step N+1's loss, its gradients (seen through the
+    /// updated weights) and the logits that follow must equal a cold step
+    /// bitwise: `SequentialExec`'s at mbs 1, a fresh executor's otherwise
+    /// (a split batch regroups the loss sums, so only the cold plan is a
+    /// bitwise reference). Never-written `dh` slots (many-to-one), the
+    /// reductions (mbs > 1) and every scheduler on 1–3 workers included.
+    #[test]
+    fn warm_training_replays_match_a_cold_step_bitwise(
+        cfg in arb_config(),
+        warm_steps in prop_oneof![Just(1u64), Just(3)],
+        mbs in 1usize..4,
+        workers in 1usize..4,
+        policy in prop_oneof![
+            Just(SchedulerPolicy::Fifo),
+            Just(SchedulerPolicy::LocalityAware),
+            Just(SchedulerPolicy::WorkStealing)
+        ],
+        (rows_a, seq_a) in (1usize..5, 1usize..5),
+        (rows_b, seq_b) in (1usize..5, 1usize..5),
+        seed in 0u64..1000,
+    ) {
+        let mut model: Brnn<f64> = Brnn::new(cfg, seed);
+        let exec = TaskGraphExec::with_config(workers, policy, mbs);
+        for step in 0..warm_steps {
+            for (salt, rows, seq) in [(0, rows_a, seq_a), (500, rows_b, seq_b)] {
+                let xs = inputs(&cfg, rows, seq, seed + step + salt);
+                let target = target_for(&cfg, rows, seq, (step + salt) as usize);
+                exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+                exec.forward(&model, &xs);
+            }
+        }
+
+        let xs = inputs(&cfg, rows_a, seq_a, seed + 99);
+        let target = target_for(&cfg, rows_a, seq_a, 7);
+        let mut cold = model.clone();
+        let warm_loss = exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+        let cold_loss = if mbs == 1 {
+            SequentialExec::new().train_batch(&mut cold, &xs, &target, &mut Sgd::new(0.1))
+        } else {
+            let fresh = TaskGraphExec::with_config(1, SchedulerPolicy::Fifo, mbs);
+            fresh.train_batch(&mut cold, &xs, &target, &mut Sgd::new(0.1))
+        };
+        prop_assert_eq!(warm_loss.to_bits(), cold_loss.to_bits());
+        prop_assert_eq!(model.max_param_diff(&cold), 0.0);
+
+        let warm_out = exec.forward(&model, &xs);
+        let cold_out = SequentialExec::new().forward(&cold, &xs);
+        prop_assert_eq!(warm_out.logits.max_abs_diff(&cold_out.logits), 0.0);
+        for (w, c) in warm_out.seq_logits.iter().zip(&cold_out.seq_logits) {
+            prop_assert_eq!(w.max_abs_diff(c), 0.0);
+        }
+    }
+}
+
+/// Gradient accumulators are zero-filled per batch, not carried: two
+/// identical steps on clones of one model, one after the other on one
+/// warm executor, give the identical loss and identical updated weights.
+#[test]
+fn identical_steps_on_clones_give_identical_gradients() {
+    let cfg = BrnnConfig {
+        cell: CellKind::Gru,
+        kind: ModelKind::ManyToMany,
+        ..small_config()
+    };
+    let model: Brnn<f64> = Brnn::new(cfg, 17);
+    let exec = TaskGraphExec::with_config(2, SchedulerPolicy::LocalityAware, 2);
+    let xs = inputs(&cfg, 3, 4, 5);
+    let target = target_for(&cfg, 3, 4, 1);
+    let (mut a, mut b) = (model.clone(), model.clone());
+    let la = exec.train_batch(&mut a, &xs, &target, &mut Sgd::new(0.1));
+    let lb = exec.train_batch(&mut b, &xs, &target, &mut Sgd::new(0.1));
+    assert_eq!(la.to_bits(), lb.to_bits());
+    assert_eq!(
+        a.max_param_diff(&b),
+        0.0,
+        "the second step saw the first's gradients"
+    );
+    assert!(
+        a.max_param_diff(&model) > 0.0,
+        "the step must move the weights"
+    );
+    assert_eq!(
+        exec.plan_cache_stats().hits,
+        1,
+        "the second step replayed the plan"
+    );
 }
 
 fn small_config() -> BrnnConfig {

@@ -83,7 +83,7 @@ pub use graph::TaskGraph;
 pub use lockwitness::LockWitness;
 pub use plan::{CompiledPlan, PlanBuilder, PlanSpec};
 pub use region::{DepTracker, RegionId};
-pub use runtime::{Runtime, RuntimeConfig};
+pub use runtime::{current_worker, Runtime, RuntimeConfig};
 pub use scheduler::{AdversarialOrder, SchedulerPolicy};
 pub use stats::RuntimeStats;
 pub use task::{TaskId, TaskSpec};

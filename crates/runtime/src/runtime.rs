@@ -19,10 +19,25 @@ use crate::stats::{RuntimeStats, TaskRecord};
 use crate::task::{TaskId, TaskSpec};
 use crate::validate::{self, AccessRecorder, TaskScope};
 use parking_lot::Condvar;
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// Index of the pool worker this thread is (`usize::MAX` off a pool).
+    static WORKER: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Index (`0..workers`) of the runtime worker the calling thread is, or
+/// `None` off a worker pool. A task body uses it to pick state that
+/// belongs to the worker rather than to the task — one scratch arena per
+/// worker, whatever the graph's size.
+pub fn current_worker() -> Option<usize> {
+    let w = WORKER.with(Cell::get);
+    (w != usize::MAX).then_some(w)
+}
 
 /// Runtime construction parameters.
 #[derive(Debug, Clone)]
@@ -165,9 +180,14 @@ impl Runtime {
         // A multi-worker pool binds each worker to a CPU of its own (see
         // [`crate::affinity`]); a lone worker inherits this thread's mask.
         let cpus = affinity::plan(n_workers);
+        // The constructor returns once every worker thread is running, so
+        // a thread's start-up allocations (its name, its thread-locals)
+        // never land in a later batch — on an oversubscribed host a worker
+        // can otherwise first run long after its pool started working.
+        let started = Arc::new(std::sync::Barrier::new(n_workers + 1));
         let workers = (0..n_workers)
             .map(|w| {
-                let sh = shared.clone();
+                let (sh, started) = (shared.clone(), started.clone());
                 let cpu = cpus.as_ref().map(|c| c[w]);
                 std::thread::Builder::new()
                     .name(format!("bpar-worker-{w}"))
@@ -175,11 +195,14 @@ impl Runtime {
                         if let Some(cpu) = cpu {
                             affinity::bind_current_thread(cpu);
                         }
+                        WORKER.with(|i| i.set(w));
+                        started.wait();
                         worker_loop(sh, w)
                     })
                     .expect("failed to spawn worker thread")
             })
             .collect();
+        started.wait();
         Self {
             shared,
             workers,
@@ -705,6 +728,23 @@ mod tests {
         r.taskwait().unwrap();
         assert_eq!(hit.load(Ordering::SeqCst), 1);
         assert!(!cell.is_claimed());
+    }
+
+    #[test]
+    fn bodies_see_their_worker_index() {
+        assert_eq!(current_worker(), None, "the test thread is no worker");
+        let r = rt(3);
+        let seen = StdArc::new(Mutex::new(Vec::new()));
+        for i in 0..30 {
+            let s = seen.clone();
+            r.spawn("t", [], [RegionId(i)], move || {
+                s.lock().push(current_worker());
+            });
+        }
+        r.taskwait().unwrap();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 30);
+        assert!(seen.iter().all(|w| matches!(w, Some(0..=2))), "{:?}", *seen);
     }
 
     #[test]

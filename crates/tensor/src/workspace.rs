@@ -12,8 +12,6 @@
 //! layer keeps one arena's worth of persistent buffers alive per
 //! `CompiledPlan` so `Runtime::replay` never touches the allocator.
 
-use std::collections::HashMap;
-
 use crate::matrix::Matrix;
 use crate::scalar::Float;
 
@@ -73,6 +71,9 @@ impl QuantScratch {
     }
 }
 
+/// Free buffers of one `(rows, cols)` shape.
+type FreeList<T> = ((usize, usize), Vec<Matrix<T>>);
+
 /// A shape-keyed pool of reusable [`Matrix`] buffers.
 ///
 /// ```
@@ -86,7 +87,10 @@ impl QuantScratch {
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace<T: Float = f32> {
-    pool: HashMap<(usize, usize), Vec<Matrix<T>>>,
+    /// Free buffers per shape. A kernel sequence touches a handful of
+    /// shapes, so a linear scan beats hashing the key on every
+    /// checkout/give-back.
+    pool: Vec<FreeList<T>>,
     quant: QuantScratch,
     stats: WorkspaceStats,
 }
@@ -95,10 +99,17 @@ impl<T: Float> Workspace<T> {
     /// An empty workspace.
     pub fn new() -> Self {
         Self {
-            pool: HashMap::new(),
+            pool: Vec::new(),
             quant: QuantScratch::default(),
             stats: WorkspaceStats::default(),
         }
+    }
+
+    /// The free list of `shape`, if that shape was ever given back.
+    fn free(&mut self, shape: (usize, usize)) -> Option<&mut Vec<Matrix<T>>> {
+        self.pool
+            .iter_mut()
+            .find_map(|(s, free)| (*s == shape).then_some(free))
     }
 
     /// The int8 backend's grow-only quantization scratch.
@@ -112,7 +123,7 @@ impl<T: Float> Workspace<T> {
     /// stale values into kernel results (determinism over speed on the
     /// cold path; warm reuse is a `fill` of resident memory).
     pub fn checkout(&mut self, rows: usize, cols: usize) -> Matrix<T> {
-        match self.pool.get_mut(&(rows, cols)).and_then(|v| v.pop()) {
+        match self.free((rows, cols)).and_then(Vec::pop) {
             Some(mut m) => {
                 self.stats.reuses += 1;
                 m.fill_zero();
@@ -132,7 +143,28 @@ impl<T: Float> Workspace<T> {
         if m.is_empty() {
             return;
         }
-        self.pool.entry(m.shape()).or_default().push(m);
+        let shape = m.shape();
+        match self.free(shape) {
+            Some(free) => free.push(m),
+            None => self.pool.push((shape, vec![m])),
+        }
+    }
+
+    /// Tops the pool up to at least as many free buffers of every shape as
+    /// `other` holds, and the quantization scratch to `other`'s sizes: a
+    /// workspace that never ran a kernel sequence `other` ran is then as
+    /// ready for it. Call with both pools idle (every buffer given back).
+    pub fn reserve_like(&mut self, other: &Workspace<T>) {
+        for &((rows, cols), ref free) in &other.pool {
+            let have = self.free((rows, cols)).map_or(0, |f| f.len());
+            for _ in have..free.len() {
+                let m = Matrix::zeros(rows, cols);
+                self.stats.bytes += m.nbytes();
+                self.give_back(m);
+            }
+        }
+        let q = &other.quant;
+        self.quant.ensure(q.qa.len(), q.qb.len(), q.acc.len());
     }
 
     /// Drops every pooled buffer but keeps the lifetime byte counter
@@ -154,7 +186,7 @@ impl<T: Float> Workspace<T> {
 
     /// Number of buffers currently resident in the pool.
     pub fn pooled(&self) -> usize {
-        self.pool.values().map(Vec::len).sum()
+        self.pool.iter().map(|(_, free)| free.len()).sum()
     }
 }
 
@@ -211,6 +243,60 @@ mod tests {
         }
         assert_eq!(ws.stats().cold_allocs, 3);
         assert_eq!(ws.stats().reuses, 45);
+    }
+
+    /// The linear-scan pool keeps the shape-keyed contract over more
+    /// shapes than a kernel sequence uses: every shape allocates once,
+    /// buffers held concurrently stay distinct, checkouts come back
+    /// zeroed and of the asked shape, and `pooled` counts every free one.
+    #[test]
+    fn many_interleaved_shapes_keep_the_pool_contract() {
+        let shapes: Vec<(usize, usize)> = (1..=10).map(|i| (i % 3 + 1, i)).collect();
+        let mut ws: Workspace<f32> = Workspace::new();
+        for round in 0..4 {
+            let held: Vec<Matrix<f32>> = shapes
+                .iter()
+                .flat_map(|&(r, c)| [ws.checkout(r, c), ws.checkout(r, c)])
+                .collect();
+            for (m, &(r, c)) in held.iter().zip(shapes.iter().flat_map(|s| [s, s])) {
+                assert_eq!(m.shape(), (r, c));
+                assert!(m.as_slice().iter().all(|&v| v == 0.0), "round {round}");
+            }
+            for mut m in held {
+                m.fill(round as f32 + 1.0);
+                ws.give_back(m);
+            }
+            assert_eq!(ws.pooled(), 2 * shapes.len());
+        }
+        let cells: usize = shapes.iter().map(|&(r, c)| 2 * r * c).sum();
+        assert_eq!(ws.stats().cold_allocs, 2 * shapes.len() as u64);
+        assert_eq!(ws.stats().reuses, 3 * 2 * shapes.len() as u64);
+        assert_eq!(ws.bytes(), 4 * cells);
+        ws.reset();
+        assert_eq!(ws.pooled(), 0);
+    }
+
+    #[test]
+    fn reserve_like_tops_up_to_the_other_pool() {
+        let mut a: Workspace<f32> = Workspace::new();
+        let mut b: Workspace<f32> = Workspace::new();
+        let held = [a.checkout(2, 3), a.checkout(2, 3), a.checkout(1, 4)];
+        held.into_iter().for_each(|m| a.give_back(m));
+        let _ = a.quant_scratch().ensure(6, 8, 4);
+        let m = b.checkout(2, 3);
+        b.give_back(m);
+        b.reserve_like(&a);
+        assert_eq!(b.pooled(), 3);
+        assert_eq!(b.quant_scratch().bytes(), a.quant_scratch().bytes());
+        // Everything `a` needed, `b` now serves without allocating.
+        let (cold, bytes) = (b.stats().cold_allocs, b.bytes());
+        let held = [b.checkout(2, 3), b.checkout(2, 3), b.checkout(1, 4)];
+        assert_eq!(b.stats().cold_allocs, cold);
+        assert_eq!(bytes, 4 * (2 * 6 + 4));
+        held.into_iter().for_each(|m| b.give_back(m));
+        // Reserving again is a no-op.
+        b.reserve_like(&a);
+        assert_eq!((b.pooled(), b.bytes()), (3, bytes));
     }
 
     #[test]
