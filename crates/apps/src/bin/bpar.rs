@@ -383,7 +383,7 @@ fn simulate_cmd(opts: &Flags) -> Result<(), String> {
 }
 
 fn analyze_cmd(opts: &Flags) -> Result<(), String> {
-    use bpar_core::analyze::{analyze, AnalyzeOptions, SeedBug};
+    use bpar_core::analyze::{analyze, AnalyzeOptions, Coarsen, SeedBug};
 
     let kind = match opts.get("kind").map(String::as_str) {
         None | Some("m2o") => ModelKind::ManyToOne,
@@ -438,6 +438,9 @@ fn analyze_cmd(opts: &Flags) -> Result<(), String> {
         )?,
         scheduler: get_scheduler(opts, defaults.scheduler)?,
         recurrence: get_recurrence(opts)?,
+        // The plan an executor compiles for this shape: cells too small to
+        // carry a task fold into chains, the rest stay the paper's graph.
+        coarsen: Coarsen::Rule,
         ..defaults
     };
 
@@ -700,12 +703,13 @@ fn serve_cmd(opts: &Flags) -> Result<(), String> {
     );
     println!(
         "plan cache: {} hits, {} misses, {} evictions; {} weight deep copies; \
-         arena {:.1} KiB resident, {} warm reuses",
+         arena {:.1} KiB + weights {:.1} KiB resident, {} warm reuses",
         report.plan_hits,
         report.plan_misses,
         report.plan_evictions,
         report.weight_syncs,
         report.arena_bytes as f64 / 1024.0,
+        report.weight_bytes as f64 / 1024.0,
         report.arena_reuses,
     );
     println!(

@@ -12,8 +12,11 @@
 //! one of them, and reports per-batch wall time plus — when built with
 //! `--features count-alloc`,
 //! which installs [`bpar_tensor::CountingAlloc`] process-wide — the exact
-//! allocator call and byte counts per batch. Without the feature the
-//! allocation columns are `null` rather than silently zero.
+//! allocator call and byte counts per batch, exiting nonzero if any warm
+//! row allocates. Without the feature the allocation columns are `null`
+//! rather than silently zero. It also reports what the four shapes keep
+//! resident once all are cached: their arenas, and the one weight
+//! snapshot every plan of the model reads.
 //!
 //! Usage:
 //!   cargo run --release -p bpar-bench --bin workspace_reuse
@@ -66,6 +69,15 @@ struct TrainRow {
     warm_bytes_per_batch: Option<u64>,
 }
 
+/// What the executor keeps resident with every shape's plan cached.
+#[derive(Serialize)]
+struct Resident {
+    plans: usize,
+    arena_bytes: u64,
+    /// One snapshot, however many plans read it.
+    weight_bytes: u64,
+}
+
 #[derive(Serialize)]
 struct WorkspaceReuseReport {
     seed: u64,
@@ -74,6 +86,7 @@ struct WorkspaceReuseReport {
     count_alloc: bool,
     config: String,
     shapes: Vec<ShapeRow>,
+    resident: Resident,
     train: TrainRow,
 }
 
@@ -105,10 +118,11 @@ fn main() {
     let exec = TaskGraphExec::new(WORKERS);
 
     let shapes: &[(usize, usize)] = &[(1, 16), (4, 16), (8, 16), (8, 24)];
+    let batch_of = |rows: usize, seq: usize| data.batch::<f64>(rows as u64 * 1000, rows, seq).0;
     let mut table = Vec::new();
     let mut shape_rows = Vec::new();
     for &(rows, seq) in shapes {
-        let (batch, _labels) = data.batch::<f64>(rows as u64 * 1000, rows, seq);
+        let batch = batch_of(rows, seq);
         let mut out = ForwardOutput::zeros_for(&model, rows, seq);
 
         // Cold: every batch rebuilds the plan and re-allocates its arena —
@@ -166,6 +180,23 @@ fn main() {
         shape_rows.push(row);
     }
 
+    // Every shape cached at once, as a serving loop keeps them.
+    for &(rows, seq) in shapes {
+        let _ = exec.forward(&model, &batch_of(rows, seq));
+    }
+    let stats = exec.plan_cache_stats();
+    let resident = Resident {
+        plans: stats.cached_plans,
+        arena_bytes: stats.arena_bytes,
+        weight_bytes: stats.weight_bytes,
+    };
+    println!(
+        "resident with {} shapes cached: arena {:.1} KiB, weights {:.1} KiB (one snapshot)",
+        resident.plans,
+        resident.arena_bytes as f64 / 1024.0,
+        resident.weight_bytes as f64 / 1024.0,
+    );
+
     // Warm training on the serving tier's typical shape.
     let (rows, seq) = (4, 16);
     let (batch, labels) = data.batch::<f64>(7_000, rows, seq);
@@ -217,21 +248,20 @@ fn main() {
         ],
         &table,
     );
+    let max_warm = shape_rows
+        .iter()
+        .filter_map(|r| r.warm_allocs_per_batch)
+        .max()
+        .unwrap_or(0);
+    let train_allocs = train.warm_allocs_per_batch.unwrap_or(0);
     if cfg!(feature = "count-alloc") {
-        let max_warm = shape_rows
-            .iter()
-            .filter_map(|r| r.warm_allocs_per_batch)
-            .max()
-            .unwrap_or(0);
         println!(
             "\nwarm allocations per batch, worst shape: {max_warm} \
              (steady-state target: 0)"
         );
         println!(
-            "warm training allocations per step, {}x{}: {} (steady-state target: 0)",
-            train.rows,
-            train.seq,
-            train.warm_allocs_per_batch.unwrap_or(0)
+            "warm training allocations per step, {}x{}: {train_allocs} (steady-state target: 0)",
+            train.rows, train.seq,
         );
     } else {
         println!("\n(build with --features count-alloc for exact allocation counts)");
@@ -252,10 +282,15 @@ fn main() {
         count_alloc: cfg!(feature = "count-alloc"),
         config: canonical.clone(),
         shapes: shape_rows,
+        resident,
         train,
     };
     write_json(
         &bpar_serve::metrics::report_name("workspace_reuse", SEED, &canonical),
         &report,
     );
+    if max_warm > 0 || train_allocs > 0 {
+        eprintln!("FAIL: a warm row allocated (shapes: {max_warm}, training: {train_allocs})");
+        std::process::exit(1);
+    }
 }

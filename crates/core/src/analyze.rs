@@ -56,7 +56,7 @@
 //! report is byte-identical across reruns.
 
 use crate::cell::CellParams;
-use crate::exec::builder::BodyConfig;
+use crate::exec::builder::{BodyConfig, WeightStore};
 use crate::exec::plan::ExecPlan;
 use crate::exec::taskgraph::{collect_logits, row_chunks};
 use crate::exec::Target;
@@ -325,7 +325,8 @@ fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -
         train: opts.train,
         workers: 1,
     };
-    ExecPlan::build(model, batch, opts.mbs, opts.seed_bug, body, opts.coarsen)
+    let weights = Arc::new(WeightStore::for_backend(model, body.backend));
+    ExecPlan::build(weights, batch, opts.mbs, opts.seed_bug, body, opts.coarsen)
 }
 
 /// The compiled live plan [`analyze`] examines for `opts`, as a view:

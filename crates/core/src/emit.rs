@@ -877,13 +877,15 @@ impl Coarsen {
 ///
 /// The folded node reads what its members read less what an earlier member
 /// writes, writes what any member writes, sums their flops and working
-/// sets, carries the first member's label and tag, and its body is the
-/// members' bodies in stream order ([`Stream::members`]). A fold replaces a
-/// *contiguous* run of a topologically ordered stream, so every edge still
-/// points forward (no cycle), every original edge either falls inside a
-/// node or connects the two nodes holding its ends (clauses stay sound),
-/// and each body runs after everything it ran after before (bits cannot
-/// move). `k ≤ 1` returns the stream as emitted.
+/// sets, carries the first member's label and tag, and its body runs the
+/// members' work in stream order ([`Stream::members`]) — for a run of
+/// forward or BPTT cells as one chain body that takes the weight snapshot
+/// and the worker's scratch once, with the members' slot accesses. A fold
+/// replaces a *contiguous* run of a topologically ordered stream, so every
+/// edge still points forward (no cycle), every original edge either falls
+/// inside a node or connects the two nodes holding its ends (clauses stay
+/// sound), and each body runs after everything it ran after before (bits
+/// cannot move). `k ≤ 1` returns the stream as emitted.
 fn coarsen(stream: Stream, k: usize) -> Stream {
     if k <= 1 {
         return stream;

@@ -14,8 +14,12 @@
 //! forward/reverse directions of different layers never pipeline. The
 //! ablation benches compare it directly against barrier-free B-Par on the
 //! same runtime, isolating the cost of the barriers themselves.
+//!
+//! Like B-Par's plans, it reads the weights through one persistent
+//! [`WeightStore`], seeded by the first batch and re-synced only when the
+//! model's revision changes; the graph itself is still built per batch.
 
-use super::builder::{task_spec, BodyConfig, LiveSink, RegionAlloc, ReplicaGraph};
+use super::builder::{task_spec, BodyConfig, LiveSink, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::{collect_logits, TaskGraphExec};
 use super::{Executor, ForwardOutput, Target};
 use crate::emit::{Coarsen, Node, Stream};
@@ -23,6 +27,9 @@ use crate::model::Brnn;
 use crate::optim::Optimizer;
 use bpar_runtime::{Runtime, RuntimeConfig, SchedulerPolicy};
 use bpar_tensor::{Backend, Float, Matrix};
+use parking_lot::Mutex;
+use std::any::Any;
+use std::sync::Arc;
 
 /// Task executor with per-layer barriers (framework-style scheduling).
 pub struct BarrierExec {
@@ -30,6 +37,8 @@ pub struct BarrierExec {
     mbs: usize,
     /// Timesteps per task: [`Coarsen::Rule`] outside this crate's tests.
     coarsen: Coarsen,
+    /// The [`WeightStore`] of the last model run, of its scalar type.
+    weights: Mutex<Option<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl BarrierExec {
@@ -49,6 +58,7 @@ impl BarrierExec {
             }),
             mbs,
             coarsen: Coarsen::Rule,
+            weights: Mutex::new(None),
         }
     }
 
@@ -63,6 +73,26 @@ impl BarrierExec {
     /// The underlying runtime (task statistics, trace records).
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
+    }
+
+    /// The held weight store, synced to `model`; a fresh one seeded from
+    /// `model` when none is held for its scalar type and configuration.
+    fn weights<T: Float>(&self, model: &Brnn<T>, backend: Backend) -> Arc<WeightStore<T>> {
+        let mut held = self.weights.lock();
+        let store = held
+            .clone()
+            .and_then(|s| s.downcast::<WeightStore<T>>().ok());
+        match store.filter(|s| s.snapshot().config == model.config) {
+            Some(store) => {
+                store.sync(model);
+                store
+            }
+            None => {
+                let store = Arc::new(WeightStore::for_backend(model, backend));
+                *held = Some(store.clone());
+                store
+            }
+        }
     }
 
     /// Submits one batch stage by stage — for every stage the tasks of all
@@ -84,8 +114,9 @@ impl BarrierExec {
             train,
             workers: self.runtime.workers(),
         };
-        let (_weights, replicas, chunks) =
-            TaskGraphExec::make_replicas(self.mbs, model, batch, &mut regions, body);
+        let weights = self.weights(model, body.backend);
+        let (replicas, chunks) =
+            TaskGraphExec::make_replicas(self.mbs, &weights, batch, &mut regions, body);
         if let Some(target) = target {
             for (rep, &(start, count)) in replicas.iter().zip(&chunks) {
                 rep.set_target(target, start, count);

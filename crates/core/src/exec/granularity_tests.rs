@@ -1,19 +1,27 @@
 //! B-Par and the barrier executor at an arbitrary granularity: whatever
 //! `k` [`crate::emit::coarsen`] folds by, a folded task runs its members'
-//! bodies unchanged and in stream order, so results keep the bits they
-//! have at one cell per task. Outside the crate `k` follows from the
-//! shape ([`Coarsen::Rule`]); these tests pin it to sweep ragged chunks,
-//! `k = T` and `k > T` on shapes the rule would leave alone.
+//! steps in stream order — a run of cells as one chain body — so results
+//! keep the bits they have at one cell per task. Outside the crate `k`
+//! follows from the shape ([`Coarsen::Rule`]); these tests pin it to sweep
+//! ragged chunks, `k = T` and `k > T` on shapes the rule would leave alone.
 
+use super::builder::{BodyConfig, WeightStore};
+use super::plan::ExecPlan;
 use super::{BarrierExec, Executor, SequentialExec, Target, TaskGraphExec};
 use crate::cell::CellKind;
-use crate::emit::Coarsen;
+use crate::emit::{Coarsen, Dir, Node, SlotId, Stream};
 use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnConfig, ModelKind};
 use crate::optim::Sgd;
-use bpar_runtime::{AdversarialOrder, SchedulerPolicy};
-use bpar_tensor::{init, Matrix};
+use crate::scanplan::RecurrenceStrategy;
+use bpar_runtime::validate::AccessKind;
+use bpar_runtime::{
+    AccessRecorder, AdversarialOrder, RegionId, Runtime, RuntimeConfig, SchedulerPolicy,
+};
+use bpar_tensor::{init, Backend, Matrix};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 fn arb_config() -> impl Strategy<Value = BrnnConfig> {
     (
@@ -142,4 +150,97 @@ fn folded_plans_run_the_closed_form_task_count() {
     assert_eq!(tasks(Coarsen::By(3)), 4 * 3 + 3 + 3);
     assert_eq!(tasks(Coarsen::By(7)), 4 + 1 + 1);
     assert_eq!(tasks(Coarsen::Rule), tasks(Coarsen::By(7)));
+}
+
+/// One access of a task body: the region, read or write.
+type Access = (RegionId, AccessKind);
+
+/// The plan of `model` folded by `k`, its stream, and every task's
+/// accesses in body order, from one recorded replay on one worker.
+fn recorded_accesses(
+    model: &Brnn<f64>,
+    xs: &[Matrix<f64>],
+    target: &Target,
+    train: bool,
+    k: usize,
+) -> (ExecPlan<f64>, Stream, Vec<Vec<Access>>) {
+    let body = BodyConfig {
+        backend: Backend::default(),
+        strategy: RecurrenceStrategy::Chain,
+        train,
+        workers: 1,
+    };
+    let weights = Arc::new(WeightStore::for_backend(model, body.backend));
+    let plan = ExecPlan::build(weights, xs, 1, None, body, Coarsen::By(k));
+    let (stream, _) = ExecPlan::stream(&plan.replicas, train, None, Coarsen::By(k));
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        policy: SchedulerPolicy::Fifo,
+        record_trace: false,
+    });
+    let recorder = Arc::new(AccessRecorder::new());
+    rt.set_validation(Some(recorder.clone()));
+    plan.load_batch(model, xs);
+    if train {
+        plan.load_target(target);
+    }
+    rt.replay(&plan.compiled);
+    rt.taskwait().expect("clean plan panicked");
+    rt.set_validation(None);
+    let mut by_task = vec![Vec::new(); stream.nodes.len()];
+    for e in recorder.take_events() {
+        by_task[e.task].push((e.region, e.kind));
+    }
+    (plan, stream, by_task)
+}
+
+/// A chain body touches what its members touched as tasks of their own:
+/// the same slots, read and written in the same order — except that a
+/// BPTT chain reads and writes its weight-gradient accumulator once, not
+/// once per step. So a folded plan's observed accesses are its declared
+/// clauses exactly when the unfolded plan's are.
+#[test]
+fn chain_bodies_record_their_members_accesses() {
+    let cfg = BrnnConfig {
+        cell: CellKind::Gru,
+        input_size: 2,
+        hidden_size: 2,
+        layers: 2,
+        seq_len: 6,
+        output_size: 3,
+        merge: MergeMode::Sum,
+        kind: ModelKind::ManyToMany,
+    };
+    let model: Brnn<f64> = Brnn::new(cfg, 5);
+    let (xs, target) = batch_for(&cfg, 2, 5);
+    for train in [false, true] {
+        let (_, unfolded, alone) = recorded_accesses(&model, &xs, &target, train, 1);
+        let id = |n: &Node| (n.kind, n.dir.ix(), n.layer, n.index);
+        let task_of: HashMap<_, _> = (unfolded.nodes.iter().enumerate())
+            .map(|(i, n)| (id(n), i))
+            .collect();
+        for k in [1, 3, cfg.seq_len] {
+            let (plan, stream, folded) = recorded_accesses(&model, &xs, &target, train, k);
+            let grads = |l| Dir::BOTH.map(|d| plan.replicas[0].region(SlotId::Grads(d, l)));
+            let accumulators: BTreeSet<RegionId> = (0..cfg.layers).flat_map(grads).collect();
+            let steps = |a: &[Access]| -> Vec<Access> {
+                let step = |(r, _): &&Access| !accumulators.contains(r);
+                a.iter().filter(step).copied().collect()
+            };
+            let set = |a: &[Access]| a.iter().copied().collect::<BTreeSet<_>>();
+            let mut folds = 0;
+            for (node, got) in stream.nodes.iter().zip(&folded) {
+                let members = stream.members(node);
+                folds += usize::from(members.len() > 1);
+                let want: Vec<Access> = (members.iter())
+                    .flat_map(|m| alone[task_of[&id(m)]].iter().copied())
+                    .collect();
+                let what = format!("{} k={k} train={train}", node.label());
+                assert!(!got.is_empty(), "{what}");
+                assert_eq!(steps(got), steps(&want), "{what}");
+                assert_eq!(set(got), set(&want), "{what}");
+            }
+            assert_eq!(folds > 0, k > 1, "k={k} train={train}");
+        }
+    }
 }

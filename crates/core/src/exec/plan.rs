@@ -14,6 +14,11 @@
 //! hit/miss/eviction counts, deep-copy ("weight sync") counts and the
 //! cumulative build vs replay nanoseconds the `plan_replay` bench turns
 //! into the §IV-B overhead comparison.
+//!
+//! The weights are not a plan's: the cache hands every plan of one
+//! tenant's model under one backend kind the same [`WeightStore`]
+//! ([`PlanCache::store`]), holding it only weakly itself, so a snapshot
+//! lives exactly as long as some resident plan reads it.
 
 use super::builder::{task_spec, BodyConfig, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::TaskGraphExec;
@@ -22,19 +27,19 @@ use crate::emit::{self, Coarsen, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
-use bpar_tensor::{BackendKind, Float, Matrix};
+use bpar_tensor::{Backend, BackendKind, Float, Matrix};
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Everything that makes two batches shape-compatible with one plan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanKey {
-    /// Tenant the plan (and its weight snapshot) belongs to. Two tenants
-    /// with identical configs must not share a plan: each plan owns a
-    /// `WeightStore` synced to *its* model's revision, and revisions are
-    /// globally unique — a shared plan would deep-copy weights on every
-    /// alternation between the tenants.
+    /// Tenant the plan (and its weight store) belongs to. Two tenants
+    /// with identical configs must not share a plan or a store: a store
+    /// is synced to *its* model's revision, and revisions are globally
+    /// unique — a shared one would deep-copy weights on every alternation
+    /// between the tenants.
     pub tenant: u64,
     /// Full hyper-parameter set (layer count, sizes, cell, merge, kind).
     pub config: BrnnConfig,
@@ -60,7 +65,8 @@ pub(crate) struct PlanKey {
 
 /// A compiled, replayable task graph plus the replica state it runs over.
 ///
-/// The plan owns its [`WeightStore`]; steady-state replays share the same
+/// The plan holds its [`WeightStore`] — shared with the other plans of its
+/// tenant and backend kind — strongly; steady-state replays read the same
 /// weight snapshot and make **zero** deep copies until the model's
 /// revision changes.
 pub(crate) struct ExecPlan<T: Float> {
@@ -111,14 +117,15 @@ impl<T: Float> ExecPlan<T> {
         (stream, k)
     }
 
-    /// Builds the full graph for `batch`'s shape: replicas, task bodies,
-    /// frozen dependency structure. `batch` supplies only the shape; call [`ExecPlan::load_batch`]
-    /// before every run (including the first). The bodies are frozen with
-    /// `body` — one plan, one backend. Executors pass `seed = None` and
-    /// [`Coarsen::Rule`]; a [`SeedBug`] plants that bug for the soundness
-    /// detectors.
+    /// Builds the full graph for `batch`'s shape over the model in
+    /// `weights`: replicas, task bodies, frozen dependency structure.
+    /// `batch` supplies only the shape; call [`ExecPlan::load_batch`]
+    /// before every run (including the first), and sync `weights` to the
+    /// model. The bodies are frozen with `body` — one plan, one backend.
+    /// Executors pass `seed = None` and [`Coarsen::Rule`]; a [`SeedBug`]
+    /// plants that bug for the soundness detectors.
     pub fn build(
-        model: &Brnn<T>,
+        weights: Arc<WeightStore<T>>,
         batch: &[Matrix<T>],
         mbs: usize,
         seed: Option<SeedBug>,
@@ -127,8 +134,8 @@ impl<T: Float> ExecPlan<T> {
     ) -> Self {
         let train = body.train;
         let mut regions = RegionAlloc::default();
-        let (weights, mut replicas, chunks) =
-            TaskGraphExec::make_replicas(mbs, model, batch, &mut regions, body);
+        let (mut replicas, chunks) =
+            TaskGraphExec::make_replicas(mbs, &weights, batch, &mut regions, body);
         if seed == Some(SeedBug::CrossEpochRace) {
             replicas[0].seed_alias(&mut regions);
         }
@@ -233,8 +240,11 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Plans dropped to respect the cache capacity.
     pub evictions: u64,
-    /// Model deep copies made (initial build copies plus revision-change
-    /// re-syncs). In steady-state serving this stays at `misses`.
+    /// Model deep copies made: weight-store seeds plus revision-change
+    /// re-syncs. A store is seeded when a tenant's first plan under a
+    /// backend kind is built (or rebuilt after all its plans were
+    /// evicted), so steady-state serving makes about one per tenant and
+    /// revision, however many shapes it caches.
     pub weight_syncs: u64,
     /// Cumulative nanoseconds spent building plans (graph construction +
     /// dependency compilation).
@@ -248,6 +258,10 @@ pub struct PlanCacheStats {
     /// (inputs, activations, logits; training plans' caches and gradient
     /// slots — see `ExecPlan::arena_bytes`).
     pub arena_bytes: u64,
+    /// Total bytes of the weight snapshots the resident plans read: one
+    /// per live store, however many plans share it. Not part of the byte
+    /// budget, which bounds `arena_bytes` only.
+    pub weight_bytes: u64,
     /// Warm replays that reused a resident plan's arena instead of
     /// allocating fresh buffers (increments with every cache hit).
     pub arena_reuses: u64,
@@ -263,38 +277,130 @@ struct CacheEntry {
     /// can share a [`BrnnConfig`], so the key alone is ambiguous.
     tid: TypeId,
     plan: Arc<dyn Any + Send + Sync>,
-    /// The plan's `arena_bytes`, mirrored here so eviction can subtract it
+    /// The plan's `arena_bytes`, mirrored here so the cache can sum them
     /// without downcasting.
     bytes: u64,
 }
 
+/// What makes two plans read one weight store.
+#[derive(PartialEq)]
+struct StoreKey {
+    tenant: u64,
+    /// The model's configuration: a snapshot holds one.
+    config: BrnnConfig,
+    /// The plans' backend kind: an int8 store holds quantized weights.
+    backend: BackendKind,
+    /// Scalar type of the [`WeightStore<T>`].
+    tid: TypeId,
+}
+
+struct StoreEntry {
+    key: StoreKey,
+    /// Dead once no plan holds the store.
+    store: Weak<dyn Any + Send + Sync>,
+    /// The snapshot's weight bytes.
+    bytes: u64,
+}
+
+/// What a [`PlanCache`] counts; each field means what the
+/// [`PlanCacheStats`] field of its name does. Everything else there is
+/// derived from what the cache holds ([`PlanCache::stats`]).
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+    pub weight_syncs: u64,
+    pub build_ns: u64,
+    pub replay_ns: u64,
+    pub budget_evictions: u64,
+}
+
 /// Small LRU cache of compiled plans (most-recently-used last; lookup is a
 /// linear scan, fine for the handful of shapes a bucketed serving loop
-/// produces).
+/// produces), and the weight stores they share.
 pub(crate) struct PlanCache {
     entries: Vec<CacheEntry>,
+    stores: Vec<StoreEntry>,
     capacity: usize,
     /// Optional cap on the summed `arena_bytes` of resident plans. After
     /// every insert, least-recently-used plans are dropped until the
-    /// budget holds, so `stats.arena_bytes` never exceeds it between
+    /// budget holds, so the resident arena never exceeds it between
     /// calls — the knob that lets many tenants share one executor
     /// without unbounded resident state.
     byte_budget: Option<u64>,
-    pub stats: PlanCacheStats,
+    pub counters: Counters,
 }
 
 impl Default for PlanCache {
     fn default() -> Self {
         Self {
             entries: Vec::new(),
+            stores: Vec::new(),
             capacity: 32,
             byte_budget: None,
-            stats: PlanCacheStats::default(),
+            counters: Counters::default(),
         }
     }
 }
 
 impl PlanCache {
+    /// The counters, and what the cache holds now: its plans, their
+    /// arenas, and the weight stores still alive.
+    pub fn stats(&self) -> PlanCacheStats {
+        let c = &self.counters;
+        let live = self.stores.iter().filter(|e| e.store.strong_count() > 0);
+        PlanCacheStats {
+            hits: c.hits,
+            misses: c.misses,
+            evictions: c.evictions,
+            weight_syncs: c.weight_syncs,
+            build_ns: c.build_ns,
+            replay_ns: c.replay_ns,
+            cached_plans: self.entries.len(),
+            arena_bytes: self.arena_bytes(),
+            weight_bytes: live.map(|e| e.bytes).sum(),
+            arena_reuses: c.hits,
+            budget_evictions: c.budget_evictions,
+        }
+    }
+
+    fn arena_bytes(&self) -> u64 {
+        self.entries.iter().map(|e| e.bytes).sum()
+    }
+
+    /// The weight store the plans of `tenant`'s `model` under `backend`
+    /// read: the live one while some plan holds it, else a fresh one
+    /// seeded from `model` — one deep copy, counted as a weight sync. The
+    /// caller syncs it before every replay.
+    pub fn store<T: Float>(
+        &mut self,
+        tenant: u64,
+        model: &Brnn<T>,
+        backend: Backend,
+    ) -> Arc<WeightStore<T>> {
+        let key = StoreKey {
+            tenant,
+            config: model.config,
+            backend: backend.kind(),
+            tid: TypeId::of::<T>(),
+        };
+        self.stores.retain(|e| e.store.strong_count() > 0);
+        let live = self.stores.iter().find(|e| e.key == key);
+        if let Some(store) = live.and_then(|e| e.store.upgrade()) {
+            return store.downcast().expect("store type matches its TypeId");
+        }
+        let store = Arc::new(WeightStore::for_backend(model, backend));
+        let weak: Weak<WeightStore<T>> = Arc::downgrade(&store);
+        self.stores.push(StoreEntry {
+            key,
+            store: weak,
+            bytes: (model.param_count() * std::mem::size_of::<T>()) as u64,
+        });
+        self.counters.weight_syncs += 1;
+        store
+    }
+
     /// Looks up a plan, marking it most-recently-used.
     pub fn get<T: Float>(&mut self, key: &PlanKey) -> Option<Arc<ExecPlan<T>>> {
         let tid = TypeId::of::<T>();
@@ -309,19 +415,17 @@ impl PlanCache {
             .downcast::<ExecPlan<T>>()
             .expect("plan type matches its TypeId");
         self.entries.push(entry);
-        self.stats.hits += 1;
-        self.stats.arena_reuses += 1;
+        self.counters.hits += 1;
         Some(plan)
     }
 
     /// Caches a freshly built plan, evicting the least-recently-used entry
     /// when full. Counts the miss that caused the build.
     pub fn insert<T: Float>(&mut self, key: PlanKey, plan: Arc<ExecPlan<T>>) {
-        self.stats.misses += 1;
+        self.counters.misses += 1;
         if self.entries.len() >= self.capacity {
-            let dropped = self.entries.remove(0);
-            self.stats.evictions += 1;
-            self.stats.arena_bytes -= dropped.bytes;
+            self.entries.remove(0);
+            self.counters.evictions += 1;
         }
         let bytes = plan.arena_bytes;
         self.entries.push(CacheEntry {
@@ -330,21 +434,18 @@ impl PlanCache {
             plan,
             bytes,
         });
-        self.stats.arena_bytes += bytes;
         self.enforce_budget();
-        self.stats.cached_plans = self.entries.len();
     }
 
     fn enforce_budget(&mut self) {
         let Some(budget) = self.byte_budget else {
             return;
         };
-        while self.stats.arena_bytes > budget && !self.entries.is_empty() {
-            let dropped = self.entries.remove(0);
-            self.stats.budget_evictions += 1;
-            self.stats.arena_bytes -= dropped.bytes;
+        let mut held = self.arena_bytes();
+        while held > budget {
+            held -= self.entries.remove(0).bytes;
+            self.counters.budget_evictions += 1;
         }
-        self.stats.cached_plans = self.entries.len();
     }
 
     /// Caps the summed resident `arena_bytes` (`None` = unlimited),
@@ -360,16 +461,7 @@ impl PlanCache {
     /// hold partial values a later replay must not observe).
     pub fn evict<T: Float>(&mut self, key: &PlanKey) {
         let tid = TypeId::of::<T>();
-        let mut freed = 0;
-        self.entries.retain(|e| {
-            let drop = e.tid == tid && e.key == *key;
-            if drop {
-                freed += e.bytes;
-            }
-            !drop
-        });
-        self.stats.arena_bytes -= freed;
-        self.stats.cached_plans = self.entries.len();
+        self.entries.retain(|e| !(e.tid == tid && e.key == *key));
     }
 
     /// Changes the capacity, trimming least-recently-used plans.
@@ -377,17 +469,13 @@ impl PlanCache {
         assert!(capacity >= 1, "plan cache capacity must be at least 1");
         self.capacity = capacity;
         while self.entries.len() > capacity {
-            let dropped = self.entries.remove(0);
-            self.stats.evictions += 1;
-            self.stats.arena_bytes -= dropped.bytes;
+            self.entries.remove(0);
+            self.counters.evictions += 1;
         }
-        self.stats.cached_plans = self.entries.len();
     }
 
     /// Drops every cached plan.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.stats.cached_plans = 0;
-        self.stats.arena_bytes = 0;
     }
 }

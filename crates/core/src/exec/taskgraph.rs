@@ -17,15 +17,17 @@
 //!
 //! Every batch runs through a cached [`ExecPlan`]: the first batch of a
 //! given shape (model config × rows × timesteps × mbs × phase) builds the
-//! replica graphs, deep-copies the weights into a persistent
-//! [`WeightStore`] and compiles the dependency structure once; subsequent
+//! replica graphs and compiles the dependency structure once; subsequent
 //! batches of that shape only swap inputs/targets into the existing
-//! replicas and [`bpar_runtime::Runtime::replay`] the frozen graph. In
-//! steady-state serving this removes both per-batch costs the original
-//! implementation paid: the `O(model)` weight clone and the
-//! dependency-tracker rebuild. Because *every* batch — including the
-//! first — executes via the same load-values-then-replay path, cached
-//! replays are bit-identical to fresh builds by construction.
+//! replicas and [`bpar_runtime::Runtime::replay`] the frozen graph. The
+//! weights live once per tenant and backend kind, not once per plan: every
+//! plan of a tenant reads one persistent [`WeightStore`], seeded by the
+//! first and synced before each replay. In steady-state serving this
+//! removes both per-batch costs the original implementation paid: the
+//! `O(model)` weight clone and the dependency-tracker rebuild. Because
+//! *every* batch — including the first — executes via the same
+//! load-values-then-replay path, cached replays are bit-identical to fresh
+//! builds by construction.
 //!
 //! A plan keeps every slot's buffer between batches (its arena) and every
 //! body writes in place, so a warm batch — inference or training step,
@@ -44,14 +46,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Shared weight store + per-chunk replica graphs + `(start, count)`
-/// row ranges, as produced by [`TaskGraphExec::make_replicas`].
-pub(crate) type ReplicaSet<T> = (
-    Arc<WeightStore<T>>,
-    Vec<ReplicaGraph<T>>,
-    Vec<(usize, usize)>,
-);
 
 /// Barrier-free task-graph executor (B-Par).
 pub struct TaskGraphExec {
@@ -156,9 +150,9 @@ impl TaskGraphExec {
     }
 
     /// Plan-cache counters: hits, misses, weight deep copies, build vs
-    /// replay time.
+    /// replay time, resident arena and weight bytes.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.lock().stats
+        self.plans.lock().stats()
     }
 
     /// Bounds the number of resident compiled plans (default 32).
@@ -181,18 +175,16 @@ impl TaskGraphExec {
     }
 
     /// Splits a batch row-wise into up to `mbs` non-empty chunks and
-    /// builds one replica graph per chunk, all sharing one weight store
-    /// seeded from `model`. Returns the store, the replicas, and the
-    /// `(start, count)` row ranges.
+    /// builds one replica graph per chunk, all reading `weights`. Returns
+    /// the replicas and the `(start, count)` row ranges.
     pub(crate) fn make_replicas<T: Float>(
         mbs: usize,
-        model: &Brnn<T>,
+        weights: &Arc<WeightStore<T>>,
         batch: &[Matrix<T>],
         regions: &mut RegionAlloc,
         body: BodyConfig,
-    ) -> ReplicaSet<T> {
-        let (_, rows) = check_batch(model, batch);
-        let weights = Arc::new(WeightStore::for_backend(model, body.backend));
+    ) -> (Vec<ReplicaGraph<T>>, Vec<(usize, usize)>) {
+        let (_, rows) = check_batch(&weights.snapshot(), batch);
         let chunks = row_chunks(rows, mbs);
         let replicas = chunks
             .iter()
@@ -207,7 +199,7 @@ impl TaskGraphExec {
                 )
             })
             .collect();
-        (weights, replicas, chunks)
+        (replicas, chunks)
     }
 
     /// Fetches (or builds and caches) the plan for `batch`'s shape under
@@ -235,12 +227,15 @@ impl TaskGraphExec {
             backend: backend.kind(),
             strategy,
         };
-        if let Some(plan) = self.plans.lock().get::<T>(&key) {
+        let mut cache = self.plans.lock();
+        if let Some(plan) = cache.get::<T>(&key) {
             return (plan, key);
         }
+        let t0 = Instant::now();
+        let weights = cache.store(tenant, model, backend);
+        drop(cache);
         // Build outside the lock: plan construction is the expensive path
         // and the serve loop may poll stats from another thread.
-        let t0 = Instant::now();
         let body = BodyConfig {
             backend,
             strategy,
@@ -248,7 +243,7 @@ impl TaskGraphExec {
             workers: self.runtime.workers(),
         };
         let plan = Arc::new(ExecPlan::build(
-            model,
+            weights,
             batch,
             self.mbs,
             None,
@@ -257,15 +252,13 @@ impl TaskGraphExec {
         ));
         let build_ns = t0.elapsed().as_nanos() as u64;
         let mut cache = self.plans.lock();
-        cache.stats.build_ns += build_ns;
+        cache.counters.build_ns += build_ns;
         // Another caller may have missed on the same key meanwhile and
         // cached its build first: keep that one, so a key never holds two
-        // entries (and their arena bytes, misses and weight syncs).
+        // entries (and their arena bytes and misses).
         if let Some(first) = cache.get::<T>(&key) {
             return (first, key);
         }
-        // The build's WeightStore seeds itself with one deep copy.
-        cache.stats.weight_syncs += plan.weights.deep_copies();
         cache.insert(key.clone(), plan.clone());
         (plan, key)
     }
@@ -280,12 +273,12 @@ impl TaskGraphExec {
         key: &PlanKey,
     ) -> Result<(), ExecError> {
         if plan.weights.sync(model) {
-            self.plans.lock().stats.weight_syncs += 1;
+            self.plans.lock().counters.weight_syncs += 1;
         }
         // The runtime measures re-submission under its own lock, so the
         // figure is unpolluted by worker threads starting the batch.
         let replay = self.runtime.replay(&plan.compiled);
-        self.plans.lock().stats.replay_ns += replay.as_nanos() as u64;
+        self.plans.lock().counters.replay_ns += replay.as_nanos() as u64;
         self.runtime.taskwait().map_err(|msg| {
             self.plans.lock().evict::<T>(key);
             ExecError(msg)
@@ -300,10 +293,10 @@ impl TaskGraphExec {
 
     /// Tenant-keyed counterpart of
     /// [`Executor::try_forward_into`]: identical execution, but the plan
-    /// (and the weight snapshot it owns) is cached under `tenant`'s key,
-    /// so alternating tenants with identical shapes each keep their own
-    /// resident plan instead of thrashing deep copies through a shared
-    /// one. `model` must be `tenant`'s model.
+    /// and the weight store it reads are keyed by `tenant`, so
+    /// alternating tenants with identical shapes each keep their own
+    /// resident plan and snapshot instead of thrashing deep copies
+    /// through shared ones. `model` must be `tenant`'s model.
     pub fn try_forward_into_keyed<T: Float>(
         &self,
         tenant: u64,

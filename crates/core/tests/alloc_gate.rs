@@ -63,6 +63,7 @@ fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, check_bits: 
             check_bits,
             SchedulerPolicy::LocalityAware,
             workers,
+            4,
         );
     }
 }
@@ -79,11 +80,12 @@ fn gate_scheduled<T: Float>(
     check_bits: bool,
     scheduler: SchedulerPolicy,
     workers: usize,
+    rows: usize,
 ) {
     let model = Brnn::<T>::new(cfg, seed);
     let exec = TaskGraphExec::with_backend(workers, scheduler, 1, backend);
-    let xs = batch::<T>(cfg.seq_len, 4, cfg.input_size, seed + 100);
-    let mut out = ForwardOutput::zeros_for(&model, 4, cfg.seq_len);
+    let xs = batch::<T>(cfg.seq_len, rows, cfg.input_size, seed + 100);
+    let mut out = ForwardOutput::zeros_for(&model, rows, cfg.seq_len);
 
     // Warmup: the first call builds and caches the plan (allocating its
     // arena; the int8 plan also quantizes its weight snapshot) and sizes
@@ -129,6 +131,13 @@ fn gate_scheduled<T: Float>(
     }
 }
 
+/// Whether the plan builder folds both phases of a `rows`-row batch of
+/// `cfg` (`k > 1`).
+fn folds(cfg: BrnnConfig, rows: usize) -> bool {
+    let k = |spec: GraphSpec| spec.with_coarsen(Coarsen::Rule).coarsen_factor();
+    k(GraphSpec::inference(cfg, rows)) > 1 && k(GraphSpec::training(cfg, rows)) > 1
+}
+
 /// Per-position target classes for a `rows`-row batch of `cfg`.
 fn target(cfg: BrnnConfig, rows: usize) -> Target {
     let classes = |salt: usize| (0..rows).map(|r| (r + salt) % cfg.output_size).collect();
@@ -138,57 +147,78 @@ fn target(cfg: BrnnConfig, rows: usize) -> Target {
     }
 }
 
-/// The training gate: warm the training plan, then assert one more
-/// `try_train_batch` — target copy-in, accumulator reset, in-place weight
-/// re-sync (every step bumps the revision), forward, BPTT, reductions and
-/// the `Sgd` step — performs exactly zero heap allocations. A training
-/// plan runs the exact kernels under every backend kind, so the step must
-/// also stay bit-identical to `SequentialExec` stepping a twin model.
+/// The training gate: warm the training and the inference plan of one
+/// batch shape, then assert that two more `try_train_batch` calls —
+/// target copy-in, accumulator reset, in-place weight re-sync (every step
+/// bumps the revision), forward, BPTT, reductions and the `Sgd` step — and
+/// the inference batch right after them perform exactly zero heap
+/// allocations. Under a `simd` executor both plans read one weight store:
+/// the second step re-syncs it after the first, and the inference replay
+/// re-syncs it once more, through its own plan, in place. A training plan
+/// runs the exact kernels under every backend kind, so the steps must also
+/// stay bit-identical to `SequentialExec` stepping a twin model, and so
+/// must the logits wherever the backend promises bits.
 fn train_gate<T: Float>(
     cfg: BrnnConfig,
     seed: u64,
     backend: BackendKind,
     workers: usize,
     mbs: usize,
+    rows: usize,
 ) {
     let mut model = Brnn::<T>::new(cfg, seed);
     let mut twin = model.clone();
     let exec = TaskGraphExec::with_backend(workers, SchedulerPolicy::LocalityAware, mbs, backend);
-    let xs = batch::<T>(cfg.seq_len, 4, cfg.input_size, seed + 100);
-    let target = target(cfg, 4);
+    let xs = batch::<T>(cfg.seq_len, rows, cfg.input_size, seed + 100);
+    let target = target(cfg, rows);
+    let mut out = ForwardOutput::zeros_for(&model, rows, cfg.seq_len);
     let (mut opt, mut twin_opt) = (Sgd::new(0.05), Sgd::new(0.05));
-    for _ in 0..5 {
-        exec.try_train_batch(&mut model, &xs, &target, &mut opt)
-            .unwrap();
-        SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
+    let mut round = |model: &mut Brnn<T>, out: &mut ForwardOutput<T>| {
+        let losses = [(); 2].map(|_| exec.try_train_batch(model, &xs, &target, &mut opt).unwrap());
+        exec.try_forward_into(model, &xs, out).unwrap();
+        losses
+    };
+    for _ in 0..3 {
+        round(&mut model, &mut out);
+        for _ in 0..2 {
+            SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
+        }
     }
 
     let allocs_before = allocation_count();
     let bytes_before = bytes_allocated();
-    let loss = exec
-        .try_train_batch(&mut model, &xs, &target, &mut opt)
-        .unwrap();
+    let losses = round(&mut model, &mut out);
     let allocs = allocation_count() - allocs_before;
     let bytes = bytes_allocated() - bytes_before;
     assert_eq!(
         allocs, 0,
-        "warm training step allocated {allocs} times ({bytes} bytes) for \
-         {:?}/{:?}/{:?} under the {backend} executor on {workers} workers, mbs {mbs}",
+        "two warm training steps and an inference batch allocated {allocs} times \
+         ({bytes} bytes) for {:?}/{:?}/{:?} under the {backend} executor on \
+         {workers} workers, mbs {mbs}",
         cfg.cell, cfg.merge, cfg.kind
     );
 
     if mbs == 1 {
-        let want = SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
-        assert_eq!(
-            loss.to_bits(),
-            want.to_bits(),
-            "loss diverges from sequential"
-        );
+        for loss in losses {
+            let want = SequentialExec.train_batch(&mut twin, &xs, &target, &mut twin_opt);
+            assert_eq!(
+                loss.to_bits(),
+                want.to_bits(),
+                "loss diverges from sequential"
+            );
+        }
         assert_eq!(
             model.max_param_diff(&twin),
             0.0,
             "weights diverge from sequential"
         );
+    }
+    if backend != BackendKind::Int8 {
+        let want = SequentialExec.forward(&model, &xs);
+        let got = out.seq_logits.iter().chain([&out.logits]);
+        for (g, w) in got.zip(want.seq_logits.iter().chain([&want.logits])) {
+            assert_eq!(g.max_abs_diff(w), 0.0, "logits diverge from sequential");
+        }
     }
 }
 
@@ -273,22 +303,37 @@ fn warm_replays_allocate_nothing() {
     }
 
     // Folded plans: with h = 2 the plan builder puts several timesteps in
-    // each task (`emit::coarsen`), whose body walks a list of its members'
-    // bodies — built once with the plan, so the warm replay still touches
-    // no allocator, under every backend.
+    // each task (`emit::coarsen`), a run of cells as one chain body whose
+    // steps were resolved once with the plan, so the warm replay still
+    // touches no allocator, under every backend.
     let fine = BrnnConfig {
         input_size: 2,
         hidden_size: 2,
         ..config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany)
     };
-    let k = GraphSpec::inference(fine, 4)
-        .with_coarsen(Coarsen::Rule)
-        .coarsen_factor();
-    assert!(k > 1, "the gate's fine-grained shape is not folded");
+    assert!(
+        folds(fine, 4),
+        "the gate's fine-grained shape is not folded"
+    );
     gate::<f64>(fine, 23, BackendKind::Scalar, true);
     gate::<f32>(fine, 23, BackendKind::Scalar, true);
     gate::<f32>(fine, 29, BackendKind::Simd, true);
     gate::<f32>(fine, 31, BackendKind::Int8, false);
+    // The `fine_grain` benchmark's shape: one row of a long many-to-many
+    // GRU sequence at h = 2, every plan folded by k > 1.
+    let fine_grain = BrnnConfig {
+        input_size: 2,
+        hidden_size: 2,
+        seq_len: 18,
+        ..config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany)
+    };
+    assert!(folds(fine_grain, 1), "the fine_grain shape is not folded");
+    for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
+        for workers in [1, 2, 3] {
+            let (scheduler, bits) = (SchedulerPolicy::LocalityAware, backend != BackendKind::Int8);
+            gate_scheduled::<f32>(fine_grain, 37, backend, bits, scheduler, workers, 1);
+        }
+    }
 
     // The work-stealing scheduler must preserve the zero-allocation warm
     // path: deques and injector retain capacity across replays exactly
@@ -300,6 +345,7 @@ fn warm_replays_allocate_nothing() {
         true,
         SchedulerPolicy::WorkStealing,
         2,
+        4,
     );
     gate_scheduled::<f32>(
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
@@ -308,6 +354,7 @@ fn warm_replays_allocate_nothing() {
         true,
         SchedulerPolicy::WorkStealing,
         3,
+        4,
     );
 
     // The Blelloch scan strategy over the diagonal linear cell: three
@@ -332,7 +379,7 @@ fn warm_replays_allocate_nothing() {
     // Training: every cell kind under every backend kind's executor (an
     // int8 executor trains on the exact kernels) and on 1–3 workers;
     // many-to-one leaves most top-layer `dh` slots unwritten, `mbs` 2
-    // adds the cross-replica reductions, the h = 2 shape is folded.
+    // adds the cross-replica reductions, the h = 2 shapes are folded.
     for workers in [1, 2, 3] {
         for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
             for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
@@ -342,8 +389,10 @@ fn warm_replays_allocate_nothing() {
                     backend,
                     workers,
                     1,
+                    4,
                 );
             }
+            train_gate::<f32>(fine_grain, 53, backend, workers, 1, 1);
         }
         train_gate::<f64>(
             config(CellKind::Lstm, MergeMode::Mul, ModelKind::ManyToMany),
@@ -351,7 +400,8 @@ fn warm_replays_allocate_nothing() {
             BackendKind::Scalar,
             workers,
             2,
+            4,
         );
-        train_gate::<f32>(fine, 47, BackendKind::Simd, workers, 1);
+        train_gate::<f32>(fine, 47, BackendKind::Simd, workers, 1, 4);
     }
 }

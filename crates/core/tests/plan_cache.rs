@@ -100,12 +100,13 @@ proptest! {
                 }
             }
         }
-        // One plan per distinct shape; all 6 other batches replayed.
+        // One plan per distinct shape; all 6 other batches replayed; both
+        // plans read one weight store, seeded once.
         let distinct = if (rows_a, seq_a) == (rows_b, seq_b) { 1 } else { 2 };
         let stats = exec.plan_cache_stats();
         prop_assert_eq!(stats.misses, distinct);
         prop_assert_eq!(stats.hits, 6 - distinct);
-        prop_assert_eq!(stats.weight_syncs, distinct);
+        prop_assert_eq!(stats.weight_syncs, 1);
     }
 
     /// Repeated training steps replay the cached plan with *changing*
@@ -495,4 +496,163 @@ fn plan_byte_budget_evicts_lru_tenants_and_holds() {
     let want = SequentialExec::new().forward(&tenants[0], &xs);
     assert_eq!(out.logits.max_abs_diff(&want.logits), 0.0);
     assert!(exec.plan_cache_stats().arena_bytes <= budget);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Every plan of a tenant reads one weight store. Driven through three
+    /// or four inference shapes with a training step after each round,
+    /// one executor seeds the store once and re-syncs it once per
+    /// revision, through whichever plan runs next — and every output
+    /// stays bitwise equal to `SequentialExec` on the current model: the
+    /// replays right after a re-sync made through another plan, and the
+    /// training step (its own plan, the same store), included. Sharing
+    /// moves no arena: the resident bytes are those of each plan built
+    /// alone, and one snapshot.
+    #[test]
+    fn plans_of_one_tenant_share_one_weight_store(
+        cfg in arb_config(),
+        shapes in proptest::collection::vec((1usize..5, 1usize..6), 3..5),
+        mbs in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut model: Brnn<f64> = Brnn::new(cfg, seed);
+        let mut twin = model.clone();
+        let exec = TaskGraphExec::with_config(2, SchedulerPolicy::LocalityAware, mbs);
+        let seq_exec = SequentialExec::new();
+        let rounds = 3u64;
+        for round in 0..rounds {
+            for (i, &(rows, seq)) in shapes.iter().enumerate() {
+                let xs = inputs(&cfg, rows, seq, seed + 10 * round + i as u64);
+                let got = exec.forward(&model, &xs);
+                let want = seq_exec.forward(&model, &xs);
+                prop_assert_eq!(got.logits.max_abs_diff(&want.logits), 0.0);
+                for (g, w) in got.seq_logits.iter().zip(&want.seq_logits) {
+                    prop_assert_eq!(g.max_abs_diff(w), 0.0);
+                }
+            }
+            let (rows, seq) = shapes[0];
+            let xs = inputs(&cfg, rows, seq, seed + 500 + round);
+            let target = target_for(&cfg, rows, seq, round as usize);
+            let loss = exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+            if mbs == 1 {
+                let want = seq_exec.train_batch(&mut twin, &xs, &target, &mut Sgd::new(0.1));
+                prop_assert_eq!(loss.to_bits(), want.to_bits());
+                prop_assert_eq!(model.max_param_diff(&twin), 0.0);
+            }
+        }
+        let stats = exec.plan_cache_stats();
+        // The seed, then one re-sync after each training step but the last.
+        prop_assert_eq!(stats.weight_syncs, rounds);
+        let snapshot = (model.param_count() * std::mem::size_of::<f64>()) as u64;
+        prop_assert_eq!(stats.weight_bytes, snapshot);
+
+        let alone = |rows: usize, seq: usize, train: bool| {
+            let exec = TaskGraphExec::with_config(1, SchedulerPolicy::Fifo, mbs);
+            let xs = inputs(&cfg, rows, seq, 0);
+            if train {
+                let target = target_for(&cfg, rows, seq, 0);
+                exec.train_batch(&mut model.clone(), &xs, &target, &mut Sgd::new(0.1));
+            } else {
+                exec.forward(&model, &xs);
+            }
+            exec.plan_cache_stats().arena_bytes
+        };
+        let distinct: std::collections::BTreeSet<_> = shapes.iter().copied().collect();
+        let inference: u64 = distinct.iter().map(|&(rows, seq)| alone(rows, seq, false)).sum();
+        let training = alone(shapes[0].0, shapes[0].1, true);
+        prop_assert_eq!(stats.arena_bytes, inference + training);
+    }
+}
+
+/// Stores are keyed by tenant and backend kind. Two tenants with identical
+/// configs each get their own; an int8 executor's quantized inference
+/// store is never the one its training plans read, which is why its
+/// training stays bitwise equal to `SequentialExec` while int8 inference
+/// of the same model runs in between.
+#[test]
+fn tenants_and_backend_kinds_never_share_a_store() {
+    use bpar_core::exec::ForwardOutput;
+    use bpar_tensor::BackendKind;
+    let cfg = small_config();
+    let tenants: Vec<Brnn<f32>> = vec![Brnn::new(cfg, 61), Brnn::new(cfg, 62)];
+    let snapshot = (tenants[0].param_count() * std::mem::size_of::<f32>()) as u64;
+    let exec = TaskGraphExec::with_backend(2, SchedulerPolicy::LocalityAware, 1, BackendKind::Int8);
+    let xs: Vec<Matrix<f32>> = (0..4)
+        .map(|t| init::uniform(2, cfg.input_size, -1.0, 1.0, 70 + t))
+        .collect();
+    let mut out = ForwardOutput::zeros_for(&tenants[0], 2, 4);
+    for (t, model) in tenants.iter().enumerate() {
+        exec.try_forward_into_keyed(t as u64, model, &xs, &mut out)
+            .unwrap();
+    }
+    let stats = exec.plan_cache_stats();
+    assert_eq!((stats.weight_syncs, stats.weight_bytes), (2, 2 * snapshot));
+
+    let mut model = tenants[0].clone();
+    let mut twin = model.clone();
+    let target = target_for(&cfg, 2, 4, 3);
+    for _ in 0..3 {
+        let loss = exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
+        let want = SequentialExec::new().train_batch(&mut twin, &xs, &target, &mut Sgd::new(0.1));
+        assert_eq!(
+            loss.to_bits(),
+            want.to_bits(),
+            "training read quantized weights"
+        );
+        assert_eq!(model.max_param_diff(&twin), 0.0);
+        exec.try_forward_into_keyed(0, &model, &xs, &mut out)
+            .unwrap();
+    }
+    assert_eq!(exec.plan_cache_stats().weight_bytes, 3 * snapshot);
+}
+
+/// Once the byte budget has evicted every plan of a tenant, nothing holds
+/// its weight store: the snapshot leaves `weight_bytes`, and the tenant's
+/// next plan seeds a fresh store with exactly one deep copy — and serves
+/// exactly.
+#[test]
+fn evicting_a_tenants_last_plan_frees_its_weights() {
+    use bpar_core::exec::ForwardOutput;
+    let cfg = small_config();
+    let tenants: Vec<Brnn<f64>> = (0..3).map(|s| Brnn::new(cfg, 40 + s)).collect();
+    let snapshot = (tenants[0].param_count() * std::mem::size_of::<f64>()) as u64;
+    let exec = TaskGraphExec::new(2);
+    let (small, large) = (inputs(&cfg, 2, 4, 1), inputs(&cfg, 3, 4, 2));
+    let mut outs = [
+        ForwardOutput::zeros_for(&tenants[0], 2, 4),
+        ForwardOutput::zeros_for(&tenants[0], 3, 4),
+    ];
+    let mut serve = |t: usize, xs: &[Matrix<f64>]| {
+        let out = &mut outs[usize::from(xs[0].rows() == 3)];
+        exec.try_forward_into_keyed(t as u64, &tenants[t], xs, out)
+            .unwrap();
+        let want = SequentialExec::new().forward(&tenants[t], xs);
+        assert_eq!(out.logits.max_abs_diff(&want.logits), 0.0);
+        exec.plan_cache_stats()
+    };
+    // Tenant 0's two shapes read one store.
+    let small_arena = serve(0, &small).arena_bytes;
+    let both = serve(0, &large);
+    assert_eq!((both.weight_syncs, both.weight_bytes), (1, snapshot));
+    // Room for two large plans: tenants 1 and 2 push out both of tenant
+    // 0's, LRU first.
+    let large_arena = both.arena_bytes - small_arena;
+    exec.set_plan_byte_budget(Some(2 * large_arena));
+    serve(1, &large);
+    let gone = serve(2, &large);
+    assert_eq!(gone.budget_evictions, 2);
+    assert_eq!((gone.weight_syncs, gone.weight_bytes), (3, 2 * snapshot));
+    // Tenant 0 comes back: one fresh seed, exact outputs.
+    let back = serve(0, &small);
+    assert_eq!(
+        back.weight_syncs, 4,
+        "exactly one seed for the returning tenant"
+    );
+    assert_eq!(
+        back.weight_bytes,
+        2 * snapshot,
+        "tenant 1 was evicted in turn"
+    );
 }

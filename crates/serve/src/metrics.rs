@@ -162,13 +162,17 @@ pub struct ServingReport {
     pub plan_misses: u64,
     /// Plans dropped for capacity.
     pub plan_evictions: u64,
-    /// Model deep copies over the whole run. In steady-state serving this
-    /// equals `plan_misses` — the per-batch model clone is gone.
+    /// Model deep copies over the whole run: one seed per tenant's weight
+    /// store (again only after all of a tenant's plans were evicted) plus
+    /// one per model revision — never one per batch or per plan.
     pub weight_syncs: u64,
     /// Bytes of persistent plan arena resident in the executor's plan
     /// cache at the end of the run (inputs, states, caches, merges,
     /// logits retained between replays).
     pub arena_bytes: u64,
+    /// Bytes of the weight snapshots those plans read at the end of the
+    /// run: one per tenant with a resident plan.
+    pub weight_bytes: u64,
     /// Warm replays that reused a resident plan's arena instead of
     /// allocating fresh buffers (one per plan-cache hit).
     pub arena_reuses: u64,

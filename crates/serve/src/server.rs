@@ -325,8 +325,10 @@ impl<T: Float> Server<T> {
 
     /// Execution-plan cache counters of the resident executor. In steady
     /// state (`bucket_width == 1` or any bounded set of padded shapes)
-    /// `misses` plateaus at the number of distinct batch shapes and
-    /// `weight_syncs` stays at `misses` — no per-batch model clones.
+    /// `misses` plateaus at the number of distinct batch shapes, while
+    /// every plan of a tenant reads one weight store: `weight_syncs` is
+    /// one seed per tenant (again only after all its plans were evicted)
+    /// — no per-batch or per-plan model clones.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.exec.plan_cache_stats()
     }
@@ -790,8 +792,9 @@ mod tests {
     fn tenants_get_their_own_models_and_plans() {
         // Two tenants with the same architecture but different weights:
         // each request must be answered by *its* tenant's model, and the
-        // executor must cache one plan per tenant (revision thrash would
-        // show up as weight_syncs > misses).
+        // executor must cache one plan and one weight store per tenant
+        // (revision thrash through a shared store would show up as more
+        // than one weight sync per tenant).
         let model_a = tiny_model();
         let model_b = Brnn::<f32>::new(model_a.config, 99);
         // Singleton batches pin every execution to the (1, padded) shape,
@@ -843,7 +846,16 @@ mod tests {
         }
         let plans = server.plan_cache_stats();
         assert_eq!(plans.cached_plans, 2, "one plan per tenant");
-        assert_eq!(plans.weight_syncs, plans.misses, "no revision thrash");
+        assert_eq!(
+            plans.weight_syncs, 2,
+            "one seed per tenant, no revision thrash"
+        );
+        let snapshot = model_a.param_count() * std::mem::size_of::<f32>();
+        assert_eq!(
+            plans.weight_bytes,
+            2 * snapshot as u64,
+            "one snapshot per tenant"
+        );
     }
 
     #[test]
