@@ -20,9 +20,12 @@
 //!                   [--scheduler fifo|locality|work-stealing]
 //!                   [--recurrence chain|scan|scan:N]
 //!                                                 dynamic-batching inference serving
-//!                                                 (optionally under injected faults;
-//!                                                 --replicas > 1 runs the routed
-//!                                                 multi-replica fleet tier)
+//!                                                 (a batch runs whenever the executor
+//!                                                 is free; --window-us bounds how long
+//!                                                 full batches may pass over a partial
+//!                                                 one; optionally under injected
+//!                                                 faults; --replicas > 1 runs the
+//!                                                 routed multi-replica fleet tier)
 //! bpar analyze      [--layers N] [--hidden N] [--seq N] [--batch N] [--mbs N]
 //!                   [--cell lstm|gru|vanilla|linear] [--kind m2o|m2m] [--inference]
 //!                   [--seed-bug [missing-clause|dropped-edge|cross-epoch-race]]
@@ -107,6 +110,9 @@ USAGE:
                     [--backend scalar|simd|int8]
                     [--scheduler fifo|locality|work-stealing]
                     [--recurrence chain|scan|scan:N]
+                    (a batch runs whenever the executor is free; --window-us,
+                    default 2000, bounds how long full batches may pass over
+                    a waiting partial one)
   bpar analyze      [--layers N] [--hidden N] [--seq N] [--batch N] [--mbs N]
                     [--cell lstm|gru|vanilla|linear] [--kind m2o|m2m] [--inference]
                     [--fuzz-seeds a,b,c] [--scheduler fifo|locality|work-stealing]

@@ -9,9 +9,10 @@
 //! Determinism harness (the PR-4 recipe, fleet edition): the router
 //! starts **paused**, every request is submitted before the shard serve
 //! loops run (per-shard queue capacity ≥ 2× requests, so even
-//! at-dispatch double-enqueue never blocks), no deadlines, an
-//! effectively infinite batch window, immediate retries, and unlimited
-//! fault budgets. Under those conditions each shard's batch sequence is
+//! at-dispatch double-enqueue never blocks, and each shard loop's first
+//! intake takes everything routed to it), no deadlines, a batch window no
+//! request outlives, immediate retries, and unlimited fault budgets.
+//! Under those conditions each shard's batch sequence is
 //! a pure function of (seed, routed key set).
 
 use bpar_core::model::BrnnConfig;

@@ -5,27 +5,38 @@
 //! without sleeping — the property tests in `tests/proptests.rs` drive it
 //! with synthetic timelines.
 //!
-//! Policy: requests land in a FIFO bucket keyed by quantized sequence
-//! length. A bucket closes into a batch when it reaches `max_batch` rows
-//! **or** its oldest member has waited `window` since arrival. With
-//! `bucket_width == 1` every bucket holds exactly one sequence length, so
-//! batches need no padding and the forward pass is bit-for-bit identical
-//! to serving each request alone (row blocks of a GEMM accumulate
-//! independently). Wider buckets trade a little padding for fuller
-//! batches.
+//! Policy: requests land in a FIFO bucket keyed by tenant and quantized
+//! sequence length. Whenever the executor is free, the serving loop asks
+//! [`MicroBatcher::next_batch`] for a batch, and gets one whenever
+//! anything is pending: the batcher never holds a request back to let its
+//! bucket fill. Under load batches still fill, from the requests that
+//! arrived while the previous batch ran. The bucket that goes next is
+//!
+//! 1. a bucket that is full (`max_batch` rows) or whose oldest member is
+//!    `window` past its arrival, earliest such deadline first;
+//! 2. otherwise the bucket with the oldest member.
+//!
+//! So `window` bounds how long full buckets may pass over a partial one;
+//! it is never time the executor spends idle. With `bucket_width == 1`
+//! every bucket holds exactly one sequence length, so batches need no
+//! padding and the forward pass is bit-for-bit identical to serving each
+//! request alone (row blocks of a GEMM accumulate independently). Wider
+//! buckets trade a little padding for fuller batches.
 
 use crate::request::InferRequest;
 use bpar_tensor::Float;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// When to close a forming batch.
+/// How batches are formed and which one goes next.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
-    /// Maximum rows per batch; reaching it closes the batch immediately.
+    /// Maximum rows per batch; a bucket holding this many is full.
     pub max_batch: usize,
-    /// Maximum time a request may wait in the batcher: a bucket closes
-    /// once its oldest member is `window` past arrival, full or not.
+    /// How long full buckets may pass over a partial one: once a bucket's
+    /// oldest member is `window` past its arrival, the bucket ranks with
+    /// the full ones, by that deadline. The batcher never holds a request
+    /// back for this long; an idle executor takes a partial bucket at once.
     pub window: Duration,
     /// Sequence-length quantization. Lengths `l` with equal
     /// `(l - 1) / bucket_width` share a bucket; `1` means exact-length
@@ -49,7 +60,7 @@ impl BatchPolicy {
         self
     }
 
-    /// Degenerate policy: one request per batch, no batching delay.
+    /// Degenerate policy: one request per batch.
     pub fn batch_of_one() -> Self {
         Self::new(1, Duration::ZERO)
     }
@@ -63,15 +74,14 @@ struct Bucket<T: Float> {
     /// `(tenant, quantized length)` — batches are tenant-pure, since all
     /// rows of one batch run through one tenant's model.
     key: (u32, usize),
+    /// Never empty: a bucket is dropped with its last member.
     fifo: VecDeque<InferRequest<T>>,
-    /// When the oldest member forces this bucket closed.
-    deadline: Instant,
 }
 
-/// Accumulates requests into length buckets and emits closed batches.
+/// Accumulates requests into length buckets and emits batches.
 pub struct MicroBatcher<T: Float> {
     policy: BatchPolicy,
-    /// Buckets in creation order (stable tie-break for deadlines).
+    /// Buckets in creation order (the tie-break for equal arrivals).
     buckets: Vec<Bucket<T>>,
     pending: usize,
 }
@@ -105,7 +115,7 @@ impl<T: Float> MicroBatcher<T> {
     }
 
     /// Adds a request to its `(tenant, length)` bucket.
-    pub fn offer(&mut self, req: InferRequest<T>, now: Instant) {
+    pub fn offer(&mut self, req: InferRequest<T>) {
         let key = (req.tenant, self.policy.bucket_of(req.seq_len()));
         self.pending += 1;
         if let Some(b) = self.buckets.iter_mut().find(|b| b.key == key) {
@@ -115,39 +125,36 @@ impl<T: Float> MicroBatcher<T> {
         self.buckets.push(Bucket {
             key,
             fifo: VecDeque::from([req]),
-            deadline: now + self.policy.window,
         });
     }
 
-    /// The earliest instant at which some bucket must close, if any
-    /// requests are waiting. The serving loop uses this as its poll
-    /// timeout.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.buckets.iter().map(|b| b.deadline).min()
-    }
-
-    /// Removes and returns the next closed batch at `now`: a bucket that
-    /// reached `max_batch` rows, or whose deadline has passed. With
-    /// `force`, any non-empty bucket closes (used when draining at
-    /// shutdown). Returns at most `max_batch` requests in bucket-FIFO
-    /// order; a bucket holding more keeps the remainder, its deadline
-    /// reset to the new oldest member's arrival plus the window.
-    pub fn pop_ready(&mut self, now: Instant, force: bool) -> Option<Vec<InferRequest<T>>> {
+    /// Removes and returns the batch to run at `now`; `None` only when
+    /// nothing is pending. The bucket is a full or past-window one,
+    /// earliest deadline first, else the one with the oldest member (see
+    /// the module docs). Returns at most `max_batch` requests in
+    /// bucket-FIFO order; a bucket holding more keeps the remainder, whose
+    /// window runs from its own oldest member's arrival.
+    pub fn next_batch(&mut self, now: Instant) -> Option<Vec<InferRequest<T>>> {
+        let (max_batch, window) = (self.policy.max_batch, self.policy.window);
+        // Every bucket shares the window, so ordering by the oldest
+        // member's arrival is ordering by deadline. `false` sorts first:
+        // due buckets, then the rest; `min_by_key` keeps the first of
+        // equal keys.
         let idx = self
             .buckets
             .iter()
             .enumerate()
-            .filter(|(_, b)| force || b.fifo.len() >= self.policy.max_batch || now >= b.deadline)
-            .min_by_key(|(i, b)| (b.deadline, *i))
+            .min_by_key(|(_, b)| {
+                let oldest = b.fifo[0].arrival;
+                (b.fifo.len() < max_batch && now < oldest + window, oldest)
+            })
             .map(|(i, _)| i)?;
         let b = &mut self.buckets[idx];
-        let take = b.fifo.len().min(self.policy.max_batch);
+        let take = b.fifo.len().min(max_batch);
         let batch: Vec<_> = b.fifo.drain(..take).collect();
         self.pending -= batch.len();
         if b.fifo.is_empty() {
-            self.buckets.swap_remove(idx);
-        } else {
-            b.deadline = b.fifo[0].arrival + self.policy.window;
+            self.buckets.remove(idx);
         }
         Some(batch)
     }
@@ -166,9 +173,6 @@ impl<T: Float> MicroBatcher<T> {
                 }
             }
             b.fifo = kept;
-            if let Some(front) = b.fifo.front() {
-                b.deadline = front.arrival + self.policy.window;
-            }
         }
         self.buckets.retain(|b| !b.fifo.is_empty());
         self.pending -= expired.len();
@@ -186,43 +190,57 @@ mod tests {
         r
     }
 
+    fn ids(batch: &[InferRequest<f32>]) -> Vec<u64> {
+        batch.iter().map(|r| r.id).collect()
+    }
+
+    fn next_ids(mb: &mut MicroBatcher<f32>, now: Instant) -> Vec<u64> {
+        ids(&mb.next_batch(now).expect("requests are pending"))
+    }
+
     #[test]
     fn closes_on_max_batch() {
+        // A full bucket goes before an older partial one inside its window.
         let base = Instant::now();
         let mut mb = MicroBatcher::new(BatchPolicy::new(2, Duration::from_secs(10)));
-        mb.offer(req_at(1, 5, base, 0), base);
-        assert!(mb.pop_ready(base, false).is_none());
-        mb.offer(req_at(2, 5, base, 1), base);
-        let batch = mb.pop_ready(base, false).expect("full bucket closes");
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2]);
+        mb.offer(req_at(1, 7, base, 0));
+        mb.offer(req_at(2, 5, base, 1));
+        mb.offer(req_at(3, 5, base, 2));
+        assert_eq!(next_ids(&mut mb, base), vec![2, 3]);
+        assert_eq!(next_ids(&mut mb, base), vec![1]);
         assert_eq!(mb.pending(), 0);
+        assert!(mb.next_batch(base).is_none());
     }
 
     #[test]
     fn closes_on_window_expiry() {
+        // A partial bucket past its window ranks with the full ones by
+        // deadline, so it goes before a younger full bucket.
         let base = Instant::now();
         let window = Duration::from_millis(2);
-        let mut mb = MicroBatcher::new(BatchPolicy::new(8, window));
-        mb.offer(req_at(1, 5, base, 0), base);
-        assert!(mb
-            .pop_ready(base + Duration::from_millis(1), false)
-            .is_none());
-        let batch = mb.pop_ready(base + window, false).expect("window closes");
-        assert_eq!(batch.len(), 1);
-        assert_eq!(mb.next_deadline(), None);
+        let fill = || {
+            let mut mb = MicroBatcher::new(BatchPolicy::new(2, window));
+            mb.offer(req_at(1, 7, base, 0));
+            mb.offer(req_at(2, 5, base, 1_000));
+            mb.offer(req_at(3, 5, base, 1_001));
+            mb
+        };
+        let mut inside = fill();
+        assert_eq!(next_ids(&mut inside, base + window / 2), vec![2, 3]);
+        let mut expired = fill();
+        assert_eq!(next_ids(&mut expired, base + window), vec![1]);
+        assert_eq!(next_ids(&mut expired, base + window), vec![2, 3]);
     }
 
     #[test]
     fn buckets_separate_lengths() {
         let base = Instant::now();
         let mut mb = MicroBatcher::new(BatchPolicy::new(2, Duration::from_secs(10)));
-        mb.offer(req_at(1, 5, base, 0), base);
-        mb.offer(req_at(2, 7, base, 0), base);
-        // Neither length-bucket is full.
-        assert!(mb.pop_ready(base, false).is_none());
-        mb.offer(req_at(3, 7, base, 0), base);
-        let batch = mb.pop_ready(base, false).expect("len-7 bucket is full");
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2, 3]);
+        mb.offer(req_at(1, 5, base, 0));
+        mb.offer(req_at(2, 7, base, 0));
+        mb.offer(req_at(3, 7, base, 0));
+        assert_eq!(next_ids(&mut mb, base), vec![2, 3], "len-7 bucket is full");
+        assert_eq!(next_ids(&mut mb, base), vec![1]);
     }
 
     #[test]
@@ -230,38 +248,36 @@ mod tests {
         let base = Instant::now();
         let policy = BatchPolicy::new(2, Duration::from_secs(10)).with_bucket_width(4);
         let mut mb = MicroBatcher::new(policy);
-        mb.offer(req_at(1, 5, base, 0), base); // bucket (5-1)/4 = 1
-        mb.offer(req_at(2, 8, base, 0), base); // bucket (8-1)/4 = 1
-        let batch = mb.pop_ready(base, false).expect("shared bucket fills");
-        assert_eq!(batch.len(), 2);
+        mb.offer(req_at(1, 5, base, 0)); // bucket (5-1)/4 = 1
+        mb.offer(req_at(2, 8, base, 0)); // bucket (8-1)/4 = 1
+        assert_eq!(next_ids(&mut mb, base), vec![1, 2], "shared bucket");
     }
 
     #[test]
     fn tenants_never_share_a_batch() {
         let base = Instant::now();
         let mut mb = MicroBatcher::new(BatchPolicy::new(2, Duration::from_secs(10)));
-        mb.offer(req_at(1, 5, base, 0).with_tenant(0), base);
-        mb.offer(req_at(2, 5, base, 0).with_tenant(1), base);
-        // Same length, different tenants: neither bucket is full.
-        assert!(mb.pop_ready(base, false).is_none());
-        mb.offer(req_at(3, 5, base, 0).with_tenant(1), base);
-        let batch = mb.pop_ready(base, false).expect("tenant-1 bucket fills");
+        mb.offer(req_at(1, 5, base, 0).with_tenant(0));
+        mb.offer(req_at(2, 5, base, 0).with_tenant(1));
+        mb.offer(req_at(3, 5, base, 0).with_tenant(1));
+        let batch = mb.next_batch(base).expect("tenant-1 bucket is full");
         assert!(batch.iter().all(|r| r.tenant == 1));
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(ids(&batch), vec![2, 3]);
+        assert_eq!(next_ids(&mut mb, base), vec![1]);
     }
 
     #[test]
     fn force_drains_partial_buckets() {
+        // Nothing full, nothing past its window: the oldest member's bucket
+        // still goes, so every pending request leaves without waiting.
         let base = Instant::now();
         let mut mb = MicroBatcher::new(BatchPolicy::new(8, Duration::from_secs(10)));
-        mb.offer(req_at(1, 5, base, 0), base);
-        mb.offer(req_at(2, 9, base, 0), base);
-        let mut total = 0;
-        while let Some(batch) = mb.pop_ready(base, true) {
-            total += batch.len();
-        }
-        assert_eq!(total, 2);
+        mb.offer(req_at(1, 9, base, 1));
+        mb.offer(req_at(2, 5, base, 0));
+        assert_eq!(next_ids(&mut mb, base), vec![2]);
+        assert_eq!(next_ids(&mut mb, base), vec![1]);
         assert_eq!(mb.pending(), 0);
+        assert!(mb.next_batch(base).is_none());
     }
 
     #[test]
@@ -269,20 +285,27 @@ mod tests {
         let base = Instant::now();
         let window = Duration::from_millis(5);
         let mut mb = MicroBatcher::new(BatchPolicy::new(2, window));
-        // Three same-length requests arriving over time; pop with force
-        // so nothing closed early.
         for (id, off) in [(1u64, 0u64), (2, 100), (3, 200)] {
-            let r = req_at(id, 5, base, off);
-            let now = r.arrival;
-            mb.offer(r, now);
+            mb.offer(req_at(id, 5, base, off));
         }
-        let now = base + Duration::from_millis(1);
-        let batch = mb.pop_ready(now, true).expect("closes at max_batch");
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2]);
-        // Remainder keeps its own window deadline, from request 3's arrival.
-        let expect = base + Duration::from_micros(200) + window;
-        assert_eq!(mb.next_deadline(), Some(expect));
+        assert_eq!(next_ids(&mut mb, base), vec![1, 2]);
         assert_eq!(mb.pending(), 1);
+        // The remainder's deadline is request 3's arrival plus the window,
+        // not request 1's: 100 µs past the old one it is not yet due, and a
+        // younger full bucket goes first.
+        mb.offer(req_at(4, 7, base, 300));
+        mb.offer(req_at(5, 7, base, 301));
+        let old_deadline = base + window;
+        assert_eq!(
+            next_ids(&mut mb, old_deadline + Duration::from_micros(100)),
+            vec![4, 5]
+        );
+        // At its own deadline it goes before a younger full bucket.
+        mb.offer(req_at(6, 7, base, 400));
+        mb.offer(req_at(7, 7, base, 401));
+        let new_deadline = base + Duration::from_micros(200) + window;
+        assert_eq!(next_ids(&mut mb, new_deadline), vec![3]);
+        assert_eq!(next_ids(&mut mb, new_deadline), vec![6, 7]);
     }
 
     #[test]
@@ -290,14 +313,12 @@ mod tests {
         let base = Instant::now();
         let mut mb = MicroBatcher::new(BatchPolicy::new(4, Duration::from_secs(10)));
         for id in 0..4u64 {
-            mb.offer(req_at(id, 5, base, 0), base);
+            mb.offer(req_at(id, 5, base, 0));
         }
         mb.set_max_batch(1);
-        let batch = mb.pop_ready(base, false).expect("singleton cap closes");
-        assert_eq!(batch.len(), 1);
+        assert_eq!(next_ids(&mut mb, base), vec![0], "singleton cap");
         mb.set_max_batch(4);
-        let batch = mb.pop_ready(base, true).expect("restored cap");
-        assert_eq!(batch.len(), 3);
+        assert_eq!(next_ids(&mut mb, base), vec![1, 2, 3], "restored cap");
         assert_eq!(mb.pending(), 0);
     }
 
@@ -309,10 +330,10 @@ mod tests {
         live.deadline = Some(Duration::from_secs(100));
         let mut stale = req_at(2, 5, base, 0);
         stale.deadline = Some(Duration::from_micros(1));
-        mb.offer(live, base);
-        mb.offer(stale, base);
+        mb.offer(live);
+        mb.offer(stale);
         let swept = mb.take_expired(base + Duration::from_millis(1));
-        assert_eq!(swept.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(ids(&swept), vec![2]);
         assert_eq!(mb.pending(), 1);
     }
 }

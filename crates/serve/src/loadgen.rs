@@ -12,10 +12,12 @@
 //!   process at `rate_rps`; the generator never waits for responses, so
 //!   overload shows up as queue growth, rejections, or sheds, exactly as
 //!   it would with independent clients.
-//! * **Closed loop** ([`run_closed_loop`]) — the generator submits the
-//!   next request as soon as admission succeeds; combined with
-//!   [`crate::queue::BackpressurePolicy::Block`] the queue bound acts as the
-//!   concurrency window, so the system runs at its own saturation rate.
+//! * **Closed loop** ([`run_closed_loop`]) — the first queue's worth of
+//!   requests is admitted before the serving loop starts, then the
+//!   generator submits the next request as soon as admission succeeds;
+//!   combined with [`crate::queue::BackpressurePolicy::Block`] the queue
+//!   bound acts as the concurrency window, so the system runs at its own
+//!   saturation rate.
 //!
 //! Both are deterministic in the *workload* (same seed → same request
 //! ids, lengths, contents, and arrival schedule); wall-clock timings in
@@ -195,9 +197,20 @@ pub fn run_closed_loop<T: Float>(
     let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity, cfg.policy));
     let producer_queue = queue.clone();
     let start = Instant::now();
+    // The loop starts with its window full: the first queue's worth is
+    // admitted before serving begins, so which requests share the first
+    // batches does not depend on how the two threads are scheduled. With
+    // capacity >= requests and a window no request outlives, every batch's
+    // composition is a function of the seed alone.
+    let preload = gen.requests.min(queue.capacity() as u64);
+    let mut outcomes = Vec::new();
+    for id in 0..preload {
+        let req = make_request::<T>(&data, id, gen.deadline);
+        admission_outcomes(queue.push(req), &mut outcomes);
+    }
     let producer = std::thread::spawn(move || {
-        let mut outcomes = Vec::new();
-        for id in 0..gen.requests {
+        let mut outcomes = outcomes;
+        for id in preload..gen.requests {
             let req = make_request::<T>(&data, id, gen.deadline);
             admission_outcomes(producer_queue.push(req), &mut outcomes);
         }
@@ -266,6 +279,46 @@ mod tests {
         assert_eq!(report.plan_hits + report.plan_misses, report.batches);
         assert!(report.plan_misses > 1, "several shapes were built");
         assert_eq!(report.weight_syncs, 1);
+        assert_eq!(report.failed, 0);
+    }
+
+    #[test]
+    fn closed_loop_batcher_never_outgrows_the_queue() {
+        // A producer that refills a 4-deep queue while each batch runs, and
+        // lengths spread over ~15 exact-length buckets, so a batch takes
+        // about one request: without its intake bound the batcher would
+        // grow by the queue's refill every batch. The serving loop's
+        // `debug_assert!` checks the bound after every intake.
+        let model = Brnn::<f32>::new(
+            BrnnConfig {
+                input_size: 4,
+                hidden_size: 24,
+                layers: 2,
+                seq_len: 20,
+                output_size: 3,
+                ..BrnnConfig::default()
+            },
+            5,
+        );
+        let cfg = ServeConfig {
+            queue_capacity: 4,
+            policy: BackpressurePolicy::Block,
+            batch: BatchPolicy::new(8, Duration::from_secs(1)),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let report = run_closed_loop(
+            model,
+            cfg,
+            ClosedLoopConfig {
+                seed: 4,
+                requests: 96,
+                mean_frames: 20,
+                deadline: None,
+                fault: None,
+            },
+        );
+        assert_eq!(report.served, 96);
         assert_eq!(report.failed, 0);
     }
 

@@ -131,7 +131,9 @@ struct QueueState<T: Float> {
 }
 
 /// Bounded MPSC admission queue. Producers [`push`](Self::push); the
-/// single serving loop [`pop_wait`](Self::pop_wait)s. Share via `Arc`.
+/// single serving loop [`drain_into`](Self::drain_into)s what is there
+/// and [`pop_wait`](Self::pop_wait)s when it has nothing else to do.
+/// Share via `Arc`.
 pub struct AdmissionQueue<T: Float> {
     state: Mutex<QueueState<T>>,
     /// Signalled when an item arrives or the queue closes.
@@ -237,6 +239,27 @@ impl<T: Float> AdmissionQueue<T> {
                 }
             }
         }
+    }
+
+    /// Moves up to `limit` queued requests into `sink`, oldest first,
+    /// under one lock, and wakes producers blocked for space once.
+    /// Returns `true` when the queue is closed and empty afterwards:
+    /// nothing more will ever arrive.
+    pub fn drain_into(&self, limit: usize, mut sink: impl FnMut(InferRequest<T>)) -> bool {
+        let mut st = self.state.lock();
+        let take = st.items.len().min(limit);
+        st.items.drain(..take).for_each(&mut sink);
+        let exhausted = st.closed && st.items.is_empty();
+        drop(st);
+        if take > 0 {
+            self.space_cv.notify_all();
+        }
+        exhausted
+    }
+
+    /// The most requests the queue holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Current number of queued requests.
@@ -362,6 +385,68 @@ mod tests {
         // Restoring Block reinstates waiting behaviour for new pushes.
         q.set_policy(BackpressurePolicy::Block);
         assert_eq!(q.policy(), BackpressurePolicy::Block);
+    }
+
+    #[test]
+    fn drain_into_moves_oldest_first_up_to_limit() {
+        let q = AdmissionQueue::new(8, BackpressurePolicy::Reject);
+        for id in 0..5 {
+            q.push(req(id));
+        }
+        let mut got = Vec::new();
+        assert!(!q.drain_into(3, |r| got.push(r.id)));
+        assert_eq!(got, vec![0, 1, 2]);
+        assert_eq!(q.depth(), 2);
+        assert!(!q.drain_into(0, |r| got.push(r.id)));
+        assert_eq!(q.depth(), 2, "a zero limit moves nothing");
+        assert!(!q.drain_into(usize::MAX, |r| got.push(r.id)));
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn drain_into_reports_closed_once_nothing_is_left() {
+        let q = AdmissionQueue::new(4, BackpressurePolicy::Block);
+        q.push(req(1));
+        q.push(req(2));
+        assert!(!q.drain_into(usize::MAX, |_| {}), "open: more may arrive");
+        q.push(req(3));
+        q.push(req(4));
+        q.close();
+        let mut got = Vec::new();
+        assert!(!q.drain_into(1, |r| got.push(r.id)), "closed, one left");
+        assert!(q.drain_into(1, |r| got.push(r.id)));
+        assert!(q.drain_into(1, |r| got.push(r.id)));
+        assert_eq!(got, vec![3, 4]);
+    }
+
+    #[test]
+    fn drain_into_wakes_every_blocked_producer() {
+        let q = Arc::new(AdmissionQueue::new(2, BackpressurePolicy::Block));
+        q.push(req(1));
+        q.push(req(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let producers = [3, 4].map(|id| {
+            let (q, tx) = (q.clone(), tx.clone());
+            std::thread::spawn(move || tx.send(q.push(req(id))).expect("receiver alive"))
+        });
+        // Let both producers block on the full queue; if they have not
+        // yet, their pushes find room and the test still passes.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut got = Vec::new();
+        q.drain_into(2, |r| got.push(r.id));
+        for _ in 0..2 {
+            let admission = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("one drain wakes both blocked producers");
+            assert!(matches!(admission, Admission::Admitted { .. }));
+        }
+        for p in producers {
+            p.join().expect("producer panicked");
+        }
+        q.drain_into(usize::MAX, |r| got.push(r.id));
+        got[2..].sort_unstable();
+        assert_eq!(got, vec![1, 2, 3, 4]);
     }
 
     #[test]

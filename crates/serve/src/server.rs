@@ -342,7 +342,12 @@ impl<T: Float> Server<T> {
     }
 
     /// Runs the serving loop until `queue` is closed and fully drained
-    /// (including partially filled buckets and pending retries).
+    /// (including partially filled buckets and pending retries). The
+    /// loop is work-conserving: whenever the executor is free and a
+    /// request is pending, a batch runs — formed from what has been
+    /// admitted by then ([`MicroBatcher::next_batch`]) — so the executor
+    /// never idles while a request waits.
+    ///
     /// Serve-side outcomes — [`Outcome::Served`], deadline
     /// [`Outcome::Shed`]s, [`Outcome::Rejected`] for malformed requests,
     /// and [`Outcome::Failed`] after the retry budget — are recorded into
@@ -368,7 +373,18 @@ impl<T: Float> Server<T> {
             normal_policy: self.config.policy,
             normal_max_batch: self.config.batch.max_batch,
         };
+        let capacity = queue.capacity();
         loop {
+            // Take in what has been admitted, up to one queue's worth in
+            // the batcher: a closed loop's producer refills the queue as
+            // fast as it drains, so without the bound the batcher, not
+            // the producer, would absorb the backlog.
+            let room = capacity.saturating_sub(st.batcher.pending());
+            let exhausted = queue.drain_into(room, |req| st.batcher.offer(req));
+            debug_assert!(
+                st.batcher.pending() <= capacity,
+                "the batcher holds at most one queue's worth of requests"
+            );
             let now = Instant::now();
             if shed_expired {
                 for req in st.batcher.take_expired(now) {
@@ -378,8 +394,11 @@ impl<T: Float> Server<T> {
                 }
             }
             // Due retries run before fresh batches: they are the oldest
-            // work in the system, and a singleton retry is cheap.
-            if let Some(pos) = st.retries.iter().position(|e| now >= e.due) {
+            // work in the system, and a singleton retry is cheap. Once
+            // nothing more can arrive, backoff is waived: waiting buys
+            // nothing. Retries scheduled meanwhile queue behind, so every
+            // request still reaches a terminal outcome.
+            if let Some(pos) = st.retries.iter().position(|e| exhausted || now >= e.due) {
                 let entry = st.retries.remove(pos).expect("position in bounds");
                 self.execute(
                     vec![entry.req],
@@ -390,52 +409,19 @@ impl<T: Float> Server<T> {
                 );
                 continue;
             }
-            if let Some(batch) = st.batcher.pop_ready(now, false) {
+            // The executor is free: run whatever is pending now.
+            if let Some(batch) = st.batcher.next_batch(now) {
                 self.execute(batch, 0, &mut st, metrics, &mut on_outcome);
                 continue;
             }
-            // Sleep until new work, the next bucket window, or the next
-            // retry coming due — whichever is first.
-            let wake = match (
-                st.batcher.next_deadline(),
-                st.retries.iter().map(|e| e.due).min(),
-            ) {
-                (Some(b), Some(r)) => Some(b.min(r)),
-                (b, r) => b.or(r),
-            };
-            match queue.pop_wait(wake) {
-                Popped::Item(req) => st.batcher.offer(req, Instant::now()),
-                Popped::TimedOut => {} // a window or backoff expired; retry/pop_ready handles it
-                Popped::Closed => break,
+            if exhausted {
+                break;
             }
-        }
-        // Drain: run out the retry queue (backoff waived — nothing new
-        // can arrive, so waiting buys nothing) and force-close every
-        // remaining bucket. Retries scheduled *during* the drain loop
-        // back onto it, so every request still reaches a terminal
-        // outcome.
-        loop {
-            let now = Instant::now();
-            if shed_expired {
-                for req in st.batcher.take_expired(now) {
-                    let outcome = Outcome::Shed { id: req.id };
-                    metrics.record_outcome(&outcome);
-                    on_outcome(outcome);
-                }
-            }
-            if let Some(entry) = st.retries.pop_front() {
-                self.execute(
-                    vec![entry.req],
-                    entry.attempt,
-                    &mut st,
-                    metrics,
-                    &mut on_outcome,
-                );
-                continue;
-            }
-            match st.batcher.pop_ready(now, true) {
-                Some(batch) => self.execute(batch, 0, &mut st, metrics, &mut on_outcome),
-                None => break,
+            // Nothing to run: sleep until a request arrives or the next
+            // retry comes due.
+            match queue.pop_wait(st.retries.iter().map(|e| e.due).min()) {
+                Popped::Item(req) => st.batcher.offer(req),
+                Popped::TimedOut | Popped::Closed => {}
             }
         }
     }
@@ -702,6 +688,37 @@ mod tests {
             let expect = seq.forward(&model, &xs);
             assert_eq!(resp.logits, expect.logits.row(0).to_vec());
         }
+    }
+
+    #[test]
+    fn a_lone_request_does_not_wait_out_the_window() {
+        // One request, an idle executor, a queue that stays open until the
+        // response: the request must not wait for its bucket to fill or
+        // its 1 s window to run out.
+        let server = Server::new(
+            tiny_model(),
+            ServeConfig {
+                workers: 1,
+                batch: BatchPolicy::new(8, Duration::from_secs(1)),
+                ..ServeConfig::default()
+            },
+        );
+        let queue = AdmissionQueue::new(8, BackpressurePolicy::Block);
+        queue.push(InferRequest::new(0, frames(4, 4, 0)));
+        let mut metrics = MetricsCollector::new();
+        let mut waits = Vec::new();
+        server.serve(&queue, &mut metrics, |o| {
+            if let Outcome::Served(r) = o {
+                waits.push(r.timing.queue_wait);
+            }
+            queue.close();
+        });
+        assert_eq!(waits.len(), 1);
+        assert!(
+            waits[0] < Duration::from_millis(100),
+            "queue wait {:?} against a 1 s window",
+            waits[0]
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Determinism harness: every request is enqueued before the serving
 //! loop starts (queue capacity ≥ request count, so admission never
-//! blocks or rejects), no request carries a deadline, the batch window
-//! is effectively infinite (buckets close on `max_batch` or at drain),
+//! blocks or rejects and the loop's first intake takes them all), no
+//! request carries a deadline, the batch window is one no request
+//! outlives (so which bucket goes next never depends on the clock),
 //! retries are [`RetryPolicy::immediate`], and the fault plan has an
 //! unlimited panic budget. Under those conditions the sequence of batch
 //! executions — and therefore every counter — is a pure function of the
