@@ -56,6 +56,7 @@
 //! report is byte-identical across reruns.
 
 use crate::cell::CellParams;
+use crate::emit::Discipline;
 use crate::exec::builder::{BodyConfig, WeightStore};
 use crate::exec::plan::ExecPlan;
 use crate::exec::taskgraph::{collect_logits, row_chunks};
@@ -326,7 +327,16 @@ fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -
         workers: 1,
     };
     let weights = Arc::new(WeightStore::for_backend(model, body.backend));
-    ExecPlan::build(weights, batch, opts.mbs, opts.seed_bug, body, opts.coarsen)
+    let (seed, coarsen) = (opts.seed_bug, opts.coarsen);
+    ExecPlan::build(
+        weights,
+        batch,
+        opts.mbs,
+        seed,
+        body,
+        coarsen,
+        Discipline::BPar,
+    )
 }
 
 /// The compiled live plan [`analyze`] examines for `opts`, as a view:
@@ -372,12 +382,17 @@ pub fn time_replays(opts: &AnalyzeOptions, replays: usize) -> Vec<f64> {
 /// of the plan declares, e.g. `r0.st_fwd[1][2]`.
 fn region_name_map<T: Float>(plan: &ExecPlan<T>, seed: Option<SeedBug>) -> HashMap<u64, String> {
     let coarsen = Coarsen::By(plan.coarsen);
-    let (stream, _) = ExecPlan::stream(&plan.replicas, plan.train, seed, coarsen);
-    let clauses = |n| stream.ins(n).iter().chain(stream.outs(n));
-    let slots = stream.nodes.iter().flat_map(clauses);
-    slots
-        .map(|&(rep, slot)| (plan.replicas[rep].region(slot).0, format!("r{rep}.{slot}")))
-        .collect()
+    let (streams, _) =
+        ExecPlan::stream(&plan.replicas, plan.train, seed, coarsen, Discipline::BPar);
+    let mut names = HashMap::new();
+    for s in &streams {
+        for n in &s.nodes {
+            for &(rep, slot) in s.ins(n).iter().chain(s.outs(n)) {
+                names.insert(plan.replicas[rep].region(slot).0, format!("r{rep}.{slot}"));
+            }
+        }
+    }
+    names
 }
 
 /// Everything one recorded replay yields for the analyses.

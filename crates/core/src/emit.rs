@@ -3,10 +3,10 @@
 //! The paper's idea is small: every cell update is a task, its `in`/`out`
 //! clauses are the edges, and there are no barriers (Algorithms 2–3,
 //! Fig. 2). This module writes that down exactly once. An [`Emitter`]
-//! yields, per mini-batch replica and per stage ([`Emitter::stages`]), a stream of
-//! [`Node`]s: task kind, layer, direction, timestep/output index, symbolic
-//! `in`/`out` slot ids ([`SlotId`]) and flop / working-set annotations
-//! parameterised by the scalar size. Direction is data ([`Dir`]), so chain
+//! yields, per mini-batch replica, a stream of [`Node`]s: task kind,
+//! layer, direction, timestep/output index, symbolic `in`/`out` slot ids
+//! ([`SlotId`]) and flop / working-set annotations parameterised by the
+//! scalar size. Direction is data ([`Dir`]), so chain
 //! cells and BPTT cells are each written once; the Blelloch scan layer
 //! (`scan_forward` / `scan_backward`) is a second emitter of the same node
 //! type.
@@ -23,9 +23,11 @@
 //! Everything that is *not* the paper's graph is a transform over the
 //! emitted stream rather than a branch inside emission: the task
 //! granularity ([`coarsen`], with `k` chosen by [`Coarsen::Rule`]), the
-//! framework ablations ([`insert_barriers`], [`fuse_merges`],
-//! [`split_cells`]) and the seeded bugs of the soundness detectors
-//! ([`drop_state_clause`], [`append_epoch_probe`]).
+//! baselines' schedules ([`Discipline`]: per-layer barriers,
+//! [`insert_barriers`], and B-Seq's one task per replica), the other
+//! framework ablations ([`fuse_merges`], [`split_cells`]) and the seeded
+//! bugs of the soundness detectors ([`drop_state_clause`],
+//! [`append_epoch_probe`]).
 
 use crate::model::{BrnnConfig, ModelKind};
 use crate::scanplan::{NodeRef, ScanPlan};
@@ -98,7 +100,7 @@ pub(crate) enum SlotId {
     FeatAlias,
     /// Intermediate GEMM output of a [`split_cells`] cell (sim only).
     Gemm(Dir, usize, usize),
-    /// Completion token of the barrier with this tag (sim only).
+    /// Completion token of the barrier with this tag.
     Barrier(u64),
 }
 
@@ -163,7 +165,7 @@ pub(crate) enum Kind {
     ReduceLoss,
     /// The [`append_epoch_probe`] task.
     EpochProbe,
-    /// [`insert_barriers`] node (sim only).
+    /// [`insert_barriers`] node.
     Barrier,
     /// [`split_cells`] halves of a forward cell (sim only).
     CellGemm,
@@ -273,9 +275,6 @@ impl Node {
 pub(crate) struct Stream {
     pub nodes: Vec<Node>,
     slots: Vec<SlotRef>,
-    /// `nodes.len()` at the end of each stage emitted by
-    /// [`Emitter::replica`].
-    stage_ends: Vec<usize>,
     /// The original nodes of every node [`coarsen`] folded, in stream
     /// order (coordinates only: their clause lists are empty).
     folded: Vec<Node>,
@@ -316,19 +315,6 @@ impl Stream {
         );
     }
 
-    fn end_stage(&mut self) {
-        self.stage_ends.push(self.nodes.len());
-    }
-
-    /// The per-stage node groups of a stream built by one
-    /// [`Emitter::replica`] call.
-    pub fn stages(&self) -> impl Iterator<Item = &[Node]> {
-        let starts = [0].into_iter().chain(self.stage_ends.iter().copied());
-        starts
-            .zip(&self.stage_ends)
-            .map(|(a, &b)| &self.nodes[a..b])
-    }
-
     fn push_refs(
         &mut self,
         mut node: Node,
@@ -344,12 +330,16 @@ impl Stream {
     }
 
     /// Appends the fold of `run`, consecutive nodes of `from` (see
-    /// [`coarsen`]); a run of one is copied as it is.
+    /// [`coarsen`]), whose members are the members of the run's nodes —
+    /// folding folds flattens them. An unfolded run of one is copied as
+    /// it is.
     fn push_folded(&mut self, from: &Stream, run: &[Node]) {
         let mut node = run[0];
         if let [only] = run {
-            let (ins, outs) = (from.ins(only), from.outs(only));
-            return self.push_refs(node, ins.iter().copied(), outs.iter().copied());
+            if from.members(only).len() == 1 {
+                let (ins, outs) = (from.ins(only), from.outs(only));
+                return self.push_refs(node, ins.iter().copied(), outs.iter().copied());
+            }
         }
         let start = self.slots.len();
         let mut written: Vec<SlotRef> = Vec::new();
@@ -370,12 +360,14 @@ impl Stream {
         node.clauses = [start, mid, self.slots.len()];
         node.flops = run.iter().map(|m| m.flops).sum();
         node.ws = run.iter().map(|m| m.ws).sum();
-        node.members = [self.folded.len(), self.folded.len() + run.len()];
+        let first = self.folded.len();
         let coordinates = |m: &Node| Node {
             clauses: [0; 3],
             ..*m
         };
-        self.folded.extend(run.iter().map(coordinates));
+        let members = run.iter().flat_map(|n| from.members(n));
+        self.folded.extend(members.map(coordinates));
+        node.members = [first, self.folded.len()];
         self.nodes.push(node);
     }
 }
@@ -414,7 +406,7 @@ pub(crate) struct Emitter<'a> {
 }
 
 /// Barrier tags [`insert_barriers`] can hand out beyond `layers`.
-const BARRIER_TAGS: usize = 301;
+pub(crate) const BARRIER_TAGS: usize = 301;
 
 /// Dense numbering of every slot a replica of one shape (or a transform
 /// over its stream) can name — what lets a consumer map slots to regions
@@ -495,20 +487,18 @@ impl Emitter<'_> {
         n
     }
 
-    /// Appends the replica's nodes stage by stage: forward layers
-    /// bottom-up, the output stage, then (training) the backward layers
-    /// deepest-first. [`crate::exec::BarrierExec`] waits between stages
-    /// ([`Stream::stages`]); the B-Par plan concatenates them.
+    /// Appends the replica's nodes in one topological order: forward
+    /// layers bottom-up, the output stage, then (training) the backward
+    /// layers deepest-first. Every schedule is a transform of this stream
+    /// ([`Discipline`]): B-Par submits it as it is, the barrier discipline
+    /// adds barrier nodes between its phases, B-Seq folds it into one task.
     pub fn replica(&self, train: bool, out: &mut Stream) {
         for l in 0..self.cfg.layers {
             self.forward(l, out);
-            out.end_stage();
         }
         self.output(train, out);
-        out.end_stage();
         for l in (0..self.cfg.layers).rev().filter(|_| train) {
             self.backward(l, out);
-            out.end_stage();
         }
     }
 
@@ -873,7 +863,9 @@ impl Coarsen {
 /// consecutive timesteps (or output positions) of one kind family × layer
 /// × direction × replica into one node — forward cells, merges,
 /// `merge_final` with its `dense` head, `loss` with its backward seed,
-/// BPTT cells, inner `merge_bwd` — and never across a stage boundary.
+/// BPTT cells, inner `merge_bwd`. Consecutive phases of a replica's
+/// stream differ in family, layer or direction, so no run crosses from
+/// one phase into the next.
 ///
 /// The folded node reads what its members read less what an earlier member
 /// writes, writes what any member writes, sums their flops and working
@@ -892,18 +884,13 @@ fn coarsen(stream: Stream, k: usize) -> Stream {
     }
     let run_of = |n: &Node| (n.kind.family(), n.layer, n.dir, n.rep);
     let mut out = Stream::default();
-    let mut stage_ends = stream.stage_ends.iter().copied().peekable();
     let nodes = &stream.nodes;
     let mut start = 0;
-    loop {
-        while stage_ends.next_if(|&e| e <= start).is_some() {
-            out.end_stage();
-        }
-        let Some(first) = nodes.get(start) else { break };
-        let limit = stage_ends.peek().map_or(nodes.len(), |&e| e);
+    while let Some(first) = nodes.get(start) {
         let mut end = start + 1;
         let mut positions = 1;
-        while first.kind.family().is_some() && end < limit && run_of(&nodes[end]) == run_of(first) {
+        let same_run = |n: &Node| run_of(n) == run_of(first);
+        while first.kind.family().is_some() && nodes.get(end).is_some_and(same_run) {
             if nodes[end].index != nodes[end - 1].index {
                 if positions == k {
                     break;
@@ -967,17 +954,22 @@ pub(crate) fn append_epoch_probe(stream: &mut Stream) {
     stream.push(probe, [SlotId::St(Dir::Fwd, 0, 0)], [SlotId::FeatAlias]);
 }
 
-/// Framework-style ablation over one replica's stream: per §II, frameworks
+/// The framework discipline over one replica's stream, the simulator's
+/// ablation and the barrier executor's plan alike: per §II, frameworks
 /// "apply per-layer barriers between forward and reverse order RNNs", so
 /// (a) a layer's reverse direction starts only after its whole forward
 /// direction (tags `l` forward, `200+l` backward), (b) layer `l+1` starts
 /// only after every merge of layer `l` (`100+l`), and mirrored in BPTT,
 /// layer `l-1` starts only after layer `l`'s backward finished (`300+l`).
 /// Each barrier node reads the states its phase produced; every node of
-/// the gated phase gets the barrier's token as one more `in`.
+/// the gated phase gets the barrier's token as one more `in`. A folded
+/// stream keeps its folds.
 pub(crate) fn insert_barriers(stream: &Stream) -> Stream {
     use SlotId::{Dh, Merged, Sg, St};
-    let mut out = Stream::default();
+    let mut out = Stream {
+        folded: stream.folded.clone(),
+        ..Stream::default()
+    };
     let mut gates: Vec<((Kind, Dir, usize), SlotId)> = Vec::new();
     let mut produced: Vec<SlotRef> = Vec::new();
     for (i, n) in stream.nodes.iter().enumerate() {
@@ -1013,6 +1005,49 @@ pub(crate) fn insert_barriers(stream: &Stream) -> Stream {
         produced.clear();
     }
     out
+}
+
+/// B-Seq over one replica's stream (§IV-A: "processes each minibatch
+/// sequentially"): the whole stream folded into one node, whose body runs
+/// every member in stream order and whose clauses are what the replica
+/// reads from outside and writes.
+fn fold_replica(stream: &Stream) -> Stream {
+    let mut out = Stream::default();
+    out.push_folded(stream, &stream.nodes);
+    out
+}
+
+/// The schedule a plan imposes on each replica's stream — the only thing
+/// the paper's three parallel executors differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Discipline {
+    /// The emitted graph, no barriers (§III).
+    BPar,
+    /// Per-layer barriers: a layer's forward direction, then its reverse
+    /// direction, then its merges ([`insert_barriers`], §II).
+    Barrier,
+    /// One sequential task per mini-batch replica ([`fold_replica`]).
+    BSeq,
+}
+
+impl Discipline {
+    /// `replica` under this discipline.
+    pub(crate) fn apply(self, replica: Stream) -> Stream {
+        match self {
+            Discipline::BPar => replica,
+            Discipline::Barrier => insert_barriers(&replica),
+            Discipline::BSeq => fold_replica(&replica),
+        }
+    }
+
+    /// The name the executor of this discipline reports.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Discipline::BPar => "b-par",
+            Discipline::Barrier => "barrier",
+            Discipline::BSeq => "b-seq",
+        }
+    }
 }
 
 /// Ablation: fuses each merge into the consuming cells of the next layer

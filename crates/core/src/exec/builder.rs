@@ -6,16 +6,12 @@
 //! The tasks themselves — and their `in`/`out` clauses, exactly those of
 //! the paper's Algorithms 2 and 3 — come from [`crate::emit`];
 //! [`task_spec`] resolves a node's symbolic slot ids to this replica's
-//! regions and attaches the closure of the node's kind. The resulting
-//! spec goes one of two ways:
-//!
-//! * [`LiveSink`] submits it directly to a [`Runtime`] — used by
-//!   [`super::BarrierExec`], which interleaves submission with `taskwait`s;
-//! * `bpar_runtime::PlanBuilder` records the stream for one-shot
-//!   compilation into a replayable plan — used by [`super::TaskGraphExec`],
-//!   which re-runs the same graph every batch (task bodies are `Fn`, and
-//!   all per-batch values — inputs, targets, weights — live behind shared
-//!   stores the executor swaps between replays).
+//! regions and attaches the closure of the node's kind. A
+//! `bpar_runtime::PlanBuilder` records the specs for one-shot compilation
+//! into a replayable plan, which [`super::TaskGraphExec`] re-runs every
+//! batch — under every discipline, B-Par, barrier or B-Seq (task bodies
+//! are `Fn`, and all per-batch values — inputs, targets, weights — live
+//! behind shared stores the executor swaps between replays).
 //!
 //! Model weights are read through a [`WeightStore`]: a persistent snapshot,
 //! shared by every plan of one tenant and backend kind, re-synced — copied
@@ -59,9 +55,7 @@ use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
 use crate::optim::Optimizer;
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
 use bpar_runtime::plan::PlanBody;
-use bpar_runtime::{
-    current_worker, record_read_at, record_write_at, PlanSpec, RegionId, Runtime, TaskSpec,
-};
+use bpar_runtime::{current_worker, record_read_at, record_write_at, PlanSpec, RegionId};
 use bpar_tensor::{roundtrip_quantize, Backend, BackendKind, Float, Matrix, Workspace};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::ops::RangeInclusive;
@@ -78,25 +72,6 @@ impl RegionAlloc {
         let id = RegionId(self.next);
         self.next += 1;
         id
-    }
-}
-
-/// Submits compiled-plan specs straight to a [`Runtime`], each as a
-/// one-shot task — the live counterpart of recording them in a
-/// [`bpar_runtime::PlanBuilder`].
-pub(crate) struct LiveSink<'a>(pub &'a Runtime);
-
-impl LiveSink<'_> {
-    pub fn push(&mut self, spec: PlanSpec) {
-        let body = spec.body.expect("spec submitted without a body");
-        self.0.submit(
-            TaskSpec::new(spec.label)
-                .tag(spec.tag)
-                .ins(spec.ins)
-                .outs(spec.outs)
-                .working_set(spec.working_set_bytes)
-                .body(move || body()),
-        );
     }
 }
 
@@ -239,6 +214,11 @@ impl<X> Slot<X> {
     /// region ids disagree.
     fn site(&self) -> u64 {
         Arc::as_ptr(&self.data) as u64
+    }
+
+    /// The slot's region and site.
+    fn at(&self) -> (RegionId, u64) {
+        (self.region, self.site())
     }
 
     /// Stores a value (writer side).
@@ -433,6 +413,9 @@ pub(crate) struct ReplicaGraph<T: Float> {
     /// Second handle on `feat[0]`'s storage ([`SlotId::FeatAlias`]); only
     /// the cross-epoch-race seed creates it.
     alias: Option<Slot<Matrix<T>>>,
+    /// The barrier tokens [`SlotId::Barrier`], by tag; only a barrier
+    /// plan creates them.
+    barriers: Vec<Slot<()>>,
 }
 
 /// Zeroed BPTT cache of a layer-`l` cell.
@@ -536,19 +519,60 @@ fn reduce_body<X: Send + Sync + 'static>(
 
 /// The live consumer of the emitter: `node` with its clauses resolved
 /// against its replicas' slots and the body of its members attached.
+///
+/// A barrier moves no data, so its clauses are all it touches: its body
+/// records a read of every state its phase produced and a write of its
+/// token, and a task it gates records a read of the token before its own
+/// body runs — a barrier plan's observed accesses are its declared
+/// clauses, like every other plan's.
 pub(crate) fn task_spec<T: Float>(
     replicas: &[ReplicaGraph<T>],
     stream: &Stream,
     node: &Node,
 ) -> PlanSpec {
-    let region = |&(rep, slot): &SlotRef| replicas[rep].region(slot);
+    let at = |&(rep, slot): &SlotRef| replicas[rep].at(slot);
+    let (ins, outs) = (stream.ins(node), stream.outs(node));
     let mut spec = PlanSpec::new(node.label())
         .tag(node.tag)
-        .ins(stream.ins(node).iter().map(region))
-        .outs(stream.outs(node).iter().map(region))
+        .ins(ins.iter().map(|r| at(r).0))
+        .outs(outs.iter().map(|r| at(r).0))
         .working_set(node.ws);
-    spec.body = Some(replicas[node.rep].body(stream.members(node), &replicas[0]));
+    let body = if node.kind == Kind::Barrier {
+        touching(
+            ins.iter().map(at).collect(),
+            outs.iter().map(at).collect(),
+            None,
+        )
+    } else {
+        let body = replicas[node.rep].body(stream.members(node), &replicas[0]);
+        let token = |r: &&SlotRef| matches!(r.1, SlotId::Barrier(_));
+        let tokens: Vec<_> = ins.iter().filter(token).map(at).collect();
+        if tokens.is_empty() {
+            body
+        } else {
+            touching(tokens, Vec::new(), Some(body))
+        }
+    };
+    spec.body = Some(body);
     spec
+}
+
+/// A body that records a read of every `(region, site)` of `reads` and a
+/// write of every one of `writes`, then runs `then`.
+fn touching(
+    reads: Vec<(RegionId, u64)>,
+    writes: Vec<(RegionId, u64)>,
+    then: Option<PlanBody>,
+) -> PlanBody {
+    Arc::new(move || {
+        reads.iter().for_each(|&(r, site)| record_read_at(r, site));
+        writes
+            .iter()
+            .for_each(|&(r, site)| record_write_at(r, site));
+        if let Some(body) = &then {
+            body();
+        }
+    })
 }
 
 /// The recurrence positions (`dir`'s logical order) of a run of `members`
@@ -644,6 +668,7 @@ impl<T: Float> ReplicaGraph<T> {
             scratch: WorkerScratch(scratch),
             scan,
             alias: None,
+            barriers: Vec::new(),
         }
     }
 
@@ -681,6 +706,13 @@ impl<T: Float> ReplicaGraph<T> {
         self.alias = Some(self.feat[0].alias_with_fresh_region(regions));
     }
 
+    /// Creates the [`SlotId::Barrier`] tokens of every tag
+    /// [`emit::insert_barriers`] can hand out for this replica's layers.
+    pub fn seed_barriers(&mut self, regions: &mut RegionAlloc) {
+        let tags = emit::BARRIER_TAGS + self.config.layers;
+        self.barriers = (0..tags).map(|_| Slot::new(regions)).collect();
+    }
+
     fn transfer(&self, adjoint: bool, dir: Dir, l: usize, r: NodeRef) -> &TransferSlot<T> {
         let (plan, slots) = self.scan.as_ref().expect("scan slots");
         let k = match r {
@@ -693,23 +725,31 @@ impl<T: Float> ReplicaGraph<T> {
 
     /// The dependency region of a symbolic slot.
     pub fn region(&self, slot: SlotId) -> RegionId {
+        self.at(slot).0
+    }
+
+    /// The dependency region of a symbolic slot and the site of its data
+    /// cell.
+    fn at(&self, slot: SlotId) -> (RegionId, u64) {
         match slot {
-            SlotId::St(d, l, t) => self.st[d.ix()][l][t].region,
-            SlotId::Merged(l, t) => self.merged[l][t].region,
-            SlotId::Feat(i) => self.feat[i].region,
-            SlotId::Logits(i) => self.logits[i].region,
-            SlotId::Dfeat(i) => self.dfeat[i].region,
-            SlotId::Dh(d, l, t) => self.dh[d.ix()][l][t].region,
-            SlotId::Sg(d, l, t) => self.sg[d.ix()][l][t].region,
-            SlotId::Dinput(d, l, t) => self.dinput[d.ix()][l][t].region,
-            SlotId::Grads(d, l) => self.grads[d.ix()][l].region,
-            SlotId::GradsDense => self.grads_dense.region,
-            SlotId::Loss => self.loss.region,
-            SlotId::Scan(adjoint, d, l, r) => self.transfer(adjoint, d, l, r).region,
-            SlotId::FeatAlias => self.alias.as_ref().expect("alias not seeded").region,
-            SlotId::Gemm(..) | SlotId::Barrier(_) => {
-                unreachable!("{slot} exists only in simulator ablation graphs")
+            SlotId::St(d, l, t) => self.st[d.ix()][l][t].at(),
+            SlotId::Merged(l, t) => self.merged[l][t].at(),
+            SlotId::Feat(i) => self.feat[i].at(),
+            SlotId::Logits(i) => self.logits[i].at(),
+            SlotId::Dfeat(i) => self.dfeat[i].at(),
+            SlotId::Dh(d, l, t) => self.dh[d.ix()][l][t].at(),
+            SlotId::Sg(d, l, t) => self.sg[d.ix()][l][t].at(),
+            SlotId::Dinput(d, l, t) => self.dinput[d.ix()][l][t].at(),
+            SlotId::Grads(d, l) => self.grads[d.ix()][l].at(),
+            SlotId::GradsDense => self.grads_dense.at(),
+            SlotId::Loss => self.loss.at(),
+            SlotId::Scan(adjoint, d, l, r) => self.transfer(adjoint, d, l, r).at(),
+            SlotId::FeatAlias => self.alias.as_ref().expect("alias not seeded").at(),
+            SlotId::Barrier(tag) => {
+                let token = self.barriers.get(tag as usize);
+                token.expect("barrier tokens not seeded").at()
             }
+            SlotId::Gemm(..) => unreachable!("{slot} exists only in simulator ablation graphs"),
         }
     }
 
@@ -906,15 +946,26 @@ impl<T: Float> ReplicaGraph<T> {
         self.targets.write().clear();
     }
 
-    /// The body of a task whose nodes are `members` — one node, or the
-    /// run [`emit::coarsen`] folded — over this replica's slots (`first`
-    /// is replica 0, the destination of reductions). A run of forward or
-    /// BPTT cells is one chain body; any other run calls its members'
-    /// bodies in stream order. Handles are resolved here, once, from the
-    /// nodes' coordinates — never from clause lists, which is what lets
-    /// the clause validator compare what a body touches against what the
-    /// node declares — so nothing symbolic is looked up during replay.
+    /// The body of a task whose nodes are `members` — one node, the run
+    /// [`emit::coarsen`] folded, or a B-Seq replica's whole stream — over
+    /// this replica's slots (`first` is replica 0, the destination of
+    /// reductions). Each run of consecutive forward or BPTT cells of one
+    /// layer × direction is one chain body; the body calls its runs' and
+    /// its other members' bodies in stream order. Handles are resolved
+    /// here, once, from the nodes' coordinates — never from clause lists,
+    /// which is what lets the clause validator compare what a body touches
+    /// against what the node declares — so nothing symbolic is looked up
+    /// during replay.
     fn body(&self, members: &[Node], first: &Self) -> PlanBody {
+        let chain = |a: &Node, b: &Node| {
+            matches!(a.kind, Kind::Cell | Kind::CellBwd)
+                && (a.kind, a.layer, a.dir) == (b.kind, b.layer, b.dir)
+        };
+        if members.chunk_by(chain).nth(1).is_some() {
+            let runs = members.chunk_by(chain);
+            let bodies: Vec<PlanBody> = runs.map(|run| self.body(run, first)).collect();
+            return Arc::new(move || bodies.iter().for_each(|b| b()));
+        }
         let node = &members[0];
         let (dir, l, i) = (node.dir, node.layer, node.index);
         let d = dir.ix();
@@ -923,13 +974,6 @@ impl<T: Float> ReplicaGraph<T> {
         match node.kind {
             Kind::Cell => self.cell_chain(dir, l, members),
             Kind::CellBwd => self.cell_bwd_chain(dir, l, members),
-            _ if members.len() > 1 => {
-                let bodies: Vec<PlanBody> = members
-                    .iter()
-                    .map(|m| self.body(std::slice::from_ref(m), first))
-                    .collect();
-                Arc::new(move || bodies.iter().for_each(|b| b()))
-            }
             Kind::Merge => {
                 self.merge_body(&self.st[0][l][i], &self.st[1][l][i], &self.merged[l][i])
             }
@@ -962,7 +1006,8 @@ impl<T: Float> ReplicaGraph<T> {
             ),
             Kind::ReduceLoss => reduce_body(&self.loss, &first.loss, |_| 0.0, |acc, l| *acc += l),
             Kind::EpochProbe => self.epoch_probe_body(),
-            Kind::Barrier | Kind::CellGemm | Kind::CellPt => {
+            Kind::Barrier => unreachable!("a barrier's body is its clauses (task_spec)"),
+            Kind::CellGemm | Kind::CellPt => {
                 unreachable!("{} exists only in simulator ablation graphs", node.label())
             }
         }

@@ -1,24 +1,27 @@
-//! B-Par and the barrier executor at an arbitrary granularity: whatever
-//! `k` [`crate::emit::coarsen`] folds by, a folded task runs its members'
-//! steps in stream order — a run of cells as one chain body — so results
-//! keep the bits they have at one cell per task. Outside the crate `k`
-//! follows from the shape ([`Coarsen::Rule`]); these tests pin it to sweep
-//! ragged chunks, `k = T` and `k > T` on shapes the rule would leave alone.
+//! B-Par and its baselines at an arbitrary granularity: whatever `k`
+//! [`crate::emit::coarsen`] folds by, a folded task runs its members' steps
+//! in stream order — a run of cells as one chain body — so results keep
+//! the bits they have at one cell per task, under every discipline. Outside
+//! the crate `k` follows from the shape ([`Coarsen::Rule`]); these tests
+//! pin it to sweep ragged chunks, `k = T` and `k > T` on shapes the rule
+//! would leave alone.
 
 use super::builder::{BodyConfig, WeightStore};
 use super::plan::ExecPlan;
-use super::{BarrierExec, Executor, SequentialExec, Target, TaskGraphExec};
+use super::{BSeqExec, BarrierExec, Executor, SequentialExec, Target, TaskGraphExec};
 use crate::cell::CellKind;
-use crate::emit::{Coarsen, Dir, Node, SlotId, Stream};
+use crate::emit::{Coarsen, Dir, Discipline, Node, SlotId, Stream};
+use crate::graphgen::{build_graph, GraphSpec, Phase};
 use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnConfig, ModelKind};
 use crate::optim::Sgd;
 use crate::scanplan::RecurrenceStrategy;
-use bpar_runtime::validate::AccessKind;
+use bpar_runtime::validate::{AccessEvent, AccessKind};
 use bpar_runtime::{
     AccessRecorder, AdversarialOrder, RegionId, Runtime, RuntimeConfig, SchedulerPolicy,
 };
 use bpar_tensor::{init, Backend, Matrix};
+use bpar_verify::{check_happens_before, default_region_name, validate_clauses, GraphView};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -103,11 +106,13 @@ proptest! {
         let what = format!("{cfg:?} k={k} mbs={mbs} workers={workers} {policy:?}");
         let bpar = |c| TaskGraphExec::with_config(workers, policy, mbs).with_coarsen(c);
         let barrier = |c| BarrierExec::with_config(workers, policy, mbs).with_coarsen(c);
+        let bseq = |c| BSeqExec::new(workers, mbs).with_coarsen(c);
         let (bits, model) = run(&bpar(Coarsen::By(k)), cfg, rows, seed);
         let same = |(other_bits, other_model): (Vec<u64>, Brnn<f64>)| {
             bits == other_bits && model.max_param_diff(&other_model) == 0.0
         };
         prop_assert!(same(run(&barrier(Coarsen::By(k)), cfg, rows, seed)), "barrier: {}", what);
+        prop_assert!(same(run(&bseq(Coarsen::By(k)), cfg, rows, seed)), "b-seq: {}", what);
         // One replica is the sequential arithmetic; several re-weight the
         // loss per chunk, and still no bit depends on the granularity.
         prop_assert!(same(run(&bpar(Coarsen::By(1)), cfg, rows, seed)), "k = 1: {}", what);
@@ -155,15 +160,18 @@ fn folded_plans_run_the_closed_form_task_count() {
 /// One access of a task body: the region, read or write.
 type Access = (RegionId, AccessKind);
 
-/// The plan of `model` folded by `k`, its stream, and every task's
-/// accesses in body order, from one recorded replay on one worker.
-fn recorded_accesses(
+/// The plan of `model` over `mbs` replicas, folded by `coarsen` and
+/// scheduled by `discipline`, and the accesses of one recorded replay of
+/// it on one worker.
+fn recorded_replay(
     model: &Brnn<f64>,
     xs: &[Matrix<f64>],
     target: &Target,
     train: bool,
-    k: usize,
-) -> (ExecPlan<f64>, Stream, Vec<Vec<Access>>) {
+    mbs: usize,
+    coarsen: Coarsen,
+    discipline: Discipline,
+) -> (ExecPlan<f64>, Vec<AccessEvent>) {
     let body = BodyConfig {
         backend: Backend::default(),
         strategy: RecurrenceStrategy::Chain,
@@ -171,8 +179,7 @@ fn recorded_accesses(
         workers: 1,
     };
     let weights = Arc::new(WeightStore::for_backend(model, body.backend));
-    let plan = ExecPlan::build(weights, xs, 1, None, body, Coarsen::By(k));
-    let (stream, _) = ExecPlan::stream(&plan.replicas, train, None, Coarsen::By(k));
+    let plan = ExecPlan::build(weights, xs, mbs, None, body, coarsen, discipline);
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         policy: SchedulerPolicy::Fifo,
@@ -187,8 +194,25 @@ fn recorded_accesses(
     rt.replay(&plan.compiled);
     rt.taskwait().expect("clean plan panicked");
     rt.set_validation(None);
+    (plan, recorder.take_events())
+}
+
+/// The B-Par plan of `model` folded by `k`, its stream, and every task's
+/// accesses in body order, from one recorded replay on one worker.
+fn recorded_accesses(
+    model: &Brnn<f64>,
+    xs: &[Matrix<f64>],
+    target: &Target,
+    train: bool,
+    k: usize,
+) -> (ExecPlan<f64>, Stream, Vec<Vec<Access>>) {
+    let (coarsen, bpar) = (Coarsen::By(k), Discipline::BPar);
+    let (plan, events) = recorded_replay(model, xs, target, train, 1, coarsen, bpar);
+    let (mut streams, _) = ExecPlan::stream(&plan.replicas, train, None, coarsen, bpar);
+    let stream = streams.remove(0);
+    assert!(streams.iter().all(|s| s.nodes.is_empty()), "one replica");
     let mut by_task = vec![Vec::new(); stream.nodes.len()];
-    for e in recorder.take_events() {
+    for e in events {
         by_task[e.task].push((e.region, e.kind));
     }
     (plan, stream, by_task)
@@ -243,4 +267,81 @@ fn chain_bodies_record_their_members_accesses() {
             assert_eq!(folds > 0, k > 1, "k={k} train={train}");
         }
     }
+}
+
+/// The baselines' plans are as sound as B-Par's: one recorded replay of a
+/// barrier and of a B-Seq plan touches exactly the declared clauses
+/// (barrier tokens included) and no conflicting pair of accesses is left
+/// unordered by the plan's edges — folded or not, with and without
+/// reductions. And the compiled barrier plan is the simulator's barrier
+/// graph at the rule's granularity, task by task: label, tag, predecessor
+/// set and clause counts, as `sim_vs_live.rs` checks for B-Par.
+#[test]
+fn baseline_plans_are_sound_and_barrier_plans_are_the_simulators_graph() {
+    type Shape = Vec<(String, u64, Vec<usize>, usize, usize)>;
+    let shape = |view: &GraphView| -> Shape {
+        let task = |t: &bpar_verify::TaskView| {
+            let mut preds = t.preds.clone();
+            preds.sort_unstable();
+            (t.label.clone(), t.tag, preds, t.ins.len(), t.outs.len())
+        };
+        view.tasks.iter().map(task).collect()
+    };
+    let (mut checked, mut folded) = (0, 0);
+    for (cell, kind) in [
+        (CellKind::Lstm, ModelKind::ManyToOne),
+        (CellKind::Gru, ModelKind::ManyToMany),
+    ] {
+        for (layers, seq, hidden_size) in [(1, 3, 4), (3, 4, 4), (2, 5, 2), (3, 1, 2)] {
+            let cfg = BrnnConfig {
+                cell,
+                input_size: 3,
+                hidden_size,
+                layers,
+                seq_len: seq,
+                output_size: 3,
+                merge: MergeMode::Concat,
+                kind,
+            };
+            let model: Brnn<f64> = Brnn::new(cfg, 3);
+            let (xs, target) = batch_for(&cfg, 4, 3);
+            for (train, mbs) in [(false, 1), (true, 1), (true, 2)] {
+                let spec = GraphSpec {
+                    phase: [Phase::Inference, Phase::Training][usize::from(train)],
+                    ..GraphSpec::training(cfg, 4).with_mbs(mbs)
+                };
+                let what = format!("{cfg:?} train {train} mbs {mbs}");
+                for discipline in [Discipline::Barrier, Discipline::BSeq] {
+                    let (plan, events) = recorded_replay(
+                        &model,
+                        &xs,
+                        &target,
+                        train,
+                        mbs,
+                        Coarsen::Rule,
+                        discipline,
+                    );
+                    let view = GraphView::from_plan(&plan.compiled);
+                    let name = &default_region_name;
+                    let clauses = validate_clauses(&view, &events, true, name);
+                    assert!(clauses.is_empty(), "{discipline:?} {what}: {clauses:?}");
+                    let races = check_happens_before(&view, &events, name);
+                    assert!(races.is_empty(), "{discipline:?} {what}: {races:?}");
+                    if discipline == Discipline::Barrier {
+                        let graph = spec.with_barriers(true).with_coarsen(Coarsen::Rule);
+                        let sim = GraphView::from_graph(&build_graph(&graph));
+                        assert_eq!(shape(&view), shape(&sim), "{what}");
+                        assert!(view.tasks.iter().any(|t| t.label == "barrier"), "{what}");
+                        folded += usize::from(plan.coarsen > 1);
+                    } else {
+                        let tasks = mbs + usize::from(train && mbs > 1) * (2 * layers + 2);
+                        assert_eq!(view.len(), tasks, "{what}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 48);
+    assert!(folded > 0, "no barrier plan was folded");
 }

@@ -7,8 +7,12 @@
 //! |---|---|---|---|
 //! | [`SequentialExec`] | none | n/a | reference semantics |
 //! | [`TaskGraphExec`] | model + data | **none** | **B-Par** |
-//! | [`BarrierExec`] | model + data | per layer | Keras/PyTorch discipline |
-//! | [`BSeqExec`] | data only | batch end | B-Seq baseline |
+//! | [`BarrierExec`] | model + data | forward, then reverse, then merges, per layer (§II) | Keras/PyTorch discipline |
+//! | [`BSeqExec`] | data only | one task per mini-batch | B-Seq baseline |
+//!
+//! The three parallel executors are one [`TaskGraphExec`] each: the same
+//! emitted graph, compiled into a cached plan under the executor's
+//! schedule.
 //!
 //! Because all executors run the same kernels in the same floating-point
 //! order, their outputs are expected to match bit-for-bit — the paper's
@@ -16,18 +20,14 @@
 //! compared to a sequential execution" (§III), which the integration tests
 //! verify.
 
-mod barrier;
-mod bseq;
 pub(crate) mod builder;
 pub(crate) mod plan;
 mod sequential;
 pub(crate) mod taskgraph;
 
-pub use barrier::BarrierExec;
-pub use bseq::BSeqExec;
 pub use plan::PlanCacheStats;
 pub use sequential::SequentialExec;
-pub use taskgraph::TaskGraphExec;
+pub use taskgraph::{BSeqExec, BarrierExec, TaskGraphExec};
 
 use crate::model::Brnn;
 use crate::optim::Optimizer;

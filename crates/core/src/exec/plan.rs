@@ -5,9 +5,9 @@
 //! `in`/`out` clause — costs the same whether the batch shape was seen
 //! before or not. A serving loop sees the *same* padded shape over and
 //! over, so [`super::TaskGraphExec`] builds an [`ExecPlan`] once per
-//! distinct [`PlanKey`] (model config × rows × timesteps × mbs × phase)
-//! and thereafter only swaps the per-batch values (inputs, targets, weight
-//! snapshot) and replays the frozen graph through
+//! distinct [`PlanKey`] (model config × rows × timesteps × mbs × phase ×
+//! discipline) and thereafter only swaps the per-batch values (inputs,
+//! targets, weight snapshot) and replays the frozen graph through
 //! [`bpar_runtime::Runtime::replay`].
 //!
 //! Plans are held in a small LRU [`PlanCache`]; [`PlanCacheStats`] exposes
@@ -23,7 +23,7 @@
 use super::builder::{task_spec, BodyConfig, RegionAlloc, ReplicaGraph, WeightStore};
 use super::taskgraph::TaskGraphExec;
 use super::{check_batch, Target};
-use crate::emit::{self, Coarsen, SeedBug, Stream};
+use crate::emit::{self, Coarsen, Discipline, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
@@ -61,6 +61,9 @@ pub(crate) struct PlanKey {
     /// effective` fallback/clamping). Chain and scan graphs have entirely
     /// different task structures over the same shapes.
     pub strategy: RecurrenceStrategy,
+    /// The executor's schedule: B-Par, barrier and B-Seq plans of one
+    /// shape are different graphs over the same slots.
+    pub discipline: Discipline,
 }
 
 /// A compiled, replayable task graph plus the replica state it runs over.
@@ -89,39 +92,50 @@ pub(crate) struct ExecPlan<T: Float> {
 }
 
 impl<T: Float> ExecPlan<T> {
-    /// The plan's node stream and the `k` it is folded by: every
-    /// replica's stages in order, then the cross-replica reductions,
-    /// through [`Coarsen::apply`] — or, for a seeded plan, unfolded and
-    /// with the stream transform of `seed` (first replica only).
+    /// The plan's node streams in submission order, and the `k` they are
+    /// folded by — the order [`crate::graphgen`] builds its graphs in: one
+    /// stream per replica, through [`Coarsen::apply`] and then
+    /// `discipline`, and last the cross-replica reductions. A seeded plan
+    /// is unfolded and carries the stream transform of `seed` (first
+    /// replica only).
     pub fn stream(
         replicas: &[ReplicaGraph<T>],
         train: bool,
         seed: Option<SeedBug>,
         coarsen: Coarsen,
-    ) -> (Stream, usize) {
+        discipline: Discipline,
+    ) -> (Vec<Stream>, usize) {
         let emitters = replicas.iter().enumerate().map(|(ri, rep)| rep.emitter(ri));
-        let mut stream = Stream::default();
-        emitters.clone().for_each(|e| e.replica(train, &mut stream));
-        if train {
-            emitters.skip(1).for_each(|e| e.reduce(&mut stream));
+        let mut streams = vec![Stream::default(); replicas.len()];
+        for (e, stream) in emitters.clone().zip(&mut streams) {
+            e.replica(train, stream);
         }
         let k = match seed {
-            None => coarsen.apply(std::slice::from_mut(&mut stream), replicas[0].seq),
+            None => coarsen.apply(&mut streams, replicas[0].seq),
             Some(_) => 1,
         };
+        for stream in &mut streams {
+            *stream = discipline.apply(std::mem::take(stream));
+        }
+        let mut reductions = Stream::default();
+        if train {
+            emitters.skip(1).for_each(|e| e.reduce(&mut reductions));
+        }
         match seed {
-            Some(SeedBug::MissingClause) => emit::drop_state_clause(&mut stream),
-            Some(SeedBug::CrossEpochRace) => emit::append_epoch_probe(&mut stream),
+            Some(SeedBug::MissingClause) => emit::drop_state_clause(&mut streams[0]),
+            Some(SeedBug::CrossEpochRace) => emit::append_epoch_probe(&mut reductions),
             Some(SeedBug::DroppedEdge) | None => {}
         }
-        (stream, k)
+        streams.push(reductions);
+        (streams, k)
     }
 
     /// Builds the full graph for `batch`'s shape over the model in
     /// `weights`: replicas, task bodies, frozen dependency structure.
     /// `batch` supplies only the shape; call [`ExecPlan::load_batch`]
     /// before every run (including the first), and sync `weights` to the
-    /// model. The bodies are frozen with `body` — one plan, one backend.
+    /// model. The bodies are frozen with `body` — one plan, one backend —
+    /// and the graph with `discipline`, the executor's schedule.
     /// Executors pass `seed = None` and [`Coarsen::Rule`]; a [`SeedBug`]
     /// plants that bug for the soundness detectors.
     pub fn build(
@@ -131,6 +145,7 @@ impl<T: Float> ExecPlan<T> {
         seed: Option<SeedBug>,
         body: BodyConfig,
         coarsen: Coarsen,
+        discipline: Discipline,
     ) -> Self {
         let train = body.train;
         let mut regions = RegionAlloc::default();
@@ -139,10 +154,17 @@ impl<T: Float> ExecPlan<T> {
         if seed == Some(SeedBug::CrossEpochRace) {
             replicas[0].seed_alias(&mut regions);
         }
+        if discipline == Discipline::Barrier {
+            replicas
+                .iter_mut()
+                .for_each(|r| r.seed_barriers(&mut regions));
+        }
         let mut b = PlanBuilder::new();
-        let (stream, coarsen) = Self::stream(&replicas, train, seed, coarsen);
-        for node in &stream.nodes {
-            b.submit(task_spec(&replicas, &stream, node));
+        let (streams, coarsen) = Self::stream(&replicas, train, seed, coarsen, discipline);
+        for stream in &streams {
+            for node in &stream.nodes {
+                b.submit(task_spec(&replicas, stream, node));
+            }
         }
         let mut compiled = b.compile();
         if seed == Some(SeedBug::DroppedEdge) {

@@ -32,11 +32,19 @@
 //! A plan keeps every slot's buffer between batches (its arena) and every
 //! body writes in place, so a warm batch — inference or training step,
 //! weight re-sync and optimizer update included — allocates nothing.
+//!
+//! # The baselines are plans too
+//!
+//! The paper's baselines differ from B-Par only in schedule, so they are
+//! the same executor with another `emit::Discipline`, fixed by their
+//! constructors ([`BarrierExec`], [`BSeqExec`]): a stream transform applied
+//! to every replica of the emitted graph before the plan is compiled. The
+//! plans are cached, replayed, and fail, like B-Par's.
 
 use super::builder::{BodyConfig, RegionAlloc, ReplicaGraph, WeightStore};
 use super::plan::{ExecPlan, PlanCache, PlanCacheStats, PlanKey};
 use super::{check_batch, ExecError, Executor, ForwardOutput, Target};
-use crate::emit::Coarsen;
+use crate::emit::{Coarsen, Discipline};
 use crate::model::{Brnn, ModelKind};
 use crate::optim::Optimizer;
 use crate::scanplan::RecurrenceStrategy;
@@ -55,6 +63,8 @@ pub struct TaskGraphExec {
     strategy: RecurrenceStrategy,
     /// Timesteps per task: [`Coarsen::Rule`] outside this crate's tests.
     coarsen: Coarsen,
+    /// The schedule, fixed by the constructor.
+    discipline: Discipline,
     plans: Mutex<PlanCache>,
 }
 
@@ -96,6 +106,7 @@ impl TaskGraphExec {
             backend,
             strategy: RecurrenceStrategy::Chain,
             coarsen: Coarsen::Rule,
+            discipline: Discipline::BPar,
             plans: Mutex::new(PlanCache::default()),
         }
     }
@@ -226,6 +237,7 @@ impl TaskGraphExec {
             train,
             backend: backend.kind(),
             strategy,
+            discipline: self.discipline,
         };
         let mut cache = self.plans.lock();
         if let Some(plan) = cache.get::<T>(&key) {
@@ -249,6 +261,7 @@ impl TaskGraphExec {
             None,
             body,
             self.coarsen,
+            self.discipline,
         ));
         let build_ns = t0.elapsed().as_nanos() as u64;
         let mut cache = self.plans.lock();
@@ -391,7 +404,67 @@ impl<T: Float> Executor<T> for TaskGraphExec {
     }
 
     fn name(&self) -> &'static str {
-        "b-par"
+        self.discipline.name()
+    }
+}
+
+/// The per-layer-barrier executor — the execution discipline of
+/// Keras/TensorFlow and PyTorch that the paper identifies as the
+/// bottleneck (§II):
+///
+/// > "State-of-the-art deep learning frameworks apply per-layer barriers
+/// > between forward and reverse order RNNs. […] these barrier
+/// > synchronization points significantly undermine the parallel
+/// > performance of BRNN workloads."
+///
+/// A [`TaskGraphExec`] whose plans hold B-Par's tasks plus barrier tasks:
+/// in each layer, forward and backward pass alike, the reverse direction
+/// waits for the whole forward direction and the next layer for every
+/// merge — the graph the simulator runs for Fig. 6/7
+/// ([`crate::graphgen::GraphSpec::with_barriers`]). Everything else is
+/// B-Par's, cached plans included, so comparing the two isolates the cost
+/// of the barriers themselves.
+pub enum BarrierExec {}
+
+// Not a type of its own: the constructors of one `TaskGraphExec` discipline.
+#[allow(clippy::new_ret_no_self)]
+impl BarrierExec {
+    /// Barrier executor with `workers` threads and no data parallelism.
+    pub fn new(workers: usize) -> TaskGraphExec {
+        Self::with_config(workers, SchedulerPolicy::LocalityAware, 1)
+    }
+
+    /// Full configuration (see [`TaskGraphExec::with_config`]).
+    pub fn with_config(workers: usize, policy: SchedulerPolicy, mbs: usize) -> TaskGraphExec {
+        TaskGraphExec {
+            discipline: Discipline::Barrier,
+            ..TaskGraphExec::with_config(workers, policy, mbs)
+        }
+    }
+}
+
+/// B-Seq, the paper's data-parallelism-only baseline (§IV-A):
+///
+/// > "B-Seq splits batches into mini-batches that are processed in
+/// > parallel. B-Seq only relies on data parallelism and processes each
+/// > minibatch sequentially."
+///
+/// A [`TaskGraphExec`] whose plans fold each mini-batch replica into one
+/// task that runs the replica's whole graph in order; the gradient
+/// reductions stay tasks of their own. At most `mbs` tasks are ever ready
+/// at once — why B-Seq stops scaling past `mbs` cores in Fig. 4 while
+/// B-Par keeps scaling through model parallelism.
+pub enum BSeqExec {}
+
+// Not a type of its own: the constructor of one `TaskGraphExec` discipline.
+#[allow(clippy::new_ret_no_self)]
+impl BSeqExec {
+    /// B-Seq with `workers` threads and `mbs` mini-batches.
+    pub fn new(workers: usize, mbs: usize) -> TaskGraphExec {
+        TaskGraphExec {
+            discipline: Discipline::BSeq,
+            ..TaskGraphExec::with_config(workers, SchedulerPolicy::Fifo, mbs)
+        }
     }
 }
 

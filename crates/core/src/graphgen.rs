@@ -11,7 +11,8 @@
 //!
 //! Setting [`GraphSpec::barriers`] inserts explicit per-layer barrier
 //! nodes, turning the B-Par graph into the Keras/PyTorch-style schedule —
-//! that single flag is the paper's central ablation. Per §II, frameworks
+//! that single flag is the paper's central ablation, and the graph
+//! [`crate::exec::BarrierExec`] compiles and replays live. Per §II, frameworks
 //! "apply per-layer barriers **between forward and reverse order RNNs**:
 //! each layer sequentially performs either forward or reverse order RNN
 //! computations for each timestamp, and then merges" — so the barriered
@@ -184,8 +185,8 @@ impl GraphSpec {
         }
         let k = self.coarsen.apply(&mut streams, cfg.seq_len);
         assert!(
-            k == 1 || !ablated,
-            "a coarsened graph excludes the barrier/fusion/split ablations"
+            k == 1 || !(self.fuse_merges || self.split_cells),
+            "a coarsened graph excludes the fusion/split ablations"
         );
         // Per replica: the requested ablation transforms.
         for (e, replica) in emitters.iter().zip(&mut streams) {

@@ -23,9 +23,10 @@
 //!   all unrolled timesteps (§II).
 //! * [`exec`] — interchangeable executors over the same model:
 //!   [`exec::SequentialExec`] (reference), [`exec::TaskGraphExec`] (B-Par),
-//!   [`exec::BarrierExec`] (per-layer barriers, the Keras/PyTorch execution
-//!   discipline), [`exec::BSeqExec`] (data-parallelism only, the paper's
-//!   B-Seq baseline).
+//!   and its two baseline schedules: [`exec::BarrierExec`] (per-layer
+//!   barriers, the Keras/PyTorch execution discipline) and
+//!   [`exec::BSeqExec`] (data-parallelism only, the paper's B-Seq
+//!   baseline).
 //! * `emit` (crate-private) — the one description of the task graph:
 //!   nodes with symbolic `in`/`out` clauses, consumed by the live
 //!   executors in [`exec`], by [`graphgen`] and by [`analyze`].

@@ -2,7 +2,8 @@
 //! batch without touching the heap allocator once — an inference batch
 //! (input copy-in, every cell/merge/dense task, logit collection) and a
 //! training step (target copy-in, accumulator reset, weight re-sync,
-//! forward, BPTT, reductions, the optimizer step).
+//! forward, BPTT, reductions, the optimizer step) — under B-Par and under
+//! the barrier and B-Seq baselines, whose plans are replayed the same way.
 //!
 //! The whole file is compiled only with the `count-alloc` feature (the CI
 //! `alloc-gate` job runs `cargo test -p bpar-core --features count-alloc
@@ -14,7 +15,9 @@
 #![cfg(feature = "count-alloc")]
 
 use bpar_core::cell::CellKind;
-use bpar_core::exec::{Executor, ForwardOutput, SequentialExec, Target, TaskGraphExec};
+use bpar_core::exec::{
+    BSeqExec, BarrierExec, Executor, ForwardOutput, SequentialExec, Target, TaskGraphExec,
+};
 use bpar_core::graphgen::{Coarsen, GraphSpec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
@@ -158,17 +161,10 @@ fn target(cfg: BrnnConfig, rows: usize) -> Target {
 /// runs the exact kernels under every backend kind, so the steps must also
 /// stay bit-identical to `SequentialExec` stepping a twin model, and so
 /// must the logits wherever the backend promises bits.
-fn train_gate<T: Float>(
-    cfg: BrnnConfig,
-    seed: u64,
-    backend: BackendKind,
-    workers: usize,
-    mbs: usize,
-    rows: usize,
-) {
+fn train_gate<T: Float>(exec: &TaskGraphExec, cfg: BrnnConfig, seed: u64, rows: usize) {
+    let (backend, mbs, workers) = (exec.backend(), exec.mbs(), exec.runtime().workers());
     let mut model = Brnn::<T>::new(cfg, seed);
     let mut twin = model.clone();
-    let exec = TaskGraphExec::with_backend(workers, SchedulerPolicy::LocalityAware, mbs, backend);
     let xs = batch::<T>(cfg.seq_len, rows, cfg.input_size, seed + 100);
     let target = target(cfg, rows);
     let mut out = ForwardOutput::zeros_for(&model, rows, cfg.seq_len);
@@ -191,11 +187,15 @@ fn train_gate<T: Float>(
     let allocs = allocation_count() - allocs_before;
     let bytes = bytes_allocated() - bytes_before;
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "two warm training steps and an inference batch allocated {allocs} times \
-         ({bytes} bytes) for {:?}/{:?}/{:?} under the {backend} executor on \
+         ({bytes} bytes) for {:?}/{:?}/{:?} under the {backend} {} executor on \
          {workers} workers, mbs {mbs}",
-        cfg.cell, cfg.merge, cfg.kind
+        cfg.cell,
+        cfg.merge,
+        cfg.kind,
+        Executor::<T>::name(exec)
     );
 
     if mbs == 1 {
@@ -380,28 +380,37 @@ fn warm_replays_allocate_nothing() {
     // int8 executor trains on the exact kernels) and on 1–3 workers;
     // many-to-one leaves most top-layer `dh` slots unwritten, `mbs` 2
     // adds the cross-replica reductions, the h = 2 shapes are folded.
+    let bpar = |workers, backend, mbs| {
+        TaskGraphExec::with_backend(workers, SchedulerPolicy::LocalityAware, mbs, backend)
+    };
     for workers in [1, 2, 3] {
         for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
             for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
-                train_gate::<f32>(
-                    config(cell, MergeMode::Concat, ModelKind::ManyToOne),
-                    41,
-                    backend,
-                    workers,
-                    1,
-                    4,
-                );
+                let cfg = config(cell, MergeMode::Concat, ModelKind::ManyToOne);
+                train_gate::<f32>(&bpar(workers, backend, 1), cfg, 41, 4);
             }
-            train_gate::<f32>(fine_grain, 53, backend, workers, 1, 1);
+            train_gate::<f32>(&bpar(workers, backend, 1), fine_grain, 53, 1);
         }
-        train_gate::<f64>(
-            config(CellKind::Lstm, MergeMode::Mul, ModelKind::ManyToMany),
-            43,
-            BackendKind::Scalar,
-            workers,
-            2,
-            4,
-        );
-        train_gate::<f32>(fine, 47, BackendKind::Simd, workers, 1, 4);
+        let cfg = config(CellKind::Lstm, MergeMode::Mul, ModelKind::ManyToMany);
+        train_gate::<f64>(&bpar(workers, BackendKind::Scalar, 2), cfg, 43, 4);
+        train_gate::<f32>(&bpar(workers, BackendKind::Simd, 1), fine, 47, 4);
+
+        // The baselines are plans too: barrier tokens, B-Seq's one task
+        // per replica and its reductions replay as allocation-free as
+        // B-Par, on the portable loops (`f64`) and the dispatched `simd`
+        // kernels (`f32`), folded or not, with one replica or two.
+        for mbs in [1, 2] {
+            let policy = SchedulerPolicy::LocalityAware;
+            for exec in [
+                BarrierExec::with_config(workers, policy, mbs),
+                BSeqExec::new(workers, mbs),
+            ] {
+                let cfg = config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne);
+                train_gate::<f64>(&exec, cfg, 59, 4);
+                let cfg = config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany);
+                train_gate::<f32>(&exec, cfg, 61, 4);
+                train_gate::<f32>(&exec, fine, 67, 4);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! and recoverably, never hang or corrupt state.
 
 use bpar_core::prelude::*;
-use bpar_runtime::{RegionId, Runtime, RuntimeConfig};
+use bpar_runtime::{FaultConfig, FaultPlan, RegionId, Runtime, RuntimeConfig};
 use bpar_tensor::{init, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -163,4 +163,54 @@ fn executor_survives_task_spec_with_heavy_contention() {
         let loss = exec.train_batch(&mut model, &xs, &Target::Classes(vec![0, 1]), &mut opt);
         assert!(loss.is_finite());
     }
+}
+
+/// A task panic in a barrier or a B-Seq batch comes back as an
+/// `ExecError`, as the `Executor` docs promise, instead of unwinding the
+/// caller; the failed training step leaves the model alone, and the batch
+/// after the fault has the bits of a clean run.
+#[test]
+fn baseline_executors_return_task_panics_as_errors() {
+    let cfg = BrnnConfig {
+        input_size: 3,
+        hidden_size: 4,
+        layers: 2,
+        seq_len: 3,
+        output_size: 2,
+        ..Default::default()
+    };
+    let xs: Vec<_> = (0..3)
+        .map(|t| init::uniform(4, 3, -1.0, 1.0, t as u64))
+        .collect();
+    let target = Target::Classes(vec![0, 1, 1, 0]);
+    let model: Brnn<f64> = Brnn::new(cfg, 5);
+    let check = |exec: &dyn Executor<f64>, runtime: &Runtime, clean: &dyn Executor<f64>| {
+        let want = clean.forward(&model, &xs).logits;
+        let mut stepped = model.clone();
+        let want_loss = clean.train_batch(&mut stepped, &xs, &target, &mut Sgd::new(0.1));
+
+        let storm = FaultConfig {
+            seed: 3,
+            panic_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        runtime.set_fault_plan(Some(Arc::new(FaultPlan::new(storm))));
+        let name = exec.name();
+        assert!(exec.try_forward(&model, &xs).is_err(), "{name}");
+        let mut failed = model.clone();
+        let step = exec.try_train_batch(&mut failed, &xs, &target, &mut Sgd::new(0.1));
+        assert!(step.is_err(), "{name}");
+        assert_eq!(failed.max_param_diff(&model), 0.0, "{name}");
+
+        runtime.set_fault_plan(None);
+        let got = exec.try_forward(&model, &xs).expect("clean batch");
+        assert_eq!(got.logits.max_abs_diff(&want), 0.0, "{name}");
+        let loss = exec.try_train_batch(&mut failed, &xs, &target, &mut Sgd::new(0.1));
+        assert_eq!(loss, Ok(want_loss), "{name}");
+        assert_eq!(failed.max_param_diff(&stepped), 0.0, "{name}");
+    };
+    let barrier = BarrierExec::new(2);
+    check(&barrier, barrier.runtime(), &BarrierExec::new(2));
+    let bseq = BSeqExec::new(2, 2);
+    check(&bseq, bseq.runtime(), &BSeqExec::new(2, 2));
 }
