@@ -320,8 +320,10 @@ fn eval(opts: &Flags) -> Result<(), String> {
             let (xs, targets) = data.batch::<f32>(1_000_000, 32, cfg.seq_len);
             let out = exec.forward(&model, &xs);
             let mut loss = 0.0;
+            let mut dlogits = bpar_tensor::Matrix::zeros(out.logits.rows(), out.logits.cols());
             for (t, classes) in targets.iter().enumerate() {
-                let (l, _) = bpar_core::loss::softmax_cross_entropy(&out.seq_logits[t], classes);
+                let logits = &out.seq_logits[t];
+                let l = bpar_core::loss::softmax_cross_entropy(logits, classes, &mut dlogits);
                 loss += l / targets.len() as f64;
             }
             println!(

@@ -1,9 +1,10 @@
 //! Criterion benchmarks of the dense kernels that make up a B-Par task
 //! body: blocked GEMM at RNN-cell shapes, and full LSTM/GRU cell updates
-//! (forward and backward).
+//! (forward and backward) into persistent buffers with one workspace, as
+//! a warm task body runs them.
 
-use bpar_core::cell::{CellKind, CellParams, CellState};
-use bpar_tensor::{gemm, init, Matrix};
+use bpar_core::cell::{CellCache, CellKind, CellParams, CellState, StateGrad};
+use bpar_tensor::{gemm, init, Backend, Matrix, Workspace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -42,17 +43,29 @@ fn bench_cells(c: &mut Criterion) {
         let params: CellParams<f32> = CellParams::init(kind, input, hidden, 3);
         let x: Matrix<f32> = init::uniform(batch, input, -1.0, 1.0, 4);
         let prev = CellState::zeros(kind, batch, hidden);
+        let mut state = CellState::zeros(kind, batch, hidden);
+        let mut cache = CellCache::zeros(kind, batch, input, hidden);
+        let mut ws = Workspace::new();
+        let be = Backend::default();
 
         group.bench_function(format!("{kind:?}_forward"), |bench| {
-            bench.iter(|| black_box(params.forward(black_box(&x), &prev)))
+            bench.iter(|| {
+                params.forward(black_box(&x), &prev, &mut state, &mut cache, &mut ws, be);
+                black_box(state.h.get(0, 0))
+            })
         });
 
-        let (_, cache) = params.forward(&x, &prev);
         let dh: Matrix<f32> = init::uniform(batch, hidden, -1.0, 1.0, 5);
+        let mut grads = params.zeros_like();
+        let mut dx = Matrix::zeros(batch, input);
+        let mut dprev = StateGrad::zeros(kind, batch, hidden);
         group.bench_function(format!("{kind:?}_backward"), |bench| {
             bench.iter(|| {
-                let mut grads = params.zeros_like();
-                black_box(params.backward(&cache, black_box(&dh), None, &mut grads))
+                let dh = black_box(&dh);
+                params.backward(
+                    &cache, dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be,
+                );
+                black_box(dx.get(0, 0))
             })
         });
     }

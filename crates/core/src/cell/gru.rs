@@ -52,7 +52,7 @@ pub struct GruCache<T: Float> {
 
 impl<T: Float> GruCache<T> {
     /// Zeroed cache buffers for a `batch`-row cell of the given widths —
-    /// the persistent storage [`GruParams::forward_ws`] writes into.
+    /// the persistent storage [`GruParams::forward`] writes into.
     pub fn zeros(batch: usize, input: usize, hidden: usize) -> Self {
         Self {
             zr_in: Matrix::zeros(batch, input + hidden),
@@ -105,38 +105,12 @@ impl<T: Float> GruParams<T> {
         self.wzr.len() + self.bzr.len() + self.wh.len() + self.bh.len()
     }
 
-    /// Forward update (Eqs. 7–10).
-    ///
-    /// Thin allocating wrapper over [`GruParams::forward_ws`] — fresh
-    /// state and cache buffers per call, kept as the oracle-test surface.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, GruCache<T>) {
-        let batch = x.rows();
-        let mut state = CellState {
-            h: Matrix::zeros(batch, self.hidden),
-            c: None,
-        };
-        let mut cache = GruCache::zeros(batch, self.input, self.hidden);
-        self.forward_ws(
-            x,
-            prev,
-            &mut state,
-            &mut cache,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (state, cache)
-    }
-
-    /// Allocation-free forward update: results go into the caller-provided
+    /// Forward update (Eqs. 7–10): results go into the caller-provided
     /// `state`/`cache` buffers (see [`GruCache::zeros`]); the one transient
     /// block (fused z/r pre-activations, `batch × 2H`) is checked out of
-    /// `ws` and returned before exit.
-    ///
-    /// Performs exactly the same kernel calls in the same order on the
-    /// same values as the allocating wrapper, so outputs are bit-identical
-    /// (`R ⊙ H_{t-1}` is written straight into the right column block of
-    /// `h_in`; the products are the same scalars `hadamard` produced).
-    pub fn forward_ws(
+    /// `ws` and returned before exit. `R ⊙ H_{t-1}` is written straight
+    /// into the right column block of `h_in`.
+    pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
@@ -189,43 +163,11 @@ impl<T: Float> GruParams<T> {
     }
 
     /// Backward update (BPTT through Eqs. 7–10). See
-    /// [`super::CellParams::backward`] for the argument contract.
-    ///
-    /// Thin allocating wrapper over [`GruParams::backward_ws`].
-    pub fn backward(
-        &self,
-        cache: &GruCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut GruParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        let batch = dh.rows();
-        let mut dx = Matrix::zeros(batch, self.input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, self.hidden),
-            dc: None,
-        };
-        self.backward_ws(
-            cache,
-            dh,
-            dstate,
-            grads,
-            &mut dx,
-            &mut dprev,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (dx, dprev)
-    }
-
-    /// Allocation-free backward update: `dx` and `dprev` are caller-provided
-    /// output buffers (fully overwritten), transient scratch comes from `ws`.
-    /// The old per-row `to_vec()` copies of `dh_in`/`dzr_in` rows are gone —
-    /// those matrices are distinct from every write target, so their rows
-    /// can be borrowed directly. Same kernel calls, same order, same values
-    /// ⇒ bit-identical gradients.
+    /// [`super::CellParams::backward`] for the argument contract: `dx` and
+    /// `dprev` are caller-provided output buffers (fully overwritten),
+    /// transient scratch comes from `ws`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
+    pub fn backward(
         &self,
         cache: &GruCache<T>,
         dh: &Matrix<T>,
@@ -338,7 +280,7 @@ impl<T: Float> GruParams<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellKind, CellState};
+    use crate::cell::{fresh, CellCache, CellKind, CellParams, CellState};
     use bpar_tensor::ops::add_bias;
 
     fn state(batch: usize, hidden: usize, seed: u64) -> CellState<f64> {
@@ -350,9 +292,12 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let p: GruParams<f64> = GruParams::init(3, 5, 0);
+        let p = CellParams::Gru(GruParams::<f64>::init(3, 5, 0));
         let x = init::uniform(2, 3, -1.0, 1.0, 7);
-        let (st, cache) = p.forward(&x, &CellState::zeros(CellKind::Gru, 2, 5));
+        let (st, cache) = fresh::forward(&p, &x, &CellState::zeros(CellKind::Gru, 2, 5));
+        let CellCache::Gru(cache) = cache else {
+            unreachable!()
+        };
         assert_eq!(st.h.shape(), (2, 5));
         assert!(st.c.is_none());
         assert_eq!(cache.zr_in.shape(), (2, 8));
@@ -371,7 +316,7 @@ mod tests {
             h: Matrix::from_vec(1, 1, vec![-0.3]),
             c: None,
         };
-        let (st, _) = p.forward(&x, &prev);
+        let (st, _) = fresh::forward(&CellParams::Gru(p), &x, &prev);
 
         let sig = |v: f64| 1.0 / (1.0 + (-v).exp());
         let z = sig(0.8 * 0.5 + -0.3 * 0.3 + 0.1);
@@ -390,7 +335,7 @@ mod tests {
         }
         let x = init::uniform(2, 2, -1.0, 1.0, 2);
         let prev = state(2, 3, 3);
-        let (st, _) = p.forward(&x, &prev);
+        let (st, _) = fresh::forward(&CellParams::Gru(p), &x, &prev);
         assert!(st.h.max_abs_diff(&prev.h) < 1e-9);
     }
 
@@ -405,13 +350,17 @@ mod tests {
         let s_h = init::uniform(batch, hidden, -1.0, 1.0, 8);
 
         let loss = |p: &GruParams<f64>, x: &Matrix<f64>, prev: &CellState<f64>| -> f64 {
-            let (st, _) = p.forward(x, prev);
+            let (st, _) = fresh::forward(&CellParams::Gru(p.clone()), x, prev);
             bpar_tensor::ops::dot(&s_h, &st.h).to_f64()
         };
 
-        let (_, cache) = p.forward(&x, &prev);
-        let mut grads = p.zeros_like();
-        let (dx, sg_prev) = p.backward(&cache, &s_h, None, &mut grads);
+        let cell = CellParams::Gru(p.clone());
+        let (_, cache) = fresh::forward(&cell, &x, &prev);
+        let mut grads = cell.zeros_like();
+        let (dx, sg_prev) = fresh::backward(&cell, &cache, &s_h, None, &mut grads);
+        let CellParams::Gru(grads) = grads else {
+            unreachable!()
+        };
 
         let eps = 1e-6;
         for &(r, c) in &[(0, 0), (2, 3), (5, 7), (6, 1)] {
@@ -493,7 +442,10 @@ mod tests {
         let p: GruParams<f64> = GruParams::init(input, hidden, 31);
         let x = init::uniform(batch, input, -1.0, 1.0, 32);
         let prev = state(batch, hidden, 33);
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = fresh::forward(&CellParams::Gru(p.clone()), &x, &prev);
+        let CellCache::Gru(cache) = cache else {
+            unreachable!()
+        };
 
         // Oracle fused z/r gates: naive GEMM, then the same sigmoid.
         let zr_in = Matrix::hstack(&[&x, &prev.h]);
@@ -548,80 +500,28 @@ mod tests {
         }
     }
 
-    /// The `_ws` paths must stay bit-identical to the allocating paths
-    /// while persistent buffers and the scratch pool are reused across
-    /// calls (steady-state replay conditions).
+    /// In-place updates into persistent buffers with a reused workspace
+    /// stay bit-identical to updates on freshly allocated ones.
     #[test]
     fn ws_paths_match_allocating_paths_bitwise_with_reuse() {
-        let batch = 2;
-        let (input, hidden) = (3, 4);
-        let p: GruParams<f64> = GruParams::init(input, hidden, 35);
-        let x = init::uniform(batch, input, -1.0, 1.0, 36);
-        let prev = state(batch, hidden, 37);
-        let dh = init::uniform(batch, hidden, -1.0, 1.0, 38);
-
-        let (st_ref, cache_ref) = p.forward(&x, &prev);
-        let mut grads_ref = p.zeros_like();
-        let (dx_ref, sg_ref) = p.backward(&cache_ref, &dh, None, &mut grads_ref);
-
-        let mut ws = Workspace::new();
-        let mut st = CellState::zeros(CellKind::Gru, batch, hidden);
-        let mut cache = GruCache::zeros(batch, input, hidden);
-        let mut dx = Matrix::zeros(batch, input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, hidden),
-            dc: None,
-        };
-        for _ in 0..3 {
-            p.forward_ws(&x, &prev, &mut st, &mut cache, &mut ws, Backend::scalar());
-            for (a, b) in st.h.as_slice().iter().zip(st_ref.h.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "H_t drifted");
-            }
-            let mut grads = p.zeros_like();
-            p.backward_ws(
-                &cache,
-                &dh,
-                None,
-                &mut grads,
-                &mut dx,
-                &mut dprev,
-                &mut ws,
-                Backend::scalar(),
-            );
-            for (a, b) in dx.as_slice().iter().zip(dx_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dX drifted");
-            }
-            for (a, b) in dprev.dh.as_slice().iter().zip(sg_ref.dh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dH_prev drifted");
-            }
-            for (a, b) in grads.wzr.as_slice().iter().zip(grads_ref.wzr.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dWzr drifted");
-            }
-            for (a, b) in grads.wh.as_slice().iter().zip(grads_ref.wh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dWh drifted");
-            }
-        }
-        // Steady state: the pool serves every scratch shape without a
-        // single cold allocation after the first iteration.
-        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
+        fresh::assert_reuse_matches_fresh(CellKind::Gru, 35);
     }
 
     #[test]
     fn recurrent_state_grad_is_accumulated() {
         // Passing a recurrent dh must change the result vs None.
-        let p: GruParams<f64> = GruParams::init(2, 3, 9);
+        let p = CellParams::Gru(GruParams::<f64>::init(2, 3, 9));
         let x = init::uniform(1, 2, -1.0, 1.0, 10);
-        let prev = state(1, 3, 11);
-        let (_, cache) = p.forward(&x, &prev);
+        let (_, cache) = fresh::forward(&p, &x, &state(1, 3, 11));
         let dh = init::uniform(1, 3, -1.0, 1.0, 12);
         let rec = StateGrad {
             dh: init::uniform(1, 3, -1.0, 1.0, 13),
             dc: None,
         };
         let mut g1 = p.zeros_like();
-        let (dx1, _) = p.backward(&cache, &dh, None, &mut g1);
+        let (dx1, _) = fresh::backward(&p, &cache, &dh, None, &mut g1);
         let mut g2 = p.zeros_like();
-        let (dx2, _) = p.backward(&cache, &dh, Some(&rec), &mut g2);
+        let (dx2, _) = fresh::backward(&p, &cache, &dh, Some(&rec), &mut g2);
         assert!(dx1.max_abs_diff(&dx2) > 1e-9);
     }
 }

@@ -89,32 +89,10 @@ impl<T: Float> LinearParams<T> {
         self.w.len() + self.lambda.len() + self.b.len()
     }
 
-    /// Forward update.
-    ///
-    /// Thin allocating wrapper over [`LinearParams::forward_ws`] — fresh
-    /// state and cache buffers per call, kept as the oracle-test surface.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, LinearCache<T>) {
-        let batch = x.rows();
-        let mut state = CellState {
-            h: Matrix::zeros(batch, self.hidden),
-            c: None,
-        };
-        let mut cache = LinearCache::zeros(batch, self.input, self.hidden);
-        self.forward_ws(
-            x,
-            prev,
-            &mut state,
-            &mut cache,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (state, cache)
-    }
-
-    /// Allocation-free forward update writing into caller-provided buffers:
+    /// Forward update writing into caller-provided buffers:
     /// `u = X_t W + B` (one GEMM) then `H_t = λ ⊙ H_{t-1} + u` (the
     /// row-broadcast fused multiply-add the scan kernels share).
-    pub fn forward_ws(
+    pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
@@ -138,43 +116,14 @@ impl<T: Float> LinearParams<T> {
     /// Backward update; see [`super::CellParams::backward`] for the
     /// argument contract. `dstate.dh`, when present, is the *already
     /// λ-scaled* adjoint from the t+1 cell (this cell emits
-    /// `dprev.dh = λ ⊙ δ_t` for the t-1 cell).
-    ///
-    /// Thin allocating wrapper over [`LinearParams::backward_ws`].
-    pub fn backward(
-        &self,
-        cache: &LinearCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut LinearParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        let batch = dh.rows();
-        let mut dx = Matrix::zeros(batch, self.input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, self.hidden),
-            dc: None,
-        };
-        self.backward_ws(
-            cache,
-            dh,
-            dstate,
-            grads,
-            &mut dx,
-            &mut dprev,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (dx, dprev)
-    }
-
-    /// Allocation-free backward update. With the total adjoint
+    /// `dprev.dh = λ ⊙ δ_t` for the t-1 cell). With the total adjoint
     /// `δ = dH_t + dstate.dh`:
     ///
     /// * `dW += X_tᵀ δ`, `dB += Σ_rows δ`,
     /// * `dλ += Σ_rows δ ⊙ H_{t-1}` (the diagonal's rank-1 reduction),
     /// * `dX_t = δ Wᵀ`, `dprev.dh = λ ⊙ δ`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
+    pub fn backward(
         &self,
         cache: &LinearCache<T>,
         dh: &Matrix<T>,
@@ -220,7 +169,7 @@ impl<T: Float> LinearParams<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellKind;
+    use crate::cell::{fresh, CellCache, CellKind, CellParams};
 
     #[test]
     fn forward_matches_manual() {
@@ -233,7 +182,10 @@ mod tests {
             h: Matrix::from_vec(1, 1, vec![0.2]),
             c: None,
         };
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = fresh::forward(&CellParams::Linear(p), &x, &prev);
+        let CellCache::Linear(cache) = cache else {
+            unreachable!()
+        };
         let want = 0.7f64.mul_add(0.2, 0.8 * 0.5 + 0.1);
         assert!((st.h.get(0, 0) - want).abs() < 1e-15);
         assert_eq!(cache.h_prev.get(0, 0), 0.2);
@@ -256,12 +208,16 @@ mod tests {
         };
         let s = init::uniform(batch, hidden, -1.0, 1.0, 8);
         let loss = |p: &LinearParams<f64>, x: &Matrix<f64>, prev: &CellState<f64>| {
-            let (st, _) = p.forward(x, prev);
+            let (st, _) = fresh::forward(&CellParams::Linear(p.clone()), x, prev);
             bpar_tensor::ops::dot(&s, &st.h)
         };
-        let (_, cache) = p.forward(&x, &prev);
-        let mut grads = p.zeros_like();
-        let (dx, sg) = p.backward(&cache, &s, None, &mut grads);
+        let cell = CellParams::Linear(p.clone());
+        let (_, cache) = fresh::forward(&cell, &x, &prev);
+        let mut grads = cell.zeros_like();
+        let (dx, sg) = fresh::backward(&cell, &cache, &s, None, &mut grads);
+        let CellParams::Linear(grads) = grads else {
+            unreachable!()
+        };
 
         let eps = 1e-6;
         for &(r, c) in &[(0usize, 0usize), (2, 3), (1, 1)] {
@@ -302,83 +258,31 @@ mod tests {
         }
     }
 
-    /// The `_ws` paths must stay bit-identical to the allocating paths
-    /// while persistent buffers and the scratch pool are reused.
+    /// In-place updates into persistent buffers with a reused workspace
+    /// stay bit-identical to updates on freshly allocated ones.
     #[test]
     fn ws_paths_match_allocating_paths_bitwise_with_reuse() {
-        let (batch, input, hidden) = (2usize, 3usize, 4usize);
-        let p: LinearParams<f64> = LinearParams::init(input, hidden, 45);
-        let x = init::uniform(batch, input, -1.0, 1.0, 46);
-        let prev = CellState {
-            h: init::uniform(batch, hidden, -0.5, 0.5, 47),
-            c: None,
-        };
-        let dh = init::uniform(batch, hidden, -1.0, 1.0, 48);
-
-        let (st_ref, cache_ref) = p.forward(&x, &prev);
-        let mut grads_ref = p.zeros_like();
-        let (dx_ref, sg_ref) = p.backward(&cache_ref, &dh, None, &mut grads_ref);
-
-        let mut ws = Workspace::new();
-        let mut st = CellState::zeros(CellKind::Linear, batch, hidden);
-        let mut cache = LinearCache::zeros(batch, input, hidden);
-        let mut dx = Matrix::zeros(batch, input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, hidden),
-            dc: None,
-        };
-        for _ in 0..3 {
-            p.forward_ws(&x, &prev, &mut st, &mut cache, &mut ws, Backend::scalar());
-            for (a, b) in st.h.as_slice().iter().zip(st_ref.h.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "H_t drifted");
-            }
-            let mut grads = p.zeros_like();
-            p.backward_ws(
-                &cache,
-                &dh,
-                None,
-                &mut grads,
-                &mut dx,
-                &mut dprev,
-                &mut ws,
-                Backend::scalar(),
-            );
-            for (a, b) in dx.as_slice().iter().zip(dx_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dX drifted");
-            }
-            for (a, b) in dprev.dh.as_slice().iter().zip(sg_ref.dh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dH_prev drifted");
-            }
-            for (a, b) in grads
-                .lambda
-                .as_slice()
-                .iter()
-                .zip(grads_ref.lambda.as_slice())
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "dλ drifted");
-            }
-        }
-        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
+        fresh::assert_reuse_matches_fresh(CellKind::Linear, 45);
     }
 
     #[test]
     fn recurrent_gradient_accumulates() {
-        let p: LinearParams<f64> = LinearParams::init(2, 3, 9);
+        let p = CellParams::Linear(LinearParams::<f64>::init(2, 3, 9));
         let x = init::uniform(1, 2, -1.0, 1.0, 10);
         let prev = CellState {
             h: init::uniform(1, 3, -0.5, 0.5, 11),
             c: None,
         };
-        let (_, cache) = p.forward(&x, &prev);
+        let (_, cache) = fresh::forward(&p, &x, &prev);
         let dh = init::uniform(1, 3, -1.0, 1.0, 12);
         let rec = StateGrad {
             dh: init::uniform(1, 3, -1.0, 1.0, 13),
             dc: None,
         };
         let mut g1 = p.zeros_like();
-        let (dx1, _) = p.backward(&cache, &dh, None, &mut g1);
+        let (dx1, _) = fresh::backward(&p, &cache, &dh, None, &mut g1);
         let mut g2 = p.zeros_like();
-        let (dx2, _) = p.backward(&cache, &dh, Some(&rec), &mut g2);
+        let (dx2, _) = fresh::backward(&p, &cache, &dh, Some(&rec), &mut g2);
         assert!(dx1.max_abs_diff(&dx2) > 1e-9);
     }
 
@@ -387,7 +291,8 @@ mod tests {
     #[test]
     fn chunk_transfer_matches_stepwise_recurrence() {
         let (batch, input, hidden) = (2usize, 3usize, 4usize);
-        let p: LinearParams<f64> = LinearParams::init(input, hidden, 20);
+        let lin: LinearParams<f64> = LinearParams::init(input, hidden, 20);
+        let p = CellParams::Linear(lin.clone());
         let xs: Vec<Matrix<f64>> = (0..5)
             .map(|t| init::uniform(batch, input, -1.0, 1.0, 21 + t))
             .collect();
@@ -399,21 +304,19 @@ mod tests {
             c: None,
         };
         for x in &xs {
-            let (next, _) = p.forward(x, &st);
-            st = next;
+            st = fresh::forward(&p, x, &st).0;
         }
 
         // Chunk transfer: run from zero, compose (λ^len, h_local_last),
         // then apply to h0.
         let mut local = CellState::zeros(CellKind::Linear, batch, hidden);
         for x in &xs {
-            let (next, _) = p.forward(x, &local);
-            local = next;
+            local = fresh::forward(&p, x, &local).0;
         }
         let mut a = Matrix::from_fn(1, hidden, |_, _| 1.0);
         for _ in 0..xs.len() {
             let prev = a.clone();
-            bpar_tensor::ops::hadamard(&prev, &p.lambda, &mut a);
+            bpar_tensor::ops::hadamard(&prev, &lin.lambda, &mut a);
         }
         let mut applied = Matrix::zeros(batch, hidden);
         bpar_tensor::ops::row_mul_add(&a, &h0, &local.h, &mut applied);

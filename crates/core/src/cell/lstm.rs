@@ -50,7 +50,7 @@ pub struct LstmCache<T: Float> {
 
 impl<T: Float> LstmCache<T> {
     /// Zeroed cache buffers for a `batch`-row cell of the given widths —
-    /// the persistent storage [`LstmParams::forward_ws`] writes into.
+    /// the persistent storage [`LstmParams::forward`] writes into.
     pub fn zeros(batch: usize, input: usize, hidden: usize) -> Self {
         Self {
             z: Matrix::zeros(batch, input + hidden),
@@ -99,37 +99,11 @@ impl<T: Float> LstmParams<T> {
     }
 
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
-    /// both `H_{t-1}` and `C_{t-1}`.
-    ///
-    /// Thin allocating wrapper over [`LstmParams::forward_ws`] — fresh
-    /// state and cache buffers per call, kept as the oracle-test surface.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, LstmCache<T>) {
-        let batch = x.rows();
-        let mut state = CellState {
-            h: Matrix::zeros(batch, self.hidden),
-            c: Some(Matrix::zeros(batch, self.hidden)),
-        };
-        let mut cache = LstmCache::zeros(batch, self.input, self.hidden);
-        self.forward_ws(
-            x,
-            prev,
-            &mut state,
-            &mut cache,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (state, cache)
-    }
-
-    /// Allocation-free forward update: every result is written into the
+    /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
     /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
     /// The gate GEMM and bias broadcast dispatch through `be`; `ws` only
     /// supplies the int8 backend's quantization scratch.
-    ///
-    /// With the scalar backend this performs exactly the same kernel calls
-    /// in the same order on the same values as the allocating wrapper, so
-    /// outputs are bit-identical.
-    pub fn forward_ws(
+    pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
@@ -191,40 +165,11 @@ impl<T: Float> LstmParams<T> {
     ///   recurrence and `dc`), or `None` at the end of the direction,
     /// * `grads` — layer-level accumulator receiving `dW`, `dB`.
     ///
-    /// Returns `(dx, state_grad_for_t_minus_1)`.
-    pub fn backward(
-        &self,
-        cache: &LstmCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut LstmParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        let batch = dh.rows();
-        let mut dx = Matrix::zeros(batch, self.input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, self.hidden),
-            dc: Some(Matrix::zeros(batch, self.hidden)),
-        };
-        self.backward_ws(
-            cache,
-            dh,
-            dstate,
-            grads,
-            &mut dx,
-            &mut dprev,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (dx, dprev)
-    }
-
-    /// Allocation-free backward update: `dx` and `dprev` are caller-provided
-    /// output buffers (fully overwritten), transient scratch comes from `ws`
-    /// and the GEMM kernels dispatch through `be`. With the scalar backend:
-    /// same kernel calls, same order, same values as
-    /// [`LstmParams::backward`] ⇒ bit-identical gradients.
+    /// The input gradient goes into `dx`, the state gradient for cell t-1
+    /// into `dprev` (both caller-provided, fully overwritten); transient
+    /// scratch comes from `ws` and the GEMM kernels dispatch through `be`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
+    pub fn backward(
         &self,
         cache: &LstmCache<T>,
         dh: &Matrix<T>,
@@ -308,10 +253,9 @@ impl<T: Float> LstmParams<T> {
     }
 }
 
-/// Applies the fused nonlinearity block pattern in place — exposed for the
-/// barrier executors that fuse whole layers. σ on `[0,2h)` and `[3h,4h)`,
-/// tanh on `[2h,3h)`.
-pub fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) {
+/// Applies the fused nonlinearity block pattern in place: σ on `[0,2h)`
+/// and `[3h,4h)`, tanh on `[2h,3h)`.
+fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) {
     let h = hidden;
     assert_eq!(gates.cols(), 4 * h);
     let rows = gates.rows();
@@ -326,7 +270,7 @@ pub fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellKind, CellState};
+    use crate::cell::{fresh, CellCache, CellKind, CellParams, CellState};
     use bpar_tensor::ops::add_bias;
 
     fn state(batch: usize, hidden: usize, seed: u64) -> CellState<f64> {
@@ -338,9 +282,12 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let p: LstmParams<f64> = LstmParams::init(3, 5, 0);
+        let p = CellParams::Lstm(LstmParams::<f64>::init(3, 5, 0));
         let x = init::uniform(2, 3, -1.0, 1.0, 7);
-        let (st, cache) = p.forward(&x, &CellState::zeros(CellKind::Lstm, 2, 5));
+        let (st, cache) = fresh::forward(&p, &x, &CellState::zeros(CellKind::Lstm, 2, 5));
+        let CellCache::Lstm(cache) = cache else {
+            unreachable!()
+        };
         assert_eq!(st.h.shape(), (2, 5));
         assert_eq!(st.c.as_ref().unwrap().shape(), (2, 5));
         assert_eq!(cache.z.shape(), (2, 8));
@@ -359,7 +306,7 @@ mod tests {
             h: Matrix::from_vec(1, 1, vec![0.25]),
             c: Some(Matrix::from_vec(1, 1, vec![-0.4])),
         };
-        let (st, _) = p.forward(&x, &prev);
+        let (st, _) = fresh::forward(&CellParams::Lstm(p), &x, &prev);
 
         let zi = 0.7 * 0.5 + 0.25 * 0.2 + 0.1;
         let zf = 0.7 * -0.3 + 0.25 * 0.4 + 0.2;
@@ -384,9 +331,9 @@ mod tests {
     #[test]
     fn outputs_are_bounded() {
         // |H_t| ≤ 1 because H = σ(·)·tanh(·).
-        let p: LstmParams<f64> = LstmParams::init(4, 8, 3);
+        let p = CellParams::Lstm(LstmParams::<f64>::init(4, 8, 3));
         let x = init::uniform(5, 4, -10.0, 10.0, 9);
-        let (st, _) = p.forward(&x, &state(5, 8, 11));
+        let (st, _) = fresh::forward(&p, &x, &state(5, 8, 11));
         assert!(st.h.as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -403,20 +350,23 @@ mod tests {
         let s_c = init::uniform(batch, hidden, -1.0, 1.0, 9);
 
         let loss = |p: &LstmParams<f64>, x: &Matrix<f64>, prev: &CellState<f64>| -> f64 {
-            let (st, _) = p.forward(x, prev);
+            let (st, _) = fresh::forward(&CellParams::Lstm(p.clone()), x, prev);
             bpar_tensor::ops::dot(&s_h, &st.h).to_f64()
                 + bpar_tensor::ops::dot(&s_c, st.c.as_ref().unwrap()).to_f64()
         };
 
         // Analytic gradients: dh = s_h, recurrent dc = s_c.
-        let (st, cache) = p.forward(&x, &prev);
-        let _ = st;
-        let mut grads = p.zeros_like();
+        let cell = CellParams::Lstm(p.clone());
+        let (_, cache) = fresh::forward(&cell, &x, &prev);
+        let mut grads = cell.zeros_like();
         let dstate = StateGrad {
             dh: Matrix::zeros(batch, hidden),
             dc: Some(s_c.clone()),
         };
-        let (dx, sg_prev) = p.backward(&cache, &s_h, Some(&dstate), &mut grads);
+        let (dx, sg_prev) = fresh::backward(&cell, &cache, &s_h, Some(&dstate), &mut grads);
+        let CellParams::Lstm(grads) = grads else {
+            unreachable!()
+        };
 
         let eps = 1e-6;
         // Check dW entries (sampled).
@@ -492,7 +442,10 @@ mod tests {
         let p: LstmParams<f64> = LstmParams::init(input, hidden, 21);
         let x = init::uniform(batch, input, -1.0, 1.0, 22);
         let prev = state(batch, hidden, 23);
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = fresh::forward(&CellParams::Lstm(p.clone()), &x, &prev);
+        let CellCache::Lstm(cache) = cache else {
+            unreachable!()
+        };
 
         // Oracle gates: Z W + b via the naive triple loop, then the
         // shared nonlinearity helper.
@@ -536,82 +489,26 @@ mod tests {
         }
     }
 
-    /// The `_ws` paths must stay bit-identical to the allocating paths
-    /// while persistent buffers and the scratch pool are reused across
-    /// calls (steady-state replay conditions).
+    /// In-place updates into persistent buffers with a reused workspace
+    /// stay bit-identical to updates on freshly allocated ones.
     #[test]
     fn ws_paths_match_allocating_paths_bitwise_with_reuse() {
-        let batch = 2;
-        let (input, hidden) = (3, 4);
-        let p: LstmParams<f64> = LstmParams::init(input, hidden, 25);
-        let x = init::uniform(batch, input, -1.0, 1.0, 26);
-        let prev = state(batch, hidden, 27);
-        let dh = init::uniform(batch, hidden, -1.0, 1.0, 29);
-
-        let (st_ref, cache_ref) = p.forward(&x, &prev);
-        let mut grads_ref = p.zeros_like();
-        let (dx_ref, sg_ref) = p.backward(&cache_ref, &dh, None, &mut grads_ref);
-
-        let mut ws = Workspace::new();
-        let mut st = CellState::zeros(CellKind::Lstm, batch, hidden);
-        let mut cache = LstmCache::zeros(batch, input, hidden);
-        let mut dx = Matrix::zeros(batch, input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, hidden),
-            dc: Some(Matrix::zeros(batch, hidden)),
-        };
-        for _ in 0..3 {
-            p.forward_ws(&x, &prev, &mut st, &mut cache, &mut ws, Backend::scalar());
-            for (a, b) in st.h.as_slice().iter().zip(st_ref.h.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "H_t drifted");
-            }
-            let (c, c_ref) = (st.c.as_ref().unwrap(), st_ref.c.as_ref().unwrap());
-            for (a, b) in c.as_slice().iter().zip(c_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "C_t drifted");
-            }
-            let mut grads = p.zeros_like();
-            p.backward_ws(
-                &cache,
-                &dh,
-                None,
-                &mut grads,
-                &mut dx,
-                &mut dprev,
-                &mut ws,
-                Backend::scalar(),
-            );
-            for (a, b) in dx.as_slice().iter().zip(dx_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dX drifted");
-            }
-            for (a, b) in dprev.dh.as_slice().iter().zip(sg_ref.dh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dH_prev drifted");
-            }
-            let (dc, dc_ref) = (dprev.dc.as_ref().unwrap(), sg_ref.dc.as_ref().unwrap());
-            for (a, b) in dc.as_slice().iter().zip(dc_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dC_prev drifted");
-            }
-            for (a, b) in grads.w.as_slice().iter().zip(grads_ref.w.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dW drifted");
-            }
-        }
-        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
+        fresh::assert_reuse_matches_fresh(CellKind::Lstm, 25);
     }
 
     #[test]
     fn backward_accumulates_into_grads() {
-        let p: LstmParams<f64> = LstmParams::init(2, 3, 1);
+        let p = CellParams::Lstm(LstmParams::<f64>::init(2, 3, 1));
         let x = init::uniform(1, 2, -1.0, 1.0, 2);
-        let prev = state(1, 3, 3);
-        let (_, cache) = p.forward(&x, &prev);
+        let (_, cache) = fresh::forward(&p, &x, &state(1, 3, 3));
         let dh = init::uniform(1, 3, -1.0, 1.0, 4);
         let mut grads = p.zeros_like();
-        p.backward(&cache, &dh, None, &mut grads);
-        let first = grads.w.clone();
-        p.backward(&cache, &dh, None, &mut grads);
+        fresh::backward(&p, &cache, &dh, None, &mut grads);
+        let mut doubled = grads.clone();
+        doubled.add_assign(&grads.clone());
+        fresh::backward(&p, &cache, &dh, None, &mut grads);
         // Second call doubles the accumulator.
-        let mut doubled = first.clone();
-        bpar_tensor::ops::scale(2.0, &mut doubled);
-        assert!(grads.w.max_abs_diff(&doubled) < 1e-12);
+        grads.for_each_param(&doubled, &mut |a, b| assert!(a.max_abs_diff(b) < 1e-12));
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub enum CellCache<T: Float> {
 
 impl<T: Float> CellCache<T> {
     /// Zeroed cache buffers of the right shape for one cell update — the
-    /// persistent storage [`CellParams::forward_ws`] writes into.
+    /// persistent storage [`CellParams::forward`] writes into.
     pub fn zeros(kind: CellKind, batch: usize, input: usize, hidden: usize) -> Self {
         match kind {
             CellKind::Lstm => CellCache::Lstm(lstm::LstmCache::zeros(batch, input, hidden)),
@@ -279,34 +279,11 @@ impl<T: Float> CellParams<T> {
     }
 
     /// Forward cell update: consumes `x` (`batch × input`) and the previous
-    /// state, returns the new state and the cache needed by BPTT.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, CellCache<T>) {
-        match self {
-            CellParams::Lstm(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Lstm(cache))
-            }
-            CellParams::Gru(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Gru(cache))
-            }
-            CellParams::Vanilla(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Vanilla(cache))
-            }
-            CellParams::Linear(p) => {
-                let (st, cache) = p.forward(x, prev);
-                (st, CellCache::Linear(cache))
-            }
-        }
-    }
-
-    /// Allocation-free forward cell update: writes into caller-provided
-    /// `state` and `cache` buffers (see [`CellCache::zeros`]), drawing any
-    /// transient scratch from `ws`. The cell's GEMM and bias kernels
-    /// dispatch through `be`; with [`Backend::scalar`] this is bit-identical
-    /// to [`CellParams::forward`].
-    pub fn forward_ws(
+    /// state, writes the new state and the cache BPTT needs into the
+    /// caller-provided `state` and `cache` buffers (see
+    /// [`CellCache::zeros`]), drawing any transient scratch from `ws`. The
+    /// cell's GEMM and bias kernels dispatch through `be`.
+    pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
@@ -316,14 +293,10 @@ impl<T: Float> CellParams<T> {
         be: Backend,
     ) {
         match (self, cache) {
-            (CellParams::Lstm(p), CellCache::Lstm(c)) => p.forward_ws(x, prev, state, c, ws, be),
-            (CellParams::Gru(p), CellCache::Gru(c)) => p.forward_ws(x, prev, state, c, ws, be),
-            (CellParams::Vanilla(p), CellCache::Vanilla(c)) => {
-                p.forward_ws(x, prev, state, c, ws, be)
-            }
-            (CellParams::Linear(p), CellCache::Linear(c)) => {
-                p.forward_ws(x, prev, state, c, ws, be)
-            }
+            (CellParams::Lstm(p), CellCache::Lstm(c)) => p.forward(x, prev, state, c, ws, be),
+            (CellParams::Gru(p), CellCache::Gru(c)) => p.forward(x, prev, state, c, ws, be),
+            (CellParams::Vanilla(p), CellCache::Vanilla(c)) => p.forward(x, prev, state, c, ws, be),
+            (CellParams::Linear(p), CellCache::Linear(c)) => p.forward(x, prev, state, c, ws, be),
             _ => panic!("cell kind mismatch between params and cache"),
         }
     }
@@ -335,38 +308,12 @@ impl<T: Float> CellParams<T> {
     ///   the t+1 cell of the same direction (`dh_rec` plus `dc` for LSTM);
     ///   pass `None` for the last cell of the direction.
     ///
-    /// Returns `(dx, dstate_prev, grads)` where `dstate_prev` flows to the
-    /// t-1 cell and `grads` accumulates into the layer's shared weights.
-    pub fn backward(
-        &self,
-        cache: &CellCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut CellParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        match (self, cache, grads) {
-            (CellParams::Lstm(p), CellCache::Lstm(c), CellParams::Lstm(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Gru(p), CellCache::Gru(c), CellParams::Gru(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Vanilla(p), CellCache::Vanilla(c), CellParams::Vanilla(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            (CellParams::Linear(p), CellCache::Linear(c), CellParams::Linear(g)) => {
-                p.backward(c, dh, dstate, g)
-            }
-            _ => panic!("cell kind mismatch between params, cache and grads"),
-        }
-    }
-
-    /// Allocation-free backward cell update: `dx`/`dprev` are caller-provided
-    /// output buffers (fully overwritten), scratch comes from `ws` and the
-    /// GEMM kernels dispatch through `be`. With [`Backend::scalar`] this is
-    /// bit-identical to [`CellParams::backward`].
+    /// Writes the input gradient into `dx` and the state gradient flowing
+    /// to the t-1 cell into `dprev` (caller-provided, fully overwritten),
+    /// and accumulates the weight gradients into `grads`. Scratch comes
+    /// from `ws` and the GEMM kernels dispatch through `be`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
+    pub fn backward(
         &self,
         cache: &CellCache<T>,
         dh: &Matrix<T>,
@@ -379,16 +326,16 @@ impl<T: Float> CellParams<T> {
     ) {
         match (self, cache, grads) {
             (CellParams::Lstm(p), CellCache::Lstm(c), CellParams::Lstm(g)) => {
-                p.backward_ws(c, dh, dstate, g, dx, dprev, ws, be)
+                p.backward(c, dh, dstate, g, dx, dprev, ws, be)
             }
             (CellParams::Gru(p), CellCache::Gru(c), CellParams::Gru(g)) => {
-                p.backward_ws(c, dh, dstate, g, dx, dprev, ws, be)
+                p.backward(c, dh, dstate, g, dx, dprev, ws, be)
             }
             (CellParams::Vanilla(p), CellCache::Vanilla(c), CellParams::Vanilla(g)) => {
-                p.backward_ws(c, dh, dstate, g, dx, dprev, ws, be)
+                p.backward(c, dh, dstate, g, dx, dprev, ws, be)
             }
             (CellParams::Linear(p), CellCache::Linear(c), CellParams::Linear(g)) => {
-                p.backward_ws(c, dh, dstate, g, dx, dprev, ws, be)
+                p.backward(c, dh, dstate, g, dx, dprev, ws, be)
             }
             _ => panic!("cell kind mismatch between params, cache and grads"),
         }
@@ -488,6 +435,103 @@ impl<T: Float> StateGrad<T> {
                 CellKind::Gru | CellKind::Vanilla | CellKind::Linear => None,
             },
         }
+    }
+}
+
+/// The cell unit tests' shorthand for one update on fresh output buffers,
+/// a fresh [`Workspace`] and the default backend, results returned by
+/// value.
+#[cfg(test)]
+pub(crate) mod fresh {
+    use super::*;
+    use bpar_tensor::init;
+
+    pub(crate) fn forward<T: Float>(
+        p: &CellParams<T>,
+        x: &Matrix<T>,
+        prev: &CellState<T>,
+    ) -> (CellState<T>, CellCache<T>) {
+        let (kind, rows, hidden) = (p.kind(), x.rows(), prev.h.cols());
+        let mut state = CellState::zeros(kind, rows, hidden);
+        let mut cache = CellCache::zeros(kind, rows, x.cols(), hidden);
+        let ws = &mut Workspace::new();
+        p.forward(x, prev, &mut state, &mut cache, ws, Backend::default());
+        (state, cache)
+    }
+
+    pub(crate) fn backward<T: Float>(
+        p: &CellParams<T>,
+        cache: &CellCache<T>,
+        dh: &Matrix<T>,
+        dstate: Option<&StateGrad<T>>,
+        grads: &mut CellParams<T>,
+    ) -> (Matrix<T>, StateGrad<T>) {
+        let input = match p {
+            CellParams::Lstm(p) => p.input,
+            CellParams::Gru(p) => p.input,
+            CellParams::Vanilla(p) => p.input,
+            CellParams::Linear(p) => p.input,
+        };
+        let mut dx = Matrix::zeros(dh.rows(), input);
+        let mut dprev = StateGrad::zeros(p.kind(), dh.rows(), dh.cols());
+        let ws = &mut Workspace::new();
+        let be = Backend::default();
+        p.backward(cache, dh, dstate, grads, &mut dx, &mut dprev, ws, be);
+        (dx, dprev)
+    }
+
+    fn assert_bits(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} drifted");
+        }
+    }
+
+    /// Runs one `kind` cell's forward and backward three times into one set
+    /// of persistent buffers with one reused [`Workspace`] (steady-state
+    /// replay conditions) and checks every pass against [`forward`] and
+    /// [`backward`] on fresh buffers, bit for bit.
+    pub(crate) fn assert_reuse_matches_fresh(kind: CellKind, seed: u64) {
+        let (batch, input, hidden) = (2, 3, 4);
+        let p = CellParams::<f64>::init(kind, input, hidden, seed);
+        let x = init::uniform(batch, input, -1.0, 1.0, seed + 1);
+        let mut prev = CellState::zeros(kind, batch, hidden);
+        prev.h = init::uniform(batch, hidden, -0.5, 0.5, seed + 2);
+        if let Some(c) = &mut prev.c {
+            *c = init::uniform(batch, hidden, -0.5, 0.5, seed + 3);
+        }
+        let dh = init::uniform(batch, hidden, -1.0, 1.0, seed + 4);
+
+        let (st_ref, cache_ref) = forward(&p, &x, &prev);
+        let mut grads_ref = p.zeros_like();
+        let (dx_ref, dprev_ref) = backward(&p, &cache_ref, &dh, None, &mut grads_ref);
+
+        let mut ws = Workspace::new();
+        let be = Backend::default();
+        let mut st = CellState::zeros(kind, batch, hidden);
+        let mut cache = CellCache::zeros(kind, batch, input, hidden);
+        let mut dx = Matrix::zeros(batch, input);
+        let mut dprev = StateGrad::zeros(kind, batch, hidden);
+        for _ in 0..3 {
+            p.forward(&x, &prev, &mut st, &mut cache, &mut ws, be);
+            assert_bits(&st.h, &st_ref.h, "H_t");
+            if let (Some(c), Some(c_ref)) = (&st.c, &st_ref.c) {
+                assert_bits(c, c_ref, "C_t");
+            }
+            let mut grads = p.zeros_like();
+            p.backward(
+                &cache, &dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be,
+            );
+            assert_bits(&dx, &dx_ref, "dX");
+            assert_bits(&dprev.dh, &dprev_ref.dh, "dH_prev");
+            if let (Some(dc), Some(dc_ref)) = (&dprev.dc, &dprev_ref.dc) {
+                assert_bits(dc, dc_ref, "dC_prev");
+            }
+            grads.for_each_param(&grads_ref, &mut |a, b| assert_bits(a, b, "dW"));
+        }
+        // Steady state: the pool serves every scratch shape without a
+        // single cold allocation after the first iteration.
+        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
     }
 }
 

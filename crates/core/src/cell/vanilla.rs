@@ -34,7 +34,7 @@ pub struct VanillaCache<T: Float> {
 
 impl<T: Float> VanillaCache<T> {
     /// Zeroed cache buffers for a `batch`-row cell of the given widths —
-    /// the persistent storage [`VanillaParams::forward_ws`] writes into.
+    /// the persistent storage [`VanillaParams::forward`] writes into.
     pub fn zeros(batch: usize, input: usize, hidden: usize) -> Self {
         Self {
             z: Matrix::zeros(batch, input + hidden),
@@ -74,37 +74,11 @@ impl<T: Float> VanillaParams<T> {
         self.w.len() + self.b.len()
     }
 
-    /// Forward update.
-    ///
-    /// Thin allocating wrapper over [`VanillaParams::forward_ws`] — fresh
-    /// state and cache buffers per call, kept as the oracle-test surface.
-    pub fn forward(&self, x: &Matrix<T>, prev: &CellState<T>) -> (CellState<T>, VanillaCache<T>) {
-        let batch = x.rows();
-        let mut state = CellState {
-            h: Matrix::zeros(batch, self.hidden),
-            c: None,
-        };
-        let mut cache = VanillaCache::zeros(batch, self.input, self.hidden);
-        self.forward_ws(
-            x,
-            prev,
-            &mut state,
-            &mut cache,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (state, cache)
-    }
-
-    /// Allocation-free forward update writing into caller-provided buffers
-    /// (see [`VanillaCache::zeros`]). The single GEMM and bias broadcast
+    /// Forward update writing into caller-provided buffers (see
+    /// [`VanillaCache::zeros`]). The single GEMM and bias broadcast
     /// dispatch through `be`; `ws` only supplies the int8 backend's
     /// quantization scratch.
-    ///
-    /// With the scalar backend: same kernel calls, same order, same values
-    /// as the allocating wrapper ⇒ bit-identical outputs (the old
-    /// `h.clone()` into the state becomes a `copy_from`).
-    pub fn forward_ws(
+    pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
@@ -124,41 +98,10 @@ impl<T: Float> VanillaParams<T> {
     }
 
     /// Backward update; see [`super::CellParams::backward`] for the
-    /// argument contract.
-    ///
-    /// Thin allocating wrapper over [`VanillaParams::backward_ws`].
-    pub fn backward(
-        &self,
-        cache: &VanillaCache<T>,
-        dh: &Matrix<T>,
-        dstate: Option<&StateGrad<T>>,
-        grads: &mut VanillaParams<T>,
-    ) -> (Matrix<T>, StateGrad<T>) {
-        let batch = dh.rows();
-        let mut dx = Matrix::zeros(batch, self.input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, self.hidden),
-            dc: None,
-        };
-        self.backward_ws(
-            cache,
-            dh,
-            dstate,
-            grads,
-            &mut dx,
-            &mut dprev,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        (dx, dprev)
-    }
-
-    /// Allocation-free backward update: `dx` and `dprev` are caller-provided
-    /// output buffers (fully overwritten), transient scratch comes from `ws`.
-    /// The old `dh.clone()` into `dpre` becomes a checkout + `copy_from`.
-    /// Same kernel calls, same order, same values ⇒ bit-identical gradients.
+    /// argument contract: `dx` and `dprev` are caller-provided output
+    /// buffers (fully overwritten), transient scratch comes from `ws`.
     #[allow(clippy::too_many_arguments)]
-    pub fn backward_ws(
+    pub fn backward(
         &self,
         cache: &VanillaCache<T>,
         dh: &Matrix<T>,
@@ -205,7 +148,7 @@ impl<T: Float> VanillaParams<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellKind;
+    use crate::cell::{fresh, CellCache, CellKind, CellParams};
     use bpar_tensor::ops::add_bias;
 
     #[test]
@@ -218,16 +161,16 @@ mod tests {
             h: Matrix::from_vec(1, 1, vec![0.2]),
             c: None,
         };
-        let (st, _) = p.forward(&x, &prev);
+        let (st, _) = fresh::forward(&CellParams::Vanilla(p), &x, &prev);
         let want = (0.8 * 0.5 + 0.2 * -0.3 + 0.1f64).tanh();
         assert!((st.h.get(0, 0) - want).abs() < 1e-12);
     }
 
     #[test]
     fn output_is_bounded() {
-        let p: VanillaParams<f64> = VanillaParams::init(4, 8, 1);
+        let p = CellParams::Vanilla(VanillaParams::<f64>::init(4, 8, 1));
         let x = init::uniform(3, 4, -10.0, 10.0, 2);
-        let (st, _) = p.forward(&x, &CellState::zeros(CellKind::Vanilla, 3, 8));
+        let (st, _) = fresh::forward(&p, &x, &CellState::zeros(CellKind::Vanilla, 3, 8));
         assert!(st.h.as_slice().iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -242,12 +185,16 @@ mod tests {
         };
         let s = init::uniform(batch, hidden, -1.0, 1.0, 8);
         let loss = |p: &VanillaParams<f64>, x: &Matrix<f64>, prev: &CellState<f64>| {
-            let (st, _) = p.forward(x, prev);
+            let (st, _) = fresh::forward(&CellParams::Vanilla(p.clone()), x, prev);
             bpar_tensor::ops::dot(&s, &st.h)
         };
-        let (_, cache) = p.forward(&x, &prev);
-        let mut grads = p.zeros_like();
-        let (dx, sg) = p.backward(&cache, &s, None, &mut grads);
+        let cell = CellParams::Vanilla(p.clone());
+        let (_, cache) = fresh::forward(&cell, &x, &prev);
+        let mut grads = cell.zeros_like();
+        let (dx, sg) = fresh::backward(&cell, &cache, &s, None, &mut grads);
+        let CellParams::Vanilla(grads) = grads else {
+            unreachable!()
+        };
 
         let eps = 1e-6;
         for &(r, c) in &[(0usize, 0usize), (3, 2), (6, 1)] {
@@ -295,7 +242,10 @@ mod tests {
             h: init::uniform(batch, hidden, -0.5, 0.5, 43),
             c: None,
         };
-        let (st, cache) = p.forward(&x, &prev);
+        let (st, cache) = fresh::forward(&CellParams::Vanilla(p.clone()), &x, &prev);
+        let CellCache::Vanilla(cache) = cache else {
+            unreachable!()
+        };
 
         let z = Matrix::hstack(&[&x, &prev.h]);
         for (a, b) in cache.z.as_slice().iter().zip(z.as_slice()) {
@@ -314,78 +264,31 @@ mod tests {
         }
     }
 
-    /// The `_ws` paths must stay bit-identical to the allocating paths
-    /// while persistent buffers and the scratch pool are reused.
+    /// In-place updates into persistent buffers with a reused workspace
+    /// stay bit-identical to updates on freshly allocated ones.
     #[test]
     fn ws_paths_match_allocating_paths_bitwise_with_reuse() {
-        let (batch, input, hidden) = (2usize, 3usize, 4usize);
-        let p: VanillaParams<f64> = VanillaParams::init(input, hidden, 45);
-        let x = init::uniform(batch, input, -1.0, 1.0, 46);
-        let prev = CellState {
-            h: init::uniform(batch, hidden, -0.5, 0.5, 47),
-            c: None,
-        };
-        let dh = init::uniform(batch, hidden, -1.0, 1.0, 48);
-
-        let (st_ref, cache_ref) = p.forward(&x, &prev);
-        let mut grads_ref = p.zeros_like();
-        let (dx_ref, sg_ref) = p.backward(&cache_ref, &dh, None, &mut grads_ref);
-
-        let mut ws = Workspace::new();
-        let mut st = CellState::zeros(CellKind::Vanilla, batch, hidden);
-        let mut cache = VanillaCache::zeros(batch, input, hidden);
-        let mut dx = Matrix::zeros(batch, input);
-        let mut dprev = StateGrad {
-            dh: Matrix::zeros(batch, hidden),
-            dc: None,
-        };
-        for _ in 0..3 {
-            p.forward_ws(&x, &prev, &mut st, &mut cache, &mut ws, Backend::scalar());
-            for (a, b) in st.h.as_slice().iter().zip(st_ref.h.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "H_t drifted");
-            }
-            let mut grads = p.zeros_like();
-            p.backward_ws(
-                &cache,
-                &dh,
-                None,
-                &mut grads,
-                &mut dx,
-                &mut dprev,
-                &mut ws,
-                Backend::scalar(),
-            );
-            for (a, b) in dx.as_slice().iter().zip(dx_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dX drifted");
-            }
-            for (a, b) in dprev.dh.as_slice().iter().zip(sg_ref.dh.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dH_prev drifted");
-            }
-            for (a, b) in grads.w.as_slice().iter().zip(grads_ref.w.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "dW drifted");
-            }
-        }
-        assert!(ws.stats().reuses > 0, "scratch pool was never reused");
+        fresh::assert_reuse_matches_fresh(CellKind::Vanilla, 45);
     }
 
     #[test]
     fn recurrent_gradient_accumulates() {
-        let p: VanillaParams<f64> = VanillaParams::init(2, 3, 9);
+        let p = CellParams::Vanilla(VanillaParams::<f64>::init(2, 3, 9));
         let x = init::uniform(1, 2, -1.0, 1.0, 10);
         let prev = CellState {
             h: init::uniform(1, 3, -0.5, 0.5, 11),
             c: None,
         };
-        let (_, cache) = p.forward(&x, &prev);
+        let (_, cache) = fresh::forward(&p, &x, &prev);
         let dh = init::uniform(1, 3, -1.0, 1.0, 12);
         let rec = StateGrad {
             dh: init::uniform(1, 3, -1.0, 1.0, 13),
             dc: None,
         };
         let mut g1 = p.zeros_like();
-        let (dx1, _) = p.backward(&cache, &dh, None, &mut g1);
+        let (dx1, _) = fresh::backward(&p, &cache, &dh, None, &mut g1);
         let mut g2 = p.zeros_like();
-        let (dx2, _) = p.backward(&cache, &dh, Some(&rec), &mut g2);
+        let (dx2, _) = fresh::backward(&p, &cache, &dh, Some(&rec), &mut g2);
         assert!(dx1.max_abs_diff(&dx2) > 1e-9);
     }
 }

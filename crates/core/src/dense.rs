@@ -38,58 +38,20 @@ impl<T: Float> DenseParams<T> {
         self.w.len() + self.b.len()
     }
 
-    /// `logits = x W + b`.
-    ///
-    /// Thin allocating wrapper over [`DenseParams::forward_into`].
-    pub fn forward(&self, x: &Matrix<T>) -> Matrix<T> {
-        let mut out = Matrix::zeros(x.rows(), self.w.cols());
-        self.forward_into(x, &mut out, &mut Workspace::new(), Backend::default());
-        out
-    }
-
-    /// Allocation-free projection into a caller-provided `batch × out`
-    /// buffer (fully overwritten). The GEMM and bias broadcast dispatch
-    /// through `be` (`ws` only feeds the int8 backend's scratch); with
-    /// [`Backend::scalar`] this is bit-identical to [`DenseParams::forward`].
-    pub fn forward_into(
-        &self,
-        x: &Matrix<T>,
-        out: &mut Matrix<T>,
-        ws: &mut Workspace<T>,
-        be: Backend,
-    ) {
+    /// `logits = x W + b`, into a caller-provided `batch × out` buffer
+    /// (fully overwritten). The GEMM and bias broadcast dispatch through
+    /// `be` (`ws` only feeds the int8 backend's scratch).
+    pub fn forward(&self, x: &Matrix<T>, out: &mut Matrix<T>, ws: &mut Workspace<T>, be: Backend) {
         assert_eq!(out.shape(), (x.rows(), self.w.cols()), "logit buffer shape");
         be.gemm(T::ONE, x, &self.w, T::ZERO, out, ws);
         be.add_bias(out, &self.b);
     }
 
     /// Backward pass: given `x` and `dlogits`, accumulates `dW`, `dB` into
-    /// `grads` and returns `dx`.
-    ///
-    /// Thin allocating wrapper over [`DenseParams::backward_ws`].
+    /// `grads` and writes `dx` into a caller-provided buffer (fully
+    /// overwritten). The bias-gradient scratch row comes from `ws` and the
+    /// GEMMs dispatch through `be`.
     pub fn backward(
-        &self,
-        x: &Matrix<T>,
-        dlogits: &Matrix<T>,
-        grads: &mut DenseParams<T>,
-    ) -> Matrix<T> {
-        let mut dx = Matrix::zeros(x.rows(), x.cols());
-        self.backward_ws(
-            x,
-            dlogits,
-            grads,
-            &mut dx,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
-        dx
-    }
-
-    /// Allocation-free backward pass: `dx` is a caller-provided buffer
-    /// (fully overwritten), the bias-gradient scratch row comes from `ws`
-    /// and the GEMMs dispatch through `be`. With [`Backend::scalar`] this
-    /// is bit-identical to [`DenseParams::backward`].
-    pub fn backward_ws(
         &self,
         x: &Matrix<T>,
         dlogits: &Matrix<T>,
@@ -118,13 +80,19 @@ impl<T: Float> DenseParams<T> {
 mod tests {
     use super::*;
 
+    fn forward(p: &DenseParams<f64>, x: &Matrix<f64>) -> Matrix<f64> {
+        let mut out = Matrix::zeros(x.rows(), p.w.cols());
+        p.forward(x, &mut out, &mut Workspace::new(), Backend::default());
+        out
+    }
+
     #[test]
     fn forward_is_affine() {
         let mut p: DenseParams<f64> = DenseParams::init(2, 2, 0);
         p.w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         p.b = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = p.forward(&x);
+        let y = forward(&p, &x);
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -133,10 +101,19 @@ mod tests {
         let p: DenseParams<f64> = DenseParams::init(3, 2, 1);
         let x = init::uniform(4, 3, -1.0, 1.0, 2);
         let s = init::uniform(4, 2, -1.0, 1.0, 3);
-        let loss = |p: &DenseParams<f64>, x: &Matrix<f64>| bpar_tensor::ops::dot(&s, &p.forward(x));
+        let loss =
+            |p: &DenseParams<f64>, x: &Matrix<f64>| bpar_tensor::ops::dot(&s, &forward(p, x));
 
         let mut grads = p.zeros_like();
-        let dx = p.backward(&x, &s, &mut grads);
+        let mut dx = Matrix::zeros(4, 3);
+        p.backward(
+            &x,
+            &s,
+            &mut grads,
+            &mut dx,
+            &mut Workspace::new(),
+            Backend::default(),
+        );
         let eps = 1e-6;
         for &(r, c) in &[(0, 0), (1, 1), (2, 0)] {
             let mut pp = p.clone();

@@ -49,7 +49,7 @@ use super::Target;
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::dense::DenseParams;
 use crate::emit::{self, Dir, Emitter, Kind, Node, SlotId, SlotRef, Stream};
-use crate::loss::softmax_cross_entropy_into;
+use crate::loss::softmax_cross_entropy;
 use crate::merge::MergeMode;
 use crate::model::{Brnn, BrnnConfig, BrnnGrads, LayerPair, ModelKind};
 use crate::optim::Optimizer;
@@ -221,12 +221,6 @@ impl<X> Slot<X> {
         (self.region, self.site())
     }
 
-    /// Stores a value (writer side).
-    pub fn put(&self, v: X) {
-        record_write_at(self.region, self.site());
-        *self.data.write() = Some(v);
-    }
-
     /// Drops the value: the slot is empty again, as built.
     fn clear(&self) {
         *self.data.write() = None;
@@ -254,11 +248,9 @@ impl<X> Slot<X> {
     /// [`ReplicaGraph::clear_values`]). The closure must **fully**
     /// overwrite the value — no prior-batch data may flow into the result
     /// — so this records only a *write*: tasks using it declare the region
-    /// `out`, exactly like [`Slot::put`]. This is the steady-state
-    /// allocation-free counterpart of `put`: warm replays reuse the buffer
-    /// instead of dropping and reallocating it every batch. On the warm
-    /// path no slot is ever emptied — that would hand its buffer back to
-    /// the allocator.
+    /// `out`. Warm replays reuse the buffer instead of dropping and
+    /// reallocating it every batch; on the warm path no slot is ever
+    /// emptied — that would hand its buffer back to the allocator.
     pub fn write_in_place(&self, init: impl FnOnce() -> X, f: impl FnOnce(&mut X)) {
         record_write_at(self.region, self.site());
         let mut guard = self.data.write();
@@ -454,11 +446,11 @@ fn classify_backprop<T: Float>(
     ws: &mut Workspace<T>,
 ) -> f64 {
     let be = Backend::default();
-    dense.forward_into(x, logits, ws, be);
+    dense.forward(x, logits, ws, be);
     let mut dlogits = ws.checkout(logits.rows(), logits.cols());
-    let loss = softmax_cross_entropy_into(logits, classes, &mut dlogits);
+    let loss = softmax_cross_entropy(logits, classes, &mut dlogits);
     bpar_tensor::ops::scale(scale, &mut dlogits);
-    dense.backward_ws(x, &dlogits, g, dx, ws, be);
+    dense.backward(x, &dlogits, g, dx, ws, be);
     ws.give_back(dlogits);
     loss
 }
@@ -495,7 +487,7 @@ fn split_merge_grad<T: Float>(
 ) {
     let zeros = || Matrix::zeros(fh.rows(), fh.cols());
     dhf.write_in_place(zeros, |df| {
-        dhr.write_in_place(zeros, |dr| mode.backward_into(dmerged, fh, rh, df, dr))
+        dhr.write_in_place(zeros, |dr| mode.backward(dmerged, fh, rh, df, dr))
     });
 }
 
@@ -1052,7 +1044,7 @@ impl<T: Float> ReplicaGraph<T> {
                         || cell_buffers(cfg, rows, l, train),
                         |(state, kept)| {
                             let (cache, ws) = scratch.forward_bufs(kept, l);
-                            params.forward_ws(x, p, state, cache, ws, be)
+                            params.forward(x, p, state, cache, ws, be)
                         },
                     )
                 };
@@ -1080,10 +1072,7 @@ impl<T: Float> ReplicaGraph<T> {
             f.with(|fv| {
                 r.with(|rv| {
                     let (fh, rh) = (&fv.expect("fwd missing").0.h, &rv.expect("rev missing").0.h);
-                    dst.write_in_place(
-                        || Matrix::zeros(rows, width),
-                        |m| mode.apply_into(fh, rh, m),
-                    )
+                    dst.write_in_place(|| Matrix::zeros(rows, width), |m| mode.apply(fh, rh, m))
                 })
             });
         })
@@ -1104,7 +1093,7 @@ impl<T: Float> ReplicaGraph<T> {
                 let x = x.expect("missing features");
                 out.write_in_place(
                     || Matrix::zeros(rows, model.dense.w.cols()),
-                    |logits| model.dense.forward_into(x, logits, &mut scratch.ws, be),
+                    |logits| model.dense.forward(x, logits, &mut scratch.ws, be),
                 )
             });
         })
@@ -1226,7 +1215,7 @@ impl<T: Float> ReplicaGraph<T> {
                                                 },
                                                 |dprev| {
                                                     let be = Backend::default();
-                                                    params.backward_ws(
+                                                    params.backward(
                                                         cache, dh, sg_in, g, dx, dprev, ws, be,
                                                     )
                                                 },
@@ -1308,7 +1297,7 @@ impl<T: Float> ReplicaGraph<T> {
                         || cell_buffers(cfg, rows, l, train),
                         |(stv, kept)| {
                             let (cache, ws) = scratch.forward_bufs(kept, l);
-                            params.forward_ws(x, &carry, stv, cache, ws, be);
+                            params.forward(x, &carry, stv, cache, ws, be);
                             carry.h.copy_from(&stv.h);
                         },
                     )
@@ -1491,8 +1480,9 @@ impl<T: Float> ReplicaGraph<T> {
     /// Gradient task of forward chunk `c`: with the corrected total
     /// adjoint δ in hand, each timestep's parameter/input gradients follow
     /// from the cell's ordinary backward with a zero recurrent state-grad
-    /// (the recurrence is already folded into δ). The chunk is walked
-    /// descending so the accumulator adds timesteps in the chain
+    /// (the recurrence is already folded into δ); the state gradient it
+    /// also emits is discarded into the worker's scratch. The chunk is
+    /// walked descending so the accumulator adds timesteps in the chain
     /// executor's order for both directions.
     fn bscan_grad_body(&self, dir: Dir, l: usize, c: usize) -> PlanBody {
         let (plan, _) = self.scan.as_ref().expect("scan slots");
@@ -1501,9 +1491,20 @@ impl<T: Float> ReplicaGraph<T> {
         let sgs = self.span(&self.sg[d][l], dir, plan.chunks[c]);
         let dinputs = self.span(&self.dinput[d][l], dir, plan.chunks[c]);
         let (weights, gacc) = (self.weights.clone(), self.grads[d][l].clone());
+        let (rows, in_w, scratch) = (
+            self.rows,
+            self.config.layer_input_size(l),
+            self.scratch.clone(),
+        );
         Arc::new(move || {
             let model = weights.snapshot();
             let params = dir_params(&model, l, dir);
+            let mut scratch = scratch.lock();
+            let ws = &mut scratch.ws;
+            let mut dprev = StateGrad {
+                dh: ws.checkout(rows, model.config.hidden_size),
+                dc: None,
+            };
             gacc.update(
                 || params.zeros_like(),
                 |g| {
@@ -1513,13 +1514,20 @@ impl<T: Float> ReplicaGraph<T> {
                             let cache = cache.expect("missing forward cache");
                             sgs[i].with(|sgv| {
                                 let delta = &sgv.expect("missing scan adjoint").dh;
-                                let (dx, _sg_prev) = params.backward(cache, delta, None, g);
-                                dinputs[i].put(dx);
+                                dinputs[i].write_in_place(
+                                    || Matrix::zeros(rows, in_w),
+                                    |dx| {
+                                        let be = Backend::default();
+                                        params
+                                            .backward(cache, delta, None, g, dx, &mut dprev, ws, be)
+                                    },
+                                )
                             });
                         });
                     }
                 },
             );
+            ws.give_back(dprev.dh);
         })
     }
 

@@ -2,43 +2,78 @@
 //!
 //! Defines the exact semantics — cell-update order, gradient accumulation
 //! order, merge placement — that every parallel executor must reproduce.
-//! The forward/backward driver functions are `pub(crate)` so the B-Seq
-//! executor (data parallelism only) can reuse them per mini-batch.
+//! It runs the kernels a plan's task bodies run, on the default backend
+//! with one [`Workspace`] threaded through the pass, but as straight-line
+//! loops over freshly allocated trace buffers: an independent reference,
+//! not a plan.
 
 use super::{check_batch, Executor, ForwardOutput, Target};
-use crate::cell::{CellCache, CellState, StateGrad};
+use crate::cell::{CellCache, CellParams, CellState, StateGrad};
 use crate::loss::softmax_cross_entropy;
 use crate::model::{Brnn, BrnnGrads, ModelKind};
 use crate::optim::Optimizer;
-use bpar_tensor::{Float, Matrix};
+use bpar_tensor::{Backend, Float, Matrix, Workspace};
 
 /// Everything the forward pass must remember for BPTT.
-pub(crate) struct FwdTrace<T: Float> {
-    /// Inputs consumed by each layer: `layer_inputs[l][t]`.
-    pub layer_inputs: Vec<Vec<Matrix<T>>>,
+struct FwdTrace<T: Float> {
     /// Forward-direction caches, `[layer][t]`.
-    pub fwd_caches: Vec<Vec<CellCache<T>>>,
+    fwd_caches: Vec<Vec<CellCache<T>>>,
     /// Reverse-direction caches, `[layer][t]` (indexed by input position).
-    pub rev_caches: Vec<Vec<CellCache<T>>>,
+    rev_caches: Vec<Vec<CellCache<T>>>,
     /// Forward-direction hidden outputs, `[layer][t]`.
-    pub fwd_h: Vec<Vec<Matrix<T>>>,
+    fwd_h: Vec<Vec<Matrix<T>>>,
     /// Reverse-direction hidden outputs, `[layer][t]`.
-    pub rev_h: Vec<Vec<Matrix<T>>>,
+    rev_h: Vec<Vec<Matrix<T>>>,
     /// Classifier input features: one matrix (many-to-one) or per-t.
-    pub features: Vec<Matrix<T>>,
+    features: Vec<Matrix<T>>,
     /// Classifier outputs matching `features`.
-    pub logits: Vec<Matrix<T>>,
+    logits: Vec<Matrix<T>>,
+}
+
+/// The `(fwd t, rev t)` cell pairs whose merges feed the classifier: the
+/// *final* cells of both directions for many-to-one (fwd at T-1, rev at 0:
+/// both have seen the full sequence), every position for many-to-many.
+fn feature_cells(kind: ModelKind, seq_len: usize) -> Vec<(usize, usize)> {
+    match kind {
+        ModelKind::ManyToOne => vec![(seq_len - 1, 0)],
+        ModelKind::ManyToMany => (0..seq_len).map(|t| (t, t)).collect(),
+    }
+}
+
+/// One direction's recurrence over `xs`, in traversal order from a zero
+/// state: every step's hidden output and BPTT cache, in that order.
+fn run_direction<'a, T: Float>(
+    params: &CellParams<T>,
+    xs: impl Iterator<Item = &'a Matrix<T>>,
+    (rows, hidden): (usize, usize),
+    ws: &mut Workspace<T>,
+) -> (Vec<Matrix<T>>, Vec<CellCache<T>>) {
+    let kind = params.kind();
+    let zero = CellState::zeros(kind, rows, hidden);
+    let (mut states, mut caches): (Vec<CellState<T>>, Vec<_>) = (Vec::new(), Vec::new());
+    for x in xs {
+        let mut state = CellState::zeros(kind, rows, hidden);
+        let mut cache = CellCache::zeros(kind, rows, x.cols(), hidden);
+        let prev = states.last().unwrap_or(&zero);
+        params.forward(x, prev, &mut state, &mut cache, ws, Backend::default());
+        states.push(state);
+        caches.push(cache);
+    }
+    (states.into_iter().map(|s| s.h).collect(), caches)
 }
 
 /// Runs the full forward pass, recording the trace.
-pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> FwdTrace<T> {
+fn forward_trace<T: Float>(
+    model: &Brnn<T>,
+    batch: &[Matrix<T>],
+    ws: &mut Workspace<T>,
+) -> FwdTrace<T> {
     let (seq_len, rows) = check_batch(model, batch);
     let cfg = &model.config;
     let hidden = cfg.hidden_size;
-    let kind = cfg.cell;
+    let width = cfg.merge.output_width(hidden);
 
     let mut trace = FwdTrace {
-        layer_inputs: Vec::with_capacity(cfg.layers),
         fwd_caches: Vec::with_capacity(cfg.layers),
         rev_caches: Vec::with_capacity(cfg.layers),
         fwd_h: Vec::with_capacity(cfg.layers),
@@ -52,59 +87,32 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
         let params = &model.layers[l];
 
         // Forward order: t = 0 .. T-1.
-        let mut fwd_h = Vec::with_capacity(seq_len);
-        let mut fwd_caches = Vec::with_capacity(seq_len);
-        let mut state = CellState::zeros(kind, rows, hidden);
-        for x in inputs.iter() {
-            let (st, cache) = params.fwd.forward(x, &state);
-            fwd_h.push(st.h.clone());
-            fwd_caches.push(cache);
-            state = st;
-        }
-
-        // Reverse order: t = T-1 .. 0, pushed in traversal order and
-        // reversed once at the end — no placeholder matrices, no
-        // per-slot `Option` shuffle. The cell-update order (and with it
-        // every floating-point result) is unchanged.
-        let mut rev_h = Vec::with_capacity(seq_len);
-        let mut rev_caches = Vec::with_capacity(seq_len);
-        let mut state = CellState::zeros(kind, rows, hidden);
-        for x in inputs.iter().rev() {
-            let (st, cache) = params.rev.forward(x, &state);
-            rev_h.push(st.h.clone());
-            rev_caches.push(cache);
-            state = st;
-        }
+        let (fwd_h, fwd_caches) = run_direction(&params.fwd, inputs.iter(), (rows, hidden), ws);
+        // Reverse order: t = T-1 .. 0, reversed once at the end so both
+        // are indexed by input position.
+        let (mut rev_h, mut rev_caches) =
+            run_direction(&params.rev, inputs.iter().rev(), (rows, hidden), ws);
         rev_h.reverse();
         rev_caches.reverse();
 
         // Merge cells.
-        let last_layer = l == cfg.layers - 1;
-        if !last_layer {
-            let merged: Vec<Matrix<T>> = (0..seq_len)
-                .map(|t| cfg.merge.apply(&fwd_h[t], &rev_h[t]))
-                .collect();
-            trace
-                .layer_inputs
-                .push(std::mem::replace(&mut inputs, merged));
+        let merge = |tf: usize, tr: usize| {
+            let mut out = Matrix::zeros(rows, width);
+            cfg.merge.apply(&fwd_h[tf], &rev_h[tr], &mut out);
+            out
+        };
+        if l < cfg.layers - 1 {
+            inputs = (0..seq_len).map(|t| merge(t, t)).collect();
         } else {
-            match cfg.kind {
-                ModelKind::ManyToOne => {
-                    // Merge the *final* cells of both directions: fwd at
-                    // T-1, rev at 0 (both have seen the full sequence).
-                    let feat = cfg.merge.apply(&fwd_h[seq_len - 1], &rev_h[0]);
-                    trace.logits.push(model.dense.forward(&feat));
-                    trace.features.push(feat);
-                }
-                ModelKind::ManyToMany => {
-                    for t in 0..seq_len {
-                        let feat = cfg.merge.apply(&fwd_h[t], &rev_h[t]);
-                        trace.logits.push(model.dense.forward(&feat));
-                        trace.features.push(feat);
-                    }
-                }
+            for (tf, tr) in feature_cells(cfg.kind, seq_len) {
+                let feat = merge(tf, tr);
+                let mut logits = Matrix::zeros(rows, model.dense.w.cols());
+                model
+                    .dense
+                    .forward(&feat, &mut logits, ws, Backend::default());
+                trace.logits.push(logits);
+                trace.features.push(feat);
             }
-            trace.layer_inputs.push(std::mem::take(&mut inputs));
         }
         trace.fwd_h.push(fwd_h);
         trace.rev_h.push(rev_h);
@@ -116,18 +124,32 @@ pub(crate) fn forward_trace<T: Float>(model: &Brnn<T>, batch: &[Matrix<T>]) -> F
 
 /// Computes the loss and its gradient w.r.t. each classifier feature
 /// matrix. Returns `(mean_loss, dfeatures)`.
-pub(crate) fn loss_and_dfeatures<T: Float>(
+fn loss_and_dfeatures<T: Float>(
     model: &Brnn<T>,
     trace: &FwdTrace<T>,
     target: &Target,
     grads: &mut BrnnGrads<T>,
+    ws: &mut Workspace<T>,
 ) -> (f64, Vec<Matrix<T>>) {
+    // Softmax cross-entropy of output `t` against `classes`, its gradient
+    // scaled by `scale`, then the classifier backward: `(loss, dfeat)`.
+    let mut backprop = |t: usize, classes: &[usize], scale: Option<T>| {
+        let (logits, x) = (&trace.logits[t], &trace.features[t]);
+        let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
+        let loss = softmax_cross_entropy(logits, classes, &mut dlogits);
+        if let Some(scale) = scale {
+            bpar_tensor::ops::scale(scale, &mut dlogits);
+        }
+        let mut dfeat = Matrix::zeros(x.rows(), x.cols());
+        let g = &mut grads.dense;
+        model
+            .dense
+            .backward(x, &dlogits, g, &mut dfeat, ws, Backend::default());
+        (loss, dfeat)
+    };
     match (model.config.kind, target) {
         (ModelKind::ManyToOne, Target::Classes(classes)) => {
-            let (loss, dlogits) = softmax_cross_entropy(&trace.logits[0], classes);
-            let dfeat = model
-                .dense
-                .backward(&trace.features[0], &dlogits, &mut grads.dense);
+            let (loss, dfeat) = backprop(0, classes, None);
             (loss, vec![dfeat])
         }
         (ModelKind::ManyToMany, Target::SeqClasses(seq)) => {
@@ -140,14 +162,9 @@ pub(crate) fn loss_and_dfeatures<T: Float>(
             let mut total = 0.0;
             let mut dfeats = Vec::with_capacity(seq.len());
             for (t, classes) in seq.iter().enumerate() {
-                let (loss, mut dlogits) = softmax_cross_entropy(&trace.logits[t], classes);
+                let (loss, dfeat) = backprop(t, classes, Some(inv_t));
                 total += loss * inv;
-                bpar_tensor::ops::scale(inv_t, &mut dlogits);
-                dfeats.push(
-                    model
-                        .dense
-                        .backward(&trace.features[t], &dlogits, &mut grads.dense),
-                );
+                dfeats.push(dfeat);
             }
             (total, dfeats)
         }
@@ -155,13 +172,40 @@ pub(crate) fn loss_and_dfeatures<T: Float>(
     }
 }
 
+/// BPTT through one direction of a layer, visiting input positions in
+/// `order` (the reverse of the direction's forward traversal): the weight
+/// gradients accumulate into `g`, each step's input gradient into
+/// `dinputs[t]`.
+fn bptt_direction<T: Float>(
+    params: &CellParams<T>,
+    g: &mut CellParams<T>,
+    caches: &[CellCache<T>],
+    dh: &[Matrix<T>],
+    order: impl Iterator<Item = usize>,
+    dinputs: &mut [Matrix<T>],
+    ws: &mut Workspace<T>,
+) {
+    let (kind, (rows, hidden)) = (params.kind(), dh[0].shape());
+    let mut dx = Matrix::zeros(rows, dinputs[0].cols());
+    let mut sg = StateGrad::zeros(kind, rows, hidden);
+    let mut sg_prev = StateGrad::zeros(kind, rows, hidden);
+    for (i, t) in order.enumerate() {
+        let dstate = (i > 0).then_some(&sg);
+        let be = Backend::default();
+        params.backward(&caches[t], &dh[t], dstate, g, &mut dx, &mut sg_prev, ws, be);
+        bpar_tensor::ops::axpy(T::ONE, &dx, &mut dinputs[t]);
+        std::mem::swap(&mut sg, &mut sg_prev);
+    }
+}
+
 /// Runs the full backward pass from per-feature gradients, accumulating
 /// into `grads`.
-pub(crate) fn backward_from_trace<T: Float>(
+fn backward_from_trace<T: Float>(
     model: &Brnn<T>,
     trace: &FwdTrace<T>,
-    dfeatures: Vec<Matrix<T>>,
+    dfeatures: &[Matrix<T>],
     grads: &mut BrnnGrads<T>,
+    ws: &mut Workspace<T>,
 ) {
     let cfg = &model.config;
     let seq_len = trace.fwd_h[0].len();
@@ -174,25 +218,12 @@ pub(crate) fn backward_from_trace<T: Float>(
     let mut dh_rev: Vec<Matrix<T>> = (0..seq_len).map(|_| Matrix::zeros(rows, hidden)).collect();
 
     // Seed from the classifier features (last layer merges).
-    match cfg.kind {
-        ModelKind::ManyToOne => {
-            let (df, dr) = cfg.merge.backward(
-                &dfeatures[0],
-                &trace.fwd_h[last][seq_len - 1],
-                &trace.rev_h[last][0],
-            );
-            bpar_tensor::ops::axpy(T::ONE, &df, &mut dh_fwd[seq_len - 1]);
-            bpar_tensor::ops::axpy(T::ONE, &dr, &mut dh_rev[0]);
-        }
-        ModelKind::ManyToMany => {
-            for (t, dfeat) in dfeatures.iter().enumerate() {
-                let (df, dr) =
-                    cfg.merge
-                        .backward(dfeat, &trace.fwd_h[last][t], &trace.rev_h[last][t]);
-                bpar_tensor::ops::axpy(T::ONE, &df, &mut dh_fwd[t]);
-                bpar_tensor::ops::axpy(T::ONE, &dr, &mut dh_rev[t]);
-            }
-        }
+    let (mut df, mut dr) = (Matrix::zeros(rows, hidden), Matrix::zeros(rows, hidden));
+    for (dfeat, (tf, tr)) in dfeatures.iter().zip(feature_cells(cfg.kind, seq_len)) {
+        let (fh, rh) = (&trace.fwd_h[last][tf], &trace.rev_h[last][tr]);
+        cfg.merge.backward(dfeat, fh, rh, &mut df, &mut dr);
+        bpar_tensor::ops::axpy(T::ONE, &df, &mut dh_fwd[tf]);
+        bpar_tensor::ops::axpy(T::ONE, &dr, &mut dh_rev[tr]);
     }
 
     for l in (0..cfg.layers).rev() {
@@ -202,41 +233,33 @@ pub(crate) fn backward_from_trace<T: Float>(
         let mut dinputs: Vec<Matrix<T>> =
             (0..seq_len).map(|_| Matrix::zeros(rows, input_w)).collect();
 
-        // BPTT through the forward direction: t = T-1 .. 0.
-        let mut sg: Option<StateGrad<T>> = None;
-        for t in (0..seq_len).rev() {
-            let (dx, sg_prev) = params.fwd.backward(
-                &trace.fwd_caches[l][t],
-                &dh_fwd[t],
-                sg.as_ref(),
-                &mut lgrads.fwd,
-            );
-            bpar_tensor::ops::axpy(T::ONE, &dx, &mut dinputs[t]);
-            sg = Some(sg_prev);
-        }
-
-        // BPTT through the reverse direction: processed T-1..0 forward, so
-        // gradients flow t = 0 .. T-1.
-        let mut sg: Option<StateGrad<T>> = None;
-        for (t, dinput) in dinputs.iter_mut().enumerate() {
-            let (dx, sg_prev) = params.rev.backward(
-                &trace.rev_caches[l][t],
-                &dh_rev[t],
-                sg.as_ref(),
-                &mut lgrads.rev,
-            );
-            bpar_tensor::ops::axpy(T::ONE, &dx, dinput);
-            sg = Some(sg_prev);
-        }
+        // The forward direction's gradients flow t = T-1 .. 0; the reverse
+        // direction ran T-1 .. 0, so its gradients flow t = 0 .. T-1.
+        bptt_direction(
+            &params.fwd,
+            &mut lgrads.fwd,
+            &trace.fwd_caches[l],
+            &dh_fwd,
+            (0..seq_len).rev(),
+            &mut dinputs,
+            ws,
+        );
+        bptt_direction(
+            &params.rev,
+            &mut lgrads.rev,
+            &trace.rev_caches[l],
+            &dh_rev,
+            0..seq_len,
+            &mut dinputs,
+            ws,
+        );
 
         // Propagate through the previous layer's merge cells.
         if l > 0 {
             for t in 0..seq_len {
-                let (df, dr) =
-                    cfg.merge
-                        .backward(&dinputs[t], &trace.fwd_h[l - 1][t], &trace.rev_h[l - 1][t]);
-                dh_fwd[t] = df;
-                dh_rev[t] = dr;
+                let (fh, rh) = (&trace.fwd_h[l - 1][t], &trace.rev_h[l - 1][t]);
+                cfg.merge
+                    .backward(&dinputs[t], fh, rh, &mut dh_fwd[t], &mut dh_rev[t]);
             }
         }
     }
@@ -253,23 +276,24 @@ impl SequentialExec {
     }
 
     /// Computes the gradients for one batch without applying them.
-    /// Returns `(loss, grads)` — reused by B-Seq's per-mini-batch replicas.
-    pub(crate) fn compute_grads<T: Float>(
+    /// Returns `(loss, grads)`.
+    fn compute_grads<T: Float>(
         model: &Brnn<T>,
         batch: &[Matrix<T>],
         target: &Target,
     ) -> (f64, BrnnGrads<T>) {
+        let ws = &mut Workspace::new();
         let mut grads = model.zero_grads();
-        let trace = forward_trace(model, batch);
-        let (loss, dfeats) = loss_and_dfeatures(model, &trace, target, &mut grads);
-        backward_from_trace(model, &trace, dfeats, &mut grads);
+        let trace = forward_trace(model, batch, ws);
+        let (loss, dfeats) = loss_and_dfeatures(model, &trace, target, &mut grads, ws);
+        backward_from_trace(model, &trace, &dfeats, &mut grads, ws);
         (loss, grads)
     }
 }
 
 impl<T: Float> Executor<T> for SequentialExec {
     fn forward(&self, model: &Brnn<T>, batch: &[Matrix<T>]) -> ForwardOutput<T> {
-        let trace = forward_trace(model, batch);
+        let trace = forward_trace(model, batch, &mut Workspace::new());
         match model.config.kind {
             ModelKind::ManyToOne => ForwardOutput {
                 logits: trace.logits[0].clone(),
@@ -356,9 +380,9 @@ mod tests {
         let (_, grads) = SequentialExec::compute_grads(&model, &batch, &target);
 
         let loss_of = |m: &Brnn<f64>| {
-            let trace = forward_trace(m, &batch);
-            let (l, _) = softmax_cross_entropy(&trace.logits[0], &[0, 2]);
-            l
+            let trace = forward_trace(m, &batch, &mut Workspace::new());
+            let mut dlogits = Matrix::zeros(2, 3);
+            softmax_cross_entropy(&trace.logits[0], &[0, 2], &mut dlogits)
         };
         let eps = 1e-6;
         // Probe one weight in each layer/direction plus the dense layer.
@@ -432,8 +456,9 @@ mod tests {
         let (_, grads) = SequentialExec::compute_grads(&model, &batch, &target);
         let loss_of = |m: &Brnn<f64>| {
             let mut g = m.zero_grads();
-            let trace = forward_trace(m, &batch);
-            let (l, _) = loss_and_dfeatures(m, &trace, &target, &mut g);
+            let ws = &mut Workspace::new();
+            let trace = forward_trace(m, &batch, ws);
+            let (l, _) = loss_and_dfeatures(m, &trace, &target, &mut g, ws);
             l
         };
         let eps = 1e-6;

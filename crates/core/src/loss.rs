@@ -2,33 +2,24 @@
 //!
 //! Both evaluation tasks of the paper are classification problems — digit
 //! recognition (TIDIGITS) and next-character prediction (Wikipedia) — so
-//! the primary loss is softmax cross-entropy. MSE is provided for
-//! regression-style examples.
+//! the loss is softmax cross-entropy.
 
 use bpar_tensor::activation::softmax_rows;
 use bpar_tensor::{Float, Matrix};
 
 /// Softmax cross-entropy over class-index targets.
 ///
-/// Returns `(mean_loss, dlogits)` where `dlogits` is the gradient of the
-/// *mean* loss w.r.t. the raw logits — the well-known `(softmax - onehot)/B`
-/// shortcut of fusing softmax with cross-entropy.
+/// Returns the mean loss and writes its gradient w.r.t. the raw logits
+/// into the caller-provided `dlogits` buffer (fully overwritten) — the
+/// well-known `(softmax - onehot)/B` shortcut of fusing softmax with
+/// cross-entropy. The softmax probabilities are materialised in `dlogits`
+/// itself (the loss reads each row's target probability before it is
+/// shifted by `-1`), so no `probs` temporary is needed.
 ///
 /// # Panics
-/// Panics if `targets.len() != logits.rows()` or a target is out of range.
-pub fn softmax_cross_entropy<T: Float>(logits: &Matrix<T>, targets: &[usize]) -> (f64, Matrix<T>) {
-    let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
-    let loss = softmax_cross_entropy_into(logits, targets, &mut dlogits);
-    (loss, dlogits)
-}
-
-/// Allocation-free softmax cross-entropy: the gradient is written into the
-/// caller-provided `dlogits` buffer (fully overwritten) and the mean loss
-/// is returned. Bit-identical to [`softmax_cross_entropy`] — the softmax
-/// probabilities are materialised in `dlogits` itself (the loss reads each
-/// row's target probability before it is shifted by `-1`), so no `probs`
-/// temporary is needed.
-pub fn softmax_cross_entropy_into<T: Float>(
+/// Panics if `targets.len() != logits.rows()`, a target is out of range or
+/// `dlogits` is not `logits`' shape.
+pub fn softmax_cross_entropy<T: Float>(
     logits: &Matrix<T>,
     targets: &[usize],
     dlogits: &mut Matrix<T>,
@@ -76,26 +67,6 @@ pub fn accuracy<T: Float>(logits: &Matrix<T>, targets: &[usize]) -> f64 {
     correct as f64 / targets.len() as f64
 }
 
-/// Mean squared error. Returns `(mean_loss, dpred)`.
-pub fn mse<T: Float>(pred: &Matrix<T>, target: &Matrix<T>) -> (f64, Matrix<T>) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len() as f64;
-    let mut dpred = Matrix::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0;
-    let scale = T::from_f64(2.0 / n);
-    for ((d, &p), &t) in dpred
-        .as_mut_slice()
-        .iter_mut()
-        .zip(pred.as_slice())
-        .zip(target.as_slice())
-    {
-        let diff = p - t;
-        loss += diff.to_f64() * diff.to_f64();
-        *d = diff * scale;
-    }
-    (loss / n, dpred)
-}
-
 /// Perplexity from a mean cross-entropy (natural log) value.
 pub fn perplexity(mean_ce: f64) -> f64 {
     mean_ce.exp()
@@ -106,10 +77,15 @@ mod tests {
     use super::*;
     use bpar_tensor::init;
 
+    fn ce(logits: &Matrix<f64>, targets: &[usize]) -> (f64, Matrix<f64>) {
+        let mut d = Matrix::zeros(logits.rows(), logits.cols());
+        (softmax_cross_entropy(logits, targets, &mut d), d)
+    }
+
     #[test]
     fn uniform_logits_give_log_classes() {
         let logits: Matrix<f64> = Matrix::zeros(4, 8);
-        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1, 2, 3]);
+        let (loss, _) = ce(&logits, &[0, 1, 2, 3]);
         assert!((loss - (8.0f64).ln()).abs() < 1e-12);
     }
 
@@ -118,7 +94,7 @@ mod tests {
         let mut logits: Matrix<f64> = Matrix::zeros(2, 3);
         logits.set(0, 1, 50.0);
         logits.set(1, 2, 50.0);
-        let (loss, _) = softmax_cross_entropy(&logits, &[1, 2]);
+        let (loss, _) = ce(&logits, &[1, 2]);
         assert!(loss < 1e-9);
     }
 
@@ -126,14 +102,14 @@ mod tests {
     fn gradient_matches_finite_differences() {
         let logits = init::uniform::<f64>(3, 4, -1.0, 1.0, 1);
         let targets = [2usize, 0, 3];
-        let (_, d) = softmax_cross_entropy(&logits, &targets);
+        let (_, d) = ce(&logits, &targets);
         let eps = 1e-6;
         for &(r, c) in &[(0, 0), (0, 2), (1, 1), (2, 3)] {
             let mut lp = logits.clone();
             lp.set(r, c, logits.get(r, c) + eps);
-            let (a, _) = softmax_cross_entropy(&lp, &targets);
+            let (a, _) = ce(&lp, &targets);
             lp.set(r, c, logits.get(r, c) - eps);
-            let (b, _) = softmax_cross_entropy(&lp, &targets);
+            let (b, _) = ce(&lp, &targets);
             let fd = (a - b) / (2.0 * eps);
             assert!((d.get(r, c) - fd).abs() < 1e-6, "dlogits[{r},{c}]");
         }
@@ -143,7 +119,7 @@ mod tests {
     fn gradient_rows_sum_to_zero() {
         // Softmax-CE gradient per row sums to zero (probabilities sum to 1).
         let logits = init::uniform::<f64>(5, 7, -2.0, 2.0, 9);
-        let (_, d) = softmax_cross_entropy(&logits, &[0, 1, 2, 3, 4]);
+        let (_, d) = ce(&logits, &[0, 1, 2, 3, 4]);
         for r in 0..5 {
             let s: f64 = d.row(r).iter().sum();
             assert!(s.abs() < 1e-12);
@@ -160,16 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_and_gradient() {
-        let pred = Matrix::from_vec(1, 2, vec![1.0f64, 3.0]);
-        let target = Matrix::from_vec(1, 2, vec![0.0f64, 5.0]);
-        let (loss, d) = mse(&pred, &target);
-        assert!((loss - (1.0 + 4.0) / 2.0).abs() < 1e-12);
-        assert!((d.get(0, 0) - 1.0).abs() < 1e-12); // 2*(1-0)/2
-        assert!((d.get(0, 1) + 2.0).abs() < 1e-12); // 2*(3-5)/2
-    }
-
-    #[test]
     fn perplexity_of_zero_loss_is_one() {
         assert_eq!(perplexity(0.0), 1.0);
     }
@@ -178,6 +144,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_target_panics() {
         let logits: Matrix<f64> = Matrix::zeros(1, 2);
-        softmax_cross_entropy(&logits, &[5]);
+        ce(&logits, &[5]);
     }
 }

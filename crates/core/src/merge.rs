@@ -32,18 +32,9 @@ impl MergeMode {
         }
     }
 
-    /// Forward merge: combines `fwd` and `rev` (both `batch × hidden`).
-    ///
-    /// Thin allocating wrapper over [`MergeMode::apply_into`].
-    pub fn apply<T: Float>(self, fwd: &Matrix<T>, rev: &Matrix<T>) -> Matrix<T> {
-        let mut out = Matrix::zeros(fwd.rows(), self.output_width(fwd.cols()));
-        self.apply_into(fwd, rev, &mut out);
-        out
-    }
-
-    /// Allocation-free forward merge into a caller-provided buffer of shape
-    /// `batch × output_width(hidden)`. Bit-identical to [`MergeMode::apply`].
-    pub fn apply_into<T: Float>(self, fwd: &Matrix<T>, rev: &Matrix<T>, out: &mut Matrix<T>) {
+    /// Forward merge: combines `fwd` and `rev` (both `batch × hidden`) into
+    /// a caller-provided buffer of shape `batch × output_width(hidden)`.
+    pub fn apply<T: Float>(self, fwd: &Matrix<T>, rev: &Matrix<T>, out: &mut Matrix<T>) {
         assert_eq!(fwd.shape(), rev.shape(), "merge operand shapes differ");
         assert_eq!(
             out.shape(),
@@ -64,26 +55,10 @@ impl MergeMode {
     /// Backward merge: splits the gradient w.r.t. the merged output into
     /// gradients w.r.t. the forward and reverse operands.
     ///
-    /// For [`MergeMode::Mul`] the original operands are required.
-    ///
-    /// Thin allocating wrapper over [`MergeMode::backward_into`].
+    /// For [`MergeMode::Mul`] the original operands are required. The
+    /// gradients go into caller-provided `dfwd`/`drev` buffers
+    /// (`batch × hidden`, fully overwritten).
     pub fn backward<T: Float>(
-        self,
-        dmerged: &Matrix<T>,
-        fwd: &Matrix<T>,
-        rev: &Matrix<T>,
-    ) -> (Matrix<T>, Matrix<T>) {
-        let mut dfwd = Matrix::zeros(fwd.rows(), fwd.cols());
-        let mut drev = Matrix::zeros(rev.rows(), rev.cols());
-        self.backward_into(dmerged, fwd, rev, &mut dfwd, &mut drev);
-        (dfwd, drev)
-    }
-
-    /// Allocation-free backward merge into caller-provided `dfwd`/`drev`
-    /// buffers (`batch × hidden`, fully overwritten). Bit-identical to
-    /// [`MergeMode::backward`]: every mode writes the same scalar values,
-    /// only the destination storage differs.
-    pub fn backward_into<T: Float>(
         self,
         dmerged: &Matrix<T>,
         fwd: &Matrix<T>,
@@ -141,10 +116,16 @@ mod tests {
         )
     }
 
+    fn merged(mode: MergeMode, f: &Matrix<f64>, r: &Matrix<f64>) -> Matrix<f64> {
+        let mut out = Matrix::zeros(f.rows(), mode.output_width(f.cols()));
+        mode.apply(f, r, &mut out);
+        out
+    }
+
     #[test]
     fn sum_merge() {
         let (f, r) = pair();
-        let m = MergeMode::Sum.apply(&f, &r);
+        let m = merged(MergeMode::Sum, &f, &r);
         for i in 0..3 {
             for j in 0..4 {
                 assert!((m.get(i, j) - (f.get(i, j) + r.get(i, j))).abs() < 1e-12);
@@ -155,8 +136,8 @@ mod tests {
     #[test]
     fn avg_is_half_sum() {
         let (f, r) = pair();
-        let s = MergeMode::Sum.apply(&f, &r);
-        let a = MergeMode::Avg.apply(&f, &r);
+        let s = merged(MergeMode::Sum, &f, &r);
+        let a = merged(MergeMode::Avg, &f, &r);
         let mut half = s.clone();
         bpar_tensor::ops::scale(0.5, &mut half);
         assert!(a.max_abs_diff(&half) < 1e-12);
@@ -165,7 +146,7 @@ mod tests {
     #[test]
     fn concat_widths() {
         let (f, r) = pair();
-        let c = MergeMode::Concat.apply(&f, &r);
+        let c = merged(MergeMode::Concat, &f, &r);
         assert_eq!(c.shape(), (3, 8));
         assert_eq!(MergeMode::Concat.output_width(4), 8);
         assert_eq!(MergeMode::Sum.output_width(4), 4);
@@ -186,9 +167,10 @@ mod tests {
             let s = sens.row_block(0, 3);
             let s = Matrix::from_fn(3, width, |i, j| s.get(i, j));
             let loss = |f: &Matrix<f64>, r: &Matrix<f64>| -> f64 {
-                bpar_tensor::ops::dot(&s, &mode.apply(f, r))
+                bpar_tensor::ops::dot(&s, &merged(mode, f, r))
             };
-            let (dfwd, drev) = mode.backward(&s, &f, &r);
+            let (mut dfwd, mut drev) = (Matrix::zeros(3, 4), Matrix::zeros(3, 4));
+            mode.backward(&s, &f, &r, &mut dfwd, &mut drev);
             for &(i, j) in &[(0usize, 0usize), (1, 2), (2, 3)] {
                 let mut fp = f.clone();
                 fp.set(i, j, f.get(i, j) + eps);
@@ -220,6 +202,6 @@ mod tests {
     fn mismatched_operands_panic() {
         let f = Matrix::<f64>::zeros(2, 3);
         let r = Matrix::<f64>::zeros(2, 4);
-        MergeMode::Sum.apply(&f, &r);
+        merged(MergeMode::Sum, &f, &r);
     }
 }

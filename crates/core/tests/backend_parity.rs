@@ -194,20 +194,6 @@ fn cell_kinds() -> impl Strategy<Value = CellKind> {
     ]
 }
 
-/// A realistic non-zero state: one scalar forward step from zeros.
-fn warm_state(
-    p: &CellParams<f32>,
-    kind: CellKind,
-    batch: usize,
-    input: usize,
-    hidden: usize,
-    seed: u64,
-) -> CellState<f32> {
-    let x = init::uniform(batch, input, -1.0, 1.0, seed);
-    let (st, _) = p.forward(&x, &CellState::zeros(kind, batch, hidden));
-    st
-}
-
 /// Runs one forward pass under `be` into fresh buffers.
 fn forward_with(
     p: &CellParams<f32>,
@@ -220,8 +206,23 @@ fn forward_with(
 ) -> (CellState<f32>, CellCache<f32>) {
     let mut st = CellState::zeros(kind, x.rows(), hidden);
     let mut cache = CellCache::zeros(kind, x.rows(), x.cols(), hidden);
-    p.forward_ws(x, prev, &mut st, &mut cache, ws, be);
+    p.forward(x, prev, &mut st, &mut cache, ws, be);
     (st, cache)
+}
+
+/// A realistic non-zero state: one forward step from zeros.
+fn warm_state(
+    p: &CellParams<f32>,
+    kind: CellKind,
+    batch: usize,
+    input: usize,
+    hidden: usize,
+    seed: u64,
+) -> CellState<f32> {
+    let x = init::uniform(batch, input, -1.0, 1.0, seed);
+    let zero = CellState::zeros(kind, batch, hidden);
+    let ws = &mut Workspace::new();
+    forward_with(p, kind, &x, &zero, hidden, ws, Backend::default()).0
 }
 
 /// Largest |w| over every weight matrix of `p` (clone-and-visit: the
@@ -390,8 +391,8 @@ fn per_element_forward(
 
 /// Hidden widths below, at and past one 8-lane register, so that every
 /// gate range has a ragged vector tail somewhere, plus the ledger's 48:
-/// `forward_ws` under `scalar` and `simd` and the allocating `forward`
-/// agree with each other and with the per-element oracle, bit for bit.
+/// `forward` under `scalar` and `simd` agrees with the per-element oracle,
+/// bit for bit.
 #[test]
 fn forward_equals_the_per_element_oracle_at_every_gate_width() {
     for kind in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
@@ -402,9 +403,6 @@ fn forward_equals_the_per_element_oracle_at_every_gate_width() {
             let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
             let (h_want, c_want) = per_element_forward(&p, &x, &prev);
             let what = |path: &str| format!("{kind:?} h={hidden} {path}");
-
-            let (free, _) = p.forward(&x, &prev);
-            assert_bits(&free.h, &h_want, &what("forward"));
             for be in [Backend::scalar(), Backend::simd()] {
                 let mut ws = Workspace::new();
                 let (st, _) = forward_with(&p, kind, &x, &prev, hidden, &mut ws, be);
@@ -464,7 +462,7 @@ proptest! {
             let mut dx = Matrix::zeros(batch, input);
             let mut dprev = StateGrad::zeros(kind, batch, hidden);
             let mut ws = Workspace::new();
-            p.backward_ws(&cache, &dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be);
+            p.backward(&cache, &dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be);
             (grads, dx, dprev)
         };
         let (mut g_ref, dx_ref, dp_ref) = run(Backend::scalar());

@@ -1,9 +1,15 @@
-//! Property tests for the workspace-arena refactor: every `_ws` / `_into`
-//! kernel variant must be **bit-identical** to the allocating API it
-//! replaced, across cell kinds × shapes × merge modes × train/inference —
-//! including when one [`Workspace`] is reused across interleaved shapes,
-//! which is exactly how the compiled task graph uses it (each task keeps a
-//! private workspace across replays of *different* cached plans).
+//! Property tests for buffer and workspace reuse: every layer kernel —
+//! cell forward and backward of every cell kind, merge both ways in every
+//! mode, the classifier both ways and its loss — writes the same bits into
+//! output buffers still holding an earlier call's values, drawing scratch
+//! from a [`Workspace`] other shapes have used, as a cold call writes into
+//! fresh buffers with a fresh workspace. That is how the compiled task
+//! graph calls them: each task keeps its output slots and a private
+//! workspace across replays of *different* cached plans. End to end, the
+//! task-graph executor, cold and warm, matches `SequentialExec` bitwise.
+//!
+//! The cold call (fresh allocations per call) is the `legacy` reference
+//! the test names refer to.
 //!
 //! "Close enough" is not the bar: the executor equivalence guarantees of
 //! this repo are stated as exact bit equality with `SequentialExec`, so
@@ -12,25 +18,137 @@
 use bpar_core::cell::{CellCache, CellKind, CellParams, CellState, StateGrad};
 use bpar_core::dense::DenseParams;
 use bpar_core::exec::{Executor, SequentialExec, Target, TaskGraphExec};
-use bpar_core::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
+use bpar_core::loss::softmax_cross_entropy;
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_core::optim::Sgd;
-use bpar_tensor::{init, Backend, Matrix, Workspace};
+use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
 use proptest::prelude::*;
 
-fn assert_bits(a: &Matrix<f64>, b: &Matrix<f64>, what: &str) {
+fn assert_bits<T: Float>(a: &Matrix<T>, b: &Matrix<T>, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: bit mismatch");
+        assert_eq!(
+            x.to_f64().to_bits(),
+            y.to_f64().to_bits(),
+            "{what}: bit mismatch"
+        );
     }
 }
 
-fn cell_kinds() -> impl Strategy<Value = CellKind> {
+/// Batch rows and two widths of one reuse case (input and hidden for a
+/// cell, input and output for the classifier).
+type Dims = (usize, usize, usize);
+
+fn dims() -> impl Strategy<Value = Dims> {
+    (1usize..5, 1usize..7, 1usize..7)
+}
+
+/// Runs `pass` at shape `d` cold — into buffers from `fresh`, with a fresh
+/// workspace — and warm: with a workspace the two `others` shapes used
+/// first, interleaved, into buffers a call on other operands already
+/// filled. Returns `(cold, warm)`.
+fn cold_and_warm<B>(
+    d: Dims,
+    others: (Dims, Dims),
+    seed: u64,
+    fresh: impl Fn(Dims) -> B,
+    pass: impl Fn(Dims, u64, &mut B, &mut Workspace<f32>),
+) -> (B, B) {
+    let mut cold = fresh(d);
+    pass(d, seed, &mut cold, &mut Workspace::new());
+
+    let mut ws = Workspace::new();
+    let (d2, d3) = others;
+    for (other, s) in [(d2, seed + 11), (d3, seed + 12), (d2, seed + 13)] {
+        pass(other, s, &mut fresh(other), &mut ws);
+    }
+    let mut warm = fresh(d);
+    pass(d, seed + 1, &mut warm, &mut ws);
+    pass(d, seed, &mut warm, &mut ws);
+    (cold, warm)
+}
+
+/// Every buffer a cell's forward and backward write.
+struct CellBufs {
+    st: CellState<f32>,
+    cache: CellCache<f32>,
+    dx: Matrix<f32>,
+    dprev: StateGrad<f32>,
+    grads: CellParams<f32>,
+}
+
+impl CellBufs {
+    fn fresh(kind: CellKind, (b, i, h): Dims) -> Self {
+        Self {
+            st: CellState::zeros(kind, b, h),
+            cache: CellCache::zeros(kind, b, i, h),
+            dx: Matrix::zeros(b, i),
+            dprev: StateGrad::zeros(kind, b, h),
+            grads: CellParams::init(kind, i, h, 0).zeros_like(),
+        }
+    }
+
+    fn assert_bits_eq(&self, other: &Self) {
+        assert_bits(&self.st.h, &other.st.h, "state h");
+        assert_bits(&self.dx, &other.dx, "dx");
+        assert_bits(&self.dprev.dh, &other.dprev.dh, "dprev.dh");
+        match (&self.st.c, &other.st.c) {
+            (Some(a), Some(b)) => assert_bits(a, b, "state c"),
+            (None, None) => {}
+            _ => panic!("cell-state c presence differs"),
+        }
+        match (&self.dprev.dc, &other.dprev.dc) {
+            (Some(a), Some(b)) => assert_bits(a, b, "dprev.dc"),
+            (None, None) => {}
+            _ => panic!("dprev.dc presence differs"),
+        }
+        let grads = &mut self.grads.clone();
+        grads.for_each_param(&other.grads, &mut |a, b| assert_bits(a, b, "cell grads"));
+    }
+}
+
+/// One cell update and its backward on operands drawn from `seed`,
+/// writing into `out` (weight-gradient accumulators zeroed first). Odd
+/// seeds pass no recurrent state gradient, as for a direction's last cell.
+fn cell_pass(
+    kind: CellKind,
+    (b, i, h): Dims,
+    seed: u64,
+    out: &mut CellBufs,
+    ws: &mut Workspace<f32>,
+) {
+    let be = Backend::default();
+    let p = CellParams::<f32>::init(kind, i, h, seed);
+    let x = init::uniform(b, i, -1.0, 1.0, seed + 1);
+    let mut prev = CellState::zeros(kind, b, h);
+    prev.h = init::uniform(b, h, -0.5, 0.5, seed + 2);
+    let mut dstate = StateGrad::zeros(kind, b, h);
+    dstate.dh = init::uniform(b, h, -1.0, 1.0, seed + 3);
+    if let (Some(c), Some(dc)) = (&mut prev.c, &mut dstate.dc) {
+        *c = init::uniform(b, h, -0.5, 0.5, seed + 4);
+        *dc = init::uniform(b, h, -1.0, 1.0, seed + 5);
+    }
+    let dstate = seed.is_multiple_of(2).then_some(&dstate);
+    let dh = init::uniform(b, h, -1.0, 1.0, seed + 6);
+    out.grads.fill_zero();
+    p.forward(&x, &prev, &mut out.st, &mut out.cache, ws, be);
+    let CellBufs {
+        cache,
+        grads,
+        dx,
+        dprev,
+        ..
+    } = out;
+    p.backward(cache, &dh, dstate, grads, dx, dprev, ws, be);
+}
+
+fn every_cell_kind() -> impl Strategy<Value = CellKind> {
     prop_oneof![
         Just(CellKind::Lstm),
         Just(CellKind::Gru),
-        Just(CellKind::Vanilla)
+        Just(CellKind::Vanilla),
+        Just(CellKind::Linear)
     ]
 }
 
@@ -43,174 +161,93 @@ fn merge_modes() -> impl Strategy<Value = MergeMode> {
     ]
 }
 
-/// A realistic non-zero state: one legacy forward step from zeros.
-fn warm_state(
-    p: &CellParams<f64>,
-    kind: CellKind,
-    batch: usize,
-    input: usize,
-    hidden: usize,
-    seed: u64,
-) -> CellState<f64> {
-    let x = init::uniform(batch, input, -1.0, 1.0, seed);
-    let (st, _) = p.forward(&x, &CellState::zeros(kind, batch, hidden));
-    st
-}
-
-/// One full forward+backward comparison of the legacy and workspace cell
-/// paths for a single shape, drawing all `_ws` scratch from `ws` (which
-/// deliberately persists across calls with other shapes).
-fn check_cell_shape(
-    kind: CellKind,
-    batch: usize,
-    input: usize,
-    hidden: usize,
-    seed: u64,
-    ws: &mut Workspace<f64>,
-) {
-    let p = CellParams::<f64>::init(kind, input, hidden, seed);
-    let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
-    let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
-
-    // Forward: allocating vs. in-place into zeroed persistent buffers.
-    let (st_ref, cache_ref) = p.forward(&x, &prev);
-    let mut st = CellState::zeros(kind, batch, hidden);
-    let mut cache = CellCache::zeros(kind, batch, input, hidden);
-    p.forward_ws(&x, &prev, &mut st, &mut cache, ws, Backend::scalar());
-    assert_bits(&st_ref.h, &st.h, "state h");
-    match (&st_ref.c, &st.c) {
-        (Some(a), Some(b)) => assert_bits(a, b, "state c"),
-        (None, None) => {}
-        _ => panic!("cell-state c presence differs"),
-    }
-
-    // Backward through both caches; identical dx/dprev/grads proves the
-    // caches carry identical values without reaching into their fields.
-    let dh = init::uniform(batch, hidden, -1.0, 1.0, seed + 3);
-    let dstate = if seed.is_multiple_of(2) {
-        None
-    } else {
-        let mut sg = StateGrad::zeros(kind, batch, hidden);
-        sg.dh = init::uniform(batch, hidden, -1.0, 1.0, seed + 4);
-        if let Some(dc) = &mut sg.dc {
-            *dc = init::uniform(batch, hidden, -1.0, 1.0, seed + 5);
-        }
-        Some(sg)
-    };
-    let mut grads_ref = p.zeros_like();
-    let (dx_ref, dprev_ref) = p.backward(&cache_ref, &dh, dstate.as_ref(), &mut grads_ref);
-    let mut grads = p.zeros_like();
-    let mut dx = Matrix::zeros(batch, input);
-    let mut dprev = StateGrad::zeros(kind, batch, hidden);
-    p.backward_ws(
-        &cache,
-        &dh,
-        dstate.as_ref(),
-        &mut grads,
-        &mut dx,
-        &mut dprev,
-        ws,
-        Backend::scalar(),
-    );
-    assert_bits(&dx_ref, &dx, "dx");
-    assert_bits(&dprev_ref.dh, &dprev.dh, "dprev.dh");
-    match (&dprev_ref.dc, &dprev.dc) {
-        (Some(a), Some(b)) => assert_bits(a, b, "dprev.dc"),
-        (None, None) => {}
-        _ => panic!("dprev.dc presence differs"),
-    }
-    grads_ref.for_each_param(&grads, &mut |a, b| assert_bits(a, b, "cell grads"));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cell forward/backward `_ws` variants are bit-identical to the
-    /// allocating API — and stay so when one workspace serves two
-    /// interleaved shapes (the second call sees pooled scratch whose
-    /// previous shape was different).
+    /// Cell forward and backward of every kind write the cold call's bits
+    /// into dirty buffers, with a workspace two interleaved other shapes
+    /// used first.
     #[test]
     fn cell_ws_matches_legacy_across_interleaved_shapes(
-        kind in cell_kinds(),
-        b1 in 1usize..5, i1 in 1usize..6, h1 in 1usize..6,
-        b2 in 1usize..5, i2 in 1usize..6, h2 in 1usize..6,
+        kind in every_cell_kind(),
+        (d, d2, d3) in (dims(), dims(), dims()),
         seed in 0u64..1000,
     ) {
-        let mut ws = Workspace::new();
-        check_cell_shape(kind, b1, i1, h1, seed, &mut ws);
-        check_cell_shape(kind, b2, i2, h2, seed + 100, &mut ws);
-        // Back to the first shape with a now-populated pool.
-        check_cell_shape(kind, b1, i1, h1, seed + 200, &mut ws);
+        let fresh = |d| CellBufs::fresh(kind, d);
+        let pass = |d, s, out: &mut CellBufs, ws: &mut _| cell_pass(kind, d, s, out, ws);
+        let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);
+        warm.assert_bits_eq(&cold);
     }
 
-    /// Merge `apply_into` / `backward_into` are bit-identical to the
-    /// allocating wrappers for every mode, even when the output buffer
-    /// starts full of stale garbage.
+    /// Merge `apply` and `backward` write the cold call's bits over dirty
+    /// output buffers, in every mode.
     #[test]
     fn merge_into_matches_legacy(
         mode in merge_modes(),
-        rows in 1usize..6, hidden in 1usize..6,
+        (d, d2, d3) in (dims(), dims(), dims()),
         seed in 0u64..1000,
     ) {
-        let fwd = init::uniform::<f64>(rows, hidden, -1.0, 1.0, seed);
-        let rev = init::uniform(rows, hidden, -1.0, 1.0, seed + 1);
-        let merged_ref = mode.apply(&fwd, &rev);
-        let mut merged = init::uniform(rows, mode.output_width(hidden), 5.0, 9.0, seed + 2);
-        mode.apply_into(&fwd, &rev, &mut merged);
-        assert_bits(&merged_ref, &merged, "merged");
-
-        let dmerged = init::uniform(rows, mode.output_width(hidden), -1.0, 1.0, seed + 3);
-        let (dfwd_ref, drev_ref) = mode.backward(&dmerged, &fwd, &rev);
-        let mut dfwd = init::uniform(rows, hidden, 5.0, 9.0, seed + 4);
-        let mut drev = init::uniform(rows, hidden, 5.0, 9.0, seed + 5);
-        mode.backward_into(&dmerged, &fwd, &rev, &mut dfwd, &mut drev);
-        assert_bits(&dfwd_ref, &dfwd, "dfwd");
-        assert_bits(&drev_ref, &drev, "drev");
-    }
-
-    /// Dense forward/backward into-variants are bit-identical, with the
-    /// workspace reused across two different widths.
-    #[test]
-    fn dense_into_matches_legacy(
-        rows in 1usize..6, input in 1usize..6, out1 in 1usize..6, out2 in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let mut ws = Workspace::new();
-        for (k, out_w) in [out1, out2, out1].into_iter().enumerate() {
-            let s = seed + 10 * k as u64;
-            let p = DenseParams::<f64>::init(input, out_w, s);
-            let x = init::uniform(rows, input, -1.0, 1.0, s + 1);
-            let logits_ref = p.forward(&x);
-            let mut logits = init::uniform(rows, out_w, 5.0, 9.0, s + 2);
-            p.forward_into(&x, &mut logits, &mut ws, Backend::scalar());
-            assert_bits(&logits_ref, &logits, "logits");
-
-            let dlogits = init::uniform(rows, out_w, -1.0, 1.0, s + 3);
-            let mut grads_ref = p.zeros_like();
-            let dx_ref = p.backward(&x, &dlogits, &mut grads_ref);
-            let mut grads = p.zeros_like();
-            let mut dx = Matrix::zeros(rows, input);
-            p.backward_ws(&x, &dlogits, &mut grads, &mut dx, &mut ws, Backend::scalar());
-            assert_bits(&dx_ref, &dx, "dense dx");
-            assert_bits(&grads_ref.w, &grads.w, "dense dW");
-            assert_bits(&grads_ref.b, &grads.b, "dense dB");
+        let fresh = |(b, _, h): Dims| {
+            [Matrix::zeros(b, mode.output_width(h)), Matrix::zeros(b, h), Matrix::zeros(b, h)]
+        };
+        let pass = |(b, _, h): Dims, s, out: &mut [Matrix<f32>; 3], _: &mut _| {
+            let fwd = init::uniform(b, h, -1.0, 1.0, s);
+            let rev = init::uniform(b, h, -1.0, 1.0, s + 1);
+            let dmerged = init::uniform(b, mode.output_width(h), -1.0, 1.0, s + 2);
+            let [merged, dfwd, drev] = out;
+            mode.apply(&fwd, &rev, merged);
+            mode.backward(&dmerged, &fwd, &rev, dfwd, drev);
+        };
+        let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);
+        for ((a, b), what) in warm.iter().zip(&cold).zip(["merged", "dfwd", "drev"]) {
+            assert_bits(a, b, what);
         }
     }
 
-    /// `softmax_cross_entropy_into` matches the allocating wrapper exactly
-    /// (loss scalar and gradient bits), writing over a dirty buffer.
+    /// Dense `forward` and `backward` write the cold call's bits into
+    /// dirty buffers, with the workspace reused across other widths.
     #[test]
-    fn loss_into_matches_legacy(
-        rows in 1usize..6, classes in 2usize..6,
+    fn dense_into_matches_legacy(
+        (d, d2, d3) in (dims(), dims(), dims()),
         seed in 0u64..1000,
     ) {
-        let logits = init::uniform::<f64>(rows, classes, -2.0, 2.0, seed);
-        let targets: Vec<usize> = (0..rows).map(|r| (seed as usize + r) % classes).collect();
-        let (loss_ref, dl_ref) = softmax_cross_entropy(&logits, &targets);
-        let mut dl = init::uniform(rows, classes, 5.0, 9.0, seed + 1);
-        let loss = softmax_cross_entropy_into(&logits, &targets, &mut dl);
-        prop_assert_eq!(loss.to_bits(), loss_ref.to_bits(), "loss scalar");
-        assert_bits(&dl_ref, &dl, "dlogits");
+        let fresh = |(b, i, o): Dims| {
+            (Matrix::zeros(b, o), DenseParams::<f32>::init(i, o, 0).zeros_like(), Matrix::zeros(b, i))
+        };
+        let pass = |(b, i, o): Dims, s, out: &mut (Matrix<f32>, DenseParams<f32>, Matrix<f32>), ws: &mut _| {
+            let be = Backend::default();
+            let p = DenseParams::<f32>::init(i, o, s);
+            let x = init::uniform(b, i, -1.0, 1.0, s + 1);
+            let dlogits = init::uniform(b, o, -1.0, 1.0, s + 2);
+            let (logits, grads, dx) = out;
+            grads.w.fill_zero();
+            grads.b.fill_zero();
+            p.forward(&x, logits, ws, be);
+            p.backward(&x, &dlogits, grads, dx, ws, be);
+        };
+        let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);
+        assert_bits(&warm.0, &cold.0, "logits");
+        assert_bits(&warm.1.w, &cold.1.w, "dense dW");
+        assert_bits(&warm.1.b, &cold.1.b, "dense dB");
+        assert_bits(&warm.2, &cold.2, "dense dx");
+    }
+
+    /// `softmax_cross_entropy` returns the cold call's loss and writes its
+    /// gradient bits over a dirty buffer.
+    #[test]
+    fn loss_into_matches_legacy(
+        (d, d2, d3) in (dims(), dims(), dims()),
+        seed in 0u64..1000,
+    ) {
+        let fresh = |(b, _, classes): Dims| (Matrix::zeros(b, classes), 0.0);
+        let pass = |(b, _, classes): Dims, s, out: &mut (Matrix<f32>, f64), _: &mut _| {
+            let logits = init::uniform(b, classes, -2.0, 2.0, s);
+            let targets: Vec<usize> = (0..b).map(|r| (s as usize + r) % classes).collect();
+            out.1 = softmax_cross_entropy(&logits, &targets, &mut out.0);
+        };
+        let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);
+        prop_assert_eq!(warm.1.to_bits(), cold.1.to_bits(), "loss scalar");
+        assert_bits(&warm.0, &cold.0, "dlogits");
     }
 }
 
@@ -221,11 +258,11 @@ proptest! {
 
     /// End to end: the workspace-arena executor (warm *and* cold plans)
     /// produces bit-identical inference logits and training losses to the
-    /// fully allocating sequential reference, across cell kinds, merge
-    /// modes, model kinds and shapes.
+    /// sequential reference, across cell kinds, merge modes, model kinds
+    /// and shapes.
     #[test]
     fn taskgraph_matches_sequential_bitwise(
-        kind in cell_kinds(),
+        kind in every_cell_kind(),
         merge in merge_modes(),
         many_to_many in any::<bool>(),
         rows in 1usize..4, seq in 1usize..5,
