@@ -275,8 +275,9 @@ impl Node {
 pub(crate) struct Stream {
     pub nodes: Vec<Node>,
     slots: Vec<SlotRef>,
-    /// The original nodes of every node [`coarsen`] folded, in stream
-    /// order (coordinates only: their clause lists are empty).
+    /// The member arena: a folded node's members are a range of it, in
+    /// stream order (coordinates only: their clause lists are empty).
+    /// After [`coarsen`] it is the emitted node list itself.
     folded: Vec<Node>,
 }
 
@@ -329,46 +330,82 @@ impl Stream {
         self.nodes.push(node);
     }
 
-    /// Appends the fold of `run`, consecutive nodes of `from` (see
-    /// [`coarsen`]), whose members are the members of the run's nodes —
-    /// folding folds flattens them. An unfolded run of one is copied as
-    /// it is.
-    fn push_folded(&mut self, from: &Stream, run: &[Node]) {
-        let mut node = run[0];
-        if let [only] = run {
-            if from.members(only).len() == 1 {
-                let (ins, outs) = (from.ins(only), from.outs(only));
-                return self.push_refs(node, ins.iter().copied(), outs.iter().copied());
-            }
-        }
+    /// Appends `node` with the clauses and costs of the fold of `run`:
+    /// it reads what a member reads that no earlier member wrote and
+    /// writes what any member writes, each slot once, in order of first
+    /// occurrence. `marks` makes each membership test one table lookup,
+    /// so a fold costs time linear in its members' clauses.
+    fn push_union(&mut self, mut node: Node, from: &Stream, run: &[Node], marks: &mut FoldMarks) {
         let start = self.slots.len();
-        let mut written: Vec<SlotRef> = Vec::new();
+        let (listed, written) = (marks.next(), marks.next());
+        marks.outs.clear();
         for m in run {
-            for r in from.ins(m) {
-                if !written.contains(r) && !self.slots[start..].contains(r) {
-                    self.slots.push(*r);
+            for &r in from.ins(m) {
+                let at = marks.at(node.rep, r);
+                if marks.stamp[at] != listed && marks.written[at] != written {
+                    marks.stamp[at] = listed;
+                    self.slots.push(r);
                 }
             }
-            for r in from.outs(m) {
-                if !written.contains(r) {
-                    written.push(*r);
-                }
+            for &r in from.outs(m) {
+                let at = marks.at(node.rep, r);
+                marks.written[at] = written;
+                marks.outs.push((at, r));
             }
         }
         let mid = self.slots.len();
-        self.slots.extend(written);
+        let listed = marks.next();
+        for &(at, r) in &marks.outs {
+            if marks.stamp[at] != listed {
+                marks.stamp[at] = listed;
+                self.slots.push(r);
+            }
+        }
         node.clauses = [start, mid, self.slots.len()];
         node.flops = run.iter().map(|m| m.flops).sum();
         node.ws = run.iter().map(|m| m.ws).sum();
-        let first = self.folded.len();
-        let coordinates = |m: &Node| Node {
-            clauses: [0; 3],
-            ..*m
-        };
-        let members = run.iter().flat_map(|n| from.members(n));
-        self.folded.extend(members.map(coordinates));
-        node.members = [first, self.folded.len()];
         self.nodes.push(node);
+    }
+}
+
+/// The membership tests of [`Stream::push_union`], one lookup each: per
+/// slot of a replica's dense numbering ([`SlotLayout`]), the last mark it
+/// was given. A mark is a fresh number ([`FoldMarks::next`]), so the
+/// tables are never cleared — one pair serves every fold of a build.
+#[derive(Debug)]
+pub(crate) struct FoldMarks {
+    layout: SlotLayout,
+    /// "Listed as an `in`" and then "listed as an `out`" of the fold.
+    stamp: Vec<u32>,
+    /// "Written by an earlier member" of the fold.
+    written: Vec<u32>,
+    last: u32,
+    /// The fold's `out` clauses with their indices, in member order.
+    outs: Vec<(usize, SlotRef)>,
+}
+
+impl FoldMarks {
+    pub fn new(layout: SlotLayout) -> Self {
+        Self {
+            layout,
+            stamp: vec![0; layout.len()],
+            written: vec![0; layout.len()],
+            last: 0,
+            outs: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> u32 {
+        self.last += 1;
+        self.last
+    }
+
+    /// Table index of `slot`, a clause of a node of replica `rep`: a
+    /// fold never crosses replicas (reductions are never folded), so the
+    /// slot's replica-local index is unique within the fold.
+    fn at(&self, rep: usize, (of, slot): SlotRef) -> usize {
+        assert_eq!(of, rep, "a folded node names another replica's slot");
+        self.layout.index(slot)
     }
 }
 
@@ -493,6 +530,19 @@ impl Emitter<'_> {
     /// ([`Discipline`]): B-Par submits it as it is, the barrier discipline
     /// adds barrier nodes between its phases, B-Seq folds it into one task.
     pub fn replica(&self, train: bool, out: &mut Stream) {
+        // Room for the chain graph: per pass both directions' cells and
+        // the inner merges, per output position two or three nodes, and
+        // at most seven clauses a node.
+        let (layers, seq) = (self.cfg.layers, self.seq);
+        let pass = (3 * layers - 1) * seq;
+        let outputs = output_count(self.cfg.kind, seq);
+        let nodes = if train {
+            2 * pass + 3 * outputs
+        } else {
+            pass + 2 * outputs
+        };
+        out.nodes.reserve(nodes);
+        out.slots.reserve(if train { 7 * nodes } else { 3 * nodes });
         for l in 0..self.cfg.layers {
             self.forward(l, out);
         }
@@ -848,12 +898,16 @@ impl Coarsen {
         k.clamp(1, seq.max(1))
     }
 
-    /// Folds every stream of one batch by the one `k` this resolves to
-    /// over all of them ([`coarsen`]); returns that `k`.
-    pub(crate) fn apply(self, streams: &mut [Stream], seq: usize) -> usize {
-        let k = self.resolve(streams.iter().flat_map(|s| &s.nodes), seq);
-        for stream in streams {
-            *stream = coarsen(std::mem::take(stream), k);
+    /// Folds every stream of one batch, whose replicas share `layout`,
+    /// by the one `k` this resolves to over all of them ([`coarsen`]);
+    /// returns that `k`.
+    pub(crate) fn apply(self, streams: &mut [Stream], layout: SlotLayout) -> usize {
+        let k = self.resolve(streams.iter().flat_map(|s| &s.nodes), layout.seq);
+        if k > 1 {
+            let mut marks = FoldMarks::new(layout);
+            for stream in streams {
+                *stream = coarsen(std::mem::take(stream), k, &mut marks);
+            }
         }
         k
     }
@@ -877,11 +931,10 @@ impl Coarsen {
 /// edge still points forward (no cycle), every original edge either falls
 /// inside a node or connects the two nodes holding its ends (clauses stay
 /// sound), and each body runs after everything it ran after before (bits
-/// cannot move). `k ≤ 1` returns the stream as emitted.
-fn coarsen(stream: Stream, k: usize) -> Stream {
-    if k <= 1 {
-        return stream;
-    }
+/// cannot move). `k = 1` leaves the stream as emitted ([`Coarsen::apply`]
+/// does not call this then).
+fn coarsen(stream: Stream, k: usize, marks: &mut FoldMarks) -> Stream {
+    assert!(stream.folded.is_empty(), "coarsen folds an emitted stream");
     let run_of = |n: &Node| (n.kind.family(), n.layer, n.dir, n.rep);
     let mut out = Stream::default();
     let nodes = &stream.nodes;
@@ -899,9 +952,24 @@ fn coarsen(stream: Stream, k: usize) -> Stream {
             }
             end += 1;
         }
-        out.push_folded(&stream, &nodes[start..end]);
+        let run = &nodes[start..end];
+        match run {
+            [only] => out.push_refs(
+                *only,
+                stream.ins(only).iter().copied(),
+                stream.outs(only).iter().copied(),
+            ),
+            _ => {
+                let members = [start, end];
+                out.push_union(Node { members, ..*first }, &stream, run, marks);
+            }
+        }
         start = end;
     }
+    // The members of a folded node are a range of the emitted nodes, so
+    // their list is the member arena as it is, coordinates only.
+    out.folded = stream.nodes;
+    out.folded.iter_mut().for_each(|n| n.clauses = [0; 3]);
     out
 }
 
@@ -1011,9 +1079,21 @@ pub(crate) fn insert_barriers(stream: &Stream) -> Stream {
 /// sequentially"): the whole stream folded into one node, whose body runs
 /// every member in stream order and whose clauses are what the replica
 /// reads from outside and writes.
-fn fold_replica(stream: &Stream) -> Stream {
-    let mut out = Stream::default();
-    out.push_folded(stream, &stream.nodes);
+fn fold_replica(stream: &Stream, layout: SlotLayout) -> Stream {
+    let coordinates = |m: &Node| Node {
+        clauses: [0; 3],
+        ..*m
+    };
+    let members = stream.nodes.iter().flat_map(|n| stream.members(n));
+    let mut out = Stream {
+        folded: members.map(coordinates).collect(),
+        ..Stream::default()
+    };
+    let node = Node {
+        members: [0, out.folded.len()],
+        ..stream.nodes[0]
+    };
+    out.push_union(node, stream, &stream.nodes, &mut FoldMarks::new(layout));
     out
 }
 
@@ -1031,12 +1111,12 @@ pub(crate) enum Discipline {
 }
 
 impl Discipline {
-    /// `replica` under this discipline.
-    pub(crate) fn apply(self, replica: Stream) -> Stream {
+    /// `replica`, whose slots `layout` numbers, under this discipline.
+    pub(crate) fn apply(self, replica: Stream, layout: SlotLayout) -> Stream {
         match self {
             Discipline::BPar => replica,
             Discipline::Barrier => insert_barriers(&replica),
-            Discipline::BSeq => fold_replica(&replica),
+            Discipline::BSeq => fold_replica(&replica, layout),
         }
     }
 
@@ -1131,11 +1211,11 @@ mod tests {
                 let mut stream = Stream::default();
                 emitter.replica(true, &mut stream);
                 append_epoch_probe(&mut stream);
-                let mut streams = vec![coarsen(stream.clone(), 3)];
+                let layout = emitter.slot_layout();
+                let mut streams = vec![coarsen(stream.clone(), 3, &mut FoldMarks::new(layout))];
                 if plan.is_none() {
                     streams.push(split_cells(&insert_barriers(&stream), 2, cfg.hidden_size));
                 }
-                let layout = emitter.slot_layout();
                 let mut seen: HashMap<usize, SlotId> = HashMap::new();
                 for s in &streams {
                     let clauses = |n| s.ins(n).iter().chain(s.outs(n));

@@ -523,12 +523,8 @@ pub(crate) fn task_spec<T: Float>(
     node: &Node,
 ) -> PlanSpec {
     let at = |&(rep, slot): &SlotRef| replicas[rep].at(slot);
+    let region = |&(rep, slot): &SlotRef| replicas[rep].region(slot);
     let (ins, outs) = (stream.ins(node), stream.outs(node));
-    let mut spec = PlanSpec::new(node.label())
-        .tag(node.tag)
-        .ins(ins.iter().map(|r| at(r).0))
-        .outs(outs.iter().map(|r| at(r).0))
-        .working_set(node.ws);
     let body = if node.kind == Kind::Barrier {
         touching(
             ins.iter().map(at).collect(),
@@ -545,8 +541,14 @@ pub(crate) fn task_spec<T: Float>(
             touching(tokens, Vec::new(), Some(body))
         }
     };
-    spec.body = Some(body);
-    spec
+    PlanSpec {
+        label: node.label(),
+        tag: node.tag,
+        ins: ins.iter().map(region).collect(),
+        outs: outs.iter().map(region).collect(),
+        working_set_bytes: node.ws,
+        body: Some(body),
+    }
 }
 
 /// A body that records a read of every `(region, site)` of `reads` and a

@@ -110,12 +110,13 @@ impl<T: Float> ExecPlan<T> {
         for (e, stream) in emitters.clone().zip(&mut streams) {
             e.replica(train, stream);
         }
+        let layout = replicas[0].emitter(0).slot_layout();
         let k = match seed {
-            None => coarsen.apply(&mut streams, replicas[0].seq),
+            None => coarsen.apply(&mut streams, layout),
             Some(_) => 1,
         };
         for stream in &mut streams {
-            *stream = discipline.apply(std::mem::take(stream));
+            *stream = discipline.apply(std::mem::take(stream), layout);
         }
         let mut reductions = Stream::default();
         if train {

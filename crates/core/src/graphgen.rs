@@ -183,7 +183,8 @@ impl GraphSpec {
         for (e, replica) in emitters.iter().zip(&mut streams) {
             e.replica(train, replica);
         }
-        let k = self.coarsen.apply(&mut streams, cfg.seq_len);
+        let layout = emitters[0].slot_layout();
+        let k = self.coarsen.apply(&mut streams, layout);
         assert!(
             k == 1 || !(self.fuse_merges || self.split_cells),
             "a coarsened graph excludes the fusion/split ablations"
@@ -205,7 +206,7 @@ impl GraphSpec {
             emitters[1..].iter().for_each(|e| e.reduce(&mut reductions));
             streams.push(reductions);
         }
-        (streams, k, emitters[0].slot_layout())
+        (streams, k, layout)
     }
 }
 

@@ -225,18 +225,24 @@ fn coarsen_folds_k_timesteps_per_run_and_nothing_else() {
                                 (&members[0].label, members[0].tag)
                             );
                             // out = union of the members' outs; in = union of
-                            // their ins minus what an earlier member wrote.
-                            let (mut ins, mut outs) = (BTreeSet::new(), BTreeSet::new());
+                            // their ins minus what an earlier member wrote;
+                            // each slot listed once, at its first occurrence
+                            // in member order (the naive quadratic fold).
+                            let (mut ins, mut outs) = (Vec::new(), Vec::new());
                             for m in members {
-                                ins.extend(m.ins.iter().filter(|r| !outs.contains(*r)));
-                                outs.extend(&m.outs);
+                                for r in &m.ins {
+                                    if !outs.contains(r) && !ins.contains(r) {
+                                        ins.push(*r);
+                                    }
+                                }
+                                for r in &m.outs {
+                                    if !outs.contains(r) {
+                                        outs.push(*r);
+                                    }
+                                }
                             }
-                            let set = |v: &[_]| v.iter().copied().collect::<BTreeSet<_>>();
-                            assert_eq!(set(&task.ins), ins, "{what} task {i} ins");
-                            assert_eq!(set(&task.outs), outs, "{what} task {i} outs");
-                            // A union lists nothing twice.
-                            assert_eq!(task.ins.len(), ins.len(), "{what} task {i}");
-                            assert_eq!(task.outs.len(), outs.len(), "{what} task {i}");
+                            assert_eq!(task.ins, ins, "{what} task {i} ins");
+                            assert_eq!(task.outs, outs, "{what} task {i} outs");
                             // Costs are summed.
                             let sum = |f: fn(&bpar_runtime::graph::TaskNode) -> u64| {
                                 group.clone().map(|b| f(base_graph.node(b))).sum::<u64>()

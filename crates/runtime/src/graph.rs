@@ -86,12 +86,10 @@ impl TaskGraph {
     pub fn add_task(&mut self, node: TaskNode, ins: &[RegionId], outs: &[RegionId]) -> TaskId {
         let id = TaskId(self.nodes.len());
         let preds = self.deps.register(id, ins, outs);
-        for &p in &preds {
+        for &p in preds {
             self.succs[p.index()].push(id.index());
         }
-        // Same-size elements: the collect reuses `preds`' allocation.
-        self.preds
-            .push(preds.into_iter().map(|p| p.index()).collect());
+        self.preds.push(preds.iter().map(|p| p.index()).collect());
         self.succs.push(Vec::new());
         self.push_clauses(ins, outs);
         self.nodes.push(node);

@@ -163,27 +163,42 @@ impl PlanBuilder {
     }
 
     /// Runs the dependency tracker once over the recorded submission order
-    /// and freezes the resulting graph.
+    /// and freezes the resulting graph. The predecessors of every task go
+    /// into one flat list first, so each successor list is allocated once,
+    /// at its final length.
     pub fn compile(self) -> CompiledPlan {
         let n = self.specs.len();
         let mut deps = DepTracker::new();
         let mut pending = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut tasks = Vec::with_capacity(n);
-        for (i, spec) in self.specs.into_iter().enumerate() {
-            for p in deps.register(TaskId(i), &spec.ins, &spec.outs) {
-                succs[p.index()].push(i);
-                pending[i] += 1;
+        let mut out_degree = vec![0usize; n];
+        let mut preds: Vec<usize> = Vec::new();
+        for (i, spec) in self.specs.iter().enumerate() {
+            let ps = deps.register(TaskId(i), &spec.ins, &spec.outs);
+            pending[i] = ps.len();
+            for p in ps {
+                out_degree[p.index()] += 1;
+                preds.push(p.index());
             }
-            tasks.push(PlanTask {
+        }
+        let mut succs: Vec<Vec<usize>> = out_degree.into_iter().map(Vec::with_capacity).collect();
+        let mut preds = preds.into_iter();
+        for (i, &count) in pending.iter().enumerate() {
+            for p in preds.by_ref().take(count) {
+                succs[p].push(i);
+            }
+        }
+        let tasks = self
+            .specs
+            .into_iter()
+            .map(|spec| PlanTask {
                 label: spec.label,
                 tag: spec.tag,
                 working_set_bytes: spec.working_set_bytes,
                 ins: spec.ins,
                 outs: spec.outs,
                 body: spec.body.expect("checked at submit"),
-            });
-        }
+            })
+            .collect();
         let roots = (0..n).filter(|&i| pending[i] == 0).collect();
         CompiledPlan {
             tasks,

@@ -25,11 +25,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u64);
 
-/// Hasher for [`RegionId`] keys. The ids are small integers the embedding
-/// program counts up — never input from outside it, so SipHash's
-/// collision resistance buys nothing here — and one odd multiply spreads
-/// them over both ends of the word. The table is probed several times per
-/// submitted task; this takes a sixth off `graph_build` and plan compiles.
+/// Hasher for the [`RegionId`] keys at or above [`DENSE_IDS`]. The ids are
+/// integers the embedding program counts up — never input from outside
+/// it, so SipHash's collision resistance buys nothing here — and one odd
+/// multiply spreads them over both ends of the word.
 #[derive(Debug, Default, Clone, Copy)]
 struct RegionHasher(u64);
 
@@ -47,25 +46,90 @@ impl Hasher for RegionHasher {
     }
 }
 
-/// Last-writer / readers-since-last-write state for one region.
-#[derive(Debug, Default, Clone)]
+/// "No entry" in the tracker's `u32` task and link fields.
+const NIL: u32 = u32::MAX;
+
+/// Region ids below this are looked up in a table indexed by the id, every
+/// other id through a hash map. Programs count their ids up from zero
+/// (`bpar-core` numbers one plan's slots densely), so a graph of up to
+/// this many regions never hashes; the table costs 8 bytes per id below
+/// the largest one seen, at most 512 KiB.
+const DENSE_IDS: u64 = 1 << 16;
+
+/// Last writer and the head of the readers-since-last-write list of one
+/// region; both [`NIL`] for a region no task touched (a region once
+/// touched always has one of them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RegionState {
-    last_writer: Option<TaskId>,
-    readers: Vec<TaskId>,
+    last_writer: u32,
+    /// Most recent reader's entry in [`DepTracker::readers`].
+    readers: u32,
+}
+
+impl RegionState {
+    const UNTOUCHED: RegionState = RegionState {
+        last_writer: NIL,
+        readers: NIL,
+    };
+}
+
+/// One entry of a region's reader list, most recent reader first.
+#[derive(Debug, Clone, Copy)]
+struct Reader {
+    task: u32,
+    next: u32,
 }
 
 /// Incremental dependency-edge computation.
 ///
 /// Feed tasks in submission order via [`DepTracker::register`]; it returns
-/// the deduplicated list of predecessor tasks the new task must wait for.
-/// Task ids must be registered in strictly increasing order; debug builds
-/// assert this, so stale state from a previous graph (forgotten
-/// [`DepTracker::reset`]) is caught at the first re-registration.
-#[derive(Debug, Default)]
+/// the deduplicated, ascending list of predecessor tasks the new task must
+/// wait for. Task ids must be registered in strictly increasing order;
+/// debug builds assert this, so stale state from a previous graph
+/// (forgotten [`DepTracker::reset`]) is caught at the first
+/// re-registration.
+///
+/// The tracker allocates nothing per task or per region once its tables
+/// have grown: region state sits in a table indexed by the id (ids from
+/// 2^16 up are hashed), the reader lists of all regions share one
+/// arena whose entries a write hands back to a free list, and the
+/// predecessor list is one buffer every call reuses. A plan compile
+/// therefore costs one table access per clause plus a sort of each task's
+/// few predecessors.
+#[derive(Debug)]
 pub struct DepTracker {
-    regions: HashMap<RegionId, RegionState, BuildHasherDefault<RegionHasher>>,
+    /// State of regions `0..DENSE_IDS`, indexed by id.
+    dense: Vec<RegionState>,
+    /// State of every other region.
+    sparse: HashMap<RegionId, RegionState, BuildHasherDefault<RegionHasher>>,
+    /// Regions some task touched.
+    touched: usize,
+    /// Every region's reader list, linked through [`Reader::next`].
+    readers: Vec<Reader>,
+    /// Head of the list of `readers` entries no region holds.
+    free: u32,
+    /// Entries some region's list holds (`readers.len()` less the free
+    /// list).
+    live_readers: usize,
+    /// What the last [`DepTracker::register`] returned.
+    preds: Vec<TaskId>,
     /// Highest task id registered since the last reset.
     watermark: Option<TaskId>,
+}
+
+impl Default for DepTracker {
+    fn default() -> Self {
+        Self {
+            dense: Vec::new(),
+            sparse: HashMap::default(),
+            touched: 0,
+            readers: Vec::new(),
+            free: NIL,
+            live_readers: 0,
+            preds: Vec::new(),
+            watermark: None,
+        }
+    }
 }
 
 impl DepTracker {
@@ -74,12 +138,16 @@ impl DepTracker {
         Self::default()
     }
 
-    /// Registers a task's accesses and returns its predecessors.
+    /// Registers a task's accesses and returns its predecessors, valid
+    /// until the next call.
     ///
     /// A region appearing in both `ins` and `outs` behaves like an OmpSs
     /// `inout`: the task gets RAW/WAW/WAR edges and becomes the region's
     /// new last writer.
-    pub fn register(&mut self, task: TaskId, ins: &[RegionId], outs: &[RegionId]) -> Vec<TaskId> {
+    ///
+    /// # Panics
+    /// Panics if `task`'s index does not fit in 32 bits.
+    pub fn register(&mut self, task: TaskId, ins: &[RegionId], outs: &[RegionId]) -> &[TaskId] {
         debug_assert!(
             self.watermark.is_none_or(|w| task > w),
             "task ids must increase monotonically (got {task:?} after {:?}); \
@@ -87,33 +155,61 @@ impl DepTracker {
             self.watermark
         );
         self.watermark = Some(task);
-        let mut preds: Vec<TaskId> = Vec::new();
+        let me = u32::try_from(task.index())
+            .ok()
+            .filter(|&t| t != NIL)
+            .expect("task index fits in 32 bits");
+        let preds = &mut self.preds;
+        preds.clear();
+        let id = |t: u32| TaskId(t as usize);
 
         for &r in ins {
-            let st = self.regions.entry(r).or_default();
-            if let Some(w) = st.last_writer {
-                preds.push(w); // RAW
+            let st = state(&mut self.dense, &mut self.sparse, r);
+            self.touched += usize::from(*st == RegionState::UNTOUCHED);
+            if st.last_writer != NIL {
+                preds.push(id(st.last_writer)); // RAW
             }
             // A region listed twice in `ins` (or revisited because the
             // clause list carries duplicates) must not bloat the WAR edge
-            // list: all pushes for one task are consecutive, so checking
-            // the tail deduplicates readers per region per task.
-            if st.readers.last() != Some(&task) {
-                st.readers.push(task);
+            // list: all entries for one task are added consecutively, so
+            // checking the head deduplicates readers per region per task.
+            if st.readers == NIL || self.readers[st.readers as usize].task != me {
+                let entry = Reader {
+                    task: me,
+                    next: st.readers,
+                };
+                st.readers = if self.free == NIL {
+                    self.readers.push(entry);
+                    u32::try_from(self.readers.len() - 1).expect("reader entries fit in 32 bits")
+                } else {
+                    let at = self.free;
+                    self.free = self.readers[at as usize].next;
+                    self.readers[at as usize] = entry;
+                    at
+                };
+                self.live_readers += 1;
             }
         }
         for &r in outs {
-            let st = self.regions.entry(r).or_default();
-            if let Some(w) = st.last_writer {
-                preds.push(w); // WAW
+            let st = state(&mut self.dense, &mut self.sparse, r);
+            self.touched += usize::from(*st == RegionState::UNTOUCHED);
+            if st.last_writer != NIL {
+                preds.push(id(st.last_writer)); // WAW
             }
-            for &rd in &st.readers {
-                if rd != task {
-                    preds.push(rd); // WAR
+            // WAR on every reader since the last write; the list's entries
+            // go back to the free list as they are visited.
+            let mut at = std::mem::replace(&mut st.readers, NIL);
+            while at != NIL {
+                let rd = &mut self.readers[at as usize];
+                if rd.task != me {
+                    preds.push(id(rd.task));
                 }
+                let next = std::mem::replace(&mut rd.next, self.free);
+                self.free = at;
+                self.live_readers -= 1;
+                at = next;
             }
-            st.last_writer = Some(task);
-            st.readers.clear();
+            st.last_writer = me;
         }
 
         preds.sort_unstable();
@@ -125,22 +221,28 @@ impl DepTracker {
 
     /// Number of regions ever touched.
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.touched
     }
 
     /// Number of reader entries currently tracked across all regions
     /// (WAR bookkeeping size; readers are deduplicated per task).
     pub fn reader_entries(&self) -> usize {
-        self.regions.values().map(|st| st.readers.len()).sum()
+        self.live_readers
     }
 
     /// Forgets all state so the tracker can be reused for a new graph:
     /// last-writer/reader state is dropped (region ids may be reused) and
     /// task ids may restart from zero. Without this, stale last-writer
     /// entries from a previous compiled plan would leak edges into the
-    /// next one.
+    /// next one. Keeps the tables' capacity, so it never allocates.
     pub fn reset(&mut self) {
-        self.regions.clear();
+        self.dense.clear();
+        self.sparse.clear();
+        self.touched = 0;
+        self.readers.clear();
+        self.free = NIL;
+        self.live_readers = 0;
+        self.preds.clear();
         self.watermark = None;
     }
 
@@ -148,6 +250,24 @@ impl DepTracker {
     /// batches when region ids are reused).
     pub fn clear(&mut self) {
         self.reset();
+    }
+}
+
+/// The state of region `r`: its entry of the id-indexed table, grown to
+/// cover it, or of the hash map.
+fn state<'a>(
+    dense: &'a mut Vec<RegionState>,
+    sparse: &'a mut HashMap<RegionId, RegionState, BuildHasherDefault<RegionHasher>>,
+    r: RegionId,
+) -> &'a mut RegionState {
+    if r.0 < DENSE_IDS {
+        let i = r.0 as usize;
+        if i >= dense.len() {
+            dense.resize(i + 1, RegionState::UNTOUCHED);
+        }
+        &mut dense[i]
+    } else {
+        sparse.entry(r).or_insert(RegionState::UNTOUCHED)
     }
 }
 

@@ -232,11 +232,12 @@ impl Runtime {
         let body = body.expect("TaskSpec submitted without a body");
 
         let t0 = Instant::now();
-        let mut inner = self.shared.inner.lock();
+        let mut guard = self.shared.inner.lock();
+        let inner = &mut *guard;
         let id = TaskId(inner.tasks.len());
         let preds = inner.deps.register(id, &ins, &outs);
         let mut pending = 0;
-        for p in preds {
+        for &p in preds {
             let pm = &mut inner.tasks[p.index()];
             if !pm.completed {
                 pm.succs.push(id.index());
