@@ -38,8 +38,13 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_cells(c: &mut Criterion) {
     let mut group = c.benchmark_group("cell_update");
     group.sample_size(10);
-    for kind in [CellKind::Lstm, CellKind::Gru] {
-        let (batch, input, hidden) = (16usize, 64usize, 128usize);
+    // A mid-size cell, and `fine_grain`'s tiny one (every gate product on
+    // the narrow route).
+    for ((batch, input, hidden), kind) in [(16usize, 64usize, 128usize), (1, 2, 2)]
+        .into_iter()
+        .flat_map(|shape| [(shape, CellKind::Lstm), (shape, CellKind::Gru)])
+    {
+        let shape = format!("{batch}x{input}x{hidden}");
         let params: CellParams<f32> = CellParams::init(kind, input, hidden, 3);
         let x: Matrix<f32> = init::uniform(batch, input, -1.0, 1.0, 4);
         let prev = CellState::zeros(kind, batch, hidden);
@@ -48,7 +53,7 @@ fn bench_cells(c: &mut Criterion) {
         let mut ws = Workspace::new();
         let be = Backend::default();
 
-        group.bench_function(format!("{kind:?}_forward"), |bench| {
+        group.bench_function(format!("{kind:?}_forward/{shape}"), |bench| {
             bench.iter(|| {
                 params.forward(black_box(&x), &prev, &mut state, &mut cache, &mut ws, be);
                 black_box(state.h.get(0, 0))
@@ -59,7 +64,7 @@ fn bench_cells(c: &mut Criterion) {
         let mut grads = params.zeros_like();
         let mut dx = Matrix::zeros(batch, input);
         let mut dprev = StateGrad::zeros(kind, batch, hidden);
-        group.bench_function(format!("{kind:?}_backward"), |bench| {
+        group.bench_function(format!("{kind:?}_backward/{shape}"), |bench| {
             bench.iter(|| {
                 let dh = black_box(&dh);
                 params.backward(

@@ -14,7 +14,7 @@
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
 use bpar_tensor::ops::column_sums_into;
-use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused GRU parameters for one layer and direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,10 +40,8 @@ pub struct GruCache<T: Float> {
     pub zr_in: Matrix<T>,
     /// Concatenated `[X_t, R_t ⊙ H_{t-1}]`.
     pub h_in: Matrix<T>,
-    /// Update-gate activation `Z_t`.
-    pub z: Matrix<T>,
-    /// Reset-gate activation `R_t`.
-    pub r: Matrix<T>,
+    /// Update- and reset-gate activations `[Z_t, R_t]`, `batch × 2·hidden`.
+    pub zr: Matrix<T>,
     /// Candidate activation `H̄_t`.
     pub hbar: Matrix<T>,
     /// Previous hidden state `H_{t-1}`.
@@ -57,8 +55,7 @@ impl<T: Float> GruCache<T> {
         Self {
             zr_in: Matrix::zeros(batch, input + hidden),
             h_in: Matrix::zeros(batch, input + hidden),
-            z: Matrix::zeros(batch, hidden),
-            r: Matrix::zeros(batch, hidden),
+            zr: Matrix::zeros(batch, 2 * hidden),
             hbar: Matrix::zeros(batch, hidden),
             h_prev: Matrix::zeros(batch, hidden),
         }
@@ -68,8 +65,7 @@ impl<T: Float> GruCache<T> {
     pub fn nbytes(&self) -> usize {
         self.zr_in.nbytes()
             + self.h_in.nbytes()
-            + self.z.nbytes()
-            + self.r.nbytes()
+            + self.zr.nbytes()
             + self.hbar.nbytes()
             + self.h_prev.nbytes()
     }
@@ -106,10 +102,10 @@ impl<T: Float> GruParams<T> {
     }
 
     /// Forward update (Eqs. 7–10): results go into the caller-provided
-    /// `state`/`cache` buffers (see [`GruCache::zeros`]); the one transient
-    /// block (fused z/r pre-activations, `batch × 2H`) is checked out of
-    /// `ws` and returned before exit. `R ⊙ H_{t-1}` is written straight
-    /// into the right column block of `h_in`.
+    /// `state`/`cache` buffers (see [`GruCache::zeros`]). Both gate products
+    /// run through [`Backend::affine`] (`ws` only feeds the int8 backend's
+    /// scratch); `R ⊙ H_{t-1}` is written straight into the right column
+    /// block of `h_in`.
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -124,42 +120,37 @@ impl<T: Float> GruParams<T> {
         assert_eq!(prev.h.shape(), (batch, self.hidden), "H_{{t-1}} shape");
         let h = self.hidden;
 
-        // Fused z/r gates; the pre-activation block is transient scratch.
-        Matrix::hstack_into(&[x, &prev.h], &mut cache.zr_in);
-        let mut zr = ws.checkout(batch, 2 * h);
-        be.gemm(T::ONE, &cache.zr_in, &self.wzr, T::ZERO, &mut zr, ws);
-        be.add_bias(&mut zr, &self.bzr);
-        be.sigmoid_inplace(&mut zr);
-        for row in 0..batch {
-            let src = zr.row(row);
-            cache.z.row_mut(row).copy_from_slice(&src[..h]);
-            cache.r.row_mut(row).copy_from_slice(&src[h..]);
-        }
-        ws.give_back(zr);
+        let GruCache {
+            zr_in,
+            h_in,
+            zr,
+            hbar,
+            h_prev,
+        } = cache;
+        Matrix::hstack_into(&[x, &prev.h], zr_in);
+        be.affine(Activation::Sigmoid, zr_in, &self.wzr, &self.bzr, zr, ws);
 
         // Candidate with reset-gated recurrent input: [X_t, R ⊙ H_{t-1}]
         // assembled in place (no `rh` temporary, no hstack copy).
         for row in 0..batch {
-            let (rs, hp) = (cache.r.row(row), prev.h.row(row));
-            let dst = cache.h_in.row_mut(row);
+            let (rs, hp) = (&zr.row(row)[h..], prev.h.row(row));
+            let dst = h_in.row_mut(row);
             dst[..self.input].copy_from_slice(x.row(row));
             for j in 0..h {
                 dst[self.input + j] = rs[j] * hp[j];
             }
         }
-        be.gemm(T::ONE, &cache.h_in, &self.wh, T::ZERO, &mut cache.hbar, ws);
-        be.add_bias(&mut cache.hbar, &self.bh);
-        be.tanh_inplace(&mut cache.hbar);
+        be.affine(Activation::Tanh, h_in, &self.wh, &self.bh, hbar, ws);
 
         // H_t = Z ⊙ H̄ + (1-Z) ⊙ H_{t-1}.
         for row in 0..batch {
-            let (zs, hb, hp) = (cache.z.row(row), cache.hbar.row(row), prev.h.row(row));
+            let (zs, hb, hp) = (zr.row(row), hbar.row(row), prev.h.row(row));
             let out = state.h.row_mut(row);
             for j in 0..h {
                 out[j] = zs[j] * hb[j] + (T::ONE - zs[j]) * hp[j];
             }
         }
-        cache.h_prev.copy_from(&prev.h);
+        h_prev.copy_from(&prev.h);
     }
 
     /// Backward update (BPTT through Eqs. 7–10). See
@@ -194,7 +185,8 @@ impl<T: Float> GruParams<T> {
         let mut dhbar_pre = ws.checkout(batch, h); // pre-tanh candidate grad
         let mut dz_pre = ws.checkout(batch, h);
         for row in 0..batch {
-            let (zs, hb, hp) = (cache.z.row(row), cache.hbar.row(row), cache.h_prev.row(row));
+            let (zs, hb) = (cache.zr.row(row), cache.hbar.row(row));
+            let hp = cache.h_prev.row(row);
             let dht = dh_total.row(row);
             {
                 let dp = dprev.dh.row_mut(row);
@@ -229,7 +221,7 @@ impl<T: Float> GruParams<T> {
         for row in 0..batch {
             let src = dh_in.row(row);
             dx.row_mut(row).copy_from_slice(&src[..self.input]);
-            let (rs, hp) = (cache.r.row(row), cache.h_prev.row(row));
+            let (rs, hp) = (&cache.zr.row(row)[h..], cache.h_prev.row(row));
             // dRH = src[input..]; dR = dRH ⊙ H_prev, dH_prev += dRH ⊙ R.
             {
                 let drp = dr_pre.row_mut(row);
@@ -456,19 +448,14 @@ mod tests {
         bpar_tensor::gemm_naive(1.0, &zr_in, &p.wzr, 0.0, &mut zr);
         add_bias(&mut zr, &p.bzr);
         zr.map_inplace(|v| v.sigmoid());
-        for row in 0..batch {
-            let src = zr.row(row);
-            for j in 0..h {
-                assert!((cache.z.row(row)[j] - src[j]).abs() < 1e-12, "Z gate");
-                assert!((cache.r.row(row)[j] - src[h + j]).abs() < 1e-12, "R gate");
-            }
-        }
+        assert!(cache.zr.max_abs_diff(&zr) < 1e-12, "Z|R gates");
 
         // Candidate input assembled the pre-rewrite way from the gate
         // values the forward actually produced: `hadamard` into a
         // temporary, then `hstack`. Same scalars ⇒ bit-identical h_in.
+        let r = Matrix::from_fn(batch, h, |row, j| cache.zr.get(row, h + j));
         let mut rh = Matrix::zeros(batch, h);
-        bpar_tensor::ops::hadamard(&cache.r, &prev.h, &mut rh);
+        bpar_tensor::ops::hadamard(&r, &prev.h, &mut rh);
         let h_in_ref = Matrix::hstack(&[&x, &rh]);
         for (a, b) in cache.h_in.as_slice().iter().zip(h_in_ref.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "h_in must be bit-identical");
@@ -488,7 +475,7 @@ mod tests {
         // pre-rewrite expression. Identical inputs and operation order ⇒
         // the output must be bit-identical.
         for row in 0..batch {
-            let (zs, hb, hp) = (cache.z.row(row), cache.hbar.row(row), prev.h.row(row));
+            let (zs, hb, hp) = (cache.zr.row(row), cache.hbar.row(row), prev.h.row(row));
             for j in 0..h {
                 let want = zs[j] * hb[j] + (1.0 - zs[j]) * hp[j];
                 assert_eq!(

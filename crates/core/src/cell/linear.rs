@@ -19,7 +19,7 @@
 
 use super::{CellState, StateGrad};
 use bpar_tensor::ops::column_sums_into;
-use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Diagonal linear recurrence parameters for one layer and direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,8 +107,7 @@ impl<T: Float> LinearParams<T> {
         cache.x.copy_from(x);
         cache.h_prev.copy_from(&prev.h);
         let mut u = ws.checkout(batch, self.hidden);
-        be.gemm(T::ONE, x, &self.w, T::ZERO, &mut u, ws);
-        be.add_bias(&mut u, &self.b);
+        be.affine(Activation::Identity, x, &self.w, &self.b, &mut u, ws);
         be.row_mul_add(&self.lambda, &cache.h_prev, &u, &mut state.h);
         ws.give_back(u);
     }

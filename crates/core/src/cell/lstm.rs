@@ -15,9 +15,9 @@
 //! the fused matrix is `[i, f, g, o]`.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y, sigmoid_slice, tanh_slice};
+use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
 use bpar_tensor::ops::column_sums_into;
-use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused LSTM parameters for one layer and direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +101,7 @@ impl<T: Float> LstmParams<T> {
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
     /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
     /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
-    /// The gate GEMM and bias broadcast dispatch through `be`; `ws` only
+    /// The gate product runs through [`Backend::affine`]; `ws` only
     /// supplies the int8 backend's quantization scratch.
     pub fn forward(
         &self,
@@ -118,13 +118,10 @@ impl<T: Float> LstmParams<T> {
         let c_prev = prev.c.as_ref().expect("LSTM needs a cell state");
         let h = self.hidden;
 
-        // Z = [X_t, H_{t-1}]
-        Matrix::hstack_into(&[x, &prev.h], &mut cache.z);
-        // G = Z W + b
-        be.gemm(T::ONE, &cache.z, &self.w, T::ZERO, &mut cache.gates, ws);
-        be.add_bias(&mut cache.gates, &self.b);
-        // Nonlinearities per block: σ on i,f,o; tanh on g.
-        lstm_gate_nonlinearities(&mut cache.gates, h);
+        // Z = [X_t, H_{t-1}];  G = act(Z W + b): σ on i,f,o, tanh on g.
+        let (z, gates) = (&mut cache.z, &mut cache.gates);
+        Matrix::hstack_into(&[x, &prev.h], z);
+        be.affine(Activation::LstmGates, z, &self.w, &self.b, gates, ws);
 
         // C_t = f ⊙ C_{t-1} + i ⊙ g ;  H_t = o ⊙ tanh(C_t)
         let c = state
@@ -250,20 +247,6 @@ impl<T: Float> LstmParams<T> {
         ws.give_back(dgates);
         ws.give_back(dz);
         ws.give_back(db);
-    }
-}
-
-/// Applies the fused nonlinearity block pattern in place: σ on `[0,2h)`
-/// and `[3h,4h)`, tanh on `[2h,3h)`.
-fn lstm_gate_nonlinearities<T: Float>(gates: &mut Matrix<T>, hidden: usize) {
-    let h = hidden;
-    assert_eq!(gates.cols(), 4 * h);
-    let rows = gates.rows();
-    for r in 0..rows {
-        let row = gates.row_mut(r);
-        sigmoid_slice(&mut row[0..2 * h]);
-        tanh_slice(&mut row[2 * h..3 * h]);
-        sigmoid_slice(&mut row[3 * h..4 * h]);
     }
 }
 
@@ -453,7 +436,7 @@ mod tests {
         let mut gates = Matrix::zeros(batch, 4 * h);
         bpar_tensor::gemm_naive(1.0, &z, &p.w, 0.0, &mut gates);
         add_bias(&mut gates, &p.b);
-        lstm_gate_nonlinearities(&mut gates, h);
+        Activation::LstmGates.apply(&mut gates);
         assert!(
             cache.gates.max_abs_diff(&gates) < 1e-12,
             "gate activations diverge from the naive-GEMM oracle"
@@ -531,7 +514,7 @@ mod tests {
             }
             g
         };
-        lstm_gate_nonlinearities(&mut gates, h);
+        Activation::LstmGates.apply(&mut gates);
         assert!(gates.max_abs_diff(&reference) < 1e-15);
     }
 }

@@ -8,7 +8,7 @@
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::dtanh_from_y;
 use bpar_tensor::ops::column_sums_into;
-use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Vanilla RNN parameters for one layer and direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +75,8 @@ impl<T: Float> VanillaParams<T> {
     }
 
     /// Forward update writing into caller-provided buffers (see
-    /// [`VanillaCache::zeros`]). The single GEMM and bias broadcast
-    /// dispatch through `be`; `ws` only supplies the int8 backend's
+    /// [`VanillaCache::zeros`]). The one gate product runs through
+    /// [`Backend::affine`]; `ws` only supplies the int8 backend's
     /// quantization scratch.
     pub fn forward(
         &self,
@@ -90,11 +90,10 @@ impl<T: Float> VanillaParams<T> {
         let batch = x.rows();
         assert_eq!(x.cols(), self.input, "input width mismatch");
         assert_eq!(prev.h.shape(), (batch, self.hidden), "H_{{t-1}} shape");
-        Matrix::hstack_into(&[x, &prev.h], &mut cache.z);
-        be.gemm(T::ONE, &cache.z, &self.w, T::ZERO, &mut cache.h, ws);
-        be.add_bias(&mut cache.h, &self.b);
-        be.tanh_inplace(&mut cache.h);
-        state.h.copy_from(&cache.h);
+        let (z, h) = (&mut cache.z, &mut cache.h);
+        Matrix::hstack_into(&[x, &prev.h], z);
+        be.affine(Activation::Tanh, z, &self.w, &self.b, h, ws);
+        state.h.copy_from(h);
     }
 
     /// Backward update; see [`super::CellParams::backward`] for the

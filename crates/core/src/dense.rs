@@ -5,7 +5,7 @@
 //! many-to-many models apply it per timestep with shared weights.
 
 use bpar_tensor::ops::column_sums_into;
-use bpar_tensor::{init, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Dense layer parameters: `W: in × out`, `b: 1 × out`.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,12 +39,10 @@ impl<T: Float> DenseParams<T> {
     }
 
     /// `logits = x W + b`, into a caller-provided `batch × out` buffer
-    /// (fully overwritten). The GEMM and bias broadcast dispatch through
-    /// `be` (`ws` only feeds the int8 backend's scratch).
+    /// (fully overwritten) through [`Backend::affine`] (`ws` only feeds the
+    /// int8 backend's scratch).
     pub fn forward(&self, x: &Matrix<T>, out: &mut Matrix<T>, ws: &mut Workspace<T>, be: Backend) {
-        assert_eq!(out.shape(), (x.rows(), self.w.cols()), "logit buffer shape");
-        be.gemm(T::ONE, x, &self.w, T::ZERO, out, ws);
-        be.add_bias(out, &self.b);
+        be.affine(Activation::Identity, x, &self.w, &self.b, out, ws);
     }
 
     /// Backward pass: given `x` and `dlogits`, accumulates `dW`, `dB` into

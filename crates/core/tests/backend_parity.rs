@@ -331,36 +331,50 @@ fn zero_times_nonfinite_is_nan_in_every_variant() {
     gemms_match_reference::<f64>(&widen(&a), &widen(&b), &Matrix::zeros(m, n), 1.0, 0.0);
 }
 
-/// `H_t` (and `C_t`) of one forward step written out per element: the free
-/// GEMM and bias functions, then one `Float::sigmoid` / `Float::tanh` call
-/// per gate value — no slice entry point, no backend handle.
-fn per_element_forward(
-    p: &CellParams<f32>,
-    x: &Matrix<f32>,
-    prev: &CellState<f32>,
-) -> (Matrix<f32>, Option<Matrix<f32>>) {
+/// What one forward step writes, element by element: `H_t`, `C_t` (LSTM)
+/// and the named cache fields BPTT reads.
+struct Expected {
+    h: Matrix<f32>,
+    c: Option<Matrix<f32>>,
+    cache: Vec<(&'static str, Matrix<f32>)>,
+}
+
+/// One forward step written out per element, independently of the route
+/// under test: the blocked portable GEMM (`reference::gemm`), a plain bias
+/// loop, then one `Float::sigmoid` / `Float::tanh` call per gate value — no
+/// dispatched kernel, no slice entry point, no backend handle.
+fn per_element_forward(p: &CellParams<f32>, x: &Matrix<f32>, prev: &CellState<f32>) -> Expected {
     // By path: `x.tanh()` on an `f32` is the inherent libm method.
     let (sigmoid, tanh) = (<f32 as Float>::sigmoid, <f32 as Float>::tanh);
     let affine = |inp: &Matrix<f32>, w: &Matrix<f32>, b: &Matrix<f32>| {
         let mut out = Matrix::zeros(inp.rows(), w.cols());
-        bpar_tensor::gemm(1.0, inp, w, 0.0, &mut out);
-        ops::add_bias(&mut out, b);
-        out
+        reference::gemm(1.0, inp, w, 0.0, &mut out);
+        Matrix::from_fn(out.rows(), out.cols(), |r, j| out.get(r, j) + b.get(0, j))
     };
     let z = Matrix::hstack(&[x, &prev.h]);
     let (rows, input) = x.shape();
     match p {
         CellParams::Lstm(p) => {
-            let (h, g) = (p.hidden, affine(&z, &p.w, &p.b));
+            let (h, pre) = (p.hidden, affine(&z, &p.w, &p.b));
+            let gates = Matrix::from_fn(rows, 4 * h, |r, j| {
+                let act = if (2 * h..3 * h).contains(&j) {
+                    tanh
+                } else {
+                    sigmoid
+                };
+                act(pre.get(r, j))
+            });
             let c_prev = prev.c.as_ref().expect("LSTM state");
             let c = Matrix::from_fn(rows, h, |r, j| {
-                let (i, f) = (sigmoid(g.get(r, j)), sigmoid(g.get(r, h + j)));
-                f * c_prev.get(r, j) + i * tanh(g.get(r, 2 * h + j))
+                gates.get(r, h + j) * c_prev.get(r, j) + gates.get(r, j) * gates.get(r, 2 * h + j)
             });
-            let out = Matrix::from_fn(rows, h, |r, j| {
-                sigmoid(g.get(r, 3 * h + j)) * tanh(c.get(r, j))
-            });
-            (out, Some(c))
+            let tanh_c = Matrix::from_fn(rows, h, |r, j| tanh(c.get(r, j)));
+            let out = Matrix::from_fn(rows, h, |r, j| gates.get(r, 3 * h + j) * tanh_c.get(r, j));
+            Expected {
+                h: out,
+                c: Some(c),
+                cache: vec![("gates", gates), ("tanh_c", tanh_c)],
+            }
         }
         CellParams::Gru(p) => {
             let h = p.hidden;
@@ -373,42 +387,74 @@ fn per_element_forward(
                     zr.get(r, h + j - input) * prev.h.get(r, j - input)
                 }
             });
-            let hbar = affine(&h_in, &p.wh, &p.bh);
+            let mut hbar = affine(&h_in, &p.wh, &p.bh);
+            hbar.map_inplace(tanh);
             let out = Matrix::from_fn(rows, h, |r, j| {
                 let zg = zr.get(r, j);
-                zg * tanh(hbar.get(r, j)) + (1.0 - zg) * prev.h.get(r, j)
+                zg * hbar.get(r, j) + (1.0 - zg) * prev.h.get(r, j)
             });
-            (out, None)
+            Expected {
+                h: out,
+                c: None,
+                cache: vec![("zr", zr), ("h_in", h_in), ("hbar", hbar)],
+            }
         }
         CellParams::Vanilla(p) => {
             let mut out = affine(&z, &p.w, &p.b);
             out.map_inplace(tanh);
-            (out, None)
+            Expected {
+                cache: vec![("h", out.clone())],
+                h: out,
+                c: None,
+            }
         }
         CellParams::Linear(_) => unreachable!("no gate non-linearity"),
     }
 }
 
+/// The cache fields [`Expected::cache`] names, as the forward wrote them.
+fn cache_field<'a>(cache: &'a CellCache<f32>, name: &str) -> &'a Matrix<f32> {
+    match (cache, name) {
+        (CellCache::Lstm(c), "gates") => &c.gates,
+        (CellCache::Lstm(c), "tanh_c") => &c.tanh_c,
+        (CellCache::Gru(c), "zr") => &c.zr,
+        (CellCache::Gru(c), "h_in") => &c.h_in,
+        (CellCache::Gru(c), "hbar") => &c.hbar,
+        (CellCache::Vanilla(c), "h") => &c.h,
+        _ => unreachable!("no cache field {name}"),
+    }
+}
+
 /// Hidden widths below, at and past one 8-lane register, so that every
-/// gate range has a ragged vector tail somewhere, plus the ledger's 48:
-/// `forward` under `scalar` and `simd` agrees with the per-element oracle,
-/// bit for bit.
+/// gate range has a ragged vector tail somewhere, plus the ledger's 48;
+/// batch 1 (`fine_grain`'s one row, every gate product on the narrow
+/// route at small widths) and 3: `forward` under `scalar` and `simd`
+/// agrees with the per-element oracle, bit for bit, in `H_t`, `C_t` and
+/// every cache field BPTT reads.
 #[test]
 fn forward_equals_the_per_element_oracle_at_every_gate_width() {
     for kind in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
         for hidden in [1usize, 2, 7, 8, 9, 48] {
-            let (batch, input, seed) = (3, 5, hidden as u64);
-            let p = CellParams::<f32>::init(kind, input, hidden, seed);
-            let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
-            let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
-            let (h_want, c_want) = per_element_forward(&p, &x, &prev);
-            let what = |path: &str| format!("{kind:?} h={hidden} {path}");
-            for be in [Backend::scalar(), Backend::simd()] {
-                let mut ws = Workspace::new();
-                let (st, _) = forward_with(&p, kind, &x, &prev, hidden, &mut ws, be);
-                assert_bits(&st.h, &h_want, &what(be.kind().as_str()));
-                if let Some(c_want) = &c_want {
-                    assert_bits(st.c.as_ref().expect("LSTM state"), c_want, &what("C_t"));
+            for batch in [1usize, 3] {
+                let (input, seed) = (5, hidden as u64 + batch as u64);
+                let p = CellParams::<f32>::init(kind, input, hidden, seed);
+                let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
+                let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
+                let want = per_element_forward(&p, &x, &prev);
+                let what = |path: &str| format!("{kind:?} h={hidden} batch={batch} {path}");
+                for be in [Backend::scalar(), Backend::simd()] {
+                    let mut ws = Workspace::new();
+                    let (st, cache) = forward_with(&p, kind, &x, &prev, hidden, &mut ws, be);
+                    let be = be.kind().as_str();
+                    assert_bits(&st.h, &want.h, &what(be));
+                    if let Some(c_want) = &want.c {
+                        let c = st.c.as_ref().expect("LSTM state");
+                        assert_bits(c, c_want, &what(&format!("{be} C_t")));
+                    }
+                    for (name, field) in &want.cache {
+                        let got = cache_field(&cache, name);
+                        assert_bits(got, field, &what(&format!("{be} cache.{name}")));
+                    }
                 }
             }
         }

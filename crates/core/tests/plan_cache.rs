@@ -4,7 +4,7 @@
 //! clone), and a failed batch must leave the executor serviceable.
 
 use bpar_core::cell::CellKind;
-use bpar_core::exec::{Executor, SequentialExec, Target, TaskGraphExec};
+use bpar_core::exec::{BSeqExec, BarrierExec, Executor, SequentialExec, Target, TaskGraphExec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_core::optim::Sgd;
@@ -45,6 +45,32 @@ fn arb_config() -> impl Strategy<Value = BrnnConfig> {
         )
 }
 
+/// The three executor disciplines: B-Par, the barrier baseline and B-Seq,
+/// each a cached plan replayed by a [`TaskGraphExec`].
+#[derive(Debug, Clone, Copy)]
+enum Discipline {
+    BPar,
+    Barrier,
+    BSeq,
+}
+
+fn discipline() -> impl Strategy<Value = Discipline> {
+    prop_oneof![
+        Just(Discipline::BPar),
+        Just(Discipline::Barrier),
+        Just(Discipline::BSeq)
+    ]
+}
+
+/// A two-worker executor of `d` with `mbs` mini-batches.
+fn executor(d: Discipline, mbs: usize) -> TaskGraphExec {
+    match d {
+        Discipline::BPar => TaskGraphExec::with_config(2, SchedulerPolicy::LocalityAware, mbs),
+        Discipline::Barrier => BarrierExec::with_config(2, SchedulerPolicy::LocalityAware, mbs),
+        Discipline::BSeq => BSeqExec::new(2, mbs),
+    }
+}
+
 fn inputs(cfg: &BrnnConfig, rows: usize, seq: usize, seed: u64) -> Vec<Matrix<f64>> {
     (0..seq)
         .map(|t| init::uniform(rows, cfg.input_size, -1.0, 1.0, seed * 131 + t as u64))
@@ -73,18 +99,19 @@ proptest! {
 
     /// Interleaving two batch shapes on one executor (so each shape's
     /// plan is built once and replayed on every revisit) must reproduce a
-    /// fresh sequential forward bit-for-bit, for arbitrary architectures
-    /// and mini-batch splits.
+    /// fresh sequential forward bit-for-bit, for arbitrary architectures,
+    /// mini-batch splits and disciplines.
     #[test]
     fn interleaved_shape_replays_match_sequential_bitwise(
         cfg in arb_config(),
         (rows_a, seq_a) in (1usize..5, 1usize..5),
         (rows_b, seq_b) in (1usize..5, 1usize..5),
         mbs in 1usize..4,
+        disc in discipline(),
         seed in 0u64..1000,
     ) {
         let model: Brnn<f64> = Brnn::new(cfg, seed);
-        let exec = TaskGraphExec::with_config(2, SchedulerPolicy::LocalityAware, mbs);
+        let exec = executor(disc, mbs);
         let seq_exec = SequentialExec::new();
         for round in 0..3u64 {
             for (shape_seed, rows, seq) in
@@ -111,11 +138,13 @@ proptest! {
 
     /// Repeated training steps replay the cached plan with *changing*
     /// weights (each step bumps the model revision) and must track the
-    /// sequential reference bit-for-bit at mbs = 1.
+    /// sequential reference bit-for-bit at mbs = 1, under every
+    /// discipline.
     #[test]
     fn replayed_training_steps_match_sequential_bitwise(
         cfg in arb_config(),
         rows in 1usize..5,
+        disc in discipline(),
         seed in 0u64..1000,
     ) {
         let seq = 3;
@@ -123,7 +152,7 @@ proptest! {
         let mut b: Brnn<f64> = Brnn::new(cfg, seed);
         let mut oa = Sgd::new(0.1);
         let mut ob = Sgd::new(0.1);
-        let exec = TaskGraphExec::new(2);
+        let exec = executor(disc, 1);
         let seq_exec = SequentialExec::new();
         for step in 0..3u64 {
             let xs = inputs(&cfg, rows, seq, seed + step);

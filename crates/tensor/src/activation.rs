@@ -4,22 +4,15 @@
 //! layer of the classification models adds a row-wise softmax. Derivatives
 //! are expressed in terms of the *activated output* (`y`), which is what BPTT
 //! has in hand after the forward pass, avoiding a second activation pass.
+//! [`Activation`] names what [`crate::Backend::affine`] applies to a gate
+//! product.
 
 #[cfg(target_arch = "x86_64")]
 use crate::backend::simd;
+use crate::gemm::NR;
 use crate::matrix::Matrix;
 use crate::reference;
 use crate::scalar::Float;
-
-/// Applies the logistic sigmoid element-wise in place.
-pub fn sigmoid_inplace<T: Float>(m: &mut Matrix<T>) {
-    sigmoid_slice(m.as_mut_slice());
-}
-
-/// Applies tanh element-wise in place.
-pub fn tanh_inplace<T: Float>(m: &mut Matrix<T>) {
-    tanh_slice(m.as_mut_slice());
-}
 
 /// `m[i] = σ(m[i])`: the slice-level entry point every cell and backend
 /// funnels through. Dispatches like [`crate::ops::axpy`]: the loop of
@@ -88,33 +81,72 @@ pub(crate) fn softmax_rows_slice<T: Float>(m: &mut [T], rows: usize, cols: usize
     }
 }
 
-/// Supported point-wise activations, used when a model layer is declared.
+/// The element-wise function [`crate::Backend::affine`] applies to a
+/// gate product `z·W + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
-    /// Logistic sigmoid.
+    /// None: the product as is (linear cells, the classifier head).
+    Identity,
+    /// Logistic sigmoid on every column.
     Sigmoid,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent on every column.
     Tanh,
-    /// Identity (linear output layers).
-    Linear,
+    /// The fused LSTM gate row `[i, f, g, o]`, four equal column blocks:
+    /// σ, σ, tanh, σ.
+    LstmGates,
 }
 
 impl Activation {
-    /// Applies the activation in place.
+    /// Applies the activation in place, row by row, through the slice
+    /// entry points.
     pub fn apply<T: Float>(self, m: &mut Matrix<T>) {
+        let cols = m.cols();
+        self.apply_rows(m.as_mut_slice(), cols);
+    }
+
+    /// [`Activation::apply`] over `cols`-wide rows of a raw slice.
+    pub(crate) fn apply_rows<T: Float>(self, m: &mut [T], cols: usize) {
         match self {
-            Activation::Sigmoid => sigmoid_inplace(m),
-            Activation::Tanh => tanh_inplace(m),
-            Activation::Linear => {}
+            Activation::Identity => {}
+            Activation::Sigmoid => sigmoid_slice(m),
+            Activation::Tanh => tanh_slice(m),
+            Activation::LstmGates => {
+                assert!(cols.is_multiple_of(4), "LSTM gate rows have four blocks");
+                let h = cols / 4;
+                // A zero-width matrix is empty: no chunk of any size.
+                for row in m.chunks_exact_mut(cols.max(1)) {
+                    sigmoid_slice(&mut row[..2 * h]);
+                    tanh_slice(&mut row[2 * h..3 * h]);
+                    sigmoid_slice(&mut row[3 * h..]);
+                }
+            }
         }
     }
 
-    /// Derivative evaluated from the activated output value.
-    pub fn derivative_from_y<T: Float>(self, y: T) -> T {
+    /// The first `n < 2·NR` lanes of a narrow product's row through the
+    /// portable loops, inlined into whichever wrapper calls it. The
+    /// non-linearity runs over whole 8-lane registers (`NR` or `2·NR`
+    /// lanes), so it is vector code with no scalar tail; a lane is one
+    /// [`Float`] call, bit for bit, and lanes past `n` are scratch.
+    #[inline(always)]
+    pub(crate) fn apply_lanes<T: Float>(self, row: &mut [T; 2 * NR], n: usize) {
+        let lanes = |row: &mut [T; 2 * NR], f: fn(&mut [T])| {
+            if n <= NR {
+                f(&mut row[..NR])
+            } else {
+                f(&mut row[..])
+            }
+        };
         match self {
-            Activation::Sigmoid => dsigmoid_from_y(y),
-            Activation::Tanh => dtanh_from_y(y),
-            Activation::Linear => T::ONE,
+            Activation::Identity => {}
+            Activation::Sigmoid => lanes(row, reference::sigmoid_slice),
+            Activation::Tanh => lanes(row, reference::tanh_slice),
+            Activation::LstmGates => {
+                let (h, mut t) = (n / 4, *row);
+                lanes(row, reference::sigmoid_slice);
+                lanes(&mut t, reference::tanh_slice);
+                row[2 * h..3 * h].copy_from_slice(&t[2 * h..3 * h]);
+            }
         }
     }
 }
@@ -126,7 +158,7 @@ mod tests {
     #[test]
     fn sigmoid_range_and_midpoint() {
         let mut m = Matrix::from_vec(1, 3, vec![-10.0f64, 0.0, 10.0]);
-        sigmoid_inplace(&mut m);
+        Activation::Sigmoid.apply(&mut m);
         assert!(m.get(0, 0) < 1e-4);
         assert!((m.get(0, 1) - 0.5).abs() < 1e-12);
         assert!(m.get(0, 2) > 1.0 - 1e-4);
@@ -135,7 +167,7 @@ mod tests {
     #[test]
     fn tanh_is_odd() {
         let mut m = Matrix::from_vec(1, 2, vec![1.3f64, -1.3]);
-        tanh_inplace(&mut m);
+        Activation::Tanh.apply(&mut m);
         assert!((m.get(0, 0) + m.get(0, 1)).abs() < 1e-12);
     }
 
@@ -192,8 +224,19 @@ mod tests {
         Activation::Sigmoid.apply(&mut m);
         assert_eq!(m.get(0, 0), 0.5);
         let mut m = Matrix::from_vec(1, 1, vec![0.7f64]);
-        Activation::Linear.apply(&mut m);
+        Activation::Identity.apply(&mut m);
         assert_eq!(m.get(0, 0), 0.7);
-        assert_eq!(Activation::Linear.derivative_from_y(0.3f64), 1.0);
+        let mut m = Matrix::from_vec(2, 4, vec![0.0f64; 8]);
+        Activation::LstmGates.apply(&mut m);
+        assert_eq!(m.row(1), &[0.5, 0.5, 0.0, 0.5]);
+        let mut m: Matrix<f64> = Matrix::zeros(3, 0);
+        Activation::LstmGates.apply(&mut m);
+    }
+
+    #[test]
+    #[should_panic(expected = "four blocks")]
+    fn lstm_gates_reject_a_width_not_a_multiple_of_four() {
+        let mut m = Matrix::from_vec(1, 6, vec![0.0f64; 6]);
+        Activation::LstmGates.apply(&mut m);
     }
 }

@@ -14,7 +14,12 @@
 //! * [`ScalarBackend`] overrides the fused multiply-add kernels with the
 //!   portable loops themselves — same bits, no vector unit, the oracle;
 //! * [`Int8Backend`] overrides the forward NN GEMM with a symmetric
-//!   per-tensor int8 quantized product.
+//!   per-tensor int8 quantized product, and [`Backend::affine`]'s narrow
+//!   route with that product.
+//!
+//! NN and TN products narrower than one register tile (`n < 2·NR`, `k ≤ KC`) take
+//! the narrow route under every kind — one pass per row of `C` instead of
+//! the blocked nest ([`crate::gemm`] says why the bits cannot change).
 //!
 //! Numerical contract (tested in `src/reference.rs`, `tests/proptests.rs`
 //! and `bpar-core`'s `tests/backend_parity.rs`):
@@ -27,7 +32,8 @@
 //!   ≤ 3 and ≤ 2 ULP from exact, no libm call) with the same bits as a
 //!   scalar call, in the vectorised slice loops
 //!   ([`crate::activation::sigmoid_slice`]) and under every backend — the
-//!   trait below has no activation methods, so nothing can diverge;
+//!   trait's one method that takes an activation, `affine_f32`, applies
+//!   the same per-element functions, so nothing can diverge;
 //! * the int8 GEMM carries the quantization error bound computed by
 //!   [`int8_bound`]; its backward kernels (`gemm_nt`/`gemm_tn`) stay in
 //!   f32.
@@ -44,7 +50,7 @@ pub use quant::{int8_bound, roundtrip_quantize, Int8Backend};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
-use crate::activation;
+use crate::activation::{self, Activation};
 use crate::gemm::{self as gemm_mod, Op};
 use crate::matrix::Matrix;
 use crate::ops;
@@ -163,6 +169,25 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         n: usize,
     ) {
         gemm_mod::gemm_tn_accum(alpha, a, b, c, m, k, n);
+    }
+
+    /// `C = act(A · W + b)` (`A: m×k`, `W: k×n`, `b: 1×n`) for a narrow
+    /// product ([`Backend::affine`] picks the route): one fused pass per
+    /// row. `q` as in [`KernelBackend::gemm_f32`].
+    #[allow(clippy::too_many_arguments)]
+    fn affine_f32(
+        &self,
+        act: Activation,
+        a: &[f32],
+        w: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        _q: &mut QuantScratch,
+    ) {
+        gemm_mod::affine_narrow(act, a, w, b, c, m, k, n);
     }
 
     /// `y += alpha * x`.
@@ -398,6 +423,54 @@ impl Backend {
         );
     }
 
+    /// `out = act(z · W + b)` through the backend: a cell's gate product,
+    /// bias and non-linearity in one call (`z: m×k`, `W: k×n`, `b: 1×n`,
+    /// `out: m×n`, fully overwritten).
+    ///
+    /// The route follows the shape. A narrow product (`W` under `2·NR = 16`
+    /// columns, `k ≤ KC`) runs one fused pass per row of `z`: the row's
+    /// FMA chains, `0 + acc + b[j]`, the activation per element. Anything
+    /// wider runs `gemm` into a zeroed `out`, `add_bias` and the activation
+    /// slices. Both perform the same operations per element in the same
+    /// order, so the route never changes a bit. `ws` feeds the int8
+    /// backend's quantization scratch; int8 keeps its quantized GEMM on
+    /// both routes.
+    ///
+    /// # Panics
+    /// Panics if the shapes are inconsistent, or if `act` is
+    /// [`Activation::LstmGates`] and `n` is not a multiple of four.
+    pub fn affine<T: Float>(
+        self,
+        act: Activation,
+        z: &Matrix<T>,
+        w: &Matrix<T>,
+        b: &Matrix<T>,
+        out: &mut Matrix<T>,
+        ws: &mut Workspace<T>,
+    ) {
+        let ((m, k), n) = (z.shape(), w.cols());
+        assert_eq!(w.rows(), k, "affine: inner dimensions differ");
+        assert_eq!(b.shape(), (1, n), "affine: bias shape");
+        assert_eq!(out.shape(), (m, n), "affine: out shape");
+        assert!(
+            act != Activation::LstmGates || n % 4 == 0,
+            "affine: LSTM gate rows have four blocks"
+        );
+        if !gemm_mod::narrow(k, n) {
+            self.gemm(T::ONE, z, w, T::ZERO, out, ws);
+            self.add_bias(out, b);
+            return act.apply(out);
+        }
+        let (zs, wts, bs) = (z.as_slice(), w.as_slice(), b.as_slice());
+        match (f32_views(zs, wts, out.as_mut_slice()), T::as_f32_slice(bs)) {
+            (Some((zf, wf, of)), Some(bf)) => {
+                let q = ws.quant_scratch();
+                self.0.affine_f32(act, zf, wf, bf, of, m, k, n, q)
+            }
+            _ => gemm_mod::affine_narrow(act, zs, wts, bs, out.as_mut_slice(), m, k, n),
+        }
+    }
+
     /// `y += alpha * x` through the backend.
     pub fn axpy<T: Float>(self, alpha: T, x: &Matrix<T>, y: &mut Matrix<T>) {
         assert_eq!(x.shape(), y.shape(), "axpy shape mismatch");
@@ -546,14 +619,8 @@ impl Backend {
         self.row_mul_add(a2, b1, b2, out_b);
     }
 
-    /// Element-wise sigmoid: [`activation::sigmoid_slice`], the same
-    /// dispatched loop and the same bits under every backend.
-    pub fn sigmoid_inplace<T: Float>(self, m: &mut Matrix<T>) {
-        activation::sigmoid_slice(m.as_mut_slice());
-    }
-
-    /// Element-wise tanh: [`activation::tanh_slice`], like
-    /// [`Backend::sigmoid_inplace`].
+    /// Element-wise tanh: [`activation::tanh_slice`], the same dispatched
+    /// loop and the same bits under every backend.
     pub fn tanh_inplace<T: Float>(self, m: &mut Matrix<T>) {
         activation::tanh_slice(m.as_mut_slice());
     }

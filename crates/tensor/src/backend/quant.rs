@@ -27,6 +27,7 @@
 //! the same `s/2` bound.
 
 use super::{BackendKind, KernelBackend};
+use crate::activation::Activation;
 use crate::workspace::QuantScratch;
 
 /// Int8 per-tensor quantized inference backend.
@@ -128,6 +129,27 @@ impl KernelBackend for Int8Backend {
                 *cv += rescale * av as f32;
             }
         }
+    }
+
+    /// A narrow gate product keeps the quantized GEMM: a zeroed `C`, the
+    /// int8 product, the bias, the activation slices — the wide route's
+    /// sequence.
+    fn affine_f32(
+        &self,
+        act: Activation,
+        a: &[f32],
+        w: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        q: &mut QuantScratch,
+    ) {
+        c.fill(0.0);
+        self.gemm_f32(1.0, a, w, c, m, k, n, q);
+        self.add_bias_f32(c, m, n, b);
+        act.apply_rows(c, n);
     }
 }
 

@@ -1,16 +1,20 @@
 //! The portable backend.
 //!
-//! Overrides the six kernels that contain a fused multiply-add with the
+//! Overrides the seven kernels that contain a fused multiply-add with the
 //! portable loops of [`crate::reference`], run as written (`mul_add` is a
-//! call to `fmaf` in a build without `+fma`). Everything else is
-//! [`KernelBackend`]'s default, and the gate non-linearities are not on the
-//! trait at all: [`crate::activation::sigmoid_slice`] has the same bits
-//! on every path, so there is nothing for an oracle to run differently. The dispatched kernels the free functions
+//! call to `fmaf` in a build without `+fma`); narrow NN/TN products take the
+//! same row loops as the dispatched kernels. Everything else is
+//! [`KernelBackend`]'s default, and the gate non-linearities are the same
+//! per-element functions everywhere ([`crate::activation::sigmoid_slice`]
+//! has the same bits on every path), so there is nothing for an oracle to
+//! run differently. The dispatched kernels the free functions
 //! and [`super::SimdBackend`] run must match these loops bit for bit, so an
 //! executor on this backend checked against `SequentialExec` (free
 //! functions) is a check of the vector kernels against the portable loops.
 
 use super::{BackendKind, KernelBackend};
+use crate::activation::Activation;
+use crate::gemm::narrow;
 use crate::reference;
 use crate::workspace::QuantScratch;
 
@@ -38,7 +42,11 @@ impl KernelBackend for ScalarBackend {
         n: usize,
         _q: &mut QuantScratch,
     ) {
-        reference::gemm_accum(alpha, a, b, c, m, k, n);
+        if narrow(k, n) {
+            reference::gemm_rows::<f32, false>(alpha, a, b, c, m, k, n);
+        } else {
+            reference::gemm_accum(alpha, a, b, c, m, k, n);
+        }
     }
 
     fn gemm_nt_f32(
@@ -64,7 +72,26 @@ impl KernelBackend for ScalarBackend {
         k: usize,
         n: usize,
     ) {
-        reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+        if narrow(k, n) {
+            reference::gemm_rows::<f32, true>(alpha, a, b, c, m, k, n);
+        } else {
+            reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+        }
+    }
+
+    fn affine_f32(
+        &self,
+        act: Activation,
+        a: &[f32],
+        w: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        _q: &mut QuantScratch,
+    ) {
+        reference::affine_rows(act, a, w, b, c, m, k, n);
     }
 
     fn axpy_f32(&self, alpha: f32, x: &[f32], y: &mut [f32]) {

@@ -48,8 +48,9 @@ impl KernelBackend for SimdBackend {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
+    use crate::activation::Activation;
     use crate::backend::f32_views;
-    use crate::gemm::{KC, MR, NR};
+    use crate::gemm::{narrow, KC, MR, NR};
     use crate::reference;
     use crate::scalar::Float;
     use std::arch::x86_64::*;
@@ -62,7 +63,7 @@ pub(crate) mod x86 {
     }
 
     /// `C += alpha * A * B`, or `C += alpha * Aᵀ * B` with `A` stored `k×m`
-    /// when `TRANS_A`.
+    /// when `TRANS_A`. Narrow products take the portable row loop.
     ///
     /// # Safety
     /// AVX2+FMA must be available and the slices at least `m×k`, `k×n`, `m×n`.
@@ -76,6 +77,9 @@ pub(crate) mod x86 {
         k: usize,
         n: usize,
     ) {
+        if narrow(k, n) {
+            return reference::gemm_rows::<T, TRANS_A>(alpha, a, b, c, m, k, n);
+        }
         match f32_views(a, b, c) {
             // SAFETY: this fn's contract, passed on unchanged.
             Some((a, b, c)) => unsafe { gemm_f32::<TRANS_A>(alpha.to_f32(), a, b, c, m, k, n) },
@@ -108,7 +112,9 @@ pub(crate) mod x86 {
 
     /// The `f32` NN/TN kernel: 16-column strips on the wide register tile,
     /// one 8-column strip if eight or more columns remain, the ragged right
-    /// edge on the portable micro-kernels.
+    /// edge on the portable micro-kernels. At `alpha == 1` the tile skips
+    /// the prescale (`1 · a == a` and `c + 1 · acc == c + acc`, so the bits
+    /// cannot change).
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_f32<const TRANS_A: bool>(
         alpha: f32,
@@ -137,10 +143,19 @@ pub(crate) mod x86 {
                         let bp = b.as_ptr().add(kk * n + j0);
                         let cp = c.as_mut_ptr().add(i0 * n + j0);
                         let (rows, kc) = (ilim - i0, kend - kk);
-                        if wide {
-                            tile::<true, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
-                        } else {
-                            tile::<true, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                        match (wide, alpha == 1.0) {
+                            (true, false) => {
+                                tile::<true, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                            }
+                            (true, true) => {
+                                tile::<false, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                            }
+                            (false, false) => {
+                                tile::<true, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                            }
+                            (false, true) => {
+                                tile::<false, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
+                            }
                         }
                     }
                     j0 += if wide { 2 * NR } else { NR };
@@ -357,6 +372,26 @@ pub(crate) mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(crate) unsafe fn axpy<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
         reference::axpy_slice(alpha, x, y);
+    }
+
+    /// See [`axpy`]: a narrow gate product, bias and activation in one pass
+    /// per row ([`reference::affine_rows`]).
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn affine<T: Float>(
+        act: Activation,
+        a: &[T],
+        w: &[T],
+        b: &[T],
+        c: &mut [T],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        reference::affine_rows(act, a, w, b, c, m, k, n);
     }
 
     /// See [`axpy`].

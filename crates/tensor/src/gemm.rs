@@ -25,7 +25,15 @@
 //! bit (`reference`'s module docs say why), so there is no tolerance to
 //! document, and selecting the `scalar` backend (the portable loops,
 //! always) changes speed only.
+//!
+//! **The narrow route.** An NN or TN product with fewer than `2·NR` output
+//! columns and at most `KC` reduction steps (`narrow`) skips the blocked
+//! nest and its register tile: one pass per row of `C`, the same chain per
+//! element. NT keeps its dot-product loop below `NR` columns, which already
+//! is one chain per element.
+//! [`crate::Backend::affine`] fuses the bias and activation into that pass.
 
+use crate::activation::Activation;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::backend::simd;
 use crate::matrix::Matrix;
@@ -41,6 +49,18 @@ pub(crate) const MR: usize = 4;
 /// Register tile: columns of C per vector register (the AVX2 kernels
 /// update `2·NR` columns per invocation where that many exist).
 pub(crate) const NR: usize = 8;
+
+/// True when a product with reduction depth `k` and `n` output columns is
+/// narrower than one register tile (`n < 2·NR`) and one `KC` block deep.
+/// Such products — every gate product of a tiny cell — take the narrow
+/// route: one pass per row of `C` ([`reference::gemm_rows`],
+/// [`reference::affine_rows`]) instead of the
+/// blocked nest and its register tile. Within one `KC` block both routes
+/// run the same chain per element, so they give the same bits.
+#[inline(always)]
+pub(crate) fn narrow(k: usize, n: usize) -> bool {
+    n < 2 * NR && k <= KC
+}
 
 /// Which operand of `C = alpha * op(A) * op(B) + beta * C` is transposed.
 #[derive(Clone, Copy)]
@@ -144,6 +164,9 @@ pub(crate) fn gemm_accum<T: Float>(
         // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
         return unsafe { simd::x86::gemm::<T, false>(alpha, a, b, c, m, k, n) };
     }
+    if narrow(k, n) {
+        return reference::gemm_rows::<T, false>(alpha, a, b, c, m, k, n);
+    }
     #[cfg(target_arch = "aarch64")]
     if let Some((af, bf, cf)) = crate::backend::f32_views(a, b, c) {
         // SAFETY: NEON is baseline on aarch64; assert_lens bounds every index.
@@ -187,7 +210,32 @@ pub(crate) fn gemm_tn_accum<T: Float>(
         // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
         return unsafe { simd::x86::gemm::<T, true>(alpha, a, b, c, m, k, n) };
     }
+    if narrow(k, n) {
+        return reference::gemm_rows::<T, true>(alpha, a, b, c, m, k, n);
+    }
     reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+}
+
+/// `C = act(A · W + b)` over raw slices (`A: m×k`, `W: k×n`, `b: 1×n`) for
+/// a narrow product: [`reference::affine_rows`], inlined into the
+/// `avx2,fma` wrapper where the host has those units, as written elsewhere.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn affine_narrow<T: Float>(
+    act: Activation,
+    a: &[T],
+    w: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::detect() {
+        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
+        return unsafe { simd::x86::affine(act, a, w, b, c, m, k, n) };
+    }
+    reference::affine_rows(act, a, w, b, c, m, k, n);
 }
 
 /// FLOPs one round of [`fma_chains`] performs.

@@ -47,6 +47,7 @@ pub mod reference;
 pub mod scalar;
 pub mod workspace;
 
+pub use activation::Activation;
 pub use alloc_track::CountingAlloc;
 pub use backend::{
     int8_bound, roundtrip_quantize, Backend, BackendKind, Int8Backend, KernelBackend,

@@ -23,6 +23,7 @@
 //! Every loop is `#[inline(always)]` so that it takes on the target
 //! features of the wrapper it is inlined into.
 
+use crate::activation::Activation;
 use crate::gemm::{checked, Op, KC, MC, MR, NR};
 use crate::matrix::Matrix;
 use crate::scalar::Float;
@@ -251,6 +252,131 @@ pub(crate) fn gemm_tn_accum<T: Float>(
                 }
             }
         }
+    }
+}
+
+/// One row of a narrow product (`n < 2·NR` columns, one `KC` block): the
+/// chain `s[j] = fma(alpha · A[p], B[p, j], s[j])` per column, `p`
+/// ascending from zero, with `A[p]` at `a[p * cs]` and `B` `k×n`, as in
+/// [`micro_kernel`]. The columns go in groups of 8, 4, 2 and 1, each group
+/// a constant width so that its accumulators stay in registers; every
+/// column is its own chain, so the grouping changes no bit.
+#[inline(always)]
+fn row_chains<T: Float>(alpha: T, a: &[T], cs: usize, b: &[T], k: usize, n: usize) -> [T; 2 * NR] {
+    let mut acc = [T::ZERO; 2 * NR];
+    let mut j0 = 0;
+    if n - j0 >= 8 {
+        lane_chains::<T, 8>(alpha, a, cs, b, k, n, j0, &mut acc);
+        j0 += 8;
+    }
+    if n - j0 >= 4 {
+        lane_chains::<T, 4>(alpha, a, cs, b, k, n, j0, &mut acc);
+        j0 += 4;
+    }
+    if n - j0 >= 2 {
+        lane_chains::<T, 2>(alpha, a, cs, b, k, n, j0, &mut acc);
+        j0 += 2;
+    }
+    if n - j0 >= 1 {
+        lane_chains::<T, 1>(alpha, a, cs, b, k, n, j0, &mut acc);
+    }
+    acc
+}
+
+/// Columns `j0..j0 + W` of [`row_chains`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn lane_chains<T: Float, const W: usize>(
+    alpha: T,
+    a: &[T],
+    cs: usize,
+    b: &[T],
+    k: usize,
+    n: usize,
+    j0: usize,
+    acc: &mut [T; 2 * NR],
+) {
+    let mut lanes = [T::ZERO; W];
+    for p in 0..k {
+        let av = alpha * a[p * cs];
+        for (s, &bv) in lanes.iter_mut().zip(&b[p * n + j0..p * n + j0 + W]) {
+            *s = av.mul_add(bv, *s);
+        }
+    }
+    acc[j0..j0 + W].copy_from_slice(&lanes);
+}
+
+/// `C += alpha · A · B` (or `Aᵀ · B` with `A` stored `k×m` when `TRANS_A`)
+/// for a narrow product ([`crate::gemm::narrow`]): [`row_chains`] per row
+/// of `C`, flushed once — [`gemm_accum`]'s / [`gemm_tn_accum`]'s
+/// operation sequence per element without the blocked nest.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn gemm_rows<T: Float, const TRANS_A: bool>(
+    alpha: T,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // `A[i, p]` lives at `a[i * rs + p * cs]`.
+    let (rs, cs) = if TRANS_A { (1, m) } else { (k, 1) };
+    for i in 0..m {
+        let acc = row_chains(alpha, &a[i * rs..], cs, b, k, n);
+        for (cv, accv) in c[i * n..(i + 1) * n].iter_mut().zip(acc) {
+            *cv += accv;
+        }
+    }
+}
+
+/// `C = act(A · W + b)` for a narrow product, one pass per row: the row's
+/// FMA chains, `0 + acc` (the zero-filled `C` the blocked route
+/// accumulates into, which turns a `−0` into `+0`), `+ b[j]`, then the
+/// activation per element — the blocked route's `gemm → add_bias →
+/// activation` sequence, so its bits.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn affine_rows<T: Float>(
+    act: Activation,
+    a: &[T],
+    w: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // One copy of the row loop per activation, `act` a constant in each.
+    match act {
+        Activation::Identity => affine_rows_as(Activation::Identity, a, w, b, c, m, k, n),
+        Activation::Sigmoid => affine_rows_as(Activation::Sigmoid, a, w, b, c, m, k, n),
+        Activation::Tanh => affine_rows_as(Activation::Tanh, a, w, b, c, m, k, n),
+        Activation::LstmGates => affine_rows_as(Activation::LstmGates, a, w, b, c, m, k, n),
+    }
+}
+
+/// The body of [`affine_rows`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn affine_rows_as<T: Float>(
+    act: Activation,
+    a: &[T],
+    w: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for i in 0..m {
+        let mut acc = row_chains(T::ONE, &a[i * k..], 1, w, k, n);
+        for (v, &bv) in acc.iter_mut().zip(&b[..n]) {
+            *v = (T::ZERO + *v) + bv;
+        }
+        act.apply_lanes(&mut acc, n);
+        c[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
     }
 }
 

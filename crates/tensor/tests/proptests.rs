@@ -2,7 +2,7 @@
 
 use bpar_tensor::activation::{sigmoid_slice, tanh_slice};
 use bpar_tensor::gemm::{gemm, gemm_naive, gemm_nt, gemm_tn};
-use bpar_tensor::{init, ops, reference, Float, Matrix};
+use bpar_tensor::{init, ops, reference, Activation, Backend, Float, Matrix, Workspace};
 use proptest::prelude::*;
 
 /// Strategy: matrix of the given shape with small bounded values.
@@ -58,6 +58,164 @@ proptest! {
             on_copy(&c0, |c| reference::gemm_tn(alpha, &at, &b, beta, c)),
             "tn {}x{}x{}", m, k, n
         );
+    }
+}
+
+/// Bitwise equality, a NaN matching any NaN (`fmaf` and the FMA unit agree
+/// on where a NaN appears, not on its payload).
+fn same_bits<T: Float>(got: &Matrix<T>, want: &Matrix<T>) -> bool {
+    got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| {
+        let (x, y) = (x.to_f64(), y.to_f64());
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    })
+}
+
+/// `act(z·W + b)` the long way: the blocked portable GEMM into a zeroed
+/// matrix, a plain bias loop, then one `Float` call per element.
+fn affine_oracle<T: Float>(
+    act: Activation,
+    z: &Matrix<T>,
+    w: &Matrix<T>,
+    b: &Matrix<T>,
+) -> Matrix<T> {
+    let n = w.cols();
+    let mut out = Matrix::zeros(z.rows(), n);
+    reference::gemm(T::ONE, z, w, T::ZERO, &mut out);
+    let h = n / 4;
+    Matrix::from_fn(z.rows(), n, |r, j| {
+        let v = out.get(r, j) + b.get(0, j);
+        match act {
+            Activation::Identity => v,
+            Activation::Sigmoid => v.sigmoid(),
+            Activation::Tanh => v.tanh(),
+            Activation::LstmGates if (2 * h..3 * h).contains(&j) => v.tanh(),
+            Activation::LstmGates => v.sigmoid(),
+        }
+    })
+}
+
+/// Non-finite and signed-zero operands, and subnormals of both precisions.
+fn special() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(1e-40),
+        Just(-1e-310),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ]
+}
+
+/// `Backend::affine` under `scalar` and `simd` against [`affine_oracle`]
+/// for one shape, every activation, with `specials` written over the
+/// operands (`(which operand, index, value)`).
+fn affine_case<T: Float>(
+    m: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+    specials: &[(usize, usize, f64)],
+) {
+    let mut z: Matrix<T> = init::uniform(m, k, -2.0, 2.0, seed);
+    let mut w: Matrix<T> = init::uniform(k, n, -2.0, 2.0, seed + 1);
+    let mut b: Matrix<T> = init::uniform(1, n, -2.0, 2.0, seed + 2);
+    for &(which, i, v) in specials {
+        let m = [&mut z, &mut w, &mut b][which % 3].as_mut_slice();
+        let len = m.len();
+        m[i % len] = T::from_f64(v);
+    }
+    for act in [
+        Activation::Identity,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::LstmGates,
+    ] {
+        // The LSTM layout needs four equal blocks.
+        let n = if act == Activation::LstmGates {
+            n - n % 4
+        } else {
+            n
+        };
+        if n == 0 {
+            continue;
+        }
+        let w = Matrix::from_fn(k, n, |r, c| w.get(r, c));
+        let b = Matrix::from_fn(1, n, |_, c| b.get(0, c));
+        let want = affine_oracle(act, &z, &w, &b);
+        for be in [Backend::scalar(), Backend::simd()] {
+            // Garbage in `out`: the call must overwrite all of it.
+            let mut got = Matrix::full(m, n, T::from_f64(f64::NAN));
+            be.affine(act, &z, &w, &b, &mut got, &mut Workspace::new());
+            assert!(
+                same_bits(&got, &want),
+                "{act:?} {:?} {m}x{k}x{n}",
+                be.kind()
+            );
+        }
+    }
+}
+
+proptest! {
+    // Up to 70×600×200, four activations, two precisions, two backends.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Backend::affine` equals the blocked GEMM, a bias loop and one
+    /// activation call per element, bit for bit, on both sides of the
+    /// narrow route (`n < 16`, `k ≤ 256`), with ±0, subnormal, ±inf and NaN
+    /// operands mixed in.
+    #[test]
+    fn affine_equals_gemm_bias_and_activation_bitwise(
+        m in 1usize..70,
+        k in 1usize..600,
+        n in prop_oneof![1usize..16, 1usize..200],
+        seed in 0u64..1000,
+        specials in proptest::collection::vec((0usize..3, 0usize..1 << 20, special()), 0..4),
+    ) {
+        affine_case::<f32>(m, k, n, seed, &specials);
+        affine_case::<f64>(m, k, n, seed, &specials);
+    }
+}
+
+/// Every narrow width at one row — the shape a single request gives every
+/// gate product and gradient of a tiny cell — and a few rows, at depths on
+/// both sides of `KC`: the dispatched GEMMs and both backend handles equal
+/// the blocked portable loops bit for bit.
+#[test]
+fn narrow_gemms_equal_reference_bitwise() {
+    for m in [1usize, 2, 5] {
+        for n in 1usize..=16 {
+            for k in [1usize, 2, 7, 256, 257] {
+                let a: Matrix<f32> = init::uniform(m, k, -1.0, 1.0, (m * n + k) as u64);
+                let b: Matrix<f32> = init::uniform(k, n, -1.0, 1.0, 7);
+                let c0: Matrix<f32> = init::uniform(m, n, -1.0, 1.0, 8);
+                let (at, bt) = (a.transposed(), b.transposed());
+                let what = format!("{m}x{k}x{n}");
+                let nn = on_copy(&c0, |c| reference::gemm(0.5, &a, &b, 1.0, c));
+                let nt = on_copy(&c0, |c| reference::gemm_nt(0.5, &a, &bt, 1.0, c));
+                let tn = on_copy(&c0, |c| reference::gemm_tn(0.5, &at, &b, 1.0, c));
+                assert_eq!(on_copy(&c0, |c| gemm(0.5, &a, &b, 1.0, c)), nn, "nn {what}");
+                assert_eq!(
+                    on_copy(&c0, |c| gemm_nt(0.5, &a, &bt, 1.0, c)),
+                    nt,
+                    "nt {what}"
+                );
+                assert_eq!(
+                    on_copy(&c0, |c| gemm_tn(0.5, &at, &b, 1.0, c)),
+                    tn,
+                    "tn {what}"
+                );
+                for be in [Backend::scalar(), Backend::simd()] {
+                    let mut ws = Workspace::new();
+                    let got = on_copy(&c0, |c| be.gemm(0.5, &a, &b, 1.0, c, &mut ws));
+                    assert_eq!(got, nn, "{:?} nn {what}", be.kind());
+                    let got = on_copy(&c0, |c| be.gemm_nt(0.5, &a, &bt, 1.0, c));
+                    assert_eq!(got, nt, "{:?} nt {what}", be.kind());
+                    let got = on_copy(&c0, |c| be.gemm_tn(0.5, &at, &b, 1.0, c));
+                    assert_eq!(got, tn, "{:?} tn {what}", be.kind());
+                }
+            }
+        }
     }
 }
 
