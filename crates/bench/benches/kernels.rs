@@ -1,9 +1,11 @@
 //! Criterion benchmarks of the dense kernels that make up a B-Par task
-//! body: blocked GEMM at RNN-cell shapes, and full LSTM/GRU cell updates
-//! (forward and backward) into persistent buffers with one workspace, as
-//! a warm task body runs them.
+//! body: blocked GEMM at RNN-cell shapes, full LSTM/GRU cell updates
+//! (forward, and backward inside the BPTT chain) into persistent buffers
+//! with one workspace, as a warm task body runs them, and the classifier
+//! head's backward.
 
 use bpar_core::cell::{CellCache, CellKind, CellParams, CellState, StateGrad};
+use bpar_core::dense::DenseParams;
 use bpar_tensor::{gemm, init, Backend, Matrix, Workspace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -60,16 +62,39 @@ fn bench_cells(c: &mut Criterion) {
             })
         });
 
+        // A BPTT step inside the chain: upstream `dh` plus the recurrent
+        // gradient of the step after it.
         let dh: Matrix<f32> = init::uniform(batch, hidden, -1.0, 1.0, 5);
+        let mut rec = StateGrad::zeros(kind, batch, hidden);
+        rec.dh = init::uniform(batch, hidden, -1.0, 1.0, 6);
+        if let Some(dc) = &mut rec.dc {
+            *dc = init::uniform(batch, hidden, -1.0, 1.0, 7);
+        }
         let mut grads = params.zeros_like();
         let mut dx = Matrix::zeros(batch, input);
         let mut dprev = StateGrad::zeros(kind, batch, hidden);
         group.bench_function(format!("{kind:?}_backward/{shape}"), |bench| {
             bench.iter(|| {
-                let dh = black_box(&dh);
+                let (dh, rec) = (black_box(&dh), Some(black_box(&rec)));
                 params.backward(
-                    &cache, dh, None, &mut grads, &mut dx, &mut dprev, &mut ws, be,
+                    &cache, dh, rec, &mut grads, &mut dx, &mut dprev, &mut ws, be,
                 );
+                black_box(dx.get(0, 0))
+            })
+        });
+    }
+    // The classifier head's backward into 11 classes: `fine_grain`'s one
+    // row of two features, and a 16-row batch of 48.
+    for (batch, input) in [(1usize, 2usize), (16, 48)] {
+        let dense: DenseParams<f32> = DenseParams::init(input, 11, 3);
+        let x: Matrix<f32> = init::uniform(batch, input, -1.0, 1.0, 4);
+        let dlogits: Matrix<f32> = init::uniform(batch, 11, -1.0, 1.0, 5);
+        let mut grads = dense.zeros_like();
+        let mut dx = Matrix::zeros(batch, input);
+        group.bench_function(format!("Dense_backward/{batch}x{input}x11"), |bench| {
+            bench.iter(|| {
+                let dlogits = black_box(&dlogits);
+                dense.backward(&x, dlogits, &mut grads, &mut dx, Backend::default());
                 black_box(dx.get(0, 0))
             })
         });

@@ -13,7 +13,6 @@
 
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
-use bpar_tensor::ops::column_sums_into;
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused GRU parameters for one layer and direction.
@@ -157,6 +156,12 @@ impl<T: Float> GruParams<T> {
     /// [`super::CellParams::backward`] for the argument contract: `dx` and
     /// `dprev` are caller-provided output buffers (fully overwritten),
     /// transient scratch comes from `ws`.
+    ///
+    /// Three element-wise passes around the two gate products' backward
+    /// ([`Backend::affine_grad`]), on three pool buffers: `[dZ, dR]`, the
+    /// fused kernel's pre-σ gradient, written in place; the candidate's
+    /// pre-tanh gradient `dH̄`; and one input-gradient block that both
+    /// products write in turn.
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -170,102 +175,64 @@ impl<T: Float> GruParams<T> {
         be: Backend,
     ) {
         let batch = dh.rows();
-        let h = self.hidden;
+        let (input, h) = (self.input, self.hidden);
         assert_eq!(dh.shape(), (batch, h), "dh shape");
-        assert_eq!(dx.shape(), (batch, self.input), "dx buffer shape");
+        assert_eq!(dx.shape(), (batch, input), "dx buffer shape");
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
+        let mut dzr = ws.checkout(batch, 2 * h);
+        let mut dhbar = ws.checkout(batch, h);
+        let mut din = ws.checkout(batch, input + h);
 
-        let mut dh_total = ws.checkout(batch, h);
-        dh_total.copy_from(dh);
-        if let Some(sg) = dstate {
-            be.axpy(T::ONE, &sg.dh, &mut dh_total);
-        }
-
-        // Through Eq. (10).
-        let mut dhbar_pre = ws.checkout(batch, h); // pre-tanh candidate grad
-        let mut dz_pre = ws.checkout(batch, h);
+        // Through Eq. (10), from dH_t = upstream + recurrent: the (1-Z)
+        // path into dH_{t-1}, the candidate's and the update gate's
+        // pre-activation gradients.
+        let rec = dstate.map(|s| &s.dh);
         for row in 0..batch {
             let (zs, hb) = (cache.zr.row(row), cache.hbar.row(row));
             let hp = cache.h_prev.row(row);
-            let dht = dh_total.row(row);
-            {
-                let dp = dprev.dh.row_mut(row);
-                for j in 0..h {
-                    dp[j] = dht[j] * (T::ONE - zs[j]); // (1-Z) path
-                }
-            }
-            {
-                let dhb = dhbar_pre.row_mut(row);
-                for j in 0..h {
-                    dhb[j] = dht[j] * zs[j] * dtanh_from_y(hb[j]);
-                }
-            }
-            {
-                let dz = dz_pre.row_mut(row);
-                for j in 0..h {
-                    dz[j] = dht[j] * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
-                }
+            let (dhr, recr) = (dh.row(row), rec.map(|m| m.row(row)));
+            let (dp, dhb) = (dprev.dh.row_mut(row), dhbar.row_mut(row));
+            let dz = dzr.row_mut(row);
+            for j in 0..h {
+                let dht = recr.map_or(dhr[j], |r| dhr[j] + r[j]);
+                dp[j] = dht * (T::ONE - zs[j]);
+                dhb[j] = dht * zs[j] * dtanh_from_y(hb[j]);
+                dz[j] = dht * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
             }
         }
 
-        // Candidate kernel gradients and input gradient.
-        be.gemm_tn(T::ONE, &cache.h_in, &dhbar_pre, T::ONE, &mut grads.wh);
-        let mut dbh = ws.checkout(1, h);
-        column_sums_into(&dhbar_pre, &mut dbh);
-        be.axpy(T::ONE, &dbh, &mut grads.bh);
-        let mut dh_in = ws.checkout(batch, self.input + h);
-        be.gemm_nt(T::ONE, &dhbar_pre, &self.wh, T::ZERO, &mut dh_in);
-
-        // Split dh_in into dX (part 1) and d(R ⊙ H_prev).
-        let mut dr_pre = ws.checkout(batch, h);
+        // Candidate kernel: dWh, dBh and d[X, R ⊙ H_{t-1}]; then dX, and
+        // through R ⊙ H_{t-1} the reset gate's pre-activation gradient and
+        // the R path into dH_{t-1}.
+        let (gw, gb) = (&mut grads.wh, &mut grads.bh);
+        be.affine_grad(&cache.h_in, &dhbar, &self.wh, gw, gb, &mut din);
         for row in 0..batch {
-            let src = dh_in.row(row);
-            dx.row_mut(row).copy_from_slice(&src[..self.input]);
+            let (src, drh) = din.row(row).split_at(input);
+            dx.row_mut(row).copy_from_slice(src);
             let (rs, hp) = (&cache.zr.row(row)[h..], cache.h_prev.row(row));
-            // dRH = src[input..]; dR = dRH ⊙ H_prev, dH_prev += dRH ⊙ R.
-            {
-                let drp = dr_pre.row_mut(row);
-                for j in 0..h {
-                    let drh = src[self.input + j];
-                    drp[j] = drh * hp[j] * dsigmoid_from_y(rs[j]);
-                }
-            }
-            let dp = dprev.dh.row_mut(row);
+            let (dr, dp) = (&mut dzr.row_mut(row)[h..], dprev.dh.row_mut(row));
             for j in 0..h {
-                dp[j] += src[self.input + j] * rs[j];
+                dr[j] = drh[j] * hp[j] * dsigmoid_from_y(rs[j]);
+                dp[j] += drh[j] * rs[j];
             }
         }
 
-        // Fused z/r kernel gradients and input gradient.
-        let mut dzr_pre = ws.checkout(batch, 2 * h);
-        Matrix::hstack_into(&[&dz_pre, &dr_pre], &mut dzr_pre);
-        be.gemm_tn(T::ONE, &cache.zr_in, &dzr_pre, T::ONE, &mut grads.wzr);
-        let mut dbzr = ws.checkout(1, 2 * h);
-        column_sums_into(&dzr_pre, &mut dbzr);
-        be.axpy(T::ONE, &dbzr, &mut grads.bzr);
-        let mut dzr_in = ws.checkout(batch, self.input + h);
-        be.gemm_nt(T::ONE, &dzr_pre, &self.wzr, T::ZERO, &mut dzr_in);
+        // Fused z/r kernel: dWzr, dBzr and d[X, H_{t-1}], added in.
+        let (gw, gb) = (&mut grads.wzr, &mut grads.bzr);
+        be.affine_grad(&cache.zr_in, &dzr, &self.wzr, gw, gb, &mut din);
         for row in 0..batch {
-            let src = dzr_in.row(row);
-            let dxr = dx.row_mut(row);
-            for j in 0..self.input {
-                dxr[j] += src[j];
+            let (src, srch) = din.row(row).split_at(input);
+            for (d, &s) in dx.row_mut(row).iter_mut().zip(src) {
+                *d += s;
             }
-            let dp = dprev.dh.row_mut(row);
-            for j in 0..h {
-                dp[j] += src[self.input + j];
+            for (d, &s) in dprev.dh.row_mut(row).iter_mut().zip(srch) {
+                *d += s;
             }
         }
 
-        ws.give_back(dh_total);
-        ws.give_back(dhbar_pre);
-        ws.give_back(dz_pre);
-        ws.give_back(dbh);
-        ws.give_back(dh_in);
-        ws.give_back(dr_pre);
-        ws.give_back(dzr_pre);
-        ws.give_back(dbzr);
-        ws.give_back(dzr_in);
+        ws.give_back(dzr);
+        ws.give_back(dhbar);
+        ws.give_back(din);
     }
 }
 

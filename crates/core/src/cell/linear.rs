@@ -145,17 +145,14 @@ impl<T: Float> LinearParams<T> {
             be.axpy(T::ONE, &sg.dh, &mut delta);
         }
 
-        be.gemm_tn(T::ONE, &cache.x, &delta, T::ONE, &mut grads.w);
-        let mut row = ws.checkout(1, h);
-        column_sums_into(&delta, &mut row);
-        be.axpy(T::ONE, &row, &mut grads.b);
+        be.affine_grad(&cache.x, &delta, &self.w, &mut grads.w, &mut grads.b, dx);
 
+        let mut row = ws.checkout(1, h);
         let mut dl = ws.checkout(batch, h);
         be.hadamard(&delta, &cache.h_prev, &mut dl);
         column_sums_into(&dl, &mut row);
         be.axpy(T::ONE, &row, &mut grads.lambda);
 
-        be.gemm_nt(T::ONE, &delta, &self.w, T::ZERO, dx);
         dprev.dh.copy_from(&delta);
         be.row_scale(&self.lambda, &mut dprev.dh);
 

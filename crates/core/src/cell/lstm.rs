@@ -16,7 +16,6 @@
 
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
-use bpar_tensor::ops::column_sums_into;
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused LSTM parameters for one layer and direction.
@@ -183,20 +182,15 @@ impl<T: Float> LstmParams<T> {
         assert_eq!(dx.shape(), (batch, self.input), "dx buffer shape");
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
 
-        // Total dH_t: upstream plus recurrent.
-        let mut dh_total = ws.checkout(batch, h);
-        dh_total.copy_from(dh);
-        if let Some(sg) = dstate {
-            be.axpy(T::ONE, &sg.dh, &mut dh_total);
-        }
-
-        // Gate pre-activation gradients, fused layout [i, f, g, o].
+        // Gate pre-activation gradients, fused layout [i, f, g, o], from
+        // dH_t = upstream + recurrent.
         let mut dgates = ws.checkout(batch, 4 * h);
         let dc_prev = dprev
             .dc
             .as_mut()
             .expect("LSTM gradient buffer needs a dC slot");
         assert_eq!(dc_prev.shape(), (batch, h), "dC_prev buffer shape");
+        let (rec_h, rec_c) = (dstate.map(|s| &s.dh), dstate.and_then(|s| s.dc.as_ref()));
         for r in 0..batch {
             let grow = cache.gates.row(r);
             let (gi, rest) = grow.split_at(h);
@@ -204,14 +198,15 @@ impl<T: Float> LstmParams<T> {
             let (gg, go) = rest.split_at(h);
             let tc = cache.tanh_c.row(r);
             let cp = cache.c_prev.row(r);
-            let dht = dh_total.row(r);
-            let dcr = dstate.and_then(|s| s.dc.as_ref()).map(|m| m.row(r));
+            let (dhr, rec_hr) = (dh.row(r), rec_h.map(|m| m.row(r)));
+            let dcr = rec_c.map(|m| m.row(r));
 
             let dgrow = dgates.row_mut(r);
             let dcp = dc_prev.row_mut(r);
             for j in 0..h {
+                let dht = rec_hr.map_or(dhr[j], |d| dhr[j] + d[j]);
                 // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
-                let mut dc = dht[j] * go[j] * dtanh_from_y(tc[j]);
+                let mut dc = dht * go[j] * dtanh_from_y(tc[j]);
                 if let Some(d) = dcr {
                     dc += d[j];
                 }
@@ -219,7 +214,7 @@ impl<T: Float> LstmParams<T> {
                 let di = dc * gg[j] * dsigmoid_from_y(gi[j]);
                 let df = dc * cp[j] * dsigmoid_from_y(gf[j]);
                 let dg = dc * gi[j] * dtanh_from_y(gg[j]);
-                let do_ = dht[j] * tc[j] * dsigmoid_from_y(go[j]);
+                let do_ = dht * tc[j] * dsigmoid_from_y(go[j]);
                 dgrow[j] = di;
                 dgrow[h + j] = df;
                 dgrow[2 * h + j] = dg;
@@ -228,25 +223,19 @@ impl<T: Float> LstmParams<T> {
             }
         }
 
-        // dZ = dG Wᵀ  →  split into dX and dH_{t-1}.
+        // dW += Zᵀ dG ;  dB += Σ_batch dG ;  dZ = dG Wᵀ, split into dX and
+        // dH_{t-1}.
         let mut dz = ws.checkout(batch, self.input + h);
-        be.gemm_nt(T::ONE, &dgates, &self.w, T::ZERO, &mut dz);
+        let (gw, gb) = (&mut grads.w, &mut grads.b);
+        be.affine_grad(&cache.z, &dgates, &self.w, gw, gb, &mut dz);
         for r in 0..batch {
-            let row = dz.row(r);
-            dx.row_mut(r).copy_from_slice(&row[..self.input]);
-            dprev.dh.row_mut(r).copy_from_slice(&row[self.input..]);
+            let (dxr, dhr) = dz.row(r).split_at(self.input);
+            dx.row_mut(r).copy_from_slice(dxr);
+            dprev.dh.row_mut(r).copy_from_slice(dhr);
         }
 
-        // dW += Zᵀ dG ;  dB += Σ_batch dG.
-        be.gemm_tn(T::ONE, &cache.z, &dgates, T::ONE, &mut grads.w);
-        let mut db = ws.checkout(1, 4 * h);
-        column_sums_into(&dgates, &mut db);
-        be.axpy(T::ONE, &db, &mut grads.b);
-
-        ws.give_back(dh_total);
         ws.give_back(dgates);
         ws.give_back(dz);
-        ws.give_back(db);
     }
 }
 

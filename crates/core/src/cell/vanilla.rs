@@ -7,7 +7,6 @@
 
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::dtanh_from_y;
-use bpar_tensor::ops::column_sums_into;
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Vanilla RNN parameters for one layer and direction.
@@ -117,29 +116,23 @@ impl<T: Float> VanillaParams<T> {
         assert_eq!(dx.shape(), (batch, self.input), "dx buffer shape");
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
 
+        // dpre = (dH_t + recurrent dH) ⊙ tanh'.
         let mut dpre = ws.checkout(batch, h);
-        dpre.copy_from(dh);
-        if let Some(sg) = dstate {
-            be.axpy(T::ONE, &sg.dh, &mut dpre);
+        let rec = dstate.map(|s| s.dh.as_slice());
+        let (dhs, ys) = (dh.as_slice(), cache.h.as_slice());
+        for (i, v) in dpre.as_mut_slice().iter_mut().enumerate() {
+            *v = rec.map_or(dhs[i], |r| dhs[i] + r[i]) * dtanh_from_y(ys[i]);
         }
-        for (v, &y) in dpre.as_mut_slice().iter_mut().zip(cache.h.as_slice()) {
-            *v *= dtanh_from_y(y);
-        }
-
-        be.gemm_tn(T::ONE, &cache.z, &dpre, T::ONE, &mut grads.w);
-        let mut db = ws.checkout(1, h);
-        column_sums_into(&dpre, &mut db);
-        be.axpy(T::ONE, &db, &mut grads.b);
 
         let mut dz = ws.checkout(batch, self.input + h);
-        be.gemm_nt(T::ONE, &dpre, &self.w, T::ZERO, &mut dz);
+        let (gw, gb) = (&mut grads.w, &mut grads.b);
+        be.affine_grad(&cache.z, &dpre, &self.w, gw, gb, &mut dz);
         for r in 0..batch {
-            let row = dz.row(r);
-            dx.row_mut(r).copy_from_slice(&row[..self.input]);
-            dprev.dh.row_mut(r).copy_from_slice(&row[self.input..]);
+            let (dxr, dhr) = dz.row(r).split_at(self.input);
+            dx.row_mut(r).copy_from_slice(dxr);
+            dprev.dh.row_mut(r).copy_from_slice(dhr);
         }
         ws.give_back(dpre);
-        ws.give_back(db);
         ws.give_back(dz);
     }
 }

@@ -4,7 +4,6 @@
 //! Many-to-one models apply this once, to the final merge cell's output;
 //! many-to-many models apply it per timestep with shared weights.
 
-use bpar_tensor::ops::column_sums_into;
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Dense layer parameters: `W: in × out`, `b: 1 × out`.
@@ -47,24 +46,17 @@ impl<T: Float> DenseParams<T> {
 
     /// Backward pass: given `x` and `dlogits`, accumulates `dW`, `dB` into
     /// `grads` and writes `dx` into a caller-provided buffer (fully
-    /// overwritten). The bias-gradient scratch row comes from `ws` and the
-    /// GEMMs dispatch through `be`.
+    /// overwritten), in one [`Backend::affine_grad`] call.
     pub fn backward(
         &self,
         x: &Matrix<T>,
         dlogits: &Matrix<T>,
         grads: &mut DenseParams<T>,
         dx: &mut Matrix<T>,
-        ws: &mut Workspace<T>,
         be: Backend,
     ) {
         assert_eq!(dx.shape(), x.shape(), "dx buffer shape");
-        be.gemm_tn(T::ONE, x, dlogits, T::ONE, &mut grads.w);
-        let mut db = ws.checkout(1, dlogits.cols());
-        column_sums_into(dlogits, &mut db);
-        be.axpy(T::ONE, &db, &mut grads.b);
-        be.gemm_nt(T::ONE, dlogits, &self.w, T::ZERO, dx);
-        ws.give_back(db);
+        be.affine_grad(x, dlogits, &self.w, &mut grads.w, &mut grads.b, dx);
     }
 
     /// Adds `other` into `self` (gradient reduction across replicas).
@@ -104,14 +96,7 @@ mod tests {
 
         let mut grads = p.zeros_like();
         let mut dx = Matrix::zeros(4, 3);
-        p.backward(
-            &x,
-            &s,
-            &mut grads,
-            &mut dx,
-            &mut Workspace::new(),
-            Backend::default(),
-        );
+        p.backward(&x, &s, &mut grads, &mut dx, Backend::default());
         let eps = 1e-6;
         for &(r, c) in &[(0, 0), (1, 1), (2, 0)] {
             let mut pp = p.clone();

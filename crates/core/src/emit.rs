@@ -175,16 +175,16 @@ pub(crate) enum Kind {
 impl Kind {
     /// The kind whose runs [`coarsen`] folds this one into — consecutive
     /// nodes of one family (and one layer, direction and replica) form a
-    /// run: `dense` folds with the `merge_final` it reads, the backward
-    /// seed with its `loss`. `None` for kinds that are never folded (scan
+    /// run: the output head is one family, `merge_final` with the `dense`
+    /// that reads it (inference) or with the `loss` and backward seed that
+    /// follow it (training). `None` for kinds that are never folded (scan
     /// sweeps are chunked already; reductions and ablation nodes stand
     /// alone).
     fn family(self) -> Option<Kind> {
         use Kind::*;
         match self {
-            Cell | Merge | MergeFinal | Loss | CellBwd | MergeBwd => Some(self),
-            Dense => Some(MergeFinal),
-            MergeBwdFinal => Some(Loss),
+            Cell | Merge | CellBwd | MergeBwd => Some(self),
+            MergeFinal | Dense | Loss | MergeBwdFinal => Some(MergeFinal),
             _ => None,
         }
     }
@@ -915,15 +915,16 @@ impl Coarsen {
 
 /// Granularity transform, the inverse of [`split_cells`]: folds every `k`
 /// consecutive timesteps (or output positions) of one kind family × layer
-/// × direction × replica into one node — forward cells, merges,
-/// `merge_final` with its `dense` head, `loss` with its backward seed,
-/// BPTT cells, inner `merge_bwd`. Consecutive phases of a replica's
-/// stream differ in family, layer or direction, so no run crosses from
-/// one phase into the next.
+/// × direction × replica into one node — forward cells, merges, the
+/// output head (`merge_final` with its `dense`, or with its `loss` and
+/// backward seed), BPTT cells, inner `merge_bwd`. Consecutive phases of a
+/// replica's stream differ in family, layer or direction, so no run
+/// crosses from one phase into the next.
 ///
 /// The folded node reads what its members read less what an earlier member
 /// writes, writes what any member writes, sums their flops and working
-/// sets, carries the first member's label and tag, and its body runs the
+/// sets, carries the first member's tag and label — a folded training
+/// head is labelled `loss`, the work that dominates it — and its body runs the
 /// members' work in stream order ([`Stream::members`]) — for a run of
 /// forward or BPTT cells as one chain body that takes the weight snapshot
 /// and the worker's scratch once, with the members' slot accesses. A fold
@@ -961,7 +962,11 @@ fn coarsen(stream: Stream, k: usize, marks: &mut FoldMarks) -> Stream {
             ),
             _ => {
                 let members = [start, end];
-                out.push_union(Node { members, ..*first }, &stream, run, marks);
+                let mut node = Node { members, ..*first };
+                if run.iter().any(|m| m.kind == Kind::Loss) {
+                    node.kind = Kind::Loss;
+                }
+                out.push_union(node, &stream, run, marks);
             }
         }
         start = end;

@@ -450,7 +450,7 @@ fn classify_backprop<T: Float>(
     let mut dlogits = ws.checkout(logits.rows(), logits.cols());
     let loss = softmax_cross_entropy(logits, classes, &mut dlogits);
     bpar_tensor::ops::scale(scale, &mut dlogits);
-    dense.backward(x, &dlogits, g, dx, ws, be);
+    dense.backward(x, &dlogits, g, dx, be);
     ws.give_back(dlogits);
     loss
 }

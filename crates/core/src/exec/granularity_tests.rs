@@ -21,7 +21,10 @@ use bpar_runtime::{
     AccessRecorder, AdversarialOrder, RegionId, Runtime, RuntimeConfig, SchedulerPolicy,
 };
 use bpar_tensor::{init, Backend, Matrix};
-use bpar_verify::{check_happens_before, default_region_name, validate_clauses, GraphView};
+use bpar_verify::{
+    check_happens_before, default_region_name, expected_shape, validate_clauses, GraphView,
+    ShapeSpec,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -143,18 +146,46 @@ fn folded_plans_run_the_closed_form_task_count() {
         merge: MergeMode::Sum,
         kind: ModelKind::ManyToMany,
     };
-    let (xs, _) = batch_for(&cfg, 1, 3);
+    let (xs, target) = batch_for(&cfg, 1, 3);
     let model: Brnn<f64> = Brnn::new(cfg, 3);
-    let tasks = |coarsen| {
+    let tasks = |coarsen, train| {
         let exec = TaskGraphExec::new(1).with_coarsen(coarsen);
-        exec.forward(&model, &xs);
+        if train {
+            exec.train_batch(&mut model.clone(), &xs, &target, &mut Sgd::new(0.1));
+        } else {
+            exec.forward(&model, &xs);
+        }
         exec.runtime().stats().tasks
     };
+    let closed_form = |k, training| {
+        let shape = ShapeSpec {
+            layers: 2,
+            seq: 7,
+            outputs: 7,
+            replicas: 1,
+            training,
+            scan_chunks: None,
+            coarsen: k,
+        };
+        expected_shape(&shape).tasks
+    };
     // 2LT cells + (L-1)T merges + 2n output tasks, then ⌈7/3⌉ = 3 per run.
-    assert_eq!(tasks(Coarsen::By(1)), 28 + 7 + 14);
-    assert_eq!(tasks(Coarsen::By(3)), 4 * 3 + 3 + 3);
-    assert_eq!(tasks(Coarsen::By(7)), 4 + 1 + 1);
-    assert_eq!(tasks(Coarsen::Rule), tasks(Coarsen::By(7)));
+    assert_eq!(tasks(Coarsen::By(1), false), 28 + 7 + 14);
+    assert_eq!(tasks(Coarsen::By(3), false), 4 * 3 + 3 + 3);
+    assert_eq!(tasks(Coarsen::By(7), false), 4 + 1 + 1);
+    assert_eq!(tasks(Coarsen::Rule, false), tasks(Coarsen::By(7), false));
+    // Training adds 2LT BPTT cells, (L-1)T inner merge_bwd and, per
+    // output position, the loss and the backward seed; folded, the whole
+    // head of a position run (merge_final, loss, seed) is one task.
+    assert_eq!(tasks(Coarsen::By(1), true), 56 + 14 + 21);
+    assert_eq!(tasks(Coarsen::By(3), true), 8 * 3 + 2 * 3 + 3);
+    assert_eq!(tasks(Coarsen::By(7), true), 8 + 2 + 1);
+    assert_eq!(tasks(Coarsen::Rule, true), tasks(Coarsen::By(7), true));
+    for k in [1, 3, 7] {
+        for train in [false, true] {
+            assert_eq!(tasks(Coarsen::By(k), train), closed_form(k, train));
+        }
+    }
 }
 
 /// One access of a task body: the region, read or write.

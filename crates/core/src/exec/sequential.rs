@@ -129,7 +129,6 @@ fn loss_and_dfeatures<T: Float>(
     trace: &FwdTrace<T>,
     target: &Target,
     grads: &mut BrnnGrads<T>,
-    ws: &mut Workspace<T>,
 ) -> (f64, Vec<Matrix<T>>) {
     // Softmax cross-entropy of output `t` against `classes`, its gradient
     // scaled by `scale`, then the classifier backward: `(loss, dfeat)`.
@@ -144,7 +143,7 @@ fn loss_and_dfeatures<T: Float>(
         let g = &mut grads.dense;
         model
             .dense
-            .backward(x, &dlogits, g, &mut dfeat, ws, Backend::default());
+            .backward(x, &dlogits, g, &mut dfeat, Backend::default());
         (loss, dfeat)
     };
     match (model.config.kind, target) {
@@ -285,7 +284,7 @@ impl SequentialExec {
         let ws = &mut Workspace::new();
         let mut grads = model.zero_grads();
         let trace = forward_trace(model, batch, ws);
-        let (loss, dfeats) = loss_and_dfeatures(model, &trace, target, &mut grads, ws);
+        let (loss, dfeats) = loss_and_dfeatures(model, &trace, target, &mut grads);
         backward_from_trace(model, &trace, &dfeats, &mut grads, ws);
         (loss, grads)
     }
@@ -458,7 +457,7 @@ mod tests {
             let mut g = m.zero_grads();
             let ws = &mut Workspace::new();
             let trace = forward_trace(m, &batch, ws);
-            let (l, _) = loss_and_dfeatures(m, &trace, &target, &mut g, ws);
+            let (l, _) = loss_and_dfeatures(m, &trace, &target, &mut g);
             l
         };
         let eps = 1e-6;

@@ -28,6 +28,7 @@
 //! on `f32` models; the kernel-level cases cover `f64` too.
 
 use bpar_core::cell::{CellCache, CellKind, CellParams, CellState, StateGrad};
+use bpar_core::dense::DenseParams;
 use bpar_core::exec::{Executor, SequentialExec, TaskGraphExec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
@@ -456,6 +457,223 @@ fn forward_equals_the_per_element_oracle_at_every_gate_width() {
                         assert_bits(got, field, &what(&format!("{be} cache.{name}")));
                     }
                 }
+            }
+        }
+    }
+}
+
+/// One gate product's backward the long way — the portable TN product into
+/// the weight gradient, a plain column-sum loop added into the bias
+/// gradient through `reference::axpy`, and the portable NT product into a
+/// zeroed matrix — returning the input-side gradient.
+fn gate_backward(
+    z: &Matrix<f32>,
+    dg: &Matrix<f32>,
+    w: &Matrix<f32>,
+    gw: &mut Matrix<f32>,
+    gb: &mut Matrix<f32>,
+) -> Matrix<f32> {
+    reference::gemm_tn(1.0, z, dg, 1.0, gw);
+    let mut sums = Matrix::zeros(1, dg.cols());
+    for r in 0..dg.rows() {
+        for j in 0..dg.cols() {
+            sums.set(0, j, sums.get(0, j) + dg.get(r, j));
+        }
+    }
+    reference::axpy(1.0, &sums, gb);
+    let mut dz = Matrix::zeros(z.rows(), z.cols());
+    reference::gemm_nt(1.0, dg, w, 0.0, &mut dz);
+    dz
+}
+
+/// Columns `[from, to)` of `m`.
+fn columns(m: &Matrix<f32>, from: usize, to: usize) -> Matrix<f32> {
+    Matrix::from_fn(m.rows(), to - from, |r, j| m.get(r, from + j))
+}
+
+/// One backward step written out per element, independently of the cells'
+/// code: `dH_t` plus the recurrent gradient through `reference::axpy`, the
+/// element-wise BPTT formulas in their original association, and
+/// [`gate_backward`] per gate product. Returns `(dX, dprev)` and
+/// accumulates into `grads`.
+fn per_element_backward(
+    p: &CellParams<f32>,
+    cache: &CellCache<f32>,
+    dh: &Matrix<f32>,
+    dstate: Option<&StateGrad<f32>>,
+    grads: &mut CellParams<f32>,
+) -> (Matrix<f32>, StateGrad<f32>) {
+    let dsig = |y: f32| y * (1.0 - y);
+    let dtanh = |y: f32| 1.0 - y * y;
+    let mut dht = dh.clone();
+    if let Some(s) = dstate {
+        reference::axpy(1.0, &s.dh, &mut dht);
+    }
+    let rows = dh.rows();
+    match (p, cache, grads) {
+        (CellParams::Lstm(p), CellCache::Lstm(c), CellParams::Lstm(g)) => {
+            let (h, gt) = (p.hidden, &c.gates);
+            let rec_c = dstate.and_then(|s| s.dc.as_ref());
+            let dc = Matrix::from_fn(rows, h, |r, j| {
+                let d = dht.get(r, j) * gt.get(r, 3 * h + j) * dtanh(c.tanh_c.get(r, j));
+                rec_c.map_or(d, |m| d + m.get(r, j))
+            });
+            let dgates = Matrix::from_fn(rows, 4 * h, |r, jj| {
+                let (block, j) = (jj / h, jj % h);
+                let gate = |b: usize| gt.get(r, b * h + j);
+                let d = dc.get(r, j);
+                match block {
+                    0 => d * gate(2) * dsig(gate(0)),
+                    1 => d * c.c_prev.get(r, j) * dsig(gate(1)),
+                    2 => d * gate(0) * dtanh(gate(2)),
+                    _ => dht.get(r, j) * c.tanh_c.get(r, j) * dsig(gate(3)),
+                }
+            });
+            let dc_prev = Matrix::from_fn(rows, h, |r, j| dc.get(r, j) * gt.get(r, h + j));
+            let dz = gate_backward(&c.z, &dgates, &p.w, &mut g.w, &mut g.b);
+            let dprev = StateGrad {
+                dh: columns(&dz, p.input, p.input + h),
+                dc: Some(dc_prev),
+            };
+            (columns(&dz, 0, p.input), dprev)
+        }
+        (CellParams::Gru(p), CellCache::Gru(c), CellParams::Gru(g)) => {
+            let (h, input) = (p.hidden, p.input);
+            let (zg, rg) = (columns(&c.zr, 0, h), columns(&c.zr, h, 2 * h));
+            let (hb, hp) = (&c.hbar, &c.h_prev);
+            let mut dprev = Matrix::from_fn(rows, h, |r, j| dht.get(r, j) * (1.0 - zg.get(r, j)));
+            let dhbar = Matrix::from_fn(rows, h, |r, j| {
+                dht.get(r, j) * zg.get(r, j) * dtanh(hb.get(r, j))
+            });
+            let dz = Matrix::from_fn(rows, h, |r, j| {
+                dht.get(r, j) * (hb.get(r, j) - hp.get(r, j)) * dsig(zg.get(r, j))
+            });
+            let dh_in = gate_backward(&c.h_in, &dhbar, &p.wh, &mut g.wh, &mut g.bh);
+            let drh = columns(&dh_in, input, input + h);
+            let dr = Matrix::from_fn(rows, h, |r, j| {
+                drh.get(r, j) * hp.get(r, j) * dsig(rg.get(r, j))
+            });
+            for r in 0..rows {
+                for j in 0..h {
+                    let v = dprev.get(r, j) + drh.get(r, j) * rg.get(r, j);
+                    dprev.set(r, j, v);
+                }
+            }
+            let dzr = Matrix::hstack(&[&dz, &dr]);
+            let dzr_in = gate_backward(&c.zr_in, &dzr, &p.wzr, &mut g.wzr, &mut g.bzr);
+            let dx = Matrix::from_fn(rows, input, |r, j| dh_in.get(r, j) + dzr_in.get(r, j));
+            let dprev = Matrix::from_fn(rows, h, |r, j| dprev.get(r, j) + dzr_in.get(r, input + j));
+            (
+                dx,
+                StateGrad {
+                    dh: dprev,
+                    dc: None,
+                },
+            )
+        }
+        (CellParams::Vanilla(p), CellCache::Vanilla(c), CellParams::Vanilla(g)) => {
+            let dpre = Matrix::from_fn(rows, p.hidden, |r, j| dht.get(r, j) * dtanh(c.h.get(r, j)));
+            let dz = gate_backward(&c.z, &dpre, &p.w, &mut g.w, &mut g.b);
+            let dprev = columns(&dz, p.input, p.input + p.hidden);
+            (
+                columns(&dz, 0, p.input),
+                StateGrad {
+                    dh: dprev,
+                    dc: None,
+                },
+            )
+        }
+        (CellParams::Linear(p), CellCache::Linear(c), CellParams::Linear(g)) => {
+            let dx = gate_backward(&c.x, &dht, &p.w, &mut g.w, &mut g.b);
+            let mut sums = Matrix::zeros(1, p.hidden);
+            for r in 0..rows {
+                for j in 0..p.hidden {
+                    let v = sums.get(0, j) + dht.get(r, j) * c.h_prev.get(r, j);
+                    sums.set(0, j, v);
+                }
+            }
+            reference::axpy(1.0, &sums, &mut g.lambda);
+            let dprev = Matrix::from_fn(rows, p.hidden, |r, j| dht.get(r, j) * p.lambda.get(0, j));
+            (
+                dx,
+                StateGrad {
+                    dh: dprev,
+                    dc: None,
+                },
+            )
+        }
+        _ => unreachable!("cell kind mismatch"),
+    }
+}
+
+/// Hidden widths as in the forward oracle, batch 1 and 3, with and
+/// without a recurrent gradient, every cell kind: `backward` under
+/// `scalar` and `simd` agrees with [`per_element_backward`], bit for bit,
+/// in `dX`, `dprev.dh`, `dprev.dc` and every gradient field, accumulated
+/// onto non-zero gradients. The dense head's `backward` is checked the
+/// same way against [`gate_backward`].
+#[test]
+fn backward_equals_the_per_element_oracle_at_every_gate_width() {
+    let kinds = [
+        CellKind::Lstm,
+        CellKind::Gru,
+        CellKind::Vanilla,
+        CellKind::Linear,
+    ];
+    for kind in kinds {
+        for hidden in [1usize, 2, 7, 8, 9, 48] {
+            for batch in [1usize, 3] {
+                let (input, seed) = (5, 3 * hidden as u64 + batch as u64);
+                let p = CellParams::<f32>::init(kind, input, hidden, seed);
+                let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
+                let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
+                let ws = &mut Workspace::new();
+                let (_, cache) = forward_with(&p, kind, &x, &prev, hidden, ws, Backend::scalar());
+                let dh = init::uniform(batch, hidden, -1.0, 1.0, seed + 3);
+                let mut rec = StateGrad::zeros(kind, batch, hidden);
+                rec.dh = init::uniform(batch, hidden, -1.0, 1.0, seed + 4);
+                if let Some(dc) = &mut rec.dc {
+                    *dc = init::uniform(batch, hidden, -1.0, 1.0, seed + 5);
+                }
+                let grads0 = CellParams::<f32>::init(kind, input, hidden, seed + 6);
+                for dstate in [None, Some(&rec)] {
+                    let mut want_g = grads0.clone();
+                    let (want_dx, want_dp) =
+                        per_element_backward(&p, &cache, &dh, dstate, &mut want_g);
+                    for be in [Backend::scalar(), Backend::simd()] {
+                        let what = |field: &str| {
+                            let rec = dstate.is_some();
+                            format!("{kind:?} h={hidden} batch={batch} rec={rec} {be:?} {field}")
+                        };
+                        let mut g = grads0.clone();
+                        let mut dx = Matrix::full(batch, input, f32::NAN);
+                        let mut dp = StateGrad::zeros(kind, batch, hidden);
+                        dp.dh.as_mut_slice().fill(f32::NAN);
+                        p.backward(&cache, &dh, dstate, &mut g, &mut dx, &mut dp, ws, be);
+                        assert_bits(&dx, &want_dx, &what("dX"));
+                        assert_bits(&dp.dh, &want_dp.dh, &what("dprev.dh"));
+                        if let (Some(a), Some(b)) = (&dp.dc, &want_dp.dc) {
+                            assert_bits(a, b, &what("dprev.dc"));
+                        }
+                        g.for_each_param(&want_g, &mut |a, b| assert_bits(a, b, &what("grads")));
+                    }
+                }
+            }
+            // The classifier head: `hidden` features into 11 classes.
+            let batch = 3;
+            let d = DenseParams::<f32>::init(hidden, 11, hidden as u64);
+            let x = init::uniform(batch, hidden, -1.0, 1.0, 7);
+            let dlogits = init::uniform(batch, 11, -1.0, 1.0, 8);
+            let g0 = DenseParams::<f32>::init(hidden, 11, 9);
+            let mut want = g0.clone();
+            let want_dx = gate_backward(&x, &dlogits, &d.w, &mut want.w, &mut want.b);
+            for be in [Backend::scalar(), Backend::simd()] {
+                let (mut g, mut dx) = (g0.clone(), Matrix::full(batch, hidden, f32::NAN));
+                d.backward(&x, &dlogits, &mut g, &mut dx, be);
+                let what = |f: &str| format!("dense {hidden}x11 {be:?} {f}");
+                assert_bits(&dx, &want_dx, &what("dX"));
+                assert_bits(&g.w, &want.w, &what("dW"));
+                assert_bits(&g.b, &want.b, &what("dB"));
             }
         }
     }

@@ -311,12 +311,13 @@ fn runtime_stats_reflect_task_counts() {
 
     // One row of an h = 2 cell is not: the plan builder folds all T = 4
     // timesteps (k = 7, clamped) into each task, so every run of T tasks
-    // is one, and the loss runs in one task with its backward seed.
+    // is one, and the final merge, the loss and the backward seed run as
+    // one head task.
     let fine = BrnnConfig {
         hidden_size: 2,
         ..cfg
     };
-    let folded = 2 * l + (l - 1) + 1 + 1 + 2 * l + (l - 1);
+    let folded = 2 * l + (l - 1) + 1 + 2 * l + (l - 1);
     assert_eq!(tasks_of_one_step(fine, 1), folded);
 }
 

@@ -131,14 +131,15 @@ fn coarsen_config(layers: usize, seq: usize, kind: ModelKind) -> BrnnConfig {
 /// The fold the transform is specified to make, recomputed from the
 /// unfolded plan's labels and tags alone: consecutive tasks of one kind
 /// family and layer, at most `k` distinct timesteps (the tag's low half)
-/// each. `merge_bwd` is the backward seed when it follows a `loss`.
+/// each. The output head (`merge_final`, `dense`, `loss` and the backward
+/// seed, a `merge_bwd` that follows a `loss`) is one family.
 fn expected_groups(base: &GraphView, k: usize) -> Vec<std::ops::Range<usize>> {
     let family = |i: usize| {
         let t = &base.tasks[i];
         let seed = t.label == "merge_bwd" && base.tasks[i - 1].label == "loss";
         let family = match t.label.as_str() {
-            "dense" => "merge_final",
-            "merge_bwd" if seed => "loss",
+            "dense" | "loss" => "merge_final",
+            "merge_bwd" if seed => "merge_final",
             "reduce_fwd" | "reduce_rev" | "reduce_dense" | "reduce_loss" => return None,
             other => other,
         };
@@ -219,11 +220,13 @@ fn coarsen_folds_k_timesteps_per_run_and_nothing_else() {
                             let members = &base.tasks[group.clone()];
                             folded_runs += usize::from(members.len() > 1);
                             owner[group.clone()].fill(i);
-                            // Label and tag of the first member.
-                            assert_eq!(
-                                (&task.label, task.tag),
-                                (&members[0].label, members[0].tag)
-                            );
+                            // Label and tag of the first member; a
+                            // training head is labelled by its loss.
+                            let label = match members.iter().find(|m| m.label == "loss") {
+                                Some(loss) => &loss.label,
+                                None => &members[0].label,
+                            };
+                            assert_eq!((&task.label, task.tag), (label, members[0].tag));
                             // out = union of the members' outs; in = union of
                             // their ins minus what an earlier member wrote;
                             // each slot listed once, at its first occurrence

@@ -223,7 +223,7 @@ proptest! {
             grads.w.fill_zero();
             grads.b.fill_zero();
             p.forward(&x, logits, ws, be);
-            p.backward(&x, &dlogits, grads, dx, ws, be);
+            p.backward(&x, &dlogits, grads, dx, be);
         };
         let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);
         assert_bits(&warm.0, &cold.0, "logits");

@@ -20,6 +20,9 @@
 //! NN and TN products narrower than one register tile (`n < 2·NR`, `k ≤ KC`) take
 //! the narrow route under every kind — one pass per row of `C` instead of
 //! the blocked nest ([`crate::gemm`] says why the bits cannot change).
+//! [`Backend::affine`] is a cell's gate product on that route and
+//! [`Backend::affine_grad`] its backward (`gemm_tn`, the bias-gradient
+//! column sums and `gemm_nt`); int8 quantizes only the first.
 //!
 //! Numerical contract (tested in `src/reference.rs`, `tests/proptests.rs`
 //! and `bpar-core`'s `tests/backend_parity.rs`):
@@ -469,6 +472,40 @@ impl Backend {
             }
             _ => gemm_mod::affine_narrow(act, zs, wts, bs, out.as_mut_slice(), m, k, n),
         }
+    }
+
+    /// The backward of [`Backend::affine`]'s gate product through the
+    /// backend: `dW += zᵀ·dG`, `db += Σ_rows dG` and `dz = dG·Wᵀ` (`z:
+    /// rows×k`, `dG: rows×n`, `W` and `dW: k×n`, `db: 1×n`, `dz: rows×k`,
+    /// fully overwritten).
+    ///
+    /// Runs `gemm_tn(1, z, dG, 1, dW)`, the column sums of `dG` (from zero,
+    /// rows ascending) added into `db` — the bits of `column_sums_into` +
+    /// `axpy(1, ·, db)` — and `gemm_nt(1, dG, W, 0, dz)`. The GEMMs pick
+    /// their own routes (a narrow TN product is already one pass per row of
+    /// `dW`), so nothing is left to fuse. Gradients are never quantized:
+    /// int8 runs the exact kernels.
+    ///
+    /// # Panics
+    /// Panics if the shapes are inconsistent.
+    pub fn affine_grad<T: Float>(
+        self,
+        z: &Matrix<T>,
+        dg: &Matrix<T>,
+        w: &Matrix<T>,
+        dw: &mut Matrix<T>,
+        db: &mut Matrix<T>,
+        dz: &mut Matrix<T>,
+    ) {
+        let ((rows, k), n) = (z.shape(), dg.cols());
+        assert_eq!(dg.rows(), rows, "affine_grad: z and dG rows differ");
+        assert_eq!(w.shape(), (k, n), "affine_grad: W shape");
+        assert_eq!(dw.shape(), (k, n), "affine_grad: dW shape");
+        assert_eq!(db.shape(), (1, n), "affine_grad: db shape");
+        assert_eq!(dz.shape(), (rows, k), "affine_grad: dz shape");
+        self.gemm_tn(T::ONE, z, dg, T::ONE, dw);
+        crate::reference::column_sums_add(dg.as_slice(), db.as_mut_slice(), rows, n);
+        self.gemm_nt(T::ONE, dg, w, T::ZERO, dz);
     }
 
     /// `y += alpha * x` through the backend.

@@ -380,6 +380,27 @@ fn affine_rows_as<T: Float>(
     }
 }
 
+/// `db[j] += Σ_r dG[r, j]` over a `rows × n` block: per column a sum from
+/// zero, `r` ascending, then one add into `db` — the bits of
+/// `column_sums_into` followed by `axpy(1, ·, db)` (`fma(1, s, d)` and
+/// `d + s` are the same correctly rounded sum). Columns go in blocks of
+/// `2·NR` so the block's sums stay in registers while the rows stream by.
+#[inline(always)]
+pub(crate) fn column_sums_add<T: Float>(dg: &[T], db: &mut [T], rows: usize, n: usize) {
+    for j0 in (0..n).step_by(2 * NR) {
+        let w = (n - j0).min(2 * NR);
+        let mut acc = [T::ZERO; 2 * NR];
+        for r in 0..rows {
+            for (s, &v) in acc.iter_mut().zip(&dg[r * n + j0..r * n + j0 + w]) {
+                *s += v;
+            }
+        }
+        for (d, &s) in db[j0..j0 + w].iter_mut().zip(&acc) {
+            *d += s;
+        }
+    }
+}
+
 /// `y += alpha * x`, one `mul_add` per element.
 #[inline(always)]
 pub(crate) fn axpy_slice<T: Float>(alpha: T, x: &[T], y: &mut [T]) {

@@ -7,10 +7,12 @@
 //! use), `give_back` returns it, and a warmed-up workspace services a
 //! fixed-shape kernel sequence with zero heap allocations.
 //!
-//! Cells, merge/dense layers and the serving batch assembly all thread a
-//! caller-provided workspace through their `_ws` entry points; the plan
-//! layer keeps one arena's worth of persistent buffers alive per
-//! `CompiledPlan` so `Runtime::replay` never touches the allocator.
+//! The cells' `forward`/`backward` and the dense head's `forward` take a
+//! caller-provided workspace: a forward for the int8 backend's
+//! quantization scratch, a backward for its transient blocks (a GRU step
+//! checks out three). A plan's task bodies hand them the running worker's
+//! workspace and keep their persistent buffers in the plan's slots, so a
+//! warm `Runtime::replay` never touches the allocator.
 
 use crate::matrix::Matrix;
 use crate::scalar::Float;

@@ -177,6 +177,113 @@ proptest! {
     }
 }
 
+/// `Backend::affine_grad` the long way, on the accumulators `dw0` and
+/// `db0`: the portable TN product, a plain column-sum loop added through
+/// `reference::axpy`, and the portable NT product into a zeroed matrix —
+/// the three separate calls a gate backward made before it had one.
+fn affine_grad_oracle<T: Float>(
+    z: &Matrix<T>,
+    dg: &Matrix<T>,
+    w: &Matrix<T>,
+    dw0: &Matrix<T>,
+    db0: &Matrix<T>,
+) -> [Matrix<T>; 3] {
+    let ((rows, k), n) = (z.shape(), dg.cols());
+    let mut dw = dw0.clone();
+    reference::gemm_tn(T::ONE, z, dg, T::ONE, &mut dw);
+    let mut sums = Matrix::zeros(1, n);
+    for r in 0..rows {
+        for j in 0..n {
+            sums.set(0, j, sums.get(0, j) + dg.get(r, j));
+        }
+    }
+    let mut db = db0.clone();
+    reference::axpy(T::ONE, &sums, &mut db);
+    let mut dz = Matrix::zeros(rows, k);
+    reference::gemm_nt(T::ONE, dg, w, T::ZERO, &mut dz);
+    [dw, db, dz]
+}
+
+/// `Backend::affine_grad` under `scalar` and `simd` against
+/// [`affine_grad_oracle`] for one `rows × k` input and `n` gate columns,
+/// with `specials` written over the operands (`(which operand, index,
+/// value)`) and garbage in `dz`.
+fn affine_grad_case<T: Float>(
+    rows: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+    specials: &[(usize, usize, f64)],
+) {
+    let mut z: Matrix<T> = init::uniform(rows, k, -2.0, 2.0, seed);
+    let mut dg: Matrix<T> = init::uniform(rows, n, -2.0, 2.0, seed + 1);
+    let mut w: Matrix<T> = init::uniform(k, n, -2.0, 2.0, seed + 2);
+    let mut dw0: Matrix<T> = init::uniform(k, n, -2.0, 2.0, seed + 3);
+    let mut db0: Matrix<T> = init::uniform(1, n, -2.0, 2.0, seed + 4);
+    for &(which, i, v) in specials {
+        let m = [&mut z, &mut dg, &mut w, &mut dw0, &mut db0][which % 5].as_mut_slice();
+        if !m.is_empty() {
+            let len = m.len();
+            m[i % len] = T::from_f64(v);
+        }
+    }
+    let want = affine_grad_oracle(&z, &dg, &w, &dw0, &db0);
+    for be in [Backend::scalar(), Backend::simd()] {
+        let (mut dw, mut db) = (dw0.clone(), db0.clone());
+        let mut dz = Matrix::full(rows, k, T::from_f64(f64::NAN));
+        be.affine_grad(&z, &dg, &w, &mut dw, &mut db, &mut dz);
+        for (got, want, what) in [
+            (&dw, &want[0], "dW"),
+            (&db, &want[1], "db"),
+            (&dz, &want[2], "dz"),
+        ] {
+            assert!(
+                same_bits(got, want),
+                "{what} {:?} rows {rows} k {k} n {n}",
+                be.kind()
+            );
+        }
+    }
+}
+
+proptest! {
+    // Up to 600 rows × 200 × 200, two precisions, two backends.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Backend::affine_grad` equals the TN product, the column sums with
+    /// an `axpy` and the NT product into a zeroed matrix, bit for bit, on
+    /// both sides of each route boundary — the narrow TN product (`n < 16`,
+    /// `rows ≤ 256`) and NT's packed tile (`k ≥ NR = 8` output columns) —
+    /// and at zero dimensions, with ±0, subnormal, ±inf and NaN operands.
+    #[test]
+    fn affine_grad_equals_tn_column_sums_and_nt_bitwise(
+        rows in prop_oneof![0usize..4, 1usize..300, 250usize..600],
+        k in prop_oneof![0usize..16, 1usize..200],
+        n in prop_oneof![0usize..17, 1usize..200],
+        seed in 0u64..1000,
+        specials in proptest::collection::vec((0usize..5, 0usize..1 << 20, special()), 0..4),
+    ) {
+        affine_grad_case::<f32>(rows, k, n, seed, &specials);
+        affine_grad_case::<f64>(rows, k, n, seed, &specials);
+    }
+}
+
+/// The lattice of [`affine_grad_equals_tn_column_sums_and_nt_bitwise`]
+/// walked exhaustively at its edges: every gate width through 16, batch
+/// rows on both sides of `KC`, input widths on both sides of `NR`.
+#[test]
+fn affine_grad_route_edges_equal_reference_bitwise() {
+    for rows in [1usize, 2, 5, 256, 257] {
+        for n in 1usize..=16 {
+            for k in [1usize, 7, 8, 9, 17] {
+                let seed = (rows * 31 + n * 7 + k) as u64;
+                affine_grad_case::<f32>(rows, k, n, seed, &[]);
+                affine_grad_case::<f64>(rows, k, n, seed, &[]);
+            }
+        }
+    }
+}
+
 /// Every narrow width at one row — the shape a single request gives every
 /// gate product and gradient of a tiny cell — and a few rows, at depths on
 /// both sides of `KC`: the dispatched GEMMs and both backend handles equal

@@ -60,15 +60,18 @@
 //!   `2L(c-1)` state chains, `(L-1)(c+x)` cell reads of the merge below,
 //!   `(L-1)(c+x)` merge reads and `o` output reads, `o = 2` (many-to-one)
 //!   or `c + x`.
-//! * training: `merge_final` and the `loss`+seed pair alternate in the
-//!   stream, so neither has a neighbour to fold with across positions:
-//!   `n` tasks each. Tasks `4Lc + 2(L-1)c + 2n`; edges: the forward part
-//!   with `o = 2n` (each position reads one chunk per direction), `n`
-//!   feature reads and `n-1` accumulator-chain edges, `2n` seed reads of the
-//!   states, `2n` seeds into the top layer's BPTT chunks, and per the
-//!   derivation above `2Lx` cached-state reads, `(L-1)(c+x)` inner `dh`
-//!   reads, `2L(c-1)` BPTT chains and `2(L-1)(c+x)` inner-backward-merge
-//!   reads: `4L(c-1) + 5(L-1)(c+x) + 2Lx + 8n - 1`.
+//! * training: the output run folds each position's `merge_final`,
+//!   `loss` and backward seed, `c_n` tasks (labelled `loss`). Inside a
+//!   task the features, the feature gradient and all but its first
+//!   accumulator read are internal, and its seeds read the states its
+//!   merges read. Tasks `4Lc + 2(L-1)c + c_n`; edges: the forward part,
+//!   the head's `o` state reads, `c_n - 1` accumulator-chain edges, `o`
+//!   seeds into the top layer's BPTT chunks (their chunking mirrors the
+//!   cells': forward-direction BPTT descends, so it meets the head as the
+//!   reverse cells do), and per the derivation above `2Lx` cached-state
+//!   reads, `(L-1)(c+x)` inner `dh` reads, `2L(c-1)` BPTT chains and
+//!   `2(L-1)(c+x)` inner-backward-merge reads:
+//!   `4L(c-1) + 5(L-1)(c+x) + 2Lx + 2o + c_n - 1`.
 //!
 //! Reductions are untouched.
 
@@ -164,14 +167,16 @@ pub fn expected_shape(s: &ShapeSpec) -> ExpectedShape {
             let x = if t % k == 0 { c } else { 2 * c - 1 };
             let inner = l.saturating_sub(1) * (c + x);
             let forward = 2 * l * (c - 1) + 2 * inner;
+            // Output tasks, and the edges between them and one pass's
+            // top-layer cells (each direction's chunks).
+            let (heads, o) = (n.div_ceil(k), if n == 1 { 2 } else { c + x });
             if training {
                 (
-                    4 * l * c + 2 * l.saturating_sub(1) * c + 2 * n,
-                    forward + 2 * l * (c - 1) + 3 * inner + 2 * l * x + 8 * n - 1,
+                    4 * l * c + 2 * l.saturating_sub(1) * c + heads,
+                    forward + 2 * l * (c - 1) + 3 * inner + 2 * l * x + 2 * o + heads - 1,
                 )
             } else {
-                let reads = if n == 1 { 2 } else { c + x };
-                (3 * l * c - c + n.div_ceil(k), forward + reads)
+                (3 * l * c - c + heads, forward + o)
             }
         }
         (None, true) => (
