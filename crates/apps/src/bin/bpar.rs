@@ -16,7 +16,7 @@
 //!                   [--replicas N] [--routing hash|least-loaded]
 //!                   [--hedge-mode off|at-dispatch|deadline] [--hedge-quantile Q]
 //!                   [--tenants FILE] [--plan-budget-kib N] [--pool-budget-kib N]
-//!                   [--backend scalar|simd|int8]
+//!                   [--backend scalar|simd]
 //!                   [--scheduler fifo|locality|work-stealing]
 //!                   [--recurrence chain|scan|scan:N]
 //!                                                 dynamic-batching inference serving
@@ -107,7 +107,7 @@ USAGE:
                     [--replicas N] [--routing hash|least-loaded]
                     [--hedge-mode off|at-dispatch|deadline] [--hedge-quantile Q]
                     [--tenants FILE] [--plan-budget-kib N] [--pool-budget-kib N]
-                    [--backend scalar|simd|int8]
+                    [--backend scalar|simd]
                     [--scheduler fifo|locality|work-stealing]
                     [--recurrence chain|scan|scan:N]
                     (a batch runs whenever the executor is free; --window-us,
@@ -557,10 +557,13 @@ fn serve_cmd(opts: &Flags) -> Result<(), String> {
         }
     };
     let backend = {
-        let default = bpar_tensor::BackendKind::default().as_str();
+        use bpar_tensor::BackendKind;
+        let default = BackendKind::default().as_str();
         let name = opts.get("backend").map(String::as_str).unwrap_or(default);
-        bpar_tensor::BackendKind::parse(name)
-            .ok_or_else(|| format!("--backend expects scalar|simd|int8, got `{name}`"))?
+        BackendKind::parse(name).ok_or_else(|| {
+            let kinds = BackendKind::all().map(BackendKind::as_str).join("|");
+            format!("--backend expects {kinds}, got `{name}`")
+        })?
     };
     let cfg = ServeConfig {
         queue_capacity: get_usize(opts, "queue-cap", 64)?,

@@ -1,19 +1,14 @@
 //! Kernel throughput: GFLOP/s of the three GEMM variants at RNN task
 //! shapes, per [`Backend`] kind: `scalar` (the portable loops of
-//! `bpar_tensor::reference`), `simd` (the dispatched kernels the free
-//! functions run — same bits) and int8 quantized inference; and ns per
-//! element of the two gate non-linearities (`activation::sigmoid_slice` /
-//! `tanh_slice`, the one f32 polynomial every backend runs) beside one
-//! libm call per element.
+//! `bpar_tensor::reference`) and `simd` (the dispatched kernels the free
+//! functions run — same bits); and ns per element of the two gate
+//! non-linearities (`activation::sigmoid_slice` / `tanh_slice`, the one
+//! f32 polynomial every backend runs) beside one libm call per element.
 //!
 //! The shapes are the fused LSTM gate products `(batch × (input+hidden)) ·
 //! ((input+hidden) × 4·hidden)` at the model scales of Tables III/IV, plus
 //! an `m = 1` serving shape where the GEMM degenerates to a matrix-vector
-//! product. Int8 rows report *effective* GFLOP/s — the f32 FLOP count of
-//! the equivalent exact GEMM divided by wall time, i.e. "how much f32 work
-//! this path replaces per second" (its inner loop does integer dot
-//! products plus quantize/dequantize passes; its NT/TN rows are the
-//! dispatched f32 kernels).
+//! product.
 //!
 //! Two yardsticks per row. `vs_scalar` is the distance from ourselves:
 //! the speed-up over the portable loops at the same (op, shape).
@@ -221,8 +216,6 @@ fn main() {
         for kind in BackendKind::all() {
             let be = Backend::of(kind);
             let label = kind.as_str();
-            // Warm the int8 quantization scratch outside the timed region.
-            be.gemm(1.0f32, &a, &b, 0.0, &mut c, &mut ws);
 
             for op in ["gemm_nn", "gemm_nt", "gemm_tn"] {
                 let (gflops, iters) = time_gflops(flops, || {

@@ -326,7 +326,7 @@ fn build_plan(opts: &AnalyzeOptions, model: &Brnn<f64>, batch: &[Matrix<f64>]) -
         train: opts.train,
         workers: 1,
     };
-    let weights = Arc::new(WeightStore::for_backend(model, body.backend));
+    let weights = Arc::new(WeightStore::new(model));
     let (seed, coarsen) = (opts.seed_bug, opts.coarsen);
     ExecPlan::build(
         weights,

@@ -102,16 +102,14 @@ impl<T: Float> GruParams<T> {
 
     /// Forward update (Eqs. 7–10): results go into the caller-provided
     /// `state`/`cache` buffers (see [`GruCache::zeros`]). Both gate products
-    /// run through [`Backend::affine`] (`ws` only feeds the int8 backend's
-    /// scratch); `R ⊙ H_{t-1}` is written straight into the right column
-    /// block of `h_in`.
+    /// run through [`Backend::affine`]; `R ⊙ H_{t-1}` is written straight
+    /// into the right column block of `h_in`.
     pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
         state: &mut CellState<T>,
         cache: &mut GruCache<T>,
-        ws: &mut Workspace<T>,
         be: Backend,
     ) {
         let batch = x.rows();
@@ -127,7 +125,7 @@ impl<T: Float> GruParams<T> {
             h_prev,
         } = cache;
         Matrix::hstack_into(&[x, &prev.h], zr_in);
-        be.affine(Activation::Sigmoid, zr_in, &self.wzr, &self.bzr, zr, ws);
+        be.affine(Activation::Sigmoid, zr_in, &self.wzr, &self.bzr, zr);
 
         // Candidate with reset-gated recurrent input: [X_t, R ⊙ H_{t-1}]
         // assembled in place (no `rh` temporary, no hstack copy).
@@ -139,7 +137,7 @@ impl<T: Float> GruParams<T> {
                 dst[self.input + j] = rs[j] * hp[j];
             }
         }
-        be.affine(Activation::Tanh, h_in, &self.wh, &self.bh, hbar, ws);
+        be.affine(Activation::Tanh, h_in, &self.wh, &self.bh, hbar);
 
         // H_t = Z ⊙ H̄ + (1-Z) ⊙ H_{t-1}.
         for row in 0..batch {

@@ -107,7 +107,7 @@ impl<T: Float> LinearParams<T> {
         cache.x.copy_from(x);
         cache.h_prev.copy_from(&prev.h);
         let mut u = ws.checkout(batch, self.hidden);
-        be.affine(Activation::Identity, x, &self.w, &self.b, &mut u, ws);
+        be.affine(Activation::Identity, x, &self.w, &self.b, &mut u);
         be.row_mul_add(&self.lambda, &cache.h_prev, &u, &mut state.h);
         ws.give_back(u);
     }

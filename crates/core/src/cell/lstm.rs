@@ -100,15 +100,13 @@ impl<T: Float> LstmParams<T> {
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
     /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
     /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
-    /// The gate product runs through [`Backend::affine`]; `ws` only
-    /// supplies the int8 backend's quantization scratch.
+    /// The gate product runs through [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
         state: &mut CellState<T>,
         cache: &mut LstmCache<T>,
-        ws: &mut Workspace<T>,
         be: Backend,
     ) {
         let batch = x.rows();
@@ -120,7 +118,7 @@ impl<T: Float> LstmParams<T> {
         // Z = [X_t, H_{t-1}];  G = act(Z W + b): σ on i,f,o, tanh on g.
         let (z, gates) = (&mut cache.z, &mut cache.gates);
         Matrix::hstack_into(&[x, &prev.h], z);
-        be.affine(Activation::LstmGates, z, &self.w, &self.b, gates, ws);
+        be.affine(Activation::LstmGates, z, &self.w, &self.b, gates);
 
         // C_t = f ⊙ C_{t-1} + i ⊙ g ;  H_t = o ⊙ tanh(C_t)
         let c = state

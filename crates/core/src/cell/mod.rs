@@ -281,8 +281,9 @@ impl<T: Float> CellParams<T> {
     /// Forward cell update: consumes `x` (`batch × input`) and the previous
     /// state, writes the new state and the cache BPTT needs into the
     /// caller-provided `state` and `cache` buffers (see
-    /// [`CellCache::zeros`]), drawing any transient scratch from `ws`. The
-    /// cell's GEMM and bias kernels dispatch through `be`.
+    /// [`CellCache::zeros`]). The cell's GEMM and bias kernels dispatch
+    /// through `be`; only the linear cell draws a transient buffer (`u`)
+    /// from `ws`.
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -293,9 +294,9 @@ impl<T: Float> CellParams<T> {
         be: Backend,
     ) {
         match (self, cache) {
-            (CellParams::Lstm(p), CellCache::Lstm(c)) => p.forward(x, prev, state, c, ws, be),
-            (CellParams::Gru(p), CellCache::Gru(c)) => p.forward(x, prev, state, c, ws, be),
-            (CellParams::Vanilla(p), CellCache::Vanilla(c)) => p.forward(x, prev, state, c, ws, be),
+            (CellParams::Lstm(p), CellCache::Lstm(c)) => p.forward(x, prev, state, c, be),
+            (CellParams::Gru(p), CellCache::Gru(c)) => p.forward(x, prev, state, c, be),
+            (CellParams::Vanilla(p), CellCache::Vanilla(c)) => p.forward(x, prev, state, c, be),
             (CellParams::Linear(p), CellCache::Linear(c)) => p.forward(x, prev, state, c, ws, be),
             _ => panic!("cell kind mismatch between params and cache"),
         }
@@ -369,22 +370,6 @@ impl<T: Float> CellParams<T> {
                 f(&mut p.b, &g.b);
             }
             _ => panic!("cell kind mismatch in for_each_param"),
-        }
-    }
-
-    /// Visits every *weight* matrix (GEMM operands; biases excluded —
-    /// they are broadcast-added, never multiplied). Used by the int8
-    /// backend's weight-quantization pass at weight-store sync time.
-    pub fn for_each_weight_mut(&mut self, f: &mut impl FnMut(&mut Matrix<T>)) {
-        match self {
-            CellParams::Lstm(p) => f(&mut p.w),
-            CellParams::Gru(p) => {
-                f(&mut p.wzr);
-                f(&mut p.wh);
-            }
-            CellParams::Vanilla(p) => f(&mut p.w),
-            // λ and the bias are broadcast operands, never GEMM inputs.
-            CellParams::Linear(p) => f(&mut p.w),
         }
     }
 

@@ -75,15 +75,13 @@ impl<T: Float> VanillaParams<T> {
 
     /// Forward update writing into caller-provided buffers (see
     /// [`VanillaCache::zeros`]). The one gate product runs through
-    /// [`Backend::affine`]; `ws` only supplies the int8 backend's
-    /// quantization scratch.
+    /// [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
         prev: &CellState<T>,
         state: &mut CellState<T>,
         cache: &mut VanillaCache<T>,
-        ws: &mut Workspace<T>,
         be: Backend,
     ) {
         let batch = x.rows();
@@ -91,7 +89,7 @@ impl<T: Float> VanillaParams<T> {
         assert_eq!(prev.h.shape(), (batch, self.hidden), "H_{{t-1}} shape");
         let (z, h) = (&mut cache.z, &mut cache.h);
         Matrix::hstack_into(&[x, &prev.h], z);
-        be.affine(Activation::Tanh, z, &self.w, &self.b, h, ws);
+        be.affine(Activation::Tanh, z, &self.w, &self.b, h);
         state.h.copy_from(h);
     }
 

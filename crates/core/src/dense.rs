@@ -4,7 +4,7 @@
 //! Many-to-one models apply this once, to the final merge cell's output;
 //! many-to-many models apply it per timestep with shared weights.
 
-use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
+use bpar_tensor::{init, Activation, Backend, Float, Matrix};
 
 /// Dense layer parameters: `W: in × out`, `b: 1 × out`.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +38,9 @@ impl<T: Float> DenseParams<T> {
     }
 
     /// `logits = x W + b`, into a caller-provided `batch × out` buffer
-    /// (fully overwritten) through [`Backend::affine`] (`ws` only feeds the
-    /// int8 backend's scratch).
-    pub fn forward(&self, x: &Matrix<T>, out: &mut Matrix<T>, ws: &mut Workspace<T>, be: Backend) {
-        be.affine(Activation::Identity, x, &self.w, &self.b, out, ws);
+    /// (fully overwritten) through [`Backend::affine`].
+    pub fn forward(&self, x: &Matrix<T>, out: &mut Matrix<T>, be: Backend) {
+        be.affine(Activation::Identity, x, &self.w, &self.b, out);
     }
 
     /// Backward pass: given `x` and `dlogits`, accumulates `dW`, `dB` into
@@ -72,7 +71,7 @@ mod tests {
 
     fn forward(p: &DenseParams<f64>, x: &Matrix<f64>) -> Matrix<f64> {
         let mut out = Matrix::zeros(x.rows(), p.w.cols());
-        p.forward(x, &mut out, &mut Workspace::new(), Backend::default());
+        p.forward(x, &mut out, Backend::default());
         out
     }
 

@@ -40,10 +40,9 @@
 //! results are bit-identical to [`super::SequentialExec`] under the
 //! `scalar` and `simd` [`Backend`]s alike — the portable loops and the
 //! dispatched kernels of `bpar-tensor` agree bit for bit. Forward task
-//! bodies dispatch through the graph's backend (so an int8 inference graph
-//! quantizes its forward GEMMs); backward bodies, and every body of a
-//! training graph, run the dispatched exact kernels (the default backend),
-//! which is why an int8 executor trains exactly.
+//! bodies of an inference graph dispatch through the graph's backend;
+//! every body of a training graph runs the dispatched kernels (the
+//! default backend).
 
 use super::Target;
 use crate::cell::{CellCache, CellParams, CellState, StateGrad};
@@ -56,7 +55,7 @@ use crate::optim::Optimizer;
 use crate::scanplan::{NodeRef, RecurrenceStrategy, ScanPlan};
 use bpar_runtime::plan::PlanBody;
 use bpar_runtime::{current_worker, record_read_at, record_write_at, PlanSpec, RegionId};
-use bpar_tensor::{roundtrip_quantize, Backend, BackendKind, Float, Matrix, Workspace};
+use bpar_tensor::{Backend, Float, Matrix, Workspace};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -83,49 +82,18 @@ impl RegionAlloc {
 /// serving that is never, fixing the per-batch `Arc::new(model.clone())`
 /// of the original executors; in training it is every step, into the
 /// snapshot's own buffers. One store serves every plan of a tenant's
-/// model under one backend kind (see `PlanCache::store`), so the contract
-/// is one driver at a time: sync, replay, `taskwait`, and only then the
-/// next sync — which the executors' single runtime already imposes.
+/// model (see `PlanCache::store`), so the contract is one driver at a
+/// time: sync, replay, `taskwait`, and only then the next sync — which the
+/// executors' single runtime already imposes.
 pub(crate) struct WeightStore<T: Float> {
     snapshot: RwLock<Arc<Brnn<T>>>,
-    /// When set, every deep copy round-trip-quantizes the weight matrices
-    /// (see [`WeightStore::for_backend`]).
-    quantized: bool,
-}
-
-/// Round-trip int8-quantizes every weight matrix of `model` in place:
-/// per-tensor symmetric scales, biases untouched. After this pass the
-/// weights sit exactly on the int8 grid, so the int8 GEMM's B-operand
-/// quantization is lossless and only the activation side contributes
-/// error. `f64` models are left exact, matching the backend dispatch rule
-/// that `f64` never reaches a backend-specific kernel.
-fn quantize_weights<T: Float>(model: &mut Brnn<T>) {
-    let mut q = |m: &mut Matrix<T>| {
-        if let Some(s) = T::as_f32_slice_mut(m.as_mut_slice()) {
-            roundtrip_quantize(s);
-        }
-    };
-    for layer in &mut model.layers {
-        layer.fwd.for_each_weight_mut(&mut q);
-        layer.rev.for_each_weight_mut(&mut q);
-    }
-    q(&mut model.dense.w);
 }
 
 impl<T: Float> WeightStore<T> {
-    /// A store whose deep copies are prepared for `backend`: under
-    /// [`BackendKind::Int8`] every copy (the seed and each revision
-    /// re-sync) is weight-quantized **once**, so the per-batch hot path
-    /// only quantizes activations. Other backends copy verbatim.
-    pub fn for_backend(model: &Brnn<T>, backend: Backend) -> Self {
-        let quantized = backend.kind() == BackendKind::Int8;
-        let mut seed = model.clone();
-        if quantized {
-            quantize_weights(&mut seed);
-        }
+    /// A store seeded with a copy of `model`.
+    pub fn new(model: &Brnn<T>) -> Self {
         Self {
-            snapshot: RwLock::new(Arc::new(seed)),
-            quantized,
+            snapshot: RwLock::new(Arc::new(model.clone())),
         }
     }
 
@@ -138,8 +106,7 @@ impl<T: Float> WeightStore<T> {
     /// copy was made (i.e. the revisions differed). The copy goes into
     /// the snapshot's own buffers unless a reader still holds the
     /// snapshot (between batches none does), in which case it is cloned.
-    /// Copies preserve the revision stamp, so a quantized snapshot still
-    /// compares equal to the model it was copied from.
+    /// Copies preserve the revision stamp.
     pub fn sync(&self, model: &Brnn<T>) -> bool {
         let mut snapshot = self.snapshot.write();
         if snapshot.revision() == model.revision() {
@@ -148,9 +115,6 @@ impl<T: Float> WeightStore<T> {
         match Arc::get_mut(&mut snapshot) {
             Some(own) => own.copy_weights_from(model),
             None => *snapshot = Arc::new(model.clone()),
-        }
-        if self.quantized {
-            quantize_weights(Arc::get_mut(&mut snapshot).expect("fresh snapshot is unshared"));
         }
         true
     }
@@ -446,7 +410,7 @@ fn classify_backprop<T: Float>(
     ws: &mut Workspace<T>,
 ) -> f64 {
     let be = Backend::default();
-    dense.forward(x, logits, ws, be);
+    dense.forward(x, logits, be);
     let mut dlogits = ws.checkout(logits.rows(), logits.cols());
     let loss = softmax_cross_entropy(logits, classes, &mut dlogits);
     bpar_tensor::ops::scale(scale, &mut dlogits);
@@ -862,14 +826,10 @@ impl<T: Float> ReplicaGraph<T> {
     }
 
     /// Per worker: the buffers its scratch pools (every one it ever
-    /// allocated, once a replay has given them back) and the bytes of its
-    /// int8 quantization scratch.
+    /// allocated, once a replay has given them back).
     #[cfg(test)]
-    pub fn scratch_profile(&self) -> Vec<(usize, usize)> {
-        let profile = |s: &Mutex<Scratch<T>>| {
-            let mut s = s.lock();
-            (s.ws.pooled(), s.ws.quant_scratch().bytes())
-        };
+    pub fn scratch_profile(&self) -> Vec<usize> {
+        let profile = |s: &Mutex<Scratch<T>>| s.lock().ws.pooled();
         self.scratch.0.iter().map(profile).collect()
     }
 
@@ -1087,15 +1047,14 @@ impl<T: Float> ReplicaGraph<T> {
             self.feat[i].clone(),
             self.logits[i].clone(),
         );
-        let (rows, be, scratch) = (self.rows, self.backend, self.scratch.clone());
+        let (rows, be) = (self.rows, self.backend);
         Arc::new(move || {
             let model = weights.snapshot();
-            let mut scratch = scratch.lock();
             feat.with(|x| {
                 let x = x.expect("missing features");
                 out.write_in_place(
                     || Matrix::zeros(rows, model.dense.w.cols()),
-                    |logits| model.dense.forward(x, logits, &mut scratch.ws, be),
+                    |logits| model.dense.forward(x, logits, be),
                 )
             });
         })
@@ -1623,7 +1582,7 @@ mod tests {
     #[test]
     fn weight_store_copies_only_on_revision_change() {
         let mut model = tiny();
-        let store = WeightStore::for_backend(&model, Backend::scalar());
+        let store = WeightStore::new(&model);
 
         // Unchanged model: sync is a no-op, the snapshot stays shared.
         let before = store.snapshot();
@@ -1645,7 +1604,7 @@ mod tests {
     #[test]
     fn weight_store_resyncs_an_unshared_snapshot_in_place() {
         let mut model = tiny();
-        let store = WeightStore::for_backend(&model, Backend::scalar());
+        let store = WeightStore::new(&model);
         let before = Arc::as_ptr(&store.snapshot());
         let mut grads = model.zero_grads();
         grads.dense.w.fill(1.0);
@@ -1664,7 +1623,7 @@ mod tests {
     #[test]
     fn replica_rejects_mismatched_inputs() {
         let model = tiny();
-        let store = Arc::new(WeightStore::for_backend(&model, Backend::scalar()));
+        let store = Arc::new(WeightStore::new(&model));
         let mut regions = RegionAlloc::default();
         let xs: Vec<Matrix<f64>> = (0..2).map(|_| Matrix::zeros(4, 3)).collect();
         let body = BodyConfig {

@@ -209,7 +209,7 @@ fn recorded_replay(
         train,
         workers: 1,
     };
-    let weights = Arc::new(WeightStore::for_backend(model, body.backend));
+    let weights = Arc::new(WeightStore::new(model));
     let plan = ExecPlan::build(weights, xs, mbs, None, body, coarsen, discipline);
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,

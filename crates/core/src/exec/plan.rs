@@ -16,7 +16,7 @@
 //! into the §IV-B overhead comparison.
 //!
 //! The weights are not a plan's: the cache hands every plan of one
-//! tenant's model under one backend kind the same [`WeightStore`]
+//! tenant's model the same [`WeightStore`]
 //! ([`PlanCache::store`]), holding it only weakly itself, so a snapshot
 //! lives exactly as long as some resident plan reads it.
 
@@ -27,7 +27,7 @@ use crate::emit::{self, Coarsen, Discipline, SeedBug, Stream};
 use crate::model::{Brnn, BrnnConfig};
 use crate::scanplan::RecurrenceStrategy;
 use bpar_runtime::{CompiledPlan, PlanBuilder};
-use bpar_tensor::{Backend, BackendKind, Float, Matrix};
+use bpar_tensor::{BackendKind, Float, Matrix};
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -54,8 +54,7 @@ pub(crate) struct PlanKey {
     /// Kernel backend the task bodies were frozen with. Two executions
     /// that differ only in backend must never share a plan: the backend
     /// is captured into the compiled bodies at build time, so a shared
-    /// plan would silently run the wrong kernels (and int8 plans own
-    /// quantized weight planes a scalar run must not touch).
+    /// plan would silently run the wrong kernels.
     pub backend: BackendKind,
     /// *Effective* recurrence strategy (post `RecurrenceStrategy::
     /// effective` fallback/clamping). Chain and scan graphs have entirely
@@ -69,7 +68,7 @@ pub(crate) struct PlanKey {
 /// A compiled, replayable task graph plus the replica state it runs over.
 ///
 /// The plan holds its [`WeightStore`] — shared with the other plans of its
-/// tenant and backend kind — strongly; steady-state replays read the same
+/// tenant's model — strongly; steady-state replays read the same
 /// weight snapshot and make **zero** deep copies until the model's
 /// revision changes.
 pub(crate) struct ExecPlan<T: Float> {
@@ -264,10 +263,10 @@ pub struct PlanCacheStats {
     /// Plans dropped to respect the cache capacity.
     pub evictions: u64,
     /// Model deep copies made: weight-store seeds plus revision-change
-    /// re-syncs. A store is seeded when a tenant's first plan under a
-    /// backend kind is built (or rebuilt after all its plans were
-    /// evicted), so steady-state serving makes about one per tenant and
-    /// revision, however many shapes it caches.
+    /// re-syncs. A store is seeded when a tenant's first plan is built
+    /// (or rebuilt after all its plans were evicted), so steady-state
+    /// serving makes about one per tenant and revision, however many
+    /// shapes it caches.
     pub weight_syncs: u64,
     /// Cumulative nanoseconds spent building plans (graph construction +
     /// dependency compilation).
@@ -311,8 +310,6 @@ struct StoreKey {
     tenant: u64,
     /// The model's configuration: a snapshot holds one.
     config: BrnnConfig,
-    /// The plans' backend kind: an int8 store holds quantized weights.
-    backend: BackendKind,
     /// Scalar type of the [`WeightStore<T>`].
     tid: TypeId,
 }
@@ -392,20 +389,14 @@ impl PlanCache {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// The weight store the plans of `tenant`'s `model` under `backend`
-    /// read: the live one while some plan holds it, else a fresh one
-    /// seeded from `model` — one deep copy, counted as a weight sync. The
-    /// caller syncs it before every replay.
-    pub fn store<T: Float>(
-        &mut self,
-        tenant: u64,
-        model: &Brnn<T>,
-        backend: Backend,
-    ) -> Arc<WeightStore<T>> {
+    /// The weight store the plans of `tenant`'s `model` read, whatever
+    /// their backend or phase: the live one while some plan holds it, else
+    /// a fresh one seeded from `model` — one deep copy, counted as a weight
+    /// sync. The caller syncs it before every replay.
+    pub fn store<T: Float>(&mut self, tenant: u64, model: &Brnn<T>) -> Arc<WeightStore<T>> {
         let key = StoreKey {
             tenant,
             config: model.config,
-            backend: backend.kind(),
             tid: TypeId::of::<T>(),
         };
         self.stores.retain(|e| e.store.strong_count() > 0);
@@ -413,7 +404,7 @@ impl PlanCache {
         if let Some(store) = live.and_then(|e| e.store.upgrade()) {
             return store.downcast().expect("store type matches its TypeId");
         }
-        let store = Arc::new(WeightStore::for_backend(model, backend));
+        let store = Arc::new(WeightStore::new(model));
         let weak: Weak<WeightStore<T>> = Arc::downgrade(&store);
         self.stores.push(StoreEntry {
             key,

@@ -107,9 +107,7 @@ fn forward_trace<T: Float>(
             for (tf, tr) in feature_cells(cfg.kind, seq_len) {
                 let feat = merge(tf, tr);
                 let mut logits = Matrix::zeros(rows, model.dense.w.cols());
-                model
-                    .dense
-                    .forward(&feat, &mut logits, ws, Backend::default());
+                model.dense.forward(&feat, &mut logits, Backend::default());
                 trace.logits.push(logits);
                 trace.features.push(feat);
             }

@@ -85,10 +85,9 @@ impl TaskGraphExec {
     /// [`TaskGraphExec::with_config`] plus an explicit kernel backend.
     /// The backend is an inference choice: inference plans dispatch their
     /// forward kernels through `backend`; a training plan runs wholly on
-    /// the dispatched exact f32 kernels (the free functions, i.e. the
-    /// default backend) whatever the kind — they are bit-identical to
-    /// `scalar`'s portable loops, and int8's quantized forward activations
-    /// would corrupt the exact gradients.
+    /// the dispatched f32 kernels (the free functions, i.e. the default
+    /// backend) whatever the kind — they are bit-identical to `scalar`'s
+    /// portable loops, so the choice never moves a gradient's bits.
     pub fn with_backend(
         workers: usize,
         policy: SchedulerPolicy,
@@ -244,7 +243,7 @@ impl TaskGraphExec {
             return (plan, key);
         }
         let t0 = Instant::now();
-        let weights = cache.store(tenant, model, backend);
+        let weights = cache.store(tenant, model);
         drop(cache);
         // Build outside the lock: plan construction is the expensive path
         // and the serve loop may poll stats from another thread.
@@ -669,7 +668,7 @@ mod tests {
     /// Every worker's scratch is sized by the plan's first run: after it,
     /// all workers pool as many buffers, and however the scheduler
     /// spreads the tasks over three workers afterwards, no replay
-    /// allocates a scratch buffer or grows a quantization buffer — the
+    /// allocates a scratch buffer — the
     /// warm path's zero allocations cannot depend on which worker ran
     /// which task before.
     #[test]
@@ -690,7 +689,7 @@ mod tests {
                 CellKind::Gru,
                 ModelKind::ManyToMany,
                 4,
-                BackendKind::Int8,
+                BackendKind::Simd,
                 chain,
             ),
             (
@@ -745,7 +744,7 @@ mod tests {
                     };
                     let sized = profiles();
                     for workers in &sized {
-                        let same = workers.iter().all(|w| w.0 == workers[0].0);
+                        let same = workers.iter().all(|&w| w == workers[0]);
                         assert!(same, "{what}: {sized:?}");
                     }
                     (0..6).for_each(|_| run(&mut model));

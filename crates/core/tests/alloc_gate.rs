@@ -51,20 +51,15 @@ fn config(cell: CellKind, merge: MergeMode, kind: ModelKind) -> BrnnConfig {
 }
 
 /// One shape's gate: warm the plan, then assert a further replayed batch
-/// performs exactly zero heap allocations.
-///
-/// When `check_bits` is set the logits must additionally be bit-identical
-/// to the sequential reference — valid for the `scalar` and `simd`
-/// backends, whose kernels agree bit for bit. The int8 backend
-/// carries a quantization tolerance instead (covered by the
-/// `backend_parity` suite), so its gate checks allocations and shape only.
-fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind, check_bits: bool) {
+/// performs exactly zero heap allocations and that its logits are
+/// bit-identical to the sequential reference (the `scalar` and `simd`
+/// kernels agree bit for bit).
+fn gate<T: Float>(cfg: BrnnConfig, seed: u64, backend: BackendKind) {
     for workers in [1, 2, 3] {
         gate_scheduled::<T>(
             cfg,
             seed,
             backend,
-            check_bits,
             SchedulerPolicy::LocalityAware,
             workers,
             4,
@@ -81,7 +76,6 @@ fn gate_scheduled<T: Float>(
     cfg: BrnnConfig,
     seed: u64,
     backend: BackendKind,
-    check_bits: bool,
     scheduler: SchedulerPolicy,
     workers: usize,
     rows: usize,
@@ -92,7 +86,7 @@ fn gate_scheduled<T: Float>(
     let mut out = ForwardOutput::zeros_for(&model, rows, cfg.seq_len);
 
     // Warmup: the first call builds and caches the plan (allocating its
-    // arena; the int8 plan also quantizes its weight snapshot) and sizes
+    // arena) and sizes
     // every worker's scratch; a few more drain every lazily grown queue
     // and thread-local.
     for _ in 0..5 {
@@ -115,9 +109,6 @@ fn gate_scheduled<T: Float>(
     let reference = SequentialExec.forward(&model, &xs);
     assert_eq!(out.logits.shape(), reference.logits.shape());
     assert_eq!(out.seq_logits.len(), reference.seq_logits.len());
-    if !check_bits {
-        return;
-    }
     // Exact `==` equality; finite logits make this equivalent to the bit
     // check the f64-only version of this gate used to perform.
     for (a, b) in out
@@ -156,13 +147,13 @@ fn target(cfg: BrnnConfig, rows: usize) -> Target {
 /// target copy-in, accumulator reset, in-place weight re-sync (every step
 /// bumps the revision), forward, BPTT, reductions and the `Sgd` step — and
 /// the inference batch right after them perform exactly zero heap
-/// allocations. Under a `simd` executor both plans read one weight store:
-/// the second step re-syncs it after the first, and the inference replay
-/// re-syncs it once more, through its own plan, in place. A training plan
-/// runs the exact kernels under every backend kind, so the steps must also
-/// stay bit-identical to `SequentialExec` stepping a twin model, and so
-/// must the logits wherever the backend promises bits — or, with a
-/// non-zero `tol` (a scan plan), within `tol` of them.
+/// allocations. Both plans read one weight store under every backend
+/// kind: the second step re-syncs it after the first, and the inference
+/// replay re-syncs it once more, through its own plan, in place. Every
+/// backend kind gives the sequential bits, so the steps must stay
+/// bit-identical to `SequentialExec` stepping a twin model, and so must
+/// the logits — or, with a non-zero `tol` (a scan plan), within `tol` of
+/// them.
 fn train_gate<T: Float>(exec: &TaskGraphExec, cfg: BrnnConfig, seed: u64, rows: usize, tol: f64) {
     let (backend, mbs, workers) = (exec.backend(), exec.mbs(), exec.runtime().workers());
     let mut model = Brnn::<T>::new(cfg, seed);
@@ -213,13 +204,11 @@ fn train_gate<T: Float>(exec: &TaskGraphExec, cfg: BrnnConfig, seed: u64, rows: 
         let d = model.max_param_diff(&twin);
         assert!(d <= tol, "weights diverge from sequential by {d:e}");
     }
-    if backend != BackendKind::Int8 {
-        let want = SequentialExec.forward(&model, &xs);
-        let got = out.seq_logits.iter().chain([&out.logits]);
-        for (g, w) in got.zip(want.seq_logits.iter().chain([&want.logits])) {
-            let d = g.max_abs_diff(w);
-            assert!(d <= tol, "logits diverge from sequential by {d:e}");
-        }
+    let want = SequentialExec.forward(&model, &xs);
+    let got = out.seq_logits.iter().chain([&out.logits]);
+    for (g, w) in got.zip(want.seq_logits.iter().chain([&want.logits])) {
+        let d = g.max_abs_diff(w);
+        assert!(d <= tol, "logits diverge from sequential by {d:e}");
     }
 }
 
@@ -282,37 +271,26 @@ fn warm_replays_allocate_nothing() {
         config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne),
         3,
         BackendKind::Scalar,
-        true,
     );
     gate::<f64>(
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
         5,
         BackendKind::Scalar,
-        true,
     );
     gate::<f64>(
         config(CellKind::Vanilla, MergeMode::Avg, ModelKind::ManyToOne),
         7,
         BackendKind::Scalar,
-        true,
     );
 
-    // Non-scalar backends specialize only f32, so their gates run f32
-    // models: the zero-allocation guarantee must hold under every backend
-    // (the SIMD GEMM's blocked tile loop and the int8 path's quantization
-    // scratch both draw from the pooled per-worker workspace).
+    // Backends specialize only f32, so the `simd` gates run f32 models:
+    // the zero-allocation guarantee must hold under every backend (the
+    // SIMD GEMM's blocked tile loop draws nothing from the allocator).
     for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
         gate::<f32>(
             config(cell, MergeMode::Concat, ModelKind::ManyToMany),
             11,
             BackendKind::Simd,
-            true,
-        );
-        gate::<f32>(
-            config(cell, MergeMode::Concat, ModelKind::ManyToMany),
-            13,
-            BackendKind::Int8,
-            false,
         );
     }
 
@@ -329,10 +307,9 @@ fn warm_replays_allocate_nothing() {
         folds(fine, 4),
         "the gate's fine-grained shape is not folded"
     );
-    gate::<f64>(fine, 23, BackendKind::Scalar, true);
-    gate::<f32>(fine, 23, BackendKind::Scalar, true);
-    gate::<f32>(fine, 29, BackendKind::Simd, true);
-    gate::<f32>(fine, 31, BackendKind::Int8, false);
+    gate::<f64>(fine, 23, BackendKind::Scalar);
+    gate::<f32>(fine, 23, BackendKind::Scalar);
+    gate::<f32>(fine, 29, BackendKind::Simd);
     // The `fine_grain` benchmark's shape: one row of a long many-to-many
     // GRU sequence at h = 2, every plan folded by k > 1.
     let fine_grain = BrnnConfig {
@@ -342,10 +319,10 @@ fn warm_replays_allocate_nothing() {
         ..config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany)
     };
     assert!(folds(fine_grain, 1), "the fine_grain shape is not folded");
-    for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
+    for backend in BackendKind::all() {
         for workers in [1, 2, 3] {
-            let (scheduler, bits) = (SchedulerPolicy::LocalityAware, backend != BackendKind::Int8);
-            gate_scheduled::<f32>(fine_grain, 37, backend, bits, scheduler, workers, 1);
+            let scheduler = SchedulerPolicy::LocalityAware;
+            gate_scheduled::<f32>(fine_grain, 37, backend, scheduler, workers, 1);
         }
     }
 
@@ -356,7 +333,6 @@ fn warm_replays_allocate_nothing() {
         config(CellKind::Lstm, MergeMode::Concat, ModelKind::ManyToOne),
         3,
         BackendKind::Scalar,
-        true,
         SchedulerPolicy::WorkStealing,
         2,
         4,
@@ -365,7 +341,6 @@ fn warm_replays_allocate_nothing() {
         config(CellKind::Gru, MergeMode::Sum, ModelKind::ManyToMany),
         11,
         BackendKind::Simd,
-        true,
         SchedulerPolicy::WorkStealing,
         3,
         4,
@@ -391,15 +366,15 @@ fn warm_replays_allocate_nothing() {
         (1e-4, 1e-2),
     );
 
-    // Training: every cell kind under every backend kind's executor (an
-    // int8 executor trains on the exact kernels) and on 1–3 workers;
+    // Training: every cell kind under every backend kind's executor and on
+    // 1–3 workers;
     // many-to-one leaves most top-layer `dh` slots unwritten, `mbs` 2
     // adds the cross-replica reductions, the h = 2 shapes are folded.
     let bpar = |workers, backend, mbs| {
         TaskGraphExec::with_backend(workers, SchedulerPolicy::LocalityAware, mbs, backend)
     };
     for workers in [1, 2, 3] {
-        for backend in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8] {
+        for backend in BackendKind::all() {
             for cell in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
                 let cfg = config(cell, MergeMode::Concat, ModelKind::ManyToOne);
                 train_gate::<f32>(&bpar(workers, backend, 1), cfg, 41, 4, 0.0);

@@ -16,13 +16,8 @@
 //!   slice loops every cell calls (eight lanes wide where the host allows,
 //!   scalar in the tail) equal one `Float::sigmoid` / `Float::tanh` per
 //!   element bit for bit, at every hidden width, under every backend.
-//! * **Int8 forward within the analytic quantization bound.** Each GEMM's
-//!   error is bounded by [`bpar_tensor::int8_bound`]; gate
-//!   non-linearities are 1-Lipschitz, so cell outputs stay within a small
-//!   multiple of the per-GEMM bound.
 //! * **Workspace reuse is backend-agnostic.** One [`Workspace`] serving
-//!   interleaved shapes *and* interleaved backends (the int8 path grows
-//!   quantization scratch in it) never changes results.
+//!   interleaved shapes *and* interleaved backends never changes results.
 //!
 //! Backends only specialize `f32`, so the cell- and model-level cases run
 //! on `f32` models; the kernel-level cases cover `f64` too.
@@ -33,9 +28,7 @@ use bpar_core::exec::{Executor, SequentialExec, TaskGraphExec};
 use bpar_core::merge::MergeMode;
 use bpar_core::model::{Brnn, BrnnConfig, ModelKind};
 use bpar_runtime::SchedulerPolicy;
-use bpar_tensor::{
-    init, int8_bound, ops, reference, Backend, BackendKind, Float, Matrix, Workspace,
-};
+use bpar_tensor::{init, ops, reference, Backend, BackendKind, Float, Matrix, Workspace};
 use proptest::prelude::*;
 
 /// Bitwise equality, except that a NaN matches any NaN: `fmaf` and the
@@ -56,7 +49,7 @@ fn widen(m: &Matrix<f32>) -> Matrix<f64> {
 }
 
 /// All three GEMM variants of one `(m, k, n, alpha, beta)` case through
-/// the free functions and every f32-exact backend handle, against the
+/// the free functions and every backend handle, against the
 /// portable loops. `a`, `b` are the NN operands; NT/TN transpose them.
 fn gemms_match_reference<T: Float>(
     a: &Matrix<T>,
@@ -107,19 +100,6 @@ fn gemms_match_reference<T: Float>(
             &format!("{kind} tn"),
         );
     }
-    // Int8 quantizes the forward product only; its backward kernels are
-    // the shared f32 ones.
-    let q = Backend::int8();
-    assert_bits(
-        &want(&|c| q.gemm_nt(alpha, a, &bt, beta, c)),
-        &nt,
-        "int8 nt",
-    );
-    assert_bits(
-        &want(&|c| q.gemm_tn(alpha, &at, b, beta, c)),
-        &tn,
-        "int8 tn",
-    );
 }
 
 /// Every element-wise op through every backend handle against the
@@ -224,22 +204,6 @@ fn warm_state(
     let zero = CellState::zeros(kind, batch, hidden);
     let ws = &mut Workspace::new();
     forward_with(p, kind, &x, &zero, hidden, ws, Backend::default()).0
-}
-
-/// Largest |w| over every weight matrix of `p` (clone-and-visit: the
-/// visitor is `&mut`-only by design).
-fn weight_amax(p: &CellParams<f32>) -> f32 {
-    let mut amax = 0.0f32;
-    p.clone().for_each_weight_mut(&mut |m: &mut Matrix<f32>| {
-        for v in m.as_slice() {
-            amax = amax.max(v.abs());
-        }
-    });
-    amax
-}
-
-fn matrix_amax(m: &Matrix<f32>) -> f32 {
-    m.as_slice().iter().fold(0.0f32, |a, v| a.max(v.abs()))
 }
 
 proptest! {
@@ -740,40 +704,9 @@ proptest! {
         g_ref.for_each_param(&g_simd, &mut |a, b| assert_bits(a, b, "param grads"));
     }
 
-    /// Int8 cell forward stays within a small multiple of the analytic
-    /// per-GEMM quantization bound. A zero previous state keeps the bound
-    /// derivation exact: every pre-activation is one quantized GEMM plus a
-    /// bias, and the 1-Lipschitz gate non-linearities cannot amplify the
-    /// error (the factor 8 covers the LSTM/GRU gate products).
-    #[test]
-    fn int8_forward_within_quantization_bound(
-        kind in cell_kinds(),
-        batch in 1usize..5, input in 1usize..10, hidden in 1usize..10,
-        seed in 0u64..1000,
-    ) {
-        let p = CellParams::<f32>::init(kind, input, hidden, seed);
-        let prev = CellState::zeros(kind, batch, hidden);
-        let x = init::uniform(batch, input, -1.0, 1.0, seed + 2);
-        let mut ws_s = Workspace::new();
-        let mut ws_q = Workspace::new();
-
-        let (st_ref, _) = forward_with(&p, kind, &x, &prev, hidden, &mut ws_s, Backend::scalar());
-        let (st_q, _) = forward_with(&p, kind, &x, &prev, hidden, &mut ws_q, Backend::int8());
-
-        let k = input + hidden;
-        let delta = int8_bound(1.0, k, matrix_amax(&x), weight_amax(&p));
-        let tol = 8.0 * delta + 1e-4;
-        for (a, b) in st_ref.h.as_slice().iter().zip(st_q.h.as_slice()) {
-            prop_assert!(
-                (a - b).abs() <= tol,
-                "h: |{a} - {b}| > {tol} ({kind:?}, k = {k})"
-            );
-        }
-    }
-
     /// One workspace reused across interleaved shapes AND backends leaves
-    /// scalar results bit-identical: pooled buffers (including the int8
-    /// quantization scratch grown mid-sequence) carry no cross-call state.
+    /// scalar results bit-identical: pooled buffers carry no cross-call
+    /// state.
     #[test]
     fn workspace_reuse_across_backends_is_inert(
         kind in cell_kinds(),
@@ -790,9 +723,8 @@ proptest! {
             let prev = warm_state(&p, kind, batch, input, hidden, s + 1);
             let x = init::uniform(batch, input, -1.0, 1.0, s + 2);
 
-            // Pollute the shared pool with the other backends' scratch.
+            // Pollute the shared pool with the other backend's scratch.
             forward_with(&p, kind, &x, &prev, hidden, &mut shared, Backend::simd());
-            forward_with(&p, kind, &x, &prev, hidden, &mut shared, Backend::int8());
 
             let (st_shared, _) =
                 forward_with(&p, kind, &x, &prev, hidden, &mut shared, Backend::scalar());
@@ -845,99 +777,5 @@ proptest! {
                 assert_bits(a, b, "seq logits");
             }
         }
-    }
-}
-
-/// End to end: an int8-backend executor serves logits within a model-level
-/// tolerance of the exact reference. The bound compounds per layer, so
-/// this is deliberately a fixed-seed test over a known-small model rather
-/// than a property over arbitrary shapes: hidden 8, two layers, unit-range
-/// inputs — each pre-activation GEMM's analytic bound is well under 0.1,
-/// and the observed end-to-end divergence sits near 0.02; 0.5 leaves an
-/// order of magnitude of headroom without accepting garbage.
-#[test]
-fn int8_executor_logits_within_tolerance() {
-    for seed in [1u64, 7, 42, 99] {
-        let cfg = BrnnConfig {
-            cell: CellKind::Lstm,
-            input_size: 5,
-            hidden_size: 8,
-            layers: 2,
-            seq_len: 4,
-            output_size: 4,
-            merge: MergeMode::Sum,
-            kind: ModelKind::ManyToOne,
-        };
-        let model = Brnn::<f32>::new(cfg, seed);
-        let xs: Vec<Matrix<f32>> = (0..cfg.seq_len)
-            .map(|t| init::uniform(3, cfg.input_size, -1.0, 1.0, seed + 50 + t as u64))
-            .collect();
-        let exec =
-            TaskGraphExec::with_backend(2, SchedulerPolicy::LocalityAware, 1, BackendKind::Int8);
-        let reference = SequentialExec.forward(&model, &xs);
-        // Two passes: the second replays the cached plan through the
-        // pre-quantized weight snapshot.
-        for pass in 0..2 {
-            let got = exec.forward(&model, &xs);
-            let mut max_diff = 0.0f32;
-            for (a, b) in reference
-                .logits
-                .as_slice()
-                .iter()
-                .zip(got.logits.as_slice())
-            {
-                max_diff = max_diff.max((a - b).abs());
-            }
-            assert!(
-                max_diff <= 0.5,
-                "int8 logits diverge by {max_diff} (seed {seed}, pass {pass})"
-            );
-            assert!(
-                max_diff > 0.0,
-                "int8 path produced bit-identical logits — quantization \
-                 apparently never ran (seed {seed}, pass {pass})"
-            );
-        }
-    }
-}
-
-/// The int8 backend is inference-only: a *training* step through an
-/// int8-configured executor downgrades wholly to the exact f32 kernels
-/// and matches the sequential reference bit for bit.
-#[test]
-fn int8_training_downgrades_to_exact_scalar() {
-    use bpar_core::exec::Target;
-    use bpar_core::optim::Sgd;
-
-    let cfg = BrnnConfig {
-        cell: CellKind::Gru,
-        input_size: 3,
-        hidden_size: 4,
-        layers: 2,
-        seq_len: 3,
-        output_size: 3,
-        merge: MergeMode::Sum,
-        kind: ModelKind::ManyToOne,
-    };
-    let model = Brnn::<f32>::new(cfg, 5);
-    let xs: Vec<Matrix<f32>> = (0..cfg.seq_len)
-        .map(|t| init::uniform(2, cfg.input_size, -1.0, 1.0, 60 + t as u64))
-        .collect();
-    let target = Target::Classes(vec![0, 2]);
-    let exec = TaskGraphExec::with_backend(2, SchedulerPolicy::LocalityAware, 1, BackendKind::Int8);
-
-    let mut m_seq = model.clone();
-    let mut m_q = model.clone();
-    for _ in 0..2 {
-        let l_seq = SequentialExec.train_batch(&mut m_seq, &xs, &target, &mut Sgd::new(0.05));
-        let l_q = exec.train_batch(&mut m_q, &xs, &target, &mut Sgd::new(0.05));
-        assert_eq!(l_seq.to_bits(), l_q.to_bits(), "loss bits");
-    }
-    assert_bits(&m_seq.dense.w, &m_q.dense.w, "post-step dense w");
-    for (a, b) in m_seq.layers.iter_mut().zip(&m_q.layers) {
-        a.fwd
-            .for_each_param(&b.fwd, &mut |x, y| assert_bits(x, y, "fwd params"));
-        a.rev
-            .for_each_param(&b.rev, &mut |x, y| assert_bits(x, y, "rev params"));
     }
 }

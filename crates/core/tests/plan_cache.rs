@@ -595,19 +595,21 @@ proptest! {
     }
 }
 
-/// Stores are keyed by tenant and backend kind. Two tenants with identical
-/// configs each get their own; an int8 executor's quantized inference
-/// store is never the one its training plans read, which is why its
-/// training stays bitwise equal to `SequentialExec` while int8 inference
-/// of the same model runs in between.
+/// Stores are keyed by tenant, config and scalar type, never by phase or
+/// backend kind. Two tenants with identical configs each get their own;
+/// a `scalar` executor's inference plans and its training plans (which
+/// run the default kernels) read one store, re-synced in place as
+/// training moves the weights — and training on it stays bitwise equal
+/// to `SequentialExec` while inference of the same model runs in between.
 #[test]
-fn tenants_and_backend_kinds_never_share_a_store() {
+fn tenants_never_share_a_store_but_phases_do() {
     use bpar_core::exec::ForwardOutput;
     use bpar_tensor::BackendKind;
     let cfg = small_config();
     let tenants: Vec<Brnn<f32>> = vec![Brnn::new(cfg, 61), Brnn::new(cfg, 62)];
     let snapshot = (tenants[0].param_count() * std::mem::size_of::<f32>()) as u64;
-    let exec = TaskGraphExec::with_backend(2, SchedulerPolicy::LocalityAware, 1, BackendKind::Int8);
+    let exec =
+        TaskGraphExec::with_backend(2, SchedulerPolicy::LocalityAware, 1, BackendKind::Scalar);
     let xs: Vec<Matrix<f32>> = (0..4)
         .map(|t| init::uniform(2, cfg.input_size, -1.0, 1.0, 70 + t))
         .collect();
@@ -622,19 +624,21 @@ fn tenants_and_backend_kinds_never_share_a_store() {
     let mut model = tenants[0].clone();
     let mut twin = model.clone();
     let target = target_for(&cfg, 2, 4, 3);
-    for _ in 0..3 {
+    for step in 0..3 {
         let loss = exec.train_batch(&mut model, &xs, &target, &mut Sgd::new(0.1));
         let want = SequentialExec::new().train_batch(&mut twin, &xs, &target, &mut Sgd::new(0.1));
-        assert_eq!(
-            loss.to_bits(),
-            want.to_bits(),
-            "training read quantized weights"
-        );
-        assert_eq!(model.max_param_diff(&twin), 0.0);
+        assert_eq!(loss.to_bits(), want.to_bits(), "step {step}: loss");
+        assert_eq!(model.max_param_diff(&twin), 0.0, "step {step}: weights");
         exec.try_forward_into_keyed(0, &model, &xs, &mut out)
             .unwrap();
+        let served = SequentialExec::new().forward(&model, &xs);
+        assert_eq!(out.logits.max_abs_diff(&served.logits), 0.0, "step {step}");
+        assert_eq!(
+            exec.plan_cache_stats().weight_bytes,
+            2 * snapshot,
+            "step {step}"
+        );
     }
-    assert_eq!(exec.plan_cache_stats().weight_bytes, 3 * snapshot);
 }
 
 /// Once the byte budget has evicted every plan of a tenant, nothing holds

@@ -214,7 +214,7 @@ proptest! {
         let fresh = |(b, i, o): Dims| {
             (Matrix::zeros(b, o), DenseParams::<f32>::init(i, o, 0).zeros_like(), Matrix::zeros(b, i))
         };
-        let pass = |(b, i, o): Dims, s, out: &mut (Matrix<f32>, DenseParams<f32>, Matrix<f32>), ws: &mut _| {
+        let pass = |(b, i, o): Dims, s, out: &mut (Matrix<f32>, DenseParams<f32>, Matrix<f32>), _: &mut _| {
             let be = Backend::default();
             let p = DenseParams::<f32>::init(i, o, s);
             let x = init::uniform(b, i, -1.0, 1.0, s + 1);
@@ -222,7 +222,7 @@ proptest! {
             let (logits, grads, dx) = out;
             grads.w.fill_zero();
             grads.b.fill_zero();
-            p.forward(&x, logits, ws, be);
+            p.forward(&x, logits, be);
             p.backward(&x, &dlogits, grads, dx, be);
         };
         let (cold, warm) = cold_and_warm(d, (d2, d3), seed, fresh, pass);

@@ -10,8 +10,9 @@
 //!
 //! * [`region`] — versioned dependency objects and the RAW/WAR/WAW edge
 //!   computation ([`region::DepTracker`]),
-//! * [`graph`] — a static [`graph::TaskGraph`] representation consumed both
-//!   by the live executor and by the multi-core simulator (`bpar-sim`),
+//! * [`graph`] — a static [`graph::TaskGraph`] representation consumed by
+//!   the multi-core simulator (`bpar-sim`) and the verifier
+//!   (`bpar-verify`); live executors replay a [`CompiledPlan`] instead,
 //! * [`runtime`] — the live [`runtime::Runtime`]: worker threads (bound to
 //!   CPUs when there are several, as OmpSs does), dynamic dependency
 //!   resolution, `taskwait`,

@@ -140,9 +140,7 @@ pub struct ServeConfig {
     pub plan_byte_budget: Option<u64>,
     /// Kernel backend inference batches dispatch through. `Simd` (the
     /// default, vector kernels) and `Scalar` (the portable loops) both
-    /// keep responses bit-identical to `SequentialExec`; `Int8` trades a
-    /// documented quantization tolerance for throughput (weights are
-    /// quantized once per revision sync).
+    /// keep responses bit-identical to `SequentialExec`.
     pub backend: BackendKind,
     /// How each direction's recurrence executes. `Chain` (the default)
     /// is the paper's timestep chain, bit-identical to sequential;

@@ -5,24 +5,21 @@
 //! slice-level entry points in [`crate::gemm`], [`crate::ops`] and
 //! [`crate::activation`], which run it on the host's AVX2+FMA / NEON unit
 //! when there is one and as portable loops otherwise. A [`KernelBackend`]'s methods default to those
-//! entry points, so the three selectable kinds differ only where one
+//! entry points, so the two selectable kinds differ only where one
 //! overrides a method:
 //!
 //! * [`SimdBackend`] (the default) overrides nothing: it is the kernels the
 //!   free functions run ([`Backend::simd_active`] reports whether a vector
 //!   unit was found);
 //! * [`ScalarBackend`] overrides the fused multiply-add kernels with the
-//!   portable loops themselves — same bits, no vector unit, the oracle;
-//! * [`Int8Backend`] overrides the forward NN GEMM with a symmetric
-//!   per-tensor int8 quantized product, and [`Backend::affine`]'s narrow
-//!   route with that product.
+//!   portable loops themselves — same bits, no vector unit, the oracle.
 //!
 //! NN and TN products narrower than one register tile (`n < 2·NR`, `k ≤ KC`) take
 //! the narrow route under every kind — one pass per row of `C` instead of
 //! the blocked nest ([`crate::gemm`] says why the bits cannot change).
 //! [`Backend::affine`] is a cell's gate product on that route and
 //! [`Backend::affine_grad`] its backward (`gemm_tn`, the bias-gradient
-//! column sums and `gemm_nt`); int8 quantizes only the first.
+//! column sums and `gemm_nt`).
 //!
 //! Numerical contract (tested in `src/reference.rs`, `tests/proptests.rs`
 //! and `bpar-core`'s `tests/backend_parity.rs`):
@@ -36,20 +33,15 @@
 //!   scalar call, in the vectorised slice loops
 //!   ([`crate::activation::sigmoid_slice`]) and under every backend — the
 //!   trait's one method that takes an activation, `affine_f32`, applies
-//!   the same per-element functions, so nothing can diverge;
-//! * the int8 GEMM carries the quantization error bound computed by
-//!   [`int8_bound`]; its backward kernels (`gemm_nt`/`gemm_tn`) stay in
-//!   f32.
+//!   the same per-element functions, so nothing can diverge.
 //!
 //! Backends only ever see `f32` slices; `f64` matrices go straight to the
 //! dispatching entry points ([`crate::Float::as_f32_slice`] declines the
 //! downcast), which keeps `f64` gradient-check tests exact.
 
-mod quant;
 mod scalar;
 pub(crate) mod simd;
 
-pub use quant::{int8_bound, roundtrip_quantize, Int8Backend};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
@@ -58,7 +50,7 @@ use crate::gemm::{self as gemm_mod, Op};
 use crate::matrix::Matrix;
 use crate::ops;
 use crate::scalar::Float;
-use crate::workspace::{QuantScratch, Workspace};
+use crate::workspace::Workspace;
 
 /// Which kernel backend a component should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -69,17 +61,14 @@ pub enum BackendKind {
     /// to [`BackendKind::Scalar`].
     #[default]
     Simd,
-    /// Int8 per-tensor quantized inference GEMM; everything else as above.
-    Int8,
 }
 
 impl BackendKind {
-    /// Parses a CLI spelling (`scalar|simd|int8`).
+    /// Parses a CLI spelling (`scalar|simd`).
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "scalar" => Some(BackendKind::Scalar),
             "simd" => Some(BackendKind::Simd),
-            "int8" => Some(BackendKind::Int8),
             _ => None,
         }
     }
@@ -89,13 +78,12 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::Int8 => "int8",
         }
     }
 
     /// All selectable kinds, in CLI order.
-    pub fn all() -> [BackendKind; 3] {
-        [BackendKind::Scalar, BackendKind::Simd, BackendKind::Int8]
+    pub fn all() -> [BackendKind; 2] {
+        [BackendKind::Scalar, BackendKind::Simd]
     }
 }
 
@@ -126,9 +114,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
     }
 
     /// `C += alpha * A * B` (`A: m×k`, `B: k×n`, `C: m×n`, row-major).
-    ///
-    /// `q` is the caller's grow-only quantization scratch; only the int8
-    /// backend touches it.
     #[allow(clippy::too_many_arguments)]
     fn gemm_f32(
         &self,
@@ -139,7 +124,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         gemm_mod::gemm_accum(alpha, a, b, c, m, k, n);
     }
@@ -176,7 +160,7 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
 
     /// `C = act(A · W + b)` (`A: m×k`, `W: k×n`, `b: 1×n`) for a narrow
     /// product ([`Backend::affine`] picks the route): one fused pass per
-    /// row. `q` as in [`KernelBackend::gemm_f32`].
+    /// row.
     #[allow(clippy::too_many_arguments)]
     fn affine_f32(
         &self,
@@ -188,7 +172,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         gemm_mod::affine_narrow(act, a, w, b, c, m, k, n);
     }
@@ -249,24 +232,6 @@ pub trait KernelBackend: Sync + std::fmt::Debug {
         ops::row_scale_slice(a, m, rows, cols);
     }
 
-    /// Blelloch-scan transfer composition: `out_a = a1 ⊙ a2`,
-    /// `out_b = a2 ⊙ b1 + b2` (apply `(a1,b1)` first, then `(a2,b2)`).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_combine_f32(
-        &self,
-        a1: &[f32],
-        b1: &[f32],
-        a2: &[f32],
-        b2: &[f32],
-        out_a: &mut [f32],
-        out_b: &mut [f32],
-        rows: usize,
-        cols: usize,
-    ) {
-        self.hadamard_f32(a1, a2, out_a);
-        self.row_mul_add_f32(a2, b1, b2, out_b, rows, cols);
-    }
-
     /// Row-wise stable softmax (the same code in every backend).
     fn softmax_rows_f32(&self, m: &mut [f32], rows: usize, cols: usize) {
         activation::softmax_rows_slice(m, rows, cols);
@@ -290,7 +255,6 @@ pub(crate) fn f32_views<'a, T: Float>(
 
 static SCALAR_BACKEND: ScalarBackend = ScalarBackend;
 static SIMD_BACKEND: SimdBackend = SimdBackend;
-static INT8_BACKEND: Int8Backend = Int8Backend;
 
 /// A cheap, copyable handle to a [`KernelBackend`].
 ///
@@ -326,17 +290,11 @@ impl Backend {
         Backend(&SIMD_BACKEND)
     }
 
-    /// The int8 quantized inference backend.
-    pub fn int8() -> Backend {
-        Backend(&INT8_BACKEND)
-    }
-
     /// Handle for a [`BackendKind`].
     pub fn of(kind: BackendKind) -> Backend {
         match kind {
             BackendKind::Scalar => Backend::scalar(),
             BackendKind::Simd => Backend::simd(),
-            BackendKind::Int8 => Backend::int8(),
         }
     }
 
@@ -352,8 +310,9 @@ impl Backend {
 
     /// `C = alpha * A * B + beta * C` through the backend.
     ///
-    /// `ws` supplies the int8 backend's quantization scratch; the other
-    /// backends never touch it. Same shape contract as [`crate::gemm`].
+    /// Same shape contract as [`crate::gemm`]. `ws` is unused: it stays
+    /// only because the benchmark ledger, whose files change only with
+    /// the benchmark, passes one.
     pub fn gemm<T: Float>(
         self,
         alpha: T,
@@ -361,8 +320,13 @@ impl Backend {
         b: &Matrix<T>,
         beta: T,
         c: &mut Matrix<T>,
-        ws: &mut Workspace<T>,
+        _ws: &mut Workspace<T>,
     ) {
+        self.gemm_nn(alpha, a, b, beta, c);
+    }
+
+    /// [`Backend::gemm`] without the unused workspace.
+    fn gemm_nn<T: Float>(self, alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
         gemm_mod::checked(
             Op::NN,
             alpha,
@@ -371,10 +335,7 @@ impl Backend {
             beta,
             c,
             |alpha, a, b, c, m, k, n| match f32_views(a, b, c) {
-                Some((a, b, c)) => {
-                    let q = ws.quant_scratch();
-                    self.0.gemm_f32(alpha.to_f32(), a, b, c, m, k, n, q)
-                }
+                Some((a, b, c)) => self.0.gemm_f32(alpha.to_f32(), a, b, c, m, k, n),
                 None => gemm_mod::gemm_accum(alpha, a, b, c, m, k, n),
             },
         );
@@ -435,9 +396,7 @@ impl Backend {
     /// FMA chains, `0 + acc + b[j]`, the activation per element. Anything
     /// wider runs `gemm` into a zeroed `out`, `add_bias` and the activation
     /// slices. Both perform the same operations per element in the same
-    /// order, so the route never changes a bit. `ws` feeds the int8
-    /// backend's quantization scratch; int8 keeps its quantized GEMM on
-    /// both routes.
+    /// order, so the route never changes a bit.
     ///
     /// # Panics
     /// Panics if the shapes are inconsistent, or if `act` is
@@ -449,7 +408,6 @@ impl Backend {
         w: &Matrix<T>,
         b: &Matrix<T>,
         out: &mut Matrix<T>,
-        ws: &mut Workspace<T>,
     ) {
         let ((m, k), n) = (z.shape(), w.cols());
         assert_eq!(w.rows(), k, "affine: inner dimensions differ");
@@ -460,16 +418,13 @@ impl Backend {
             "affine: LSTM gate rows have four blocks"
         );
         if !gemm_mod::narrow(k, n) {
-            self.gemm(T::ONE, z, w, T::ZERO, out, ws);
+            self.gemm_nn(T::ONE, z, w, T::ZERO, out);
             self.add_bias(out, b);
             return act.apply(out);
         }
         let (zs, wts, bs) = (z.as_slice(), w.as_slice(), b.as_slice());
         match (f32_views(zs, wts, out.as_mut_slice()), T::as_f32_slice(bs)) {
-            (Some((zf, wf, of)), Some(bf)) => {
-                let q = ws.quant_scratch();
-                self.0.affine_f32(act, zf, wf, bf, of, m, k, n, q)
-            }
+            (Some((zf, wf, of)), Some(bf)) => self.0.affine_f32(act, zf, wf, bf, of, m, k, n),
             _ => gemm_mod::affine_narrow(act, zs, wts, bs, out.as_mut_slice(), m, k, n),
         }
     }
@@ -483,8 +438,7 @@ impl Backend {
     /// rows ascending) added into `db` — the bits of `column_sums_into` +
     /// `axpy(1, ·, db)` — and `gemm_nt(1, dG, W, 0, dz)`. The GEMMs pick
     /// their own routes (a narrow TN product is already one pass per row of
-    /// `dW`), so nothing is left to fuse. Gradients are never quantized:
-    /// int8 runs the exact kernels.
+    /// `dW`), so nothing is left to fuse.
     ///
     /// # Panics
     /// Panics if the shapes are inconsistent.
@@ -689,7 +643,7 @@ mod tests {
         assert_eq!(BackendKind::parse("mkl"), None);
         assert_eq!(Backend::default().kind(), BackendKind::Simd);
         assert_eq!(BackendKind::default(), BackendKind::Simd);
-        assert_eq!(format!("{}", BackendKind::Int8), "int8");
+        assert_eq!(format!("{}", BackendKind::Scalar), "scalar");
     }
 
     #[test]
@@ -697,19 +651,19 @@ mod tests {
         let a = Backend::simd();
         let b = a; // Copy
         assert_eq!(a, b);
-        assert_ne!(Backend::scalar(), Backend::int8());
+        assert_ne!(Backend::scalar(), Backend::simd());
     }
 
     #[test]
     fn f64_always_takes_the_scalar_path() {
         // Whatever the backend, f64 takes the dispatching entry points (the
-        // downcast declines, int8 included) and must reproduce the
+        // downcast declines) and must reproduce the
         // portable loops bit-for-bit.
         let a = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f64 * 0.25 - 3.0);
         let b = Matrix::from_fn(7, 4, |r, c| (r * 4 + c) as f64 * 0.125 - 1.0);
         let mut want = Matrix::zeros(5, 4);
         crate::reference::gemm(1.0, &a, &b, 0.0, &mut want);
-        for be in [Backend::scalar(), Backend::simd(), Backend::int8()] {
+        for be in [Backend::scalar(), Backend::simd()] {
             let mut got = Matrix::zeros(5, 4);
             be.gemm(1.0, &a, &b, 0.0, &mut got, &mut Workspace::new());
             for (x, y) in got.as_slice().iter().zip(want.as_slice()) {

@@ -16,7 +16,6 @@ use super::{BackendKind, KernelBackend};
 use crate::activation::Activation;
 use crate::gemm::narrow;
 use crate::reference;
-use crate::workspace::QuantScratch;
 
 /// The portable loops under the default kind.
 #[derive(Debug)]
@@ -40,7 +39,6 @@ impl KernelBackend for ScalarBackend {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         if narrow(k, n) {
             reference::gemm_rows::<f32, false>(alpha, a, b, c, m, k, n);
@@ -89,7 +87,6 @@ impl KernelBackend for ScalarBackend {
         m: usize,
         k: usize,
         n: usize,
-        _q: &mut QuantScratch,
     ) {
         reference::affine_rows(act, a, w, b, c, m, k, n);
     }

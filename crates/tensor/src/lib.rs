@@ -19,10 +19,9 @@
 //!   every fused multiply-add kernel: the fallback, and the oracle the
 //!   dispatched kernels must match bit for bit,
 //! * [`backend`] — the AVX2+FMA / NEON kernels `gemm` and `ops` dispatch
-//!   to when the host has the unit, and the selectable backends on top
+//!   to when the host has the unit, and the two selectable backends on top
 //!   (`simd`, the default: those dispatched kernels; `scalar`: the portable
-//!   loops, same bits; `int8`: a symmetric per-tensor quantized inference
-//!   GEMM).
+//!   loops, same bits).
 //!
 //! All kernels are sequential by design: in the B-Par execution model,
 //! parallelism comes from running many *tasks* (cell updates) concurrently,
@@ -49,11 +48,8 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use alloc_track::CountingAlloc;
-pub use backend::{
-    int8_bound, roundtrip_quantize, Backend, BackendKind, Int8Backend, KernelBackend,
-    ScalarBackend, SimdBackend,
-};
+pub use backend::{Backend, BackendKind, KernelBackend, ScalarBackend, SimdBackend};
 pub use gemm::{gemm, gemm_naive, gemm_nt, gemm_tn};
 pub use matrix::Matrix;
 pub use scalar::Float;
-pub use workspace::{QuantScratch, Workspace, WorkspaceStats};
+pub use workspace::{Workspace, WorkspaceStats};

@@ -93,7 +93,7 @@ pub trait Float:
     /// Reinterprets a slice of `Self` as `&[f32]` when `Self` *is* `f32`.
     ///
     /// This is the monomorphization escape hatch the kernel backends use:
-    /// vector and quantized kernels are written once against `f32`, and
+    /// vector kernels are written once against `f32`, and
     /// generic code downcasts through here (`None` for `f64`, which runs
     /// the generic loops of [`crate::reference`]).
     fn as_f32_slice(s: &[Self]) -> Option<&[f32]> {

@@ -7,9 +7,8 @@
 //! use), `give_back` returns it, and a warmed-up workspace services a
 //! fixed-shape kernel sequence with zero heap allocations.
 //!
-//! The cells' `forward`/`backward` and the dense head's `forward` take a
-//! caller-provided workspace: a forward for the int8 backend's
-//! quantization scratch, a backward for its transient blocks (a GRU step
+//! The cells' `backward` (and the linear cell's `forward`) take a
+//! caller-provided workspace for their transient blocks (a GRU step
 //! checks out three). A plan's task bodies hand them the running worker's
 //! workspace and keep their persistent buffers in the plan's slots, so a
 //! warm `Runtime::replay` never touches the allocator.
@@ -26,51 +25,6 @@ pub struct WorkspaceStats {
     pub reuses: u64,
     /// Checkouts that had to allocate a fresh buffer (cold path).
     pub cold_allocs: u64,
-}
-
-/// Grow-only integer scratch used by the int8 kernel backend: quantized
-/// copies of the GEMM operands plus one row of `i32` accumulators.
-///
-/// It lives inside the [`Workspace`] so the per-task warm-up replay that
-/// already warms the matrix pool also warms the quantization buffers —
-/// after the first call at a given shape, the int8 path performs zero heap
-/// allocations (the buffers only ever grow, never shrink).
-#[derive(Debug, Default)]
-pub struct QuantScratch {
-    qa: Vec<i8>,
-    qb: Vec<i8>,
-    acc: Vec<i32>,
-}
-
-impl QuantScratch {
-    /// Borrows quantization buffers of at least the requested sizes,
-    /// growing them if this shape has never been seen (cold path).
-    pub fn ensure(
-        &mut self,
-        a_len: usize,
-        b_len: usize,
-        acc_len: usize,
-    ) -> (&mut [i8], &mut [i8], &mut [i32]) {
-        if self.qa.len() < a_len {
-            self.qa.resize(a_len, 0);
-        }
-        if self.qb.len() < b_len {
-            self.qb.resize(b_len, 0);
-        }
-        if self.acc.len() < acc_len {
-            self.acc.resize(acc_len, 0);
-        }
-        (
-            &mut self.qa[..a_len],
-            &mut self.qb[..b_len],
-            &mut self.acc[..acc_len],
-        )
-    }
-
-    /// Bytes of backing storage currently held.
-    pub fn bytes(&self) -> usize {
-        self.qa.capacity() + self.qb.capacity() + 4 * self.acc.capacity()
-    }
 }
 
 /// Free buffers of one `(rows, cols)` shape.
@@ -93,18 +47,13 @@ pub struct Workspace<T: Float = f32> {
     /// shapes, so a linear scan beats hashing the key on every
     /// checkout/give-back.
     pool: Vec<FreeList<T>>,
-    quant: QuantScratch,
     stats: WorkspaceStats,
 }
 
 impl<T: Float> Workspace<T> {
     /// An empty workspace.
     pub fn new() -> Self {
-        Self {
-            pool: Vec::new(),
-            quant: QuantScratch::default(),
-            stats: WorkspaceStats::default(),
-        }
+        Self::default()
     }
 
     /// The free list of `shape`, if that shape was ever given back.
@@ -112,11 +61,6 @@ impl<T: Float> Workspace<T> {
         self.pool
             .iter_mut()
             .find_map(|(s, free)| (*s == shape).then_some(free))
-    }
-
-    /// The int8 backend's grow-only quantization scratch.
-    pub fn quant_scratch(&mut self) -> &mut QuantScratch {
-        &mut self.quant
     }
 
     /// Checks a `rows × cols` buffer out of the pool.
@@ -153,9 +97,9 @@ impl<T: Float> Workspace<T> {
     }
 
     /// Tops the pool up to at least as many free buffers of every shape as
-    /// `other` holds, and the quantization scratch to `other`'s sizes: a
-    /// workspace that never ran a kernel sequence `other` ran is then as
-    /// ready for it. Call with both pools idle (every buffer given back).
+    /// `other` holds: a workspace that never ran a kernel sequence `other`
+    /// ran is then as ready for it. Call with both pools idle (every
+    /// buffer given back).
     pub fn reserve_like(&mut self, other: &Workspace<T>) {
         for &((rows, cols), ref free) in &other.pool {
             let have = self.free((rows, cols)).map_or(0, |f| f.len());
@@ -165,8 +109,6 @@ impl<T: Float> Workspace<T> {
                 self.give_back(m);
             }
         }
-        let q = &other.quant;
-        self.quant.ensure(q.qa.len(), q.qb.len(), q.acc.len());
     }
 
     /// Drops every pooled buffer but keeps the lifetime byte counter
@@ -284,12 +226,10 @@ mod tests {
         let mut b: Workspace<f32> = Workspace::new();
         let held = [a.checkout(2, 3), a.checkout(2, 3), a.checkout(1, 4)];
         held.into_iter().for_each(|m| a.give_back(m));
-        let _ = a.quant_scratch().ensure(6, 8, 4);
         let m = b.checkout(2, 3);
         b.give_back(m);
         b.reserve_like(&a);
         assert_eq!(b.pooled(), 3);
-        assert_eq!(b.quant_scratch().bytes(), a.quant_scratch().bytes());
         // Everything `a` needed, `b` now serves without allocating.
         let (cold, bytes) = (b.stats().cold_allocs, b.bytes());
         let held = [b.checkout(2, 3), b.checkout(2, 3), b.checkout(1, 4)];
@@ -299,23 +239,6 @@ mod tests {
         // Reserving again is a no-op.
         b.reserve_like(&a);
         assert_eq!((b.pooled(), b.bytes()), (3, bytes));
-    }
-
-    #[test]
-    fn quant_scratch_grows_once_per_shape() {
-        let mut ws: Workspace<f32> = Workspace::new();
-        assert_eq!(ws.quant_scratch().bytes(), 0);
-        {
-            let (qa, qb, acc) = ws.quant_scratch().ensure(6, 8, 4);
-            assert_eq!((qa.len(), qb.len(), acc.len()), (6, 8, 4));
-            qa[5] = 7;
-        }
-        let grown = ws.quant_scratch().bytes();
-        assert!(grown >= 6 + 8 + 16);
-        // Re-ensuring the same (or smaller) sizes never grows the buffers.
-        let _ = ws.quant_scratch().ensure(6, 8, 4);
-        let _ = ws.quant_scratch().ensure(3, 2, 1);
-        assert_eq!(ws.quant_scratch().bytes(), grown);
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn affine_case<T: Float>(
         for be in [Backend::scalar(), Backend::simd()] {
             // Garbage in `out`: the call must overwrite all of it.
             let mut got = Matrix::full(m, n, T::from_f64(f64::NAN));
-            be.affine(act, &z, &w, &b, &mut got, &mut Workspace::new());
+            be.affine(act, &z, &w, &b, &mut got);
             assert!(
                 same_bits(&got, &want),
                 "{act:?} {:?} {m}x{k}x{n}",
