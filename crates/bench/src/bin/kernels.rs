@@ -13,14 +13,16 @@
 //! Two yardsticks per row. `vs_scalar` is the distance from ourselves:
 //! the speed-up over the portable loops at the same (op, shape).
 //! `peak_frac` is the distance from the machine: GFLOP/s divided by the
-//! rate a register-only FMA loop reaches on the same unit
-//! ([`bpar_tensor::gemm::fma_chains`]), measured once at start-up.
+//! rate a register-only FMA loop reaches on the same unit at the same
+//! register width ([`bpar_tensor::gemm::fma_chains`]), measured once at
+//! start-up. The run records which tier the dispatched kernels ran
+//! (`avx512`, `avx2`, `neon` or `portable`: `SimdBackend::tier`).
 //!
 //! When a vector unit was detected (`Backend::simd().simd_active()`), the
 //! binary *asserts* a ≥ 2× geomean speed-up of the dispatched forward-path
 //! `NN` GEMM over the `scalar` row — the CI gate that keeps the dispatch
 //! from silently rotting into the portable fallback. On machines without
-//! AVX2+FMA/NEON the gate is skipped (the kernels *are* the portable loops
+//! AVX2+FMA, AVX-512F or NEON the gate is skipped (the kernels *are* the portable loops
 //! there, by design). Under the same condition it asserts that the
 //! polynomial non-linearities are ≥ 3× faster per element than libm at
 //! every measured shape — the gate that keeps their loops vectorised.
@@ -30,8 +32,8 @@
 
 use bpar_bench::{print_table, write_json};
 use bpar_tensor::activation::{sigmoid_slice, tanh_slice};
-use bpar_tensor::gemm::{fma_chains, FMA_CHAIN_FLOPS};
-use bpar_tensor::{init, Backend, BackendKind, Matrix, Workspace};
+use bpar_tensor::gemm::{fma_chain_flops, fma_chains};
+use bpar_tensor::{init, Backend, BackendKind, Matrix, SimdBackend, Workspace};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -97,6 +99,9 @@ struct ActivationRow {
 struct KernelsReport {
     seed: u64,
     simd_active: bool,
+    /// The tier the dispatched kernels ran: `avx512`, `avx2`, `neon` or
+    /// `portable`.
+    tier: &'static str,
     simd_gate: f64,
     activation_gate: f64,
     /// Geomean simd/scalar speed-up on the forward-path NN GEMM.
@@ -122,14 +127,15 @@ fn time_gflops(flops_per_iter: f64, mut f: impl FnMut()) -> (f64, usize) {
     (flops_per_iter * iters as f64 / secs / 1e9, iters)
 }
 
-/// Best of five timings of the register-only FMA loop, in GFLOP/s.
+/// Best of five timings of the register-only FMA loop at the dispatched
+/// tier's register width, in GFLOP/s.
 fn fma_peak_gflops() -> f64 {
     const ITERS: usize = 2_000_000;
     (0..5)
         .map(|_| {
             let start = Instant::now();
             black_box(fma_chains(ITERS));
-            (FMA_CHAIN_FLOPS * ITERS) as f64 / start.elapsed().as_secs_f64() / 1e9
+            (fma_chain_flops() * ITERS) as f64 / start.elapsed().as_secs_f64() / 1e9
         })
         .fold(0.0, f64::max)
 }
@@ -195,10 +201,11 @@ fn activation_rows() -> Vec<ActivationRow> {
 
 fn main() {
     let simd_active = Backend::simd().simd_active();
+    let tier = SimdBackend::tier();
     let peak = fma_peak_gflops();
     println!(
-        "kernels: simd_active = {simd_active} (portable loops otherwise), \
-         register-only FMA peak = {peak:.1} GFLOP/s"
+        "kernels: simd_active = {simd_active} (portable loops otherwise), tier = {tier}, \
+         register-only FMA peak at that width = {peak:.1} GFLOP/s"
     );
 
     let mut rows: Vec<KernelRow> = Vec::new();
@@ -333,7 +340,7 @@ fn main() {
 
     let canonical = format!(
         "shapes={},activations={},warmup={WARMUP},target_flops={TARGET_FLOPS:.0},gate={SIMD_GATE},\
-         activation_gate={ACTIVATION_GATE},simd={simd_active}",
+         activation_gate={ACTIVATION_GATE},simd={simd_active},tier={tier}",
         SHAPES
             .iter()
             .map(|&(m, k, n)| format!("{m}x{k}x{n}"))
@@ -348,6 +355,7 @@ fn main() {
     let report = KernelsReport {
         seed: SEED,
         simd_active,
+        tier,
         simd_gate: SIMD_GATE,
         activation_gate: ACTIVATION_GATE,
         simd_nn_geomean: geomean,

@@ -186,16 +186,17 @@ impl<T: Float> GruParams<T> {
         // pre-activation gradients.
         let rec = dstate.map(|s| &s.dh);
         for row in 0..batch {
-            let (zs, hb) = (cache.zr.row(row), cache.hbar.row(row));
-            let hp = cache.h_prev.row(row);
-            let (dhr, recr) = (dh.row(row), rec.map(|m| m.row(row)));
+            let rows = [
+                cache.zr.row(row),
+                cache.hbar.row(row),
+                cache.h_prev.row(row),
+                dh.row(row),
+            ];
             let (dp, dhb) = (dprev.dh.row_mut(row), dhbar.row_mut(row));
             let dz = dzr.row_mut(row);
-            for j in 0..h {
-                let dht = recr.map_or(dhr[j], |r| dhr[j] + r[j]);
-                dp[j] = dht * (T::ONE - zs[j]);
-                dhb[j] = dht * zs[j] * dtanh_from_y(hb[j]);
-                dz[j] = dht * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
+            match rec {
+                Some(rec) => update_grads::<T, true>(h, rows, rec.row(row), dp, dhb, dz),
+                None => update_grads::<T, false>(h, rows, &[], dp, dhb, dz),
             }
         }
 
@@ -231,6 +232,34 @@ impl<T: Float> GruParams<T> {
         ws.give_back(dzr);
         ws.give_back(dhbar);
         ws.give_back(din);
+    }
+}
+
+/// One batch row of the first backward pass through Eq. (10): the `(1-Z)`
+/// path into `dH_{t-1}` (`dp`), the candidate's pre-tanh gradient (`dhb`)
+/// and the update gate's pre-σ gradient (`dz`, the first `h` of the
+/// `[dZ, dR]` row), from `rows` = `[Z, R]`, `H̄`, `H_{t-1}` and the upstream
+/// `dH_t`. `REC` says whether a recurrent `dH` from cell t+1 (`rec`, empty
+/// otherwise) is added in: a constant, so the element loop has no branch
+/// in it and vectorises. Per element, the operations and their order are
+/// those of the per-element formula.
+#[inline(always)]
+fn update_grads<T: Float, const REC: bool>(
+    h: usize,
+    rows: [&[T]; 4],
+    rec: &[T],
+    dp: &mut [T],
+    dhb: &mut [T],
+    dz: &mut [T],
+) {
+    let [zs, hb, hp, dh] = rows.map(|r| &r[..h]);
+    let rec = if REC { &rec[..h] } else { rec };
+    let (dp, dhb, dz) = (&mut dp[..h], &mut dhb[..h], &mut dz[..h]);
+    for j in 0..h {
+        let dht = if REC { dh[j] + rec[j] } else { dh[j] };
+        dp[j] = dht * (T::ONE - zs[j]);
+        dhb[j] = dht * zs[j] * dtanh_from_y(hb[j]);
+        dz[j] = dht * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
     }
 }
 

@@ -188,36 +188,21 @@ impl<T: Float> LstmParams<T> {
             .as_mut()
             .expect("LSTM gradient buffer needs a dC slot");
         assert_eq!(dc_prev.shape(), (batch, h), "dC_prev buffer shape");
-        let (rec_h, rec_c) = (dstate.map(|s| &s.dh), dstate.and_then(|s| s.dc.as_ref()));
+        let rec = dstate.map(|s| {
+            let dc = s.dc.as_ref().expect("LSTM state gradient needs a dC");
+            (&s.dh, dc)
+        });
         for r in 0..batch {
-            let grow = cache.gates.row(r);
-            let (gi, rest) = grow.split_at(h);
-            let (gf, rest) = rest.split_at(h);
-            let (gg, go) = rest.split_at(h);
-            let tc = cache.tanh_c.row(r);
-            let cp = cache.c_prev.row(r);
-            let (dhr, rec_hr) = (dh.row(r), rec_h.map(|m| m.row(r)));
-            let dcr = rec_c.map(|m| m.row(r));
-
-            let dgrow = dgates.row_mut(r);
-            let dcp = dc_prev.row_mut(r);
-            for j in 0..h {
-                let dht = rec_hr.map_or(dhr[j], |d| dhr[j] + d[j]);
-                // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
-                let mut dc = dht * go[j] * dtanh_from_y(tc[j]);
-                if let Some(d) = dcr {
-                    dc += d[j];
-                }
-                // Gate gradients through Eqs. (5)-(6).
-                let di = dc * gg[j] * dsigmoid_from_y(gi[j]);
-                let df = dc * cp[j] * dsigmoid_from_y(gf[j]);
-                let dg = dc * gi[j] * dtanh_from_y(gg[j]);
-                let do_ = dht * tc[j] * dsigmoid_from_y(go[j]);
-                dgrow[j] = di;
-                dgrow[h + j] = df;
-                dgrow[2 * h + j] = dg;
-                dgrow[3 * h + j] = do_;
-                dcp[j] = dc * gf[j];
+            let rows = [
+                cache.gates.row(r),
+                cache.tanh_c.row(r),
+                cache.c_prev.row(r),
+                dh.row(r),
+            ];
+            let (dgrow, dcp) = (dgates.row_mut(r), dc_prev.row_mut(r));
+            match rec {
+                Some((rh, rc)) => gate_grads::<T, true>(h, rows, rh.row(r), rc.row(r), dgrow, dcp),
+                None => gate_grads::<T, false>(h, rows, &[], &[], dgrow, dcp),
             }
         }
 
@@ -234,6 +219,54 @@ impl<T: Float> LstmParams<T> {
 
         ws.give_back(dgates);
         ws.give_back(dz);
+    }
+}
+
+/// One batch row of the gate gradients through Eqs. (5)–(6), into `dgates`
+/// (`[di, df, dg, do]`) and `dcp` (`dC_{t-1}`), from `rows` = the gate
+/// activations `[i, f, g, o]`, `tanh(C_t)`, `C_{t-1}` and the upstream
+/// `dH_t`. `REC` says whether a recurrent `dH`/`dC` from cell t+1 is added
+/// in (`rec_h`, `rec_c`; empty otherwise): a constant, so the element loop
+/// has no branch in it and vectorises. Every slice is cut to its `h`-wide
+/// block first, so the compiler needs no bounds check in the loop. Per
+/// element, the operations and their order are those of the per-element
+/// formula.
+#[inline(always)]
+fn gate_grads<T: Float, const REC: bool>(
+    h: usize,
+    rows: [&[T]; 4],
+    rec_h: &[T],
+    rec_c: &[T],
+    dgates: &mut [T],
+    dcp: &mut [T],
+) {
+    let [gates, tc, cp, dh] = rows;
+    let (gi, rest) = gates[..4 * h].split_at(h);
+    let (gf, rest) = rest.split_at(h);
+    let (gg, go) = rest.split_at(h);
+    let (tc, cp, dh) = (&tc[..h], &cp[..h], &dh[..h]);
+    let (rec_h, rec_c) = if REC {
+        (&rec_h[..h], &rec_c[..h])
+    } else {
+        (rec_h, rec_c)
+    };
+    let (di, rest) = dgates[..4 * h].split_at_mut(h);
+    let (df, rest) = rest.split_at_mut(h);
+    let (dg, do_) = rest.split_at_mut(h);
+    let dcp = &mut dcp[..h];
+    for j in 0..h {
+        let dht = if REC { dh[j] + rec_h[j] } else { dh[j] };
+        // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
+        let mut dc = dht * go[j] * dtanh_from_y(tc[j]);
+        if REC {
+            dc += rec_c[j];
+        }
+        // Gate gradients through Eqs. (5)-(6).
+        di[j] = dc * gg[j] * dsigmoid_from_y(gi[j]);
+        df[j] = dc * cp[j] * dsigmoid_from_y(gf[j]);
+        dg[j] = dc * gi[j] * dtanh_from_y(gg[j]);
+        do_[j] = dht * tc[j] * dsigmoid_from_y(go[j]);
+        dcp[j] = dc * gf[j];
     }
 }
 

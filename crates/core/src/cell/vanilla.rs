@@ -116,10 +116,10 @@ impl<T: Float> VanillaParams<T> {
 
         // dpre = (dH_t + recurrent dH) ⊙ tanh'.
         let mut dpre = ws.checkout(batch, h);
-        let rec = dstate.map(|s| s.dh.as_slice());
-        let (dhs, ys) = (dh.as_slice(), cache.h.as_slice());
-        for (i, v) in dpre.as_mut_slice().iter_mut().enumerate() {
-            *v = rec.map_or(dhs[i], |r| dhs[i] + r[i]) * dtanh_from_y(ys[i]);
+        let (dhs, ys, out) = (dh.as_slice(), cache.h.as_slice(), dpre.as_mut_slice());
+        match dstate {
+            Some(s) => pre_grads::<T, true>(dhs, s.dh.as_slice(), ys, out),
+            None => pre_grads::<T, false>(dhs, &[], ys, out),
         }
 
         let mut dz = ws.checkout(batch, self.input + h);
@@ -132,6 +132,21 @@ impl<T: Float> VanillaParams<T> {
         }
         ws.give_back(dpre);
         ws.give_back(dz);
+    }
+}
+
+/// `out = (dH_t + recurrent dH) ⊙ tanh'(H_t)` over the whole `batch × h`
+/// block, from the upstream `dh`, the recurrent `rec` (added only when
+/// `REC`; empty otherwise) and the cell outputs `ys`. `REC` is a constant,
+/// so the loop has no branch in it and vectorises.
+#[inline(always)]
+fn pre_grads<T: Float, const REC: bool>(dh: &[T], rec: &[T], ys: &[T], out: &mut [T]) {
+    let n = out.len();
+    let (dh, ys) = (&dh[..n], &ys[..n]);
+    let rec = if REC { &rec[..n] } else { rec };
+    for i in 0..n {
+        let dht = if REC { dh[i] + rec[i] } else { dh[i] };
+        out[i] = dht * dtanh_from_y(ys[i]);
     }
 }
 

@@ -6,9 +6,15 @@
 //! has in hand after the forward pass, avoiding a second activation pass.
 //! [`Activation`] names what [`crate::Backend::affine`] applies to a gate
 //! product.
+//!
+//! [`sigmoid_slice`] and [`tanh_slice`] are the slice entry points every
+//! cell and backend funnels through. They dispatch like the GEMMs: the
+//! straight-line `f32` polynomials of [`crate::reference`] run sixteen
+//! lanes wide on an AVX-512F host, eight on AVX2+FMA, as written
+//! elsewhere, and a lane is one [`Float`] call, so every width gives the
+//! same bits.
 
-#[cfg(target_arch = "x86_64")]
-use crate::backend::simd;
+use crate::backend::simd::x86_tiers;
 use crate::gemm::NR;
 use crate::matrix::Matrix;
 use crate::reference;
@@ -16,26 +22,19 @@ use crate::scalar::Float;
 
 /// `m[i] = σ(m[i])`: the slice-level entry point every cell and backend
 /// funnels through. Dispatches like [`crate::ops::axpy`]: the loop of
-/// [`crate::reference`] inlined into an `avx2,fma` wrapper when the host
-/// has those units (the `f32` body is straight-line arithmetic, so it runs
-/// eight lanes wide there), the loop as written elsewhere — equal to one
-/// [`Float::sigmoid`] per element, bit for bit, either way.
+/// [`crate::reference`] inlined into the wrapper of the widest x86-64 tier
+/// the host has (the `f32` body is straight-line arithmetic, so it runs
+/// sixteen lanes wide under `avx512f`, eight under `avx2,fma`), the loop as
+/// written elsewhere — equal to one [`Float::sigmoid`] per element, bit for
+/// bit, whatever the width.
 pub fn sigmoid_slice<T: Float>(m: &mut [T]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::sigmoid(m) };
-    }
+    x86_tiers!(sigmoid(m));
     reference::sigmoid_slice(m);
 }
 
 /// `m[i] = tanh(m[i])`; see [`sigmoid_slice`].
 pub fn tanh_slice<T: Float>(m: &mut [T]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::tanh(m) };
-    }
+    x86_tiers!(tanh(m));
     reference::tanh_slice(m);
 }
 
@@ -126,8 +125,9 @@ impl Activation {
     /// The first `n < 2·NR` lanes of a narrow product's row through the
     /// portable loops, inlined into whichever wrapper calls it. The
     /// non-linearity runs over whole 8-lane registers (`NR` or `2·NR`
-    /// lanes), so it is vector code with no scalar tail; a lane is one
-    /// [`Float`] call, bit for bit, and lanes past `n` are scratch.
+    /// lanes, one `zmm` under `avx512f`), so it is vector code with no
+    /// scalar tail; a lane is one [`Float`] call, bit for bit, and lanes
+    /// past `n` are scratch.
     #[inline(always)]
     pub(crate) fn apply_lanes<T: Float>(self, row: &mut [T; 2 * NR], n: usize) {
         let lanes = |row: &mut [T; 2 * NR], f: fn(&mut [T])| {

@@ -3,8 +3,9 @@
 //! There is one f32/f64 arithmetic in this crate — the loops of
 //! [`crate::reference`] — and one place where it meets the hardware: the
 //! slice-level entry points in [`crate::gemm`], [`crate::ops`] and
-//! [`crate::activation`], which run it on the host's AVX2+FMA / NEON unit
-//! when there is one and as portable loops otherwise. A [`KernelBackend`]'s methods default to those
+//! [`crate::activation`], which run it on the host's widest vector unit
+//! when there is one (AVX-512F, else AVX2+FMA, picked at run time; NEON on
+//! aarch64) and as portable loops otherwise. A [`KernelBackend`]'s methods default to those
 //! entry points, so the two selectable kinds differ only where one
 //! overrides a method:
 //!
@@ -41,6 +42,8 @@
 
 mod scalar;
 pub(crate) mod simd;
+#[cfg(test)]
+mod tier_tests;
 
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
@@ -458,7 +461,7 @@ impl Backend {
         assert_eq!(db.shape(), (1, n), "affine_grad: db shape");
         assert_eq!(dz.shape(), (rows, k), "affine_grad: dz shape");
         self.gemm_tn(T::ONE, z, dg, T::ONE, dw);
-        crate::reference::column_sums_add(dg.as_slice(), db.as_mut_slice(), rows, n);
+        ops::column_sums_add_slice(dg.as_slice(), db.as_mut_slice(), rows, n);
         self.gemm_nt(T::ONE, dg, w, T::ZERO, dz);
     }
 

@@ -1,13 +1,22 @@
 //! Vector kernels (`std::arch`) behind the dispatch points in
-//! [`crate::gemm`] and [`crate::ops`].
+//! [`crate::gemm`], [`crate::ops`] and [`crate::activation`].
 //!
-//! * **x86-64**: AVX2+FMA, selected per call via `is_x86_feature_detected!`
-//!   (a cached atomic load). `f32` GEMMs run the register-tile kernels
-//!   below (4×16 where sixteen columns exist, 4×8 on one narrower strip);
-//!   `f64`, ragged edges, the fused element-wise ops and the sigmoid/tanh
-//!   loops run the portable loops of [`crate::reference`] inlined into an
-//!   `avx2,fma` wrapper, where `mul_add` is one `vfmadd` instead of a call
-//!   to `fmaf` and the straight-line `f32` non-linearities vectorise.
+//! * **x86-64**: two tiers; run-time detection picks the widest the host
+//!   has on every call (`x86::tier`, cached atomic loads):
+//!   - `avx512` (AVX-512F): `f32` NN, TN and NT run an 8×32 `zmm` register
+//!     tile over every 32-column strip; the columns it leaves over take
+//!     the `avx2` strips, then the portable edge;
+//!   - `avx2` (AVX2+FMA): a 4×16 `ymm` tile over every 16-column strip, a
+//!     4×8 one over one 8-column strip, the portable micro-kernel over the
+//!     ragged right edge.
+//!
+//!   Both tiers are one source. The tile body is generic over the register
+//!   width (`x86::Lanes`, implemented for `Ymm` and `Zmm`). `f64`, narrow
+//!   products, the fused element-wise ops and the sigmoid/tanh loops run
+//!   the portable loops of [`crate::reference`] inlined into a wrapper per
+//!   tier, written once as a macro. There `mul_add` is one `vfmadd`
+//!   instead of a call to `fmaf`, and the straight-line `f32`
+//!   non-linearities vectorise sixteen or eight lanes wide.
 //! * **aarch64**: NEON kernels for the `f32` NN GEMM, `axpy` and
 //!   `hadamard_add` (NEON is baseline on aarch64, no detection needed).
 //! * **anything else**: nothing here is compiled; the portable loops run.
@@ -15,28 +24,40 @@
 //! Bit-identity contract: every kernel performs, per output element, the
 //! portable loops' exact operation sequence — `alpha · a[i,p]` broadcast
 //! into the lanes (NN/TN) or `alpha` applied at the flush (NT), FMA in
-//! ascending `p`, one accumulator flush into `C` per `KC` block. A vector
-//! lane is an IEEE-754 FMA like any other, so results equal the portable
-//! loops' bit for bit. NT gets there by packing `Bᵀ` into a `KC × 2·NR`
-//! panel first, so that its reduction runs down the lanes instead of across
-//! them.
+//! ascending `p` from a zero accumulator, one flush into `C` per `KC`
+//! block. A vector lane is an IEEE-754 FMA like any other, and a wider
+//! register computes more elements abreast without changing any one
+//! element's sequence, so both tiers equal the portable loops bit for bit.
+//! NT gets there by packing `Bᵀ` into a `KC × width` panel first, so that
+//! its reduction runs down the lanes instead of across them.
 
 use super::{BackendKind, KernelBackend};
 
 /// The default backend: the dispatched kernels, nothing overridden.
-/// [`SimdBackend::detected`] reports whether a vector unit was found.
+/// [`SimdBackend::detected`] reports whether a vector unit was found,
+/// [`SimdBackend::tier`] which one.
 #[derive(Debug)]
 pub struct SimdBackend;
 
 impl SimdBackend {
     /// True when this build/host combination actually runs vector kernels.
     pub fn detected() -> bool {
+        Self::tier() != "portable"
+    }
+
+    /// The tier the dispatched kernels run on this host: `avx512`, `avx2`,
+    /// `neon` or `portable`.
+    pub fn tier() -> &'static str {
         #[cfg(target_arch = "x86_64")]
-        return x86::detect();
+        return match x86::tier() {
+            Some(x86::Tier::Avx512) => "avx512",
+            Some(x86::Tier::Avx2) => "avx2",
+            None => "portable",
+        };
         #[cfg(target_arch = "aarch64")]
-        return true;
+        return "neon";
         #[allow(unreachable_code)]
-        false
+        "portable"
     }
 }
 
@@ -46,77 +67,197 @@ impl KernelBackend for SimdBackend {
     }
 }
 
+/// Runs `$f(args)` on the widest x86-64 tier the host has — the wrapper of
+/// that name in `x86::avx512`, else the one in `x86::avx2` — and returns its
+/// result from the calling function. On a host with neither, and on every
+/// other architecture, it does nothing and the caller goes on to its
+/// portable loops. A wrapper's contract is its tier's units plus whatever
+/// bounds its `# Safety` section names; the caller checks those bounds
+/// before this line.
+macro_rules! x86_tiers {
+    ($f:ident $(::<$($g:tt),+>)? ($($arg:expr),* $(,)?)) => {
+        #[cfg(target_arch = "x86_64")]
+        match $crate::backend::simd::x86::tier() {
+            Some($crate::backend::simd::x86::Tier::Avx512) => {
+                // SAFETY: tier() detected AVX-512F with AVX2+FMA; the
+                // caller checked the bounds the wrapper names.
+                return unsafe { $crate::backend::simd::x86::avx512::$f $(::<$($g),+>)? ($($arg),*) };
+            }
+            Some($crate::backend::simd::x86::Tier::Avx2) => {
+                // SAFETY: tier() detected AVX2+FMA; the caller checked the
+                // bounds the wrapper names.
+                return unsafe { $crate::backend::simd::x86::avx2::$f $(::<$($g),+>)? ($($arg),*) };
+            }
+            None => {}
+        }
+    };
+}
+pub(crate) use x86_tiers;
+
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::activation::Activation;
-    use crate::backend::f32_views;
-    use crate::gemm::{narrow, KC, MR, NR};
+    use crate::gemm::{KC, MR, NR};
     use crate::reference;
-    use crate::scalar::Float;
     use std::arch::x86_64::*;
     use std::mem::MaybeUninit;
 
+    /// The two x86-64 vector tiers. Only run-time detection picks one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Tier {
+        /// AVX-512F (AVX2+FMA for the strips a `zmm` tile leaves over).
+        Avx512,
+        /// AVX2+FMA.
+        Avx2,
+    }
+
+    /// The widest tier this host runs; `None` without AVX2+FMA.
     #[inline]
-    pub(crate) fn detect() -> bool {
+    pub(crate) fn tier() -> Option<Tier> {
         // is_x86_feature_detected! caches its own CPUID result.
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
+            None
+        } else if is_x86_feature_detected!("avx512f") {
+            Some(Tier::Avx512)
+        } else {
+            Some(Tier::Avx2)
+        }
     }
 
-    /// `C += alpha * A * B`, or `C += alpha * Aᵀ * B` with `A` stored `k×m`
-    /// when `TRANS_A`. Narrow products take the portable row loop.
+    /// One vector register of `f32` lanes: what the register tile does with
+    /// it. [`Ymm`] and [`Zmm`] implement it, so one tile body serves both
+    /// widths. The methods are `#[inline(always)]` and take on the target
+    /// features of the tier wrapper they end up in.
+    ///
+    /// Every method requires the register's units on the host, and `load`
+    /// and `store` a pointer to `N` floats.
+    trait Lanes {
+        /// The register.
+        type V: Copy;
+        /// `f32` lanes per register.
+        const N: usize;
+        unsafe fn zero() -> Self::V;
+        unsafe fn splat(x: f32) -> Self::V;
+        unsafe fn load(p: *const f32) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        /// `a · b + c` per lane, rounded once.
+        unsafe fn fmadd(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// Eight lanes: AVX2+FMA.
+    struct Ymm;
+    /// Sixteen lanes: AVX-512F.
+    struct Zmm;
+
+    macro_rules! lanes {
+        ($reg:ty, $v:ty, $n:literal, $zero:ident, $splat:ident, $load:ident, $store:ident,
+         $fmadd:ident, $add:ident, $mul:ident) => {
+            impl Lanes for $reg {
+                type V = $v;
+                const N: usize = $n;
+                #[inline(always)]
+                unsafe fn zero() -> $v {
+                    // SAFETY: the trait's contract (the units are there).
+                    unsafe { $zero() }
+                }
+                #[inline(always)]
+                unsafe fn splat(x: f32) -> $v {
+                    // SAFETY: as for `zero`.
+                    unsafe { $splat(x) }
+                }
+                #[inline(always)]
+                unsafe fn load(p: *const f32) -> $v {
+                    // SAFETY: the trait's contract: `p` addresses N floats.
+                    unsafe { $load(p) }
+                }
+                #[inline(always)]
+                unsafe fn store(p: *mut f32, v: $v) {
+                    // SAFETY: as for `load`.
+                    unsafe { $store(p, v) }
+                }
+                #[inline(always)]
+                unsafe fn fmadd(a: $v, b: $v, c: $v) -> $v {
+                    // SAFETY: as for `zero`.
+                    unsafe { $fmadd(a, b, c) }
+                }
+                #[inline(always)]
+                unsafe fn add(a: $v, b: $v) -> $v {
+                    // SAFETY: as for `zero`.
+                    unsafe { $add(a, b) }
+                }
+                #[inline(always)]
+                unsafe fn mul(a: $v, b: $v) -> $v {
+                    // SAFETY: as for `zero`.
+                    unsafe { $mul(a, b) }
+                }
+            }
+        };
+    }
+    lanes!(
+        Ymm,
+        __m256,
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_fmadd_ps,
+        _mm256_add_ps,
+        _mm256_mul_ps
+    );
+    lanes!(
+        Zmm,
+        __m512,
+        16,
+        _mm512_setzero_ps,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_fmadd_ps,
+        _mm512_add_ps,
+        _mm512_mul_ps
+    );
+
+    /// Rows of the `zmm` tile: 8 rows × 2 registers is sixteen accumulators
+    /// of the thirty-two `zmm` registers, two loads of `B` and one broadcast
+    /// of `A` beside them.
+    const ZMM_ROWS: usize = 8;
+
+    /// The `f32` NN/TN kernel, `C += alpha · op(A) · B`, per `KC` block of
+    /// the reduction: with `ZMM`, the 8×32 `zmm` tile over every 32-column
+    /// strip; then the 4×16 `ymm` tile over every 16-column strip left, the
+    /// 4×8 one over one 8-column strip, and the portable micro-kernels over
+    /// the ragged right edge. At `alpha == 1` the tiles skip the prescale
+    /// (`1 · a == a` and `c + 1 · acc == c + acc`, so the bits cannot
+    /// change).
     ///
     /// # Safety
-    /// AVX2+FMA must be available and the slices at least `m×k`, `k×n`, `m×n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn gemm<T: Float, const TRANS_A: bool>(
-        alpha: T,
-        a: &[T],
-        b: &[T],
-        c: &mut [T],
+    /// AVX2+FMA must be available (and AVX-512F with `ZMM`), and the slices
+    /// at least `m×k` (`k×m` with `TRANS_A`), `k×n` and `m×n`.
+    #[inline(always)]
+    unsafe fn gemm_f32<const ZMM: bool, const TRANS_A: bool>(
+        alpha: f32,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
         m: usize,
         k: usize,
         n: usize,
     ) {
-        if narrow(k, n) {
-            return reference::gemm_rows::<T, TRANS_A>(alpha, a, b, c, m, k, n);
-        }
-        match f32_views(a, b, c) {
-            // SAFETY: this fn's contract, passed on unchanged.
-            Some((a, b, c)) => unsafe { gemm_f32::<TRANS_A>(alpha.to_f32(), a, b, c, m, k, n) },
-            None if TRANS_A => reference::gemm_tn_accum(alpha, a, b, c, m, k, n),
-            None => reference::gemm_accum(alpha, a, b, c, m, k, n),
-        }
-    }
-
-    /// `C += alpha * A * Bᵀ` (`B: n×k`). Products narrower than one
-    /// register (`n < NR`) have nothing to pack and take the portable loop.
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available and the slices at least `m×k`, `n×k`, `m×n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn gemm_nt<T: Float>(
-        alpha: T,
-        a: &[T],
-        b: &[T],
-        c: &mut [T],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        match f32_views(a, b, c) {
-            // SAFETY: this fn's contract, passed on unchanged.
-            Some((a, b, c)) if n >= NR => unsafe { gemm_nt_f32(alpha.to_f32(), a, b, c, m, k, n) },
-            _ => reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0),
+        // SAFETY: this fn's contract, passed on unchanged.
+        unsafe {
+            if alpha == 1.0 {
+                gemm_blocks::<false, ZMM, TRANS_A>(alpha, a, b, c, m, k, n)
+            } else {
+                gemm_blocks::<true, ZMM, TRANS_A>(alpha, a, b, c, m, k, n)
+            }
         }
     }
 
-    /// The `f32` NN/TN kernel: 16-column strips on the wide register tile,
-    /// one 8-column strip if eight or more columns remain, the ragged right
-    /// edge on the portable micro-kernels. At `alpha == 1` the tile skips
-    /// the prescale (`1 · a == a` and `c + 1 · acc == c + acc`, so the bits
-    /// cannot change).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_f32<const TRANS_A: bool>(
+    /// The body of [`gemm_f32`], `PRE` fixed.
+    #[inline(always)]
+    unsafe fn gemm_blocks<const PRE: bool, const ZMM: bool, const TRANS_A: bool>(
         alpha: f32,
         a: &[f32],
         b: &[f32],
@@ -129,54 +270,60 @@ pub(crate) mod x86 {
         let (rs, cs) = if TRANS_A { (1, m) } else { (k, 1) };
         for kk in (0..k).step_by(KC) {
             let kend = (kk + KC).min(k);
-            for i0 in (0..m).step_by(MR) {
-                let ilim = (i0 + MR).min(m);
-                let mut j0 = 0;
-                while j0 + NR <= n {
-                    let wide = j0 + 2 * NR <= n;
-                    // SAFETY: rows [i0, ilim), the k-panel [kk, kend) and
-                    // columns [j0, j0 + 16) if `wide`, [j0, j0 + 8)
-                    // otherwise, are inside the m×k / k×n / m×n slices the
-                    // caller vouched for.
-                    unsafe {
-                        let ap = a.as_ptr().add(i0 * rs + kk * cs);
-                        let bp = b.as_ptr().add(kk * n + j0);
-                        let cp = c.as_mut_ptr().add(i0 * n + j0);
-                        let (rows, kc) = (ilim - i0, kend - kk);
-                        match (wide, alpha == 1.0) {
-                            (true, false) => {
-                                tile::<true, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
-                            }
-                            (true, true) => {
-                                tile::<false, 2>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
-                            }
-                            (false, false) => {
-                                tile::<true, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
-                            }
-                            (false, true) => {
-                                tile::<false, 1>(alpha, ap, rs, cs, bp, n, cp, n, rows, kc)
-                            }
-                        }
+            let kc = kend - kk;
+            let mut j = 0;
+            // SAFETY: every strip [j, j + width) ends at or before n; it
+            // reads the k-panel [kk, kend) of `a` and `b` and writes rows
+            // [0, m) of `c`, inside the slices the caller vouched for.
+            unsafe {
+                let (ap, bp, cp) = (
+                    a.as_ptr().add(kk * cs),
+                    b.as_ptr().add(kk * n),
+                    c.as_mut_ptr(),
+                );
+                if ZMM {
+                    while j + 2 * Zmm::N <= n {
+                        let (bj, cj) = (bp.add(j), cp.add(j));
+                        strip::<Zmm, PRE, ZMM_ROWS, 2>(alpha, ap, rs, cs, bj, n, cj, n, m, kc);
+                        j += 2 * Zmm::N;
                     }
-                    j0 += if wide { 2 * NR } else { NR };
                 }
-                if j0 < n && TRANS_A {
-                    reference::micro_kernel_t(alpha, a, m, b, c, i0, ilim, j0, n, kk, kend, n);
-                } else if j0 < n {
-                    reference::micro_kernel(alpha, a, k, b, c, i0, ilim, j0, n, kk, kend, n);
+                while j + 2 * NR <= n {
+                    strip::<Ymm, PRE, MR, 2>(alpha, ap, rs, cs, bp.add(j), n, cp.add(j), n, m, kc);
+                    j += 2 * NR;
+                }
+                if j + NR <= n {
+                    strip::<Ymm, PRE, MR, 1>(alpha, ap, rs, cs, bp.add(j), n, cp.add(j), n, m, kc);
+                    j += NR;
+                }
+            }
+            if j < n {
+                for i0 in (0..m).step_by(MR) {
+                    let ilim = (i0 + MR).min(m);
+                    if TRANS_A {
+                        reference::micro_kernel_t(alpha, a, m, b, c, i0, ilim, j, n, kk, kend, n);
+                    } else {
+                        reference::micro_kernel(alpha, a, k, b, c, i0, ilim, j, n, kk, kend, n);
+                    }
                 }
             }
         }
     }
 
-    /// The `f32` NT kernel, order-preserving: each 16-column strip of `Bᵀ`
-    /// (8 columns for a last narrow one) is transposed into a `KC × 16`
-    /// panel, after which the product is the NN register tile with `alpha`
-    /// applied at the flush — the portable loop's one FMA chain per
-    /// element, sixteen elements abreast. Columns past the last full
-    /// 8-column strip take the portable loop.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_nt_f32(
+    /// The `f32` NT kernel, order-preserving: each strip of `Bᵀ` — 32
+    /// columns with `ZMM` where 32 remain, else 16, else 8 — is transposed
+    /// into a `KC × width` panel, after which the product is the NN register
+    /// tile with `alpha` applied at the flush: the portable loop's one FMA
+    /// chain per element, a whole strip abreast. Columns past the last full
+    /// 8-column strip take the portable loop. Below one `zmm` tile of rows
+    /// (`m < 8`) the strips stay 16 wide: there the pack is most of the
+    /// work and the 32-wide strips measured slower (1×320×512: 5 GFLOP/s
+    /// against 7 on 16-wide strips).
+    ///
+    /// # Safety
+    /// As [`gemm_f32`], with `B` `n×k`.
+    #[inline(always)]
+    unsafe fn gemm_nt_f32<const ZMM: bool>(
         alpha: f32,
         a: &[f32],
         b: &[f32],
@@ -186,37 +333,41 @@ pub(crate) mod x86 {
         n: usize,
     ) {
         let full = n - n % NR;
+        let zmm = ZMM && m >= ZMM_ROWS;
         // Written by `pack_bt` before `tile` reads it; never zero-filled.
-        let mut panel = [MaybeUninit::<f32>::uninit(); KC * 2 * NR];
+        // Sized for the widest strip.
+        let mut panel = [MaybeUninit::<f32>::uninit(); KC * 2 * Zmm::N];
         let panel = panel.as_mut_ptr().cast::<f32>();
         for kk in (0..k).step_by(KC) {
             let kc = (kk + KC).min(k) - kk;
             let mut j0 = 0;
             while j0 < full {
-                // Registers per row in this strip, and the panel's stride.
-                let w = if j0 + 2 * NR <= full { 2 } else { 1 };
-                let ldp = w * NR;
-                for v in 0..w {
-                    let j = j0 + v * NR;
-                    // SAFETY: rows [j, j+NR) × columns [kk, kk+kc) of the
-                    // n×k `b` are in bounds (j + NR ≤ full); columns
-                    // [v·NR, v·NR + NR) of the kc × ldp panel are inside
-                    // its KC × 2·NR floats.
-                    unsafe { pack_bt(b.as_ptr().add(j * k + kk), k, kc, panel.add(v * NR), ldp) };
+                // The strip's width, which is also the panel's row stride.
+                let ldp = if zmm && j0 + 2 * Zmm::N <= full {
+                    2 * Zmm::N
+                } else if j0 + 2 * NR <= full {
+                    2 * NR
+                } else {
+                    NR
+                };
+                for v in (0..ldp).step_by(NR) {
+                    // SAFETY: rows [j0 + v, j0 + v + NR) × columns [kk,
+                    // kk + kc) of the n×k `b` are in bounds (j0 + ldp ≤
+                    // full); columns [v, v + NR) of the kc × ldp panel are
+                    // inside its KC × 32 floats.
+                    unsafe { pack_bt(b.as_ptr().add((j0 + v) * k + kk), k, kc, panel.add(v), ldp) };
                 }
-                for i0 in (0..m).step_by(MR) {
-                    let rows = (m - i0).min(MR);
-                    // SAFETY: rows [i0, i0+rows) × [kk, kk+kc) of `a` and
-                    // × [j0, j0 + ldp) of `c` are in bounds (j0 + ldp ≤
-                    // full); `pack_bt` just initialised the kc × ldp panel.
-                    unsafe {
-                        let ap = a.as_ptr().add(i0 * k + kk);
-                        let cp = c.as_mut_ptr().add(i0 * n + j0);
-                        if w == 2 {
-                            tile::<false, 2>(alpha, ap, k, 1, panel, ldp, cp, n, rows, kc)
-                        } else {
-                            tile::<false, 1>(alpha, ap, k, 1, panel, ldp, cp, n, rows, kc)
-                        }
+                // SAFETY: rows [0, m) × [kk, kk + kc) of `a` and × [j0, j0 +
+                // ldp) of `c` are in bounds (j0 + ldp ≤ full ≤ n);
+                // `pack_bt` just initialised the kc × ldp panel.
+                unsafe {
+                    let (ap, cp) = (a.as_ptr().add(kk), c.as_mut_ptr().add(j0));
+                    if zmm && ldp == 2 * Zmm::N {
+                        strip::<Zmm, false, ZMM_ROWS, 2>(alpha, ap, k, 1, panel, ldp, cp, n, m, kc)
+                    } else if ldp == 2 * NR {
+                        strip::<Ymm, false, MR, 2>(alpha, ap, k, 1, panel, ldp, cp, n, m, kc)
+                    } else {
+                        strip::<Ymm, false, MR, 1>(alpha, ap, k, 1, panel, ldp, cp, n, m, kc)
                     }
                 }
                 j0 += ldp;
@@ -281,17 +432,14 @@ pub(crate) mod x86 {
         }
     }
 
-    /// One `rows × W·NR` register tile (`rows ≤ MR`, `W` 8-lane registers
-    /// per row: the 4×16 tile is `W = 2`, eight independent FMA chains fed
-    /// by two loads of `B` and four broadcasts of `A` per step) over `kc`
-    /// reduction steps: `acc[r] = fma(A[r, p], B[p, ·], acc[r])` for
-    /// ascending `p`, then one flush into `C`. `A[r, p]` is `a[r*rs + p*cs]`,
-    /// `B[p, ·]` the `W·NR` floats at `b[p * ldb]`. `PRE` folds `alpha` into
-    /// `A` before the FMA and flushes `c += acc` (the NN/TN order);
-    /// otherwise the flush is `c += alpha · acc` (the NT order).
+    /// One column strip of `W` registers, every row tile of it: [`tile`]
+    /// over rows `[0, m)` in steps of `ROWS`, against the same `kc × W·N`
+    /// block of `B`, then the rows left over in tiles of 4, 2 and 1. Every
+    /// tile has its row count as a constant, so that its row loops unroll
+    /// and its accumulators stay in registers.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn tile<const PRE: bool, const W: usize>(
+    unsafe fn strip<L: Lanes, const PRE: bool, const ROWS: usize, const W: usize>(
         alpha: f32,
         a: *const f32,
         rs: usize,
@@ -300,25 +448,48 @@ pub(crate) mod x86 {
         ldb: usize,
         c: *mut f32,
         ldc: usize,
-        rows: usize,
+        m: usize,
         kc: usize,
     ) {
-        // SAFETY: the caller's guarantees, passed on unchanged. A full tile
-        // gets its row count as a constant, so that the row loops unroll
-        // and the accumulators stay in registers.
+        // SAFETY: each tile covers rows [i, i + its rows) of the m-row
+        // blocks the caller vouched for, with its units.
         unsafe {
-            if rows == MR {
-                tile_rows::<PRE, W>(alpha, a, rs, cs, b, ldb, c, ldc, MR, kc)
-            } else {
-                tile_rows::<PRE, W>(alpha, a, rs, cs, b, ldb, c, ldc, rows, kc)
+            let at = |i: usize| (a.add(i * rs), c.add(i * ldc));
+            let mut i0 = 0;
+            while i0 + ROWS <= m {
+                let (ai, ci) = at(i0);
+                tile::<L, PRE, ROWS, W>(alpha, ai, rs, cs, b, ldb, ci, ldc, kc);
+                i0 += ROWS;
+            }
+            if ROWS > 4 && i0 + 4 <= m {
+                let (ai, ci) = at(i0);
+                tile::<L, PRE, 4, W>(alpha, ai, rs, cs, b, ldb, ci, ldc, kc);
+                i0 += 4;
+            }
+            if ROWS > 2 && i0 + 2 <= m {
+                let (ai, ci) = at(i0);
+                tile::<L, PRE, 2, W>(alpha, ai, rs, cs, b, ldb, ci, ldc, kc);
+                i0 += 2;
+            }
+            if ROWS > 1 && i0 < m {
+                let (ai, ci) = at(i0);
+                tile::<L, PRE, 1, W>(alpha, ai, rs, cs, b, ldb, ci, ldc, kc);
             }
         }
     }
 
-    /// The body of [`tile`].
+    /// One `ROWS × W·N` register tile (`W` registers of [`Lanes::N`] lanes
+    /// per row: the 8×32 `zmm` tile is `Zmm, 8, 2`, the 4×16 `ymm` tile
+    /// `Ymm, 4, 2`) over `kc` reduction steps: `acc[r] =
+    /// fma(A[r, p], B[p, ·], acc[r])` for ascending `p` from zero, then one
+    /// flush into `C`. `A[r, p]` is `a[r*rs + p*cs]`, `B[p, ·]` the `W·N`
+    /// floats at `b[p * ldb]`. `PRE` folds `alpha` into `A` before the FMA
+    /// and flushes `c += acc` (the NN/TN order); otherwise the flush is
+    /// `c += alpha · acc` (the NT order). Every lane runs the same sequence,
+    /// so the register width changes no bit.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn tile_rows<const PRE: bool, const W: usize>(
+    unsafe fn tile<L: Lanes, const PRE: bool, const ROWS: usize, const W: usize>(
         alpha: f32,
         a: *const f32,
         rs: usize,
@@ -327,134 +498,238 @@ pub(crate) mod x86 {
         ldb: usize,
         c: *mut f32,
         ldc: usize,
-        rows: usize,
         kc: usize,
     ) {
-        // SAFETY: the caller guarantees AVX2+FMA, `rows ≤ MR`, and that
-        // `a`, `b`, `c` address a rows×kc, kc×(W·NR) and rows×(W·NR) block
-        // at the given strides.
+        // SAFETY: the caller guarantees L's units, and that `a`, `b`, `c`
+        // address a ROWS×kc, kc×(W·N) and ROWS×(W·N) block at the given
+        // strides.
         unsafe {
-            let mut acc = [[_mm256_setzero_ps(); W]; MR];
+            let mut acc = [[L::zero(); W]; ROWS];
             for p in 0..kc {
-                let mut bv = [_mm256_setzero_ps(); W];
+                let mut bv = [L::zero(); W];
                 for (v, bv) in bv.iter_mut().enumerate() {
-                    *bv = _mm256_loadu_ps(b.add(p * ldb + v * NR));
+                    *bv = L::load(b.add(p * ldb + v * L::N));
                 }
-                for (r, accr) in acc.iter_mut().enumerate().take(rows) {
+                for (r, accr) in acc.iter_mut().enumerate() {
                     let av = *a.add(r * rs + p * cs);
-                    let av = _mm256_set1_ps(if PRE { alpha * av } else { av });
+                    let av = L::splat(if PRE { alpha * av } else { av });
                     for (accv, bv) in accr.iter_mut().zip(bv) {
-                        *accv = _mm256_fmadd_ps(av, bv, *accv);
+                        *accv = L::fmadd(av, bv, *accv);
                     }
                 }
             }
-            for (r, accr) in acc.iter().enumerate().take(rows) {
+            for (r, accr) in acc.iter().enumerate() {
                 for (v, accv) in accr.iter().enumerate() {
-                    let cp = c.add(r * ldc + v * NR);
+                    let cp = c.add(r * ldc + v * L::N);
                     let add = if PRE {
                         *accv
                     } else {
-                        _mm256_mul_ps(_mm256_set1_ps(alpha), *accv)
+                        L::mul(L::splat(alpha), *accv)
                     };
-                    _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), add));
+                    L::store(cp, L::add(L::load(cp), add));
                 }
             }
         }
     }
 
-    /// The fused element-wise loops of [`crate::reference`], compiled for
-    /// AVX2+FMA: the loop inlines here, `mul_add` becomes `vfmadd`, and
-    /// the independent ones vectorize (a lane-wise FMA is the same
-    /// correctly-rounded operation, so the bits cannot change).
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available (the bodies are safe code).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn axpy<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
-        reference::axpy_slice(alpha, x, y);
+    /// The entry points of one tier: the `f32` GEMMs above, and the portable
+    /// loops of [`crate::reference`] — `f64`, narrow products, the fused
+    /// element-wise ops and the `f32` non-linearities — inlined into a
+    /// wrapper compiled for the tier's units. There `mul_add` is one
+    /// `vfmadd` instead of a call to `fmaf`, and the independent loops
+    /// vectorise at the tier's width (a lane-wise FMA is the same correctly
+    /// rounded operation, so the bits cannot change).
+    macro_rules! tier {
+        ($features:literal, $zmm:literal, $chain_lanes:expr) => {
+            use crate::activation::Activation;
+            use crate::backend::f32_views;
+            use crate::gemm::narrow;
+            use crate::reference;
+            use crate::scalar::Float;
+
+            /// Lanes × independent chains of [`fma_chains`]: ten registers.
+            pub(crate) const CHAIN_LANES: usize = $chain_lanes;
+
+            /// `C += alpha * A * B`, or `C += alpha * Aᵀ * B` with `A`
+            /// stored `k×m` when `TRANS_A`. Narrow products take the
+            /// portable row loop.
+            ///
+            /// # Safety
+            /// This tier's units must be available and the slices at least
+            /// `m×k`, `k×n`, `m×n`.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn gemm<T: Float, const TRANS_A: bool>(
+                alpha: T,
+                a: &[T],
+                b: &[T],
+                c: &mut [T],
+                m: usize,
+                k: usize,
+                n: usize,
+            ) {
+                if narrow(k, n) {
+                    return reference::gemm_rows::<T, TRANS_A>(alpha, a, b, c, m, k, n);
+                }
+                match f32_views(a, b, c) {
+                    Some((a, b, c)) => {
+                        // SAFETY: this fn's contract, passed on unchanged.
+                        unsafe {
+                            super::gemm_f32::<$zmm, TRANS_A>(alpha.to_f32(), a, b, c, m, k, n)
+                        }
+                    }
+                    None if TRANS_A => reference::gemm_tn_accum(alpha, a, b, c, m, k, n),
+                    None => reference::gemm_accum(alpha, a, b, c, m, k, n),
+                }
+            }
+
+            /// `C += alpha * A * Bᵀ` (`B: n×k`). Products narrower than one
+            /// register (`n < NR`) have nothing to pack and take the
+            /// portable loop.
+            ///
+            /// # Safety
+            /// This tier's units must be available and the slices at least
+            /// `m×k`, `n×k`, `m×n`.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn gemm_nt<T: Float>(
+                alpha: T,
+                a: &[T],
+                b: &[T],
+                c: &mut [T],
+                m: usize,
+                k: usize,
+                n: usize,
+            ) {
+                match f32_views(a, b, c) {
+                    Some((a, b, c)) if n >= crate::gemm::NR => {
+                        // SAFETY: this fn's contract, passed on unchanged.
+                        unsafe { super::gemm_nt_f32::<$zmm>(alpha.to_f32(), a, b, c, m, k, n) }
+                    }
+                    _ => reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0),
+                }
+            }
+
+            /// A narrow gate product, bias and activation in one pass per
+            /// row ([`reference::affine_rows`]).
+            ///
+            /// # Safety
+            /// This tier's units must be available (the body is safe code).
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn affine<T: Float>(
+                act: Activation,
+                a: &[T],
+                w: &[T],
+                b: &[T],
+                c: &mut [T],
+                m: usize,
+                k: usize,
+                n: usize,
+            ) {
+                reference::affine_rows(act, a, w, b, c, m, k, n);
+            }
+
+            /// [`reference::axpy_slice`].
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn axpy<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
+                reference::axpy_slice(alpha, x, y);
+            }
+
+            /// [`reference::hadamard_add_slice`].
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn hadamard_add<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
+                reference::hadamard_add_slice(a, b, out);
+            }
+
+            /// [`reference::row_mul_add_slice`].
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn row_mul_add<T: Float>(
+                a: &[T],
+                x: &[T],
+                y: &[T],
+                out: &mut [T],
+                rows: usize,
+                cols: usize,
+            ) {
+                reference::row_mul_add_slice(a, x, y, out, rows, cols);
+            }
+
+            /// [`reference::column_sums_add`]: per column a sum from zero,
+            /// rows ascending, so the width changes no bit.
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn column_sums_add<T: Float>(
+                dg: &[T],
+                db: &mut [T],
+                rows: usize,
+                n: usize,
+            ) {
+                reference::column_sums_add(dg, db, rows, n);
+            }
+
+            /// [`reference::dot_slice`]; the chain is sequential, so this
+            /// one stays scalar.
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn dot<T: Float>(a: &[T], b: &[T]) -> T {
+                reference::dot_slice(a, b)
+            }
+
+            /// [`reference::sigmoid_slice`]: for `f32` the body is
+            /// straight-line arithmetic with no call in it, so the loop
+            /// vectorises at the tier's width (a lane is the same IEEE
+            /// operation; nothing contracts to an FMA).
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn sigmoid<T: Float>(m: &mut [T]) {
+                reference::sigmoid_slice(m);
+            }
+
+            /// [`reference::tanh_slice`]; see [`sigmoid`].
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn tanh<T: Float>(m: &mut [T]) {
+                reference::tanh_slice(m);
+            }
+
+            /// [`reference::fma_chains`] at this tier's width: ten
+            /// registers of independent chains, nothing but `vfmadd` in the
+            /// loop.
+            ///
+            /// # Safety
+            /// This tier's units must be available.
+            #[target_feature(enable = $features)]
+            pub(crate) unsafe fn fma_chains(iters: usize) -> f32 {
+                reference::fma_chains::<CHAIN_LANES>(iters)
+            }
+        };
     }
 
-    /// See [`axpy`]: a narrow gate product, bias and activation in one pass
-    /// per row ([`reference::affine_rows`]).
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn affine<T: Float>(
-        act: Activation,
-        a: &[T],
-        w: &[T],
-        b: &[T],
-        c: &mut [T],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        reference::affine_rows(act, a, w, b, c, m, k, n);
+    /// AVX2+FMA: the `ymm` tiles, the portable loops eight lanes wide.
+    pub(crate) mod avx2 {
+        tier!("avx2,fma", false, crate::reference::CHAIN_LANES);
     }
 
-    /// See [`axpy`].
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn hadamard_add<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
-        reference::hadamard_add_slice(a, b, out);
-    }
-
-    /// See [`axpy`].
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_mul_add<T: Float>(
-        a: &[T],
-        x: &[T],
-        y: &[T],
-        out: &mut [T],
-        rows: usize,
-        cols: usize,
-    ) {
-        reference::row_mul_add_slice(a, x, y, out, rows, cols);
-    }
-
-    /// See [`axpy`]; the chain is sequential, so this one stays scalar.
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn dot<T: Float>(a: &[T], b: &[T]) -> T {
-        reference::dot_slice(a, b)
-    }
-
-    /// See [`axpy`]: for `f32` the body is straight-line arithmetic with no
-    /// call in it, so the loop vectorises eight lanes wide (a lane is the
-    /// same IEEE operation; nothing contracts to an FMA).
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn sigmoid<T: Float>(m: &mut [T]) {
-        reference::sigmoid_slice(m);
-    }
-
-    /// See [`sigmoid`].
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn tanh<T: Float>(m: &mut [T]) {
-        reference::tanh_slice(m);
-    }
-
-    /// See [`axpy`]: ten `ymm` accumulators, nothing but `vfmadd` in the loop.
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn fma_chains(iters: usize) -> f32 {
-        reference::fma_chains(iters)
+    /// AVX-512F: the `zmm` tile first, the portable loops sixteen lanes
+    /// wide.
+    pub(crate) mod avx512 {
+        tier!("avx512f,avx2,fma", true, 2 * crate::reference::CHAIN_LANES);
     }
 }
 

@@ -17,14 +17,17 @@
 //! portable loops in [`crate::reference`]. The slice-level `_accum`
 //! functions here — which the free functions, the default
 //! [`crate::backend`] and every training task body funnel through — run
-//! that arithmetic on the widest unit the host has: on x86-64 with AVX2+FMA
-//! detected, `f32` takes the register-tile kernels in `backend/simd.rs` and
-//! everything else takes the portable loops inlined into an `avx2,fma`
-//! wrapper; on aarch64 the `f32` NN product takes the NEON kernel;
-//! otherwise the portable loops run as written. All of these agree bit for
-//! bit (`reference`'s module docs say why), so there is no tolerance to
-//! document, and selecting the `scalar` backend (the portable loops,
-//! always) changes speed only.
+//! that arithmetic on the widest unit the host has. On x86-64, run-time
+//! detection picks a tier: with AVX-512F, `f32` takes the 8×32 `zmm`
+//! register tile and then the `ymm` strips for the columns it leaves; with
+//! AVX2+FMA only, the 4×16 / 4×8 `ymm` tiles; either way everything else
+//! takes the portable loops inlined into that tier's wrapper. On aarch64
+//! the `f32` NN product takes the NEON kernel; otherwise the portable
+//! loops run as written. All of these agree bit for bit (`reference`'s
+//! module docs say why, and the register width only changes how many
+//! elements run abreast), so there is no tolerance to document, and
+//! selecting the `scalar` backend (the portable loops, always) changes
+//! speed only.
 //!
 //! **The narrow route.** An NN or TN product with fewer than `2·NR` output
 //! columns and at most `KC` reduction steps (`narrow`) skips the blocked
@@ -36,6 +39,7 @@
 use crate::activation::Activation;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::backend::simd;
+use crate::backend::simd::x86_tiers;
 use crate::matrix::Matrix;
 use crate::reference;
 use crate::scalar::Float;
@@ -46,8 +50,9 @@ pub(crate) const KC: usize = 256;
 pub(crate) const MC: usize = 64;
 /// Register tile: rows of C updated per micro-kernel invocation.
 pub(crate) const MR: usize = 4;
-/// Register tile: columns of C per vector register (the AVX2 kernels
-/// update `2·NR` columns per invocation where that many exist).
+/// Register tile: columns of C per `ymm` register (the AVX2 tile updates
+/// `2·NR` columns per invocation where that many exist; the AVX-512 tile
+/// `4·NR`).
 pub(crate) const NR: usize = 8;
 
 /// True when a product with reduction depth `k` and `n` output columns is
@@ -159,20 +164,39 @@ pub(crate) fn gemm_accum<T: Float>(
     n: usize,
 ) {
     assert_lens(a, b, c, m, k, n);
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
-        return unsafe { simd::x86::gemm::<T, false>(alpha, a, b, c, m, k, n) };
-    }
+    x86_tiers!(gemm::<T, false>(alpha, a, b, c, m, k, n));
+    gemm_portable::<T, false>(alpha, a, b, c, m, k, n);
+}
+
+/// `C += alpha * A * B` (`C += alpha * Aᵀ * B` with `TRANS_A`) where no
+/// x86-64 vector tier runs: the narrow row loop, the NEON kernel for the
+/// `f32` NN product on aarch64, the blocked portable loops otherwise.
+pub(crate) fn gemm_portable<T: Float, const TRANS_A: bool>(
+    alpha: T,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if narrow(k, n) {
-        return reference::gemm_rows::<T, false>(alpha, a, b, c, m, k, n);
+        return reference::gemm_rows::<T, TRANS_A>(alpha, a, b, c, m, k, n);
     }
     #[cfg(target_arch = "aarch64")]
-    if let Some((af, bf, cf)) = crate::backend::f32_views(a, b, c) {
-        // SAFETY: NEON is baseline on aarch64; assert_lens bounds every index.
-        return unsafe { simd::neon::gemm(alpha.to_f32(), af, bf, cf, m, k, n) };
+    if !TRANS_A {
+        assert_lens(a, b, c, m, k, n);
+        if let Some((af, bf, cf)) = crate::backend::f32_views(a, b, c) {
+            // SAFETY: NEON is baseline on aarch64; assert_lens bounds every
+            // index.
+            return unsafe { simd::neon::gemm(alpha.to_f32(), af, bf, cf, m, k, n) };
+        }
     }
-    reference::gemm_accum(alpha, a, b, c, m, k, n);
+    if TRANS_A {
+        reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+    } else {
+        reference::gemm_accum(alpha, a, b, c, m, k, n);
+    }
 }
 
 /// Accumulate-only core of [`gemm_nt`]: `C += alpha * A * Bᵀ` (`B: n×k`).
@@ -186,11 +210,7 @@ pub(crate) fn gemm_nt_accum<T: Float>(
     n: usize,
 ) {
     assert_lens(a, b, c, m, k, n);
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
-        return unsafe { simd::x86::gemm_nt(alpha, a, b, c, m, k, n) };
-    }
+    x86_tiers!(gemm_nt(alpha, a, b, c, m, k, n));
     reference::gemm_nt_cols(alpha, a, b, c, m, k, n, 0);
 }
 
@@ -205,20 +225,13 @@ pub(crate) fn gemm_tn_accum<T: Float>(
     n: usize,
 ) {
     assert_lens(a, b, c, m, k, n);
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA; assert_lens bounds every index.
-        return unsafe { simd::x86::gemm::<T, true>(alpha, a, b, c, m, k, n) };
-    }
-    if narrow(k, n) {
-        return reference::gemm_rows::<T, true>(alpha, a, b, c, m, k, n);
-    }
-    reference::gemm_tn_accum(alpha, a, b, c, m, k, n);
+    x86_tiers!(gemm::<T, true>(alpha, a, b, c, m, k, n));
+    gemm_portable::<T, true>(alpha, a, b, c, m, k, n);
 }
 
 /// `C = act(A · W + b)` over raw slices (`A: m×k`, `W: k×n`, `b: 1×n`) for
-/// a narrow product: [`reference::affine_rows`], inlined into the
-/// `avx2,fma` wrapper where the host has those units, as written elsewhere.
+/// a narrow product: [`reference::affine_rows`], inlined into the widest
+/// x86-64 tier's wrapper where the host has one, as written elsewhere.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn affine_narrow<T: Float>(
     act: Activation,
@@ -230,30 +243,30 @@ pub(crate) fn affine_narrow<T: Float>(
     k: usize,
     n: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::affine(act, a, w, b, c, m, k, n) };
-    }
+    x86_tiers!(affine(act, a, w, b, c, m, k, n));
     reference::affine_rows(act, a, w, b, c, m, k, n);
 }
 
-/// FLOPs one round of [`fma_chains`] performs.
-pub const FMA_CHAIN_FLOPS: usize = 2 * reference::CHAIN_LANES;
+/// FLOPs one round of [`fma_chains`] performs on this host: ten registers
+/// of chains at the width of the tier the kernels above run.
+pub fn fma_chain_flops() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if simd::x86::tier() == Some(simd::x86::Tier::Avx512) {
+        return 2 * simd::x86::avx512::CHAIN_LANES;
+    }
+    2 * reference::CHAIN_LANES
+}
 
 /// Register-only FMA work on the unit the kernels above dispatch to:
 /// `iters` rounds of independent `v = x·v + y` chains, enough of them to
 /// keep every FMA pipe full, with no loads or stores in the loop. Timing it
-/// gives the host's attainable FMA rate — the denominator of a kernel's
-/// `peak_frac` ([`FMA_CHAIN_FLOPS`]` · iters` FLOPs per call). Returns the
-/// chains' sum so the work cannot be optimised away.
+/// gives the host's attainable FMA rate at the kernels' register width —
+/// the denominator of a kernel's `peak_frac` ([`fma_chain_flops`]` · iters`
+/// FLOPs per call). Returns the chains' sum so the work cannot be
+/// optimised away.
 pub fn fma_chains(iters: usize) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::fma_chains(iters) };
-    }
-    reference::fma_chains(iters)
+    x86_tiers!(fma_chains(iters));
+    reference::fma_chains::<{ reference::CHAIN_LANES }>(iters)
 }
 
 /// Reference triple-loop product used as the test oracle.

@@ -18,8 +18,9 @@
 //! * [`reference`] — the portable loops that define the arithmetic of
 //!   every fused multiply-add kernel: the fallback, and the oracle the
 //!   dispatched kernels must match bit for bit,
-//! * [`backend`] — the AVX2+FMA / NEON kernels `gemm` and `ops` dispatch
-//!   to when the host has the unit, and the two selectable backends on top
+//! * [`backend`] — the AVX-512 / AVX2+FMA / NEON kernels `gemm`, `ops` and
+//!   `activation` dispatch to when the host has the unit (run-time
+//!   detection picks the widest), and the two selectable backends on top
 //!   (`simd`, the default: those dispatched kernels; `scalar`: the portable
 //!   loops, same bits).
 //!

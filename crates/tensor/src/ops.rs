@@ -5,15 +5,17 @@
 //! combinations of forward/reverse outputs.
 //!
 //! The four fused multiply-add ops (`axpy`, `hadamard_add`, `row_mul_add`,
-//! `dot`) dispatch like the GEMMs (see [`crate::gemm`]): their portable
-//! loops in [`crate::reference`] run inside an `avx2,fma` wrapper when the
-//! host has those units — in a build without `+fma`, `mul_add` is otherwise
-//! a call to `fmaf` per element — and as written elsewhere, with the same
-//! bits either way. The remaining ops contain nothing the baseline
-//! instruction set cannot do and are one loop each.
+//! `dot`) and the bias-gradient column sums dispatch like the GEMMs (see
+//! [`crate::gemm`]): their portable loops in [`crate::reference`] run
+//! inside the wrapper of the widest x86-64 tier the host has (`avx512f` or
+//! `avx2,fma`) — in a build without `+fma`, `mul_add` is otherwise a call
+//! to `fmaf` per element — and as written elsewhere, with the same bits
+//! either way. The remaining ops contain nothing the baseline instruction
+//! set cannot do and are one loop each.
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 use crate::backend::simd;
+use crate::backend::simd::x86_tiers;
 use crate::matrix::Matrix;
 use crate::reference;
 use crate::scalar::Float;
@@ -29,11 +31,7 @@ pub fn axpy<T: Float>(alpha: T, x: &Matrix<T>, y: &mut Matrix<T>) {
 
 /// Slice-level core of [`axpy`], shared with the kernel backends.
 pub(crate) fn axpy_slice<T: Float>(alpha: T, x: &[T], y: &mut [T]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::axpy(alpha, x, y) };
-    }
+    x86_tiers!(axpy(alpha, x, y));
     #[cfg(target_arch = "aarch64")]
     if let (Some(xf), Some(yf)) = (T::as_f32_slice(x), T::as_f32_slice_mut(y)) {
         // SAFETY: NEON is baseline on aarch64; the kernel stays below the
@@ -66,11 +64,7 @@ pub fn hadamard_add<T: Float>(a: &Matrix<T>, b: &Matrix<T>, out: &mut Matrix<T>)
 
 /// Slice-level core of [`hadamard_add`], shared with the kernel backends.
 pub(crate) fn hadamard_add_slice<T: Float>(a: &[T], b: &[T], out: &mut [T]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::hadamard_add(a, b, out) };
-    }
+    x86_tiers!(hadamard_add(a, b, out));
     #[cfg(target_arch = "aarch64")]
     if let Some((af, bf, of)) = crate::backend::f32_views(a, b, out) {
         // SAFETY: NEON is baseline on aarch64; the kernel stays below the
@@ -130,11 +124,7 @@ pub(crate) fn row_mul_add_slice<T: Float>(
     rows: usize,
     cols: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::row_mul_add(a, x, y, out, rows, cols) };
-    }
+    x86_tiers!(row_mul_add(a, x, y, out, rows, cols));
     reference::row_mul_add_slice(a, x, y, out, rows, cols);
 }
 
@@ -181,6 +171,14 @@ pub fn scan_combine<T: Float>(
     assert_eq!(a1.shape(), out_a.shape(), "scan_combine out_a shape");
     hadamard(a1, a2, out_a);
     row_mul_add(a2, b1, b2, out_b);
+}
+
+/// `db[j] += Σ_r dG[r, j]` over a `rows × n` block
+/// ([`reference::column_sums_add`]: per column a sum from zero, `r`
+/// ascending, then one add into `db`), dispatched like [`axpy_slice`].
+pub(crate) fn column_sums_add_slice<T: Float>(dg: &[T], db: &mut [T], rows: usize, n: usize) {
+    x86_tiers!(column_sums_add(dg, db, rows, n));
+    reference::column_sums_add(dg, db, rows, n);
 }
 
 /// Column-wise sum of `m`, producing a `1 × cols` row vector.
@@ -254,11 +252,7 @@ pub fn sum<T: Float>(m: &Matrix<T>) -> T {
 /// Dot product of the flattened matrices.
 pub fn dot<T: Float>(a: &Matrix<T>, b: &Matrix<T>) -> T {
     assert_eq!(a.shape(), b.shape(), "dot shape mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::x86::detect() {
-        // SAFETY: detect() proved AVX2+FMA, the callee's only requirement.
-        return unsafe { simd::x86::dot(a.as_slice(), b.as_slice()) };
-    }
+    x86_tiers!(dot(a.as_slice(), b.as_slice()));
     reference::dot_slice(a.as_slice(), b.as_slice())
 }
 

@@ -7,9 +7,9 @@
 //! points in [`crate::gemm`] and [`crate::ops`] run them in three ways:
 //!
 //! * verbatim, on hosts without a detected vector unit (and under Miri);
-//! * inlined into an `avx2,fma` wrapper on x86-64, where `mul_add` lowers
-//!   to `vfmadd` instead of a call to `fmaf` — `f64`, partial tiles and
-//!   the ops with no hand-written kernel;
+//! * inlined into a wrapper per x86-64 tier (`avx512f` or `avx2,fma`),
+//!   where `mul_add` lowers to `vfmadd` instead of a call to `fmaf` —
+//!   `f64`, partial tiles and the ops with no hand-written kernel;
 //! * as the oracle: hardware FMA and `fmaf` are both correctly rounded
 //!   and the hand-written `f32` kernels keep this operation order, so
 //!   every path must agree with these loops **bit for bit**. The public
@@ -467,7 +467,7 @@ fn horner<const N: usize>(x: f32, coeffs: [f32; N]) -> f32 {
 /// Like [`sigmoid_f32`] and [`tanh_f32`] this is IEEE `+ − × ÷`, selects
 /// and integer bit operations only — no `mul_add` (a call to `fmaf` per
 /// term in a build without `+fma`), no rounding intrinsic, no libm — so a
-/// scalar call, the SSE2 loop and the AVX2 loop of the same source give
+/// scalar call and the SSE2, AVX2 and AVX-512 loops of the same source give
 /// the same bits.
 #[inline(always)]
 fn exp_f32(x: f32) -> f32 {
@@ -529,31 +529,51 @@ pub fn tanh_f32(x: f32) -> f32 {
 /// straight-line body above, which the compiler vectorises.
 #[inline(always)]
 pub(crate) fn sigmoid_slice<T: Float>(m: &mut [T]) {
-    for v in m {
-        *v = v.sigmoid();
-    }
+    map_blocks(m, T::sigmoid);
 }
 
 /// `m[i] = tanh(m[i])`; see [`sigmoid_slice`].
 #[inline(always)]
 pub(crate) fn tanh_slice<T: Float>(m: &mut [T]) {
-    for v in m {
-        *v = v.tanh();
+    map_blocks(m, T::tanh);
+}
+
+/// `m[i] = f(m[i])` in blocks of `2·NR` elements, then one of `NR`, then
+/// one element at a time. A block is a loop of constant length, which the
+/// compiler turns into whole registers at any width (one `zmm` or two
+/// `ymm` for `2·NR`), so a short slice or the tail past the last full
+/// `zmm` still runs as vector code. Each element is one `f` call either
+/// way.
+#[inline(always)]
+fn map_blocks<T: Float>(m: &mut [T], f: impl Fn(T) -> T) {
+    let (blocks, rest) = m.as_chunks_mut::<{ 2 * NR }>();
+    for v in blocks.as_flattened_mut() {
+        *v = f(*v);
+    }
+    let (blocks, rest) = rest.as_chunks_mut::<NR>();
+    for block in blocks {
+        for v in block {
+            *v = f(*v);
+        }
+    }
+    for v in rest {
+        *v = f(*v);
     }
 }
 
-/// Lanes × independent chains of [`fma_chains`]: ten 8-lane accumulators
-/// cover the FMA units' latency × width on every current x86-64 and
-/// aarch64 core while still fitting the register file.
+/// Lanes × independent chains of [`fma_chains`] at eight lanes: ten
+/// accumulators cover the FMA units' latency × width on every current
+/// x86-64 and aarch64 core while still fitting the register file. A tier
+/// with wider registers runs ten of those (`x86::avx512::CHAIN_LANES`).
 pub(crate) const CHAIN_LANES: usize = 8 * 10;
 
-/// `iters` rounds of [`CHAIN_LANES`] independent `v = x·v + y` updates
-/// that never leave the registers; see [`crate::gemm::fma_chains`]. The
-/// operands are opaque to the optimiser and keep every `v` near 1.
+/// `iters` rounds of `LANES` independent `v = x·v + y` updates that never
+/// leave the registers; see [`crate::gemm::fma_chains`]. The operands are
+/// opaque to the optimiser and keep every `v` near 1.
 #[inline(always)]
-pub(crate) fn fma_chains(iters: usize) -> f32 {
+pub(crate) fn fma_chains<const LANES: usize>(iters: usize) -> f32 {
     let (x, y) = (black_box(0.999_999f32), black_box(1e-6f32));
-    let mut acc = [y; CHAIN_LANES];
+    let mut acc = [y; LANES];
     for _ in 0..iters {
         for v in acc.iter_mut() {
             *v = x.mul_add(*v, y);
