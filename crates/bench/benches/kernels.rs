@@ -40,11 +40,18 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_cells(c: &mut Criterion) {
     let mut group = c.benchmark_group("cell_update");
     group.sample_size(10);
-    // A mid-size cell, and `fine_grain`'s tiny one (every gate product on
-    // the narrow route).
-    for ((batch, input, hidden), kind) in [(16usize, 64usize, 128usize), (1, 2, 2)]
-        .into_iter()
-        .flat_map(|shape| [(shape, CellKind::Lstm), (shape, CellKind::Gru)])
+    // A mid-size cell, and tiny ones whose step is one call (every gate
+    // product narrow): `fine_grain`'s one row and a 4-row serving batch.
+    let mid = [(16usize, 64usize, 128usize)].map(|s| [(s, CellKind::Lstm), (s, CellKind::Gru)]);
+    let tiny = [(1usize, 2usize, 2usize), (4, 2, 2)].map(|s| {
+        [
+            (s, CellKind::Lstm),
+            (s, CellKind::Gru),
+            (s, CellKind::Vanilla),
+        ]
+    });
+    for ((batch, input, hidden), kind) in
+        mid.into_iter().flatten().chain(tiny.into_iter().flatten())
     {
         let shape = format!("{batch}x{input}x{hidden}");
         let params: CellParams<f32> = CellParams::init(kind, input, hidden, 3);

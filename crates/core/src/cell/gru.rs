@@ -10,9 +10,20 @@
 //! The z and r gates share one fused `(I+H) × 2H` kernel (their input is
 //! identical); the candidate gate needs its own `(I+H) × H` kernel because
 //! its recurrent input is gated by `R_t`.
+//!
+//! Up to `H = 7` (both products narrower than 16 columns, `I + H ≤ 256`)
+//! a step is one [`Backend::step`] call, forward and backward: one pass
+//! per row, the gate products, biases and non-linearities in registers.
+//! Wider cells run each gate product through [`Backend::affine`] /
+//! [`Backend::affine_grad`] with the element-wise passes in between. Both
+//! give each element the same operations in the same order, so the width
+//! at which the route changes moves no bit.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
+use bpar_tensor::activation::dsigmoid_from_y;
+use bpar_tensor::gemm::narrow;
+use bpar_tensor::reference::gru_update_grads;
+use bpar_tensor::step::{GruBackward, GruForward, Step};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused GRU parameters for one layer and direction.
@@ -100,10 +111,17 @@ impl<T: Float> GruParams<T> {
         self.wzr.len() + self.bzr.len() + self.wh.len() + self.bh.len()
     }
 
+    /// True when both gate products take the narrow route, so a step is
+    /// one [`Backend::step`] call.
+    fn fused(&self) -> bool {
+        narrow(self.input + self.hidden, 2 * self.hidden)
+    }
+
     /// Forward update (Eqs. 7–10): results go into the caller-provided
-    /// `state`/`cache` buffers (see [`GruCache::zeros`]). Both gate products
-    /// run through [`Backend::affine`]; `R ⊙ H_{t-1}` is written straight
-    /// into the right column block of `h_in`.
+    /// `state`/`cache` buffers (see [`GruCache::zeros`]). A narrow cell is
+    /// one [`Backend::step`]; otherwise both gate products run through
+    /// [`Backend::affine`], and `R ⊙ H_{t-1}` is written straight into the
+    /// right column block of `h_in`.
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -124,6 +142,22 @@ impl<T: Float> GruParams<T> {
             hbar,
             h_prev,
         } = cache;
+        if self.fused() {
+            return be.step(Step::GruForward(GruForward {
+                x,
+                h_prev: &prev.h,
+                wzr: &self.wzr,
+                bzr: &self.bzr,
+                wh: &self.wh,
+                bh: &self.bh,
+                zr_in,
+                h_in,
+                zr,
+                hbar,
+                h_prev_copy: h_prev,
+                h: &mut state.h,
+            }));
+        }
         Matrix::hstack_into(&[x, &prev.h], zr_in);
         be.affine(Activation::Sigmoid, zr_in, &self.wzr, &self.bzr, zr);
 
@@ -155,11 +189,12 @@ impl<T: Float> GruParams<T> {
     /// `dprev` are caller-provided output buffers (fully overwritten),
     /// transient scratch comes from `ws`.
     ///
-    /// Three element-wise passes around the two gate products' backward
-    /// ([`Backend::affine_grad`]), on three pool buffers: `[dZ, dR]`, the
-    /// fused kernel's pre-σ gradient, written in place; the candidate's
-    /// pre-tanh gradient `dH̄`; and one input-gradient block that both
-    /// products write in turn.
+    /// A narrow cell is one [`Backend::step`], its gate gradients in one
+    /// pool buffer. Otherwise three element-wise passes run around the two
+    /// gate products' backward ([`Backend::affine_grad`]), on three pool
+    /// buffers: `[dZ, dR]`, the fused kernel's pre-σ gradient, written in
+    /// place; the candidate's pre-tanh gradient `dH̄`; and one
+    /// input-gradient block that both products write in turn.
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -177,6 +212,29 @@ impl<T: Float> GruParams<T> {
         assert_eq!(dh.shape(), (batch, h), "dh shape");
         assert_eq!(dx.shape(), (batch, input), "dx buffer shape");
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
+        let rec = dstate.map(|s| &s.dh);
+        if self.fused() {
+            let mut scratch = ws.checkout(batch, 3 * h);
+            be.step(Step::GruBackward(GruBackward {
+                zr_in: &cache.zr_in,
+                h_in: &cache.h_in,
+                zr: &cache.zr,
+                hbar: &cache.hbar,
+                h_prev: &cache.h_prev,
+                wzr: &self.wzr,
+                wh: &self.wh,
+                dh,
+                rec,
+                dwzr: &mut grads.wzr,
+                dbzr: &mut grads.bzr,
+                dwh: &mut grads.wh,
+                dbh: &mut grads.bh,
+                dx,
+                dh_prev: &mut dprev.dh,
+                scratch: scratch.as_mut_slice(),
+            }));
+            return ws.give_back(scratch);
+        }
         let mut dzr = ws.checkout(batch, 2 * h);
         let mut dhbar = ws.checkout(batch, h);
         let mut din = ws.checkout(batch, input + h);
@@ -184,7 +242,6 @@ impl<T: Float> GruParams<T> {
         // Through Eq. (10), from dH_t = upstream + recurrent: the (1-Z)
         // path into dH_{t-1}, the candidate's and the update gate's
         // pre-activation gradients.
-        let rec = dstate.map(|s| &s.dh);
         for row in 0..batch {
             let rows = [
                 cache.zr.row(row),
@@ -195,8 +252,8 @@ impl<T: Float> GruParams<T> {
             let (dp, dhb) = (dprev.dh.row_mut(row), dhbar.row_mut(row));
             let dz = dzr.row_mut(row);
             match rec {
-                Some(rec) => update_grads::<T, true>(h, rows, rec.row(row), dp, dhb, dz),
-                None => update_grads::<T, false>(h, rows, &[], dp, dhb, dz),
+                Some(rec) => gru_update_grads::<T, true>(h, rows, rec.row(row), dp, dhb, dz),
+                None => gru_update_grads::<T, false>(h, rows, &[], dp, dhb, dz),
             }
         }
 
@@ -232,34 +289,6 @@ impl<T: Float> GruParams<T> {
         ws.give_back(dzr);
         ws.give_back(dhbar);
         ws.give_back(din);
-    }
-}
-
-/// One batch row of the first backward pass through Eq. (10): the `(1-Z)`
-/// path into `dH_{t-1}` (`dp`), the candidate's pre-tanh gradient (`dhb`)
-/// and the update gate's pre-σ gradient (`dz`, the first `h` of the
-/// `[dZ, dR]` row), from `rows` = `[Z, R]`, `H̄`, `H_{t-1}` and the upstream
-/// `dH_t`. `REC` says whether a recurrent `dH` from cell t+1 (`rec`, empty
-/// otherwise) is added in: a constant, so the element loop has no branch
-/// in it and vectorises. Per element, the operations and their order are
-/// those of the per-element formula.
-#[inline(always)]
-fn update_grads<T: Float, const REC: bool>(
-    h: usize,
-    rows: [&[T]; 4],
-    rec: &[T],
-    dp: &mut [T],
-    dhb: &mut [T],
-    dz: &mut [T],
-) {
-    let [zs, hb, hp, dh] = rows.map(|r| &r[..h]);
-    let rec = if REC { &rec[..h] } else { rec };
-    let (dp, dhb, dz) = (&mut dp[..h], &mut dhb[..h], &mut dz[..h]);
-    for j in 0..h {
-        let dht = if REC { dh[j] + rec[j] } else { dh[j] };
-        dp[j] = dht * (T::ONE - zs[j]);
-        dhb[j] = dht * zs[j] * dtanh_from_y(hb[j]);
-        dz[j] = dht * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
     }
 }
 

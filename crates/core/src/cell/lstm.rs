@@ -13,9 +13,19 @@
 //! each cell update is a single GEMM — the same layout MKL/cuDNN use and
 //! the reason an RNN cell task is GEMM-dominated. Gate block order within
 //! the fused matrix is `[i, f, g, o]`.
+//!
+//! Up to `H = 3` (the `4H`-wide product narrower than 16 columns,
+//! `I + H ≤ 256`) a step is one [`Backend::step`] call, forward and
+//! backward: one pass per row, the gate product, bias and non-linearities
+//! in registers. Wider cells run the gate product through
+//! [`Backend::affine`] / [`Backend::affine_grad`] with the element-wise
+//! passes around it. Both give each element the same operations in the
+//! same order, so the width at which the route changes moves no bit.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::activation::{dsigmoid_from_y, dtanh_from_y};
+use bpar_tensor::gemm::narrow;
+use bpar_tensor::reference::lstm_gate_grads;
+use bpar_tensor::step::{LstmBackward, LstmForward, Step};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused LSTM parameters for one layer and direction.
@@ -97,10 +107,17 @@ impl<T: Float> LstmParams<T> {
         self.w.len() + self.b.len()
     }
 
+    /// True when the gate product takes the narrow route, so a step is one
+    /// [`Backend::step`] call.
+    fn fused(&self) -> bool {
+        narrow(self.input + self.hidden, 4 * self.hidden)
+    }
+
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
     /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
     /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
-    /// The gate product runs through [`Backend::affine`].
+    /// A narrow cell is one [`Backend::step`]; otherwise the gate product
+    /// runs through [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -114,6 +131,26 @@ impl<T: Float> LstmParams<T> {
         assert_eq!(prev.h.shape(), (batch, self.hidden), "H_{{t-1}} shape");
         let c_prev = prev.c.as_ref().expect("LSTM needs a cell state");
         let h = self.hidden;
+        let c = state
+            .c
+            .as_mut()
+            .expect("LSTM state buffer needs a cell state");
+        assert_eq!(c.shape(), (batch, h), "C_t buffer shape");
+        if self.fused() {
+            return be.step(Step::LstmForward(LstmForward {
+                x,
+                h_prev: &prev.h,
+                c_prev,
+                w: &self.w,
+                b: &self.b,
+                z: &mut cache.z,
+                gates: &mut cache.gates,
+                tanh_c: &mut cache.tanh_c,
+                c_prev_copy: &mut cache.c_prev,
+                h: &mut state.h,
+                c,
+            }));
+        }
 
         // Z = [X_t, H_{t-1}];  G = act(Z W + b): σ on i,f,o, tanh on g.
         let (z, gates) = (&mut cache.z, &mut cache.gates);
@@ -121,11 +158,6 @@ impl<T: Float> LstmParams<T> {
         be.affine(Activation::LstmGates, z, &self.w, &self.b, gates);
 
         // C_t = f ⊙ C_{t-1} + i ⊙ g ;  H_t = o ⊙ tanh(C_t)
-        let c = state
-            .c
-            .as_mut()
-            .expect("LSTM state buffer needs a cell state");
-        assert_eq!(c.shape(), (batch, h), "C_t buffer shape");
         for r in 0..batch {
             let grow = cache.gates.row(r);
             let (gi, rest) = grow.split_at(h);
@@ -161,7 +193,8 @@ impl<T: Float> LstmParams<T> {
     ///
     /// The input gradient goes into `dx`, the state gradient for cell t-1
     /// into `dprev` (both caller-provided, fully overwritten); transient
-    /// scratch comes from `ws` and the GEMM kernels dispatch through `be`.
+    /// scratch comes from `ws` and the kernels dispatch through `be`. A
+    /// narrow cell is one [`Backend::step`].
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -192,6 +225,24 @@ impl<T: Float> LstmParams<T> {
             let dc = s.dc.as_ref().expect("LSTM state gradient needs a dC");
             (&s.dh, dc)
         });
+        if self.fused() {
+            be.step(Step::LstmBackward(LstmBackward {
+                z: &cache.z,
+                gates: &cache.gates,
+                tanh_c: &cache.tanh_c,
+                c_prev: &cache.c_prev,
+                w: &self.w,
+                dh,
+                rec,
+                dw: &mut grads.w,
+                db: &mut grads.b,
+                dx,
+                dh_prev: &mut dprev.dh,
+                dc_prev,
+                scratch: dgates.as_mut_slice(),
+            }));
+            return ws.give_back(dgates);
+        }
         for r in 0..batch {
             let rows = [
                 cache.gates.row(r),
@@ -201,8 +252,10 @@ impl<T: Float> LstmParams<T> {
             ];
             let (dgrow, dcp) = (dgates.row_mut(r), dc_prev.row_mut(r));
             match rec {
-                Some((rh, rc)) => gate_grads::<T, true>(h, rows, rh.row(r), rc.row(r), dgrow, dcp),
-                None => gate_grads::<T, false>(h, rows, &[], &[], dgrow, dcp),
+                Some((rh, rc)) => {
+                    lstm_gate_grads::<T, true>(h, rows, rh.row(r), rc.row(r), dgrow, dcp)
+                }
+                None => lstm_gate_grads::<T, false>(h, rows, &[], &[], dgrow, dcp),
             }
         }
 
@@ -219,54 +272,6 @@ impl<T: Float> LstmParams<T> {
 
         ws.give_back(dgates);
         ws.give_back(dz);
-    }
-}
-
-/// One batch row of the gate gradients through Eqs. (5)–(6), into `dgates`
-/// (`[di, df, dg, do]`) and `dcp` (`dC_{t-1}`), from `rows` = the gate
-/// activations `[i, f, g, o]`, `tanh(C_t)`, `C_{t-1}` and the upstream
-/// `dH_t`. `REC` says whether a recurrent `dH`/`dC` from cell t+1 is added
-/// in (`rec_h`, `rec_c`; empty otherwise): a constant, so the element loop
-/// has no branch in it and vectorises. Every slice is cut to its `h`-wide
-/// block first, so the compiler needs no bounds check in the loop. Per
-/// element, the operations and their order are those of the per-element
-/// formula.
-#[inline(always)]
-fn gate_grads<T: Float, const REC: bool>(
-    h: usize,
-    rows: [&[T]; 4],
-    rec_h: &[T],
-    rec_c: &[T],
-    dgates: &mut [T],
-    dcp: &mut [T],
-) {
-    let [gates, tc, cp, dh] = rows;
-    let (gi, rest) = gates[..4 * h].split_at(h);
-    let (gf, rest) = rest.split_at(h);
-    let (gg, go) = rest.split_at(h);
-    let (tc, cp, dh) = (&tc[..h], &cp[..h], &dh[..h]);
-    let (rec_h, rec_c) = if REC {
-        (&rec_h[..h], &rec_c[..h])
-    } else {
-        (rec_h, rec_c)
-    };
-    let (di, rest) = dgates[..4 * h].split_at_mut(h);
-    let (df, rest) = rest.split_at_mut(h);
-    let (dg, do_) = rest.split_at_mut(h);
-    let dcp = &mut dcp[..h];
-    for j in 0..h {
-        let dht = if REC { dh[j] + rec_h[j] } else { dh[j] };
-        // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
-        let mut dc = dht * go[j] * dtanh_from_y(tc[j]);
-        if REC {
-            dc += rec_c[j];
-        }
-        // Gate gradients through Eqs. (5)-(6).
-        di[j] = dc * gg[j] * dsigmoid_from_y(gi[j]);
-        df[j] = dc * cp[j] * dsigmoid_from_y(gf[j]);
-        dg[j] = dc * gi[j] * dtanh_from_y(gg[j]);
-        do_[j] = dht * tc[j] * dsigmoid_from_y(go[j]);
-        dcp[j] = dc * gf[j];
     }
 }
 

@@ -4,9 +4,18 @@
 //! variants LSTM and GRU"; the evaluation focuses on LSTM/GRU, but the
 //! basic unit completes the family and is useful for fast tests and as
 //! the cheapest ablation point for task granularity (one GEMM per cell).
+//!
+//! Up to `H = 15` (the product narrower than 16 columns, `I + H ≤ 256`) a
+//! step is one [`Backend::step`] call, forward and backward: one pass per
+//! row, the gate product, bias and tanh in registers. Wider cells run the
+//! product through [`Backend::affine`] / [`Backend::affine_grad`]. Both
+//! give each element the same operations in the same order, so the width
+//! at which the route changes moves no bit.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::activation::dtanh_from_y;
+use bpar_tensor::gemm::narrow;
+use bpar_tensor::reference::tanh_pre_grads;
+use bpar_tensor::step::{Step, VanillaBackward, VanillaForward};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Vanilla RNN parameters for one layer and direction.
@@ -73,9 +82,15 @@ impl<T: Float> VanillaParams<T> {
         self.w.len() + self.b.len()
     }
 
+    /// True when the gate product takes the narrow route, so a step is one
+    /// [`Backend::step`] call.
+    fn fused(&self) -> bool {
+        narrow(self.input + self.hidden, self.hidden)
+    }
+
     /// Forward update writing into caller-provided buffers (see
-    /// [`VanillaCache::zeros`]). The one gate product runs through
-    /// [`Backend::affine`].
+    /// [`VanillaCache::zeros`]). A narrow cell is one [`Backend::step`];
+    /// otherwise the gate product runs through [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -88,6 +103,17 @@ impl<T: Float> VanillaParams<T> {
         assert_eq!(x.cols(), self.input, "input width mismatch");
         assert_eq!(prev.h.shape(), (batch, self.hidden), "H_{{t-1}} shape");
         let (z, h) = (&mut cache.z, &mut cache.h);
+        if self.fused() {
+            return be.step(Step::VanillaForward(VanillaForward {
+                x,
+                h_prev: &prev.h,
+                w: &self.w,
+                b: &self.b,
+                z,
+                h_copy: h,
+                h: &mut state.h,
+            }));
+        }
         Matrix::hstack_into(&[x, &prev.h], z);
         be.affine(Activation::Tanh, z, &self.w, &self.b, h);
         state.h.copy_from(h);
@@ -95,7 +121,8 @@ impl<T: Float> VanillaParams<T> {
 
     /// Backward update; see [`super::CellParams::backward`] for the
     /// argument contract: `dx` and `dprev` are caller-provided output
-    /// buffers (fully overwritten), transient scratch comes from `ws`.
+    /// buffers (fully overwritten), transient scratch comes from `ws`. A
+    /// narrow cell is one [`Backend::step`].
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -116,10 +143,25 @@ impl<T: Float> VanillaParams<T> {
 
         // dpre = (dH_t + recurrent dH) ⊙ tanh'.
         let mut dpre = ws.checkout(batch, h);
+        if self.fused() {
+            be.step(Step::VanillaBackward(VanillaBackward {
+                z: &cache.z,
+                h: &cache.h,
+                w: &self.w,
+                dh,
+                rec: dstate.map(|s| &s.dh),
+                dw: &mut grads.w,
+                db: &mut grads.b,
+                dx,
+                dh_prev: &mut dprev.dh,
+                scratch: dpre.as_mut_slice(),
+            }));
+            return ws.give_back(dpre);
+        }
         let (dhs, ys, out) = (dh.as_slice(), cache.h.as_slice(), dpre.as_mut_slice());
         match dstate {
-            Some(s) => pre_grads::<T, true>(dhs, s.dh.as_slice(), ys, out),
-            None => pre_grads::<T, false>(dhs, &[], ys, out),
+            Some(s) => tanh_pre_grads::<T, true>(dhs, s.dh.as_slice(), ys, out),
+            None => tanh_pre_grads::<T, false>(dhs, &[], ys, out),
         }
 
         let mut dz = ws.checkout(batch, self.input + h);
@@ -132,21 +174,6 @@ impl<T: Float> VanillaParams<T> {
         }
         ws.give_back(dpre);
         ws.give_back(dz);
-    }
-}
-
-/// `out = (dH_t + recurrent dH) ⊙ tanh'(H_t)` over the whole `batch × h`
-/// block, from the upstream `dh`, the recurrent `rec` (added only when
-/// `REC`; empty otherwise) and the cell outputs `ys`. `REC` is a constant,
-/// so the loop has no branch in it and vectorises.
-#[inline(always)]
-fn pre_grads<T: Float, const REC: bool>(dh: &[T], rec: &[T], ys: &[T], out: &mut [T]) {
-    let n = out.len();
-    let (dh, ys) = (&dh[..n], &ys[..n]);
-    let rec = if REC { &rec[..n] } else { rec };
-    for i in 0..n {
-        let dht = if REC { dh[i] + rec[i] } else { dh[i] };
-        out[i] = dht * dtanh_from_y(ys[i]);
     }
 }
 

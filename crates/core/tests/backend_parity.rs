@@ -390,17 +390,21 @@ fn cache_field<'a>(cache: &'a CellCache<f32>, name: &str) -> &'a Matrix<f32> {
     }
 }
 
-/// Hidden widths below, at and past one 8-lane register, so that every
-/// gate range has a ragged vector tail somewhere, plus the ledger's 48;
-/// batch 1 (`fine_grain`'s one row, every gate product on the narrow
-/// route at small widths) and 3: `forward` under `scalar` and `simd`
-/// agrees with the per-element oracle, bit for bit, in `H_t`, `C_t` and
-/// every cache field BPTT reads.
+/// Hidden widths of the oracle tests: below, at and past one 8-lane
+/// register, so that every gate range has a ragged vector tail somewhere;
+/// each kind's last width on the one-call narrow step and the first one
+/// past it (LSTM 3 | 4, GRU 7 | 8, vanilla 15 | 16); and the ledger's 48.
+const HIDDEN_WIDTHS: [usize; 10] = [1, 2, 3, 4, 7, 8, 9, 15, 16, 48];
+
+/// At every width of [`HIDDEN_WIDTHS`], batch 1 (`fine_grain`'s one row),
+/// 3 and 4 (a serving batch): `forward` under `scalar` and `simd` agrees
+/// with the per-element oracle, bit for bit, in `H_t`, `C_t` and every
+/// cache field BPTT reads.
 #[test]
 fn forward_equals_the_per_element_oracle_at_every_gate_width() {
     for kind in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
-        for hidden in [1usize, 2, 7, 8, 9, 48] {
-            for batch in [1usize, 3] {
+        for hidden in HIDDEN_WIDTHS {
+            for batch in [1usize, 3, 4] {
                 let (input, seed) = (5, hidden as u64 + batch as u64);
                 let p = CellParams::<f32>::init(kind, input, hidden, seed);
                 let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
@@ -570,7 +574,7 @@ fn per_element_backward(
     }
 }
 
-/// Hidden widths as in the forward oracle, batch 1 and 3, with and
+/// Hidden widths and batches as in the forward oracle, with and
 /// without a recurrent gradient, every cell kind: `backward` under
 /// `scalar` and `simd` agrees with [`per_element_backward`], bit for bit,
 /// in `dX`, `dprev.dh`, `dprev.dc` and every gradient field, accumulated
@@ -585,8 +589,8 @@ fn backward_equals_the_per_element_oracle_at_every_gate_width() {
         CellKind::Linear,
     ];
     for kind in kinds {
-        for hidden in [1usize, 2, 7, 8, 9, 48] {
-            for batch in [1usize, 3] {
+        for hidden in HIDDEN_WIDTHS {
+            for batch in [1usize, 3, 4] {
                 let (input, seed) = (5, 3 * hidden as u64 + batch as u64);
                 let p = CellParams::<f32>::init(kind, input, hidden, seed);
                 let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);

@@ -540,6 +540,10 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
     // run next without ever touching a queue. The successor's inputs are
     // the completed task's outputs — still in this worker's cache.
     let mut handoff: Option<usize> = None;
+    // When this worker's last body ended: the runtime's overhead runs from
+    // there to the start of its next body, or to going idle. Two clock
+    // reads per task, one of them shared with the trace record's `end`.
+    let mut body_end: Option<Instant> = None;
     loop {
         if let Some(tid) = handoff.take().or_else(|| inner.ready.pop(worker)) {
             let body = inner.tasks[tid]
@@ -568,7 +572,11 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
             // already won, so the rest of this epoch is wasted work.
             let cancelled =
                 !poisoned && inner.cancel.as_ref().is_some_and(|cell| cell.is_claimed());
-            let start = shared.epoch.elapsed().as_secs_f64();
+            let now = Instant::now();
+            if let Some(ended) = body_end.take() {
+                inner.overhead += now - ended;
+            }
+            let start = (now - shared.epoch).as_secs_f64();
             drop(inner);
 
             let result = if poisoned || cancelled {
@@ -591,8 +599,9 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
                 }))
             };
 
-            let end = shared.epoch.elapsed().as_secs_f64();
-            let t0 = Instant::now();
+            let ended = Instant::now();
+            body_end = Some(ended);
+            let end = (ended - shared.epoch).as_secs_f64();
             inner = shared.inner.lock();
             if let Err(payload) = result {
                 let msg = payload
@@ -620,41 +629,30 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
             }
             inner.tasks[tid].completed = true;
             // Replayed tasks keep their successor lists in the plan (frozen
-            // at compile time, shared by every replay); live tasks own
-            // theirs and surrender them on completion. Tasks submitted live
-            // after a replay get indices beyond the plan and fall through
-            // to the owned path.
-            let frozen = match &inner.replayed {
-                Some(p) if tid < p.tasks.len() => Some(p.clone()),
-                _ => None,
-            };
-            let direct = inner.ready.direct_handoff();
-            let mut queued = 0;
-            if let Some(plan) = frozen {
-                for &s in &plan.succs[tid] {
-                    let sm = &mut inner.tasks[s];
-                    sm.pending -= 1;
-                    if sm.pending == 0 {
-                        if direct && handoff.is_none() {
-                            handoff = Some(s);
-                        } else {
-                            inner.ready.push(s, Some(worker));
-                            queued += 1;
-                        }
-                    }
+            // at compile time, shared by every replay, borrowed here); live
+            // tasks own theirs and surrender them on completion. Tasks
+            // submitted live after a replay get indices beyond the plan and
+            // fall through to the owned path.
+            let st = &mut *inner;
+            let owned;
+            let succs: &[usize] = match st.replayed.as_deref() {
+                Some(plan) if tid < plan.tasks.len() => &plan.succs[tid],
+                _ => {
+                    owned = std::mem::take(&mut st.tasks[tid].succs);
+                    &owned
                 }
-            } else {
-                let succs = std::mem::take(&mut inner.tasks[tid].succs);
-                for s in succs {
-                    let sm = &mut inner.tasks[s];
-                    sm.pending -= 1;
-                    if sm.pending == 0 {
-                        if direct && handoff.is_none() {
-                            handoff = Some(s);
-                        } else {
-                            inner.ready.push(s, Some(worker));
-                            queued += 1;
-                        }
+            };
+            let direct = st.ready.direct_handoff();
+            let mut queued = 0;
+            for &s in succs {
+                let sm = &mut st.tasks[s];
+                sm.pending -= 1;
+                if sm.pending == 0 {
+                    if direct && handoff.is_none() {
+                        handoff = Some(s);
+                    } else {
+                        st.ready.push(s, Some(worker));
+                        queued += 1;
                     }
                 }
             }
@@ -667,10 +665,13 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
             for _ in 0..wake_count(queued, inner.ready.script_active(), handoff.is_some()) {
                 shared.work_cv.notify_one();
             }
-            inner.overhead += t0.elapsed();
-        } else if inner.shutdown {
-            return;
         } else {
+            if let Some(ended) = body_end.take() {
+                inner.overhead += ended.elapsed();
+            }
+            if inner.shutdown {
+                return;
+            }
             inner.wait(&shared.work_cv);
         }
     }

@@ -54,8 +54,11 @@ pub struct RuntimeStats {
     pub avg_working_set_bytes: f64,
     /// Peak sum of working sets of concurrently running tasks.
     pub peak_working_set_bytes: usize,
-    /// Total time spent inside the runtime itself (dependency resolution,
-    /// queue operations) rather than in task bodies, seconds.
+    /// Total time spent inside the runtime itself rather than in task
+    /// bodies, seconds: submission and replay bookkeeping, and on each
+    /// worker every stretch from the end of one body to the start of its
+    /// next body or to going idle (completion bookkeeping, successor
+    /// release, the queue pop, waiting for the runtime lock).
     pub overhead_time: f64,
 }
 

@@ -18,9 +18,11 @@
 //! NN and TN products narrower than one register tile (`n < 2·NR`, `k ≤ KC`) take
 //! the narrow route under every kind — one pass per row of `C` instead of
 //! the blocked nest ([`crate::gemm`] says why the bits cannot change).
-//! [`Backend::affine`] is a cell's gate product on that route and
+//! [`Backend::affine`] is a gate product on that route and
 //! [`Backend::affine_grad`] its backward (`gemm_tn`, the bias-gradient
-//! column sums and `gemm_nt`).
+//! column sums and `gemm_nt`). When all of a cell's gate products are
+//! narrow, [`Backend::step`] runs the whole step in one call instead
+//! ([`crate::step`]).
 //!
 //! Numerical contract (tested in `src/reference.rs`, `tests/proptests.rs`
 //! and `bpar-core`'s `tests/backend_parity.rs`):
@@ -53,6 +55,7 @@ use crate::gemm::{self as gemm_mod, Op};
 use crate::matrix::Matrix;
 use crate::ops;
 use crate::scalar::Float;
+use crate::step::Step;
 use crate::workspace::Workspace;
 
 /// Which kernel backend a component should use.
@@ -463,6 +466,23 @@ impl Backend {
         self.gemm_tn(T::ONE, z, dg, T::ONE, dw);
         ops::column_sums_add_slice(dg.as_slice(), db.as_mut_slice(), rows, n);
         self.gemm_nt(T::ONE, dg, w, T::ZERO, dz);
+    }
+
+    /// One narrow cell step ([`crate::step`]): a whole LSTM, GRU or vanilla
+    /// step, forward or backward, in one call, one pass per row. Under
+    /// `scalar` the portable loops run as written; under `simd` they run
+    /// inlined into the widest x86-64 tier's wrapper. Either way each
+    /// element gets the operations of [`Backend::affine`], the cells'
+    /// element-wise passes and [`Backend::affine_grad`], in their order.
+    ///
+    /// # Panics
+    /// Panics if a gate product of the step is not narrow
+    /// ([`crate::gemm::narrow`]) or a buffer is too small.
+    pub fn step<T: Float>(self, step: Step<'_, T>) {
+        match self.kind() {
+            BackendKind::Scalar => crate::reference::step(step),
+            BackendKind::Simd => crate::step::run(step),
+        }
     }
 
     /// `y += alpha * x` through the backend.

@@ -16,7 +16,8 @@
 //!   the portable loops of [`crate::reference`] inlined into a wrapper per
 //!   tier, written once as a macro. There `mul_add` is one `vfmadd`
 //!   instead of a call to `fmaf`, and the straight-line `f32`
-//!   non-linearities vectorise sixteen or eight lanes wide.
+//!   non-linearities vectorise sixteen or eight lanes wide. A narrow cell
+//!   step ([`crate::step`]) runs in the `avx2` wrapper on both tiers.
 //! * **aarch64**: NEON kernels for the `f32` NN GEMM, `axpy` and
 //!   `hadamard_add` (NEON is baseline on aarch64, no detection needed).
 //! * **anything else**: nothing here is compiled; the portable loops run.
@@ -721,9 +722,19 @@ pub(crate) mod x86 {
         };
     }
 
-    /// AVX2+FMA: the `ymm` tiles, the portable loops eight lanes wide.
+    /// AVX2+FMA: the `ymm` tiles, the portable loops eight lanes wide,
+    /// and every host's narrow cell step ([`crate::step`]).
     pub(crate) mod avx2 {
         tier!("avx2,fma", false, crate::reference::CHAIN_LANES);
+
+        /// A narrow cell step ([`reference::step`]), one pass per row.
+        ///
+        /// # Safety
+        /// AVX2+FMA must be available (the body is safe code).
+        #[target_feature(enable = "avx2,fma")]
+        pub(crate) unsafe fn step<T: Float>(s: crate::step::Step<'_, T>) {
+            reference::step(s);
+        }
     }
 
     /// AVX-512F: the `zmm` tile first, the portable loops sixteen lanes

@@ -34,7 +34,9 @@
 //! nest and its register tile: one pass per row of `C`, the same chain per
 //! element. NT keeps its dot-product loop below `NR` columns, which already
 //! is one chain per element.
-//! [`crate::Backend::affine`] fuses the bias and activation into that pass.
+//! [`crate::Backend::affine`] fuses the bias and activation into that pass,
+//! and when all of a cell's gate products are narrow its whole step is one
+//! such pass per row ([`crate::step`]).
 
 use crate::activation::Activation;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -58,12 +60,12 @@ pub(crate) const NR: usize = 8;
 /// True when a product with reduction depth `k` and `n` output columns is
 /// narrower than one register tile (`n < 2·NR`) and one `KC` block deep.
 /// Such products — every gate product of a tiny cell — take the narrow
-/// route: one pass per row of `C` ([`reference::gemm_rows`],
-/// [`reference::affine_rows`]) instead of the
+/// route: one pass per row of `C` (`reference::gemm_rows`,
+/// `reference::affine_rows`) instead of the
 /// blocked nest and its register tile. Within one `KC` block both routes
 /// run the same chain per element, so they give the same bits.
 #[inline(always)]
-pub(crate) fn narrow(k: usize, n: usize) -> bool {
+pub fn narrow(k: usize, n: usize) -> bool {
     n < 2 * NR && k <= KC
 }
 

@@ -18,6 +18,8 @@
 //! * [`reference`] — the portable loops that define the arithmetic of
 //!   every fused multiply-add kernel: the fallback, and the oracle the
 //!   dispatched kernels must match bit for bit,
+//! * [`step`] — one narrow LSTM/GRU/vanilla step as a single call, one
+//!   pass per row (the `reference` loops, on the widest tier under `simd`),
 //! * [`backend`] — the AVX-512 / AVX2+FMA / NEON kernels `gemm`, `ops` and
 //!   `activation` dispatch to when the host has the unit (run-time
 //!   detection picks the widest), and the two selectable backends on top
@@ -45,6 +47,7 @@ pub mod matrix;
 pub mod ops;
 pub mod reference;
 pub mod scalar;
+pub mod step;
 pub mod workspace;
 
 pub use activation::Activation;

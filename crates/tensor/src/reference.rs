@@ -23,10 +23,13 @@
 //! Every loop is `#[inline(always)]` so that it takes on the target
 //! features of the wrapper it is inlined into.
 
-use crate::activation::Activation;
-use crate::gemm::{checked, Op, KC, MC, MR, NR};
+use crate::activation::{dsigmoid_from_y, dtanh_from_y, Activation};
+use crate::gemm::{checked, narrow, Op, KC, MC, MR, NR};
 use crate::matrix::Matrix;
 use crate::scalar::Float;
+use crate::step::{
+    GruBackward, GruForward, LstmBackward, LstmForward, Step, VanillaBackward, VanillaForward,
+};
 use std::hint::black_box;
 
 /// `C = alpha * A * B + beta * C` through the portable loops only.
@@ -371,13 +374,28 @@ fn affine_rows_as<T: Float>(
     n: usize,
 ) {
     for i in 0..m {
-        let mut acc = row_chains(T::ONE, &a[i * k..], 1, w, k, n);
-        for (v, &bv) in acc.iter_mut().zip(&b[..n]) {
-            *v = (T::ZERO + *v) + bv;
-        }
-        act.apply_lanes(&mut acc, n);
+        let acc = affine_row(act, &a[i * k..], w, b, k, n);
         c[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
     }
+}
+
+/// One row of [`affine_rows`] in registers: the row's FMA chains, `0 +
+/// acc + b[j]`, then `act` over the lanes (lanes past `n` are scratch).
+#[inline(always)]
+fn affine_row<T: Float>(
+    act: Activation,
+    a: &[T],
+    w: &[T],
+    b: &[T],
+    k: usize,
+    n: usize,
+) -> [T; 2 * NR] {
+    let mut acc = row_chains(T::ONE, a, 1, w, k, n);
+    for (v, &bv) in acc.iter_mut().zip(&b[..n]) {
+        *v = (T::ZERO + *v) + bv;
+    }
+    act.apply_lanes(&mut acc, n);
+    acc
 }
 
 /// `db[j] += Σ_r dG[r, j]` over a `rows × n` block: per column a sum from
@@ -398,6 +416,363 @@ pub(crate) fn column_sums_add<T: Float>(dg: &[T], db: &mut [T], rows: usize, n: 
         for (d, &s) in db[j0..j0 + w].iter_mut().zip(&acc) {
             *d += s;
         }
+    }
+}
+
+/// One narrow cell step ([`crate::step`]), one pass per row; the body of
+/// [`crate::Backend::step`] under every backend and tier. The hidden width
+/// becomes a constant of the kernel (the narrow route bounds it: LSTM
+/// `h ≤ 3`, GRU `h ≤ 7`, vanilla `h ≤ 15`), so every row loop has a fixed
+/// trip count and unrolls; the input width stays a run-time loop bound.
+#[inline(always)]
+pub(crate) fn step<T: Float>(step: Step<'_, T>) {
+    /// `$kernel::<T, H>($s)` with `H = $h`, one arm per width in the list.
+    macro_rules! by_width {
+        ($kernel:ident($s:expr), $h:expr, [$($w:literal),*]) => {
+            match $h {
+                $($w => $kernel::<T, $w>($s),)*
+                h => panic!("step: no narrow step at hidden width {h}"),
+            }
+        };
+    }
+    match step {
+        Step::LstmForward(s) => by_width!(lstm_forward(s), s.h_prev.cols(), [0, 1, 2, 3]),
+        Step::LstmBackward(s) => by_width!(lstm_backward(s), s.dh.cols(), [0, 1, 2, 3]),
+        Step::GruForward(s) => {
+            by_width!(gru_forward(s), s.h_prev.cols(), [0, 1, 2, 3, 4, 5, 6, 7])
+        }
+        Step::GruBackward(s) => by_width!(gru_backward(s), s.dh.cols(), [0, 1, 2, 3, 4, 5, 6, 7]),
+        Step::VanillaForward(s) => by_width!(
+            vanilla_forward(s),
+            s.h_prev.cols(),
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+        ),
+        Step::VanillaBackward(s) => by_width!(
+            vanilla_backward(s),
+            s.dh.cols(),
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+        ),
+    }
+}
+
+/// A step's widest gate product (`k` deep, `n` wide) must take the narrow
+/// route: its row values live in `2·NR` lanes.
+#[inline(always)]
+fn assert_narrow(k: usize, n: usize) {
+    assert!(narrow(k, n), "step: a {k}x{n} gate product is not narrow");
+}
+
+/// `dst = [x, h]`, one row of `Matrix::hstack_into`.
+#[inline(always)]
+fn concat_row<T: Float>(dst: &mut [T], x: &[T], h: &[T]) {
+    let (dx, dh) = dst.split_at_mut(x.len());
+    copy_row(dx, x);
+    dh.copy_from_slice(h);
+}
+
+/// `dst = src` for a row whose length is only known at run time, in
+/// blocks of four and a tail of up to three: a step's input row is a few
+/// elements, where a call to `memcpy` costs more than the copy.
+#[inline(always)]
+fn copy_row<T: Float>(dst: &mut [T], src: &[T]) {
+    assert_eq!(dst.len(), src.len(), "step: row widths differ");
+    let ((db, dt), (sb, st)) = (dst.as_chunks_mut::<4>(), src.as_chunks::<4>());
+    for (d, s) in db.iter_mut().zip(sb) {
+        *d = *s;
+    }
+    for (j, d) in dt.iter_mut().enumerate() {
+        *d = st[j];
+    }
+}
+
+/// `dz = dG · Wᵀ` for one row of `dG` (`n` wide, `W` `k × n`), split into
+/// its first `dx.len()` columns and the rest: per column the NT chain from
+/// zero, `j` ascending, added to the zero `gemm_nt(1, dG, W, 0, dz)`
+/// starts from, then (with `ADD`) added into what `dx`/`dh` hold.
+#[inline(always)]
+fn input_grad_row<T: Float, const ADD: bool>(
+    dg: &[T],
+    w: &[T],
+    n: usize,
+    dx: &mut [T],
+    dh: &mut [T],
+) {
+    for (p, d) in dx.iter_mut().chain(dh.iter_mut()).enumerate() {
+        let v = T::ZERO + dot_slice(&dg[..n], &w[p * n..(p + 1) * n]);
+        *d = if ADD { *d + v } else { v };
+    }
+}
+
+/// `dW += zᵀ · dG` and `db += Σ_rows dG` over `rows` rows (`z` `rows × k`,
+/// `dG` `rows × n`): the TN row chains from zero, flushed into `dW` once
+/// per `KC` rows as the blocked route does (rows ≤ `KC` is one flush, the
+/// narrow route's), then [`column_sums_add`].
+#[inline(always)]
+fn weight_grads<T: Float>(
+    z: &[T],
+    dg: &[T],
+    dw: &mut [T],
+    db: &mut [T],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    for r0 in (0..rows).step_by(KC) {
+        let r1 = (r0 + KC).min(rows);
+        let (zb, dgb) = (&z[r0 * k..r1 * k], &dg[r0 * n..r1 * n]);
+        gemm_rows::<T, true>(T::ONE, zb, dgb, dw, k, r1 - r0, n);
+    }
+    column_sums_add(dg, db, rows, n);
+}
+
+/// A narrow LSTM step forward, one pass per row: `[X_t, H_{t-1}]`, the
+/// gate row ([`affine_row`]), then Eqs. (5)–(6) in the cells' order.
+#[inline(always)]
+fn lstm_forward<T: Float, const H: usize>(s: LstmForward<'_, T>) {
+    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
+    assert_narrow(input + h, 4 * h);
+    let (w, b) = (s.w.as_slice(), s.b.as_slice());
+    for r in 0..rows {
+        let (hp, cp) = (s.h_prev.row(r), s.c_prev.row(r));
+        let z = s.z.row_mut(r);
+        concat_row(z, s.x.row(r), hp);
+        let g = affine_row(Activation::LstmGates, z, w, b, input + h, 4 * h);
+        s.gates.row_mut(r).copy_from_slice(&g[..4 * h]);
+        let (c, mut tc) = (s.c.row_mut(r), [T::ZERO; NR]);
+        for j in 0..h {
+            c[j] = g[h + j] * cp[j] + g[j] * g[2 * h + j];
+            tc[j] = c[j];
+        }
+        tanh_slice(&mut tc);
+        s.tanh_c.row_mut(r).copy_from_slice(&tc[..h]);
+        for (j, out) in s.h.row_mut(r).iter_mut().enumerate() {
+            *out = g[3 * h + j] * tc[j];
+        }
+        s.c_prev_copy.row_mut(r).copy_from_slice(cp);
+    }
+}
+
+/// A narrow LSTM step backward: per row [`lstm_gate_grads`] into
+/// `scratch` and `dC_{t-1}`, and `dG · Wᵀ` into `dX`, `dH_{t-1}`; then the
+/// weight and bias gradients over all rows.
+#[inline(always)]
+fn lstm_backward<T: Float, const H: usize>(s: LstmBackward<'_, T>) {
+    let (rows, h) = (s.dh.rows(), H);
+    let (k, n, w) = (s.z.cols(), 4 * h, s.w.as_slice());
+    assert_narrow(k, n);
+    let dg = &mut s.scratch[..rows * n];
+    for r in 0..rows {
+        let rows_r = [
+            s.gates.row(r),
+            s.tanh_c.row(r),
+            s.c_prev.row(r),
+            s.dh.row(r),
+        ];
+        let (dgr, dcp) = (&mut dg[r * n..(r + 1) * n], s.dc_prev.row_mut(r));
+        match s.rec {
+            Some((rh, rc)) => lstm_gate_grads::<T, true>(h, rows_r, rh.row(r), rc.row(r), dgr, dcp),
+            None => lstm_gate_grads::<T, false>(h, rows_r, &[], &[], dgr, dcp),
+        }
+        input_grad_row::<T, false>(dgr, w, n, s.dx.row_mut(r), s.dh_prev.row_mut(r));
+    }
+    let (dw, db) = (s.dw.as_mut_slice(), s.db.as_mut_slice());
+    weight_grads(s.z.as_slice(), dg, dw, db, rows, k, n);
+}
+
+/// A narrow GRU step forward, one pass per row: `[X_t, H_{t-1}]`, the z/r
+/// row, `[X_t, R ⊙ H_{t-1}]`, the candidate row, then Eq. (10).
+#[inline(always)]
+fn gru_forward<T: Float, const H: usize>(s: GruForward<'_, T>) {
+    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
+    assert_narrow(input + h, 2 * h);
+    let (wzr, bzr) = (s.wzr.as_slice(), s.bzr.as_slice());
+    let (wh, bh) = (s.wh.as_slice(), s.bh.as_slice());
+    for r in 0..rows {
+        let (x, hp) = (s.x.row(r), s.h_prev.row(r));
+        let zi = s.zr_in.row_mut(r);
+        concat_row(zi, x, hp);
+        let (hx, hr) = s.h_in.row_mut(r).split_at_mut(input);
+        copy_row(hx, x);
+        let g = affine_row(Activation::Sigmoid, zi, wzr, bzr, input + h, 2 * h);
+        s.zr.row_mut(r).copy_from_slice(&g[..2 * h]);
+        for j in 0..h {
+            hr[j] = g[h + j] * hp[j];
+        }
+        let c = affine_row(Activation::Tanh, s.h_in.row(r), wh, bh, input + h, h);
+        s.hbar.row_mut(r).copy_from_slice(&c[..h]);
+        for (j, out) in s.h.row_mut(r).iter_mut().enumerate() {
+            *out = g[j] * c[j] + (T::ONE - g[j]) * hp[j];
+        }
+        s.h_prev_copy.row_mut(r).copy_from_slice(hp);
+    }
+}
+
+/// A narrow GRU step backward: per row [`gru_update_grads`], the
+/// candidate's `dH̄ · W_hᵀ` into `dX` and `d(R ⊙ H_{t-1})`, the reset
+/// gate's gradient, and the z/r product's `[dZ, dR] · W_zrᵀ` added into
+/// `dX` and `dH_{t-1}`; then both products' weight and bias gradients over
+/// all rows.
+#[inline(always)]
+fn gru_backward<T: Float, const H: usize>(s: GruBackward<'_, T>) {
+    let (rows, h) = (s.dh.rows(), H);
+    let k = s.zr_in.cols();
+    assert_narrow(k, 2 * h);
+    let (wzr, wh) = (s.wzr.as_slice(), s.wh.as_slice());
+    let (dzr, rest) = s.scratch.split_at_mut(rows * 2 * h);
+    let dhbar = &mut rest[..rows * h];
+    for r in 0..rows {
+        let (zr, hp) = (s.zr.row(r), s.h_prev.row(r));
+        let rows_r = [zr, s.hbar.row(r), hp, s.dh.row(r)];
+        let (dzr_r, dhb) = (
+            &mut dzr[r * 2 * h..(r + 1) * 2 * h],
+            &mut dhbar[r * h..(r + 1) * h],
+        );
+        let (dp, dx) = (s.dh_prev.row_mut(r), s.dx.row_mut(r));
+        match s.rec {
+            Some(rec) => gru_update_grads::<T, true>(h, rows_r, rec.row(r), dp, dhb, dzr_r),
+            None => gru_update_grads::<T, false>(h, rows_r, &[], dp, dhb, dzr_r),
+        }
+        let mut drh = [T::ZERO; 2 * NR];
+        input_grad_row::<T, false>(dhb, wh, h, dx, &mut drh[..h]);
+        let rs = &zr[h..2 * h];
+        for j in 0..h {
+            dzr_r[h + j] = drh[j] * hp[j] * dsigmoid_from_y(rs[j]);
+            dp[j] += drh[j] * rs[j];
+        }
+        input_grad_row::<T, true>(dzr_r, wzr, 2 * h, dx, dp);
+    }
+    let (dw, db) = (s.dwh.as_mut_slice(), s.dbh.as_mut_slice());
+    weight_grads(s.h_in.as_slice(), dhbar, dw, db, rows, k, h);
+    let (dw, db) = (s.dwzr.as_mut_slice(), s.dbzr.as_mut_slice());
+    weight_grads(s.zr_in.as_slice(), dzr, dw, db, rows, k, 2 * h);
+}
+
+/// A narrow vanilla step forward, one pass per row: `[X_t, H_{t-1}]` and
+/// the tanh row, written to the cache and the state.
+#[inline(always)]
+fn vanilla_forward<T: Float, const H: usize>(s: VanillaForward<'_, T>) {
+    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
+    assert_narrow(input + h, h);
+    let (w, b) = (s.w.as_slice(), s.b.as_slice());
+    for r in 0..rows {
+        let z = s.z.row_mut(r);
+        concat_row(z, s.x.row(r), s.h_prev.row(r));
+        let a = affine_row(Activation::Tanh, z, w, b, input + h, h);
+        s.h_copy.row_mut(r).copy_from_slice(&a[..h]);
+        s.h.row_mut(r).copy_from_slice(&a[..h]);
+    }
+}
+
+/// A narrow vanilla step backward: per row [`tanh_pre_grads`] into
+/// `scratch` and `dpre · Wᵀ` into `dX`, `dH_{t-1}`; then the weight and
+/// bias gradients over all rows.
+#[inline(always)]
+fn vanilla_backward<T: Float, const H: usize>(s: VanillaBackward<'_, T>) {
+    let (rows, h) = (s.dh.rows(), H);
+    let (k, w) = (s.z.cols(), s.w.as_slice());
+    assert_narrow(k, h);
+    let dpre = &mut s.scratch[..rows * h];
+    for r in 0..rows {
+        let (dh, ys, d) = (s.dh.row(r), s.h.row(r), &mut dpre[r * h..(r + 1) * h]);
+        match s.rec {
+            Some(rec) => tanh_pre_grads::<T, true>(dh, rec.row(r), ys, d),
+            None => tanh_pre_grads::<T, false>(dh, &[], ys, d),
+        }
+        input_grad_row::<T, false>(d, w, h, s.dx.row_mut(r), s.dh_prev.row_mut(r));
+    }
+    let (dw, db) = (s.dw.as_mut_slice(), s.db.as_mut_slice());
+    weight_grads(s.z.as_slice(), dpre, dw, db, rows, k, h);
+}
+
+/// One batch row of the LSTM gate gradients through Eqs. (5)–(6), into
+/// `dgates` (`[di, df, dg, do]`) and `dcp` (`dC_{t-1}`), from `rows` = the
+/// gate activations `[i, f, g, o]`, `tanh(C_t)`, `C_{t-1}` and the upstream
+/// `dH_t`. `REC` says whether a recurrent `dH`/`dC` from cell t+1 is added
+/// in (`rec_h`, `rec_c`; empty otherwise): a constant, so the element loop
+/// has no branch in it and vectorises. Every slice is cut to its `h`-wide
+/// block first, so the compiler needs no bounds check in the loop. Per
+/// element, the operations and their order are those of the per-element
+/// formula.
+#[inline(always)]
+pub fn lstm_gate_grads<T: Float, const REC: bool>(
+    h: usize,
+    rows: [&[T]; 4],
+    rec_h: &[T],
+    rec_c: &[T],
+    dgates: &mut [T],
+    dcp: &mut [T],
+) {
+    let [gates, tc, cp, dh] = rows;
+    let (gi, rest) = gates[..4 * h].split_at(h);
+    let (gf, rest) = rest.split_at(h);
+    let (gg, go) = rest.split_at(h);
+    let (tc, cp, dh) = (&tc[..h], &cp[..h], &dh[..h]);
+    let (rec_h, rec_c) = if REC {
+        (&rec_h[..h], &rec_c[..h])
+    } else {
+        (rec_h, rec_c)
+    };
+    let (di, rest) = dgates[..4 * h].split_at_mut(h);
+    let (df, rest) = rest.split_at_mut(h);
+    let (dg, do_) = rest.split_at_mut(h);
+    let dcp = &mut dcp[..h];
+    for j in 0..h {
+        let dht = if REC { dh[j] + rec_h[j] } else { dh[j] };
+        // dC_t = dH ⊙ o ⊙ tanh'(C) + recurrent dC.
+        let mut dc = dht * go[j] * dtanh_from_y(tc[j]);
+        if REC {
+            dc += rec_c[j];
+        }
+        // Gate gradients through Eqs. (5)-(6).
+        di[j] = dc * gg[j] * dsigmoid_from_y(gi[j]);
+        df[j] = dc * cp[j] * dsigmoid_from_y(gf[j]);
+        dg[j] = dc * gi[j] * dtanh_from_y(gg[j]);
+        do_[j] = dht * tc[j] * dsigmoid_from_y(go[j]);
+        dcp[j] = dc * gf[j];
+    }
+}
+
+/// One batch row of the first GRU backward pass through Eq. (10): the
+/// `(1-Z)` path into `dH_{t-1}` (`dp`), the candidate's pre-tanh gradient
+/// (`dhb`) and the update gate's pre-σ gradient (`dz`, the first `h` of
+/// the `[dZ, dR]` row), from `rows` = `[Z, R]`, `H̄`, `H_{t-1}` and the
+/// upstream `dH_t`. `REC` says whether a recurrent `dH` from cell t+1
+/// (`rec`, empty otherwise) is added in: a constant, so the element loop
+/// has no branch in it and vectorises. Per element, the operations and
+/// their order are those of the per-element formula.
+#[inline(always)]
+pub fn gru_update_grads<T: Float, const REC: bool>(
+    h: usize,
+    rows: [&[T]; 4],
+    rec: &[T],
+    dp: &mut [T],
+    dhb: &mut [T],
+    dz: &mut [T],
+) {
+    let [zs, hb, hp, dh] = rows.map(|r| &r[..h]);
+    let rec = if REC { &rec[..h] } else { rec };
+    let (dp, dhb, dz) = (&mut dp[..h], &mut dhb[..h], &mut dz[..h]);
+    for j in 0..h {
+        let dht = if REC { dh[j] + rec[j] } else { dh[j] };
+        dp[j] = dht * (T::ONE - zs[j]);
+        dhb[j] = dht * zs[j] * dtanh_from_y(hb[j]);
+        dz[j] = dht * (hb[j] - hp[j]) * dsigmoid_from_y(zs[j]);
+    }
+}
+
+/// `out = (dH_t + recurrent dH) ⊙ tanh'(H_t)` element by element, from the
+/// upstream `dh`, the recurrent `rec` (added only when `REC`; empty
+/// otherwise) and the cell outputs `ys` — the vanilla cell's pre-tanh
+/// gradient. `REC` is a constant, so the loop has no branch in it and
+/// vectorises.
+#[inline(always)]
+pub fn tanh_pre_grads<T: Float, const REC: bool>(dh: &[T], rec: &[T], ys: &[T], out: &mut [T]) {
+    let n = out.len();
+    let (dh, ys) = (&dh[..n], &ys[..n]);
+    let rec = if REC { &rec[..n] } else { rec };
+    for i in 0..n {
+        let dht = if REC { dh[i] + rec[i] } else { dh[i] };
+        out[i] = dht * dtanh_from_y(ys[i]);
     }
 }
 
