@@ -40,8 +40,10 @@ fn bench_gemm(c: &mut Criterion) {
 fn bench_cells(c: &mut Criterion) {
     let mut group = c.benchmark_group("cell_update");
     group.sample_size(10);
-    // A mid-size cell, and tiny ones whose step is one call (every gate
-    // product narrow): `fine_grain`'s one row and a 4-row serving batch.
+    // A mid-size cell; tiny ones whose step is one call: `fine_grain`'s
+    // one row and a 4-row serving batch; the widest one-call step of each
+    // kind (GRU h16 is `fleet_tenants`' cell); and `serve_shapes`' LSTM
+    // h32, off the one-call route, as the control.
     let mid = [(16usize, 64usize, 128usize)].map(|s| [(s, CellKind::Lstm), (s, CellKind::Gru)]);
     let tiny = [(1usize, 2usize, 2usize), (4, 2, 2)].map(|s| {
         [
@@ -50,9 +52,14 @@ fn bench_cells(c: &mut Criterion) {
             (s, CellKind::Vanilla),
         ]
     });
-    for ((batch, input, hidden), kind) in
-        mid.into_iter().flatten().chain(tiny.into_iter().flatten())
-    {
+    let strip = [
+        ((4usize, 8usize, 16usize), CellKind::Gru),
+        ((4, 8, 8), CellKind::Lstm),
+        ((4, 8, 32), CellKind::Vanilla),
+        ((8, 16, 32), CellKind::Lstm),
+    ];
+    let shapes = mid.into_iter().flatten().chain(tiny.into_iter().flatten());
+    for ((batch, input, hidden), kind) in shapes.chain(strip) {
         let shape = format!("{batch}x{input}x{hidden}");
         let params: CellParams<f32> = CellParams::init(kind, input, hidden, 3);
         let x: Matrix<f32> = init::uniform(batch, input, -1.0, 1.0, 4);

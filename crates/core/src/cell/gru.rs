@@ -11,19 +11,19 @@
 //! identical); the candidate gate needs its own `(I+H) × H` kernel because
 //! its recurrent input is gated by `R_t`.
 //!
-//! Up to `H = 7` (both products narrower than 16 columns, `I + H ≤ 256`)
-//! a step is one [`Backend::step`] call, forward and backward: one pass
-//! per row, the gate products, biases and non-linearities in registers.
-//! Wider cells run each gate product through [`Backend::affine`] /
-//! [`Backend::affine_grad`] with the element-wise passes in between. Both
-//! give each element the same operations in the same order, so the width
-//! at which the route changes moves no bit.
+//! Up to `H = 16` (the `2H`-wide z/r product fits one 32-lane strip,
+//! `I + H ≤ 256`; [`fits`]) a step is one [`Backend::step`] call, forward
+//! and backward: blocks of up to four rows, the gate products, biases and
+//! non-linearities in registers. Wider cells run each gate product
+//! through [`Backend::affine`] / [`Backend::affine_grad`] with the
+//! element-wise passes in between. Both give each element the same
+//! operations in the same order, so the width at which the route changes
+//! moves no bit.
 
 use super::{CellState, StateGrad};
 use bpar_tensor::activation::dsigmoid_from_y;
-use bpar_tensor::gemm::narrow;
 use bpar_tensor::reference::gru_update_grads;
-use bpar_tensor::step::{GruBackward, GruForward, Step};
+use bpar_tensor::step::{fits, GruBackward, GruForward, Step};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused GRU parameters for one layer and direction.
@@ -111,15 +111,14 @@ impl<T: Float> GruParams<T> {
         self.wzr.len() + self.bzr.len() + self.wh.len() + self.bh.len()
     }
 
-    /// True when both gate products take the narrow route, so a step is
-    /// one [`Backend::step`] call.
+    /// True when a step is one [`Backend::step`] call ([`fits`]).
     fn fused(&self) -> bool {
-        narrow(self.input + self.hidden, 2 * self.hidden)
+        fits(self.input + self.hidden, 2 * self.hidden)
     }
 
     /// Forward update (Eqs. 7–10): results go into the caller-provided
-    /// `state`/`cache` buffers (see [`GruCache::zeros`]). A narrow cell is
-    /// one [`Backend::step`]; otherwise both gate products run through
+    /// `state`/`cache` buffers (see [`GruCache::zeros`]). A cell on the
+    /// one-call route is one [`Backend::step`]; otherwise both gate products run through
     /// [`Backend::affine`], and `R ⊙ H_{t-1}` is written straight into the
     /// right column block of `h_in`.
     pub fn forward(
@@ -189,8 +188,8 @@ impl<T: Float> GruParams<T> {
     /// `dprev` are caller-provided output buffers (fully overwritten),
     /// transient scratch comes from `ws`.
     ///
-    /// A narrow cell is one [`Backend::step`], its gate gradients in one
-    /// pool buffer. Otherwise three element-wise passes run around the two
+    /// A cell on the one-call route is one [`Backend::step`], its gate and
+    /// input gradients in one pool buffer. Otherwise three element-wise passes run around the two
     /// gate products' backward ([`Backend::affine_grad`]), on three pool
     /// buffers: `[dZ, dR]`, the fused kernel's pre-σ gradient, written in
     /// place; the candidate's pre-tanh gradient `dH̄`; and one
@@ -214,7 +213,7 @@ impl<T: Float> GruParams<T> {
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
         let rec = dstate.map(|s| &s.dh);
         if self.fused() {
-            let mut scratch = ws.checkout(batch, 3 * h);
+            let mut scratch = ws.checkout(batch, 3 * h + input + h);
             be.step(Step::GruBackward(GruBackward {
                 zr_in: &cache.zr_in,
                 h_in: &cache.h_in,

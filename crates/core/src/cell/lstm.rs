@@ -14,18 +14,17 @@
 //! the reason an RNN cell task is GEMM-dominated. Gate block order within
 //! the fused matrix is `[i, f, g, o]`.
 //!
-//! Up to `H = 3` (the `4H`-wide product narrower than 16 columns,
-//! `I + H ≤ 256`) a step is one [`Backend::step`] call, forward and
-//! backward: one pass per row, the gate product, bias and non-linearities
-//! in registers. Wider cells run the gate product through
+//! Up to `H = 8` (the `4H`-wide product fits one 32-lane strip,
+//! `I + H ≤ 256`; [`fits`]) a step is one [`Backend::step`] call, forward
+//! and backward: blocks of up to four rows, the gate product, bias and
+//! non-linearities in registers. Wider cells run the gate product through
 //! [`Backend::affine`] / [`Backend::affine_grad`] with the element-wise
 //! passes around it. Both give each element the same operations in the
 //! same order, so the width at which the route changes moves no bit.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::gemm::narrow;
 use bpar_tensor::reference::lstm_gate_grads;
-use bpar_tensor::step::{LstmBackward, LstmForward, Step};
+use bpar_tensor::step::{fits, LstmBackward, LstmForward, Step};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Fused LSTM parameters for one layer and direction.
@@ -107,17 +106,16 @@ impl<T: Float> LstmParams<T> {
         self.w.len() + self.b.len()
     }
 
-    /// True when the gate product takes the narrow route, so a step is one
-    /// [`Backend::step`] call.
+    /// True when a step is one [`Backend::step`] call ([`fits`]).
     fn fused(&self) -> bool {
-        narrow(self.input + self.hidden, 4 * self.hidden)
+        fits(self.input + self.hidden, 4 * self.hidden)
     }
 
     /// Forward update (Eqs. 1–6). `x` is `batch × input`; `prev` must hold
     /// both `H_{t-1}` and `C_{t-1}`. Every result is written into the
     /// caller-provided `state`/`cache` buffers (see [`LstmCache::zeros`]).
-    /// A narrow cell is one [`Backend::step`]; otherwise the gate product
-    /// runs through [`Backend::affine`].
+    /// A cell on the one-call route is one [`Backend::step`]; otherwise
+    /// the gate product runs through [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -194,7 +192,7 @@ impl<T: Float> LstmParams<T> {
     /// The input gradient goes into `dx`, the state gradient for cell t-1
     /// into `dprev` (both caller-provided, fully overwritten); transient
     /// scratch comes from `ws` and the kernels dispatch through `be`. A
-    /// narrow cell is one [`Backend::step`].
+    /// cell on the one-call route is one [`Backend::step`].
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -215,7 +213,8 @@ impl<T: Float> LstmParams<T> {
 
         // Gate pre-activation gradients, fused layout [i, f, g, o], from
         // dH_t = upstream + recurrent.
-        let mut dgates = ws.checkout(batch, 4 * h);
+        let k = self.input + h;
+        let mut dgates = ws.checkout(batch, if self.fused() { 4 * h + k } else { 4 * h });
         let dc_prev = dprev
             .dc
             .as_mut()
@@ -261,7 +260,7 @@ impl<T: Float> LstmParams<T> {
 
         // dW += Zᵀ dG ;  dB += Σ_batch dG ;  dZ = dG Wᵀ, split into dX and
         // dH_{t-1}.
-        let mut dz = ws.checkout(batch, self.input + h);
+        let mut dz = ws.checkout(batch, k);
         let (gw, gb) = (&mut grads.w, &mut grads.b);
         be.affine_grad(&cache.z, &dgates, &self.w, gw, gb, &mut dz);
         for r in 0..batch {

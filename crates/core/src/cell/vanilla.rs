@@ -5,17 +5,16 @@
 //! basic unit completes the family and is useful for fast tests and as
 //! the cheapest ablation point for task granularity (one GEMM per cell).
 //!
-//! Up to `H = 15` (the product narrower than 16 columns, `I + H ≤ 256`) a
-//! step is one [`Backend::step`] call, forward and backward: one pass per
-//! row, the gate product, bias and tanh in registers. Wider cells run the
-//! product through [`Backend::affine`] / [`Backend::affine_grad`]. Both
-//! give each element the same operations in the same order, so the width
-//! at which the route changes moves no bit.
+//! Up to `H = 32` (the product fits one 32-lane strip, `I + H ≤ 256`;
+//! [`fits`]) a step is one [`Backend::step`] call, forward and backward:
+//! blocks of up to four rows, the gate product, bias and tanh in
+//! registers. Wider cells run the product through [`Backend::affine`] /
+//! [`Backend::affine_grad`]. Both give each element the same operations in
+//! the same order, so the width at which the route changes moves no bit.
 
 use super::{CellState, StateGrad};
-use bpar_tensor::gemm::narrow;
 use bpar_tensor::reference::tanh_pre_grads;
-use bpar_tensor::step::{Step, VanillaBackward, VanillaForward};
+use bpar_tensor::step::{fits, Step, VanillaBackward, VanillaForward};
 use bpar_tensor::{init, Activation, Backend, Float, Matrix, Workspace};
 
 /// Vanilla RNN parameters for one layer and direction.
@@ -82,15 +81,15 @@ impl<T: Float> VanillaParams<T> {
         self.w.len() + self.b.len()
     }
 
-    /// True when the gate product takes the narrow route, so a step is one
-    /// [`Backend::step`] call.
+    /// True when a step is one [`Backend::step`] call ([`fits`]).
     fn fused(&self) -> bool {
-        narrow(self.input + self.hidden, self.hidden)
+        fits(self.input + self.hidden, self.hidden)
     }
 
     /// Forward update writing into caller-provided buffers (see
-    /// [`VanillaCache::zeros`]). A narrow cell is one [`Backend::step`];
-    /// otherwise the gate product runs through [`Backend::affine`].
+    /// [`VanillaCache::zeros`]). A cell on the one-call route is one
+    /// [`Backend::step`]; otherwise the gate product runs through
+    /// [`Backend::affine`].
     pub fn forward(
         &self,
         x: &Matrix<T>,
@@ -122,7 +121,7 @@ impl<T: Float> VanillaParams<T> {
     /// Backward update; see [`super::CellParams::backward`] for the
     /// argument contract: `dx` and `dprev` are caller-provided output
     /// buffers (fully overwritten), transient scratch comes from `ws`. A
-    /// narrow cell is one [`Backend::step`].
+    /// cell on the one-call route is one [`Backend::step`].
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
@@ -142,7 +141,8 @@ impl<T: Float> VanillaParams<T> {
         assert_eq!(dprev.dh.shape(), (batch, h), "dH_prev buffer shape");
 
         // dpre = (dH_t + recurrent dH) ⊙ tanh'.
-        let mut dpre = ws.checkout(batch, h);
+        let k = self.input + h;
+        let mut dpre = ws.checkout(batch, if self.fused() { h + k } else { h });
         if self.fused() {
             be.step(Step::VanillaBackward(VanillaBackward {
                 z: &cache.z,
@@ -164,7 +164,7 @@ impl<T: Float> VanillaParams<T> {
             None => tanh_pre_grads::<T, false>(dhs, &[], ys, out),
         }
 
-        let mut dz = ws.checkout(batch, self.input + h);
+        let mut dz = ws.checkout(batch, k);
         let (gw, gb) = (&mut grads.w, &mut grads.b);
         be.affine_grad(&cache.z, &dpre, &self.w, gw, gb, &mut dz);
         for r in 0..batch {

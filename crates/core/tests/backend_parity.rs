@@ -392,19 +392,22 @@ fn cache_field<'a>(cache: &'a CellCache<f32>, name: &str) -> &'a Matrix<f32> {
 
 /// Hidden widths of the oracle tests: below, at and past one 8-lane
 /// register, so that every gate range has a ragged vector tail somewhere;
-/// each kind's last width on the one-call narrow step and the first one
-/// past it (LSTM 3 | 4, GRU 7 | 8, vanilla 15 | 16); and the ledger's 48.
-const HIDDEN_WIDTHS: [usize; 10] = [1, 2, 3, 4, 7, 8, 9, 15, 16, 48];
+/// each kind's last width on the one-call step and the first one past it
+/// (LSTM 8 | 9, GRU 16 | 17, vanilla 32 | 33) and the widths where the
+/// step's tier changes (LSTM 4 | 5, GRU 8 | 9, vanilla 16 | 17); and the
+/// ledger's 48.
+const HIDDEN_WIDTHS: [usize; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33, 48];
 
 /// At every width of [`HIDDEN_WIDTHS`], batch 1 (`fine_grain`'s one row),
-/// 3 and 4 (a serving batch): `forward` under `scalar` and `simd` agrees
+/// 3, 4 (a serving batch, one 4-row block) and 5 (a block and a row):
+/// `forward` under `scalar` and `simd` agrees
 /// with the per-element oracle, bit for bit, in `H_t`, `C_t` and every
 /// cache field BPTT reads.
 #[test]
 fn forward_equals_the_per_element_oracle_at_every_gate_width() {
     for kind in [CellKind::Lstm, CellKind::Gru, CellKind::Vanilla] {
         for hidden in HIDDEN_WIDTHS {
-            for batch in [1usize, 3, 4] {
+            for batch in [1usize, 3, 4, 5] {
                 let (input, seed) = (5, hidden as u64 + batch as u64);
                 let p = CellParams::<f32>::init(kind, input, hidden, seed);
                 let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);
@@ -590,7 +593,7 @@ fn backward_equals_the_per_element_oracle_at_every_gate_width() {
     ];
     for kind in kinds {
         for hidden in HIDDEN_WIDTHS {
-            for batch in [1usize, 3, 4] {
+            for batch in [1usize, 3, 4, 5] {
                 let (input, seed) = (5, 3 * hidden as u64 + batch as u64);
                 let p = CellParams::<f32>::init(kind, input, hidden, seed);
                 let prev = warm_state(&p, kind, batch, input, hidden, seed + 1);

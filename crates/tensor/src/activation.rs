@@ -127,7 +127,10 @@ impl Activation {
     /// non-linearity runs over whole 8-lane registers (`NR` or `2·NR`
     /// lanes, one `zmm` under `avx512f`), so it is vector code with no
     /// scalar tail; a lane is one [`Float`] call, bit for bit, and lanes
-    /// past `n` are scratch.
+    /// past `n` are scratch. An LSTM row takes σ and tanh over the whole
+    /// register and keeps tanh on the `g` lanes: at these widths that
+    /// measured faster under `simd` than [`lstm_gate_lanes`]' per-block
+    /// loops (4×4×12: 471–507 against 667–715 ns).
     #[inline(always)]
     pub(crate) fn apply_lanes<T: Float>(self, row: &mut [T; 2 * NR], n: usize) {
         let lanes = |row: &mut [T; 2 * NR], f: fn(&mut [T])| {
@@ -148,6 +151,26 @@ impl Activation {
                 row[2 * h..3 * h].copy_from_slice(&t[2 * h..3 * h]);
             }
         }
+    }
+}
+
+/// The LSTM gate row `[i, f, g, o]` of hidden width `H` in place, as a
+/// cell step runs it: σ on the `i`, `f` and `o` lanes, tanh on the `g`
+/// lanes and nowhere else. Each block is a loop of constant length, so a
+/// wrapper runs it as whole and partial registers of its width; a lane is
+/// one [`Float`] call.
+#[inline(always)]
+pub(crate) fn lstm_gate_lanes<T: Float, const H: usize>(row: &mut [T]) {
+    let (sig, rest) = row[..4 * H].split_at_mut(2 * H);
+    let (g, o) = rest.split_at_mut(H);
+    for v in sig {
+        *v = v.sigmoid();
+    }
+    for v in g {
+        *v = v.tanh();
+    }
+    for v in o {
+        *v = v.sigmoid();
     }
 }
 

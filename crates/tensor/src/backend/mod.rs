@@ -468,19 +468,19 @@ impl Backend {
         self.gemm_nt(T::ONE, dg, w, T::ZERO, dz);
     }
 
-    /// One narrow cell step ([`crate::step`]): a whole LSTM, GRU or vanilla
-    /// step, forward or backward, in one call, one pass per row. Under
+    /// One cell step ([`crate::step`]): a whole LSTM, GRU or vanilla step,
+    /// forward or backward, in one call, rows in blocks of four. Under
     /// `scalar` the portable loops run as written; under `simd` they run
-    /// inlined into the widest x86-64 tier's wrapper. Either way each
+    /// compiled for the x86-64 tier the shape picks. Either way each
     /// element gets the operations of [`Backend::affine`], the cells'
     /// element-wise passes and [`Backend::affine_grad`], in their order.
     ///
     /// # Panics
-    /// Panics if a gate product of the step is not narrow
-    /// ([`crate::gemm::narrow`]) or a buffer is too small.
+    /// Panics if the step is off the one-call route
+    /// ([`crate::step::fits`]) or a buffer is too small.
     pub fn step<T: Float>(self, step: Step<'_, T>) {
         match self.kind() {
-            BackendKind::Scalar => crate::reference::step(step),
+            BackendKind::Scalar => crate::step::portable(step),
             BackendKind::Simd => crate::step::run(step),
         }
     }

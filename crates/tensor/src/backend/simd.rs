@@ -16,8 +16,9 @@
 //!   the portable loops of [`crate::reference`] inlined into a wrapper per
 //!   tier, written once as a macro. There `mul_add` is one `vfmadd`
 //!   instead of a call to `fmaf`, and the straight-line `f32`
-//!   non-linearities vectorise sixteen or eight lanes wide. A narrow cell
-//!   step ([`crate::step`]) runs in the `avx2` wrapper on both tiers.
+//!   non-linearities vectorise sixteen or eight lanes wide. A cell step
+//!   ([`crate::step`]) runs in the `avx2` wrapper up to 16 lanes a row and
+//!   in the `avx512` one above.
 //! * **aarch64**: NEON kernels for the `f32` NN GEMM, `axpy` and
 //!   `hadamard_add` (NEON is baseline on aarch64, no detection needed).
 //! * **anything else**: nothing here is compiled; the portable loops run.
@@ -709,6 +710,120 @@ pub(crate) mod x86 {
                 reference::tanh_slice(m);
             }
 
+            /// The cell-step kernels ([`crate::step::Kernels`]) compiled
+            /// for this tier.
+            pub(crate) struct Steps;
+            crate::step::kernels_via!(Steps, steps);
+
+            /// [`reference`]'s cell-step kernels, each in its own wrapper
+            /// with this tier's units.
+            ///
+            /// # Safety
+            /// Every function here needs this tier's units (the kernels'
+            /// bodies are safe code); `step_nt` and `step_tn` also need
+            /// slices of the sizes [`crate::step::Kernels`] names.
+            mod steps {
+                use crate::reference;
+                use crate::scalar::Float;
+                use crate::step::*;
+
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn lstm_forward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: LstmForward<'_, T>,
+                ) {
+                    reference::lstm_forward::<K, T, H, N>(s)
+                }
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn lstm_backward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: LstmBackward<'_, T>,
+                ) {
+                    reference::lstm_backward::<K, T, H, N>(s)
+                }
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn gru_forward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: GruForward<'_, T>,
+                ) {
+                    reference::gru_forward::<K, T, H, N>(s)
+                }
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn gru_backward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: GruBackward<'_, T>,
+                ) {
+                    reference::gru_backward::<K, T, H, N>(s)
+                }
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn vanilla_forward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: VanillaForward<'_, T>,
+                ) {
+                    reference::vanilla_forward::<K, T, H, N>(s)
+                }
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn vanilla_backward<
+                    K: Kernels,
+                    T: Float,
+                    const H: usize,
+                    const N: usize,
+                >(
+                    s: VanillaBackward<'_, T>,
+                ) {
+                    reference::vanilla_backward::<K, T, H, N>(s)
+                }
+                /// The tier's NT product ([`super::gemm_nt`]).
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn step_nt<T: Float>(
+                    a: &[T],
+                    b: &[T],
+                    c: &mut [T],
+                    m: usize,
+                    k: usize,
+                    n: usize,
+                ) {
+                    // SAFETY: this tier's units and slices of `m×k`, `n×k`
+                    // and `m×n` elements, which this fn requires.
+                    unsafe { super::gemm_nt(T::ONE, a, b, c, m, k, n) }
+                }
+
+                /// The tier's TN product ([`super::gemm`]).
+                #[target_feature(enable = $features)]
+                pub(crate) unsafe fn step_tn<T: Float>(
+                    a: &[T],
+                    b: &[T],
+                    c: &mut [T],
+                    m: usize,
+                    k: usize,
+                    n: usize,
+                ) {
+                    // SAFETY: this tier's units and slices of `k×m`, `k×n`
+                    // and `m×n` elements, which this fn requires.
+                    unsafe { super::gemm::<T, true>(T::ONE, a, b, c, m, k, n) }
+                }
+            }
+
             /// [`reference::fma_chains`] at this tier's width: ten
             /// registers of independent chains, nothing but `vfmadd` in the
             /// loop.
@@ -722,19 +837,9 @@ pub(crate) mod x86 {
         };
     }
 
-    /// AVX2+FMA: the `ymm` tiles, the portable loops eight lanes wide,
-    /// and every host's narrow cell step ([`crate::step`]).
+    /// AVX2+FMA: the `ymm` tiles and the portable loops eight lanes wide.
     pub(crate) mod avx2 {
         tier!("avx2,fma", false, crate::reference::CHAIN_LANES);
-
-        /// A narrow cell step ([`reference::step`]), one pass per row.
-        ///
-        /// # Safety
-        /// AVX2+FMA must be available (the body is safe code).
-        #[target_feature(enable = "avx2,fma")]
-        pub(crate) unsafe fn step<T: Float>(s: crate::step::Step<'_, T>) {
-            reference::step(s);
-        }
     }
 
     /// AVX-512F: the `zmm` tile first, the portable loops sixteen lanes

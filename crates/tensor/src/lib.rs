@@ -18,8 +18,9 @@
 //! * [`reference`] — the portable loops that define the arithmetic of
 //!   every fused multiply-add kernel: the fallback, and the oracle the
 //!   dispatched kernels must match bit for bit,
-//! * [`step`] — one narrow LSTM/GRU/vanilla step as a single call, one
-//!   pass per row (the `reference` loops, on the widest tier under `simd`),
+//! * [`step`] — one LSTM/GRU/vanilla step as a single call whenever each
+//!   gate product fits one 32-lane strip: row-blocked register tiles (the
+//!   `reference` loops, compiled per tier under `simd`),
 //! * [`backend`] — the AVX-512 / AVX2+FMA / NEON kernels `gemm`, `ops` and
 //!   `activation` dispatch to when the host has the unit (run-time
 //!   detection picks the widest), and the two selectable backends on top

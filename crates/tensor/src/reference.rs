@@ -23,12 +23,13 @@
 //! Every loop is `#[inline(always)]` so that it takes on the target
 //! features of the wrapper it is inlined into.
 
-use crate::activation::{dsigmoid_from_y, dtanh_from_y, Activation};
-use crate::gemm::{checked, narrow, Op, KC, MC, MR, NR};
+use crate::activation::{dsigmoid_from_y, dtanh_from_y, lstm_gate_lanes, Activation};
+use crate::gemm::{checked, Op, KC, MC, MR, NR};
 use crate::matrix::Matrix;
 use crate::scalar::Float;
 use crate::step::{
-    GruBackward, GruForward, LstmBackward, LstmForward, Step, VanillaBackward, VanillaForward,
+    fits, GruBackward, GruForward, Kernels, LstmBackward, LstmForward, VanillaBackward,
+    VanillaForward,
 };
 use std::hint::black_box;
 
@@ -419,47 +420,65 @@ pub(crate) fn column_sums_add<T: Float>(dg: &[T], db: &mut [T], rows: usize, n: 
     }
 }
 
-/// One narrow cell step ([`crate::step`]), one pass per row; the body of
-/// [`crate::Backend::step`] under every backend and tier. The hidden width
-/// becomes a constant of the kernel (the narrow route bounds it: LSTM
-/// `h ≤ 3`, GRU `h ≤ 7`, vanilla `h ≤ 15`), so every row loop has a fixed
-/// trip count and unrolls; the input width stays a run-time loop bound.
+/// Rows of a cell step's register tile: a block of this many rows runs its
+/// gate products abreast, each row of a weight matrix loaded once for all
+/// of them; the rows past the last full block run one at a time.
+const STEP_ROWS: usize = 4;
+
+/// A step's widest gate product, `k` deep and `n` wide, must be on the
+/// route: its row values live in one `4·NR`-lane strip.
 #[inline(always)]
-pub(crate) fn step<T: Float>(step: Step<'_, T>) {
-    /// `$kernel::<T, H>($s)` with `H = $h`, one arm per width in the list.
-    macro_rules! by_width {
-        ($kernel:ident($s:expr), $h:expr, [$($w:literal),*]) => {
-            match $h {
-                $($w => $kernel::<T, $w>($s),)*
-                h => panic!("step: no narrow step at hidden width {h}"),
-            }
-        };
-    }
-    match step {
-        Step::LstmForward(s) => by_width!(lstm_forward(s), s.h_prev.cols(), [0, 1, 2, 3]),
-        Step::LstmBackward(s) => by_width!(lstm_backward(s), s.dh.cols(), [0, 1, 2, 3]),
-        Step::GruForward(s) => {
-            by_width!(gru_forward(s), s.h_prev.cols(), [0, 1, 2, 3, 4, 5, 6, 7])
-        }
-        Step::GruBackward(s) => by_width!(gru_backward(s), s.dh.cols(), [0, 1, 2, 3, 4, 5, 6, 7]),
-        Step::VanillaForward(s) => by_width!(
-            vanilla_forward(s),
-            s.h_prev.cols(),
-            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
-        ),
-        Step::VanillaBackward(s) => by_width!(
-            vanilla_backward(s),
-            s.dh.cols(),
-            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
-        ),
-    }
+fn assert_fits(k: usize, n: usize) {
+    assert!(
+        fits(k, n),
+        "step: a {k}x{n} gate product is off the one-call route"
+    );
 }
 
-/// A step's widest gate product (`k` deep, `n` wide) must take the narrow
-/// route: its row values live in `2·NR` lanes.
+/// `s` as rows of `N` elements.
 #[inline(always)]
-fn assert_narrow(k: usize, n: usize) {
-    assert!(narrow(k, n), "step: a {k}x{n} gate product is not narrow");
+fn lanes<T, const N: usize>(s: &[T]) -> &[[T; N]] {
+    s.as_chunks::<N>().0
+}
+
+/// `s` as mutable rows of `N` elements.
+#[inline(always)]
+fn lanes_mut<T, const N: usize>(s: &mut [T]) -> &mut [[T; N]] {
+    s.as_chunks_mut::<N>().0
+}
+
+/// Rows `r0..r0 + R` of a `W`-wide matrix, each a fixed-width row.
+#[inline(always)]
+fn block<T: Float, const W: usize, const R: usize>(m: &Matrix<T>, r0: usize) -> &[[T; W]; R] {
+    assert_eq!(m.cols(), W, "step: operand width");
+    lanes(&m.as_slice()[r0 * W..(r0 + R) * W])
+        .try_into()
+        .expect("step: operand rows")
+}
+
+/// [`block`], mutable.
+#[inline(always)]
+fn block_mut<T: Float, const W: usize, const R: usize>(
+    m: &mut Matrix<T>,
+    r0: usize,
+) -> &mut [[T; W]; R] {
+    assert_eq!(m.cols(), W, "step: operand width");
+    lanes_mut(&mut m.as_mut_slice()[r0 * W..(r0 + R) * W])
+        .try_into()
+        .expect("step: operand rows")
+}
+
+/// A `1 × N` bias as one row.
+#[inline(always)]
+fn bias_row<T: Float, const N: usize>(b: &Matrix<T>) -> &[T; N] {
+    b.as_slice().first_chunk::<N>().expect("step: bias width")
+}
+
+/// A `k × N` gate kernel as its `k` rows.
+#[inline(always)]
+fn weights<T: Float, const N: usize>(w: &Matrix<T>, k: usize) -> &[[T; N]] {
+    assert_eq!(w.shape(), (k, N), "step: kernel shape");
+    lanes(w.as_slice())
 }
 
 /// `dst = [x, h]`, one row of `Matrix::hstack_into`.
@@ -485,203 +504,463 @@ fn copy_row<T: Float>(dst: &mut [T], src: &[T]) {
     }
 }
 
-/// `dz = dG · Wᵀ` for one row of `dG` (`n` wide, `W` `k × n`), split into
-/// its first `dx.len()` columns and the rest: per column the NT chain from
-/// zero, `j` ascending, added to the zero `gemm_nt(1, dG, W, 0, dz)`
-/// starts from, then (with `ADD`) added into what `dx`/`dh` hold.
+/// The gate products of `R` rows at once, `acc[r] = Σ_p z[r][p] · W[p]`
+/// over the `k` rows of `W`: per element the FMA chain from zero, `p`
+/// ascending ([`micro_kernel`]'s sequence in one `KC` block), with each
+/// row of `W` loaded once for all `R` rows. A lane is one element's chain,
+/// so neither the row count nor the register width changes a bit.
 #[inline(always)]
-fn input_grad_row<T: Float, const ADD: bool>(
-    dg: &[T],
-    w: &[T],
-    n: usize,
-    dx: &mut [T],
-    dh: &mut [T],
-) {
-    for (p, d) in dx.iter_mut().chain(dh.iter_mut()).enumerate() {
-        let v = T::ZERO + dot_slice(&dg[..n], &w[p * n..(p + 1) * n]);
-        *d = if ADD { *d + v } else { v };
-    }
-}
-
-/// `dW += zᵀ · dG` and `db += Σ_rows dG` over `rows` rows (`z` `rows × k`,
-/// `dG` `rows × n`): the TN row chains from zero, flushed into `dW` once
-/// per `KC` rows as the blocked route does (rows ≤ `KC` is one flush, the
-/// narrow route's), then [`column_sums_add`].
-#[inline(always)]
-fn weight_grads<T: Float>(
-    z: &[T],
-    dg: &[T],
-    dw: &mut [T],
-    db: &mut [T],
-    rows: usize,
+fn gate_tile<T: Float, const R: usize, const N: usize>(
+    z: [&[T]; R],
+    w: &[[T; N]],
     k: usize,
-    n: usize,
+) -> [[T; N]; R] {
+    let (w, z) = (&w[..k], z.map(|zr| &zr[..k]));
+    let mut acc = [[T::ZERO; N]; R];
+    for (p, wp) in w.iter().enumerate() {
+        for (accr, zr) in acc.iter_mut().zip(&z) {
+            let a = zr[p];
+            for (s, &wv) in accr.iter_mut().zip(wp) {
+                *s = a.mul_add(wv, *s);
+            }
+        }
+    }
+    acc
+}
+
+/// `acc = 0 + acc + b` per lane of a block of rows: the zero-filled
+/// output the blocked route accumulates into (which turns a `−0` into
+/// `+0`), then the bias. A kernel keeps a block's values in local arrays
+/// and stores each into its matrix once, when it is final. The lane
+/// helpers here take each operand as its own reference, so the compiler
+/// knows no output aliases an input and runs the lanes as vector code.
+#[inline(always)]
+fn add_bias<T: Float, const N: usize, const R: usize>(acc: &mut [[T; N]; R], b: &[T; N]) {
+    for acc in acc.iter_mut() {
+        for j in 0..N {
+            acc[j] = (T::ZERO + acc[j]) + b[j];
+        }
+    }
+}
+
+/// `v = f(v)` over a whole block of rows at once: its `R·N` lanes are one
+/// loop of constant length, whole registers even where a row is not.
+#[inline(always)]
+fn map_block<T: Float>(m: &mut [T], f: impl Fn(T) -> T) {
+    for v in m {
+        *v = f(*v);
+    }
+}
+
+/// `out = a ⊙ b` per lane.
+#[inline(always)]
+fn mul_lanes<T: Float, const H: usize>(out: &mut [T; H], a: &[T; H], b: &[T; H]) {
+    for j in 0..H {
+        out[j] = a[j] * b[j];
+    }
+}
+
+/// Eq. (10), `H_t = Z ⊙ H̄ + (1 − Z) ⊙ H_{t-1}`, per lane.
+#[inline(always)]
+fn gru_state_lanes<T: Float, const H: usize>(
+    out: &mut [T; H],
+    z: &[T; H],
+    hbar: &[T; H],
+    hp: &[T; H],
 ) {
-    for r0 in (0..rows).step_by(KC) {
-        let r1 = (r0 + KC).min(rows);
-        let (zb, dgb) = (&z[r0 * k..r1 * k], &dg[r0 * n..r1 * n]);
-        gemm_rows::<T, true>(T::ONE, zb, dgb, dw, k, r1 - r0, n);
+    for j in 0..H {
+        out[j] = z[j] * hbar[j] + (T::ONE - z[j]) * hp[j];
     }
-    column_sums_add(dg, db, rows, n);
 }
 
-/// A narrow LSTM step forward, one pass per row: `[X_t, H_{t-1}]`, the
-/// gate row ([`affine_row`]), then Eqs. (5)–(6) in the cells' order.
+/// Eq. (5), `C_t = f ⊙ C_{t-1} + i ⊙ g`, per lane, from the gate row.
 #[inline(always)]
-fn lstm_forward<T: Float, const H: usize>(s: LstmForward<'_, T>) {
-    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
-    assert_narrow(input + h, 4 * h);
-    let (w, b) = (s.w.as_slice(), s.b.as_slice());
-    for r in 0..rows {
-        let (hp, cp) = (s.h_prev.row(r), s.c_prev.row(r));
-        let z = s.z.row_mut(r);
-        concat_row(z, s.x.row(r), hp);
-        let g = affine_row(Activation::LstmGates, z, w, b, input + h, 4 * h);
-        s.gates.row_mut(r).copy_from_slice(&g[..4 * h]);
-        let (c, mut tc) = (s.c.row_mut(r), [T::ZERO; NR]);
-        for j in 0..h {
-            c[j] = g[h + j] * cp[j] + g[j] * g[2 * h + j];
-            tc[j] = c[j];
-        }
-        tanh_slice(&mut tc);
-        s.tanh_c.row_mut(r).copy_from_slice(&tc[..h]);
-        for (j, out) in s.h.row_mut(r).iter_mut().enumerate() {
-            *out = g[3 * h + j] * tc[j];
-        }
-        s.c_prev_copy.row_mut(r).copy_from_slice(cp);
+fn lstm_cell_lanes<T: Float, const H: usize>(out: &mut [T; H], g: &[T], cp: &[T; H]) {
+    let (i, rest) = g.split_at(H);
+    let (f, rest) = rest.split_at(H);
+    let gg = &rest[..H];
+    for j in 0..H {
+        out[j] = f[j] * cp[j] + i[j] * gg[j];
     }
 }
 
-/// A narrow LSTM step backward: per row [`lstm_gate_grads`] into
-/// `scratch` and `dC_{t-1}`, and `dG · Wᵀ` into `dX`, `dH_{t-1}`; then the
-/// weight and bias gradients over all rows.
+/// Lanes `from..from + H` of a row.
 #[inline(always)]
-fn lstm_backward<T: Float, const H: usize>(s: LstmBackward<'_, T>) {
-    let (rows, h) = (s.dh.rows(), H);
-    let (k, n, w) = (s.z.cols(), 4 * h, s.w.as_slice());
-    assert_narrow(k, n);
-    let dg = &mut s.scratch[..rows * n];
-    for r in 0..rows {
-        let rows_r = [
-            s.gates.row(r),
-            s.tanh_c.row(r),
-            s.c_prev.row(r),
-            s.dh.row(r),
-        ];
-        let (dgr, dcp) = (&mut dg[r * n..(r + 1) * n], s.dc_prev.row_mut(r));
-        match s.rec {
-            Some((rh, rc)) => lstm_gate_grads::<T, true>(h, rows_r, rh.row(r), rc.row(r), dgr, dcp),
-            None => lstm_gate_grads::<T, false>(h, rows_r, &[], &[], dgr, dcp),
-        }
-        input_grad_row::<T, false>(dgr, w, n, s.dx.row_mut(r), s.dh_prev.row_mut(r));
-    }
-    let (dw, db) = (s.dw.as_mut_slice(), s.db.as_mut_slice());
-    weight_grads(s.z.as_slice(), dg, dw, db, rows, k, n);
+fn sub<T, const H: usize>(row: &[T], from: usize) -> &[T; H] {
+    row[from..from + H].try_into().expect("step: row width")
 }
 
-/// A narrow GRU step forward, one pass per row: `[X_t, H_{t-1}]`, the z/r
-/// row, `[X_t, R ⊙ H_{t-1}]`, the candidate row, then Eq. (10).
+/// `dz = dG · Wᵀ` for every row (`dG` `rows × N`, `W` `k × N`): per
+/// element the NT chain from zero, `j` ascending, added to the zero
+/// `gemm_nt(1, dG, W, 0, dz)` starts from. Each row's first `dx.cols()`
+/// elements go into `dX` (with `ADD` added to what it holds), the rest to
+/// `rest(r, tail)`. A product narrower than `2·NR` lanes runs the chains
+/// here, one dot product per element, straight into `dX`; a wider one goes
+/// through `dz` (`rows × k` scratch) to `K`'s NT product, whose packed tile
+/// keeps each element's chain.
 #[inline(always)]
-fn gru_forward<T: Float, const H: usize>(s: GruForward<'_, T>) {
-    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
-    assert_narrow(input + h, 2 * h);
-    let (wzr, bzr) = (s.wzr.as_slice(), s.bzr.as_slice());
-    let (wh, bh) = (s.wh.as_slice(), s.bh.as_slice());
+fn input_grads<K: Kernels, T: Float, const N: usize, const ADD: bool>(
+    dg: &[[T; N]],
+    w: &Matrix<T>,
+    k: usize,
+    dz: &mut [T],
+    dx: &mut Matrix<T>,
+    mut rest: impl FnMut(usize, &[T]),
+) {
+    let (rows, input) = (dg.len(), dx.cols());
+    let w = weights::<T, N>(w, k);
+    assert!(dx.rows() == rows && input <= k, "step: dX shape");
+    let put = |d: &mut T, v: T| *d = if ADD { *d + v } else { v };
+    if N < 2 * NR {
+        let (wx, wt) = w.split_at(input);
+        let mut tail = [T::ZERO; 4 * NR];
+        let tail = &mut tail[..k - input];
+        for (r, g) in dg.iter().enumerate() {
+            for (d, wp) in dx.row_mut(r).iter_mut().zip(wx) {
+                put(d, T::ZERO + dot_slice(g, wp));
+            }
+            for (d, wp) in tail.iter_mut().zip(wt) {
+                *d = T::ZERO + dot_slice(g, wp);
+            }
+            rest(r, tail);
+        }
+        return;
+    }
+    let dz = &mut dz[..rows * k];
+    dz.fill(T::ZERO);
+    // SAFETY: a kernel of `K` runs only where `K`'s units are available;
+    // `dG` is `rows × N`, `W` `k × N` (`weights` checked) and `dz`
+    // `rows × k`, the sizes `nt` reads and writes.
+    unsafe { K::nt(dg.as_flattened(), w.as_flattened(), dz, rows, N, k) }
     for r in 0..rows {
-        let (x, hp) = (s.x.row(r), s.h_prev.row(r));
-        let zi = s.zr_in.row_mut(r);
-        concat_row(zi, x, hp);
-        let (hx, hr) = s.h_in.row_mut(r).split_at_mut(input);
-        copy_row(hx, x);
-        let g = affine_row(Activation::Sigmoid, zi, wzr, bzr, input + h, 2 * h);
-        s.zr.row_mut(r).copy_from_slice(&g[..2 * h]);
-        for j in 0..h {
-            hr[j] = g[h + j] * hp[j];
+        let (src, tail) = dz[r * k..(r + 1) * k].split_at(input);
+        for (d, &v) in dx.row_mut(r).iter_mut().zip(src) {
+            put(d, v);
         }
-        let c = affine_row(Activation::Tanh, s.h_in.row(r), wh, bh, input + h, h);
-        s.hbar.row_mut(r).copy_from_slice(&c[..h]);
-        for (j, out) in s.h.row_mut(r).iter_mut().enumerate() {
-            *out = g[j] * c[j] + (T::ONE - g[j]) * hp[j];
-        }
-        s.h_prev_copy.row_mut(r).copy_from_slice(hp);
+        rest(r, tail);
     }
 }
 
-/// A narrow GRU step backward: per row [`gru_update_grads`], the
-/// candidate's `dH̄ · W_hᵀ` into `dX` and `d(R ⊙ H_{t-1})`, the reset
-/// gate's gradient, and the z/r product's `[dZ, dR] · W_zrᵀ` added into
-/// `dX` and `dH_{t-1}`; then both products' weight and bias gradients over
-/// all rows.
+/// `dW += zᵀ · dG` and `db += Σ_rows dG` over all rows (`z` `rows × k`,
+/// `dG` `rows × N`): per element the TN chain over the rows from zero,
+/// flushed into `dW` once per `KC` rows, then [`column_sums_add`] —
+/// `affine_grad`'s first two steps. A product narrower than `2·NR` lanes
+/// runs [`gemm_rows`] here per `KC` block of rows; a wider one goes to
+/// `K`'s TN product.
 #[inline(always)]
-fn gru_backward<T: Float, const H: usize>(s: GruBackward<'_, T>) {
-    let (rows, h) = (s.dh.rows(), H);
-    let k = s.zr_in.cols();
-    assert_narrow(k, 2 * h);
-    let (wzr, wh) = (s.wzr.as_slice(), s.wh.as_slice());
-    let (dzr, rest) = s.scratch.split_at_mut(rows * 2 * h);
-    let dhbar = &mut rest[..rows * h];
-    for r in 0..rows {
-        let (zr, hp) = (s.zr.row(r), s.h_prev.row(r));
-        let rows_r = [zr, s.hbar.row(r), hp, s.dh.row(r)];
-        let (dzr_r, dhb) = (
-            &mut dzr[r * 2 * h..(r + 1) * 2 * h],
-            &mut dhbar[r * h..(r + 1) * h],
-        );
-        let (dp, dx) = (s.dh_prev.row_mut(r), s.dx.row_mut(r));
-        match s.rec {
-            Some(rec) => gru_update_grads::<T, true>(h, rows_r, rec.row(r), dp, dhb, dzr_r),
-            None => gru_update_grads::<T, false>(h, rows_r, &[], dp, dhb, dzr_r),
+fn weight_grads<K: Kernels, T: Float, const N: usize>(
+    z: &Matrix<T>,
+    dg: &[[T; N]],
+    dw: &mut Matrix<T>,
+    db: &mut Matrix<T>,
+) {
+    let (rows, k) = (dg.len(), z.cols());
+    assert_eq!(z.rows(), rows, "step: cache rows");
+    assert_eq!(dw.shape(), (k, N), "step: dW shape");
+    assert_eq!(db.len(), N, "step: db width");
+    let (z, dg, dws) = (z.as_slice(), dg.as_flattened(), dw.as_mut_slice());
+    if N < 2 * NR {
+        for r0 in (0..rows).step_by(KC) {
+            let r1 = (r0 + KC).min(rows);
+            let (zb, dgb) = (&z[r0 * k..r1 * k], &dg[r0 * N..r1 * N]);
+            gemm_rows::<T, true>(T::ONE, zb, dgb, dws, k, r1 - r0, N);
         }
-        let mut drh = [T::ZERO; 2 * NR];
-        input_grad_row::<T, false>(dhb, wh, h, dx, &mut drh[..h]);
-        let rs = &zr[h..2 * h];
-        for j in 0..h {
-            dzr_r[h + j] = drh[j] * hp[j] * dsigmoid_from_y(rs[j]);
-            dp[j] += drh[j] * rs[j];
-        }
-        input_grad_row::<T, true>(dzr_r, wzr, 2 * h, dx, dp);
+    } else {
+        // SAFETY: a kernel of `K` runs only where `K`'s units are
+        // available; `z` is `rows × k`, `dG` `rows × N` and `dW` `k × N`
+        // (all checked above), the sizes `tn` reads and writes.
+        unsafe { K::tn(z, dg, dws, k, rows, N) };
     }
-    let (dw, db) = (s.dwh.as_mut_slice(), s.dbh.as_mut_slice());
-    weight_grads(s.h_in.as_slice(), dhbar, dw, db, rows, k, h);
-    let (dw, db) = (s.dwzr.as_mut_slice(), s.dbzr.as_mut_slice());
-    weight_grads(s.zr_in.as_slice(), dzr, dw, db, rows, k, 2 * h);
+    column_sums_add(dg, db.as_mut_slice(), rows, N);
 }
 
-/// A narrow vanilla step forward, one pass per row: `[X_t, H_{t-1}]` and
-/// the tanh row, written to the cache and the state.
+/// Runs `$full` (with `$r0` the block's first row) over each full block of
+/// [`STEP_ROWS`] rows and then `$one` over each row left: the two constant
+/// row counts of a kernel.
+macro_rules! row_blocks {
+    ($rows:expr, |$r0:ident| $full:expr, $one:expr) => {{
+        let rows = $rows;
+        let mut $r0 = 0;
+        while $r0 + STEP_ROWS <= rows {
+            $full;
+            $r0 += STEP_ROWS;
+        }
+        while $r0 < rows {
+            $one;
+            $r0 += 1;
+        }
+    }};
+}
+
+/// An LSTM step forward, [`STEP_ROWS`] rows at a time: `[X_t, H_{t-1}]`,
+/// the gate tile, `0 + acc + b`, σ on the `i`, `f`, `o` lanes and tanh on
+/// the `g` lanes, then Eqs. (5)–(6) in the cells' order.
 #[inline(always)]
-fn vanilla_forward<T: Float, const H: usize>(s: VanillaForward<'_, T>) {
-    let (rows, input, h) = (s.x.rows(), s.x.cols(), H);
-    assert_narrow(input + h, h);
-    let (w, b) = (s.w.as_slice(), s.b.as_slice());
-    for r in 0..rows {
-        let z = s.z.row_mut(r);
-        concat_row(z, s.x.row(r), s.h_prev.row(r));
-        let a = affine_row(Activation::Tanh, z, w, b, input + h, h);
-        s.h_copy.row_mut(r).copy_from_slice(&a[..h]);
-        s.h.row_mut(r).copy_from_slice(&a[..h]);
-    }
+pub(crate) fn lstm_forward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    mut s: LstmForward<'_, T>,
+) {
+    assert_fits(s.z.cols(), N);
+    row_blocks!(
+        s.x.rows(),
+        |r0| lstm_forward_rows::<T, H, N, STEP_ROWS>(&mut s, r0),
+        lstm_forward_rows::<T, H, N, 1>(&mut s, r0)
+    );
 }
 
-/// A narrow vanilla step backward: per row [`tanh_pre_grads`] into
-/// `scratch` and `dpre · Wᵀ` into `dX`, `dH_{t-1}`; then the weight and
+/// Rows `r0..r0 + R` of [`lstm_forward`].
+#[inline(always)]
+fn lstm_forward_rows<T: Float, const H: usize, const N: usize, const R: usize>(
+    s: &mut LstmForward<'_, T>,
+    r0: usize,
+) {
+    let k = s.z.cols();
+    let (hp, cp) = (
+        block::<T, H, R>(s.h_prev, r0),
+        *block::<T, H, R>(s.c_prev, r0),
+    );
+    for (r, hp) in (r0..).zip(hp) {
+        concat_row(s.z.row_mut(r), s.x.row(r), hp);
+    }
+    let z = std::array::from_fn(|i| s.z.row(r0 + i));
+    let mut gates = gate_tile::<T, R, N>(z, weights(s.w, k), k);
+    add_bias(&mut gates, bias_row(s.b));
+    for g in gates.iter_mut() {
+        lstm_gate_lanes::<T, H>(g);
+    }
+    *block_mut::<T, N, R>(s.gates, r0) = gates;
+    let mut c = [[T::ZERO; H]; R];
+    for ((c, g), cp) in c.iter_mut().zip(&gates).zip(&cp) {
+        lstm_cell_lanes(c, g, cp);
+    }
+    *block_mut::<T, H, R>(s.c, r0) = c;
+    let mut tanh_c = c;
+    map_block(tanh_c.as_flattened_mut(), T::tanh);
+    *block_mut::<T, H, R>(s.tanh_c, r0) = tanh_c;
+    let mut h = [[T::ZERO; H]; R];
+    for ((h, g), tc) in h.iter_mut().zip(&gates).zip(&tanh_c) {
+        mul_lanes(h, sub(g, 3 * H), tc);
+    }
+    *block_mut::<T, H, R>(s.h, r0) = h;
+    *block_mut::<T, H, R>(s.c_prev_copy, r0) = cp;
+}
+
+/// An LSTM step backward: per row [`lstm_gate_grads`] into `scratch` and
+/// `dC_{t-1}`; `dG · Wᵀ` into `dX` and `dH_{t-1}`; then the weight and
 /// bias gradients over all rows.
 #[inline(always)]
-fn vanilla_backward<T: Float, const H: usize>(s: VanillaBackward<'_, T>) {
-    let (rows, h) = (s.dh.rows(), H);
-    let (k, w) = (s.z.cols(), s.w.as_slice());
-    assert_narrow(k, h);
-    let dpre = &mut s.scratch[..rows * h];
+pub(crate) fn lstm_backward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    s: LstmBackward<'_, T>,
+) {
+    let (rows, k) = (s.dh.rows(), s.z.cols());
+    assert_fits(k, N);
+    let (dg, dz) = s.scratch.split_at_mut(rows * N);
+    let dg = lanes_mut::<T, N>(dg);
+    let (gates, tanh_c) = (
+        lanes::<T, N>(s.gates.as_slice()),
+        lanes::<T, H>(s.tanh_c.as_slice()),
+    );
+    let (cp, dh) = (
+        lanes::<T, H>(s.c_prev.as_slice()),
+        lanes::<T, H>(s.dh.as_slice()),
+    );
+    let dcp = lanes_mut::<T, H>(s.dc_prev.as_mut_slice());
+    let rec = s
+        .rec
+        .map(|(rh, rc)| (lanes::<T, H>(rh.as_slice()), lanes::<T, H>(rc.as_slice())));
     for r in 0..rows {
-        let (dh, ys, d) = (s.dh.row(r), s.h.row(r), &mut dpre[r * h..(r + 1) * h]);
-        match s.rec {
-            Some(rec) => tanh_pre_grads::<T, true>(dh, rec.row(r), ys, d),
-            None => tanh_pre_grads::<T, false>(dh, &[], ys, d),
+        // Local copies: no output can alias an input, so the lanes vectorise.
+        let (g, tc, cp, dh) = (gates[r], tanh_c[r], cp[r], dh[r]);
+        let ins = [&g[..], &tc, &cp, &dh];
+        let (mut dgr, mut dcr) = ([T::ZERO; N], [T::ZERO; H]);
+        match rec {
+            Some((rh, rc)) => {
+                let (rh, rc) = (rh[r], rc[r]);
+                lstm_gate_grads::<T, true>(H, ins, &rh, &rc, &mut dgr, &mut dcr)
+            }
+            None => lstm_gate_grads::<T, false>(H, ins, &[], &[], &mut dgr, &mut dcr),
         }
-        input_grad_row::<T, false>(d, w, h, s.dx.row_mut(r), s.dh_prev.row_mut(r));
+        (dg[r], dcp[r]) = (dgr, dcr);
     }
-    let (dw, db) = (s.dw.as_mut_slice(), s.db.as_mut_slice());
-    weight_grads(s.z.as_slice(), dpre, dw, db, rows, k, h);
+    let dp = lanes_mut::<T, H>(s.dh_prev.as_mut_slice());
+    input_grads::<K, T, N, false>(dg, s.w, k, dz, s.dx, |r, tail| dp[r].copy_from_slice(tail));
+    weight_grads::<K, T, N>(s.z, dg, s.dw, s.db);
+}
+
+/// A GRU step forward, [`STEP_ROWS`] rows at a time: `[X_t, H_{t-1}]`, the
+/// z/r tile, `[X_t, R ⊙ H_{t-1}]`, the candidate tile, then Eq. (10).
+#[inline(always)]
+pub(crate) fn gru_forward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    mut s: GruForward<'_, T>,
+) {
+    assert_fits(s.zr_in.cols(), N);
+    row_blocks!(
+        s.x.rows(),
+        |r0| gru_forward_rows::<T, H, N, STEP_ROWS>(&mut s, r0),
+        gru_forward_rows::<T, H, N, 1>(&mut s, r0)
+    );
+}
+
+/// Rows `r0..r0 + R` of [`gru_forward`].
+#[inline(always)]
+fn gru_forward_rows<T: Float, const H: usize, const N: usize, const R: usize>(
+    s: &mut GruForward<'_, T>,
+    r0: usize,
+) {
+    let (input, k) = (s.x.cols(), s.zr_in.cols());
+    let hp = *block::<T, H, R>(s.h_prev, r0);
+    for (r, hp) in (r0..).zip(&hp) {
+        let x = s.x.row(r);
+        concat_row(s.zr_in.row_mut(r), x, hp);
+        copy_row(&mut s.h_in.row_mut(r)[..input], x);
+    }
+    let zi = std::array::from_fn(|i| s.zr_in.row(r0 + i));
+    let mut zr = gate_tile::<T, R, N>(zi, weights(s.wzr, k), k);
+    add_bias(&mut zr, bias_row(s.bzr));
+    map_block(zr.as_flattened_mut(), T::sigmoid);
+    *block_mut::<T, N, R>(s.zr, r0) = zr;
+    for (r, (zr, hp)) in (r0..).zip(zr.iter().zip(&hp)) {
+        let hr = (&mut s.h_in.row_mut(r)[input..])
+            .try_into()
+            .expect("step: h_in width");
+        mul_lanes(hr, sub(zr, H), hp);
+    }
+    let hi = std::array::from_fn(|i| s.h_in.row(r0 + i));
+    let mut hbar = gate_tile::<T, R, H>(hi, weights(s.wh, k), k);
+    add_bias(&mut hbar, bias_row(s.bh));
+    map_block(hbar.as_flattened_mut(), T::tanh);
+    *block_mut::<T, H, R>(s.hbar, r0) = hbar;
+    let mut h = [[T::ZERO; H]; R];
+    for (((h, zr), hb), hp) in h.iter_mut().zip(&zr).zip(&hbar).zip(&hp) {
+        gru_state_lanes(h, sub(zr, 0), hb, hp);
+    }
+    *block_mut::<T, H, R>(s.h, r0) = h;
+    *block_mut::<T, H, R>(s.h_prev_copy, r0) = hp;
+}
+
+/// A GRU step backward: per row [`gru_update_grads`]; the candidate's
+/// `dH̄ · W_hᵀ` into `dX` and `d(R ⊙ H_{t-1})`, and per row the reset
+/// gate's gradient; the z/r product's `[dZ, dR] · W_zrᵀ` added into `dX`
+/// and `dH_{t-1}`; then both products' weight and bias gradients over all
+/// rows.
+#[inline(always)]
+pub(crate) fn gru_backward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    s: GruBackward<'_, T>,
+) {
+    let (rows, k) = (s.dh.rows(), s.zr_in.cols());
+    assert_fits(k, N);
+    let (dzr, rest) = s.scratch.split_at_mut(rows * N);
+    let (dhbar, dz) = rest.split_at_mut(rows * H);
+    let (dzr, dhbar) = (lanes_mut::<T, N>(dzr), lanes_mut::<T, H>(dhbar));
+    let (zr, hbar) = (
+        lanes::<T, N>(s.zr.as_slice()),
+        lanes::<T, H>(s.hbar.as_slice()),
+    );
+    let (hp, dh) = (
+        lanes::<T, H>(s.h_prev.as_slice()),
+        lanes::<T, H>(s.dh.as_slice()),
+    );
+    let dp = lanes_mut::<T, H>(s.dh_prev.as_mut_slice());
+    let rec = s.rec.map(|m| lanes::<T, H>(m.as_slice()));
+    for r in 0..rows {
+        // Local copies: no output can alias an input, so the lanes vectorise.
+        let (zs, hb, hpr, dhr) = (zr[r], hbar[r], hp[r], dh[r]);
+        let ins = [&zs[..], &hb, &hpr, &dhr];
+        let (mut dpr, mut dhb, mut dz) = ([T::ZERO; H], [T::ZERO; H], [T::ZERO; H]);
+        match rec {
+            Some(rec) => gru_update_grads::<T, true>(H, ins, &rec[r], &mut dpr, &mut dhb, &mut dz),
+            None => gru_update_grads::<T, false>(H, ins, &[], &mut dpr, &mut dhb, &mut dz),
+        }
+        (dp[r], dhbar[r]) = (dpr, dhb);
+        dzr[r][..H].copy_from_slice(&dz);
+    }
+    input_grads::<K, T, H, false>(dhbar, s.wh, k, dz, s.dx, |r, drh| {
+        let drh: [T; H] = drh.try_into().expect("step: dH width");
+        let (zs, hpr, mut dpr) = (zr[r], hp[r], dp[r]);
+        let mut dr = [T::ZERO; H];
+        for j in 0..H {
+            dr[j] = drh[j] * hpr[j] * dsigmoid_from_y(zs[H + j]);
+            dpr[j] += drh[j] * zs[H + j];
+        }
+        dzr[r][H..].copy_from_slice(&dr);
+        dp[r] = dpr;
+    });
+    input_grads::<K, T, N, true>(dzr, s.wzr, k, dz, s.dx, |r, src| {
+        let (src, mut dpr): ([T; H], _) = (src.try_into().expect("step: dH width"), dp[r]);
+        for j in 0..H {
+            dpr[j] += src[j];
+        }
+        dp[r] = dpr;
+    });
+    weight_grads::<K, T, H>(s.h_in, dhbar, s.dwh, s.dbh);
+    weight_grads::<K, T, N>(s.zr_in, dzr, s.dwzr, s.dbzr);
+}
+
+/// A vanilla step forward, [`STEP_ROWS`] rows at a time: `[X_t, H_{t-1}]`
+/// and the tanh tile, written to the cache and the state.
+#[inline(always)]
+pub(crate) fn vanilla_forward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    mut s: VanillaForward<'_, T>,
+) {
+    assert_fits(s.z.cols(), N);
+    row_blocks!(
+        s.x.rows(),
+        |r0| vanilla_forward_rows::<T, N, STEP_ROWS>(&mut s, r0),
+        vanilla_forward_rows::<T, N, 1>(&mut s, r0)
+    );
+}
+
+/// Rows `r0..r0 + R` of [`vanilla_forward`] (`N` is the hidden width).
+#[inline(always)]
+fn vanilla_forward_rows<T: Float, const N: usize, const R: usize>(
+    s: &mut VanillaForward<'_, T>,
+    r0: usize,
+) {
+    let k = s.z.cols();
+    for (r, hp) in (r0..).zip(block::<T, N, R>(s.h_prev, r0)) {
+        concat_row(s.z.row_mut(r), s.x.row(r), hp);
+    }
+    let z = std::array::from_fn(|i| s.z.row(r0 + i));
+    let mut h = gate_tile::<T, R, N>(z, weights(s.w, k), k);
+    add_bias(&mut h, bias_row(s.b));
+    map_block(h.as_flattened_mut(), T::tanh);
+    *block_mut::<T, N, R>(s.h, r0) = h;
+    *block_mut::<T, N, R>(s.h_copy, r0) = h;
+}
+
+/// A vanilla step backward: [`tanh_pre_grads`] into `scratch`, `dpre · Wᵀ`
+/// into `dX` and `dH_{t-1}`, then the weight and bias gradients.
+#[inline(always)]
+pub(crate) fn vanilla_backward<K: Kernels, T: Float, const H: usize, const N: usize>(
+    s: VanillaBackward<'_, T>,
+) {
+    let (rows, k) = (s.dh.rows(), s.z.cols());
+    assert_fits(k, N);
+    let (dpre, dz) = s.scratch.split_at_mut(rows * N);
+    let dpre = lanes_mut::<T, N>(dpre);
+    let (dh, ys) = (s.dh.as_slice(), s.h.as_slice());
+    match s.rec {
+        Some(rec) => tanh_pre_grads::<T, true>(dh, rec.as_slice(), ys, dpre.as_flattened_mut()),
+        None => tanh_pre_grads::<T, false>(dh, &[], ys, dpre.as_flattened_mut()),
+    }
+    let dp = lanes_mut::<T, N>(s.dh_prev.as_mut_slice());
+    input_grads::<K, T, N, false>(dpre, s.w, k, dz, s.dx, |r, tail| {
+        dp[r].copy_from_slice(tail)
+    });
+    weight_grads::<K, T, N>(s.z, dpre, s.dw, s.db);
+}
+
+/// `C += A · Bᵀ` through the portable loop: a portable step's NT product
+/// ([`crate::step::Kernels::nt`]).
+#[inline(always)]
+pub(crate) fn step_nt<T: Float>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
+    gemm_nt_cols(T::ONE, a, b, c, m, k, n, 0);
+}
+
+/// `C += Aᵀ · B` (`A` stored `k×m`) through the portable loops: a portable
+/// step's TN product ([`crate::step::Kernels::tn`]).
+#[inline(always)]
+pub(crate) fn step_tn<T: Float>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
+    gemm_tn_accum(T::ONE, a, b, c, m, k, n);
 }
 
 /// One batch row of the LSTM gate gradients through Eqs. (5)–(6), into

@@ -1,9 +1,9 @@
-//! The one-call narrow cell step against the composed narrow route it
-//! replaces: per gate product [`Backend::affine`] or
-//! [`Backend::affine_grad`], with the cells' element-wise passes in
-//! between. Bit for bit, at every hidden width on the narrow route, for
-//! rows 1–5, with and without a recurrent gradient, under `scalar` (the
-//! portable loops) and `simd` (the widest tier's wrapper).
+//! The one-call cell step against the composed route it replaces: per
+//! gate product [`Backend::affine`] or [`Backend::affine_grad`], with the
+//! cells' element-wise passes in between. Bit for bit, at every hidden
+//! width on the route, for rows 1–9 (a full 4-row block and each
+//! remainder), with and without a recurrent gradient, under `scalar` (the
+//! portable loops) and `simd` (the tier wrapper the shape picks).
 
 use bpar_tensor::activation::dsigmoid_from_y;
 use bpar_tensor::reference::{gru_update_grads, lstm_gate_grads, tanh_pre_grads};
@@ -13,8 +13,7 @@ use bpar_tensor::step::{
 use bpar_tensor::{init, Activation, Backend, Float, Matrix};
 use proptest::prelude::*;
 
-/// The gated cells and the hidden widths on which all of a cell's gate
-/// products are narrow.
+/// The gated cells and the widest hidden width on the one-call route.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Lstm,
@@ -22,7 +21,7 @@ enum Kind {
     Vanilla,
 }
 
-const KINDS: [(Kind, usize); 3] = [(Kind::Lstm, 3), (Kind::Gru, 7), (Kind::Vanilla, 15)];
+const KINDS: [(Kind, usize); 3] = [(Kind::Lstm, 8), (Kind::Gru, 16), (Kind::Vanilla, 32)];
 
 fn assert_bits<T: Float>(got: &Matrix<T>, want: &Matrix<T>, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}: shape");
@@ -41,6 +40,7 @@ fn columns<T: Float>(m: &Matrix<T>, from: usize, to: usize) -> Matrix<T> {
 }
 
 /// One cell's weights, forward inputs and BPTT inputs, drawn from `seed`.
+#[derive(Clone)]
 struct Case<T: Float> {
     kind: Kind,
     x: Matrix<T>,
@@ -298,7 +298,7 @@ fn step_backward<T: Float>(c: &Case<T>, fw: &Outputs<T>, be: Backend) -> Grads<T
     let nan = T::from_f64(f64::NAN);
     let (mut dx, mut dp) = (Matrix::full(rows, input, nan), Matrix::full(rows, h, nan));
     let mut g = c.grads.clone();
-    let mut scratch = vec![nan; rows * 4 * h];
+    let mut scratch = vec![nan; rows * (5 * h + input)];
     let dh = &c.dh;
     match c.kind {
         Kind::Lstm => {
@@ -375,8 +375,8 @@ fn step_backward<T: Float>(c: &Case<T>, fw: &Outputs<T>, be: Backend) -> Grads<T
     }
 }
 
-/// Every kind at every narrow width: the step's forward and backward
-/// equal the composed route's under both backends.
+/// Every kind at every width on the route: the step's forward and
+/// backward equal the composed route's under both backends.
 fn check_all_widths<T: Float>(rows: usize, input: usize, seed: u64) {
     for (kind, max_h) in KINDS {
         for h in 1..=max_h {
@@ -409,11 +409,12 @@ fn check_all_widths<T: Float>(rows: usize, input: usize, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Rows 1–5 (a serving batch reaches 4), any input width up to a few
-    /// registers, every narrow hidden width of every gated kind.
+    /// Rows 1–9 (a full 4-row block, two, and each remainder), any input
+    /// width up to a few registers, every hidden width on the route of
+    /// every gated kind.
     #[test]
-    fn steps_equal_the_composed_narrow_route_bitwise(
-        rows in 1usize..6, input in 1usize..21, seed in 0u64..1000,
+    fn steps_equal_the_composed_route_bitwise(
+        rows in 1usize..10, input in 1usize..21, seed in 0u64..1000,
     ) {
         check_all_widths::<f32>(rows, input, seed);
     }
@@ -421,12 +422,15 @@ proptest! {
 
 /// `f64` takes the same kernels (the tier wrappers are generic), and a
 /// weight gradient over more than `KC = 256` rows is flushed into `dW`
-/// once per `KC` rows, as the blocked TN product does.
+/// once per `KC` rows, as the blocked TN product does: in registers below
+/// 16 lanes (LSTM 3, GRU 7, vanilla 15) and through the tier's TN product
+/// at each kind's widest width.
 #[test]
 fn steps_equal_the_composed_route_in_f64_and_across_kc_rows() {
     check_all_widths::<f64>(3, 5, 7);
+    let narrow = [(Kind::Lstm, 3), (Kind::Gru, 7), (Kind::Vanilla, 15)];
     for rows in [256, 257, 600] {
-        for (kind, h) in [(Kind::Lstm, 3), (Kind::Gru, 7), (Kind::Vanilla, 15)] {
+        for (kind, h) in narrow.into_iter().chain(KINDS) {
             let c = Case::<f32>::new(kind, rows, 4, h, true, 11);
             for be in [Backend::scalar(), Backend::simd()] {
                 let fw = composed_forward(&c, be);
@@ -441,10 +445,74 @@ fn steps_equal_the_composed_route_in_f64_and_across_kc_rows() {
     }
 }
 
-/// A cell past the narrow route has no one-call step.
+/// A cell past the one-call route has no one-call step.
 #[test]
-#[should_panic(expected = "no narrow step at hidden width 4")]
+#[should_panic(expected = "no one-call step at hidden width 9")]
 fn a_wide_lstm_step_is_refused() {
-    let c = Case::<f32>::new(Kind::Lstm, 1, 2, 4, false, 1);
+    let c = Case::<f32>::new(Kind::Lstm, 1, 2, 9, false, 1);
     step_forward(&c, Backend::simd());
+}
+
+/// The first width past the route of every kind, and a product one `KC`
+/// block too deep, have no one-call step: forward and backward panic.
+#[test]
+fn steps_off_the_route_are_refused() {
+    let panics = |kind, input, h| {
+        let c = Case::<f32>::new(kind, 2, input, h, true, 1);
+        let fw = composed_forward(&c, Backend::scalar());
+        for be in [Backend::scalar(), Backend::simd()] {
+            let forward = || drop(step_forward(&c, be));
+            let backward = || drop(step_backward(&c, &fw, be));
+            for (what, run) in [("forward", &forward as &dyn Fn()), ("backward", &backward)] {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                assert!(err.is_err(), "{kind:?} {input}+{h} {be:?} {what}: no panic");
+            }
+        }
+    };
+    for (kind, h) in KINDS {
+        panics(kind, 3, h + 1);
+        panics(kind, 257 - h, h);
+    }
+}
+
+/// A backward step whose kernel or forward cache is a row short panics
+/// before a product reads it: at each kind's widest width, where `simd`
+/// hands the input and weight gradients to the widest tier's NT and TN
+/// products, at 16 lanes, where the `avx2` wrapper's products take them,
+/// and just below, where they run in registers.
+#[test]
+fn backward_steps_with_a_short_kernel_or_cache_are_refused() {
+    let short = |m: &Matrix<f32>| Matrix::from_fn(m.rows() - 1, m.cols(), |r, j| m.get(r, j));
+    let narrower = [
+        (Kind::Lstm, 4),
+        (Kind::Gru, 8),
+        (Kind::Vanilla, 16),
+        (Kind::Lstm, 3),
+        (Kind::Gru, 7),
+        (Kind::Vanilla, 15),
+    ];
+    for (kind, h) in KINDS.into_iter().chain(narrower) {
+        let c = Case::<f32>::new(kind, 4, 3, h, true, 5);
+        let fw = composed_forward(&c, Backend::scalar());
+        let mut cases = Vec::new();
+        for i in 0..c.wb.len() {
+            let mut bad = c.clone();
+            bad.wb[i].0 = short(&c.wb[i].0);
+            cases.push((format!("kernel {i}"), bad, fw.clone()));
+        }
+        // The caches the weight gradients read: `z` (GRU: `zr_in`, `h_in`).
+        let caches = if matches!(kind, Kind::Gru) { 2 } else { 1 };
+        for i in 0..caches {
+            let mut bad = fw.clone();
+            bad[i] = short(&fw[i]);
+            cases.push((format!("cache {i}"), c.clone(), bad));
+        }
+        for be in [Backend::scalar(), Backend::simd()] {
+            for (what, c, fw) in &cases {
+                let run = || drop(step_backward(c, fw, be));
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                assert!(err.is_err(), "{kind:?} h={h} {be:?} short {what}: no panic");
+            }
+        }
+    }
 }
